@@ -3,16 +3,24 @@
 
     python3 benchmark/calibrate.py --out benchmark/calibration/<name>.json
 
-Runs every workload --runs times (seeds 1..runs, one run after another,
-workload by workload), in --sets independent sets. For each set, workload
-and end-to-end metric it reports the median, the quartiles as
-statistics.quantiles(values, n=4) gives them, and the spread
-(q3 - q1) / median. Across sets it reports how far the later medians moved
-from the first, in the metric's worse direction. It records nproc, the CPU
-model and the total wall time beside the raw values.
+Runs two sets of 10 runs of every workload under each of three seed
+protocols, one run after another, workload by workload:
+
+  seed1      seed 1 every run (the default seed): host noise alone;
+  seed2      seed 2 every run (the held-out seed): host noise alone;
+  seeds1-10  seeds 1..10, one per run: host noise plus what the seed changes,
+             the way a comparison over several seeds sees it.
+
+For each protocol, set, workload and end-to-end metric it reports the
+median, the quartiles as statistics.quantiles(values, n=4) gives them, and
+the spread (q3 - q1) / median. Across a protocol's two sets it reports how
+far the second median moved from the first, in the metric's worse
+direction. It records nproc, the CPU model and the total wall time beside
+the raw values.
 
 A bound in BENCHMARK.json should be at least three times the widest spread
-seen and above the widest worsening of a median, and never below 3%.
+of any protocol and above the widest worsening of a median, and never below
+3%.
 """
 import argparse
 import json
@@ -25,6 +33,13 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+RUNS = 10
+SETS = 2
+PROTOCOLS = {
+    "seed1": [1] * RUNS,
+    "seed2": [2] * RUNS,
+    "seeds1-10": list(range(1, RUNS + 1)),
+}
 
 
 def cpu_model():
@@ -55,57 +70,63 @@ def summarize(values):
             "spread": (q3 - q1) / statistics.median(values)}
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--out", required=True)
-    args = ap.parse_args()
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
-
-    t0 = time.time()
+def measure(spec, seeds, t0):
+    """Runs SETS sets of every workload at `seeds`; returns the summary."""
     sets = []
-    for s in range(args.sets):
+    for s in range(SETS):
         raw = {}
         for w in spec["workloads"]:
-            runs = [run(w["name"], seed) for seed in range(1, args.runs + 1)]
+            runs = [run(w["name"], seed) for seed in seeds]
             raw[w["name"]] = {m["name"]: [r[m["name"]] for r in runs]
                               for m in spec["end_to_end"]}
             print("set %d %s done (%.0f s)" % (s + 1, w["name"],
                                                 time.time() - t0),
                   file=sys.stderr, flush=True)
         sets.append(raw)
-
-    report = {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
-              "run_seconds": spec["run_seconds"], "runs_per_set": args.runs,
-              "seeds": list(range(1, args.runs + 1)),
-              "total_wall_s": round(time.time() - t0, 1), "workloads": {}}
+    workloads = {}
     for w in spec["workloads"]:
         per_metric = {}
         for m in spec["end_to_end"]:
             stats = [summarize(raw[w["name"]][m["name"]]) for raw in sets]
             sign = 1 if m["better"] == "lower" else -1
-            worsening = [sign * (st["median"] - stats[0]["median"]) /
-                         stats[0]["median"] for st in stats[1:]]
             per_metric[m["name"]] = {
-                "bound": m["bound"],
                 "sets": [dict(st, values=raw[w["name"]][m["name"]])
                          for st, raw in zip(stats, sets)],
                 "max_spread": max(st["spread"] for st in stats),
-                "median_worsening": worsening,
+                "median_worsening": sign * (stats[1]["median"] -
+                                            stats[0]["median"]) /
+                                    stats[0]["median"],
             }
-        report["workloads"][w["name"]] = per_metric
+        workloads[w["name"]] = per_metric
+    return {"seeds": seeds, "workloads": workloads}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+
+    t0 = time.time()
+    report = {"nproc": os.cpu_count(), "cpu_model": cpu_model(),
+              "run_seconds": spec["run_seconds"], "runs_per_set": RUNS,
+              "sets_per_protocol": SETS, "protocols": {}}
+    for name, seeds in PROTOCOLS.items():
+        print("protocol %s" % name, file=sys.stderr, flush=True)
+        report["protocols"][name] = measure(spec, seeds, t0)
+    report["total_wall_s"] = round(time.time() - t0, 1)
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
-    for w, per_metric in report["workloads"].items():
-        for name, r in per_metric.items():
-            print("%-11s %-18s spread %s  worsening %s  bound %.3f" % (
-                w, name, " ".join("%.4f" % st["spread"] for st in r["sets"]),
-                " ".join("%+.4f" % x for x in r["median_worsening"]),
-                r["bound"]))
+    for name, proto in report["protocols"].items():
+        for w, per_metric in proto["workloads"].items():
+            for metric, r in per_metric.items():
+                print("%-9s %-11s %-13s spread %s  worsening %+.4f"
+                      % (name, w, metric,
+                         " ".join("%.4f" % st["spread"] for st in r["sets"]),
+                         r["median_worsening"]))
     print("total wall time %.0f s" % report["total_wall_s"])
 
 

@@ -420,11 +420,12 @@ LayerReport replay_layers(const WorkloadInfo& info, std::uint64_t seed,
       // only be dropped.
       sim::Node& full = w->bottleneck();
       const int in = w->bottleneck_ingress();
-      for (std::size_t guard = 0; guard < 4096; ++guard) {
+      bool filled = false;
+      for (std::size_t guard = 0; guard < 4096 && !filled; ++guard) {
         const std::uint64_t before = full.stats().drops_rx_queue;
         arrive.fill(bursts[0], w->now());
         full.receive_burst_from_link(std::move(bursts[0]), in);
-        if (full.stats().drops_rx_queue - before == kBurst) break;
+        filled = full.stats().drops_rx_queue - before == kBurst;
       }
       const std::uint64_t drops0 = full.stats().drops_rx_queue;
       Timing t = time_calls(
@@ -437,10 +438,18 @@ LayerReport replay_layers(const WorkloadInfo& info, std::uint64_t seed,
           [&] {
             for (auto& b : bursts) full.receive_burst_from_link(std::move(b), in);
           });
+      // Every timed arrival must have been a drop, or the timing is not
+      // the drop path's.
       const std::uint64_t want =
           (kSamples + kSamples / 10 + 1) * kPktsPerSample;
-      if (full.stats().drops_rx_queue - drops0 == want)
+      const std::uint64_t dropped = full.stats().drops_rx_queue - drops0;
+      if (filled && dropped == want)
         r.timings.push_back(std::move(t));
+      else
+        r.problems.push_back(
+            "sim.node.rx_drop_ns not measured: " + std::to_string(dropped) +
+            " of " + std::to_string(want) + " timed arrivals dropped" +
+            (filled ? "" : ", RX rings never filled"));
     }
   }
   g_sink = sink;

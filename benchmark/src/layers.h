@@ -67,6 +67,9 @@ struct LayerReport {
   int seg6local_node = -1;
   int lwt_node = -1;
   int source_node = -1;
+  // Replays that apply to the workload but produced no timing; the run
+  // reports them as a failed check.
+  std::vector<std::string> problems;
   double p50(const std::string& name) const;  // 0 when not measured
 };
 

@@ -24,6 +24,8 @@
 // <out-dir>/<workload>.layers.json and reports the per-layer metrics.
 //
 // The last line of stdout is one JSON object; benchmark/run.py reads it.
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -222,6 +224,13 @@ void print_metric(std::FILE* f, const char* name, double value,
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // A fixed threshold turns off glibc's dynamic one, which rises after the
+  // first large free. With it on, whether the FIB's growing route vector came
+  // from the heap or from mmap depended on the allocation history, and
+  // fib_churn's peak RSS took one of two values 0.7 MiB apart by seed.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   Args a;
   if (!parse_args(argc, argv, a)) {
     std::fprintf(stderr,
@@ -287,6 +296,11 @@ int main(int argc, char** argv) {
           spans);
     }
     checks.insert(checks.end(), t.checks.begin(), t.checks.end());
+    std::string replay_detail =
+        std::to_string(layers.timings.size()) + " layer calls timed";
+    for (const std::string& problem : layers.problems)
+      replay_detail += "; " + problem;
+    checks.push_back({"layer_replays", layers.problems.empty(), replay_detail});
     checks.push_back({"traced_digest", t.final_digest == p.final_digest,
                       "traced " + hex(t.final_digest) + ", untraced " +
                           hex(p.final_digest)});

@@ -286,7 +286,12 @@ class DmFilter final : public Workload {
     o.seed = seeds.net;
     link_delay_ = o.link_delay;
     probe_ratio_ = o.probe_ratio;
-    lab_ = std::make_unique<usecases::DelayMonitorLab>(o);
+    {
+      // One library call loads both programs and compiles both filters, so
+      // the lab's build has no separate ebpf.load or cbpf.attach spans.
+      SpanRecorder::Scope span(opts.spans, "usecases.delay_monitor_lab");
+      lab_ = std::make_unique<usecases::DelayMonitorLab>(o);
+    }
     net_ = &lab_->net();
     sim::Node& s1 = lab_->s1();
     sim::Node& r = lab_->r();

@@ -71,7 +71,8 @@ struct BuildOptions {
   std::size_t threads = 1;
   // false: build everything but leave the sources unstarted (replays).
   bool start_traffic = true;
-  // Receives the build's ebpf.load spans when set (traced run).
+  // Receives the build's ebpf.load (or usecases.delay_monitor_lab) spans
+  // when set (traced run).
   SpanRecorder* spans = nullptr;
 };
 
