@@ -15,8 +15,9 @@ For each protocol, set, workload and end-to-end metric it reports the
 median, the quartiles as statistics.quantiles(values, n=4) gives them, and
 the spread (q3 - q1) / median. Across a protocol's two sets it reports how
 far the second median moved from the first, in the metric's worse
-direction. It records nproc, the CPU model and the total wall time beside
-the raw values.
+direction. The uncorrected figures behind the host-corrected metrics
+(sim_pps_wall, setup_wall_s, host.ref_ms) get the same summary. It records
+nproc, the CPU model and the total wall time beside the raw values.
 
 A bound in BENCHMARK.json should be at least three times the widest spread
 of any protocol and above the widest worsening of a median, and never below
@@ -33,6 +34,12 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+FULL = os.path.join(HERE, "out", "calibrate-run.json")
+# What srv6bench reports beside the end-to-end metrics: the uncorrected
+# rate and set-up time, and the host reference unit's median time.
+UNCORRECTED = [{"name": "sim_pps_wall", "better": "higher"},
+               {"name": "setup_wall_s", "better": "lower"},
+               {"name": "host.ref_ms", "better": "lower"}]
 RUNS = 10
 SETS = 2
 PROTOCOLS = {
@@ -56,12 +63,13 @@ def cpu_model():
 def run(workload, seed):
     p = subprocess.run([sys.executable, os.path.join(HERE, "run.py"),
                         "--workload", workload, "--seed", str(seed),
-                        "--trace", "0"],
+                        "--trace", "0", "--out", FULL],
                        cwd=ROOT, capture_output=True, text=True)
-    lines = p.stdout.strip().splitlines()
-    if p.returncode != 0 or not lines:
+    if p.returncode != 0 or not p.stdout.strip():
         sys.exit("%s seed %d failed:\n%s" % (workload, seed, p.stderr))
-    return {k: v["value"] for k, v in json.loads(lines[-1])["metrics"].items()}
+    with open(FULL) as f:
+        metrics = json.load(f)[workload]["metrics"]
+    return {k: v["value"] for k, v in metrics.items()}
 
 
 def summarize(values):
@@ -72,13 +80,14 @@ def summarize(values):
 
 def measure(spec, seeds, t0):
     """Runs SETS sets of every workload at `seeds`; returns the summary."""
+    metrics = spec["end_to_end"] + UNCORRECTED
     sets = []
     for s in range(SETS):
         raw = {}
         for w in spec["workloads"]:
             runs = [run(w["name"], seed) for seed in seeds]
             raw[w["name"]] = {m["name"]: [r[m["name"]] for r in runs]
-                              for m in spec["end_to_end"]}
+                              for m in metrics}
             print("set %d %s done (%.0f s)" % (s + 1, w["name"],
                                                 time.time() - t0),
                   file=sys.stderr, flush=True)
@@ -86,7 +95,7 @@ def measure(spec, seeds, t0):
     workloads = {}
     for w in spec["workloads"]:
         per_metric = {}
-        for m in spec["end_to_end"]:
+        for m in metrics:
             stats = [summarize(raw[w["name"]][m["name"]]) for raw in sets]
             sign = 1 if m["better"] == "lower" else -1
             per_metric[m["name"]] = {

@@ -488,6 +488,8 @@ std::vector<Metric> derive_metrics(const WindowSummary& ws,
 
   std::vector<Metric> m = {
       {"slice_wall_ms_p90", ws.slice_p90_ms, "ms"},
+      {"sim_pps_wall", ws.pps_wall, "pkt/s"},
+      {"host.ref_ms", ws.host_ref_ms, "ms"},
       {"apps.offered", offered, "pkt"},
       {"apps.delivered", delivered, "pkt"},
       {"net.pool.allocs_per_pkt", ratio(static_cast<double>(ws.allocs), offered),

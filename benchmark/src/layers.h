@@ -86,8 +86,10 @@ struct WindowSummary {
   std::uint64_t pool_high_water = 0;
   double queue_depth = 0;       // median pending events at slice boundaries
   double slice_p90_ms = 0;      // untraced pass: 90th-percentile slice wall
-  double wall_ns_per_pkt = 0;   // p10 slice wall / offered per slice
-  double trace_overhead = 0;    // 1 - traced / untraced sim_pps_wall
+  double pps_wall = 0;          // untraced pass: offered / median slice wall
+  double host_ref_ms = 0;       // untraced pass: median reference unit
+  double wall_ns_per_pkt = 0;   // traced pass: median slice wall / offered
+  double trace_overhead = 0;    // 1 - traced / untraced sim_pps_norm
   double pdes_speedup = 0;      // prefix slices at 1 thread / at pdes_threads
   std::size_t pdes_threads = 1;
 };

@@ -9,13 +9,17 @@
 //   2. warm up for 30 ms of simulated time (fills RX rings, buffer pools and
 //      event-queue storage);
 //   3. run a window of `seconds` x the workload's window_ms_per_s simulated
-//      ms, split into 200 equal slices, each timed with steady_clock; the
+//      ms, split into 200 equal slices, each timed with steady_clock and
+//      followed by one timed unit of host-reference work (host_ref.h); the
 //      conservation ledger is audited at every slice boundary, and after
-//      every sixth slice the workload is built again from scratch and
-//      thrown away; setup_s is the median of the 31 build times;
+//      every sixth slice the workload is built again from scratch, timed
+//      with a reference unit of its own, and thrown away;
 //   4. let the sources stop, drain, and run the checks — including a fresh
 //      rebuild replayed to slice 16 whose digest must match (on min(4, nproc)
 //      PDES threads for the partitioned workload, whose window runs on one).
+// The end-to-end timings are host-corrected: each slice's and each build's
+// wall time is scaled by its reference unit (corrected_median), and
+// sim_pps_norm and setup_s are medians of the scaled times.
 // With --trace the process first does an untraced pass, then a traced pass of
 // the same window (each half as long as an untraced run's) with spans kept in
 // memory, then times each layer's public calls on a separate instance
@@ -27,12 +31,14 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "host_ref.h"
 #include "layers.h"
 #include "net/buffer_pool.h"
 #include "spans.h"
@@ -48,6 +54,28 @@ constexpr std::size_t kSetupBuilds = 31;
 constexpr std::size_t kSlices = 200;
 constexpr std::size_t kPrefixSlices = 16;
 constexpr std::size_t kMaxThreads = 4;
+
+// Host correction. An interval that took t of wall time, followed by a
+// reference unit (host_ref.h) that took r, counts as
+// t * (kHostRefNominalS / r)^e: about its wall time on a host where the unit
+// takes kHostRefNominalS, a typical time on a 4-vCPU Xeon KVM guest (it sets
+// only the scale of the metrics). e is how steeply the interval's time follows the unit's across the
+// host's slow and fast phases, fitted over all four workloads
+// (benchmark/README.md, "Host correction"): a window slice slows by about the
+// 1.6th power of the unit's slowdown, a build by about its 0.75th power.
+constexpr double kHostRefNominalS = 1.8e-3;
+constexpr double kSliceElasticity = 1.6;
+constexpr double kBuildElasticity = 0.75;
+
+// Median of the host-corrected times t[k] * (nominal / ref_s[k])^elasticity.
+double corrected_median(const std::vector<double>& t,
+                        const std::vector<double>& ref_s, double elasticity) {
+  std::vector<double> c;
+  c.reserve(t.size());
+  for (std::size_t k = 0; k < t.size(); ++k)
+    c.push_back(t[k] * std::pow(kHostRefNominalS / ref_s[k], elasticity));
+  return quantile(c, 0.5);
+}
 
 struct Args {
   std::string workload;
@@ -94,7 +122,9 @@ double peak_rss_mib() {
 // One pass of steps 1-4 over a workload.
 struct Pass {
   std::vector<double> setup_s;   // one per build
+  std::vector<double> setup_ref_s;  // the reference unit after each build
   std::vector<double> slice_s;   // one per slice
+  std::vector<double> slice_ref_s;  // the reference unit after each slice
   std::vector<double> depth;     // pending events at each slice boundary
   WindowCounts window;
   LayerCounts before, after;     // counters at window start and end
@@ -106,7 +136,7 @@ struct Pass {
 };
 
 Pass run_pass(const WorkloadInfo& info, const Args& a, std::size_t builds,
-              SpanRecorder* spans) {
+              HostRef& ref, SpanRecorder* spans) {
   const TimeNs window =
       static_cast<TimeNs>(a.seconds) * info.window_ms_per_s * sim::kMilli;
   const TimeNs slice = window / kSlices;
@@ -118,13 +148,19 @@ Pass run_pass(const WorkloadInfo& info, const Args& a, std::size_t builds,
   Pass p;
   // Reserved so the window's allocation count is the library's alone.
   p.setup_s.reserve(builds);
+  p.setup_ref_s.reserve(builds);
   p.slice_s.reserve(kSlices);
+  p.slice_ref_s.reserve(kSlices);
   p.depth.reserve(kSlices);
   auto build = [&] {
-    SpanRecorder::Scope span(spans, "build");
-    const std::uint64_t t0 = wall_ns();
-    auto built = make_workload(info.name, opts);
-    p.setup_s.push_back(seconds_since(t0));
+    std::unique_ptr<Workload> built;
+    {
+      SpanRecorder::Scope span(spans, "build");
+      const std::uint64_t t0 = wall_ns();
+      built = make_workload(info.name, opts);
+      p.setup_s.push_back(seconds_since(t0));
+    }
+    p.setup_ref_s.push_back(ref.run_s());
     return built;
   };
   std::unique_ptr<Workload> w;
@@ -155,6 +191,7 @@ Pass run_pass(const WorkloadInfo& info, const Args& a, std::size_t builds,
         w->run_until(kWarmup + slice * k);
         p.slice_s.push_back(seconds_since(t0));
       }
+      p.slice_ref_s.push_back(ref.run_s());
       w->auditor().audit(w->now());
       p.depth.push_back(static_cast<double>(w->events_pending()));
       if (k == kPrefixSlices) p.prefix_digest = w->digest();
@@ -254,7 +291,8 @@ int main(int argc, char** argv) {
   // A traced run measures two passes (untraced, traced) of half the window
   // each, so that it measures for about as long as an untraced run.
   if (a.trace) a.seconds = (a.seconds + 1) / 2;
-  const Pass p = run_pass(info, a, a.trace ? 1 : kSetupBuilds, nullptr);
+  HostRef ref;
+  const Pass p = run_pass(info, a, a.trace ? 1 : kSetupBuilds, ref, nullptr);
   std::vector<Check> checks = p.checks;
   // Determinism: a fresh build replayed to the prefix slice reaches the same
   // state, at any thread count.
@@ -266,12 +304,15 @@ int main(int argc, char** argv) {
                         std::to_string(replay_threads) + " thread(s) " +
                         hex(prefix_digest)});
 
-  // Rate at the 10th-percentile slice: what the simulator sustains while
-  // the host is not contended. The median moves with minute-long
-  // contention phases on shared hosts (benchmark/calibration/).
+  // Offered packets per host-corrected median slice. The raw median slice
+  // moves with minute-long contention phases on shared hosts, by up to 2x;
+  // the corrected one follows the simulator (benchmark/calibration/).
   const double offered_per_slice =
       static_cast<double>(p.window.offered) / kSlices;
-  const double pps_wall = offered_per_slice / quantile(p.slice_s, 0.1);
+  const double pps_norm =
+      offered_per_slice /
+      corrected_median(p.slice_s, p.slice_ref_s, kSliceElasticity);
+  const double pps_wall = offered_per_slice / quantile(p.slice_s, 0.5);
 
   std::FILE* out = stdout;
   if (!a.trace) {
@@ -279,16 +320,23 @@ int main(int argc, char** argv) {
                       "\"digest\": \"%s\", \"metrics\": {",
                  info.name, static_cast<unsigned long long>(a.seed),
                  hex(p.final_digest).c_str());
+    print_metric(out, "sim_pps_norm", pps_norm, "pkt/s", false);
+    print_metric(out, "setup_s",
+                 corrected_median(p.setup_s, p.setup_ref_s, kBuildElasticity),
+                 "s", false);
+    print_metric(out, "peak_rss_mb", peak_rss_mib(), "MiB", false);
+    // The uncorrected figures, for calibrate.py.
     print_metric(out, "sim_pps_wall", pps_wall, "pkt/s", false);
-    print_metric(out, "setup_s", quantile(p.setup_s, 0.5), "s", false);
-    print_metric(out, "peak_rss_mb", peak_rss_mib(), "MiB", true);
+    print_metric(out, "setup_wall_s", quantile(p.setup_s, 0.5), "s", false);
+    print_metric(out, "host.ref_ms", quantile(p.slice_ref_s, 0.5) * 1e3, "ms",
+                 true);
   } else {
     SpanRecorder spans(info.name);
     Pass t;
     LayerReport layers;
     {
       SpanRecorder::Scope run(&spans, "run");
-      t = run_pass(info, a, 1, &spans);
+      t = run_pass(info, a, 1, ref, &spans);
       layers = replay_layers(
           info, a.seed,
           quantile(t.depth, 0.5) /
@@ -304,7 +352,6 @@ int main(int argc, char** argv) {
     checks.push_back({"traced_digest", t.final_digest == p.final_digest,
                       "traced " + hex(t.final_digest) + ", untraced " +
                           hex(p.final_digest)});
-    const double traced_pps = offered_per_slice / quantile(t.slice_s, 0.1);
     WindowSummary ws;
     ws.before = t.before;
     ws.after = t.after;
@@ -312,8 +359,13 @@ int main(int argc, char** argv) {
     ws.pool_high_water = t.pool_high_water;
     ws.queue_depth = quantile(t.depth, 0.5);
     ws.slice_p90_ms = quantile(p.slice_s, 0.9) * 1e3;
-    ws.wall_ns_per_pkt = 1e9 / traced_pps;
-    ws.trace_overhead = 1.0 - traced_pps / pps_wall;
+    ws.pps_wall = pps_wall;
+    ws.host_ref_ms = quantile(p.slice_ref_s, 0.5) * 1e3;
+    ws.wall_ns_per_pkt = quantile(t.slice_s, 0.5) * 1e9 / offered_per_slice;
+    ws.trace_overhead =
+        1.0 - offered_per_slice /
+                  corrected_median(t.slice_s, t.slice_ref_s, kSliceElasticity) /
+                  pps_norm;
     // The prefix slices on one thread vs the prefix replay's threads.
     double serial = 0;
     for (std::size_t k = 0; k < kPrefixSlices; ++k) serial += p.slice_s[k];
