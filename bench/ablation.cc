@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for three design choices:
 //
 //  A. Verifier state pruning — identical-state deduplication bounds the
 //     symbolic exploration of branchy programs.

@@ -4,7 +4,7 @@
 // compiled to classic BPF, then measured two ways over a mixed match/miss
 // packet corpus: interpreted directly by the reference cBPF interpreter (what
 // a pre-3.15 kernel did per packet) and translated to eBPF and run on each of
-// the four engines (what this simulator — and the modern kernel — actually
+// the three engines (what this simulator — and the modern kernel — actually
 // executes). The native-vs-reference speedup is the payoff of the
 // translate-once design the cbpf/ tier reproduces.
 //
@@ -121,7 +121,7 @@ struct Row {
   std::string expr;
   std::size_t cbpf_insns = 0, ebpf_insns = 0;
   double reference_ns = 0;
-  double baseline_ns = 0, predecoded_ns = 0, unchecked_ns = 0, native_ns = 0;
+  double baseline_ns = 0, predecoded_ns = 0, native_ns = 0;
 };
 
 Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
@@ -157,8 +157,6 @@ Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
                                 iters);
   r.predecoded_ns =
       translated_ns(*load.prog, sys, ebpf::EngineKind::kInterp, corpus, iters);
-  r.unchecked_ns = translated_ns(*load.prog, sys,
-                                 ebpf::EngineKind::kUnchecked, corpus, iters);
   r.native_ns =
       translated_ns(*load.prog, sys, ebpf::EngineKind::kNative, corpus, iters);
   return r;
@@ -212,10 +210,10 @@ void emit_json(const std::vector<Row>& rows, double geomean_native,
                  "    {\"expr\": \"%s\", \"cbpf_insns\": %zu, "
                  "\"ebpf_insns\": %zu, \"reference_interp_ns\": %.1f, "
                  "\"baseline_interp_ns\": %.1f, \"predecoded_interp_ns\": "
-                 "%.1f, \"unchecked_ns\": %.1f, \"native_ns\": %.1f, "
+                 "%.1f, \"native_ns\": %.1f, "
                  "\"speedup_native_vs_reference\": %.2f}%s\n",
                  r.expr.c_str(), r.cbpf_insns, r.ebpf_insns, r.reference_ns,
-                 r.baseline_ns, r.predecoded_ns, r.unchecked_ns, r.native_ns,
+                 r.baseline_ns, r.predecoded_ns, r.native_ns,
                  r.reference_ns / r.native_ns,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -267,12 +265,12 @@ int main(int argc, char** argv) {
   const double geomean_native = std::exp(log_sum / rows.size());
 
   if (!json_only) {
-    std::printf("%-58s %5s %5s %9s %9s %9s %9s %9s\n", "expression", "cBPF",
-                "eBPF", "refrnc", "baseln", "predec", "uncheck", "native");
+    std::printf("%-58s %5s %5s %9s %9s %9s %9s\n", "expression", "cBPF",
+                "eBPF", "refrnc", "baseln", "predec", "native");
     for (const Row& r : rows)
-      std::printf("%-58s %5zu %5zu %7.1fns %7.1fns %7.1fns %7.1fns %7.1fns\n",
+      std::printf("%-58s %5zu %5zu %7.1fns %7.1fns %7.1fns %7.1fns\n",
                   r.expr.c_str(), r.cbpf_insns, r.ebpf_insns, r.reference_ns,
-                  r.baseline_ns, r.predecoded_ns, r.unchecked_ns, r.native_ns);
+                  r.baseline_ns, r.predecoded_ns, r.native_ns);
     std::printf("geomean speedup, native eBPF vs reference cBPF interp: "
                 "%.2fx\n\n", geomean_native);
   }

@@ -1,12 +1,12 @@
 // Microbenchmarks of the eBPF machinery itself.
 //
-// Part 1 (custom, runs first): engine-only throughput of the four execution
+// Part 1 (custom, runs first): engine-only throughput of the three execution
 // engines — baseline decode-every-step interpreter, pre-decoded threaded
-// interpreter, unchecked decoded, native x86-64 JIT — on the paper's §3.2
-// seg6local programs plus a 512-insn ALU chain, with results written to
-// BENCH_vm.json so the perf trajectory is machine-trackable across PRs.
-// On hosts without native support the native column degrades to the
-// unchecked engine (and its geomean metric will reflect ~1x). "Engine-only" means the ExecEnv/ctx are
+// interpreter, native x86-64 JIT — on the paper's §3.2 seg6local programs
+// plus a 512-insn ALU chain, with results written to BENCH_vm.json so the
+// perf trajectory is machine-trackable across PRs. On hosts without native
+// support the native column falls back to the pre-decoded interpreter (and
+// its geomean metric will read ~1x). "Engine-only" means the ExecEnv/ctx are
 // built once and the timed loop contains only the VM run (plus a packet
 // reset for the one program that resizes it); this isolates what the
 // decode-once refactor actually changed.
@@ -156,7 +156,7 @@ double bare_engine_ns(const std::vector<Insn>& insns, EngineKind engine,
 struct Row {
   std::string name;
   bool sec32;  // counts toward the §3.2 geomeans
-  double baseline_ns, predecoded_ns, unchecked_ns, native_ns;
+  double baseline_ns, predecoded_ns, native_ns;
 };
 
 void emit_json(const std::vector<Row>& rows, double geomean_pre,
@@ -176,12 +176,12 @@ void emit_json(const std::vector<Row>& rows, double geomean_pre,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"paper_sec32\": %s, "
                  "\"baseline_interp_ns\": %.1f, \"predecoded_interp_ns\": "
-                 "%.1f, \"unchecked_ns\": %.1f, \"native_ns\": %.1f, "
+                 "%.1f, \"native_ns\": %.1f, "
                  "\"speedup_predecoded_vs_baseline\": %.2f, "
                  "\"speedup_native_vs_baseline\": %.2f, "
                  "\"speedup_native_vs_predecoded\": %.2f}%s\n",
                  r.name.c_str(), r.sec32 ? "true" : "false", r.baseline_ns,
-                 r.predecoded_ns, r.unchecked_ns, r.native_ns,
+                 r.predecoded_ns, r.native_ns,
                  r.baseline_ns / r.predecoded_ns,
                  r.baseline_ns / r.native_ns,
                  r.predecoded_ns / r.native_ns,
@@ -205,8 +205,8 @@ void emit_json(const std::vector<Row>& rows, double geomean_pre,
 
 void run_engine_comparison(int iters) {
   std::printf("-- engine-only ns/run (execution-engine scoreboard) --\n");
-  std::printf("%-18s %12s %12s %10s %10s %10s\n", "program", "baseline",
-              "pre-decoded", "unchecked", "native", "nat/pre");
+  std::printf("%-18s %12s %12s %10s %10s\n", "program", "baseline",
+              "pre-decoded", "native", "nat/pre");
 
   std::vector<Row> rows;
   struct Prog {
@@ -226,8 +226,6 @@ void run_engine_comparison(int iters) {
                                    p.reset_packet, iters);
     r.predecoded_ns =
         engine_only_ns(p.built, EngineKind::kInterp, p.reset_packet, iters);
-    r.unchecked_ns = engine_only_ns(p.built, EngineKind::kUnchecked,
-                                    p.reset_packet, iters);
     r.native_ns =
         engine_only_ns(p.built, EngineKind::kNative, p.reset_packet, iters);
     rows.push_back(r);
@@ -241,8 +239,6 @@ void run_engine_comparison(int iters) {
                                    iters / 4 + 1);
     r.predecoded_ns =
         bare_engine_ns(chain, EngineKind::kInterp, iters / 4 + 1);
-    r.unchecked_ns =
-        bare_engine_ns(chain, EngineKind::kUnchecked, iters / 4 + 1);
     r.native_ns = bare_engine_ns(chain, EngineKind::kNative, iters);
     rows.push_back(r);
   }
@@ -250,9 +246,9 @@ void run_engine_comparison(int iters) {
   double log_sum_pre = 0, log_sum_native = 0, alu_native = 0;
   int sec32_count = 0;
   for (const Row& r : rows) {
-    std::printf("%-18s %10.1fns %10.1fns %8.1fns %8.1fns %8.2fx\n",
-                r.name.c_str(), r.baseline_ns, r.predecoded_ns,
-                r.unchecked_ns, r.native_ns, r.predecoded_ns / r.native_ns);
+    std::printf("%-18s %10.1fns %10.1fns %8.1fns %8.2fx\n",
+                r.name.c_str(), r.baseline_ns, r.predecoded_ns, r.native_ns,
+                r.predecoded_ns / r.native_ns);
     if (r.sec32) {
       log_sum_pre += std::log(r.baseline_ns / r.predecoded_ns);
       log_sum_native += std::log(r.predecoded_ns / r.native_ns);
@@ -293,7 +289,6 @@ void BM_EngineAluChain(benchmark::State& state, EngineKind engine) {
   state.SetItemsProcessed(state.iterations() * 514);
 }
 BENCHMARK_CAPTURE(BM_EngineAluChain, native, EngineKind::kNative);
-BENCHMARK_CAPTURE(BM_EngineAluChain, unchecked, EngineKind::kUnchecked);
 BENCHMARK_CAPTURE(BM_EngineAluChain, interp, EngineKind::kInterp);
 BENCHMARK_CAPTURE(BM_EngineAluChain, interp_baseline,
                   EngineKind::kInterpBaseline);
@@ -304,10 +299,11 @@ void BM_HelperCallOverhead(benchmark::State& state) {
   for (int i = 0; i < 16; ++i) a.call(helper::KTIME_GET_NS);
   a.exit_();
   auto load = sys.load("calls", ProgType::kLwtSeg6Local, a.build());
+  sys.set_engine(EngineKind::kNative);
   ExecEnv env;
   env.now_ns = [] { return 1ull; };
   for (auto _ : state) {
-    const auto r = sys.run_native(*load.prog, env, 0);
+    const auto r = sys.run(*load.prog, env, 0);
     benchmark::DoNotOptimize(r.ret);
   }
   state.SetItemsProcessed(state.iterations() * 16);
@@ -331,9 +327,10 @@ void BM_MapLookupFromBpf(benchmark::State& state) {
       .mov64_imm(R0, 0)
       .exit_();
   auto load = sys.load("lookup", ProgType::kLwtSeg6Local, a.build());
+  sys.set_engine(EngineKind::kNative);
   ExecEnv env;
   for (auto _ : state) {
-    const auto r = sys.run_native(*load.prog, env, 0);
+    const auto r = sys.run(*load.prog, env, 0);
     benchmark::DoNotOptimize(r.ret);
   }
 }

@@ -9,8 +9,8 @@
 //   * helper calls are resolved to direct HelperFn pointers;
 //   * jump offsets are rewritten as absolute decoded-pc targets.
 //
-// The JIT engine (ebpf/jit.h) runs this form unchecked, trusting the
-// verifier; the interpreter (ebpf/interp.h) runs the same form with runtime
+// The native JIT (ebpf/jit_x86.h) compiles this form to unchecked machine
+// code, trusting the verifier; the interpreter (ebpf/interp.h) runs the same form with runtime
 // memory bounds checks and an amortised step budget. This mirrors the Linux
 // kernel split between the eBPF JIT output and the ___bpf_prog_run
 // computed-goto core: both consume a decode-once representation.

@@ -81,7 +81,7 @@ std::string CompiledProgram::dump() const {
     std::snprintf(tail, sizeof tail, "native: %zu bytes of x86-64 code\n",
                   native_->code_size());
   } else {
-    std::snprintf(tail, sizeof tail, "native: none (unchecked fallback)\n");
+    std::snprintf(tail, sizeof tail, "native: none (interpreter fallback)\n");
   }
   out += tail;
   return out;

@@ -14,8 +14,8 @@
 //     instruction streams, which the decoded form does not accept.
 //
 // Both paths bounds-check every program memory access against the
-// environment's region list; the JIT engine (ebpf/jit.h) runs the same
-// decoded form without checks, trusting the verifier.
+// environment's region list; the native JIT (ebpf/jit_x86.h) compiles the
+// same decoded form without checks, trusting the verifier.
 #pragma once
 
 #include "ebpf/decode.h"

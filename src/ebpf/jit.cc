@@ -1,10 +1,6 @@
 #include "ebpf/jit.h"
 
-#include <array>
 #include <stdexcept>
-
-#include "ebpf/insn.h"
-#include "util/byteorder.h"
 
 namespace srv6bpf::ebpf {
 
@@ -15,230 +11,12 @@ std::shared_ptr<const CompiledProgram> Jit::compile(
                            prog.name() + "'");
   auto decoded = decode_program(prog, helpers_);
   // Native emission is best-effort: on unsupported hosts (or if W^X pages
-  // are refused) the unchecked engine remains as the portable fallback.
+  // are refused) the program keeps only its decoded form and runs on the
+  // interpreter.
   std::shared_ptr<const NativeCode> native;
   if (available()) native = compile_native(*decoded, nullptr);
   return std::make_shared<CompiledProgram>(std::move(decoded),
                                            std::move(native));
-}
-
-ExecResult CompiledProgram::run(ExecEnv& env, std::uint64_t ctx) const {
-  std::array<std::uint64_t, kNumRegs> regs{};
-  // Not zero-filled: only verified programs compile, and the verifier proves
-  // stack slots are written before read (kernel JIT frames are not cleared).
-  alignas(16) std::array<std::uint8_t, kStackSize> stack;
-  regs[R1] = ctx;
-  regs[R10] = reinterpret_cast<std::uint64_t>(stack.data()) + kStackSize;
-
-  // Helpers validate their memory arguments against env.regions; the BPF
-  // stack must be visible to them for the duration of the run.
-  struct RegionGuard {
-    ExecEnv& env;
-    std::size_t base;
-    RegionGuard(ExecEnv& e, const MemRegion& r)
-        : env(e), base(e.regions.size()) {
-      env.regions.push_back(r);
-    }
-    // Helpers may append further regions (map values); drop those too.
-    ~RegionGuard() { env.regions.resize(base); }
-  } region_guard(env,
-                 MemRegion{reinterpret_cast<std::uintptr_t>(stack.data()),
-                           kStackSize, true});
-
-  ExecResult res;
-  const DecodedInsn* base = decoded_->data();
-  const DecodedInsn* op = base;
-
-  // Verified code: memory accesses run unchecked, like native JIT output.
-  for (;;) {
-    ++res.insns_executed;
-    std::uint64_t& dst = regs[op->dst];
-    const std::uint64_t src = regs[op->src];
-    switch (op->kind) {
-      case kAdd64R: dst += src; break;
-      case kSub64R: dst -= src; break;
-      case kMul64R: dst *= src; break;
-      case kDiv64R: dst = src ? dst / src : 0; break;
-      case kMod64R: dst = src ? dst % src : dst; break;
-      case kOr64R: dst |= src; break;
-      case kAnd64R: dst &= src; break;
-      case kXor64R: dst ^= src; break;
-      case kMov64R: dst = src; break;
-      case kLsh64R: dst <<= (src & 63); break;
-      case kRsh64R: dst >>= (src & 63); break;
-      case kArsh64R:
-        dst = static_cast<std::uint64_t>(static_cast<std::int64_t>(dst) >>
-                                         (src & 63));
-        break;
-      case kAdd64I: dst += op->imm64; break;
-      case kSub64I: dst -= op->imm64; break;
-      case kMul64I: dst *= op->imm64; break;
-      case kDiv64I: dst = op->imm64 ? dst / op->imm64 : 0; break;
-      case kMod64I: dst = op->imm64 ? dst % op->imm64 : dst; break;
-      case kOr64I: dst |= op->imm64; break;
-      case kAnd64I: dst &= op->imm64; break;
-      case kXor64I: dst ^= op->imm64; break;
-      case kMov64I: dst = op->imm64; break;
-      case kLsh64I: dst <<= (op->imm64 & 63); break;
-      case kRsh64I: dst >>= (op->imm64 & 63); break;
-      case kArsh64I:
-        dst = static_cast<std::uint64_t>(static_cast<std::int64_t>(dst) >>
-                                         (op->imm64 & 63));
-        break;
-      case kNeg64: dst = ~dst + 1; break;
-
-      case kAdd32R: dst = static_cast<std::uint32_t>(dst + src); break;
-      case kSub32R: dst = static_cast<std::uint32_t>(dst - src); break;
-      case kMul32R: dst = static_cast<std::uint32_t>(dst * src); break;
-      case kDiv32R: {
-        const std::uint32_t b = static_cast<std::uint32_t>(src);
-        dst = b ? static_cast<std::uint32_t>(dst) / b : 0;
-        break;
-      }
-      case kMod32R: {
-        const std::uint32_t b = static_cast<std::uint32_t>(src);
-        dst = b ? static_cast<std::uint32_t>(dst) % b
-                : static_cast<std::uint32_t>(dst);
-        break;
-      }
-      case kOr32R: dst = static_cast<std::uint32_t>(dst | src); break;
-      case kAnd32R: dst = static_cast<std::uint32_t>(dst & src); break;
-      case kXor32R: dst = static_cast<std::uint32_t>(dst ^ src); break;
-      case kMov32R: dst = static_cast<std::uint32_t>(src); break;
-      case kLsh32R: dst = static_cast<std::uint32_t>(dst) << (src & 31); break;
-      case kRsh32R: dst = static_cast<std::uint32_t>(dst) >> (src & 31); break;
-      case kArsh32R:
-        dst = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(dst)) >>
-            (src & 31));
-        break;
-      case kAdd32I: dst = static_cast<std::uint32_t>(dst + op->imm64); break;
-      case kSub32I: dst = static_cast<std::uint32_t>(dst - op->imm64); break;
-      case kMul32I: dst = static_cast<std::uint32_t>(dst * op->imm64); break;
-      case kDiv32I: {
-        const std::uint32_t b = static_cast<std::uint32_t>(op->imm64);
-        dst = b ? static_cast<std::uint32_t>(dst) / b : 0;
-        break;
-      }
-      case kMod32I: {
-        const std::uint32_t b = static_cast<std::uint32_t>(op->imm64);
-        dst = b ? static_cast<std::uint32_t>(dst) % b
-                : static_cast<std::uint32_t>(dst);
-        break;
-      }
-      case kOr32I: dst = static_cast<std::uint32_t>(dst | op->imm64); break;
-      case kAnd32I: dst = static_cast<std::uint32_t>(dst & op->imm64); break;
-      case kXor32I: dst = static_cast<std::uint32_t>(dst ^ op->imm64); break;
-      case kMov32I: dst = static_cast<std::uint32_t>(op->imm64); break;
-      case kLsh32I: dst = static_cast<std::uint32_t>(dst) << (op->imm64 & 31); break;
-      case kRsh32I: dst = static_cast<std::uint32_t>(dst) >> (op->imm64 & 31); break;
-      case kArsh32I:
-        dst = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(dst)) >>
-            (op->imm64 & 31));
-        break;
-      case kNeg32:
-        dst = static_cast<std::uint32_t>(
-            -static_cast<std::int32_t>(static_cast<std::uint32_t>(dst)));
-        break;
-
-      case kBe16:
-        dst = kHostIsLittleEndian ? bswap16(static_cast<std::uint16_t>(dst))
-                                  : static_cast<std::uint16_t>(dst);
-        break;
-      case kBe32:
-        dst = kHostIsLittleEndian ? bswap32(static_cast<std::uint32_t>(dst))
-                                  : static_cast<std::uint32_t>(dst);
-        break;
-      case kBe64: dst = kHostIsLittleEndian ? bswap64(dst) : dst; break;
-      case kLe16:
-        dst = kHostIsLittleEndian ? static_cast<std::uint16_t>(dst)
-                                  : bswap16(static_cast<std::uint16_t>(dst));
-        break;
-      case kLe32:
-        dst = kHostIsLittleEndian ? static_cast<std::uint32_t>(dst)
-                                  : bswap32(static_cast<std::uint32_t>(dst));
-        break;
-      case kLe64: dst = kHostIsLittleEndian ? dst : bswap64(dst); break;
-
-      case kLd1: dst = load_unaligned<std::uint8_t>(reinterpret_cast<const void*>(src + op->off)); break;
-      case kLd2: dst = load_unaligned<std::uint16_t>(reinterpret_cast<const void*>(src + op->off)); break;
-      case kLd4: dst = load_unaligned<std::uint32_t>(reinterpret_cast<const void*>(src + op->off)); break;
-      case kLd8: dst = load_unaligned<std::uint64_t>(reinterpret_cast<const void*>(src + op->off)); break;
-      case kSt1R: store_unaligned<std::uint8_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint8_t>(src)); break;
-      case kSt2R: store_unaligned<std::uint16_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint16_t>(src)); break;
-      case kSt4R: store_unaligned<std::uint32_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint32_t>(src)); break;
-      case kSt8R: store_unaligned<std::uint64_t>(reinterpret_cast<void*>(dst + op->off), src); break;
-      case kSt1I: store_unaligned<std::uint8_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint8_t>(op->imm)); break;
-      case kSt2I: store_unaligned<std::uint16_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint16_t>(op->imm)); break;
-      case kSt4I: store_unaligned<std::uint32_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint32_t>(op->imm)); break;
-      case kSt8I: store_unaligned<std::uint64_t>(reinterpret_cast<void*>(dst + op->off), static_cast<std::uint64_t>(static_cast<std::int64_t>(op->imm))); break;
-
-      case kLdImm64: dst = op->imm64; break;
-
-      case kJa: op = base + op->target; continue;
-
-#define JUMP_R(K, CMP)                             \
-  case K:                                          \
-    if (CMP) { op = base + op->target; continue; } \
-    break;
-      JUMP_R(kJeqR, dst == src)
-      JUMP_R(kJneR, dst != src)
-      JUMP_R(kJgtR, dst > src)
-      JUMP_R(kJgeR, dst >= src)
-      JUMP_R(kJltR, dst < src)
-      JUMP_R(kJleR, dst <= src)
-      JUMP_R(kJsetR, (dst & src) != 0)
-      JUMP_R(kJsgtR, static_cast<std::int64_t>(dst) > static_cast<std::int64_t>(src))
-      JUMP_R(kJsgeR, static_cast<std::int64_t>(dst) >= static_cast<std::int64_t>(src))
-      JUMP_R(kJsltR, static_cast<std::int64_t>(dst) < static_cast<std::int64_t>(src))
-      JUMP_R(kJsleR, static_cast<std::int64_t>(dst) <= static_cast<std::int64_t>(src))
-      JUMP_R(kJeqI, dst == op->imm64)
-      JUMP_R(kJneI, dst != op->imm64)
-      JUMP_R(kJgtI, dst > op->imm64)
-      JUMP_R(kJgeI, dst >= op->imm64)
-      JUMP_R(kJltI, dst < op->imm64)
-      JUMP_R(kJleI, dst <= op->imm64)
-      JUMP_R(kJsetI, (dst & op->imm64) != 0)
-      JUMP_R(kJsgtI, static_cast<std::int64_t>(dst) > static_cast<std::int64_t>(op->imm64))
-      JUMP_R(kJsgeI, static_cast<std::int64_t>(dst) >= static_cast<std::int64_t>(op->imm64))
-      JUMP_R(kJsltI, static_cast<std::int64_t>(dst) < static_cast<std::int64_t>(op->imm64))
-      JUMP_R(kJsleI, static_cast<std::int64_t>(dst) <= static_cast<std::int64_t>(op->imm64))
-      JUMP_R(kJeq32R, static_cast<std::uint32_t>(dst) == static_cast<std::uint32_t>(src))
-      JUMP_R(kJne32R, static_cast<std::uint32_t>(dst) != static_cast<std::uint32_t>(src))
-      JUMP_R(kJgt32R, static_cast<std::uint32_t>(dst) > static_cast<std::uint32_t>(src))
-      JUMP_R(kJge32R, static_cast<std::uint32_t>(dst) >= static_cast<std::uint32_t>(src))
-      JUMP_R(kJlt32R, static_cast<std::uint32_t>(dst) < static_cast<std::uint32_t>(src))
-      JUMP_R(kJle32R, static_cast<std::uint32_t>(dst) <= static_cast<std::uint32_t>(src))
-      JUMP_R(kJset32R, (static_cast<std::uint32_t>(dst) & static_cast<std::uint32_t>(src)) != 0)
-      JUMP_R(kJsgt32R, static_cast<std::int32_t>(dst) > static_cast<std::int32_t>(src))
-      JUMP_R(kJsge32R, static_cast<std::int32_t>(dst) >= static_cast<std::int32_t>(src))
-      JUMP_R(kJslt32R, static_cast<std::int32_t>(dst) < static_cast<std::int32_t>(src))
-      JUMP_R(kJsle32R, static_cast<std::int32_t>(dst) <= static_cast<std::int32_t>(src))
-      JUMP_R(kJeq32I, static_cast<std::uint32_t>(dst) == static_cast<std::uint32_t>(op->imm))
-      JUMP_R(kJne32I, static_cast<std::uint32_t>(dst) != static_cast<std::uint32_t>(op->imm))
-      JUMP_R(kJgt32I, static_cast<std::uint32_t>(dst) > static_cast<std::uint32_t>(op->imm))
-      JUMP_R(kJge32I, static_cast<std::uint32_t>(dst) >= static_cast<std::uint32_t>(op->imm))
-      JUMP_R(kJlt32I, static_cast<std::uint32_t>(dst) < static_cast<std::uint32_t>(op->imm))
-      JUMP_R(kJle32I, static_cast<std::uint32_t>(dst) <= static_cast<std::uint32_t>(op->imm))
-      JUMP_R(kJset32I, (static_cast<std::uint32_t>(dst) & static_cast<std::uint32_t>(op->imm)) != 0)
-      JUMP_R(kJsgt32I, static_cast<std::int32_t>(dst) > op->imm)
-      JUMP_R(kJsge32I, static_cast<std::int32_t>(dst) >= op->imm)
-      JUMP_R(kJslt32I, static_cast<std::int32_t>(dst) < op->imm)
-      JUMP_R(kJsle32I, static_cast<std::int32_t>(dst) <= op->imm)
-#undef JUMP_R
-
-      case kCall:
-        ++res.helper_calls;
-        regs[R0] =
-            (*op->fn)(env, regs[R1], regs[R2], regs[R3], regs[R4], regs[R5]);
-        break;
-      case kExit:
-        res.ret = regs[R0];
-        return res;
-    }
-    ++op;
-  }
 }
 
 }  // namespace srv6bpf::ebpf

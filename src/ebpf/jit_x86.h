@@ -30,7 +30,7 @@
 //
 // Engine selection: when native emission is unavailable (non-x86-64 build,
 // or mmap/mprotect refusing W->X pages, e.g. under a hardened kernel), the
-// portable unchecked-decoded engine remains the fallback; see ebpf/vm.h.
+// program runs on the pre-decoded interpreter; see ebpf/vm.h.
 #pragma once
 
 #include <cstddef>
@@ -118,7 +118,7 @@ bool native_jit_available() noexcept;
 
 // Translates a decoded (verified) program into executable machine code.
 // Returns null and fills *error (if non-null) on unsupported hosts or when
-// mmap/mprotect fails; callers fall back to the unchecked-decoded engine.
+// mmap/mprotect fails; callers fall back to the pre-decoded interpreter.
 std::shared_ptr<const NativeCode> compile_native(const DecodedProgram& prog,
                                                  std::string* error);
 

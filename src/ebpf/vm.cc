@@ -27,10 +27,7 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
   // carries the shared decoded program for every engine.
   Jit jit(&helpers_);
   auto compiled = jit.compile(prog);
-  const EngineKind resolved = engine_ == EngineKind::kNative &&
-                                      !compiled->has_native()
-                                  ? EngineKind::kUnchecked
-                                  : engine_;
+  const EngineKind resolved = engine_for(*compiled);
   if (log_loads_) {
     std::fprintf(stderr, "bpf: loaded '%s' (%zu ops) engine=%s%s\n",
                  prog.name().c_str(), compiled->op_count(),
@@ -59,45 +56,15 @@ ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
   // shortest §3.2 programs.
   bind_env(env);
   const CompiledProgram& c = prog.compiled();
-  switch (engine_) {
+  switch (engine_for(c)) {
     case EngineKind::kNative:
-      if (const NativeCode* nc = c.native()) return nc->run(env, ctx);
-      [[fallthrough]];  // no emitted code: degrade to the unchecked engine
-    case EngineKind::kUnchecked:
-      return c.run(env, ctx);
+      return c.native()->run(env, ctx);
     case EngineKind::kInterp:
-      return interp_.run(c.decoded(), env, ctx);
+      break;
     case EngineKind::kInterpBaseline:
       return interp_.run(prog.program(), env, ctx);
   }
-  return c.run(env, ctx);
-}
-
-ExecResult BpfSystem::run_native(const LoadedProgram& prog, ExecEnv& env,
-                                 std::uint64_t ctx) const {
-  bind_env(env);
-  const CompiledProgram& c = prog.compiled();
-  if (const NativeCode* nc = c.native()) return nc->run(env, ctx);
-  return c.run(env, ctx);
-}
-
-ExecResult BpfSystem::run_unchecked(const LoadedProgram& prog, ExecEnv& env,
-                                    std::uint64_t ctx) const {
-  bind_env(env);
-  return prog.compiled().run(env, ctx);
-}
-
-ExecResult BpfSystem::run_interpreted(const LoadedProgram& prog, ExecEnv& env,
-                                      std::uint64_t ctx) const {
-  bind_env(env);
-  return interp_.run(prog.compiled().decoded(), env, ctx);
-}
-
-ExecResult BpfSystem::run_interp_baseline(const LoadedProgram& prog,
-                                          ExecEnv& env,
-                                          std::uint64_t ctx) const {
-  bind_env(env);
-  return interp_.run(prog.program(), env, ctx);
+  return interp_.run(c.decoded(), env, ctx);
 }
 
 void LoadedProgram::run_burst(
@@ -117,12 +84,6 @@ void LoadedProgram::run_burst(
       }
       return;
     }
-    case EngineKind::kUnchecked:
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = compiled().run(env, batch[i].ctx);
-      }
-      return;
     case EngineKind::kInterp:
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (prep) prep(i);

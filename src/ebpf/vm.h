@@ -35,32 +35,25 @@ struct BurstInvocation {
   ExecResult result;
 };
 
-// Which execution engine runs a program. The order is "fastest first":
+// Which execution engine runs a program:
 //   kNative         — emitted x86-64 machine code (ebpf/jit_x86.h); the
-//                     default when the host supports it;
-//   kUnchecked      — unchecked decoded form, the portable JIT fallback
-//                     (non-x86-64 hosts, or W^X pages unavailable);
+//                     default, bpf_jit_enable = 1;
 //   kInterp         — pre-decoded checked interpreter (bpf_jit_enable = 0);
 //   kInterpBaseline — legacy decode-every-step interpreter, kept as the
 //                     reference point the §3.2 benches compare against.
-// kNative and kUnchecked are both "JIT" in the paper's bpf_jit_enable sense:
-// verifier-trusting, no runtime checks.
-enum class EngineKind { kNative, kUnchecked, kInterp, kInterpBaseline };
+// A program selected onto kNative that has no emitted code (non-x86-64
+// host, or W^X pages refused) runs on kInterp instead, as Linux does without
+// CONFIG_BPF_JIT_ALWAYS_ON. Simulated cost still follows the selection
+// (BpfSystem::jit_enabled), so the datapath numbers do not depend on the host.
+enum class EngineKind { kNative, kInterp, kInterpBaseline };
 
 constexpr const char* engine_name(EngineKind e) noexcept {
   switch (e) {
     case EngineKind::kNative: return "native";
-    case EngineKind::kUnchecked: return "unchecked";
     case EngineKind::kInterp: return "interp";
     case EngineKind::kInterpBaseline: return "interp-baseline";
   }
   return "?";
-}
-
-// True for the verifier-trusting engines (what the kernel's bpf_jit_enable=1
-// buys); the datapath accounting buckets instruction counts by this.
-constexpr bool engine_is_jit(EngineKind e) noexcept {
-  return e == EngineKind::kNative || e == EngineKind::kUnchecked;
 }
 
 // A verified, loaded program plus its compiled form.
@@ -78,7 +71,7 @@ class LoadedProgram {
   const CompiledProgram& compiled() const noexcept { return *compiled_; }
 
   // The engine this program resolved to at load time: the system's selected
-  // engine with kNative downgraded to kUnchecked when no machine code could
+  // engine with kNative falling back to kInterp when no machine code could
   // be emitted. Purely observational — run() re-resolves against the
   // system's *current* selection so benches can flip engines after load.
   EngineKind engine() const noexcept { return engine_; }
@@ -111,23 +104,27 @@ class BpfSystem {
   HelperRegistry& helpers() noexcept { return helpers_; }
 
   // bpf_jit_enable. Default on, as in the paper's main experiments: native
-  // machine code where the host supports it, the unchecked engine otherwise.
+  // machine code where the host supports it, the interpreter otherwise.
+  // The datapath bills instruction counts by this switch.
   void set_jit_enabled(bool on) noexcept {
     engine_ = on ? EngineKind::kNative : EngineKind::kInterp;
   }
-  bool jit_enabled() const noexcept { return engine_is_jit(engine_); }
+  bool jit_enabled() const noexcept { return engine_ == EngineKind::kNative; }
 
   // Finer-grained engine choice (benchmarks use the baseline interpreter to
   // quantify what decode-once dispatch buys).
   void set_engine(EngineKind e) noexcept { engine_ = e; }
   EngineKind engine() const noexcept { return engine_; }
 
-  // The engine `prog` would actually run on under the current selection:
-  // kNative degrades to kUnchecked when no machine code was emitted for it.
+  // The engine a program actually runs on under the current selection:
+  // kNative falls back to kInterp when no machine code was emitted for it.
+  EngineKind engine_for(const CompiledProgram& c) const noexcept {
+    return engine_ == EngineKind::kNative && !c.has_native()
+               ? EngineKind::kInterp
+               : engine_;
+  }
   EngineKind engine_for(const LoadedProgram& prog) const noexcept {
-    if (engine_ == EngineKind::kNative && !prog.compiled().has_native())
-      return EngineKind::kUnchecked;
-    return engine_;
+    return engine_for(prog.compiled());
   }
 
   // When enabled, each successful load logs one line (program name, op
@@ -152,20 +149,6 @@ class BpfSystem {
   // on the engine selected via set_engine / set_jit_enabled.
   ExecResult run(const LoadedProgram& prog, ExecEnv& env,
                  std::uint64_t ctx) const;
-
-  // Run with an explicit engine choice (benchmarks use this to compare).
-  // run_native executes emitted machine code (falls back to run_unchecked
-  // when none exists); run_unchecked is the portable no-checks path;
-  // run_interpreted is the pre-decoded threaded-dispatch path;
-  // run_interp_baseline is the legacy decode-every-step path.
-  ExecResult run_native(const LoadedProgram& prog, ExecEnv& env,
-                        std::uint64_t ctx) const;
-  ExecResult run_unchecked(const LoadedProgram& prog, ExecEnv& env,
-                           std::uint64_t ctx) const;
-  ExecResult run_interpreted(const LoadedProgram& prog, ExecEnv& env,
-                             std::uint64_t ctx) const;
-  ExecResult run_interp_baseline(const LoadedProgram& prog, ExecEnv& env,
-                                 std::uint64_t ctx) const;
 
  private:
   friend class LoadedProgram;  // run_burst resolves the engine once

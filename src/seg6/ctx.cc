@@ -97,9 +97,9 @@ void Seg6BurstRunner::account(ProcessTrace* trace,
   if (trace == nullptr) return;
   ++trace->bpf_runs;
   trace->helper_calls += exec.helper_calls;
-  // kNative degrading to kUnchecked stays in the JIT bucket: both are the
-  // paper's bpf_jit_enable=1 regime.
-  if (ebpf::engine_is_jit(ns_.bpf().engine()))
+  // Billed by the selected engine: a program with no emitted code that falls
+  // back to the interpreter stays in the paper's bpf_jit_enable=1 bucket.
+  if (ns_.bpf().jit_enabled())
     trace->bpf_insns_jit += exec.insns_executed;
   else
     trace->bpf_insns_interp += exec.insns_executed;

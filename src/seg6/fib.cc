@@ -15,27 +15,38 @@ void Fib::add_route(Route route) {
   for (const Nexthop& nh : route.nexthops)
     if (nh.weight <= 0) throw std::invalid_argument("nexthop weight must be > 0");
 
-  const std::uint32_t index = static_cast<std::uint32_t>(routes_.size());
   bool created = false;
   std::uint32_t* slot = trie_.find_or_insert(
       route.prefix.addr.bytes().data(),
       static_cast<std::uint32_t>(route.prefix.len), created);
-  // Re-adding an existing prefix replaces it (BPF_ANY semantics): the trie
-  // points at the new route, the superseded Route stays in routes_ only so
-  // earlier indices keep their meaning.
-  *slot = index;
-  routes_.push_back(std::move(route));
+  // Re-adding an existing prefix replaces its route in place (BPF_ANY
+  // semantics), so routes_ holds exactly the live routes.
+  if (created) {
+    *slot = static_cast<std::uint32_t>(routes_.size());
+    routes_.push_back(std::move(route));
+  } else {
+    routes_[*slot] = std::move(route);
+  }
   ++gen_;
 }
 
 bool Fib::remove_route(const net::Prefix& prefix) {
-  // The trie entry goes away; the Route object stays parked in routes_ so
-  // earlier indices keep their meaning (same superseding discipline as
-  // add_route on an existing prefix). The generation bump invalidates every
-  // cache slot that may hold a pointer at the withdrawn route.
-  if (!trie_.erase(prefix.addr.bytes().data(),
-                   static_cast<std::uint32_t>(prefix.len)))
-    return false;
+  const std::uint32_t* slot = trie_.find_exact(
+      prefix.addr.bytes().data(), static_cast<std::uint32_t>(prefix.len));
+  if (slot == nullptr) return false;
+  const std::uint32_t index = *slot;
+  trie_.erase(prefix.addr.bytes().data(),
+              static_cast<std::uint32_t>(prefix.len));
+  // Swap-remove keeps routes_ dense; the route moved into the hole gets its
+  // trie entry repointed. The generation bump invalidates every cache slot
+  // that may hold a pointer at the withdrawn or the moved route.
+  if (index + 1 != routes_.size()) {
+    routes_[index] = std::move(routes_.back());
+    const net::Prefix& moved = routes_[index].prefix;
+    *trie_.find_exact(moved.addr.bytes().data(),
+                      static_cast<std::uint32_t>(moved.len)) = index;
+  }
+  routes_.pop_back();
   ++gen_;
   return true;
 }

@@ -107,7 +107,7 @@ class Fib {
   // once); a slot is revalidated against this table's mutation generation.
   // On a slot miss the cost is the stride trie's: at most 16 byte-indexed
   // node hops, typically ceil(prefixlen/8) + 1. The returned Route* is valid
-  // until the next table mutation (add_route/clear).
+  // until the next table mutation (add_route/remove_route/clear).
   const Route* lookup(const net::Ipv6Addr& dst, FibCacheSlot& slot) const;
   // Legacy entry point backed by a table-internal slot (single-context
   // callers: tests, apps, control-plane code).
@@ -125,6 +125,7 @@ class Fib {
   static const Nexthop& select_nexthop(const Route& route,
                                        std::uint32_t flow_hash);
 
+  // The live routes, one per installed prefix, in no particular order.
   std::size_t route_count() const noexcept { return routes_.size(); }
   const std::vector<Route>& routes() const noexcept { return routes_; }
 
@@ -132,9 +133,9 @@ class Fib {
   std::vector<Route> routes_;
   // 16 address bytes + prefixlen -> u32 route index, stride-8 LPM engine.
   util::LpmTrie<std::uint32_t> trie_{16};
-  // Mutation generation: bumped by add_route()/clear(), implicitly
-  // invalidating every FibCacheSlot that recorded an older value (and with
-  // them any Route* into a since-reallocated routes_).
+  // Mutation generation: bumped by every mutation, implicitly invalidating
+  // every FibCacheSlot that recorded an older value (and with them any
+  // Route* into a since-reallocated or since-reshuffled routes_).
   std::uint64_t gen_ = 1;
   // Slot behind the legacy lookup(dst); mutable as lookup() is logically
   // const.

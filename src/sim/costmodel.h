@@ -10,7 +10,8 @@
 // with the instruction counts coming from actually running the programs, so
 // program complexity (End's 3 insns vs Add-TLV's ~100) drives the figures.
 //
-// Calibration anchors (documented in DESIGN.md / EXPERIMENTS.md):
+// Calibration anchors (bench_fig2_endpoints and bench_fig4_hybrid_udp print
+// the resulting shapes against the paper's):
 //   * kXeonForwardNs   = 1/610kpps — the paper's §3.2 baseline;
 //   * kInterpInsnNs    — chosen so disabling the JIT divides Add-TLV
 //     throughput by ~1.8 (§3.2) given Add-TLV's real instruction count;
@@ -81,7 +82,8 @@ inline constexpr CpuProfile kTurrisProfile{
     .seg6_op_ns = 600,
     .fib_lookup_ns = 120,
     .bpf_entry_ns = 800,
-    .jit_insn_ns = 15.0,   // a working ARM32 JIT (projected, see bench_jit)
+    .jit_insn_ns = 15.0,   // a working ARM32 JIT (projected; the CPE runs
+                           // with the JIT off, as in the paper)
     .interp_insn_ns = 150.0,
     .helper_call_ns = 700,
     .encap_ns = 1500,

@@ -1,7 +1,9 @@
 // Counters and measurement helpers shared by nodes, apps and benchmarks.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "sim/event_loop.h"
@@ -91,25 +93,29 @@ struct NodeStats {
   // completion on the transmit path — not the (burst-coalesced) event clock,
   // so the values are burst-invariant like every other counter here.
   static constexpr std::uint64_t kNeverDropped = ~0ull;
-  std::uint64_t first_drop_ns[kDropReasonCount] = {
-      kNeverDropped, kNeverDropped, kNeverDropped, kNeverDropped,
-      kNeverDropped, kNeverDropped, kNeverDropped, kNeverDropped};
+  std::array<std::uint64_t, kDropReasonCount> first_drop_ns = [] {
+    std::array<std::uint64_t, kDropReasonCount> never{};
+    never.fill(kNeverDropped);
+    return never;
+  }();
+
+  // The drop counters, indexed by DropReason: the one list note_drop(), the
+  // shard merge and total_drops() walk.
+  static constexpr std::uint64_t NodeStats::*kDropCounters[] = {
+      &NodeStats::drops_rx_queue,  &NodeStats::drops_no_route,
+      &NodeStats::drops_ttl,       &NodeStats::drops_verdict,
+      &NodeStats::drops_malformed, &NodeStats::drops_link_down,
+      &NodeStats::drops_no_buffer, &NodeStats::drops_node_down,
+  };
+  static_assert(std::size(kDropCounters) == kDropReasonCount,
+                "one drop counter per DropReason");
 
   // Bumps the counter for `reason` and records the first-occurrence time.
   void note_drop(DropReason reason, std::uint64_t at_ns) {
-    switch (reason) {
-      case DropReason::kRxQueue: ++drops_rx_queue; break;
-      case DropReason::kNoRoute: ++drops_no_route; break;
-      case DropReason::kTtl: ++drops_ttl; break;
-      case DropReason::kVerdict: ++drops_verdict; break;
-      case DropReason::kMalformed: ++drops_malformed; break;
-      case DropReason::kLinkDown: ++drops_link_down; break;
-      case DropReason::kNoBuffer: ++drops_no_buffer; break;
-      case DropReason::kNodeDown: ++drops_node_down; break;
-      case DropReason::kCount: return;
-    }
-    std::uint64_t& first = first_drop_ns[static_cast<std::size_t>(reason)];
-    if (at_ns < first) first = at_ns;
+    const auto i = static_cast<std::size_t>(reason);
+    if (i >= kDropReasonCount) return;
+    ++(this->*kDropCounters[i]);
+    if (at_ns < first_drop_ns[i]) first_drop_ns[i] = at_ns;
   }
   std::uint64_t first_drop_at(DropReason reason) const noexcept {
     return first_drop_ns[static_cast<std::size_t>(reason)];
@@ -131,14 +137,7 @@ struct NodeStats {
     rx_packets += o.rx_packets;
     tx_packets += o.tx_packets;
     local_delivered += o.local_delivered;
-    drops_rx_queue += o.drops_rx_queue;
-    drops_no_route += o.drops_no_route;
-    drops_ttl += o.drops_ttl;
-    drops_verdict += o.drops_verdict;
-    drops_malformed += o.drops_malformed;
-    drops_link_down += o.drops_link_down;
-    drops_no_buffer += o.drops_no_buffer;
-    drops_node_down += o.drops_node_down;
+    for (const auto counter : kDropCounters) this->*counter += o.*counter;
     icmp_time_exceeded_sent += o.icmp_time_exceeded_sent;
     frr_reroutes += o.frr_reroutes;
     service_events += o.service_events;
@@ -153,9 +152,9 @@ struct NodeStats {
   }
 
   std::uint64_t total_drops() const noexcept {
-    return drops_rx_queue + drops_no_route + drops_ttl + drops_verdict +
-           drops_malformed + drops_link_down + drops_no_buffer +
-           drops_node_down;
+    std::uint64_t total = 0;
+    for (const auto counter : kDropCounters) total += this->*counter;
+    return total;
   }
 };
 

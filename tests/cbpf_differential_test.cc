@@ -1,7 +1,7 @@
 // Differential fuzzing of the classic-BPF translator.
 //
 // Generates random valid classic programs, runs each through the reference
-// cBPF interpreter (the oracle) and through translate() on all four eBPF
+// cBPF interpreter (the oracle) and through translate() on all three eBPF
 // engines, and asserts bit-identical accept/reject/length results. The
 // translator must never emit a program the verifier rejects for a program
 // that passed check() — a rejection here is a translator bug, so it is a
@@ -162,7 +162,7 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
 
   static constexpr ebpf::EngineKind kEngines[] = {
       ebpf::EngineKind::kInterpBaseline, ebpf::EngineKind::kInterp,
-      ebpf::EngineKind::kUnchecked, ebpf::EngineKind::kNative};
+      ebpf::EngineKind::kNative};
 
   for (int n = 0; n < kWantedPrograms; ++n) {
     const std::vector<SockFilter> prog = generate(rng);

@@ -332,6 +332,39 @@ TEST(CrashRestart, RetryCapGivesUp) {
   EXPECT_TRUE(b.ns().table(0).routes().empty());
 }
 
+TEST(CrashRestart, WithdrawnRouteStaysWithdrawnAfterRestart) {
+  // The re-installer restores the config the node had at install(): a
+  // prefix withdrawn (or replaced) before then must not come back.
+  sim::Network net(0x3d1e);
+  auto& a = net.add_node("A");
+  auto& b = net.add_node("B");
+  auto l = net.connect(a, A("fc00:1::1"), b, A("fc00:1::2"),
+                       1000ull * 1000 * 1000, sim::kMicro);
+  seg6::Fib& fib = b.ns().table(0);
+  fib.add_route(P("fc00:7::/64"), {A("fc00:1::1"), l.b_ifindex, 1});
+  fib.add_route(P("fc00:8::/64"), {A("fc00:1::1"), l.b_ifindex, 1});
+  fib.add_route(P("fc00:9::/64"), {A("fc00:1::1"), l.b_ifindex, 1});
+  fib.add_route(P("fc00:9::/64"), {A("fc00:1::1"), l.b_ifindex, 2});
+  ASSERT_TRUE(fib.remove_route(P("fc00:7::/64")));
+
+  sim::FaultInjector inj(net, 0x7e57);
+  sim::CrashSpec spec;
+  spec.crash_at = sim::kMilli;
+  spec.restart_at = 2 * sim::kMilli;
+  inj.crash(b, spec);
+  inj.install();
+  ASSERT_FALSE(inj.outages().at(0).gave_up);
+
+  net.run_until(10 * sim::kMilli);
+  ASSERT_FALSE(b.is_down());
+  const seg6::Fib& restored = b.ns().table(0);
+  EXPECT_EQ(restored.lookup(A("fc00:7::5")), nullptr);
+  EXPECT_NE(restored.lookup(A("fc00:8::5")), nullptr);
+  ASSERT_NE(restored.lookup(A("fc00:9::5")), nullptr);
+  EXPECT_EQ(restored.lookup(A("fc00:9::5"))->nexthops.at(0).weight, 2);
+  EXPECT_EQ(restored.route_count(), 2u);
+}
+
 // ---- the degradation ladder: FRR while the FIB is cold ----------------------
 
 TEST(CrashRestart, NeighborDegradesToFrrBackupDuringOutage) {

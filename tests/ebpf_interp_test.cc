@@ -1,7 +1,6 @@
 // Instruction-semantics tests, run against ALL execution engines through a
 // parameterized fixture: any divergence between the interpreters and the
-// JIT-style engines (unchecked decoded and native x86-64) is a bug by
-// definition.
+// native x86-64 JIT is a bug by definition.
 #include <gtest/gtest.h>
 
 #include "ebpf/asm.h"
@@ -19,8 +18,8 @@ namespace {
 class EngineTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   // Runs a program through the selected engine: the pre-decoded threaded
-  // interpreter, the legacy decode-every-step interpreter, the unchecked
-  // JIT engine, or the native x86-64 JIT (which degrades to unchecked on
+  // interpreter, the legacy decode-every-step interpreter, or the native
+  // x86-64 JIT (which falls back to the pre-decoded interpreter on
   // unsupported hosts). All programs in this file are verifiable.
   ExecResult run(const std::vector<Insn>& insns, std::uint64_t ctx = 0) {
     BpfSystem sys;
@@ -42,14 +41,12 @@ class EngineTest : public ::testing::TestWithParam<EngineKind> {
 INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
                          ::testing::Values(EngineKind::kInterp,
                                            EngineKind::kInterpBaseline,
-                                           EngineKind::kUnchecked,
                                            EngineKind::kNative),
                          [](const auto& info) {
                            switch (info.param) {
                              case EngineKind::kInterp: return "Interp";
                              case EngineKind::kInterpBaseline:
                                return "InterpBaseline";
-                             case EngineKind::kUnchecked: return "Unchecked";
                              default: return "Native";
                            }
                          });

@@ -1,15 +1,17 @@
 // JIT edge cases the random differential generator under-samples.
 //
-// Every test runs on all four engines (parameterized fixture): the native
+// Every test runs on all three engines (parameterized fixture): the native
 // x86-64 JIT is the newest and most delicate — division must not trap,
 // 32-bit ops must zero-extend, the BPF stack boundary must be addressable,
 // and helper-driven packet reallocation must not leave stale pointers — but
 // asserting the same behaviour on all engines keeps the whole matrix honest.
-// On hosts without native support the kNative parameter degrades to the
-// unchecked engine and the expectations still hold.
+// On hosts without native support the kNative parameter falls back to the
+// pre-decoded interpreter and the expectations still hold.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "ebpf/asm.h"
@@ -47,14 +49,12 @@ class JitEdgeTest : public ::testing::TestWithParam<EngineKind> {
 INSTANTIATE_TEST_SUITE_P(Engines, JitEdgeTest,
                          ::testing::Values(EngineKind::kInterp,
                                            EngineKind::kInterpBaseline,
-                                           EngineKind::kUnchecked,
                                            EngineKind::kNative),
                          [](const auto& info) {
                            switch (info.param) {
                              case EngineKind::kInterp: return "Interp";
                              case EngineKind::kInterpBaseline:
                                return "InterpBaseline";
-                             case EngineKind::kUnchecked: return "Unchecked";
                              default: return "Native";
                            }
                          });
@@ -307,8 +307,9 @@ TEST_P(JitEdgeTest, MaxSizeProgramRuns) {
   BpfSystem ref;
   auto load = ref.load("ref", ProgType::kLwtSeg6Local, insns);
   ASSERT_TRUE(load.ok());
+  ref.set_engine(EngineKind::kInterp);
   ExecEnv env;
-  EXPECT_EQ(r.ret, ref.run_interpreted(*load.prog, env, 0).ret);
+  EXPECT_EQ(r.ret, ref.run(*load.prog, env, 0).ret);
   if (Jit::available())
     EXPECT_GT(load.prog->compiled().native_code_size(), 0u);
 }
@@ -324,10 +325,102 @@ TEST_P(JitEdgeTest, LoadedProgramReportsResolvedEngine) {
   ASSERT_TRUE(load.ok());
   EngineKind expect = GetParam();
   if (expect == EngineKind::kNative && !Jit::available())
-    expect = EngineKind::kUnchecked;
+    expect = EngineKind::kInterp;
   EXPECT_EQ(load.prog->engine(), expect);
   EXPECT_EQ(sys.engine_for(*load.prog), expect);
   EXPECT_STRNE(engine_name(load.prog->engine()), "?");
+}
+
+// ---- the no-native fallback ----
+
+// `prog` as the JIT leaves it on a host that cannot emit machine code: the
+// decoded form and no native image.
+ProgHandle without_native(BpfSystem& sys, const LoadedProgram& prog) {
+  auto compiled = std::make_shared<CompiledProgram>(
+      decode_program(prog.program(), &sys.helpers()), nullptr);
+  return std::make_shared<LoadedProgram>(prog.program(), std::move(compiled),
+                                         EngineKind::kInterp);
+}
+
+TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
+  BpfSystem sys;
+  Asm a;
+  a.call(helper::KTIME_GET_NS)
+      .mov64_reg(R6, R0)
+      .call(helper::KTIME_GET_NS)
+      .add64_reg(R0, R6)
+      .exit_();
+  auto load = sys.load("fallback", ProgType::kLwtSeg6Local, a.build());
+  ASSERT_TRUE(load.ok()) << load.verify.error;
+  const ProgHandle fallback = without_native(sys, *load.prog);
+  ASSERT_FALSE(fallback->compiled().has_native());
+
+  sys.set_engine(EngineKind::kNative);
+  EXPECT_EQ(sys.engine_for(*fallback), EngineKind::kInterp);
+  EXPECT_TRUE(sys.jit_enabled());
+
+  ExecEnv env;
+  env.now_ns = [] { return std::uint64_t{21}; };
+  const ExecResult want = sys.run(*load.prog, env, 0);
+  ASSERT_TRUE(want.ok()) << want.error;
+  EXPECT_EQ(want.ret, 42u);
+  const ExecResult got = sys.run(*fallback, env, 0);
+  ASSERT_TRUE(got.ok()) << got.error;
+  EXPECT_EQ(got.ret, want.ret);
+  EXPECT_EQ(got.insns_executed, want.insns_executed);
+  EXPECT_EQ(got.helper_calls, want.helper_calls);
+
+  std::vector<BurstInvocation> native_burst(4), fallback_burst(4);
+  load.prog->run_burst(sys, env, native_burst);
+  fallback->run_burst(sys, env, fallback_burst);
+  for (std::size_t i = 0; i < fallback_burst.size(); ++i) {
+    const ExecResult& n = native_burst[i].result;
+    const ExecResult& f = fallback_burst[i].result;
+    ASSERT_TRUE(f.ok()) << f.error;
+    EXPECT_EQ(f.ret, n.ret) << "slot " << i;
+    EXPECT_EQ(f.insns_executed, n.insns_executed) << "slot " << i;
+    EXPECT_EQ(f.helper_calls, n.helper_calls) << "slot " << i;
+  }
+}
+
+TEST(NoNativeFallback, EndBpfStillBillsTheJitBucket) {
+  // The cost model follows the selected engine, not the one that ran: a
+  // program without native code under bpf_jit_enable=1 is billed as JIT, so
+  // simulated rates do not depend on whether the host can emit code.
+  const auto built = usecases::build_add_tlv();
+  auto end_bpf = [&built](bool native) {
+    seg6::Netns ns("fallback");
+    ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
+                          {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
+    ns.bpf().set_engine(EngineKind::kNative);
+    auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local,
+                              built.insns, built.paper_sloc);
+    EXPECT_TRUE(load.ok()) << load.verify.error;
+
+    net::PacketSpec spec;
+    spec.src = net::Ipv6Addr::must_parse("fc00::1");
+    spec.segments = {net::Ipv6Addr::must_parse("fc00::e1"),
+                     net::Ipv6Addr::must_parse("fc00::d1")};
+    spec.payload_size = 64;
+    net::Packet pkt = net::make_udp_packet(spec);
+
+    seg6::Seg6LocalEntry e;
+    e.action = seg6::Seg6Action::kEndBPF;
+    e.prog = native ? load.prog : without_native(ns.bpf(), *load.prog);
+    seg6::ProcessTrace trace;
+    const auto r = seg6local_process(ns, pkt, e, &trace);
+    EXPECT_EQ(r.disposition, seg6::Disposition::kContinue);
+    return std::pair{trace, std::vector<std::uint8_t>(
+                                pkt.data(), pkt.data() + pkt.size())};
+  };
+
+  const auto [native, native_bytes] = end_bpf(true);
+  const auto [fallback, fallback_bytes] = end_bpf(false);
+  EXPECT_GT(fallback.bpf_insns_jit, 0u);
+  EXPECT_EQ(fallback.bpf_insns_interp, 0u);
+  EXPECT_EQ(fallback.bpf_insns_jit, native.bpf_insns_jit);
+  EXPECT_EQ(fallback.helper_calls, native.helper_calls);
+  EXPECT_EQ(fallback_bytes, native_bytes);
 }
 
 }  // namespace

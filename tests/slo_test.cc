@@ -190,6 +190,35 @@ TEST(NodeStats, NoteDropCountsAndFirstTimestamps) {
   EXPECT_EQ(s.first_drop_at(sim::DropReason::kLinkDown), 300u);
   EXPECT_EQ(s.first_drop_at(sim::DropReason::kNoRoute), 50u);
   EXPECT_EQ(s.total_drops(), 4u);
+
+  // Every reason has its own counter and first-drop slot: reason i is
+  // noted i + 1 times, first at t = 1000 + i, on a fresh NodeStats.
+  sim::NodeStats all;
+  const std::uint64_t sim::NodeStats::*const counters[] = {
+      &sim::NodeStats::drops_rx_queue,  &sim::NodeStats::drops_no_route,
+      &sim::NodeStats::drops_ttl,       &sim::NodeStats::drops_verdict,
+      &sim::NodeStats::drops_malformed, &sim::NodeStats::drops_link_down,
+      &sim::NodeStats::drops_no_buffer, &sim::NodeStats::drops_node_down,
+  };
+  ASSERT_EQ(std::size(counters), sim::kDropReasonCount);
+  std::uint64_t expect_total = 0;
+  for (std::size_t i = 0; i < sim::kDropReasonCount; ++i) {
+    const auto reason = static_cast<sim::DropReason>(i);
+    EXPECT_EQ(all.first_drop_at(reason), sim::NodeStats::kNeverDropped)
+        << "reason " << i;
+    for (std::size_t k = 0; k <= i; ++k) all.note_drop(reason, 1000 + i + k);
+    expect_total += i + 1;
+  }
+  for (std::size_t i = 0; i < sim::kDropReasonCount; ++i) {
+    EXPECT_EQ(all.*counters[i], i + 1) << "reason " << i;
+    EXPECT_EQ(all.first_drop_at(static_cast<sim::DropReason>(i)), 1000 + i)
+        << "reason " << i;
+  }
+  EXPECT_EQ(all.total_drops(), expect_total);
+  sim::NodeStats twice = all;
+  twice += all;
+  EXPECT_EQ(twice.total_drops(), 2 * expect_total);
+  EXPECT_EQ(twice.first_drop_ns, all.first_drop_ns);
 }
 
 TEST(NodeStats, ShardMergeFoldsFirstDropAsMin) {
@@ -482,6 +511,38 @@ TEST(Fib, RemoveRouteInvalidatesCacheAndReturnsFalseWhenAbsent) {
   EXPECT_EQ(fib.lookup(A("fc00:2::5")), nullptr);  // cached slot invalidated
   EXPECT_FALSE(fib.remove_route(P("fc00:2::/64")));
   EXPECT_FALSE(fib.remove_route(P("fc00:9::/64")));
+  EXPECT_EQ(fib.route_count(), 0u);
+
+  // Churn: re-adds replace in place and withdraws swap-remove, so the table
+  // holds exactly the live routes and the survivors keep resolving to their
+  // own nexthops after the last route is moved into a freed slot.
+  fib.add_route(P("fc00:1::/64"), {A("fe80::1"), 1, 1});
+  fib.add_route(P("fc00:2::/64"), {A("fe80::2"), 2, 1});
+  fib.add_route(P("fc00:3::/64"), {A("fe80::3"), 3, 1});
+  fib.add_route(P("fc00:2::/64"), {A("fe80::22"), 2, 1});  // re-add
+  EXPECT_EQ(fib.route_count(), 3u);
+  EXPECT_EQ(fib.lookup(A("fc00:2::5"))->nexthops.at(0).via, A("fe80::22"));
+  EXPECT_TRUE(fib.remove_route(P("fc00:1::/64")));  // fc00:3:: moves to slot 0
+  EXPECT_EQ(fib.route_count(), 2u);
+  EXPECT_EQ(fib.lookup(A("fc00:1::5")), nullptr);
+  EXPECT_EQ(fib.lookup(A("fc00:3::5"))->nexthops.at(0).via, A("fe80::3"));
+  EXPECT_EQ(fib.lookup(A("fc00:2::5"))->nexthops.at(0).via, A("fe80::22"));
+  for (int round = 0; round < 100; ++round) {
+    fib.add_route(P("fc00:1::/64"), {A("fe80::1"), 1, 1});
+    fib.add_route(P("fc00:1::/64"), {A("fe80::11"), 1, 1});
+    EXPECT_TRUE(fib.remove_route(P("fc00:3::/64")));
+    fib.add_route(P("fc00:3::/64"), {A("fe80::3"), 3, 1});
+  }
+  EXPECT_EQ(fib.route_count(), 3u);
+  EXPECT_EQ(fib.routes().size(), 3u);
+  EXPECT_EQ(fib.lookup(A("fc00:1::5"))->nexthops.at(0).via, A("fe80::11"));
+  EXPECT_EQ(fib.lookup(A("fc00:2::5"))->nexthops.at(0).via, A("fe80::22"));
+  EXPECT_EQ(fib.lookup(A("fc00:3::5"))->nexthops.at(0).via, A("fe80::3"));
+  EXPECT_TRUE(fib.remove_route(P("fc00:3::/64")));  // the last slot: no move
+  EXPECT_TRUE(fib.remove_route(P("fc00:1::/64")));
+  EXPECT_EQ(fib.route_count(), 1u);
+  EXPECT_EQ(fib.routes().at(0).prefix, P("fc00:2::/64"));
+  EXPECT_EQ(fib.lookup(A("fc00:2::5"))->nexthops.at(0).via, A("fe80::22"));
 }
 
 // End-to-end: delivered latency recorded by a sink-attached tracer is
