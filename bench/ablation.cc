@@ -101,7 +101,7 @@ void ablate_map_backend() {
     volatile std::uint64_t sink = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < 1'000'000; ++i)
-      sink += reinterpret_cast<std::uintptr_t>(map->find(key));
+      sink = sink + reinterpret_cast<std::uintptr_t>(map->find(key));
     const auto t1 = std::chrono::steady_clock::now();
     std::printf("  %-6s: %6.1f ns/lookup\n",
                 type == ebpf::MapType::kArray ? "array" : "hash",

@@ -306,8 +306,8 @@ struct NetemRow {
   std::uint64_t delivered = 0;
   std::uint64_t losses = 0;
   double loss_ratio = 0;
-  Quantiles overall;
-  Quantiles expr_cls;  // the cBPF-expression class ("udp src port 7000")
+  Quantiles overall{};
+  Quantiles expr_cls{};  // the cBPF-expression class ("udp src port 7000")
 };
 
 NetemRow run_netem(const char* key, double loss, sim::TimeNs jitter,

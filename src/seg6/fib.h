@@ -65,7 +65,7 @@ struct Route {
   net::Prefix prefix;
   std::vector<Nexthop> nexthops;       // >1 entries = ECMP
   std::shared_ptr<LwtState> lwt;       // optional tunnel state
-  std::shared_ptr<FrrBackup> frr;      // optional fast-reroute backup
+  std::shared_ptr<FrrBackup> frr{};    // optional fast-reroute backup
 };
 
 class Fib;

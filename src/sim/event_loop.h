@@ -2,10 +2,17 @@
 // time-ordered event queue. All timing in the repository is in integer
 // nanoseconds of virtual time; nothing ever reads the wall clock.
 //
-// Closures are stored in place (sim::InlineFn): scheduling an event never
-// heap-allocates once the queue's reserved storage is warm, which is what
-// keeps the steady-state forwarding path allocation-free (bench_hotpath
-// gates allocs-per-packet at zero).
+// The queue is split in two. A binary heap orders small trivially copyable
+// keys (time, ordering key, birth stamp, slot index; 40 bytes), so a sift
+// moves 40 bytes instead of a whole closure. The closures (sim::InlineFn)
+// live in a slot store of fixed-size chunks that never move: a schedule
+// moves the closure once into a free slot, the event runs in that slot, and
+// the slot returns to a LIFO free list. A closure may therefore schedule
+// any number of events while it runs without its own captures moving.
+// Once the heap's vector and the store have grown to the run's peak depth,
+// scheduling never heap-allocates, which is what keeps the steady-state
+// forwarding path allocation-free (bench_hotpath gates allocs-per-packet at
+// zero).
 //
 // Ordering contract. Events execute in ascending (t, key, birth) order where
 // `birth` is the event's provenance stamp: the scheduling loop's clock at
@@ -22,7 +29,8 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/inline_fn.h"
@@ -51,29 +59,29 @@ class EventLoop {
     std::uint64_t seq = 0;   // per-domain monotone schedule counter
   };
 
-  EventLoop() {
-    // The burst datapath still churns thousands of in-flight events on a
-    // saturated run; start the heap with room so the steady state never
-    // pays vector regrowth.
-    std::vector<Event> storage;
-    storage.reserve(4096);
-    queue_ = std::priority_queue<Event, std::vector<Event>, Later>(
-        Later{}, std::move(storage));
-  }
+  EventLoop() { heap_.reserve(kReservedKeys); }
+  // Destroys every pending closure without running it (pooled resources
+  // they own, such as in-flight BurstPool nodes, go back to their pools).
+  ~EventLoop();
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   TimeNs now() const noexcept { return now_; }
 
-  // Schedules `fn` at absolute time `t` (clamped to now()).
-  void schedule_at(TimeNs t, Fn fn) { schedule_at_key(t, 0, std::move(fn)); }
+  // Schedules `fn` at absolute time `t` (clamped to now()). Every schedule
+  // call takes the closure by reference and moves it once, into its slot.
+  void schedule_at(TimeNs t, Fn&& fn) { schedule_at_key(t, 0, std::move(fn)); }
   // Schedules `fn` `delay` ns from now.
-  void schedule(TimeNs delay, Fn fn) { schedule_at(now_ + delay, std::move(fn)); }
+  void schedule(TimeNs delay, Fn&& fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
   // Same-time events execute in ascending `key`, FIFO within a key (plain
   // schedule_at uses key 0, so existing orderings are untouched). The
   // multi-core Node keys CPU-context service events by context id: when two
   // contexts complete at the same instant, their effects apply in a
   // deterministic context order instead of the order servicing happened to
   // be scheduled in.
-  void schedule_at_key(TimeNs t, std::uint32_t key, Fn fn);
+  void schedule_at_key(TimeNs t, std::uint32_t key, Fn&& fn);
 
   // ---- PDES surface (sim/pdes_domain.h) ----
   // The domain id baked into this loop's stamps. 0 for the serial loop.
@@ -87,10 +95,10 @@ class EventLoop {
   // `t` is clamped to now() like schedule_at — conservative synchronization
   // guarantees arrivals are never in the receiver's past, so the clamp is
   // defensive only.
-  void inject(TimeNs t, std::uint32_t key, Stamp stamp, Fn fn);
+  void inject(TimeNs t, std::uint32_t key, Stamp stamp, Fn&& fn);
   // Earliest pending event time, kTimeInfinity when idle.
   TimeNs next_time() const noexcept {
-    return queue_.empty() ? kTimeInfinity : queue_.top().t;
+    return heap_.empty() ? kTimeInfinity : heap_.front().t;
   }
   // Runs every event with t < bound (strict: `bound` is the conservative
   // horizon, events *at* it may still gain same-time predecessors from a
@@ -111,32 +119,53 @@ class EventLoop {
   // reschedule forever will never drain; prefer run_until).
   void run();
 
-  std::size_t pending() const noexcept { return queue_.size(); }
+  std::size_t pending() const noexcept { return heap_.size(); }
   std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  struct Event {
+  // Heap entry: everything the order reads, plus where the closure lives.
+  struct Key {
     TimeNs t;
-    std::uint32_t key;  // same-time ordering class (CPU-context id)
-    Stamp birth;        // provenance: deterministic FIFO tie-break
+    std::uint32_t key;   // same-time ordering class (CPU-context id)
+    std::uint32_t slot;  // closure index in the slot store
+    Stamp birth;         // provenance: deterministic FIFO tie-break
+  };
+  static_assert(std::is_trivially_copyable_v<Key>);
+
+  // A closure slot: holds a pending event's closure, or, once freed, the
+  // index of the next freed slot (an intrusive LIFO free list, so freeing
+  // never allocates).
+  union Slot {
+    Slot() noexcept {}
+    ~Slot() {}
     Fn fn;
+    std::uint32_t next_free;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.t != b.t) return a.t > b.t;
-      if (a.key != b.key) return a.key > b.key;
-      if (a.birth.birth_t != b.birth.birth_t)
-        return a.birth.birth_t > b.birth.birth_t;
-      if (a.birth.dom != b.birth.dom) return a.birth.dom > b.birth.dom;
-      return a.birth.seq > b.birth.seq;
-    }
+  // Sizing: a chunk (1024 slots, 160 KiB) and the reserved heap (4096 keys,
+  // 160 KiB) are one allocation each that most loops never outgrow. Neither
+  // is zero-filled, and a never-used slot is taken only when no freed one
+  // is left, so the pages a loop touches track its peak depth: a shallow
+  // loop costs a few pages, not 320 KiB.
+  static constexpr std::size_t kChunkSlots = 1024;
+  static constexpr std::size_t kReservedKeys = 4096;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  struct Chunk {
+    Slot slots[kChunkSlots];
   };
+
+  void push(TimeNs t, std::uint32_t key, Stamp birth, Fn&& fn);
+  Slot& slot(std::uint32_t s) noexcept {
+    return chunks_[s / kChunkSlots]->slots[s % kChunkSlots];
+  }
 
   TimeNs now_ = 0;
   std::uint32_t domain_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Key> heap_;  // binary min-heap in (t, key, birth) order
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // stable closure storage
+  std::uint32_t free_head_ = kNoSlot;           // first freed slot
+  std::uint32_t fresh_ = 0;                     // first never-used slot
 };
 
 }  // namespace srv6bpf::sim

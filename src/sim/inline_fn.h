@@ -3,11 +3,12 @@
 // std::function heap-allocates any closure past its ~16-byte small-buffer
 // optimisation, which made every scheduled event (CPU service activations,
 // link deliveries, deferred local handlers, generator ticks) an allocator
-// round-trip. InlineFn stores the closure inside the event itself: a fixed
-// capture budget sized for the largest datapath closures (a Node* + a
-// by-value net::Packet for deferred local delivery is the high-water mark),
-// enforced with static_asserts so an oversized capture is a compile error at
-// the schedule() call site, never a silent heap fallback.
+// round-trip. InlineFn stores the closure in place, in an event-loop slot
+// (sim/event_loop.h) or a mailbox ring slot: a fixed capture budget sized
+// for the largest datapath closures (a Node* + a by-value net::Packet for
+// deferred local delivery is the high-water mark), enforced with
+// static_asserts so an oversized capture is a compile error at the
+// schedule() call site, never a silent heap fallback.
 //
 // Move-only by design — events are scheduled once and run once, and the
 // closures own move-only resources (BurstPool handles, pooled Packets).
@@ -42,8 +43,9 @@ class InlineFn {
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned closure capture");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "closure must be nothrow-movable (events relocate inside "
-                  "the priority queue)");
+                  "closure must be nothrow-movable (a schedule moves it "
+                  "into the event loop's slot store, a PDES mailbox through "
+                  "its ring)");
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     ops_ = &kOpsFor<Fn>;
   }

@@ -130,17 +130,12 @@ bool PdesNet::iterate(Domain& d, TimeNs t_end) {
     lbts = std::min(lbts, bound);
   }
 
-  // 2. Drain inbound mailboxes into the heap. Done unconditionally — even
-  //    after this domain finished its window — so a spinning producer always
-  //    finds ring space (the deadlock-freedom argument in pdes_mailbox.h).
+  // 2. Drain inbound mailboxes into the loop. Done unconditionally — even
+  //    after this domain finished its window — so a producer spinning on
+  //    another worker always finds ring space (the deadlock-freedom argument
+  //    in pdes_mailbox.h).
   bool drained = false;
-  PdesMail m;
-  for (const Inbound& in : d.inbound) {
-    while (in.box->try_pop(m)) {
-      d.loop->inject(m.t, m.key, m.stamp, std::move(m.fn));
-      drained = true;
-    }
-  }
+  for (const Inbound& in : d.inbound) drained |= in.box->drain_into(*d.loop);
   if (d.done) return drained;
 
   // 3. Execute everything strictly below the bound. Events *at* the bound
@@ -190,6 +185,14 @@ void PdesNet::run_until(TimeNs t_end, std::size_t threads) {
 
   const std::size_t n =
       std::min(std::max<std::size_t>(1, threads), domains_.size());
+  // worker() serves domain d on worker d % n. A full ring whose consumer
+  // shares the producer's worker must be drained by the producer itself.
+  const std::size_t p = domains_.size();
+  for (std::size_t src = 0; src < p; ++src)
+    for (std::size_t dst = 0; dst < p; ++dst)
+      if (PdesMailbox* box = mailboxes_[src * p + dst].get())
+        box->set_inline_consumer(
+            src % n == dst % n ? domains_[dst]->loop.get() : nullptr);
   if (n == 1) {
     worker(0, 1, t_end);
   } else {

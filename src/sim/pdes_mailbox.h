@@ -12,11 +12,19 @@
 // drained), and the delivery closure itself, moved through the ring slot so
 // pooled packet buffers travel without copies.
 //
-// Capacity is fixed; `push` spins when the ring is full. That cannot
-// deadlock: every domain worker drains its inbound mailboxes on each
-// scheduling pass even when its conservative horizon forbids executing
-// anything (and even after it has finished the run window), so a spinning
-// producer always finds space within one consumer pass.
+// Capacity is fixed. When the ring is full, `push` either drains it itself
+// or spins, depending on who consumes it (PdesNet::run_until decides per run,
+// from the worker assignment):
+//   * The pushing worker also serves the consumer domain (always the case on
+//     one worker). Nothing else will ever drain the ring, so spinning would
+//     hang; `push` moves the queued messages straight into the consumer's
+//     EventLoop with `inject`. That loop is idle, since its worker is busy
+//     running the producer, and stamps make the receiver's order
+//     independent of when a message is drained, so this changes no result.
+//   * Another worker serves the consumer. That worker drains its inbound
+//     mailboxes on every scheduling pass, even when its conservative horizon
+//     forbids executing anything and after it has finished the run window,
+//     so a spinning producer finds space within one consumer pass.
 #pragma once
 
 #include <atomic>
@@ -39,10 +47,9 @@ struct PdesMail {
 
 class PdesMailbox {
  public:
-  // Capacity must cover the peak number of in-flight cross-domain
-  // deliveries between one pair of domains; deliveries are burst-coalesced
-  // (one message per PacketBurst), so even saturated links stay far below
-  // this. Overflow degrades to spinning, never to loss.
+  // Deliveries are burst-coalesced (one message per PacketBurst), but a
+  // long lookahead window on a busy link can still queue more than this;
+  // overflow is handled in `push`, never by loss.
   static constexpr std::size_t kCapacity = 1024;
   static_assert((kCapacity & (kCapacity - 1)) == 0, "power-of-two ring");
 
@@ -61,21 +68,41 @@ class PdesMailbox {
     return true;
   }
 
-  // Producer side; spins until space (see the deadlock-freedom note above).
-  // Overflow is an explicit *counted backpressure* policy, never a drop:
-  // conservative PDES cannot lose a cross-domain message (the receiver's
-  // LBTS already promised it will see everything below the horizon, and a
-  // dropped delivery would silently break packet conservation and the
-  // determinism contract both). Each full-ring encounter bumps
-  // overflow_spins(), so a chronically undersized ring is visible in
+  // The consumer loop `push` drains a full ring into, or null when another
+  // worker consumes it. Set by PdesNet::run_until before any worker starts.
+  void set_inline_consumer(EventLoop* loop) noexcept { inline_consumer_ = loop; }
+
+  // Producer side; never fails (see the overflow note above). Overflow is
+  // an explicit *counted backpressure* policy, never a drop: conservative
+  // PDES cannot lose a cross-domain message (the receiver's LBTS already
+  // promised it will see everything below the horizon, and a dropped
+  // delivery would silently break packet conservation and the determinism
+  // contract both). Each full-ring encounter bumps overflow_spins(), so a
+  // chronically undersized ring is visible in
   // PdesNet::mailbox_overflow_spins() instead of just being wall-clock loss.
-  void push(PdesMail&& m) noexcept {
-    if (!try_push(std::move(m))) {
-      overflow_spins_.fetch_add(1, std::memory_order_relaxed);
-      do {
-        std::this_thread::yield();
-      } while (!try_push(std::move(m)));
+  void push(PdesMail&& m) {
+    if (try_push(std::move(m))) return;
+    overflow_spins_.fetch_add(1, std::memory_order_relaxed);
+    if (inline_consumer_ != nullptr) {
+      drain_into(*inline_consumer_);
+      try_push(std::move(m));  // the ring is empty now
+      return;
     }
+    do {
+      std::this_thread::yield();
+    } while (!try_push(std::move(m)));
+  }
+
+  // Consumer side: injects every queued message into `loop`. Returns
+  // whether there was any.
+  bool drain_into(EventLoop& loop) {
+    bool drained = false;
+    PdesMail m;
+    while (try_pop(m)) {
+      loop.inject(m.t, m.key, m.stamp, std::move(m.fn));
+      drained = true;
+    }
+    return drained;
   }
 
   // Consumer side. Returns false when empty.
@@ -92,8 +119,8 @@ class PdesMailbox {
            head_.load(std::memory_order_acquire);
   }
 
-  // Number of push() calls that found the ring full and had to spin —
-  // wall-clock-only observability (bit-identical results either way).
+  // Number of push() calls that found the ring full and had to drain or
+  // spin — wall-clock-only observability (bit-identical results either way).
   std::uint64_t overflow_spins() const noexcept {
     return overflow_spins_.load(std::memory_order_relaxed);
   }
@@ -105,6 +132,7 @@ class PdesMailbox {
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
   std::atomic<std::uint64_t> overflow_spins_{0};
+  EventLoop* inline_consumer_ = nullptr;
   std::unique_ptr<PdesMail[]> slots_;
 };
 

@@ -168,7 +168,9 @@ TEST_P(EngineTest, ToBe64RoundTrips) {
 TEST_P(EngineTest, ToLe32IsIdentityOnLeHost) {
   Asm a;
   a.mov64_imm(R0, 0x11223344).to_le(R0, 32).exit_();
-  if (kHostIsLittleEndian) EXPECT_EQ(eval(a.build()), 0x11223344u);
+  if (kHostIsLittleEndian) {
+    EXPECT_EQ(eval(a.build()), 0x11223344u);
+  }
 }
 
 // ---- Memory (stack) --------------------------------------------------------------

@@ -310,8 +310,9 @@ TEST_P(JitEdgeTest, MaxSizeProgramRuns) {
   ref.set_engine(EngineKind::kInterp);
   ExecEnv env;
   EXPECT_EQ(r.ret, ref.run(*load.prog, env, 0).ret);
-  if (Jit::available())
+  if (Jit::available()) {
     EXPECT_GT(load.prog->compiled().native_code_size(), 0u);
+  }
 }
 
 // ---- engine observability ----

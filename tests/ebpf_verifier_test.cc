@@ -36,9 +36,10 @@ class VerifierTest : public ::testing::Test {
                      ProgType type = ProgType::kLwtSeg6Local) {
     const auto r = verify(a, type);
     EXPECT_FALSE(r.ok) << "expected rejection containing '" << needle << "'";
-    if (!r.ok)
+    if (!r.ok) {
       EXPECT_NE(r.error.find(needle), std::string::npos)
           << "actual error: " << r.error;
+    }
   }
 
   MapRegistry maps_;

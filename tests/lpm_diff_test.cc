@@ -109,7 +109,9 @@ TEST(LpmDifferential, RandomizedInsertEraseLookup) {
       const std::uint32_t* vs = stride.lookup(q.bytes);
       const std::uint32_t* vb = bitwise.lookup(q.bytes);
       ASSERT_EQ(vs != nullptr, vb != nullptr) << "step " << step;
-      if (vs != nullptr) ASSERT_EQ(*vs, *vb) << "step " << step;
+      if (vs != nullptr) {
+        ASSERT_EQ(*vs, *vb) << "step " << step;
+      }
     }
     ASSERT_EQ(stride.size(), bitwise.size()) << "step " << step;
   }

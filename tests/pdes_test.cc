@@ -8,15 +8,20 @@
 // Also here: the EventLoop (time, key, stamp) comparator regression the
 // tentpole fix demands (the serial loop and the PDES comparator must
 // provably agree), SPSC mailbox unit tests, horizon progress on idle
-// domains (no deadlock), same-timestamp cross-domain tie-breaks, and the
+// domains and mailbox overflow inside one lookahead window (no deadlock on
+// one or two workers), same-timestamp cross-domain tie-breaks, and the
 // stats-shard merge (NodeStats, first-drop min-fold, HdrHistogram) under
 // partitioning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/sink.h"
@@ -89,6 +94,58 @@ TEST(EventLoopOrder, SerialLoopAgreesWithStableSortByTimeKey) {
   ASSERT_EQ(executed.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i)
     EXPECT_EQ(executed[i], expect[i].idx) << "position " << i;
+
+  // Interleaved: every event below kParents schedules a child from inside
+  // its own run (delta 0 included), with 2500 pending throughout, so closure
+  // slots are freed and reused while the heap is deep. In a serial loop the
+  // birth stamp orders like the schedule sequence number, so the reference
+  // is a priority queue on (t, key, seq) fed by the same child rule.
+  constexpr std::size_t kInitial = 2500, kParents = 8000;
+  // (delay, key) of the child event `id` schedules.
+  static constexpr auto child = [](std::size_t id) {
+    const std::uint64_t h = (id + 1) * 0x9e3779b97f4a7c15ull;
+    return std::pair<sim::TimeNs, std::uint32_t>{
+        (h >> 20) % 30 * 10, static_cast<std::uint32_t>((h >> 40) % 3)};
+  };
+  struct Interleaved {
+    sim::EventLoop loop;
+    std::vector<std::size_t> executed;
+    std::size_t next_id = 0;
+    std::size_t max_pending = 0;
+    void add(sim::TimeNs t, std::uint32_t key) {
+      const std::size_t id = next_id++;
+      loop.schedule_at_key(t, key, [this, id] {
+        executed.push_back(id);
+        max_pending = std::max(max_pending, loop.pending());
+        if (id < kParents) {
+          const auto [dt, k] = child(id);
+          add(loop.now() + dt, k);
+        }
+      });
+    }
+  } run;
+  using Ref = std::tuple<sim::TimeNs, std::uint32_t, std::size_t>;  // t,key,id
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref;
+  for (std::size_t i = 0; i < kInitial; ++i) {
+    const sim::TimeNs t = rng.uniform(0, 999) * 10;
+    const auto key = static_cast<std::uint32_t>(rng.uniform(0, 2));
+    run.add(t, key);
+    ref.emplace(t, key, i);
+  }
+  run.loop.run();
+  std::vector<std::size_t> ref_order;
+  for (std::size_t next_id = kInitial; !ref.empty();) {
+    const auto [t, key, id] = ref.top();
+    ref.pop();
+    ref_order.push_back(id);
+    if (id < kParents) {
+      const auto [dt, k] = child(id);
+      ref.emplace(t + dt, k, next_id++);
+    }
+  }
+  EXPECT_GE(run.max_pending, 2048u);
+  ASSERT_EQ(run.executed.size(), kInitial + kParents);
+  EXPECT_EQ(run.executed, ref_order);
 }
 
 // Same-(t, key) events from *different* loops merge by provenance stamp:
@@ -643,6 +700,63 @@ TEST(PdesProgress, IdleDomainsAdvanceThroughHorizonsOnly) {
   // A second, completely idle window: horizons restart and creep again.
   net.run_parallel_for(100 * sim::kMilli, 2);
   EXPECT_EQ(net.now(), sim::kSecond + 100 * sim::kMilli);
+}
+
+// ---- mailbox overflow inside one lookahead window ---------------------------
+
+// A 1 Mpps single-packet generator for 5 ms over a 10 ms link: all 5000
+// deliveries are sent inside the first lookahead window, so the A->B ring
+// (1024 slots) overflows before B may run. On one worker nothing else can
+// drain it, and a push that only spins never returns.
+struct OverflowResult {
+  Digest dig;
+  std::uint64_t spins = 0;
+};
+
+OverflowResult run_mailbox_overflow(std::size_t threads) {
+  sim::Network net(0x0f10);
+  auto& a = net.add_node("A");
+  auto& b = net.add_node("B");
+  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
+  auto l = net.connect(a, A("fc00:1::1"), b, A("fc00:1::2"), kTenGig,
+                       10 * sim::kMilli);
+  a.ns().table(0).add_route(P("::/0"), {A("fc00:1::2"), l.a_ifindex, 1});
+  net.set_domain_count(2);
+  net.assign_domain(a, 0);
+  net.assign_domain(b, 1);
+  net.seal_domains();
+
+  apps::AppMux mux(b);
+  OverflowResult res;
+  mux.on_udp(7001, [&res](const net::Packet& pkt, const net::UdpHeader&,
+                          std::span<const std::uint8_t> payload,
+                          sim::TimeNs now) {
+    ++res.dig.delivered;
+    res.dig.bytes += payload.size();
+    res.dig.mix(now);
+    res.dig.mix(pkt.seq);
+  });
+  apps::TrafGen::Config cfg;
+  cfg.spec.src = A("fc00:1::1");
+  cfg.spec.dst = A("fc00:1::2");
+  cfg.spec.payload_size = 64;
+  cfg.spec.dst_port = 7001;
+  cfg.pps = 1e6;
+  cfg.duration = 5 * sim::kMilli;
+  apps::TrafGen gen(a, cfg);
+  gen.start();
+
+  net.run_parallel_for(30 * sim::kMilli, threads);
+  res.spins = net.pdes_net().mailbox_overflow_spins();
+  return res;
+}
+
+TEST(PdesProgress, MailboxOverflowInOneWindowDrainsOnOneAndTwoWorkers) {
+  const OverflowResult one = run_mailbox_overflow(1);
+  EXPECT_EQ(one.dig.delivered, 5000u);
+  EXPECT_GT(one.spins, 0u);  // the ring really did fill
+  const OverflowResult two = run_mailbox_overflow(2);
+  EXPECT_TRUE(two.dig == one.dig);
 }
 
 // ---- same-timestamp cross-domain tie-break ----------------------------------

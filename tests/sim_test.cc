@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <stdexcept>
+#include <utility>
+
+#include "net/buffer_pool.h"
 #include "net/packet.h"
 #include "sim/costmodel.h"
 #include "sim/event_loop.h"
@@ -52,6 +58,69 @@ TEST(EventLoop, PastSchedulingClampsToNow) {
   loop.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(loop.now(), 100u);
+}
+
+// A running closure stays in its slot of the closure store. Here it schedules
+// far more events than one store chunk holds, each capturing different data,
+// then reads its own captures: had its storage moved or been handed to a
+// child, the read would see the child's data (or, under ASan, freed memory).
+TEST(EventLoop, RunningClosureKeepsItsCapturesWhileTheStoreGrows) {
+  EventLoop loop;
+  std::array<std::uint64_t, 16> pattern;
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = 0x0101010101010101ull * (i + 1);
+  std::array<std::uint64_t, 16> seen{};
+  std::uint64_t children = 0;
+  loop.schedule(1, [&loop, &children, &seen, pattern] {
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+      std::array<std::uint64_t, 16> other;
+      other.fill(~i);
+      loop.schedule(1, [&children, other] { children += other[0] != 0; });
+    }
+    seen = pattern;
+  });
+  loop.run();
+  EXPECT_EQ(children, 3000u);
+  EXPECT_EQ(seen, pattern);
+}
+
+TEST(EventLoop, DestroyingTheLoopDestroysPendingClosuresOnceWithoutRunning) {
+  // Counts destructions of the capture that was scheduled, not of the
+  // moved-from shells it leaves behind.
+  struct Counted {
+    int* destroyed;
+    explicit Counted(int* d) : destroyed(d) {}
+    Counted(Counted&& o) noexcept
+        : destroyed(std::exchange(o.destroyed, nullptr)) {}
+    ~Counted() {
+      if (destroyed != nullptr) ++*destroyed;
+    }
+  };
+  int destroyed = 0;
+  int ran = 0;
+  {
+    EventLoop loop;
+    for (TimeNs t = 0; t < 200; ++t)
+      loop.schedule_at(t, [c = Counted(&destroyed), &ran] { ++ran; });
+    loop.run_until(49);
+    EXPECT_EQ(ran, 50);
+    EXPECT_EQ(destroyed, 50);
+  }
+  EXPECT_EQ(ran, 50);
+  EXPECT_EQ(destroyed, 200);
+}
+
+TEST(EventLoop, AThrowingEventIsDestroyedAndTheLoopCarriesOn) {
+  EventLoop loop;
+  auto owned = std::make_shared<int>(0);
+  loop.schedule_at(1, [owned] { throw std::runtime_error("event failed"); });
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_EQ(owned.use_count(), 1);  // the closure's copy is gone
+  int ran = 0;
+  loop.schedule_at(2, [&ran] { ++ran; });  // reuses the freed slot
+  loop.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 // ---- netem ----------------------------------------------------------------------
@@ -165,6 +234,25 @@ struct Line {
     return net::make_udp_packet(spec);
   }
 };
+
+// Tearing down a network mid-flight destroys the pending delivery events;
+// their BurstPool handles return the nodes and the packets' buffers.
+TEST(Node, DestroyingTheNetworkReturnsPendingLinkDeliveriesToThePools) {
+  const net::BurstPool::Stats bursts0 = net::BurstPool::stats();
+  const std::uint64_t buffers0 = net::BufferPool::stats().outstanding;
+  {
+    Line line;
+    for (int i = 0; i < 8; ++i) line.a->send(line.udp());
+    line.net.run_for(100 * kMicro);  // on the 1 ms wire, not yet delivered
+    ASSERT_GT(line.net.loop().pending(), 0u);
+    const net::BurstPool::Stats mid = net::BurstPool::stats();
+    EXPECT_LT(mid.pooled, bursts0.pooled + (mid.allocs - bursts0.allocs));
+  }
+  // Every node acquired in the scope is parked again, every buffer back.
+  const net::BurstPool::Stats bursts1 = net::BurstPool::stats();
+  EXPECT_EQ(bursts1.pooled, bursts0.pooled + (bursts1.allocs - bursts0.allocs));
+  EXPECT_EQ(net::BufferPool::stats().outstanding, buffers0);
+}
 
 TEST(Node, ForwardsAndDecrementsHopLimit) {
   Line line;

@@ -179,7 +179,9 @@ TEST(Oamp, FallbackToIcmpWhenOampDisabled) {
           << "ICMP fallback must still identify the hop";
       found_hop2_without_oamp = true;
     }
-    if (h.ttl == 1) EXPECT_TRUE(h.oamp_answered);
+    if (h.ttl == 1) {
+      EXPECT_TRUE(h.oamp_answered);
+    }
   }
   EXPECT_TRUE(found_hop2_without_oamp);
 }
