@@ -1,10 +1,12 @@
 // Shared scaffolding for the paper-reproduction benchmarks: the setup-1
-// topology (S1 - R - S2, R's CPU modelled) and the saturation measurement
+// topology (S1 - R - S2, R's CPU modelled), the saturation measurement
 // loop (offer more load than R can forward, count what the sink receives —
-// exactly the paper's §3.2 methodology).
+// exactly the paper's §3.2 methodology), and the digested per-segment load
+// of the generated PDES ring.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,11 +14,16 @@
 #include "apps/sink.h"
 #include "apps/trafgen.h"
 #include "net/packet.h"
+#include "report.h"
 #include "seg6/seg6local.h"
 #include "sim/network.h"
+#include "sim/pdes_topo.h"
 #include "usecases/programs.h"
 
 namespace srv6bpf::bench {
+
+// /48 sites in the fat-FIB scenario (Setup1::add_fib48).
+inline constexpr std::size_t kFib48Routes = 2048;
 
 // The paper's lab: 3 servers, 10 Gbps NICs, all interrupts on one core of R.
 struct Setup1 {
@@ -74,6 +81,36 @@ struct Setup1 {
     sink = std::make_unique<apps::UdpSink>(*mux, 7001);
   }
 
+  // Loads `built` on R (native JIT or, with jit off, the interpreter) and
+  // binds it to the SID as End.BPF; a verifier rejection ends the bench.
+  void add_end_bpf(const usecases::BuiltProgram& built, bool jit = true) {
+    r->ns().bpf().set_jit_enabled(jit);
+    auto load = r->ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
+                                   built.insns, built.paper_sloc);
+    if (!load.ok()) {
+      std::fprintf(stderr, "verifier rejected %s: %s\n", built.name,
+                   load.verify.error.c_str());
+      std::exit(1);
+    }
+    seg6::Seg6LocalEntry e;
+    e.action = seg6::Seg6Action::kEndBPF;
+    e.prog = load.prog;
+    r->ns().seg6local().add(sid, e);
+  }
+
+  // The /48 site FIB: R routes 2001:db8:<i>::/48 toward S2, and S2 owns
+  // 2001:db8:<i>::2 in every site, for i < kFib48Routes.
+  void add_fib48() {
+    char buf[64];
+    for (std::size_t i = 0; i < kFib48Routes; ++i) {
+      std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
+      r->ns().table(0).add_route(net::Prefix::parse(buf).value(),
+                                 {net::Ipv6Addr{}, r_downstream_if, 1});
+      std::snprintf(buf, sizeof buf, "2001:db8:%zx::2", i);
+      s2->ns().add_local_addr(net::Ipv6Addr::must_parse(buf));
+    }
+  }
+
   // Offers `pps` of 64-byte-payload UDP (with or without an SRH through the
   // SID on R) for `duration`, then reports the sink's receive rate in kpps.
   double measure(bool through_sid, double pps, sim::TimeNs duration) {
@@ -101,11 +138,80 @@ struct Setup1 {
   }
 };
 
-inline void print_header(const char* title, const char* paper_note) {
-  std::printf("==============================================================\n");
-  std::printf("%s\n", title);
-  std::printf("(paper: %s)\n", paper_note);
-  std::printf("==============================================================\n");
+// FNV-1a over little-endian u64s (the mc_test golden-digest pattern).
+struct Digest {
+  std::uint64_t delivered = 0;
+  std::uint64_t fnv = 1469598103934665603ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      fnv ^= (v >> (i * 8)) & 0xff;
+      fnv *= 1099511628211ull;
+    }
+  }
+};
+
+// Saturating UDP load on every segment of a generated ring
+// (sim/pdes_topo.h): a TrafGen at each segment's source, and a port-7001
+// sink that digests each delivery's (arrival ns, seq).
+struct RingLoad {
+  static constexpr double kSegmentPps = 450000;  // ~3/4 of a Xeon core's cap
+  // The JSON "scenario" description of this load on the default ring.
+  static std::string scenario() {
+    return "ring topology, 8 segments x 5 Xeon routers (56 nodes), " +
+           std::to_string(static_cast<int>(kSegmentPps / 1e3)) +
+           " kpps/segment";
+  }
+
+  std::vector<std::unique_ptr<apps::AppMux>> muxes;
+  std::vector<std::unique_ptr<apps::TrafGen>> gens;
+  std::vector<Digest> digs;  // per segment; the sinks hold references
+
+  RingLoad(const sim::RingTopo& topo, sim::TimeNs window)
+      : digs(topo.segments.size()) {
+    for (std::size_t s = 0; s < topo.segments.size(); ++s) {
+      const auto& seg = topo.segments[s];
+      muxes.push_back(std::make_unique<apps::AppMux>(*seg.sink));
+      muxes.back()->on_udp(
+          7001, [&dig = digs[s]](const net::Packet& pkt, const net::UdpHeader&,
+                                 std::span<const std::uint8_t>,
+                                 sim::TimeNs now) {
+            ++dig.delivered;
+            dig.mix(now);
+            dig.mix(pkt.seq);
+          });
+      apps::TrafGen::Config cfg;
+      cfg.spec.src = seg.src_addr;
+      cfg.spec.dst = seg.dst_addr;
+      cfg.spec.payload_size = 64;
+      cfg.spec.dst_port = 7001;
+      cfg.pps = kSegmentPps;
+      cfg.duration = window;
+      cfg.flow_label_spread = 16;
+      cfg.src_port_spread = 7;
+      gens.push_back(std::make_unique<apps::TrafGen>(*seg.src, cfg));
+      gens.back()->start();
+    }
+  }
+
+  // The per-segment digests folded in segment order: a pure function of
+  // the simulation, so every thread count must reproduce it exactly.
+  Digest total() const {
+    Digest t;
+    for (const Digest& d : digs) {
+      t.delivered += d.delivered;
+      t.mix(d.fnv);
+      t.mix(d.delivered);
+    }
+    return t;
+  }
+};
+
+// "0x%016llx", the digests' JSON spelling.
+inline std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 }  // namespace srv6bpf::bench

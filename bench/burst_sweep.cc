@@ -9,15 +9,10 @@
 // simulated-packets-per-wall-second, plus scheduled events per packet and
 // the achieved burst occupancy at R.
 //
-// Writes BENCH_burst.json into the current directory on every run.
-//
-//   ./bench_burst_sweep              # full sweep + table; exits 1 below gate
-//   ./bench_burst_sweep --quick      # shorter measurement (CI smoke); the
-//                                    # gate is advisory (always exits 0) so
-//                                    # noisy shared runners cannot flake CI
-//   ./bench_burst_sweep --json-only  # no table, just BENCH_burst.json
+// Writes BENCH_burst.json (flags and exit status: bench/report.h). The
+// b32 >= 1.3x b1 gate applies to full runs only: --quick windows are too
+// short to survive scheduling noise on shared CI runners.
 #include <chrono>
-#include <cstring>
 
 #include "bench_common.h"
 
@@ -26,133 +21,66 @@ using namespace srv6bpf::bench;
 
 namespace {
 
-struct Row {
-  std::size_t burst = 0;
-  double sim_kpps = 0;          // sink rate in simulated time (invariant)
-  std::uint64_t offered = 0;    // packets generated by S1
-  std::uint64_t delivered = 0;  // packets counted by the S2 sink
-  double wall_s = 0;
-  double sim_pkts_per_wall_s = 0;
-  double events_per_packet = 0;
-  double burst_occupancy = 0;   // serviced packets per service event at R
-};
-
-Row run_one(std::size_t burst, sim::TimeNs duration) {
+// Records one burst size's row; returns its simulated packets per wall-second.
+double run_one(std::size_t burst, sim::TimeNs duration, Obj& row) {
   Setup1 lab;
   lab.rx_burst = burst;
   lab.gen_burst = burst;
+  lab.add_end_bpf(usecases::build_end());
 
-  const usecases::BuiltProgram built = usecases::build_end();
-  auto load = lab.r->ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                     built.insns, built.paper_sloc);
-  if (!load.ok()) {
-    std::fprintf(stderr, "verifier rejected %s: %s\n", built.name,
-                 load.verify.error.c_str());
-    std::exit(1);
-  }
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  lab.r->ns().seg6local().add(lab.sid, e);
-
-  Row row;
-  row.burst = burst;
   const auto t0 = std::chrono::steady_clock::now();
-  row.sim_kpps = lab.measure(/*through_sid=*/true, /*pps=*/3e6, duration);
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
-  row.wall_s = wall.count();
-  row.offered = lab.gen->sent();
-  row.delivered = lab.sink->packets();
-  row.sim_pkts_per_wall_s =
-      row.wall_s > 0 ? static_cast<double>(row.offered) / row.wall_s : 0;
-  row.events_per_packet =
-      row.offered > 0 ? static_cast<double>(lab.net.loop().executed()) /
-                            static_cast<double>(row.offered)
-                      : 0;
-  row.burst_occupancy =
-      lab.r->stats().service_events > 0
-          ? static_cast<double>(lab.r->stats().serviced_packets) /
-                static_cast<double>(lab.r->stats().service_events)
-          : 0;
-  return row;
-}
-
-void emit_json(const std::vector<Row>& rows, double speedup,
-               sim::TimeNs duration) {
-  std::FILE* f = std::fopen("BENCH_burst.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_burst.json");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"burst_sweep\",\n");
-  std::fprintf(f, "  \"scenario\": \"fig2_end_bpf\",\n");
-  std::fprintf(f, "  \"offered_pps\": 3000000,\n");
-  std::fprintf(f, "  \"duration_ms\": %.0f,\n",
-               static_cast<double>(duration) / 1e6);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"burst\": %zu, \"sim_kpps\": %.1f, \"offered\": %llu, "
-                 "\"delivered\": %llu, \"wall_s\": %.4f, "
-                 "\"sim_pkts_per_wall_s\": %.0f, \"events_per_packet\": %.3f, "
-                 "\"burst_occupancy\": %.2f}%s\n",
-                 r.burst, r.sim_kpps,
-                 static_cast<unsigned long long>(r.offered),
-                 static_cast<unsigned long long>(r.delivered), r.wall_s,
-                 r.sim_pkts_per_wall_s, r.events_per_packet, r.burst_occupancy,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup_b32_vs_b1\": %.3f\n", speedup);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  const double sim_kpps = lab.measure(/*through_sid=*/true, /*pps=*/3e6,
+                                      duration);
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const std::uint64_t offered = lab.gen->sent();
+  const double pkts_per_wall_s =
+      wall_s > 0 ? static_cast<double>(offered) / wall_s : 0;
+  const sim::NodeStats rs = lab.r->stats();
+  row.num("burst", burst)
+      .num("sim_kpps", sim_kpps, 1)
+      .num("offered", offered)
+      .num("delivered", lab.sink->packets())
+      .num("wall_s", wall_s, 4)
+      .num("sim_pkts_per_wall_s", pkts_per_wall_s, 0)
+      .num("events_per_packet",
+           offered > 0 ? static_cast<double>(lab.net.loop().executed()) /
+                             static_cast<double>(offered)
+                       : 0,
+           3)
+      .num("burst_occupancy",
+           rs.service_events > 0
+               ? static_cast<double>(rs.serviced_packets) /
+                     static_cast<double>(rs.service_events)
+               : 0,
+           2);
+  return pkts_per_wall_s;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-  const sim::TimeNs duration = (quick ? 50 : 200) * sim::kMilli;
-
-  if (!json_only)
-    print_header(
-        "Burst sweep: simulator throughput of the vector datapath",
-        "ROADMAP 'batched sim hot loop'; simulated kpps must be "
-        "burst-invariant while wall-clock drops; gate: b32 >= 1.3x b1");
-
-  const std::size_t bursts[] = {1, 4, 16, 32, 64};
-  std::vector<Row> rows;
-  for (const std::size_t b : bursts) rows.push_back(run_one(b, duration));
+  const Mode mode = parse_mode(argc, argv);
+  const sim::TimeNs duration = (mode.quick ? 50 : 200) * sim::kMilli;
+  Report rep("BENCH_burst.json", mode,
+             "Burst sweep: simulator throughput of the vector datapath",
+             "ROADMAP 'batched sim hot loop'; simulated kpps must be "
+             "burst-invariant while wall-clock drops; gate: b32 >= 1.3x b1");
+  rep.str("bench", "burst_sweep")
+      .str("scenario", "fig2_end_bpf")
+      .num("offered_pps", 3000000)
+      .num("duration_ms", static_cast<double>(duration) / 1e6, 0);
 
   double b1 = 0, b32 = 0;
-  for (const Row& r : rows) {
-    if (r.burst == 1) b1 = r.sim_pkts_per_wall_s;
-    if (r.burst == 32) b32 = r.sim_pkts_per_wall_s;
+  for (const std::size_t b : {1, 4, 16, 32, 64}) {
+    const double rate = run_one(b, duration, rep.row("rows"));
+    if (b == 1) b1 = rate;
+    if (b == 32) b32 = rate;
   }
   const double speedup = b1 > 0 ? b32 / b1 : 0;
-  emit_json(rows, speedup, duration);
-
-  if (!json_only) {
-    std::printf("\n%6s %10s %10s %8s %14s %10s %10s\n", "burst", "sim kpps",
-                "delivered", "wall s", "sim pkts/s", "events/pkt", "occup.");
-    for (const Row& r : rows)
-      std::printf("%6zu %10.1f %10llu %8.3f %14.0f %10.3f %10.2f\n", r.burst,
-                  r.sim_kpps, static_cast<unsigned long long>(r.delivered),
-                  r.wall_s, r.sim_pkts_per_wall_s, r.events_per_packet,
-                  r.burst_occupancy);
-    std::printf("\nburst-32 vs burst-1 simulator speedup: %.2fx (gate: "
-                ">= 1.3x)\n", speedup);
-  }
-  std::printf("wrote BENCH_burst.json (speedup_b32_vs_b1 = %.2fx)\n", speedup);
-  // Enforce the gate only on full-length runs: --quick windows are too short
-  // to survive scheduling noise on shared CI runners.
-  return (quick || speedup >= 1.3) ? 0 : 1;
+  rep.num("speedup_b32_vs_b1", speedup, 3);
+  rep.gate(mode.quick || speedup >= 1.3,
+           "burst-32 vs burst-1 simulator speedup %.3f below 1.3", speedup);
+  return rep.finish();
 }

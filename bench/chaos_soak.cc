@@ -26,14 +26,9 @@
 // drops_no_buffer at the source, the run never aborts, and the ledger still
 // drains to zero.
 //
-//   ./bench_chaos_soak              # full windows + table
-//   ./bench_chaos_soak --quick      # short windows (CI smoke)
-//   ./bench_chaos_soak --json-only  # no table, just BENCH_chaos.json
+// Flags and exit status: bench/report.h.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <memory>
-#include <vector>
 
 #include "bench_common.h"
 #include "net/buffer_pool.h"
@@ -46,35 +41,17 @@ using namespace srv6bpf::bench;
 
 namespace {
 
-constexpr double kPerSegmentPps = 450000;
 constexpr double kGoodputFloor = 0.5;  // at the 1% fault rate
 constexpr std::uint64_t kTopoSeed = 0xc4a05;
 constexpr std::uint64_t kFaultSeed = 0xfa017;
 
-// FNV-1a over little-endian u64s (the pdes_sweep / mc_test digest pattern).
-struct Digest {
-  std::uint64_t delivered = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
-};
-
-struct Row {
+// The numbers the gates read from one (fault_rate, threads) cell.
+struct Cell {
   double fault_rate = 0;
   std::size_t threads = 0;
-  std::uint64_t attempted = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;   // node + link-side drops, all reasons
-  std::uint64_t corrupted = 0; // bit-flips injected on the wire
-  std::uint64_t digest = 0;
+  Digest digest;
   std::size_t violations = 0;
-  std::uint64_t mailbox_spins = 0;
   double goodput = 0;
-  double wall_s = 0;
 };
 
 // Every distinct link in the topology, discovered through the nodes'
@@ -134,7 +111,8 @@ void build_schedule(sim::FaultInjector& inj, const sim::RingTopo& topo,
   }
 }
 
-Row run_one(double rate, std::size_t threads, sim::TimeNs window) {
+Cell run_one(double rate, std::size_t threads, sim::TimeNs window,
+             Obj& row) {
   sim::RingTopoSpec spec;  // 8 segments x (5 routers + src + sink)
   sim::Network net(kTopoSeed);
   sim::RingTopo topo = build_ring_topology(net, spec);
@@ -144,36 +122,10 @@ Row run_one(double rate, std::size_t threads, sim::TimeNs window) {
   sim::FaultInjector inj(net, kFaultSeed);
   build_schedule(inj, topo, rate, window);
   inj.install();
-
-  std::vector<std::unique_ptr<apps::AppMux>> muxes;
-  std::vector<std::unique_ptr<apps::TrafGen>> gens;
-  std::vector<Digest> digs(spec.segments);
-  for (std::size_t s = 0; s < spec.segments; ++s) {
-    auto& seg = topo.segments[s];
-    muxes.push_back(std::make_unique<apps::AppMux>(*seg.sink));
-    muxes.back()->on_udp(
-        7001, [&dig = digs[s]](const net::Packet& pkt, const net::UdpHeader&,
-                               std::span<const std::uint8_t>,
-                               sim::TimeNs now) {
-          ++dig.delivered;
-          dig.mix(now);
-          dig.mix(pkt.seq);
-        });
-    apps::TrafGen::Config cfg;
-    cfg.spec.src = seg.src_addr;
-    cfg.spec.dst = seg.dst_addr;
-    cfg.spec.payload_size = 64;
-    cfg.spec.dst_port = 7001;
-    cfg.pps = kPerSegmentPps;
-    cfg.duration = window;
-    cfg.flow_label_spread = 16;
-    cfg.src_port_spread = 7;
-    gens.push_back(std::make_unique<apps::TrafGen>(*seg.src, cfg));
-    gens.back()->start();
-  }
+  const RingLoad load(topo, window);
 
   sim::InvariantAuditor auditor;
-  for (const auto& g : gens)
+  for (const auto& g : load.gens)
     auditor.add_source([&gen = *g] { return gen.attempted(); });
   for (const auto& seg : topo.segments) {
     auditor.add_node(*seg.src);
@@ -196,46 +148,43 @@ Row run_one(double rate, std::size_t threads, sim::TimeNs window) {
   auditor.audit(net.now(), /*final_drain=*/true);
   const auto t1 = std::chrono::steady_clock::now();
 
-  Row row;
-  row.fault_rate = rate;
-  row.threads = threads;
-  Digest total;
-  for (const Digest& d : digs) {
-    total.delivered += d.delivered;
-    total.mix(d.fnv);
-    total.mix(d.delivered);
-  }
-  row.delivered = total.delivered;
-  row.digest = total.fnv;
-  for (const auto& g : gens) row.attempted += g->attempted();
+  Cell cell{rate, threads, load.total(), auditor.violations().size(), 0};
+  std::uint64_t attempted = 0;
+  std::uint64_t dropped = 0;    // node + link-side drops, all reasons
+  std::uint64_t corrupted = 0;  // bit-flips injected on the wire
+  for (const auto& g : load.gens) attempted += g->attempted();
   for (const auto& seg : topo.segments) {
-    row.dropped += seg.src->stats().total_drops();
-    for (sim::Node* r : seg.routers) row.dropped += r->stats().total_drops();
-    row.dropped += seg.sink->stats().total_drops();
+    dropped += seg.src->stats().total_drops();
+    for (sim::Node* r : seg.routers) dropped += r->stats().total_drops();
+    dropped += seg.sink->stats().total_drops();
   }
   for (sim::Link* l : links)
     for (int side = 0; side < 2; ++side) {
-      row.dropped += l->stats(side).drops + l->stats(side).drops_link_down;
-      row.corrupted += l->stats(side).corrupted;
+      dropped += l->stats(side).drops + l->stats(side).drops_link_down;
+      corrupted += l->stats(side).corrupted;
     }
-  row.violations = auditor.violations().size();
-  row.mailbox_spins = net.pdes_net().mailbox_overflow_spins();
-  row.goodput = row.attempted > 0
-                    ? static_cast<double>(row.delivered) /
-                          static_cast<double>(row.attempted)
-                    : 0;
-  row.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  cell.goodput = attempted > 0 ? static_cast<double>(cell.digest.delivered) /
+                                     static_cast<double>(attempted)
+                               : 0;
   for (const std::string& v : auditor.violations())
     std::fprintf(stderr, "VIOLATION (rate %.4f, %zu threads): %s\n", rate,
                  threads, v.c_str());
-  return row;
+  row.num("fault_rate", rate, 4)
+      .num("threads", threads)
+      .num("attempted", attempted)
+      .num("delivered", cell.digest.delivered)
+      .num("dropped", dropped)
+      .num("corrupted", corrupted)
+      .str("digest", hex64(cell.digest.fnv))
+      .num("violations", cell.violations)
+      .num("mailbox_spins", net.pdes_net().mailbox_overflow_spins())
+      .num("goodput", cell.goodput, 4)
+      .num("wall_s", std::chrono::duration<double>(t1 - t0).count(), 4);
+  return cell;
 }
 
-struct ExhaustRow {
-  std::uint64_t attempted = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t drops_no_buffer = 0;   // at the generator = at the node
-  std::uint64_t admission_fail = 0;    // BufferPool's own counter
+struct Exhaustion {
+  bool ok = false;  // degraded into accounted drops, still delivering
   std::size_t violations = 0;
 };
 
@@ -243,7 +192,8 @@ struct ExhaustRow {
 // of buffers on the wire while the generator offers 50 kpps; a 64-buffer
 // cap must turn the overload into accounted source-side drops — never an
 // abort, never an alloc storm — and the ledger must still drain to zero.
-ExhaustRow run_exhaustion(sim::TimeNs window) {
+// Records the "exhaustion" object into `ex`.
+Exhaustion run_exhaustion(sim::TimeNs window, Obj& ex) {
   sim::Network net(0xeba7);
   sim::Node& src = net.add_node("xsrc");
   sim::Node& dst = net.add_node("xdst");
@@ -288,149 +238,81 @@ ExhaustRow run_exhaustion(sim::TimeNs window) {
   net.run_until(window + 5 * sim::kSecond);
   auditor.audit(net.now(), /*final_drain=*/true);
 
-  ExhaustRow row;
-  row.attempted = gen.attempted();
-  row.delivered = delivered;
-  row.drops_no_buffer = gen.drops_no_buffer();
-  row.admission_fail =
+  const std::uint64_t drops_no_buffer = gen.drops_no_buffer();
+  // Admission failures the pool itself counted (its own view of the drops).
+  const std::uint64_t admission_fail =
       net::BufferPool::stats().admission_fail - before.admission_fail;
-  row.violations = auditor.violations().size();
   for (const std::string& v : auditor.violations())
     std::fprintf(stderr, "VIOLATION (exhaustion): %s\n", v.c_str());
+  ex.num("attempted", gen.attempted())
+      .num("delivered", delivered)
+      .num("drops_no_buffer", drops_no_buffer)
+      .num("admission_fail", admission_fail)
+      .num("violations", auditor.violations().size());
 
   // Restore the unbounded default so nothing downstream inherits the cap.
   net::BufferPool::set_max_buffers(0);
-  return row;
-}
-
-void emit_json(const std::vector<Row>& rows, const ExhaustRow& ex,
-               bool digest_match, std::size_t violations_total,
-               double goodput_at_1pct, sim::TimeNs window) {
-  FILE* f = std::fopen("BENCH_chaos.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"chaos_soak\",\n");
-  std::fprintf(f, "  \"scenario\": \"ring topology, 8 segments x 5 Xeon "
-                  "routers (56 nodes), %.0f kpps/segment; corruption + "
-                  "flaps + crashes swept over fault rate\",\n",
-               kPerSegmentPps / 1e3);
-  std::fprintf(f, "  \"window_ms\": %.1f,\n",
-               static_cast<double>(window) / 1e6);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"fault_rate\": %.4f, \"threads\": %zu, \"attempted\": %llu, "
-        "\"delivered\": %llu, \"dropped\": %llu, \"corrupted\": %llu, "
-        "\"digest\": \"0x%016llx\", \"violations\": %zu, "
-        "\"mailbox_spins\": %llu, \"goodput\": %.4f, \"wall_s\": %.4f}%s\n",
-        r.fault_rate, r.threads,
-        static_cast<unsigned long long>(r.attempted),
-        static_cast<unsigned long long>(r.delivered),
-        static_cast<unsigned long long>(r.dropped),
-        static_cast<unsigned long long>(r.corrupted),
-        static_cast<unsigned long long>(r.digest), r.violations,
-        static_cast<unsigned long long>(r.mailbox_spins), r.goodput,
-        r.wall_s, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"exhaustion\": {\"attempted\": %llu, \"delivered\": "
-                  "%llu, \"drops_no_buffer\": %llu, \"admission_fail\": "
-                  "%llu, \"violations\": %zu},\n",
-               static_cast<unsigned long long>(ex.attempted),
-               static_cast<unsigned long long>(ex.delivered),
-               static_cast<unsigned long long>(ex.drops_no_buffer),
-               static_cast<unsigned long long>(ex.admission_fail),
-               ex.violations);
-  std::fprintf(f, "  \"digest_match\": %d,\n", digest_match ? 1 : 0);
-  std::fprintf(f, "  \"violations_total\": %zu,\n", violations_total);
-  std::fprintf(f, "  \"goodput_at_1pct\": %.4f,\n", goodput_at_1pct);
-  std::fprintf(f, "  \"gate_goodput\": %.2f\n", kGoodputFloor);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  return {drops_no_buffer > 0 && admission_fail >= drops_no_buffer &&
+              delivered > 0,
+          auditor.violations().size()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-  const sim::TimeNs window = (quick ? 20 : 250) * sim::kMilli;
-
-  if (!json_only)
-    print_header(
-        "Chaos soak: fault injection under load",
-        "determinism, conservation and goodput survive corruption, flaps, "
-        "crashes and exhaustion");
+  const Mode mode = parse_mode(argc, argv);
+  const sim::TimeNs window = (mode.quick ? 20 : 250) * sim::kMilli;
+  Report rep("BENCH_chaos.json", mode, "Chaos soak: fault injection under load",
+             "determinism, conservation and goodput survive corruption, "
+             "flaps, crashes and exhaustion");
+  rep.str("bench", "chaos_soak")
+      .str("scenario", RingLoad::scenario() +
+                           "; corruption + flaps + crashes swept over fault "
+                           "rate")
+      .num("window_ms", static_cast<double>(window) / 1e6, 1);
 
   // Exhaustion runs FIRST: its gate reads the master thread's per-thread
   // BufferPool accounting, which is only exact while this thread's acquires
   // and releases pair up. The 8-thread digest runs below migrate buffers
   // across threads (acquired on PDES workers, released by Network teardown
-  // here), skewing the counter for good.
-  const ExhaustRow ex = run_exhaustion(quick ? 20 * sim::kMilli
-                                             : 100 * sim::kMilli);
+  // here), skewing the counter for good. Its object is recorded after the
+  // rows, where the JSON has always had it.
+  Obj exhaustion_obj;
+  const Exhaustion exhaustion = run_exhaustion(
+      mode.quick ? 20 * sim::kMilli : 100 * sim::kMilli, exhaustion_obj);
 
-  std::vector<Row> rows;
+  std::vector<Cell> cells;
   for (const double rate : {0.0, 0.001, 0.01})
     for (const std::size_t threads : {1u, 8u})
-      rows.push_back(run_one(rate, threads, window));
+      cells.push_back(run_one(rate, threads, window, rep.row("rows")));
+  rep.obj("exhaustion") = exhaustion_obj;
 
   // Digest gate: within each fault rate, every thread count must reproduce
   // the same delivery digest (same (seed, schedule) -> same simulation).
   bool digest_match = true;
-  for (const Row& r : rows)
-    for (const Row& o : rows)
-      if (r.fault_rate == o.fault_rate)
-        digest_match = digest_match && r.digest == o.digest &&
-                       r.delivered == o.delivered;
+  for (const Cell& c : cells)
+    for (const Cell& o : cells)
+      if (c.fault_rate == o.fault_rate)
+        digest_match = digest_match && c.digest.fnv == o.digest.fnv &&
+                       c.digest.delivered == o.digest.delivered;
 
-  std::size_t violations_total = 0;
-  for (const Row& r : rows) violations_total += r.violations;
+  std::size_t violations_total = exhaustion.violations;
   double goodput_at_1pct = 0;
-  for (const Row& r : rows)
-    if (r.fault_rate >= 0.01 && r.threads == 1) goodput_at_1pct = r.goodput;
-  violations_total += ex.violations;
-
-  emit_json(rows, ex, digest_match, violations_total, goodput_at_1pct,
-            window);
-
-  if (!json_only) {
-    std::printf("\n%10s %8s %10s %10s %10s %10s %20s %10s %8s\n",
-                "fault_rate", "threads", "attempted", "delivered", "dropped",
-                "corrupted", "digest", "goodput", "wall s");
-    for (const Row& r : rows)
-      std::printf("%10.4f %8zu %10llu %10llu %10llu %10llu   0x%016llx "
-                  "%10.4f %8.3f\n",
-                  r.fault_rate, r.threads,
-                  static_cast<unsigned long long>(r.attempted),
-                  static_cast<unsigned long long>(r.delivered),
-                  static_cast<unsigned long long>(r.dropped),
-                  static_cast<unsigned long long>(r.corrupted),
-                  static_cast<unsigned long long>(r.digest), r.goodput,
-                  r.wall_s);
-    std::printf("\nexhaustion: attempted %llu, delivered %llu, "
-                "drops_no_buffer %llu, admission_fail %llu\n",
-                static_cast<unsigned long long>(ex.attempted),
-                static_cast<unsigned long long>(ex.delivered),
-                static_cast<unsigned long long>(ex.drops_no_buffer),
-                static_cast<unsigned long long>(ex.admission_fail));
+  for (const Cell& c : cells) {
+    violations_total += c.violations;
+    if (c.fault_rate >= 0.01 && c.threads == 1) goodput_at_1pct = c.goodput;
   }
 
-  const bool exhaustion_ok = ex.drops_no_buffer > 0 &&
-                             ex.admission_fail >= ex.drops_no_buffer &&
-                             ex.delivered > 0;
-  const bool goodput_ok = goodput_at_1pct >= kGoodputFloor;
-  const bool ok = digest_match && violations_total == 0 && goodput_ok &&
-                  exhaustion_ok;
-  std::printf("wrote BENCH_chaos.json (digest_match = %d, violations = %zu, "
-              "goodput@1%% = %.4f, exhaustion_drops = %llu)\n",
-              digest_match ? 1 : 0, violations_total, goodput_at_1pct,
-              static_cast<unsigned long long>(ex.drops_no_buffer));
-  return ok ? 0 : 1;
+  rep.num("digest_match", digest_match ? 1 : 0)
+      .num("violations_total", violations_total)
+      .num("goodput_at_1pct", goodput_at_1pct, 4)
+      .num("gate_goodput", kGoodputFloor, 2);
+  rep.gate(digest_match, "delivery digests differ across thread counts");
+  rep.gate(violations_total == 0, "%zu invariant violations",
+           violations_total);
+  rep.gate(goodput_at_1pct >= kGoodputFloor,
+           "goodput at the 1%% fault rate %.4f below %.2f", goodput_at_1pct,
+           kGoodputFloor);
+  rep.gate(exhaustion.ok, "pool exhaustion not accounted as drops_no_buffer");
+  return rep.finish();
 }

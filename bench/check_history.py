@@ -3,13 +3,17 @@
 
 Usage: check_history.py [--strict] [--baseline PATH] JSON...
 
-Each JSON argument is matched to a baseline entry by its basename
-(BENCH_vm.json, BENCH_burst.json, BENCH_mc.json, BENCH_lpm.json); unknown or
-missing files are skipped with a note so partial runs stay usable. Metric
-names may be dotted paths into nested objects (e.g. "fig2_fib48.sim_kpps").
+Each JSON argument is matched to a baseline entry by its basename (CI
+names all nine: BENCH_vm.json, BENCH_burst.json, BENCH_mc.json,
+BENCH_lpm.json, BENCH_hotpath.json, BENCH_filter.json, BENCH_slo.json,
+BENCH_pdes.json, BENCH_chaos.json). A named file that does not exist fails
+the check: a bench that could not write its JSON must not pass unchecked.
+Metric names may be dotted paths into nested objects (e.g.
+"fig2_fib48.sim_kpps").
 
-Exit status is non-zero when any *simulated*-time floor (deterministic on
-every host) is violated, or — with --strict — when any wall-clock floor is.
+Exit status is non-zero when a named JSON is missing, when any
+*simulated*-time floor (deterministic on every host) is violated, or — with
+--strict — when any wall-clock floor is.
 Wall-clock violations without --strict only warn: CI smoke runs use --quick
 measurement windows on shared runners, where wall-based ratios are noise.
 (BENCH_lpm.json's speedup_fib48 is additionally self-gated by the
@@ -91,15 +95,13 @@ def main():
         base = json.load(f)
 
     rc = 0
-    seen = set()
     for path in args.jsons:
         name = os.path.basename(path)
         if not os.path.exists(path):
-            print(f"skip: {path} not found")
+            rc |= fail(f"{path} not found")
             continue
         with open(path) as f:
             data = json.load(f)
-        seen.add(name)
         sim_floors = base.get("sim", {}).get(name, {})
         sim_evaluated = 0
         for metric, floor in sim_floors.items():
@@ -128,8 +130,6 @@ def main():
         if "rows_sim_kpps_max_over_min" in inv:
             rc |= check_burst_invariance(data, name,
                                          inv["rows_sim_kpps_max_over_min"])
-    if not seen:
-        return fail("no bench JSONs found")
     return 1 if rc else 0
 
 

@@ -31,21 +31,6 @@ double run_case(const std::function<void(Setup1&)>& configure,
   return lab.measure(through_sid, /*pps=*/3e6, /*duration=*/200 * sim::kMilli);
 }
 
-void add_end_bpf(Setup1& lab, const usecases::BuiltProgram& built, bool jit) {
-  lab.r->ns().bpf().set_jit_enabled(jit);
-  auto load = lab.r->ns().bpf().load(
-      built.name, ebpf::ProgType::kLwtSeg6Local, built.insns, built.paper_sloc);
-  if (!load.ok()) {
-    std::fprintf(stderr, "verifier rejected %s: %s\n", built.name,
-                 load.verify.error.c_str());
-    std::exit(1);
-  }
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  lab.r->ns().seg6local().add(lab.sid, e);
-}
-
 }  // namespace
 
 int main() {
@@ -75,8 +60,7 @@ int main() {
 
   rows.push_back({"End (BPF)", run_case(
                                    [](Setup1& lab) {
-                                     add_end_bpf(lab, usecases::build_end(),
-                                                 true);
+                                     lab.add_end_bpf(usecases::build_end());
                                    },
                                    true),
                   1, ""});
@@ -94,9 +78,8 @@ int main() {
 
   rows.push_back({"End.T (BPF)", run_case(
                                      [](Setup1& lab) {
-                                       add_end_bpf(lab,
-                                                   usecases::build_end_t(0),
-                                                   true);
+                                       lab.add_end_bpf(
+                                           usecases::build_end_t(0));
                                      },
                                      true),
                   4, ""});
@@ -104,17 +87,15 @@ int main() {
   rows.push_back(
       {"Tag++ (BPF)", run_case(
                           [](Setup1& lab) {
-                            add_end_bpf(lab, usecases::build_tag_increment(),
-                                        true);
+                            lab.add_end_bpf(usecases::build_tag_increment());
                           },
                           true),
        50, "no static counterpart"});
 
   rows.push_back({"Add TLV (BPF)", run_case(
                                        [](Setup1& lab) {
-                                         add_end_bpf(
-                                             lab, usecases::build_add_tlv(),
-                                             true);
+                                         lab.add_end_bpf(
+                                             usecases::build_add_tlv());
                                        },
                                        true),
                   60, "no static counterpart"});
@@ -122,7 +103,8 @@ int main() {
   rows.push_back({"Add TLV (BPF, no JIT)",
                   run_case(
                       [](Setup1& lab) {
-                        add_end_bpf(lab, usecases::build_add_tlv(), false);
+                        lab.add_end_bpf(usecases::build_add_tlv(),
+                                        /*jit=*/false);
                       },
                       true),
                   60, "interpreter"});

@@ -13,11 +13,9 @@
 // simulated receive rate. Simulated rates are deterministic, so
 // scenario.sim_kpps is a hard floor in bench/history/baseline.json.
 //
-// Output: BENCH_filter.json. Flags: --quick (short CI smoke), --json-only
-// (suppress the stdout table; kept symmetric with the other benches).
+// Writes BENCH_filter.json (flags and exit status: bench/report.h).
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -117,16 +115,9 @@ double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
       static_cast<std::uint64_t>(iters) * corpus.pkts.size());
 }
 
-struct Row {
-  std::string expr;
-  std::size_t cbpf_insns = 0, ebpf_insns = 0;
-  double reference_ns = 0;
-  double baseline_ns = 0, predecoded_ns = 0, native_ns = 0;
-};
-
-Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
-  Row r;
-  r.expr = expr;
+// Records one expression's row; returns its native-vs-reference speedup.
+double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
+                    Obj& row) {
   const cbpf::CompileResult cr = cbpf::compile(expr);
   if (!cr.ok) {
     std::fprintf(stderr, "compile(\"%s\"): %s\n", expr.c_str(),
@@ -139,8 +130,6 @@ Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
                  tr.error.c_str());
     std::exit(1);
   }
-  r.cbpf_insns = cr.insns.size();
-  r.ebpf_insns = tr.insns.size();
 
   ebpf::BpfSystem sys;
   auto load = sys.load("filter", ebpf::ProgType::kSocketFilter, tr.insns,
@@ -151,27 +140,29 @@ Row measure_expr(const std::string& expr, const Corpus& corpus, int iters) {
     std::exit(1);
   }
 
-  r.reference_ns = reference_ns(cr.insns, corpus, iters);
-  r.baseline_ns = translated_ns(*load.prog, sys,
-                                ebpf::EngineKind::kInterpBaseline, corpus,
-                                iters);
-  r.predecoded_ns =
+  const double ref_ns = reference_ns(cr.insns, corpus, iters);
+  const double baseline_ns = translated_ns(
+      *load.prog, sys, ebpf::EngineKind::kInterpBaseline, corpus, iters);
+  const double predecoded_ns =
       translated_ns(*load.prog, sys, ebpf::EngineKind::kInterp, corpus, iters);
-  r.native_ns =
+  const double native_ns =
       translated_ns(*load.prog, sys, ebpf::EngineKind::kNative, corpus, iters);
-  return r;
+  const double speedup = ref_ns / native_ns;
+  row.str("expr", expr)
+      .num("cbpf_insns", cr.insns.size())
+      .num("ebpf_insns", tr.insns.size())
+      .num("reference_interp_ns", ref_ns, 1)
+      .num("baseline_interp_ns", baseline_ns, 1)
+      .num("predecoded_interp_ns", predecoded_ns, 1)
+      .num("native_ns", native_ns, 1)
+      .num("speedup_native_vs_reference", speedup, 2);
+  return speedup;
 }
 
 // Fig3-style scenario: the setup-1 sink accepts only what its compiled
 // filter expression passes. Half the offered stream targets the sink port,
 // half targets another port the filter must reject.
-struct ScenarioResult {
-  double sim_kpps = 0;
-  double accept_fraction = 0;
-  std::uint64_t accepted = 0, dropped = 0;
-};
-
-ScenarioResult run_scenario(const std::string& expr, sim::TimeNs window) {
+void run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
   Setup1 lab;
   std::string err;
   auto f = apps::SocketFilter::from_expr(lab.s2->ns(), "sink", expr, &err);
@@ -183,71 +174,29 @@ ScenarioResult run_scenario(const std::string& expr, sim::TimeNs window) {
   // Rebind port 7001 to a filtered sink (AppMux replaces the handler), so
   // every metered packet first runs the translated filter on S2's engine.
   lab.sink = std::make_unique<apps::UdpSink>(*lab.mux, 7001, f);
-  ScenarioResult res;
-  res.sim_kpps = lab.measure(/*through_sid=*/false, 3e6, window);
-  res.accepted = f->accepted();
-  res.dropped = f->dropped();
-  const double total = static_cast<double>(res.accepted + res.dropped);
-  res.accept_fraction = total > 0 ? res.accepted / total : 0;
-  return res;
-}
-
-void emit_json(const std::vector<Row>& rows, double geomean_native,
-               const std::string& scenario_expr, const ScenarioResult& sc) {
-  std::FILE* f = std::fopen("BENCH_filter.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_filter.json");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"filter\",\n");
-  std::fprintf(f, "  \"measurement\": \"filter_ns_per_packet\",\n");
-  std::fprintf(f, "  \"native_jit_available\": %s,\n",
-               ebpf::Jit::available() ? "true" : "false");
-  std::fprintf(f, "  \"filters\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"expr\": \"%s\", \"cbpf_insns\": %zu, "
-                 "\"ebpf_insns\": %zu, \"reference_interp_ns\": %.1f, "
-                 "\"baseline_interp_ns\": %.1f, \"predecoded_interp_ns\": "
-                 "%.1f, \"native_ns\": %.1f, "
-                 "\"speedup_native_vs_reference\": %.2f}%s\n",
-                 r.expr.c_str(), r.cbpf_insns, r.ebpf_insns, r.reference_ns,
-                 r.baseline_ns, r.predecoded_ns, r.native_ns,
-                 r.reference_ns / r.native_ns,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"geomean_speedup_native_vs_reference\": %.2f,\n",
-               geomean_native);
-  std::fprintf(f, "  \"scenario\": {\n");
-  std::fprintf(f, "    \"expr\": \"%s\",\n", scenario_expr.c_str());
-  std::fprintf(f, "    \"offered_kpps\": 3000.0,\n");
-  std::fprintf(f, "    \"sim_kpps\": %.1f,\n", sc.sim_kpps);
-  std::fprintf(f, "    \"filter_accepted\": %llu,\n",
-               static_cast<unsigned long long>(sc.accepted));
-  std::fprintf(f, "    \"filter_dropped\": %llu,\n",
-               static_cast<unsigned long long>(sc.dropped));
-  std::fprintf(f, "    \"accept_fraction\": %.4f\n", sc.accept_fraction);
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
+  const double sim_kpps = lab.measure(/*through_sid=*/false, 3e6, window);
+  const double total = static_cast<double>(f->accepted() + f->dropped());
+  sc.str("expr", expr)
+      .num("offered_kpps", 3000.0, 1)
+      .num("sim_kpps", sim_kpps, 1)
+      .num("filter_accepted", f->accepted())
+      .num("filter_dropped", f->dropped())
+      .num("accept_fraction", total > 0 ? f->accepted() / total : 0, 4);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false, json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-  const int iters = quick ? 20000 : 400000;
-  const sim::TimeNs window = quick ? 60 * sim::kMilli : 200 * sim::kMilli;
-
-  if (!json_only)
-    print_header("Classic-BPF filter tier: expression -> cBPF -> eBPF",
-                 "SO_ATTACH_FILTER translate-once vs per-packet classic "
-                 "interpretation");
+  const Mode mode = parse_mode(argc, argv);
+  const int iters = mode.quick ? 20000 : 400000;
+  const sim::TimeNs window = mode.quick ? 60 * sim::kMilli : 200 * sim::kMilli;
+  Report rep("BENCH_filter.json", mode,
+             "Classic-BPF filter tier: expression -> cBPF -> eBPF",
+             "SO_ATTACH_FILTER translate-once vs per-packet classic "
+             "interpretation");
+  rep.str("bench", "filter")
+      .str("measurement", "filter_ns_per_packet")
+      .flag("native_jit_available", ebpf::Jit::available());
 
   const Corpus corpus = make_corpus();
   const char* exprs[] = {
@@ -256,36 +205,12 @@ int main(int argc, char** argv) {
       "srh and udp and dst port 7001",
       "ip6 and (dst net fc00:2::/64 or dst host fc00:1::1) and not tcp",
   };
-  std::vector<Row> rows;
   double log_sum = 0;
-  for (const char* e : exprs) {
-    rows.push_back(measure_expr(e, corpus, iters));
-    log_sum += std::log(rows.back().reference_ns / rows.back().native_ns);
-  }
-  const double geomean_native = std::exp(log_sum / rows.size());
+  for (const char* e : exprs)
+    log_sum += std::log(measure_expr(e, corpus, iters, rep.row("filters")));
+  rep.num("geomean_speedup_native_vs_reference",
+          std::exp(log_sum / std::size(exprs)), 2);
 
-  if (!json_only) {
-    std::printf("%-58s %5s %5s %9s %9s %9s %9s\n", "expression", "cBPF",
-                "eBPF", "refrnc", "baseln", "predec", "native");
-    for (const Row& r : rows)
-      std::printf("%-58s %5zu %5zu %7.1fns %7.1fns %7.1fns %7.1fns\n",
-                  r.expr.c_str(), r.cbpf_insns, r.ebpf_insns, r.reference_ns,
-                  r.baseline_ns, r.predecoded_ns, r.native_ns);
-    std::printf("geomean speedup, native eBPF vs reference cBPF interp: "
-                "%.2fx\n\n", geomean_native);
-  }
-
-  const std::string scenario_expr = "udp and dst port 7001";
-  const ScenarioResult sc = run_scenario(scenario_expr, window);
-  if (!json_only) {
-    std::printf("fig3-style scenario: sink gated by filter(\"%s\")\n",
-                scenario_expr.c_str());
-    std::printf("  sink rate %.1f kpps (filter accepted %llu, dropped %llu)\n",
-                sc.sim_kpps, static_cast<unsigned long long>(sc.accepted),
-                static_cast<unsigned long long>(sc.dropped));
-  }
-
-  emit_json(rows, geomean_native, scenario_expr, sc);
-  std::printf("wrote BENCH_filter.json\n");
-  return 0;
+  run_scenario("udp and dst port 7001", window, rep.obj("scenario"));
+  return rep.finish();
 }

@@ -36,15 +36,8 @@
 //     on shared CI runners are too noisy to gate on, per the bench/history
 //     wall-floor policy; check_history.py tracks it as a wall floor).
 //
-// Writes BENCH_hotpath.json into the current directory on every run.
-//
-//   ./bench_hotpath              # full windows + table + both gates
-//   ./bench_hotpath --quick      # CI smoke: zero-alloc gate only
-//   ./bench_hotpath --json-only  # no table, just BENCH_hotpath.json
+// Writes BENCH_hotpath.json (flags and exit status: bench/report.h).
 #include <chrono>
-#include <cstring>
-#include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "net/buffer_pool.h"
@@ -57,65 +50,33 @@ namespace {
 
 constexpr double kGateSpeedup = 1.25;  // pooled vs baseline, fig2 wall
 constexpr double kOfferedPps = 3e6;
-constexpr std::size_t kFibRoutes = 2048;
 
+// What the gates and speedups read from one measured run.
 struct Run {
-  double sim_kpps = 0;
-  std::uint64_t offered = 0;    // generator packets in the window
-  std::uint64_t forwarded = 0;  // R tx_packets in the window
-  std::uint64_t delivered = 0;  // sink packets in the window
-  double wall_s = 0;
   double sim_pkts_per_wall_s = 0;
   std::uint64_t allocs_window = 0;  // operator-new calls in the window
   double allocs_per_pkt = 0;
-  std::uint64_t pool_reuses = 0;  // BufferPool freelist hits in the window
 };
 
-void install_end_bpf(Setup1& lab) {
-  const usecases::BuiltProgram built = usecases::build_end();
-  auto load = lab.r->ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                     built.insns, built.paper_sloc);
-  if (!load.ok()) {
-    std::fprintf(stderr, "verifier rejected %s: %s\n", built.name,
-                 load.verify.error.c_str());
-    std::exit(1);
-  }
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  lab.r->ns().seg6local().add(lab.sid, e);
-}
-
-// Adds the /48 site FIB + matching local addresses of the lpm_sweep
-// end-to-end scenario.
-void install_fib48(Setup1& lab) {
-  char buf[64];
-  for (std::size_t i = 0; i < kFibRoutes; ++i) {
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
-    lab.r->ns().table(0).add_route(net::Prefix::parse(buf).value(),
-                                   {net::Ipv6Addr{}, lab.r_downstream_if, 1});
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::2", i);
-    lab.s2->ns().add_local_addr(net::Ipv6Addr::must_parse(buf));
-  }
-}
-
-// One measured run. `fib48` picks the scenario; `pooled` toggles the
-// BufferPool/BurstPool freelists, `use_template` the generator's stamping.
-Run run_one(bool fib48, bool pooled, bool use_template, sim::TimeNs duration) {
+// One measured run, recorded into `rec`. `fib48` picks the scenario;
+// `pooled` toggles the BufferPool/BurstPool freelists, `use_template` the
+// generator's stamping.
+Run run_one(bool fib48, bool pooled, bool use_template, sim::TimeNs duration,
+            Obj& rec) {
   net::BufferPool::set_enabled(pooled);
   Run out;
   {
     Setup1 lab;
     if (fib48)
-      install_fib48(lab);
+      lab.add_fib48();
     else
-      install_end_bpf(lab);
+      lab.add_end_bpf(usecases::build_end());
 
     apps::TrafGen::Config cfg;
     cfg.spec.src = lab.s1_addr;
     if (fib48) {
       cfg.spec.dst = net::Ipv6Addr::must_parse("2001:db8::2");
-      cfg.dst_spread = kFibRoutes;
+      cfg.dst_spread = kFib48Routes;
     } else {
       cfg.spec.dst = lab.s2_addr;
       cfg.spec.segments = {lab.sid, lab.s2_addr};
@@ -141,191 +102,108 @@ Run run_one(bool fib48, bool pooled, bool use_template, sim::TimeNs duration) {
     const sim::TimeNs sim0 = lab.net.now();
     const auto t0 = std::chrono::steady_clock::now();
     lab.net.run_for(duration);
-    out.wall_s =
+    const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     const util::AllocCounters a1 = util::alloc_counters();
 
-    out.sim_kpps = lab.sink->meter().kpps(lab.net.now() - sim0);
-    out.offered = lab.gen->sent() - sent0;
-    out.forwarded = lab.r->stats().tx_packets - fwd0;
-    out.delivered = lab.sink->packets();
+    const std::uint64_t offered = lab.gen->sent() - sent0;
+    const std::uint64_t forwarded = lab.r->stats().tx_packets - fwd0;
     out.sim_pkts_per_wall_s =
-        out.wall_s > 0 ? static_cast<double>(out.offered) / out.wall_s : 0;
+        wall_s > 0 ? static_cast<double>(offered) / wall_s : 0;
     out.allocs_window = a1.news - a0.news;
-    out.allocs_per_pkt =
-        out.forwarded > 0 ? static_cast<double>(out.allocs_window) /
-                                static_cast<double>(out.forwarded)
-                          : static_cast<double>(out.allocs_window);
-    out.pool_reuses = net::BufferPool::stats().reuses;
+    out.allocs_per_pkt = forwarded > 0
+                             ? static_cast<double>(out.allocs_window) /
+                                   static_cast<double>(forwarded)
+                             : static_cast<double>(out.allocs_window);
+    rec.num("sim_kpps", lab.sink->meter().kpps(lab.net.now() - sim0), 1)
+        .num("offered", offered)
+        .num("forwarded", forwarded)
+        .num("delivered", lab.sink->packets())
+        .num("wall_s", wall_s, 4)
+        .num("sim_pkts_per_wall_s", out.sim_pkts_per_wall_s, 0)
+        .num("allocs_window", out.allocs_window)
+        .num("allocs_per_pkt", out.allocs_per_pkt, 6)
+        .num("pool_reuses", net::BufferPool::stats().reuses);
   }  // lab teardown returns every outstanding buffer before the next mode
   net::BufferPool::set_enabled(true);
   return out;
 }
 
-struct Scenario {
-  std::string name;
-  Run pooled;    // pools on, template stamping (the default configuration)
-  Run baseline;  // pools off, template stamping (pre-pool behaviour; gated)
-  Run rebuild;   // pools off, per-packet make_udp_packet (reported)
-  double speedup_pool = 0;        // pooled / baseline
-  double speedup_vs_rebuild = 0;  // pooled / rebuild
-  bool zero_alloc = false;
-};
-
-Scenario run_scenario(const char* name, bool fib48, sim::TimeNs duration,
-                      bool hooks) {
-  Scenario s;
-  s.name = name;
-  s.pooled = run_one(fib48, /*pooled=*/true, /*use_template=*/true, duration);
-  s.baseline =
-      run_one(fib48, /*pooled=*/false, /*use_template=*/true, duration);
-  s.rebuild =
-      run_one(fib48, /*pooled=*/false, /*use_template=*/false, duration);
-  s.speedup_pool = s.baseline.sim_pkts_per_wall_s > 0
-                       ? s.pooled.sim_pkts_per_wall_s /
-                             s.baseline.sim_pkts_per_wall_s
-                       : 0;
-  s.speedup_vs_rebuild = s.rebuild.sim_pkts_per_wall_s > 0
-                             ? s.pooled.sim_pkts_per_wall_s /
-                                   s.rebuild.sim_pkts_per_wall_s
-                             : 0;
-  s.zero_alloc = hooks && s.pooled.allocs_window == 0;
-  return s;
-}
-
-void emit_run(std::FILE* f, const char* key, const Run& r, const char* tail) {
-  std::fprintf(f,
-               "    \"%s\": {\"sim_kpps\": %.1f, \"offered\": %llu, "
-               "\"forwarded\": %llu, \"delivered\": %llu, \"wall_s\": %.4f, "
-               "\"sim_pkts_per_wall_s\": %.0f, \"allocs_window\": %llu, "
-               "\"allocs_per_pkt\": %.6f, \"pool_reuses\": %llu}%s\n",
-               key, r.sim_kpps, static_cast<unsigned long long>(r.offered),
-               static_cast<unsigned long long>(r.forwarded),
-               static_cast<unsigned long long>(r.delivered), r.wall_s,
-               r.sim_pkts_per_wall_s,
-               static_cast<unsigned long long>(r.allocs_window),
-               r.allocs_per_pkt,
-               static_cast<unsigned long long>(r.pool_reuses), tail);
-}
-
-bool emit_json(const std::vector<Scenario>& scenarios, bool hooks,
-               sim::TimeNs duration) {
-  std::FILE* f = std::fopen("BENCH_hotpath.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_hotpath.json");
-    return false;
-  }
-  const net::BufferPool::Stats ps = net::BufferPool::stats();
-  const net::BurstPool::Stats bs = net::BurstPool::stats();
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"hotpath\",\n");
-  std::fprintf(f, "  \"hooks_active\": %s,\n", hooks ? "true" : "false");
-  std::fprintf(f, "  \"offered_pps\": %.0f,\n", kOfferedPps);
-  std::fprintf(f, "  \"duration_ms\": %.0f,\n",
-               static_cast<double>(duration) / 1e6);
-  for (const Scenario& s : scenarios) {
-    std::fprintf(f, "  \"%s\": {\n", s.name.c_str());
-    emit_run(f, "pooled", s.pooled, ",");
-    emit_run(f, "baseline", s.baseline, ",");
-    emit_run(f, "rebuild", s.rebuild, ",");
-    std::fprintf(f, "    \"speedup_pool\": %.3f,\n", s.speedup_pool);
-    std::fprintf(f, "    \"speedup_vs_rebuild\": %.3f,\n",
-                 s.speedup_vs_rebuild);
-    std::fprintf(f, "    \"zero_alloc\": %d\n", s.zero_alloc ? 1 : 0);
-    std::fprintf(f, "  },\n");
-  }
-  std::fprintf(f,
-               "  \"pool\": {\"buf_high_water\": %llu, \"buf_pooled\": %llu, "
-               "\"burst_allocs\": %llu, \"burst_reuses\": %llu},\n",
-               static_cast<unsigned long long>(ps.high_water),
-               static_cast<unsigned long long>(ps.pooled),
-               static_cast<unsigned long long>(bs.allocs),
-               static_cast<unsigned long long>(bs.reuses));
-  std::fprintf(f, "  \"gate_speedup\": %.2f\n", kGateSpeedup);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+// Runs the three modes of one scenario into the object `name` and gates its
+// pooled window at zero allocations; returns the pooled/baseline speedup.
+double run_scenario(Report& rep, const char* name, bool fib48,
+                    sim::TimeNs duration, bool hooks) {
+  Obj& s = rep.obj(name);
+  // pooled: pools on, template stamping (the default configuration);
+  // baseline: pools off, template stamping (pre-pool behaviour; gated);
+  // rebuild: pools off, per-packet make_udp_packet (reported).
+  const Run pooled = run_one(fib48, /*pooled=*/true, /*use_template=*/true,
+                             duration, s.obj("pooled"));
+  const Run baseline = run_one(fib48, /*pooled=*/false,
+                               /*use_template=*/true, duration,
+                               s.obj("baseline"));
+  const Run rebuild = run_one(fib48, /*pooled=*/false,
+                              /*use_template=*/false, duration,
+                              s.obj("rebuild"));
+  const double speedup_pool =
+      baseline.sim_pkts_per_wall_s > 0
+          ? pooled.sim_pkts_per_wall_s / baseline.sim_pkts_per_wall_s
+          : 0;
+  const bool zero_alloc = hooks && pooled.allocs_window == 0;
+  s.num("speedup_pool", speedup_pool, 3)
+      .num("speedup_vs_rebuild",
+           rebuild.sim_pkts_per_wall_s > 0
+               ? pooled.sim_pkts_per_wall_s / rebuild.sim_pkts_per_wall_s
+               : 0,
+           3)
+      .num("zero_alloc", zero_alloc ? 1 : 0);
+  // Deterministic gate (exact operator-new count): enforced in every mode.
+  rep.gate(!hooks || zero_alloc,
+           "%s pooled window performed %llu allocations (%.6f per forwarded "
+           "packet) — want 0",
+           name, static_cast<unsigned long long>(pooled.allocs_window),
+           pooled.allocs_per_pkt);
+  return speedup_pool;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-  const sim::TimeNs duration = (quick ? 50 : 200) * sim::kMilli;
+  const Mode mode = parse_mode(argc, argv);
+  const sim::TimeNs duration = (mode.quick ? 50 : 200) * sim::kMilli;
   const bool hooks = util::alloc_hooks_active();
-
-  if (!json_only)
-    print_header(
-        "Hot-path allocation bench: pooled steady state vs per-packet heap",
-        "line-rate datapaths never malloc per packet; after warm-up neither "
-        "does the simulator — gate: 0 allocs/pkt and pooled >= 1.25x "
-        "baseline");
+  Report rep("BENCH_hotpath.json", mode,
+             "Hot-path allocation bench: pooled steady state vs per-packet "
+             "heap",
+             "line-rate datapaths never malloc per packet; after warm-up "
+             "neither does the simulator — gate: 0 allocs/pkt and pooled >= "
+             "1.25x baseline");
   if (!hooks)
     std::fprintf(stderr, "warning: alloc hooks not linked — allocation "
                          "counts unavailable, zero-alloc gate skipped\n");
+  rep.str("bench", "hotpath")
+      .flag("hooks_active", hooks)
+      .num("offered_pps", kOfferedPps, 0)
+      .num("duration_ms", static_cast<double>(duration) / 1e6, 0);
 
-  std::vector<Scenario> scenarios;
-  scenarios.push_back(run_scenario("fig2", /*fib48=*/false, duration, hooks));
-  scenarios.push_back(
-      run_scenario("fig2_fib48", /*fib48=*/true, duration, hooks));
+  const double speedup =
+      run_scenario(rep, "fig2", /*fib48=*/false, duration, hooks);
+  run_scenario(rep, "fig2_fib48", /*fib48=*/true, duration, hooks);
 
-  const bool wrote = emit_json(scenarios, hooks, duration);
-
-  if (!json_only) {
-    std::printf("\n%-12s %-9s %10s %14s %12s %14s\n", "scenario", "mode",
-                "sim kpps", "sim pkts/s", "allocs", "allocs/fwd pkt");
-    for (const Scenario& s : scenarios) {
-      const struct {
-        const char* mode;
-        const Run* r;
-      } rows[] = {{"pooled", &s.pooled},
-                  {"baseline", &s.baseline},
-                  {"rebuild", &s.rebuild}};
-      for (const auto& row : rows)
-        std::printf("%-12s %-9s %10.1f %14.0f %12llu %14.6f\n",
-                    row.r == &s.pooled ? s.name.c_str() : "", row.mode,
-                    row.r->sim_kpps, row.r->sim_pkts_per_wall_s,
-                    static_cast<unsigned long long>(row.r->allocs_window),
-                    row.r->allocs_per_pkt);
-      std::printf("%-12s %-9s speedup %.2fx vs baseline, %.2fx vs rebuild; "
-                  "zero-alloc %s\n", "", "", s.speedup_pool,
-                  s.speedup_vs_rebuild, s.zero_alloc ? "yes" : "NO");
-    }
-  }
-
-  bool ok = wrote;
-  // Deterministic gate (exact operator-new count): enforced in every mode.
-  for (const Scenario& s : scenarios) {
-    if (hooks && !s.zero_alloc) {
-      std::fprintf(stderr, "GATE: %s pooled window performed %llu "
-                   "allocations (%.6f per forwarded packet) — want 0\n",
-                   s.name.c_str(),
-                   static_cast<unsigned long long>(s.pooled.allocs_window),
-                   s.pooled.allocs_per_pkt);
-      ok = false;
-    }
-  }
-  const double speedup = scenarios[0].speedup_pool;
-  std::printf("wrote BENCH_hotpath.json (fig2 speedup_pool = %.2fx, gate >= "
-              "%.2fx on full runs; zero-alloc %s)\n",
-              speedup, kGateSpeedup,
-              !hooks ? "unmeasured"
-                     : (scenarios[0].zero_alloc && scenarios[1].zero_alloc)
-                           ? "yes"
-                           : "NO");
+  const net::BufferPool::Stats ps = net::BufferPool::stats();
+  const net::BurstPool::Stats bs = net::BurstPool::stats();
+  rep.obj("pool")
+      .num("buf_high_water", ps.high_water)
+      .num("buf_pooled", ps.pooled)
+      .num("burst_allocs", bs.allocs)
+      .num("burst_reuses", bs.reuses);
+  rep.num("gate_speedup", kGateSpeedup, 2);
   // Wall-clock gate: full-length runs only, per the bench/history policy
   // (quick windows on shared CI runners are too noisy to hard-gate on;
   // check_history.py still tracks fig2.speedup_pool as a wall floor).
-  if (!quick && speedup < kGateSpeedup) {
-    std::fprintf(stderr, "GATE: fig2 pooled/baseline speedup %.3f below "
-                 "%.2f\n", speedup, kGateSpeedup);
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  rep.gate(mode.quick || speedup >= kGateSpeedup,
+           "fig2 pooled/baseline speedup %.3f below %.2f", speedup,
+           kGateSpeedup);
+  return rep.finish();
 }

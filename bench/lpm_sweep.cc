@@ -18,13 +18,8 @@
 // machine, same keys, back to back), so the binary enforces it in every
 // mode, --quick included.
 //
-// Writes BENCH_lpm.json into the current directory on every run.
-//
-//   ./bench_lpm_sweep              # full measurement windows + table
-//   ./bench_lpm_sweep --quick      # CI smoke (short windows), gate still on
-//   ./bench_lpm_sweep --json-only  # no table, just BENCH_lpm.json
+// Writes BENCH_lpm.json (flags and exit status: bench/report.h).
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,7 +34,6 @@ namespace {
 
 constexpr double kGate = 2.0;  // ISSUE 4: stride >= 2x bitwise on fib48
 constexpr double kOfferedPps = 3e6;
-constexpr std::size_t kFibRoutes = 2048;  // /48s in the end-to-end FIB
 
 struct Key16 {
   std::uint8_t b[16] = {};
@@ -165,15 +159,8 @@ double measure_ns_op(Trie& trie, const std::vector<Key16>& queries,
   return elapsed * 1e9 / static_cast<double>(lookups);
 }
 
-struct MicroRow {
-  std::string name;
-  std::size_t prefixes = 0;
-  double bitwise_ns = 0;
-  double stride_ns = 0;
-  double speedup = 0;
-};
-
-MicroRow run_micro(const Workload& w, double min_wall_s) {
+// Records one workload's row; returns its stride-vs-bitwise speedup.
+double run_micro(const Workload& w, double min_wall_s, Obj& row) {
   util::LpmTrie<std::uint32_t> stride(16);
   util::BitwiseLpmTrie<std::uint32_t> bitwise(16);
   std::uint32_t next = 1;
@@ -202,45 +189,29 @@ MicroRow run_micro(const Workload& w, double min_wall_s) {
     std::exit(2);
   }
 
-  MicroRow row;
-  row.name = w.name;
-  row.prefixes = stride.size();
   // Two timed rounds each, interleaved — averages out frequency-ramp bias.
   std::uint64_t sink = 0;
-  row.bitwise_ns = measure_ns_op(bitwise, w.queries, min_wall_s / 2, &sink);
-  row.stride_ns = measure_ns_op(stride, w.queries, min_wall_s / 2, &sink);
-  row.bitwise_ns = (row.bitwise_ns +
-                    measure_ns_op(bitwise, w.queries, min_wall_s / 2, &sink)) / 2;
-  row.stride_ns = (row.stride_ns +
-                   measure_ns_op(stride, w.queries, min_wall_s / 2, &sink)) / 2;
-  row.speedup = row.stride_ns > 0 ? row.bitwise_ns / row.stride_ns : 0;
-  return row;
+  double bitwise_ns = measure_ns_op(bitwise, w.queries, min_wall_s / 2, &sink);
+  double stride_ns = measure_ns_op(stride, w.queries, min_wall_s / 2, &sink);
+  bitwise_ns = (bitwise_ns +
+                measure_ns_op(bitwise, w.queries, min_wall_s / 2, &sink)) / 2;
+  stride_ns = (stride_ns +
+               measure_ns_op(stride, w.queries, min_wall_s / 2, &sink)) / 2;
+  const double speedup = stride_ns > 0 ? bitwise_ns / stride_ns : 0;
+  row.str("name", w.name)
+      .num("prefixes", stride.size())
+      .num("bitwise_ns_op", bitwise_ns, 1)
+      .num("stride_ns_op", stride_ns, 1)
+      .num("speedup", speedup, 2);
+  return speedup;
 }
 
-struct EndToEnd {
-  std::size_t routes = 0;
-  double sim_kpps = 0;
-  std::uint64_t offered = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t fib_cache_hits = 0;
-  double wall_s = 0;
-  double sim_pkts_per_wall_s = 0;
-};
-
-// fig2 with a fat FIB: R routes `routes` /48 sites toward S2, TrafGen
+// fig2 with a fat FIB: R routes kFib48Routes /48 sites toward S2, TrafGen
 // cycles the destination across all of them (dst_spread), so the one-entry
 // cache slot never answers and the stride trie carries the lwt/fib stage.
-EndToEnd run_fig2_fib48(sim::TimeNs duration) {
+void run_fig2_fib48(sim::TimeNs duration, Obj& e) {
   Setup1 lab;
-  char buf[64];
-  for (std::size_t i = 0; i < kFibRoutes; ++i) {
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
-    lab.r->ns().table(0).add_route(net::Prefix::parse(buf).value(),
-                                   {net::Ipv6Addr{}, lab.r_downstream_if, 1});
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::2", i);
-    lab.s2->ns().add_local_addr(net::Ipv6Addr::must_parse(buf));
-  }
-  lab.r->cpu.rx_burst = sim::kDefaultRxBurst;
+  lab.add_fib48();
 
   apps::TrafGen::Config cfg;
   cfg.spec.src = lab.s1_addr;
@@ -248,7 +219,7 @@ EndToEnd run_fig2_fib48(sim::TimeNs duration) {
   cfg.spec.payload_size = 64;
   cfg.spec.dst_port = 7001;
   cfg.pps = kOfferedPps;
-  cfg.dst_spread = kFibRoutes;
+  cfg.dst_spread = kFib48Routes;
   cfg.start_at = lab.net.now();
   cfg.duration = duration + 80 * sim::kMilli;
   lab.gen = std::make_unique<apps::TrafGen>(*lab.s1, cfg);
@@ -256,112 +227,55 @@ EndToEnd run_fig2_fib48(sim::TimeNs duration) {
 
   lab.net.run_for(30 * sim::kMilli);  // warm-up
   lab.sink->reset();
-  EndToEnd e;
-  e.routes = kFibRoutes;
   // Snapshot the generator so offered / wall_s covers exactly the timed
   // window (the warm-up's packets are in neither numerator nor denominator).
   const std::uint64_t sent0 = lab.gen->sent();
   const auto t0 = std::chrono::steady_clock::now();
   const sim::TimeNs sim0 = lab.net.now();
   lab.net.run_for(duration);
-  e.wall_s =
+  const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  e.sim_kpps = lab.sink->meter().kpps(lab.net.now() - sim0);
-  e.offered = lab.gen->sent() - sent0;
-  e.delivered = lab.sink->packets();
-  e.fib_cache_hits = lab.r->ns().table(0).cache_hits();
-  e.sim_pkts_per_wall_s =
-      e.wall_s > 0 ? static_cast<double>(e.offered) / e.wall_s : 0;
-  return e;
-}
-
-bool emit_json(const std::vector<MicroRow>& rows, double speedup_fib48,
-               const EndToEnd& e, sim::TimeNs duration) {
-  std::FILE* f = std::fopen("BENCH_lpm.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_lpm.json");
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"lpm_sweep\",\n");
-  std::fprintf(f, "  \"duration_ms\": %.0f,\n",
-               static_cast<double>(duration) / 1e6);
-  std::fprintf(f, "  \"workloads\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MicroRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"prefixes\": %zu, "
-                 "\"bitwise_ns_op\": %.1f, \"stride_ns_op\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.name.c_str(), r.prefixes, r.bitwise_ns, r.stride_ns,
-                 r.speedup, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"fig2_fib48\": {\"routes\": %zu, \"offered_pps\": %.0f, "
-               "\"sim_kpps\": %.1f, \"offered\": %llu, \"delivered\": %llu, "
-               "\"fib_cache_hits\": %llu, \"wall_s\": %.4f, "
-               "\"sim_pkts_per_wall_s\": %.0f},\n",
-               e.routes, kOfferedPps, e.sim_kpps,
-               static_cast<unsigned long long>(e.offered),
-               static_cast<unsigned long long>(e.delivered),
-               static_cast<unsigned long long>(e.fib_cache_hits), e.wall_s,
-               e.sim_pkts_per_wall_s);
-  std::fprintf(f, "  \"speedup_fib48\": %.2f,\n", speedup_fib48);
-  std::fprintf(f, "  \"gate\": %.2f\n", kGate);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+  const std::uint64_t offered = lab.gen->sent() - sent0;
+  e.num("routes", kFib48Routes)
+      .num("offered_pps", kOfferedPps, 0)
+      .num("sim_kpps", lab.sink->meter().kpps(lab.net.now() - sim0), 1)
+      .num("offered", offered)
+      .num("delivered", lab.sink->packets())
+      .num("fib_cache_hits", lab.r->ns().table(0).cache_hits())
+      .num("wall_s", wall_s, 4)
+      .num("sim_pkts_per_wall_s",
+           wall_s > 0 ? static_cast<double>(offered) / wall_s : 0, 0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-  const double micro_window_s = quick ? 0.05 : 0.4;  // per engine per pass
-  const sim::TimeNs duration = (quick ? 50 : 200) * sim::kMilli;
-
-  if (!json_only)
-    print_header(
-        "LPM sweep: multibit-stride trie vs the bit-by-bit walk",
-        "every forwarded packet and lwt_seg6_action reroute walks the FIB; "
-        "a /48 lookup must cost byte hops, not 48 bit tests");
+  const Mode mode = parse_mode(argc, argv);
+  const double micro_window_s = mode.quick ? 0.05 : 0.4;  // per engine per pass
+  const sim::TimeNs duration = (mode.quick ? 50 : 200) * sim::kMilli;
+  Report rep("BENCH_lpm.json", mode,
+             "LPM sweep: multibit-stride trie vs the bit-by-bit walk",
+             "every forwarded packet and lwt_seg6_action reroute walks the "
+             "FIB; a /48 lookup must cost byte hops, not 48 bit tests");
+  rep.str("bench", "lpm_sweep")
+      .num("duration_ms", static_cast<double>(duration) / 1e6, 0);
 
   Rng rng(0x48);
   const std::vector<Workload> workloads = {make_fib48(rng),
                                            make_fib_mixed(rng),
                                            make_host128(rng)};
-  std::vector<MicroRow> rows;
-  for (const Workload& w : workloads) rows.push_back(run_micro(w, micro_window_s));
-
   double speedup_fib48 = 0;
-  for (const MicroRow& r : rows)
-    if (r.name == "fib48") speedup_fib48 = r.speedup;
-
-  const EndToEnd e = run_fig2_fib48(duration);
-  const bool wrote = emit_json(rows, speedup_fib48, e, duration);
-
-  if (!json_only) {
-    std::printf("\n%-10s %9s %13s %13s %9s\n", "workload", "prefixes",
-                "bitwise ns/op", "stride ns/op", "speedup");
-    for (const MicroRow& r : rows)
-      std::printf("%-10s %9zu %13.1f %13.1f %8.2fx\n", r.name.c_str(),
-                  r.prefixes, r.bitwise_ns, r.stride_ns, r.speedup);
-    std::printf("\nfig2 + %zu-route /48 FIB, dst_spread=%zu: %.1f sim kpps, "
-                "%.0f sim pkts/wall s, %llu cache hits over %llu offered\n",
-                e.routes, e.routes, e.sim_kpps, e.sim_pkts_per_wall_s,
-                static_cast<unsigned long long>(e.fib_cache_hits),
-                static_cast<unsigned long long>(e.offered));
+  for (const Workload& w : workloads) {
+    const double speedup = run_micro(w, micro_window_s, rep.row("workloads"));
+    if (w.name == "fib48") speedup_fib48 = speedup;
   }
-  if (wrote)
-    std::printf("wrote BENCH_lpm.json (speedup_fib48 = %.2fx, gate >= "
-                "%.2fx)\n", speedup_fib48, kGate);
+
+  run_fig2_fib48(duration, rep.obj("fig2_fib48"));
+  rep.num("speedup_fib48", speedup_fib48, 2).num("gate", kGate, 2);
   // Same-host back-to-back ratio: host-independent enough to enforce in
   // every mode (the stride engine wins by an integer factor, not noise).
-  return wrote && speedup_fib48 >= kGate ? 0 : 1;
+  rep.gate(speedup_fib48 >= kGate, "fib48 stride speedup %.2f below %.2f",
+           speedup_fib48, kGate);
+  return rep.finish();
 }

@@ -10,16 +10,14 @@
 // rate is a deterministic function of the simulation, so the scaling gate
 // holds on any host and is enforced even under --quick.
 //
-// Writes BENCH_mc.json into the current directory on every run.
+// Writes BENCH_mc.json (flags and exit status: bench/report.h). One flag of
+// its own:
 //
-//   ./bench_mc_sweep              # ncpus 1/2/4 + table; exits 1 below gate
-//   ./bench_mc_sweep --quick      # shorter measurement (CI smoke); the
-//                                 # gate still applies (simulated metric)
 //   ./bench_mc_sweep --smoke      # ncpus 1/2 only (CI), gate on the 2-cpu
 //                                 # scaling instead of the 4-cpu one
-//   ./bench_mc_sweep --json-only  # no table, just BENCH_mc.json
+#include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <string_view>
 
 #include "bench_common.h"
 
@@ -33,149 +31,81 @@ constexpr double kGate2 = 1.4;  // smoke gate: ncpus=2 vs 1 (expected ~2x)
 constexpr double kOfferedPps = 3e6;   // the paper's 3 Mpps source
 constexpr std::uint32_t kFlows = 64;  // flow labels cycled by the generator
 
-struct Row {
-  std::size_t ncpus = 0;
-  double sim_kpps = 0;          // sink rate in simulated time — the metric
-  std::uint64_t offered = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t drops_rx = 0;   // RX-ring overflow at R (the saturation sign)
-  double occupancy = 0;         // serviced packets per service event at R
-  double balance = 0;           // min/max packets across contexts (1 = even)
-  double wall_s = 0;
-};
-
-Row run_one(std::size_t ncpus, sim::TimeNs duration) {
+// Records one ncpus row; returns its sink rate in simulated kpps.
+double run_one(std::size_t ncpus, sim::TimeNs duration, Obj& row) {
   Setup1 lab;
   lab.ncpus = ncpus;
   lab.flows = kFlows;  // pktgen-style multi-flow: spread the RSS hash
+  lab.add_end_bpf(usecases::build_end());
 
-  const usecases::BuiltProgram built = usecases::build_end();
-  auto load = lab.r->ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                     built.insns, built.paper_sloc);
-  if (!load.ok()) {
-    std::fprintf(stderr, "verifier rejected %s: %s\n", built.name,
-                 load.verify.error.c_str());
-    std::exit(1);
-  }
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  lab.r->ns().seg6local().add(lab.sid, e);
-
-  Row row;
-  row.ncpus = ncpus;
   const auto t0 = std::chrono::steady_clock::now();
-  row.sim_kpps = lab.measure(/*through_sid=*/true, kOfferedPps, duration);
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - t0;
-  row.wall_s = wall.count();
-  row.offered = lab.gen->sent();
-  row.delivered = lab.sink->packets();
+  const double sim_kpps =
+      lab.measure(/*through_sid=*/true, kOfferedPps, duration);
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   const sim::NodeStats rs = lab.r->stats();
-  row.drops_rx = rs.drops_rx_queue;
-  row.occupancy = rs.service_events > 0
-                      ? static_cast<double>(rs.serviced_packets) /
-                            static_cast<double>(rs.service_events)
-                      : 0;
+  // Balance: min/max serviced packets across R's contexts (1 = even).
   std::uint64_t lo = ~0ull, hi = 0;
   for (std::size_t k = 0; k < lab.r->context_count(); ++k) {
     const std::uint64_t p = lab.r->cpu_stats(k).serviced_packets;
     lo = std::min(lo, p);
     hi = std::max(hi, p);
   }
-  row.balance = hi > 0 ? static_cast<double>(lo) / static_cast<double>(hi) : 0;
-  return row;
-}
-
-void emit_json(const std::vector<Row>& rows, double s2, double s4,
-               double gate, sim::TimeNs duration) {
-  std::FILE* f = std::fopen("BENCH_mc.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_mc.json");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"mc_sweep\",\n");
-  std::fprintf(f, "  \"scenario\": \"fig2_end_bpf\",\n");
-  std::fprintf(f, "  \"offered_pps\": %.0f,\n", kOfferedPps);
-  std::fprintf(f, "  \"flows\": %u,\n", kFlows);
-  std::fprintf(f, "  \"duration_ms\": %.0f,\n",
-               static_cast<double>(duration) / 1e6);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"ncpus\": %zu, \"sim_kpps\": %.1f, \"offered\": %llu, "
-                 "\"delivered\": %llu, \"drops_rx_queue\": %llu, "
-                 "\"burst_occupancy\": %.2f, \"context_balance\": %.3f, "
-                 "\"wall_s\": %.4f}%s\n",
-                 r.ncpus, r.sim_kpps,
-                 static_cast<unsigned long long>(r.offered),
-                 static_cast<unsigned long long>(r.delivered),
-                 static_cast<unsigned long long>(r.drops_rx), r.occupancy,
-                 r.balance, r.wall_s, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"scaling_2_vs_1\": %.3f,\n", s2);
-  // Smoke runs (--smoke) skip the 4-cpu row; the key is omitted rather than
-  // reported as 0 so bench/check_history.py only checks what actually ran.
-  if (s4 > 0) std::fprintf(f, "  \"scaling_4_vs_1\": %.3f,\n", s4);
-  std::fprintf(f, "  \"gate\": %.2f\n", gate);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  row.num("ncpus", ncpus)
+      .num("sim_kpps", sim_kpps, 1)
+      .num("offered", lab.gen->sent())
+      .num("delivered", lab.sink->packets())
+      .num("drops_rx_queue", rs.drops_rx_queue)
+      .num("burst_occupancy",
+           rs.service_events > 0
+               ? static_cast<double>(rs.serviced_packets) /
+                     static_cast<double>(rs.service_events)
+               : 0,
+           2)
+      .num("context_balance",
+           hi > 0 ? static_cast<double>(lo) / static_cast<double>(hi) : 0, 3)
+      .num("wall_s", wall_s, 4);
+  return sim_kpps;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json_only = false;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  const sim::TimeNs duration = (quick ? 50 : 200) * sim::kMilli;
-
-  if (!json_only)
-    print_header(
-        "Multi-core sweep: simulated throughput of RSS-sharded contexts",
-        "the paper pins IRQs to one core (ncpus=1, its 610kpps-class cap); "
-        "ncpus=4 must forward >= 1.5x the single-core rate");
-
-  std::vector<std::size_t> ncpus = {1, 2, 4};
-  if (smoke) ncpus = {1, 2};
-  std::vector<Row> rows;
-  for (const std::size_t n : ncpus) rows.push_back(run_one(n, duration));
+  const Mode mode = parse_mode(argc, argv);
+  const bool smoke = std::find(argv + 1, argv + argc,
+                               std::string_view("--smoke")) != argv + argc;
+  const sim::TimeNs duration = (mode.quick ? 50 : 200) * sim::kMilli;
+  Report rep("BENCH_mc.json", mode,
+             "Multi-core sweep: simulated throughput of RSS-sharded contexts",
+             "the paper pins IRQs to one core (ncpus=1, its 610kpps-class "
+             "cap); ncpus=4 must forward >= 1.5x the single-core rate");
+  rep.str("bench", "mc_sweep")
+      .str("scenario", "fig2_end_bpf")
+      .num("offered_pps", kOfferedPps, 0)
+      .num("flows", kFlows)
+      .num("duration_ms", static_cast<double>(duration) / 1e6, 0);
 
   double k1 = 0, k2 = 0, k4 = 0;
-  for (const Row& r : rows) {
-    if (r.ncpus == 1) k1 = r.sim_kpps;
-    if (r.ncpus == 2) k2 = r.sim_kpps;
-    if (r.ncpus == 4) k4 = r.sim_kpps;
+  for (const std::size_t n : smoke ? std::vector<std::size_t>{1, 2}
+                                   : std::vector<std::size_t>{1, 2, 4}) {
+    const double kpps = run_one(n, duration, rep.row("rows"));
+    if (n == 1) k1 = kpps;
+    if (n == 2) k2 = kpps;
+    if (n == 4) k4 = kpps;
   }
   const double s2 = k1 > 0 ? k2 / k1 : 0;
   const double s4 = k1 > 0 ? k4 / k1 : 0;
   const double gate = smoke ? kGate2 : kGate4;
   const double scaling = smoke ? s2 : s4;
-  emit_json(rows, s2, s4, gate, duration);
-
-  if (!json_only) {
-    std::printf("\n%6s %10s %10s %10s %10s %8s %8s\n", "ncpus", "sim kpps",
-                "delivered", "drops_rx", "occup.", "balance", "wall s");
-    for (const Row& r : rows)
-      std::printf("%6zu %10.1f %10llu %10llu %10.2f %8.3f %8.3f\n", r.ncpus,
-                  r.sim_kpps, static_cast<unsigned long long>(r.delivered),
-                  static_cast<unsigned long long>(r.drops_rx), r.occupancy,
-                  r.balance, r.wall_s);
-    std::printf("\nsimulated-throughput scaling: 2-cpu %.2fx, 4-cpu %.2fx "
-                "(gate: %s >= %.2fx)\n",
-                s2, s4, smoke ? "2-cpu" : "4-cpu", gate);
-  }
-  std::printf("wrote BENCH_mc.json (scaling_%s = %.2fx, gate >= %.2fx)\n",
-              smoke ? "2_vs_1" : "4_vs_1", scaling, gate);
+  rep.num("scaling_2_vs_1", s2, 3);
+  // Smoke runs skip the 4-cpu row; the key is omitted rather than reported
+  // as 0 so bench/check_history.py only checks what actually ran.
+  if (s4 > 0) rep.num("scaling_4_vs_1", s4, 3);
+  rep.num("gate", gate, 2);
   // The metric is simulated time, not wall-clock: deterministic, so the
   // gate is enforced on every run mode, including CI --quick smokes.
-  return scaling >= gate ? 0 : 1;
+  rep.gate(scaling >= gate, "%s-cpu scaling %.3f below %.2f",
+           smoke ? "2" : "4", scaling, gate);
+  return rep.finish();
 }

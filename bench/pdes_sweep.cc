@@ -16,17 +16,11 @@
 //     noisy on shared CI runners, so like every other wall metric it only
 //     hard-fails with --strict.
 //
-//   ./bench_pdes_sweep              # full windows + table
-//   ./bench_pdes_sweep --quick      # short windows (CI smoke / TSan job)
-//   ./bench_pdes_sweep --json-only  # no table, just BENCH_pdes.json
+// Flags and exit status: bench/report.h.
 #include <chrono>
-#include <cstring>
-#include <memory>
 #include <thread>
-#include <vector>
 
 #include "bench_common.h"
-#include "sim/pdes_topo.h"
 
 using namespace srv6bpf;
 using namespace srv6bpf::bench;
@@ -35,169 +29,72 @@ namespace {
 
 constexpr double kSpeedupGate = 3.0;  // informational here; floor lives in
                                       // bench/history/baseline.json (wall)
-constexpr double kPerSegmentPps = 450000;  // ~3/4 of a Xeon core's cap
 
-// FNV-1a over little-endian u64s (the mc_test golden-digest pattern).
-struct Digest {
-  std::uint64_t delivered = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
-};
-
-struct Row {
-  std::size_t threads = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t events = 0;      // events executed across all domain loops
-  std::uint64_t digest = 0;
-  double wall_s = 0;
+struct Run {
+  Digest digest;
   double pkts_per_wall_s = 0;
 };
 
-Row run_one(std::size_t threads, sim::TimeNs window) {
+Run run_one(std::size_t threads, sim::TimeNs window, Obj& row) {
   sim::RingTopoSpec spec;  // defaults: 8 segments x (5 routers + src + sink)
   sim::Network net(0x9de5);
   sim::RingTopo topo = build_ring_topology(net, spec);
   net.set_domain_count(spec.segments);
   net.seal_domains();
-
-  std::vector<std::unique_ptr<apps::AppMux>> muxes;
-  std::vector<std::unique_ptr<apps::TrafGen>> gens;
-  std::vector<Digest> digs(spec.segments);
-  for (std::size_t s = 0; s < spec.segments; ++s) {
-    auto& seg = topo.segments[s];
-    muxes.push_back(std::make_unique<apps::AppMux>(*seg.sink));
-    muxes.back()->on_udp(
-        7001, [&dig = digs[s]](const net::Packet& pkt, const net::UdpHeader&,
-                               std::span<const std::uint8_t>,
-                               sim::TimeNs now) {
-          ++dig.delivered;
-          dig.mix(now);
-          dig.mix(pkt.seq);
-        });
-    apps::TrafGen::Config cfg;
-    cfg.spec.src = seg.src_addr;
-    cfg.spec.dst = seg.dst_addr;
-    cfg.spec.payload_size = 64;
-    cfg.spec.dst_port = 7001;
-    cfg.pps = kPerSegmentPps;
-    cfg.duration = window;
-    cfg.flow_label_spread = 16;
-    cfg.src_port_spread = 7;
-    gens.push_back(std::make_unique<apps::TrafGen>(*seg.src, cfg));
-    gens.back()->start();
-  }
+  const RingLoad load(topo, window);
 
   const auto t0 = std::chrono::steady_clock::now();
   net.run_parallel_until(window + 10 * sim::kMilli, threads);
-  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 
-  Row row;
-  row.threads = threads;
-  // Fold the per-segment digests in segment order: a pure function of the
-  // simulation, so every thread count must reproduce it exactly.
-  Digest total;
-  for (const Digest& d : digs) {
-    total.delivered += d.delivered;
-    total.mix(d.fnv);
-    total.mix(d.delivered);
-  }
-  row.delivered = total.delivered;
-  row.digest = total.fnv;
-  row.events = net.pdes_net().events_executed();
-  row.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  row.pkts_per_wall_s = row.wall_s > 0 ? row.delivered / row.wall_s : 0;
-  return row;
-}
-
-void emit_json(const std::vector<Row>& rows, bool digest_match,
-               double speedup_8t, sim::TimeNs window) {
-  FILE* f = std::fopen("BENCH_pdes.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"pdes_sweep\",\n");
-  std::fprintf(f, "  \"scenario\": \"ring topology, 8 segments x 5 Xeon "
-                  "routers (56 nodes), %.0f kpps/segment\",\n",
-               kPerSegmentPps / 1e3);
-  std::fprintf(f, "  \"window_ms\": %.1f,\n",
-               static_cast<double>(window) / 1e6);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"threads\": %zu, \"delivered\": %llu, "
-                 "\"events\": %llu, \"digest\": \"0x%016llx\", "
-                 "\"wall_s\": %.4f, \"pkts_per_wall_s\": %.0f}%s\n",
-                 r.threads, static_cast<unsigned long long>(r.delivered),
-                 static_cast<unsigned long long>(r.events),
-                 static_cast<unsigned long long>(r.digest), r.wall_s,
-                 r.pkts_per_wall_s, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"digest_match\": %d,\n", digest_match ? 1 : 0);
-  std::fprintf(f, "  \"speedup_8t\": %.3f,\n", speedup_8t);
-  // Wall speedup only means anything relative to the cores actually
-  // available: on a 1-core CI runner the best possible value is ~1.0.
-  std::fprintf(f, "  \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"gate_speedup\": %.2f\n", kSpeedupGate);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  Run run{load.total(), 0};
+  run.pkts_per_wall_s = wall_s > 0 ? run.digest.delivered / wall_s : 0;
+  row.num("threads", threads)
+      .num("delivered", run.digest.delivered)
+      .num("events", net.pdes_net().events_executed())
+      .str("digest", hex64(run.digest.fnv))
+      .num("wall_s", wall_s, 4)
+      .num("pkts_per_wall_s", run.pkts_per_wall_s, 0);
+  return run;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-  const sim::TimeNs window = (quick ? 20 : 120) * sim::kMilli;
+  const Mode mode = parse_mode(argc, argv);
+  const sim::TimeNs window = (mode.quick ? 20 : 120) * sim::kMilli;
+  Report rep("BENCH_pdes.json", mode,
+             "PDES sweep: wall-clock scale-out of the sharded EventLoop",
+             "bit-identical delivery digests at every thread count (hard "
+             "gate) and >= 3x sim-pkts-per-wall-second at 8 threads (wall "
+             "floor)");
+  rep.str("bench", "pdes_sweep")
+      .str("scenario", RingLoad::scenario())
+      .num("window_ms", static_cast<double>(window) / 1e6, 1);
 
-  if (!json_only)
-    print_header(
-        "PDES sweep: wall-clock scale-out of the sharded EventLoop",
-        "bit-identical delivery digests at every thread count (hard gate) "
-        "and >= 3x sim-pkts-per-wall-second at 8 threads (wall floor)");
-
-  std::vector<Row> rows;
+  std::vector<Run> runs;
   for (const std::size_t threads : {1u, 2u, 4u, 8u})
-    rows.push_back(run_one(threads, window));
+    runs.push_back(run_one(threads, window, rep.row("rows")));
 
   bool digest_match = true;
-  for (const Row& r : rows)
-    digest_match = digest_match && r.digest == rows[0].digest &&
-                   r.delivered == rows[0].delivered;
+  for (const Run& r : runs)
+    digest_match = digest_match && r.digest.fnv == runs[0].digest.fnv &&
+                   r.digest.delivered == runs[0].digest.delivered;
   const double speedup_8t =
-      rows[0].pkts_per_wall_s > 0
-          ? rows.back().pkts_per_wall_s / rows[0].pkts_per_wall_s
+      runs[0].pkts_per_wall_s > 0
+          ? runs.back().pkts_per_wall_s / runs[0].pkts_per_wall_s
           : 0;
-  emit_json(rows, digest_match, speedup_8t, window);
-
-  if (!json_only) {
-    std::printf("\n%8s %10s %12s %20s %8s %14s\n", "threads", "delivered",
-                "events", "digest", "wall s", "pkts/wall-s");
-    for (const Row& r : rows)
-      std::printf("%8zu %10llu %12llu   0x%016llx %8.3f %14.0f\n", r.threads,
-                  static_cast<unsigned long long>(r.delivered),
-                  static_cast<unsigned long long>(r.events),
-                  static_cast<unsigned long long>(r.digest), r.wall_s,
-                  r.pkts_per_wall_s);
-    std::printf("\n8-thread speedup: %.2fx (target >= %.1fx; wall-clock, "
-                "warn-level in CI)\n",
-                speedup_8t, kSpeedupGate);
-  }
-  std::printf("wrote BENCH_pdes.json (digest_match = %d, speedup_8t = "
-              "%.2fx)\n",
-              digest_match ? 1 : 0, speedup_8t);
+  rep.num("digest_match", digest_match ? 1 : 0)
+      .num("speedup_8t", speedup_8t, 3)
+      // Wall speedup only means anything relative to the cores actually
+      // available: on a 1-core CI runner the best possible value is ~1.0.
+      .num("host_cpus", std::thread::hardware_concurrency())
+      .num("gate_speedup", kSpeedupGate, 2);
   // Determinism is the hard self-gate: any digest divergence across thread
   // counts fails the bench regardless of measurement mode. The wall-clock
   // speedup floor is enforced (warn-level) by bench/check_history.py.
-  return digest_match ? 0 : 1;
+  rep.gate(digest_match, "delivery digests differ across thread counts");
+  return rep.finish();
 }

@@ -28,16 +28,14 @@
 // classes (matching TrafGen's flow_label_spread) plus, in the netem rows, a
 // classic-BPF expression class compiled by the PR 7 tcpdump frontend.
 //
-// Emits BENCH_slo.json; bench/check_history.py enforces floors *and*
-// ceilings (latency/blackhole metrics regress upward) from
-// bench/history/baseline.json. All gated metrics are simulated-time
-// deterministic and mode-invariant (identical semantics under --quick).
-//
-// Usage: bench_slo_soak [--quick] [--json-only]
+// Writes BENCH_slo.json (flags and exit status: bench/report.h);
+// bench/check_history.py enforces floors *and* ceilings (latency/blackhole
+// metrics regress upward) from bench/history/baseline.json. All gated
+// metrics are simulated-time deterministic and mode-invariant (identical
+// semantics under --quick).
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -55,6 +53,7 @@
 namespace {
 
 using namespace srv6bpf;
+using bench::Obj;
 
 // ---- topology ---------------------------------------------------------------
 
@@ -177,46 +176,39 @@ struct Lab {
 // instead sends plain fc00:2::/64 traffic through R3, so R3 needs that
 // subnet too — added lazily by the igp scenario.
 
-// ---- result shapes ----------------------------------------------------------
+// ---- results ----------------------------------------------------------------
 
-struct Quantiles {
-  std::uint64_t count = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p99 = 0;
-  std::uint64_t p999 = 0;
-  std::uint64_t max = 0;
-};
-
-Quantiles quantiles_of(const util::HdrHistogram& h) {
-  return {h.count(), h.p50(), h.p99(), h.p999(), h.max()};
+void record_quantiles(Obj& o, const util::HdrHistogram& h) {
+  o.num("count", h.count())
+      .num("p50", h.p50())
+      .num("p99", h.p99())
+      .num("p999", h.p999())
+      .num("max", h.max());
 }
 
-struct Window {
-  Quantiles overall;
-  std::array<Quantiles, 4> cls;  // flow-label classes fl0..fl3
-};
+// A window's overall tail plus the flow-label classes fl0..fl3.
+void record_window(Obj& w, const util::HdrHistogram& overall,
+                   const std::array<util::HdrHistogram, 4>& cls) {
+  record_quantiles(w.obj("overall"), overall);
+  for (std::size_t i = 0; i < 4; ++i)
+    record_quantiles(w.obj("classes").obj("fl" + std::to_string(i)), cls[i]);
+}
 
-struct FailoverResult {
+// What the gates and the offered total read from one failover run.
+struct Failover {
   std::uint64_t offered = 0;
-  std::uint64_t delivered = 0;
-  double delivery_ratio = 0;
   std::uint64_t frr_reroutes = 0;
-  std::uint64_t drops_link_down = 0;
-  std::uint64_t first_link_down_drop_ns = 0;  // 0 when none
   std::uint64_t blackhole_ns = 0;
-  int recovered = 0;
-  Window pre;
-  Window post;
-  double tail_inflation_p99 = 0;
-  int hooks = 0;
+  bool recovered = false;
+  bool hooks = false;
   std::uint64_t window_allocs = 0;
-  int zero_alloc = 0;
-  std::uint64_t min_gap_ns = 0;  // sink inter-arrival (microburst flag)
-  double mean_gap_ns = 0;
+  bool zero_alloc = false;  // hooks linked in and window_allocs == 0
 };
 
-FailoverResult run_failover(bool frr, double pps, sim::TimeNs t_fail,
-                            sim::TimeNs reconverge_delay, sim::TimeNs t_end) {
+// Records one failover scenario into `out`.
+Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
+                      sim::TimeNs reconverge_delay, sim::TimeNs t_end,
+                      Obj& out) {
   Lab lab(frr);
   sim::LatencyTracer tracer;
   tracer.classify_by_flow_label(4);
@@ -261,58 +253,53 @@ FailoverResult run_failover(bool frr, double pps, sim::TimeNs t_fail,
 
   lab.net.run_until(t_end + 50 * sim::kMilli);
 
-  FailoverResult r;
-  r.offered = lab.gen->sent();
-  r.delivered = lab.sink->packets();
-  r.delivery_ratio = r.offered == 0 ? 0
-                                    : static_cast<double>(r.delivered) /
-                                          static_cast<double>(r.offered);
   const sim::NodeStats rs = lab.r1->stats();
-  r.frr_reroutes = rs.frr_reroutes;
-  r.drops_link_down = rs.drops_link_down;
-  const std::uint64_t first =
-      rs.first_drop_at(sim::DropReason::kLinkDown);
-  r.first_link_down_drop_ns = first == sim::NodeStats::kNeverDropped ? 0
-                                                                     : first;
-  r.blackhole_ns = clock.blackhole_ns();
-  r.recovered = clock.recovered() ? 1 : 0;
-  r.pre.overall = quantiles_of(pre_overall);
-  r.post.overall = quantiles_of(tracer.overall());
-  for (std::size_t i = 0; i < 4; ++i) {
-    r.pre.cls[i] = quantiles_of(pre_cls[i]);
-    r.post.cls[i] = quantiles_of(tracer.class_hist(i));
-  }
-  r.tail_inflation_p99 =
-      r.pre.overall.p99 == 0
-          ? 0
-          : static_cast<double>(r.post.overall.p99) /
-                static_cast<double>(r.pre.overall.p99);
-  r.hooks = hooks ? 1 : 0;
-  r.window_allocs = allocs_w1 - allocs_w0;
-  r.zero_alloc = hooks && r.window_allocs == 0 ? 1 : 0;
-  const sim::RateMeter::Report rep =
+  const std::uint64_t first = rs.first_drop_at(sim::DropReason::kLinkDown);
+  std::array<util::HdrHistogram, 4> post_cls;
+  for (std::size_t i = 0; i < 4; ++i) post_cls[i] = tracer.class_hist(i);
+  const sim::RateMeter::Report gaps =
       lab.sink->meter().report(t_end - t_start);
-  r.min_gap_ns = rep.min_gap_ns;
-  r.mean_gap_ns = rep.mean_gap_ns;
-  return r;
+  Failover f;
+  f.offered = lab.gen->sent();
+  f.frr_reroutes = rs.frr_reroutes;
+  f.blackhole_ns = clock.blackhole_ns();
+  f.recovered = clock.recovered();
+  f.hooks = hooks;
+  f.window_allocs = allocs_w1 - allocs_w0;
+  f.zero_alloc = hooks && f.window_allocs == 0;
+  const std::uint64_t delivered = lab.sink->packets();
+  out.num("offered", f.offered)
+      .num("delivered", delivered)
+      .num("delivery_ratio",
+           f.offered == 0 ? 0
+                          : static_cast<double>(delivered) /
+                                static_cast<double>(f.offered),
+           6)
+      .num("frr_reroutes", f.frr_reroutes)
+      .num("drops_link_down", rs.drops_link_down)
+      .num("first_link_down_drop_ns",
+           first == sim::NodeStats::kNeverDropped ? 0 : first)
+      .num("blackhole_ns", f.blackhole_ns)
+      .num("recovered", f.recovered ? 1 : 0)
+      .num("tail_inflation_p99",
+           pre_overall.p99() == 0
+               ? 0
+               : static_cast<double>(tracer.overall().p99()) /
+                     static_cast<double>(pre_overall.p99()),
+           4)
+      .num("alloc_hooks", hooks ? 1 : 0)
+      .num("window_allocs", f.window_allocs)
+      .num("zero_alloc", f.zero_alloc ? 1 : 0)
+      .num("sink_min_gap_ns", gaps.min_gap_ns)
+      .num("sink_mean_gap_ns", gaps.mean_gap_ns, 1);
+  record_window(out.obj("pre"), pre_overall, pre_cls);
+  record_window(out.obj("post"), tracer.overall(), post_cls);
+  return f;
 }
 
-struct NetemRow {
-  const char* key;
-  double loss_prob;
-  sim::TimeNs jitter_ns;
-  sim::TimeNs jitter_tau_ns;
-  std::uint64_t offered = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t losses = 0;
-  double loss_ratio = 0;
-  Quantiles overall{};
-  Quantiles expr_cls{};  // the cBPF-expression class ("udp src port 7000")
-};
-
-NetemRow run_netem(const char* key, double loss, sim::TimeNs jitter,
-                   sim::TimeNs tau, double pps, sim::TimeNs dur) {
-  NetemRow row{key, loss, jitter, tau};
+// Records one netem row into `row`; returns its offered packet count.
+std::uint64_t run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau,
+                        double pps, sim::TimeNs dur, Obj& row) {
   Lab lab(/*with_frr=*/true);
 
   sim::NetemConfig cfg;
@@ -343,109 +330,35 @@ NetemRow run_netem(const char* key, double loss, sim::TimeNs jitter,
   lab.start_traffic(pps, t_start, dur);
   lab.net.run_until(t_start + dur + 100 * sim::kMilli);
 
-  row.offered = lab.gen->sent();
-  row.delivered = lab.sink->packets();
-  row.losses = lab.l_r1r2->qdisc(0).losses();
-  row.loss_ratio = row.offered == 0 ? 0
-                                    : static_cast<double>(row.losses) /
-                                          static_cast<double>(row.offered);
-  row.overall = quantiles_of(tracer.overall());
-  row.expr_cls = quantiles_of(tracer.class_hist(0));
-  return row;
-}
-
-// ---- output -----------------------------------------------------------------
-
-void emit_quantiles(std::FILE* f, const char* indent, const char* key,
-                    const Quantiles& q, const char* tail) {
-  std::fprintf(f,
-               "%s\"%s\": {\"count\": %llu, \"p50\": %llu, \"p99\": %llu, "
-               "\"p999\": %llu, \"max\": %llu}%s\n",
-               indent, key, static_cast<unsigned long long>(q.count),
-               static_cast<unsigned long long>(q.p50),
-               static_cast<unsigned long long>(q.p99),
-               static_cast<unsigned long long>(q.p999),
-               static_cast<unsigned long long>(q.max), tail);
-}
-
-void emit_window(std::FILE* f, const char* key, const Window& w,
-                 const char* tail) {
-  std::fprintf(f, "      \"%s\": {\n", key);
-  emit_quantiles(f, "        ", "overall", w.overall, ",");
-  std::fprintf(f, "        \"classes\": {\n");
-  for (std::size_t i = 0; i < 4; ++i) {
-    char name[8];
-    std::snprintf(name, sizeof name, "fl%zu", i);
-    emit_quantiles(f, "          ", name, w.cls[i], i + 1 < 4 ? "," : "");
-  }
-  std::fprintf(f, "        }\n      }%s\n", tail);
-}
-
-void emit_failover(std::FILE* f, const char* key, const FailoverResult& r,
-                   const char* tail) {
-  std::fprintf(f, "    \"%s\": {\n", key);
-  std::fprintf(f, "      \"offered\": %llu,\n",
-               static_cast<unsigned long long>(r.offered));
-  std::fprintf(f, "      \"delivered\": %llu,\n",
-               static_cast<unsigned long long>(r.delivered));
-  std::fprintf(f, "      \"delivery_ratio\": %.6f,\n", r.delivery_ratio);
-  std::fprintf(f, "      \"frr_reroutes\": %llu,\n",
-               static_cast<unsigned long long>(r.frr_reroutes));
-  std::fprintf(f, "      \"drops_link_down\": %llu,\n",
-               static_cast<unsigned long long>(r.drops_link_down));
-  std::fprintf(f, "      \"first_link_down_drop_ns\": %llu,\n",
-               static_cast<unsigned long long>(r.first_link_down_drop_ns));
-  std::fprintf(f, "      \"blackhole_ns\": %llu,\n",
-               static_cast<unsigned long long>(r.blackhole_ns));
-  std::fprintf(f, "      \"recovered\": %d,\n", r.recovered);
-  std::fprintf(f, "      \"tail_inflation_p99\": %.4f,\n",
-               r.tail_inflation_p99);
-  std::fprintf(f, "      \"alloc_hooks\": %d,\n", r.hooks);
-  std::fprintf(f, "      \"window_allocs\": %llu,\n",
-               static_cast<unsigned long long>(r.window_allocs));
-  std::fprintf(f, "      \"zero_alloc\": %d,\n", r.zero_alloc);
-  std::fprintf(f, "      \"sink_min_gap_ns\": %llu,\n",
-               static_cast<unsigned long long>(r.min_gap_ns));
-  std::fprintf(f, "      \"sink_mean_gap_ns\": %.1f,\n", r.mean_gap_ns);
-  emit_window(f, "pre", r.pre, ",");
-  emit_window(f, "post", r.post, "");
-  std::fprintf(f, "    }%s\n", tail);
-}
-
-void emit_netem(std::FILE* f, const NetemRow& row, const char* tail) {
-  std::fprintf(f, "    \"%s\": {\n", row.key);
-  std::fprintf(f, "      \"loss_prob\": %.4f,\n", row.loss_prob);
-  std::fprintf(f, "      \"jitter_ns\": %llu,\n",
-               static_cast<unsigned long long>(row.jitter_ns));
-  std::fprintf(f, "      \"jitter_tau_ns\": %llu,\n",
-               static_cast<unsigned long long>(row.jitter_tau_ns));
-  std::fprintf(f, "      \"offered\": %llu,\n",
-               static_cast<unsigned long long>(row.offered));
-  std::fprintf(f, "      \"delivered\": %llu,\n",
-               static_cast<unsigned long long>(row.delivered));
-  std::fprintf(f, "      \"losses\": %llu,\n",
-               static_cast<unsigned long long>(row.losses));
-  std::fprintf(f, "      \"loss_ratio\": %.6f,\n", row.loss_ratio);
-  emit_quantiles(f, "      ", "overall", row.overall, ",");
-  emit_quantiles(f, "      ", "expr_class", row.expr_cls, "");
-  std::fprintf(f, "    }%s\n", tail);
+  const std::uint64_t offered = lab.gen->sent();
+  const std::uint64_t losses = lab.l_r1r2->qdisc(0).losses();
+  row.num("loss_prob", loss, 4)
+      .num("jitter_ns", jitter)
+      .num("jitter_tau_ns", tau)
+      .num("offered", offered)
+      .num("delivered", lab.sink->packets())
+      .num("losses", losses)
+      .num("loss_ratio",
+           offered == 0 ? 0
+                        : static_cast<double>(losses) /
+                              static_cast<double>(offered),
+           6);
+  record_quantiles(row.obj("overall"), tracer.overall());
+  record_quantiles(row.obj("expr_class"), tracer.class_hist(0));
+  return offered;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false, json_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--json-only") == 0) json_only = true;
-  }
-
-  if (!json_only)
-    bench::print_header(
-        "Latency-SLO soak: HDR tails, fast-reroute vs IGP reconvergence, "
-        "netem sweep",
-        "end-to-end observability for the §3 failure modes: what the SRv6 "
-        "datapath's repair latency costs in tail terms");
+  const bench::Mode mode = bench::parse_mode(argc, argv);
+  const bool quick = mode.quick;
+  bench::Report rep(
+      "BENCH_slo.json", mode,
+      "Latency-SLO soak: HDR tails, fast-reroute vs IGP reconvergence, "
+      "netem sweep",
+      "end-to-end observability for the §3 failure modes: what the SRv6 "
+      "datapath's repair latency costs in tail terms");
 
   // Scenario clocks. frr carries the 10M-packet soak on full runs; igp only
   // needs to straddle the reconvergence delay. Gated metrics (blackhole,
@@ -460,100 +373,46 @@ int main(int argc, char** argv) {
   const double netem_pps = quick ? 50e3 : 200e3;
   const sim::TimeNs netem_dur = quick ? 300 * sim::kMilli : 1 * sim::kSecond;
 
-  const FailoverResult frr =
-      run_failover(true, soak_pps, frr_fail, 0, frr_end);
-  if (!json_only)
-    std::printf("frr:  offered %llu delivered %llu reroutes %llu "
-                "blackhole %.1f us  p99 %.1f -> %.1f us (x%.2f)  "
-                "zero-alloc %s\n",
-                static_cast<unsigned long long>(frr.offered),
-                static_cast<unsigned long long>(frr.delivered),
-                static_cast<unsigned long long>(frr.frr_reroutes),
-                frr.blackhole_ns / 1e3, frr.pre.overall.p99 / 1e3,
-                frr.post.overall.p99 / 1e3, frr.tail_inflation_p99,
-                frr.hooks ? (frr.zero_alloc ? "yes" : "NO") : "unmeasured");
+  // Recorded apart and attached below: total_offered precedes them in the
+  // JSON but sums every scenario.
+  Obj scenarios, netem;
+  const Failover frr = run_failover(true, soak_pps, frr_fail, 0, frr_end,
+                                    scenarios.obj("frr"));
+  const Failover igp = run_failover(false, soak_pps, igp_fail, reconverge,
+                                    igp_end, scenarios.obj("igp"));
+  std::uint64_t total_offered = frr.offered + igp.offered;
+  total_offered += run_netem(0.0, 0, 0, netem_pps, netem_dur,
+                             netem.obj("baseline"));
+  total_offered += run_netem(0.01, 0, 0, netem_pps, netem_dur,
+                             netem.obj("loss"));
+  total_offered += run_netem(0.0, 20 * sim::kMicro, 200 * sim::kMicro,
+                             netem_pps, netem_dur, netem.obj("jitter"));
+  total_offered += run_netem(0.01, 20 * sim::kMicro, 200 * sim::kMicro,
+                             netem_pps, netem_dur, netem.obj("loss_jitter"));
 
-  const FailoverResult igp =
-      run_failover(false, soak_pps, igp_fail, reconverge, igp_end);
-  if (!json_only)
-    std::printf("igp:  offered %llu delivered %llu link-down drops %llu "
-                "blackhole %.1f ms (reconverge %.0f ms)\n",
-                static_cast<unsigned long long>(igp.offered),
-                static_cast<unsigned long long>(igp.delivered),
-                static_cast<unsigned long long>(igp.drops_link_down),
-                igp.blackhole_ns / 1e6,
-                static_cast<double>(reconverge) / 1e6);
-
-  NetemRow rows[] = {
-      run_netem("baseline", 0.0, 0, 0, netem_pps, netem_dur),
-      run_netem("loss", 0.01, 0, 0, netem_pps, netem_dur),
-      run_netem("jitter", 0.0, 20 * sim::kMicro, 200 * sim::kMicro,
-                netem_pps, netem_dur),
-      run_netem("loss_jitter", 0.01, 20 * sim::kMicro, 200 * sim::kMicro,
-                netem_pps, netem_dur),
-  };
-  if (!json_only)
-    for (const NetemRow& row : rows)
-      std::printf("netem %-12s loss %.4f  delivered %llu/%llu  "
-                  "p50 %.1f us  p99 %.1f us\n",
-                  row.key, row.loss_ratio,
-                  static_cast<unsigned long long>(row.delivered),
-                  static_cast<unsigned long long>(row.offered),
-                  row.overall.p50 / 1e3, row.overall.p99 / 1e3);
-
-  std::FILE* f = std::fopen("BENCH_slo.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_slo.json");
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"slo_soak\",\n");
-  std::fprintf(f, "  \"quick\": %d,\n", quick ? 1 : 0);
-  std::fprintf(f, "  \"soak_pps\": %.0f,\n", soak_pps);
-  std::fprintf(f, "  \"reconverge_delay_ns\": %llu,\n",
-               static_cast<unsigned long long>(reconverge));
-  std::fprintf(f, "  \"total_offered\": %llu,\n",
-               static_cast<unsigned long long>(
-                   frr.offered + igp.offered + rows[0].offered +
-                   rows[1].offered + rows[2].offered + rows[3].offered));
-  std::fprintf(f, "  \"scenarios\": {\n");
-  emit_failover(f, "frr", frr, ",");
-  emit_failover(f, "igp", igp, "");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"netem\": {\n");
-  for (std::size_t i = 0; i < 4; ++i)
-    emit_netem(f, rows[i], i + 1 < 4 ? "," : "");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
+  rep.str("bench", "slo_soak")
+      .num("quick", quick ? 1 : 0)
+      .num("soak_pps", soak_pps, 0)
+      .num("reconverge_delay_ns", reconverge)
+      .num("total_offered", total_offered);
+  rep.obj("scenarios") = scenarios;
+  rep.obj("netem") = netem;
 
   // Deterministic self-gates, enforced in every mode: the FRR repair must
   // actually fire and hold the blackhole under a millisecond, the IGP
   // blackhole must straddle the modelled convergence delay, and (with the
   // counting hooks linked in) the delivery path must be allocation-free.
-  bool ok = true;
-  if (frr.frr_reroutes == 0 || frr.recovered == 0 ||
-      frr.blackhole_ns > sim::kMilli) {
-    std::fprintf(stderr, "GATE: frr repair ineffective (reroutes=%llu "
-                 "blackhole=%llu ns)\n",
-                 static_cast<unsigned long long>(frr.frr_reroutes),
-                 static_cast<unsigned long long>(frr.blackhole_ns));
-    ok = false;
-  }
-  if (igp.blackhole_ns < reconverge ||
-      igp.blackhole_ns > reconverge + 10 * sim::kMilli) {
-    std::fprintf(stderr, "GATE: igp blackhole %llu ns not ~reconverge "
-                 "delay\n",
-                 static_cast<unsigned long long>(igp.blackhole_ns));
-    ok = false;
-  }
-  if (frr.hooks && frr.zero_alloc == 0) {
-    std::fprintf(stderr, "GATE: %llu allocations in the steady-state SLO "
-                 "window — want 0\n",
-                 static_cast<unsigned long long>(frr.window_allocs));
-    ok = false;
-  }
-  std::printf("wrote BENCH_slo.json (frr blackhole %.1f us, igp %.1f ms, "
-              "zero-alloc %s)\n",
-              frr.blackhole_ns / 1e3, igp.blackhole_ns / 1e6,
-              !frr.hooks ? "unmeasured" : (frr.zero_alloc ? "yes" : "NO"));
-  return ok ? 0 : 1;
+  rep.gate(!(frr.frr_reroutes == 0 || !frr.recovered ||
+             frr.blackhole_ns > sim::kMilli),
+           "frr repair ineffective (reroutes=%llu blackhole=%llu ns)",
+           static_cast<unsigned long long>(frr.frr_reroutes),
+           static_cast<unsigned long long>(frr.blackhole_ns));
+  rep.gate(!(igp.blackhole_ns < reconverge ||
+             igp.blackhole_ns > reconverge + 10 * sim::kMilli),
+           "igp blackhole %llu ns not ~reconverge delay",
+           static_cast<unsigned long long>(igp.blackhole_ns));
+  rep.gate(!(frr.hooks && !frr.zero_alloc),
+           "%llu allocations in the steady-state SLO window — want 0",
+           static_cast<unsigned long long>(frr.window_allocs));
+  return rep.finish();
 }

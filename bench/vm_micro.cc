@@ -3,16 +3,18 @@
 // Part 1 (custom, runs first): engine-only throughput of the three execution
 // engines — baseline decode-every-step interpreter, pre-decoded threaded
 // interpreter, native x86-64 JIT — on the paper's §3.2 seg6local programs
-// plus a 512-insn ALU chain, with results written to BENCH_vm.json so the
-// perf trajectory is machine-trackable across PRs. On hosts without native
-// support the native column falls back to the pre-decoded interpreter (and
-// its geomean metric will read ~1x). "Engine-only" means the ExecEnv/ctx are
+// plus a 512-insn ALU chain, with results written to BENCH_vm.json (flags
+// and exit status: bench/report.h) so the perf trajectory is
+// machine-trackable across PRs. On hosts without native support the native
+// column falls back to the pre-decoded interpreter (and its geomean metric
+// will read ~1x). "Engine-only" means the ExecEnv/ctx are
 // built once and the timed loop contains only the VM run (plus a packet
 // reset for the one program that resizes it); this isolates what the
 // decode-once refactor actually changed.
 //
 // Part 2: google-benchmark microbenchmarks of dispatch, helper-call, map and
-// verifier costs (skipped when --json-only is passed; CI smoke uses that).
+// verifier costs (skipped when --json-only is passed, or when part 1 fails;
+// google-benchmark's own flags pass through).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,6 +31,7 @@
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "net/packet.h"
+#include "report.h"
 #include "seg6/ctx.h"
 #include "usecases/programs.h"
 
@@ -36,6 +39,7 @@ namespace {
 
 using namespace srv6bpf;
 using namespace srv6bpf::ebpf;
+using bench::Obj;
 
 // Straight-line ALU program of ~n instructions (no loops allowed in eBPF).
 std::vector<Insn> alu_chain(int n) {
@@ -153,62 +157,25 @@ double bare_engine_ns(const std::vector<Insn>& insns, EngineKind engine,
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
-struct Row {
-  std::string name;
-  bool sec32;  // counts toward the §3.2 geomeans
-  double baseline_ns, predecoded_ns, native_ns;
-};
-
-void emit_json(const std::vector<Row>& rows, double geomean_pre,
-               double geomean_native, double alu_native) {
-  std::FILE* f = std::fopen("BENCH_vm.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_vm.json");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"vm_micro\",\n");
-  std::fprintf(f, "  \"measurement\": \"engine_only_ns_per_run\",\n");
-  std::fprintf(f, "  \"native_jit_available\": %s,\n",
-               Jit::available() ? "true" : "false");
-  std::fprintf(f, "  \"programs\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"paper_sec32\": %s, "
-                 "\"baseline_interp_ns\": %.1f, \"predecoded_interp_ns\": "
-                 "%.1f, \"native_ns\": %.1f, "
-                 "\"speedup_predecoded_vs_baseline\": %.2f, "
-                 "\"speedup_native_vs_baseline\": %.2f, "
-                 "\"speedup_native_vs_predecoded\": %.2f}%s\n",
-                 r.name.c_str(), r.sec32 ? "true" : "false", r.baseline_ns,
-                 r.predecoded_ns, r.native_ns,
-                 r.baseline_ns / r.predecoded_ns,
-                 r.baseline_ns / r.native_ns,
-                 r.predecoded_ns / r.native_ns,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"sec32_geomean_speedup_predecoded_vs_baseline\": %.2f,\n",
-               geomean_pre);
-  std::fprintf(f,
-               "  \"sec32_geomean_speedup_native_vs_predecoded\": %.2f,\n",
-               geomean_native);
-  // Emitted-code quality floor: on the compute-bound chain the engine is the
-  // whole cost, so this ratio tracks the JIT itself rather than shared
-  // helper/harness time (which caps the §3.2 rows near the paper's ~1.8x).
-  std::fprintf(f, "  \"alu512_speedup_native_vs_predecoded\": %.2f\n",
-               alu_native);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+// Records one program's engine-only ns/run on each engine and the pairwise
+// speedups.
+void record_row(Obj& row, const std::string& name, bool sec32,
+                double baseline_ns, double predecoded_ns, double native_ns) {
+  row.str("name", name)
+      .flag("paper_sec32", sec32)
+      .num("baseline_interp_ns", baseline_ns, 1)
+      .num("predecoded_interp_ns", predecoded_ns, 1)
+      .num("native_ns", native_ns, 1)
+      .num("speedup_predecoded_vs_baseline", baseline_ns / predecoded_ns, 2)
+      .num("speedup_native_vs_baseline", baseline_ns / native_ns, 2)
+      .num("speedup_native_vs_predecoded", predecoded_ns / native_ns, 2);
 }
 
-void run_engine_comparison(int iters) {
-  std::printf("-- engine-only ns/run (execution-engine scoreboard) --\n");
-  std::printf("%-18s %12s %12s %10s %10s\n", "program", "baseline",
-              "pre-decoded", "native", "nat/pre");
+void run_engine_comparison(int iters, bench::Report& rep) {
+  rep.str("bench", "vm_micro")
+      .str("measurement", "engine_only_ns_per_run")
+      .flag("native_jit_available", Jit::available());
 
-  std::vector<Row> rows;
   struct Prog {
     usecases::BuiltProgram built;
     bool reset_packet;
@@ -218,55 +185,39 @@ void run_engine_comparison(int iters) {
       {usecases::build_tag_increment(), false},
       {usecases::build_add_tlv(), true},  // resizes the packet every run
   };
+  double log_sum_pre = 0, log_sum_native = 0;
   for (const Prog& p : progs) {
-    Row r;
-    r.name = p.built.name;
-    r.sec32 = true;
-    r.baseline_ns = engine_only_ns(p.built, EngineKind::kInterpBaseline,
-                                   p.reset_packet, iters);
-    r.predecoded_ns =
+    const double baseline_ns = engine_only_ns(
+        p.built, EngineKind::kInterpBaseline, p.reset_packet, iters);
+    const double predecoded_ns =
         engine_only_ns(p.built, EngineKind::kInterp, p.reset_packet, iters);
-    r.native_ns =
+    const double native_ns =
         engine_only_ns(p.built, EngineKind::kNative, p.reset_packet, iters);
-    rows.push_back(r);
+    record_row(rep.row("programs"), p.built.name, /*sec32=*/true, baseline_ns,
+               predecoded_ns, native_ns);
+    log_sum_pre += std::log(baseline_ns / predecoded_ns);
+    log_sum_native += std::log(predecoded_ns / native_ns);
   }
-  {
-    Row r;
-    r.name = "alu_chain_512";
-    r.sec32 = false;
-    const auto chain = alu_chain(512);
-    r.baseline_ns = bare_engine_ns(chain, EngineKind::kInterpBaseline,
-                                   iters / 4 + 1);
-    r.predecoded_ns =
-        bare_engine_ns(chain, EngineKind::kInterp, iters / 4 + 1);
-    r.native_ns = bare_engine_ns(chain, EngineKind::kNative, iters);
-    rows.push_back(r);
-  }
+  const auto chain = alu_chain(512);
+  const double alu_baseline_ns =
+      bare_engine_ns(chain, EngineKind::kInterpBaseline, iters / 4 + 1);
+  const double alu_predecoded_ns =
+      bare_engine_ns(chain, EngineKind::kInterp, iters / 4 + 1);
+  const double alu_native_ns =
+      bare_engine_ns(chain, EngineKind::kNative, iters);
+  record_row(rep.row("programs"), "alu_chain_512", /*sec32=*/false,
+             alu_baseline_ns, alu_predecoded_ns, alu_native_ns);
 
-  double log_sum_pre = 0, log_sum_native = 0, alu_native = 0;
-  int sec32_count = 0;
-  for (const Row& r : rows) {
-    std::printf("%-18s %10.1fns %10.1fns %8.1fns %8.2fx\n",
-                r.name.c_str(), r.baseline_ns, r.predecoded_ns, r.native_ns,
-                r.predecoded_ns / r.native_ns);
-    if (r.sec32) {
-      log_sum_pre += std::log(r.baseline_ns / r.predecoded_ns);
-      log_sum_native += std::log(r.predecoded_ns / r.native_ns);
-      ++sec32_count;
-    } else {
-      alu_native = r.predecoded_ns / r.native_ns;
-    }
-  }
-  const double geomean_pre = std::exp(log_sum_pre / sec32_count);
-  const double geomean_native = std::exp(log_sum_native / sec32_count);
-  std::printf("§3.2 geomean speedup (pre-decoded vs baseline): %.2fx\n",
-              geomean_pre);
-  std::printf("§3.2 geomean speedup (native vs pre-decoded):  %.2fx\n",
-              geomean_native);
-  std::printf("alu_chain_512 speedup (native vs pre-decoded): %.2fx\n",
-              alu_native);
-  emit_json(rows, geomean_pre, geomean_native, alu_native);
-  std::printf("wrote BENCH_vm.json\n\n");
+  rep.num("sec32_geomean_speedup_predecoded_vs_baseline",
+          std::exp(log_sum_pre / std::size(progs)), 2)
+      .num("sec32_geomean_speedup_native_vs_predecoded",
+           std::exp(log_sum_native / std::size(progs)), 2)
+      // Emitted-code quality floor: on the compute-bound chain the engine
+      // is the whole cost, so this ratio tracks the JIT itself rather than
+      // shared helper/harness time (which caps the §3.2 rows near the
+      // paper's ~1.8x).
+      .num("alu512_speedup_native_vs_predecoded",
+           alu_predecoded_ns / alu_native_ns, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,22 +337,15 @@ BENCHMARK(BM_LpmTrieLookup);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our own flags before handing argv to google-benchmark.
-  bool json_only = false;
-  int iters = 100000;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-only") == 0)
-      json_only = true;
-    else if (std::strcmp(argv[i], "--quick") == 0)
-      iters = 5000;
-    else
-      argv[out++] = argv[i];
-  }
-  argc = out;
-
-  run_engine_comparison(iters);
-  if (json_only) return 0;
+  // Strips our own flags before handing argv to google-benchmark.
+  const bench::Mode mode = bench::parse_mode(argc, argv);
+  bench::Report rep("BENCH_vm.json", mode,
+                    "VM micro: engine-only ns/run of the three eBPF engines",
+                    "§3.2: the kernel JIT buys ~1.8x on the seg6local "
+                    "programs");
+  run_engine_comparison(mode.quick ? 5000 : 100000, rep);
+  const int status = rep.finish();
+  if (status != 0 || mode.json_only) return status;
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -8,15 +8,6 @@
 #include "ebpf/insn.h"
 #include "util/byteorder.h"
 
-// Computed-goto (direct-threaded) dispatch on GCC/Clang; portable switch
-// fallback elsewhere or when explicitly disabled for A/B measurement.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(SRV6BPF_NO_COMPUTED_GOTO)
-#define SRV6BPF_COMPUTED_GOTO 1
-#else
-#define SRV6BPF_COMPUTED_GOTO 0
-#endif
-
 namespace srv6bpf::ebpf {
 namespace {
 
@@ -96,7 +87,8 @@ ExecResult Interpreter::run(const DecodedProgram& prog, ExecEnv& env,
       FAULT("invalid write of " + std::to_string(n) + " bytes");            \
   } while (0)
 
-#if SRV6BPF_COMPUTED_GOTO
+// Direct-threaded dispatch: every op jumps straight to the next op's label
+// through a table built from the op-kind list (a GCC/Clang extension).
 #define LBL_ADDR(name) &&L_##name,
   static const void* const kLabels[] = {SRV6BPF_OPKIND_LIST(LBL_ADDR)};
 #undef LBL_ADDR
@@ -106,10 +98,6 @@ ExecResult Interpreter::run(const DecodedProgram& prog, ExecEnv& env,
     ++executed;                    \
     goto* kLabels[op->kind];       \
   } while (0)
-#else
-#define CASE(name) case name:
-#define DISPATCH() goto dispatch
-#endif
 
 #define NEXT() \
   do {         \
@@ -139,13 +127,7 @@ ExecResult Interpreter::run(const DecodedProgram& prog, ExecEnv& env,
     NEXT();               \
   }
 
-#if SRV6BPF_COMPUTED_GOTO
   DISPATCH();
-#else
-dispatch:
-  ++executed;
-  switch (op->kind)
-#endif
   {
     ACASE(kAdd64R, DST += SRC)
     ACASE(kSub64R, DST -= SRC)
@@ -387,14 +369,7 @@ dispatch:
       res.insns_executed = executed;
       return res;
     }
-#if !SRV6BPF_COMPUTED_GOTO
-    default:
-      FAULT("bad decoded op kind");
-#endif
   }
-#if !SRV6BPF_COMPUTED_GOTO
-  FAULT("fell out of dispatch loop");  // unreachable; every case jumps
-#endif
 
 #undef DST
 #undef SRC

@@ -4,10 +4,10 @@
 // Two paths:
 //   * run(DecodedProgram) — the hot path. Consumes the decode-once program
 //     representation (ebpf/decode.h) with direct-threaded computed-goto
-//     dispatch (switch fallback behind SRV6BPF_NO_COMPUTED_GOTO), a
-//     single-comparison stack fast path on every memory access, and a step
-//     budget amortised over backward jumps and helper calls instead of every
-//     instruction. This is what BpfSystem uses when the JIT is disabled.
+//     dispatch, a single-comparison stack fast path on every memory access,
+//     and a step budget amortised over backward jumps and helper calls
+//     instead of every instruction. This is what BpfSystem uses when the JIT
+//     is disabled.
 //   * run(Program) — the baseline engine, which re-decodes every instruction
 //     on every step. It is kept (a) as the reference point the §3.2 benches
 //     compare against and (b) because it safely executes *unverified*

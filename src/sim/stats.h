@@ -50,19 +50,25 @@ struct PipelineTotals {
   friend bool operator==(const PipelineTotals&,
                          const PipelineTotals&) = default;
 
+  // Every counter: the one list the shard merge walks.
+  static constexpr std::uint64_t PipelineTotals::*kCounters[] = {
+      &PipelineTotals::packets,          &PipelineTotals::seg6local_ops,
+      &PipelineTotals::fib_lookups,      &PipelineTotals::bpf_runs,
+      &PipelineTotals::bpf_insns_jit,    &PipelineTotals::bpf_insns_interp,
+      &PipelineTotals::helper_calls,     &PipelineTotals::encaps,
+      &PipelineTotals::decaps,
+  };
+
   PipelineTotals& operator+=(const PipelineTotals& o) {
-    packets += o.packets;
-    seg6local_ops += o.seg6local_ops;
-    fib_lookups += o.fib_lookups;
-    bpf_runs += o.bpf_runs;
-    bpf_insns_jit += o.bpf_insns_jit;
-    bpf_insns_interp += o.bpf_insns_interp;
-    helper_calls += o.helper_calls;
-    encaps += o.encaps;
-    decaps += o.decaps;
+    for (const auto counter : kCounters) this->*counter += o.*counter;
     return *this;
   }
 };
+// A counter added to PipelineTotals but not to kCounters would silently
+// drop out of the shard merge.
+static_assert(std::size(PipelineTotals::kCounters) * sizeof(std::uint64_t) ==
+                  sizeof(PipelineTotals),
+              "every PipelineTotals counter is listed in kCounters");
 
 struct NodeStats {
   std::uint64_t rx_packets = 0;

@@ -226,6 +226,12 @@ TEST(NodeStats, ShardMergeFoldsFirstDropAsMin) {
   a.note_drop(sim::DropReason::kTtl, 700);
   b.note_drop(sim::DropReason::kTtl, 200);
   b.note_drop(sim::DropReason::kRxQueue, 900);
+  // A distinct value in every pipeline counter of every shard: the merge
+  // must sum each field into itself, none lost and none crossed.
+  a.pipeline = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  b.pipeline = {100, 200, 300, 400, 500, 600, 700, 800, 900};
+  const sim::PipelineTotals sum = {101, 202, 303, 404, 505,
+                                   606, 707, 808, 909};
   sim::NodeStats ab = a;
   ab += b;
   sim::NodeStats ba = b;
@@ -234,6 +240,8 @@ TEST(NodeStats, ShardMergeFoldsFirstDropAsMin) {
   EXPECT_EQ(ba.first_drop_at(sim::DropReason::kTtl), 200u);
   EXPECT_EQ(ab.first_drop_at(sim::DropReason::kRxQueue), 900u);
   EXPECT_EQ(ab.drops_ttl, 2u);
+  EXPECT_EQ(ab.pipeline, sum);
+  EXPECT_EQ(ba.pipeline, sum);
   // Reasons that never fired stay at the identity through merges.
   EXPECT_EQ(ab.first_drop_at(sim::DropReason::kMalformed),
             sim::NodeStats::kNeverDropped);
