@@ -1,17 +1,33 @@
 #include "apps/trafgen.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "net/buffer_pool.h"
 #include "util/byteorder.h"
 
 namespace srv6bpf::apps {
 
+namespace {
+
+// The tick interval for `pps`, at least 1 ns. Rejects a rate with no such
+// interval — not positive, not finite (NaN included), or so small that
+// 1e9 / pps overflows TimeNs — whose conversion would be undefined
+// behaviour.
+sim::TimeNs tick_interval(double pps) {
+  const double ns = 1e9 / pps;
+  if (!(pps > 0 && std::isfinite(pps) && ns < 0x1p64))
+    throw std::invalid_argument("trafgen: pps must be positive and finite");
+  return std::max<sim::TimeNs>(static_cast<sim::TimeNs>(ns), 1);
+}
+
+}  // namespace
+
 TrafGen::TrafGen(sim::Node& node, Config cfg)
     : node_(node), cfg_(cfg), t_template_(net::make_udp_packet(cfg.spec)),
-      interval_ns_(static_cast<sim::TimeNs>(1e9 / cfg.pps)),
+      interval_ns_(tick_interval(cfg.pps)),
       dst_site_base_(load_be16(t_template_.data() + 24 + 4)) {
-  if (interval_ns_ == 0) interval_ns_ = 1;
   // One header-chain walk at construction; every stamped (or rebuilt —
   // same spec, same layout) packet reuses these offsets.
   if (const auto loc = net::locate_transport(t_template_);

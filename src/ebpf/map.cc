@@ -1,5 +1,6 @@
 #include "ebpf/map.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "ebpf/map_impl.h"
@@ -13,17 +14,13 @@ std::unique_ptr<Map> make_map(const MapDef& def) {
                                 "': key/value/max_entries must be non-zero");
   switch (def.type) {
     case MapType::kArray:
-      if (def.key_size != 4)
-        throw std::invalid_argument("array map key_size must be 4");
-      return std::make_unique<ArrayMap>(def);
     case MapType::kPerCpuArray:
       if (def.key_size != 4)
         throw std::invalid_argument("array map key_size must be 4");
-      return std::make_unique<PerCpuArrayMap>(def);
+      return std::make_unique<ArrayMap>(def);
     case MapType::kHash:
-      return std::make_unique<HashMap>(def);
     case MapType::kPerCpuHash:
-      return std::make_unique<PerCpuHashMap>(def);
+      return std::make_unique<HashMap>(def);
     case MapType::kLpmTrie:
       if (def.key_size <= 4)
         throw std::invalid_argument(
@@ -33,6 +30,29 @@ std::unique_ptr<Map> make_map(const MapDef& def) {
       return std::make_unique<PerfEventArrayMap>(def);
   }
   throw std::invalid_argument("unknown map type");
+}
+
+void Map::store(std::uint8_t* values, std::span<const std::uint8_t> value,
+                std::uint32_t cpu) const noexcept {
+  if (cpu != kAllCpus) {
+    std::memcpy(slot(values, cpu), value.data(), value.size());
+    return;
+  }
+  for (std::uint32_t c = 0; c < slots(); ++c)
+    std::memcpy(slot(values, c), value.data(), value.size());
+}
+
+std::uint64_t Map::sum_u64(std::span<const std::uint8_t> key) {
+  if (value_size() != 8) return 0;
+  std::uint64_t total = 0;
+  for (std::uint32_t c = 0; c < slots(); ++c) {
+    const std::uint8_t* v = lookup_cpu(key, c);
+    if (v == nullptr) return total;
+    std::uint64_t x;
+    std::memcpy(&x, v, 8);
+    total += x;
+  }
+  return total;
 }
 
 std::uint32_t MapRegistry::create(const MapDef& def) {

@@ -9,9 +9,11 @@
 // event loop rather than race. Cross-context isolation is data layout, not
 // locking: per-CPU map types give each context its own value slot (the
 // lookup_cpu/update_cpu family below), everything else is shared state
-// exactly as in the kernel.
+// exactly as in the kernel. Per-CPU is a slot count, not a storage shape:
+// an array or hash map holds slots() values per entry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -69,6 +71,15 @@ class Map {
   std::uint32_t value_size() const noexcept { return def_.value_size; }
   std::uint32_t max_entries() const noexcept { return def_.max_entries; }
 
+  // BPF_MAP_TYPE_PERCPU_*: one value slot per possible CPU in every entry.
+  // Every other type is shared: one value per entry, whatever the cpu.
+  bool per_cpu() const noexcept {
+    return def_.type == MapType::kPerCpuArray ||
+           def_.type == MapType::kPerCpuHash;
+  }
+  // Value slots per entry: kMaxCpus for per-CPU maps, else 1.
+  std::uint32_t slots() const noexcept { return per_cpu() ? kMaxCpus : 1; }
+
   // Returns a pointer to the stored value (stable until the entry is deleted
   // or the map destroyed — BPF programs hold these across helper calls), or
   // nullptr if the key is absent. The eBPF verifier forces programs to
@@ -76,23 +87,28 @@ class Map {
   // per-type: array O(1) index, hash O(log n) ordered-map walk (kept ordered
   // for deterministic dumps), LPM trie O(key bytes) node hops through the
   // multibit-stride engine (util/lpm_trie.h) with longest-prefix-match
-  // semantics (the caller's prefixlen field is ignored on lookup).
-  virtual std::uint8_t* lookup(std::span<const std::uint8_t> key) = 0;
+  // semantics (the caller's prefixlen field is ignored on lookup). On a
+  // per-CPU map this is cpu 0's value.
+  std::uint8_t* lookup(std::span<const std::uint8_t> key) {
+    return lookup_cpu(key, 0);
+  }
 
   // Copies `value` in, honouring BPF_ANY/BPF_NOEXIST/BPF_EXIST. Returns 0 or
   // a negative errno (kErr*). Existing entries are updated in place, so
-  // previously returned lookup pointers observe the new bytes.
+  // previously returned lookup pointers observe the new bytes. On a per-CPU
+  // map the value lands in every CPU's slot (the syscall analogue requires
+  // a full per-CPU value vector — initialisation writes).
   //
   // Non-virtual wrapper: consumes one armed fault (arm_update_fault) before
-  // reaching the type's do_update, so every program- and user-space update
-  // path sees injected -ENOMEM-style failures uniformly. Programs that
-  // ignore a failed update simply lose the write (a dropped counter bump,
-  // a stale cache entry) — the graceful-degradation surface the fault
+  // reaching the type's do_update_cpu, so every program- and user-space
+  // update path sees injected -ENOMEM-style failures uniformly. Programs
+  // that ignore a failed update simply lose the write (a dropped counter
+  // bump, a stale cache entry) — the graceful-degradation surface the fault
   // injector probes.
   int update(std::span<const std::uint8_t> key,
              std::span<const std::uint8_t> value, std::uint64_t flags) {
     if (const int err = take_fault()) return err;
-    return do_update(key, value, flags);
+    return do_update_cpu(key, value, flags, kAllCpus);
   }
 
   // Returns 0 or -ENOENT (-EINVAL for arrays, whose entries cannot die).
@@ -102,16 +118,15 @@ class Map {
   virtual std::size_t size() const = 0;
 
   // ---- Per-CPU view ---------------------------------------------------------
-  // For per-CPU map types, the value a program running on `cpu` sees; for
-  // everything else `cpu` is ignored and these fall back to the shared value.
-  // The BPF-side map helpers route through these with ExecEnv::cpu_id, which
-  // is how BPF_MAP_TYPE_PERCPU_* maps stay contention-free across the
-  // multi-core Node's contexts.
+  // For per-CPU map types, the value a program running on `cpu` sees
+  // (nullptr, or -EINVAL on update, for cpu >= kMaxCpus); everything else
+  // ignores `cpu` and serves the shared value. The BPF-side map helpers
+  // route through these with ExecEnv::cpu_id, which is how
+  // BPF_MAP_TYPE_PERCPU_* maps stay contention-free across the multi-core
+  // Node's contexts. update_cpu writes that one slot; a per-CPU hash entry
+  // it creates starts with every other slot zeroed.
   virtual std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
-                                   std::uint32_t cpu) {
-    (void)cpu;
-    return lookup(key);
-  }
+                                   std::uint32_t cpu) = 0;
   // Same fault-consuming wrapper as update(); the per-CPU write path shares
   // the armed-fault budget, matching the kernel where both syscalls hit the
   // same allocator.
@@ -119,9 +134,9 @@ class Map {
                  std::span<const std::uint8_t> value, std::uint64_t flags,
                  std::uint32_t cpu) {
     if (const int err = take_fault()) return err;
-    return do_update_cpu(key, value, flags, cpu);
+    // Clamped so that no out-of-range cpu reads as kAllCpus.
+    return do_update_cpu(key, value, flags, std::min(cpu, kMaxCpus));
   }
-  virtual bool per_cpu() const noexcept { return false; }
 
   // ---- Fault injection & crash teardown -------------------------------------
   // Arms the next `count` updates (update/update_cpu, any caller) to fail
@@ -178,24 +193,39 @@ class Map {
   }
 
  protected:
-  // Type-specific write paths, reached only through the fault-consuming
-  // wrappers above.
-  virtual int do_update(std::span<const std::uint8_t> key,
-                        std::span<const std::uint8_t> value,
-                        std::uint64_t flags) = 0;
+  // The cpu update() passes to do_update_cpu: write every slot.
+  static constexpr std::uint32_t kAllCpus = ~0u;
+
+  // The type's one write path, reached only through the fault-consuming
+  // wrappers above; `cpu` is kAllCpus or at most kMaxCpus.
   virtual int do_update_cpu(std::span<const std::uint8_t> key,
                             std::span<const std::uint8_t> value,
-                            std::uint64_t flags, std::uint32_t cpu) {
-    (void)cpu;
-    return do_update(key, value, flags);
-  }
+                            std::uint64_t flags, std::uint32_t cpu) = 0;
 
   bool key_ok(std::span<const std::uint8_t> key) const noexcept {
     return key.size() == def_.key_size;
   }
-  bool value_ok(std::span<const std::uint8_t> value) const noexcept {
-    return value.size() == def_.value_size;
+  // Whether `cpu` names a slot: always on a shared map.
+  bool cpu_ok(std::uint32_t cpu) const noexcept {
+    return !per_cpu() || cpu < kMaxCpus;
   }
+  // The argument check every write starts with (all failures are -EINVAL).
+  bool write_ok(std::span<const std::uint8_t> key,
+                std::span<const std::uint8_t> value,
+                std::uint32_t cpu) const noexcept {
+    return key_ok(key) && value.size() == def_.value_size &&
+           (cpu == kAllCpus || cpu_ok(cpu));
+  }
+  // Slot `cpu` of an entry's slots() values; a shared map's one value
+  // whatever the cpu.
+  std::uint8_t* slot(std::uint8_t* values, std::uint32_t cpu) const noexcept {
+    return per_cpu() ? values + static_cast<std::size_t>(cpu) * value_size()
+                     : values;
+  }
+  // Copies `value` into slot `cpu` of `values`, or into every slot for
+  // kAllCpus.
+  void store(std::uint8_t* values, std::span<const std::uint8_t> value,
+             std::uint32_t cpu) const noexcept;
 
  private:
   int take_fault() noexcept {

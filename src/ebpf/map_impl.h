@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -15,13 +14,15 @@
 
 namespace srv6bpf::ebpf {
 
-// BPF_MAP_TYPE_ARRAY: dense u32-indexed array, preallocated, entries can
-// never be deleted (delete returns -EINVAL, as in the kernel).
+// BPF_MAP_TYPE_ARRAY / BPF_MAP_TYPE_PERCPU_ARRAY: dense u32-indexed array,
+// preallocated and zero-filled, slots() values per index. Entries can never
+// be deleted (delete returns -EINVAL, as in the kernel).
 class ArrayMap final : public Map {
  public:
   explicit ArrayMap(const MapDef& def);
 
-  std::uint8_t* lookup(std::span<const std::uint8_t> key) override;
+  std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
+                           std::uint32_t cpu) override;
   int erase(std::span<const std::uint8_t> key) override;
   std::size_t size() const override { return max_entries(); }
   void reset_contents() override {
@@ -29,25 +30,28 @@ class ArrayMap final : public Map {
   }
 
  protected:
-  int do_update(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> value,
-                std::uint64_t flags) override;
+  int do_update_cpu(std::span<const std::uint8_t> key,
+                    std::span<const std::uint8_t> value, std::uint64_t flags,
+                    std::uint32_t cpu) override;
 
  private:
-  std::uint8_t* slot(std::uint32_t index) noexcept {
-    return storage_.data() + static_cast<std::size_t>(index) * value_size();
+  std::uint8_t* values(std::uint32_t index) noexcept {
+    return storage_.data() +
+           static_cast<std::size_t>(index) * slots() * value_size();
   }
-  std::vector<std::uint8_t> storage_;
+  std::vector<std::uint8_t> storage_;  // max_entries * slots * value_size
 };
 
-// BPF_MAP_TYPE_HASH: arbitrary fixed-size byte keys. Values live in
-// individually allocated buffers so lookup pointers stay stable across
-// rehashes of the index.
+// BPF_MAP_TYPE_HASH / BPF_MAP_TYPE_PERCPU_HASH: arbitrary fixed-size byte
+// keys. Each entry's slots() values live in one individually allocated,
+// zero-filled buffer, so lookup pointers stay stable across rehashes of the
+// index.
 class HashMap final : public Map {
  public:
   explicit HashMap(const MapDef& def) : Map(def) {}
 
-  std::uint8_t* lookup(std::span<const std::uint8_t> key) override;
+  std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
+                           std::uint32_t cpu) override;
   int erase(std::span<const std::uint8_t> key) override;
   std::size_t size() const override { return entries_.size(); }
   void reset_contents() override { entries_.clear(); }
@@ -56,81 +60,12 @@ class HashMap final : public Map {
   std::vector<std::vector<std::uint8_t>> keys() const;
 
  protected:
-  int do_update(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> value,
-                std::uint64_t flags) override;
+  int do_update_cpu(std::span<const std::uint8_t> key,
+                    std::span<const std::uint8_t> value, std::uint64_t flags,
+                    std::uint32_t cpu) override;
 
  private:
   // std::map keeps deterministic iteration order for reproducible dumps.
-  std::map<std::vector<std::uint8_t>, std::unique_ptr<std::uint8_t[]>> entries_;
-};
-
-// BPF_MAP_TYPE_PERCPU_ARRAY: one value slot per possible CPU per index.
-// BPF-side lookups/updates (lookup_cpu/update_cpu) touch only the invoking
-// context's slot; user-space update() broadcasts to every CPU (the syscall
-// analogue requires a full per-CPU value vector — initialisation writes).
-class PerCpuArrayMap final : public Map {
- public:
-  explicit PerCpuArrayMap(const MapDef& def);
-
-  std::uint8_t* lookup(std::span<const std::uint8_t> key) override {
-    return lookup_cpu(key, 0);
-  }
-  int erase(std::span<const std::uint8_t> key) override;
-  std::size_t size() const override { return max_entries(); }
-  void reset_contents() override { storage_.assign(storage_.size(), 0); }
-
-  std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
-                           std::uint32_t cpu) override;
-  bool per_cpu() const noexcept override { return true; }
-
- protected:
-  int do_update(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> value,
-                std::uint64_t flags) override;
-  int do_update_cpu(std::span<const std::uint8_t> key,
-                    std::span<const std::uint8_t> value, std::uint64_t flags,
-                    std::uint32_t cpu) override;
-
- private:
-  std::uint8_t* slot(std::uint32_t cpu, std::uint32_t index) noexcept {
-    return storage_.data() +
-           (static_cast<std::size_t>(cpu) * max_entries() + index) *
-               value_size();
-  }
-  std::vector<std::uint8_t> storage_;  // kMaxCpus * max_entries * value_size
-};
-
-// BPF_MAP_TYPE_PERCPU_HASH: like HashMap, but every entry owns kMaxCpus
-// value slots (zero-filled on creation). Same stable-pointer guarantee.
-class PerCpuHashMap final : public Map {
- public:
-  explicit PerCpuHashMap(const MapDef& def) : Map(def) {}
-
-  std::uint8_t* lookup(std::span<const std::uint8_t> key) override {
-    return lookup_cpu(key, 0);
-  }
-  int erase(std::span<const std::uint8_t> key) override;
-  std::size_t size() const override { return entries_.size(); }
-  void reset_contents() override { entries_.clear(); }
-
-  std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
-                           std::uint32_t cpu) override;
-  bool per_cpu() const noexcept override { return true; }
-
- protected:
-  int do_update(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> value,
-                std::uint64_t flags) override;
-  int do_update_cpu(std::span<const std::uint8_t> key,
-                    std::span<const std::uint8_t> value, std::uint64_t flags,
-                    std::uint32_t cpu) override;
-
- private:
-  // flags validation + entry creation shared by the two update paths; on
-  // success returns the entry's value buffer (kMaxCpus slots), else sets rc.
-  std::uint8_t* upsert(std::span<const std::uint8_t> key, std::uint64_t flags,
-                       int& rc);
   std::map<std::vector<std::uint8_t>, std::unique_ptr<std::uint8_t[]>> entries_;
 };
 
@@ -150,15 +85,16 @@ class LpmTrieMap final : public Map {
         max_prefixlen_((def.key_size - 4) * 8),
         trie_(def.key_size - 4) {}
 
-  std::uint8_t* lookup(std::span<const std::uint8_t> key) override;
+  std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
+                           std::uint32_t cpu) override;
   int erase(std::span<const std::uint8_t> key) override;
   std::size_t size() const override { return trie_.size(); }
   void reset_contents() override { trie_.clear(); }
 
  protected:
-  int do_update(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> value,
-                std::uint64_t flags) override;
+  int do_update_cpu(std::span<const std::uint8_t> key,
+                    std::span<const std::uint8_t> value, std::uint64_t flags,
+                    std::uint32_t cpu) override;
 
  private:
   std::uint32_t max_prefixlen_;

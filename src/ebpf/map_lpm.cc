@@ -5,7 +5,9 @@
 
 namespace srv6bpf::ebpf {
 
-std::uint8_t* LpmTrieMap::lookup(std::span<const std::uint8_t> key) {
+// A shared map: `cpu` names no slot.
+std::uint8_t* LpmTrieMap::lookup_cpu(std::span<const std::uint8_t> key,
+                                     std::uint32_t) {
   if (!key_ok(key)) return nullptr;
   // Lookups ignore the caller's prefixlen and match the full key, returning
   // the most specific stored prefix (kernel semantics).
@@ -13,10 +15,10 @@ std::uint8_t* LpmTrieMap::lookup(std::span<const std::uint8_t> key) {
   return v ? v->get() : nullptr;
 }
 
-int LpmTrieMap::do_update(std::span<const std::uint8_t> key,
-                          std::span<const std::uint8_t> value,
-                          std::uint64_t flags) {
-  if (!key_ok(key) || !value_ok(value)) return kErrInval;
+int LpmTrieMap::do_update_cpu(std::span<const std::uint8_t> key,
+                              std::span<const std::uint8_t> value,
+                              std::uint64_t flags, std::uint32_t cpu) {
+  if (!write_ok(key, value, cpu)) return kErrInval;
   if (flags > BPF_EXIST) return kErrInval;
   const std::uint32_t prefixlen = load_unaligned<std::uint32_t>(key.data());
   if (prefixlen > max_prefixlen_) return kErrInval;

@@ -74,7 +74,10 @@ class PerfEventArrayMap final : public Map {
   explicit PerfEventArrayMap(const MapDef& def, std::size_t capacity = 4096)
       : Map(def), buffer_(capacity) {}
 
-  std::uint8_t* lookup(std::span<const std::uint8_t>) override { return nullptr; }
+  std::uint8_t* lookup_cpu(std::span<const std::uint8_t>,
+                           std::uint32_t) override {
+    return nullptr;
+  }
   int erase(std::span<const std::uint8_t>) override { return kErrInval; }
   std::size_t size() const override { return buffer_.pending(); }
   // A crash loses pending (undelivered) perf records with the rest of
@@ -84,8 +87,9 @@ class PerfEventArrayMap final : public Map {
   PerfEventBuffer& buffer() noexcept { return buffer_; }
 
  protected:
-  int do_update(std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-                std::uint64_t) override {
+  int do_update_cpu(std::span<const std::uint8_t>,
+                    std::span<const std::uint8_t>, std::uint64_t,
+                    std::uint32_t) override {
     return kErrInval;
   }
 

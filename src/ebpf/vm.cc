@@ -43,18 +43,14 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
   return result;
 }
 
-void BpfSystem::bind_env(ExecEnv& env) const {
-  if (env.maps == nullptr) env.maps = const_cast<MapRegistry*>(&maps_);
-  if (env.helpers == nullptr)
-    env.helpers = const_cast<HelperRegistry*>(&helpers_);
-}
-
 ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
                           std::uint64_t ctx) const {
   // Hot path: resolve the compiled form and (for kNative) the code object
   // exactly once — every extra shared_ptr chase here is measurable on the
   // shortest §3.2 programs.
-  bind_env(env);
+  if (env.maps == nullptr) env.maps = const_cast<MapRegistry*>(&maps_);
+  if (env.helpers == nullptr)
+    env.helpers = const_cast<HelperRegistry*>(&helpers_);
   const CompiledProgram& c = prog.compiled();
   switch (engine_for(c)) {
     case EngineKind::kNative:
@@ -65,39 +61,6 @@ ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
       return interp_.run(prog.program(), env, ctx);
   }
   return interp_.run(c.decoded(), env, ctx);
-}
-
-void LoadedProgram::run_burst(
-    const BpfSystem& sys, ExecEnv& env, std::span<BurstInvocation> batch,
-    util::FunctionRef<void(std::size_t)> prep) const {
-  if (batch.empty()) return;
-  // Engine choice and env binding are loop-invariant: pay them once per
-  // burst instead of once per packet.
-  sys.bind_env(env);
-  switch (sys.engine_for(*this)) {
-    case EngineKind::kNative: {
-      // engine_for() only reports kNative when machine code exists.
-      const NativeCode* nc = compiled().native();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = nc->run(env, batch[i].ctx);
-      }
-      return;
-    }
-    case EngineKind::kInterp:
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = sys.interp_.run(compiled().decoded(), env,
-                                          batch[i].ctx);
-      }
-      return;
-    case EngineKind::kInterpBaseline:
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (prep) prep(i);
-        batch[i].result = sys.interp_.run(program(), env, batch[i].ctx);
-      }
-      return;
-  }
 }
 
 }  // namespace srv6bpf::ebpf

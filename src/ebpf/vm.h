@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -22,18 +21,8 @@
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/verifier.h"
-#include "util/function_ref.h"
 
 namespace srv6bpf::ebpf {
-
-class BpfSystem;
-
-// One program invocation inside a burst run: the ctx argument handed to the
-// program and the slot its result lands in.
-struct BurstInvocation {
-  std::uint64_t ctx = 0;
-  ExecResult result;
-};
 
 // Which execution engine runs a program:
 //   kNative         — emitted x86-64 machine code (ebpf/jit_x86.h); the
@@ -76,17 +65,6 @@ class LoadedProgram {
   // system's *current* selection so benches can flip engines after load.
   EngineKind engine() const noexcept { return engine_; }
 
-  // Runs this program over a vector of invocations on `sys`'s selected
-  // engine, resolving engine dispatch and env binding once for the whole
-  // burst. `env` is shared across the burst; `prep(i)`, when provided, is
-  // called immediately before slot i to retarget env/ctx at packet i (and is
-  // where callers harvest per-packet state left behind by slot i-1). The
-  // hook is a non-owning FunctionRef: it must outlive the call, and costs
-  // no allocation per burst.
-  void run_burst(const BpfSystem& sys, ExecEnv& env,
-                 std::span<BurstInvocation> batch,
-                 util::FunctionRef<void(std::size_t)> prep = {}) const;
-
  private:
   Program prog_;
   std::shared_ptr<const CompiledProgram> compiled_;
@@ -127,13 +105,6 @@ class BpfSystem {
     return engine_for(prog.compiled());
   }
 
-  // When enabled, each successful load logs one line (program name, op
-  // count, resolved engine, emitted-code size) to stderr. Defaults to the
-  // SRV6BPF_LOG_LOADS environment variable so scenario binaries can be
-  // inspected without a rebuild; tests that load thousands of programs keep
-  // it off.
-  void set_log_loads(bool on) noexcept { log_loads_ = on; }
-
   struct LoadResult {
     ProgHandle prog;  // null on verification failure
     VerifyResult verify;
@@ -146,16 +117,16 @@ class BpfSystem {
                   std::size_t sloc_hint = 0);
 
   // Runs a loaded program with the node's registries wired into `env`,
-  // on the engine selected via set_engine / set_jit_enabled.
+  // on the engine selected via set_engine / set_jit_enabled. The one
+  // engine dispatch: every attachment point runs its programs through here.
   ExecResult run(const LoadedProgram& prog, ExecEnv& env,
                  std::uint64_t ctx) const;
 
  private:
-  friend class LoadedProgram;  // run_burst resolves the engine once
-
-  void bind_env(ExecEnv& env) const;
-
-  static bool log_loads_default() noexcept;  // SRV6BPF_LOG_LOADS env var
+  // With the SRV6BPF_LOG_LOADS environment variable set (and not "0"), each
+  // successful load logs one line to stderr: program name, op count,
+  // resolved engine, emitted-code size.
+  static bool log_loads_default() noexcept;
 
   MapRegistry maps_;
   HelperRegistry helpers_;

@@ -1,9 +1,5 @@
 #include "seg6/ctx.h"
 
-#include <algorithm>
-#include <array>
-
-#include "net/burst.h"
 #include "seg6/helpers.h"
 #include "seg6/seg6local.h"
 
@@ -43,19 +39,6 @@ std::uint32_t Netns::prandom() {
 }
 
 void Netns::seed_prandom(std::uint64_t seed) { prandom_state_ = seed; }
-
-Netns::BpfRunResult Netns::run_prog(const ebpf::LoadedProgram& prog,
-                                    net::Packet& pkt, ProcessTrace* trace) {
-  Seg6BurstRunner runner(*this, prog);
-  runner.prepare(pkt, trace);
-
-  BpfRunResult out;
-  out.exec = bpf_.run(prog, runner.env(), runner.ctx_addr());
-  runner.harvest();
-  runner.account(trace, out.exec);
-  out.ctx = runner.ctx();  // callers read the per-packet flags
-  return out;
-}
 
 Seg6BurstRunner::Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog)
     : ns_(ns) {
@@ -109,25 +92,14 @@ void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
                          std::span<net::Packet* const> pkts,
                          ProcessTrace* const* traces,
                          BurstPerPacketFn per_packet) {
-  const std::size_t n = pkts.size();
-  std::size_t base = 0;
-  while (base < n) {
-    const std::size_t m = std::min(n - base, net::kMaxBurstPackets);
-    Seg6BurstRunner runner(ns, prog);
-    std::array<ebpf::BurstInvocation, net::kMaxBurstPackets> inv;
-    std::array<Seg6BurstRunner::Verdict, net::kMaxBurstPackets> flags;
-    for (std::size_t k = 0; k < m; ++k) inv[k].ctx = runner.ctx_addr();
-    prog.run_burst(ns.bpf(), runner.env(), {inv.data(), m},
-                   [&](std::size_t k) {
-                     if (k > 0) flags[k - 1] = runner.harvest();
-                     runner.prepare(*pkts[base + k], traces[base + k]);
-                   });
-    flags[m - 1] = runner.harvest();
-    for (std::size_t k = 0; k < m; ++k) {
-      runner.account(traces[base + k], inv[k].result);
-      per_packet(base + k, inv[k].result, flags[k]);
-    }
-    base += m;
+  Seg6BurstRunner runner(ns, prog);
+  for (std::size_t k = 0; k < pkts.size(); ++k) {
+    runner.prepare(*pkts[k], traces[k]);
+    const ebpf::ExecResult exec =
+        ns.bpf().run(prog, runner.env(), runner.ctx_addr());
+    const Seg6BurstRunner::Verdict verdict = runner.harvest();
+    runner.account(traces[k], exec);
+    per_packet(k, exec, verdict);
   }
 }
 

@@ -22,6 +22,7 @@
 #include "net/ip6.h"
 #include "net/packet.h"
 #include "seg6/fib.h"
+#include "util/function_ref.h"
 
 namespace srv6bpf::seg6 {
 
@@ -130,17 +131,6 @@ class Netns {
   std::uint32_t prandom();
   void seed_prandom(std::uint64_t seed);
 
-  struct BpfRunResult {
-    ebpf::ExecResult exec;
-    Seg6ProgCtx ctx;
-  };
-  // Builds the SkbCtx + ExecEnv and executes `prog` against `pkt` on this
-  // netns's engines (JIT or interpreter per the netns setting), updating
-  // `trace` with executed-instruction accounting. Single-packet convenience
-  // wrapper over Seg6BurstRunner; burst callers use the runner directly.
-  BpfRunResult run_prog(const ebpf::LoadedProgram& prog, net::Packet& pkt,
-                        ProcessTrace* trace);
-
  private:
   std::string name_;
   ebpf::BpfSystem bpf_;
@@ -158,8 +148,7 @@ class Netns {
 // packet — so a burst of packets hitting the same program pays the
 // per-invocation setup once per group instead of once per packet.
 //
-// Protocol per packet: prepare() -> run the program (typically through
-// LoadedProgram::run_burst with prepare in the prep hook) -> harvest() ->
+// Protocol per packet: prepare() -> BpfSystem::run -> harvest() ->
 // account(). harvest() must run before the next prepare(): it writes the
 // writable ctx fields (skb->mark) back to the current packet and returns the
 // per-packet helper flags.
@@ -187,7 +176,6 @@ class Seg6BurstRunner {
   std::uint64_t ctx_addr() const noexcept {
     return reinterpret_cast<std::uint64_t>(&ctx_.skb);
   }
-  const Seg6ProgCtx& ctx() const noexcept { return ctx_; }
 
  private:
   Netns& ns_;
@@ -195,14 +183,13 @@ class Seg6BurstRunner {
   ebpf::ExecEnv env_;
 };
 
-// Shared vector-run scaffold for the burst entry points: executes `prog`
-// over every packet in `pkts` as chunked LoadedProgram::run_burst calls
-// sharing one Seg6BurstRunner per chunk, handling the harvest-before-next-
-// prepare protocol, then invokes `per_packet(k, exec, flags)` for each index
-// of `pkts` in order (after trace accounting). Callers keep any index
-// mapping of their own and interpret the outcome (End.BPF vs LWT epilogue).
-// The callback is a non-owning FunctionRef (call-scope lifetime): hook
-// plumbing costs the hot path zero allocations per burst.
+// The one way an SRv6 program runs over packets: for each packet of `pkts`
+// in order, one Seg6BurstRunner prepares it, BpfSystem::run executes `prog`,
+// the runner harvests the verdict and charges `traces[k]`, and then
+// `per_packet(k, exec, verdict)` interprets the outcome (End.BPF vs LWT
+// epilogue) before the next packet runs. Callers keep any index mapping of
+// their own. The callback is a non-owning FunctionRef (call-scope
+// lifetime): hook plumbing costs the hot path zero allocations per burst.
 using BurstPerPacketFn = util::FunctionRef<void(
     std::size_t, const ebpf::ExecResult&, const Seg6BurstRunner::Verdict&)>;
 void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,

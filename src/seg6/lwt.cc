@@ -58,11 +58,12 @@ PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
     }
 
     case LwtState::Kind::kBpf: {
-      const ebpf::ProgHandle& prog = lwt_prog_for_hook(lwt, hook);
-      if (prog == nullptr) return PipelineResult::use_route();
-
-      auto run = ns.run_prog(*prog, pkt, trace);
-      return lwt_bpf_epilogue(pkt, run.exec, run.ctx.packet_replaced);
+      if (lwt_prog_for_hook(lwt, hook) == nullptr)
+        return PipelineResult::use_route();
+      net::Packet* const one = &pkt;
+      PipelineResult result;
+      lwt_process_burst(ns, {&one, 1}, lwt, hook, &trace, &result);
+      return result;
     }
   }
   return PipelineResult::drop();
@@ -76,7 +77,7 @@ void lwt_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
   if (lwt.kind == LwtState::Kind::kBpf) prog = &lwt_prog_for_hook(lwt, hook);
   // Non-BPF tunnel kinds are plain header surgery; only a BPF program has
   // per-invocation setup worth amortising.
-  if (prog == nullptr || *prog == nullptr || n < 2) {
+  if (prog == nullptr || *prog == nullptr) {
     for (std::size_t i = 0; i < n; ++i)
       results[i] = lwt_process(ns, *pkts[i], lwt, hook, traces[i]);
     return;

@@ -24,8 +24,9 @@ PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
 
 // Burst entry point: applies the tunnel state to every packet in `pkts` (all
 // selected the same route), writing dispositions into `results[i]`. For BPF
-// tunnels the program runs as one vector (ExecEnv/engine dispatch paid once
-// per route group); per-packet semantics match sequential lwt_process calls.
+// tunnels the program runs through run_prog_over_burst (ExecEnv setup paid
+// once per route group); per-packet semantics match sequential lwt_process
+// calls.
 void lwt_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                        const LwtState& lwt, LwtHook hook,
                        ProcessTrace* const* traces, PipelineResult* results);

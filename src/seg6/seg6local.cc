@@ -182,13 +182,13 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
     }
     case Seg6Action::kEndBPF: {
       // The paper's action (§3): behave as an endpoint — validate + advance —
-      // then run the eBPF program and interpret its return code.
+      // then run the eBPF program and interpret its return code. The burst
+      // path does all three; here for a burst of one.
       if (entry.prog == nullptr) return PipelineResult::drop();
-      count_op();  // the endpoint part (validate + advance) is End-equivalent
-      if (!srh_advance(pkt)) return PipelineResult::drop();
-
-      auto run = ns.run_prog(*entry.prog, pkt, trace);
-      return end_bpf_epilogue(pkt, run.exec, run.ctx.srh_dirty);
+      net::Packet* const one = &pkt;
+      PipelineResult result;
+      seg6local_process_burst(ns, {&one, 1}, entry, &trace, &result);
+      return result;
     }
   }
   return PipelineResult::drop();
@@ -201,7 +201,7 @@ void seg6local_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
   const std::size_t n = pkts.size();
   // Only End.BPF has per-invocation setup worth amortising; the static
   // behaviours are plain header surgery.
-  if (entry.action != Seg6Action::kEndBPF || entry.prog == nullptr || n < 2) {
+  if (entry.action != Seg6Action::kEndBPF || entry.prog == nullptr) {
     for (std::size_t i = 0; i < n; ++i)
       results[i] = seg6local_process(ns, *pkts[i], entry, traces[i]);
     return;

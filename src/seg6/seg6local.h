@@ -81,8 +81,7 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
 // of which matched `entry`'s SID), writing per-packet dispositions into
 // `results[i]` and charging `traces[i]`. Per-packet semantics are identical
 // to calling seg6local_process in order; what's amortised is the End.BPF
-// ExecEnv/ctx construction and engine dispatch, paid once per group through
-// Seg6BurstRunner + LoadedProgram::run_burst.
+// ExecEnv/ctx construction, paid once per group through run_prog_over_burst.
 void seg6local_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                              const Seg6LocalEntry& entry,
                              ProcessTrace* const* traces,

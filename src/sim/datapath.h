@@ -6,8 +6,8 @@
 //                resolve each group's fate once: seg6local SID match, local
 //                delivery, or FIB continuation;
 //   seg6local  — grouped behaviour execution (seg6local_process_burst): one
-//                SID-table hit and, for End.BPF, one ExecEnv/engine setup
-//                per group;
+//                SID-table hit and, for End.BPF, one ExecEnv setup per
+//                group;
 //   lwt + fib  — disposition rounds: route lookups per (dst, table) group
 //                through the servicing context's one-entry FibCacheSlot,
 //                backed by the multibit-stride LPM trie on miss

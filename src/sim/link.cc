@@ -29,12 +29,6 @@ void Link::bind_side(int side, EventLoop& loop, Rng* rng,
   sides_[side].crossing = crossing;
 }
 
-void Link::transmit(net::Packet&& pkt, int from_side) {
-  net::PacketBurst b;
-  b.push(std::move(pkt), sides_[from_side].loop->now());
-  transmit_burst(std::move(b), from_side);
-}
-
 void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
   Side& tx = sides_[from_side];
   Side& rx = sides_[1 - from_side];
@@ -43,7 +37,8 @@ void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
     // Link down: the egress blackholes. The forwarding node normally never
     // gets here (Node::dispatch_burst checks the carrier and charges its own
     // drops_link_down / fast-reroutes first); this guard covers direct
-    // transmit() callers and packets committed between check and send.
+    // transmit_burst() callers and packets committed between check and
+    // send.
     tx.stats.drops_link_down += burst.size();
     return;
   }

@@ -37,18 +37,15 @@ class Link {
 
   NetemQdisc& qdisc(int side) { return sides_[side].qdisc; }
 
-  // Enqueues the packet at `from_side`'s egress; delivery to the peer node is
-  // scheduled on the event loop. Thin wrapper over transmit_burst.
-  void transmit(net::Packet&& pkt, int from_side);
-
-  // Vector transmit: serializes the burst back-to-back on the wire. Each
-  // packet enters the qdisc/wire at its own logical timestamp (burst
-  // metadata at_ns, clamped to now) — so per-packet wire math is identical
-  // to sequential transmit() calls — and the whole burst is delivered to the
-  // peer with a single scheduled event at the last packet's arrival, each
-  // packet carrying its own arrival time in the metadata. When the peer
-  // lives in another PDES domain, the delivery crosses through the side's
-  // mailbox instead, stamped with this side's loop provenance.
+  // Enqueues the burst at `from_side`'s egress and serializes it
+  // back-to-back on the wire. Each packet enters the qdisc/wire at its own
+  // logical timestamp (burst metadata at_ns, clamped to now) — so
+  // per-packet wire math is identical to sending the packets one by one —
+  // and the whole burst is delivered to the peer with a single scheduled
+  // event at the last packet's arrival, each packet carrying its own
+  // arrival time in the metadata. When the peer lives in another PDES
+  // domain, the delivery crosses through the side's mailbox instead,
+  // stamped with this side's loop provenance.
   void transmit_burst(net::PacketBurst&& burst, int from_side);
 
   std::uint64_t bandwidth_bps() const noexcept { return bandwidth_bps_; }

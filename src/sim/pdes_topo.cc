@@ -8,6 +8,11 @@ namespace srv6bpf::sim {
 
 namespace {
 
+constexpr std::uint64_t kBandwidthBps = 10ull * 1000 * 1000 * 1000;
+constexpr TimeNs kIntraProp = 5 * kMicro;  // short-haul hops in a segment
+constexpr TimeNs kCrossProp = 50 * kMicro;  // segment-to-segment long-haul =
+                                            // the ring's lookahead
+
 net::Ipv6Addr hop_addr(std::size_t seg, std::size_t hop, unsigned host) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "fd00:%zx:%zx::%x", seg + 1, hop + 1, host);
@@ -44,9 +49,8 @@ RingTopo build_ring_topology(Network& net, const RingTopoSpec& spec) {
     for (std::size_t j = 0; j < r; ++j) {
       Node& router =
           net.add_node("r" + std::to_string(s) + "_" + std::to_string(j));
-      router.cpu.enabled = spec.router_cpu;
+      router.cpu.enabled = true;
       router.cpu.profile = kXeonProfile;
-      router.cpu.ncpus = spec.router_ncpus;
       net.assign_domain(router, static_cast<std::uint32_t>(s));
       seg.routers.push_back(&router);
     }
@@ -70,9 +74,9 @@ RingTopo build_ring_topology(Network& net, const RingTopoSpec& spec) {
     Node* upstream = seg.src;
     for (std::size_t j = 0; j <= r; ++j) {
       Node* downstream = j < r ? seg.routers[j] : seg.sink;
-      const TimeNs prop = j < r ? spec.intra_prop : spec.cross_prop;
+      const TimeNs prop = j < r ? kIntraProp : kCrossProp;
       auto att = net.connect(*upstream, hop_addr(s, j, 1), *downstream,
-                             hop_addr(s, j, 2), spec.bandwidth_bps, prop);
+                             hop_addr(s, j, 2), kBandwidthBps, prop);
       upstream->ns().table(0).add_route(dst_pfx,
                                         {net::Ipv6Addr{}, att.a_ifindex, 1});
       if (j == r) seg.cross_link = att.link;

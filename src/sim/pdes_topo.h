@@ -4,11 +4,12 @@
 //
 //   segment s:  src_s -> r_s_0 -> ... -> r_s_{R-1} ==cross==> sink_{s+1}
 //
-// Every hop inside a segment is a short-haul link (intra_prop); the single
-// link that hands the chain's traffic to the *next* segment's sink is a
-// long-haul (cross_prop), which becomes the ring's PDES lookahead. With the
-// default shape (8 segments x 5 routers + src + sink = 56 nodes) almost all
-// work — the CPU-modelled router chain — is intra-domain, and the only
+// Every link is 10 Gbps. Every hop inside a segment is a 5 us short-haul;
+// the single link that hands the chain's traffic to the *next* segment's
+// sink is a 50 us long-haul, which becomes the ring's PDES lookahead. The
+// routers run the Xeon service model on one CPU context. With the default
+// shape (8 segments x 5 routers + src + sink = 56 nodes) almost all work —
+// the CPU-modelled router chain — is intra-domain, and the only
 // synchronization edges are the ring's long-hauls: the realistic "many
 // mostly-independent sites" shape the >= 3x speedup gate runs on.
 #pragma once
@@ -25,12 +26,6 @@ namespace srv6bpf::sim {
 struct RingTopoSpec {
   std::size_t segments = 8;            // one PDES domain per segment
   std::size_t routers_per_segment = 5; // CPU-modelled hops in each chain
-  std::uint64_t bandwidth_bps = 10ull * 1000 * 1000 * 1000;
-  TimeNs intra_prop = 5 * kMicro;      // short-haul hops inside a segment
-  TimeNs cross_prop = 50 * kMicro;     // segment-to-segment long-haul =
-                                       // the ring's lookahead
-  bool router_cpu = true;              // Xeon service model on the routers
-  std::size_t router_ncpus = 1;
 };
 
 struct RingTopo {

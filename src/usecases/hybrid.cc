@@ -388,7 +388,6 @@ Fig4Lab::Fig4Lab(const Options& opts) : net_(opts.seed), mode_(opts.mode) {
   // paper's ARM32 JIT bug, the interpreter forced on.
   m_->cpu.enabled = true;
   m_->cpu.profile = sim::kTurrisProfile;
-  m_->cpu.rx_burst = opts.cpe_burst;
   m_->ns().bpf().set_jit_enabled(false);
 
   switch (mode_) {
@@ -422,17 +421,19 @@ Fig4Lab::Fig4Lab(const Options& opts) : net_(opts.seed), mode_(opts.mode) {
 }
 
 double Fig4Lab::run_udp(std::size_t payload_size, sim::TimeNs duration) {
-  apps::UdpFlowSender::Config cfg;
-  cfg.src = net::Ipv6Addr::must_parse("fd01:1::1");
-  cfg.dst = net::Ipv6Addr::must_parse("fd01:2::2");
-  cfg.payload_size = payload_size;
+  apps::TrafGen::Config cfg;
+  cfg.spec.src = net::Ipv6Addr::must_parse("fd01:1::1");
+  cfg.spec.dst = net::Ipv6Addr::must_parse("fd01:2::2");
+  cfg.spec.src_port = cfg.spec.dst_port = 5201;
+  cfg.spec.payload_size = payload_size;
   // iperf3 -b 1G: offer line rate on the wire for this payload size.
   const double wire = static_cast<double>(payload_size) + 48 +
                       static_cast<double>(sim::kWireOverheadBytes);
-  cfg.rate_bps = 1e9 * static_cast<double>(payload_size) / wire;
+  const double rate_bps = 1e9 * static_cast<double>(payload_size) / wire;
+  cfg.pps = rate_bps / (static_cast<double>(payload_size) * 8);
   cfg.start_at = net_.now();
   cfg.duration = duration + sim::kSecond;
-  flow_ = std::make_unique<apps::UdpFlowSender>(*s1_, cfg);
+  flow_ = std::make_unique<apps::TrafGen>(*s1_, cfg);
   flow_->start();
 
   // Warm up, then measure.

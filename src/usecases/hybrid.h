@@ -23,7 +23,7 @@
 #include "apps/daemons.h"
 #include "apps/sink.h"
 #include "apps/tcp.h"
-#include "apps/udp_flow.h"
+#include "apps/trafgen.h"
 #include "sim/network.h"
 #include "usecases/programs.h"
 
@@ -113,15 +113,13 @@ class Fig4Lab {
   struct Options {
     Mode mode = Mode::kPlainForward;
     std::uint64_t seed = 11;
-    // The CPE's per-service-event drain budget (Node::Cpu::rx_burst).
-    // Burst-invariant simulated goodput; smaller values cost wall-clock.
-    std::size_t cpe_burst = sim::kDefaultRxBurst;
   };
 
   explicit Fig4Lab(const Options& opts);
 
   // Offers a 1 Gbps iperf3-like UDP flow with the given payload size through
-  // the Turris CPE and returns the aggregated goodput in Mbps.
+  // the Turris CPE and returns the aggregated goodput in Mbps. Throws
+  // std::invalid_argument for a zero payload, which has no packet rate.
   double run_udp(std::size_t payload_size, sim::TimeNs duration);
 
  private:
@@ -132,7 +130,7 @@ class Fig4Lab {
   Mode mode_;
   std::unique_ptr<apps::AppMux> mux_s2_;
   std::unique_ptr<apps::UdpSink> sink_;
-  std::unique_ptr<apps::UdpFlowSender> flow_;
+  std::unique_ptr<apps::TrafGen> flow_;
 };
 
 }  // namespace srv6bpf::usecases

@@ -1,13 +1,15 @@
 // FunctionRef: a non-owning callable reference (the shape of C++26's
 // std::function_ref).
 //
-// The burst pipeline threads per-chunk callbacks (run_burst's prep hook, the
-// seg6 per-packet epilogue) through call boundaries; std::function would
-// heap-allocate each of those closures once per burst — measurable allocator
-// traffic at line rate and a violation of the zero-allocation steady state.
-// FunctionRef is two words (object pointer + trampoline) and never owns: it
-// is only valid while the referenced callable lives, which for these
-// call-scope hooks is the enclosing full expression.
+// The burst pipeline threads per-burst callbacks (the seg6 per-packet
+// epilogue of run_prog_over_burst) through call boundaries; std::function
+// would heap-allocate each of those closures once per burst — measurable
+// allocator traffic at line rate and a violation of the zero-allocation
+// steady state.
+// FunctionRef is two words (object pointer + trampoline), always refers to
+// a callable and never owns it: it is only valid while the referenced
+// callable lives, which for these call-scope hooks is the enclosing full
+// expression.
 #pragma once
 
 #include <memory>
@@ -22,8 +24,6 @@ class FunctionRef;
 template <typename R, typename... Args>
 class FunctionRef<R(Args...)> {
  public:
-  FunctionRef() noexcept = default;
-
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
@@ -35,8 +35,6 @@ class FunctionRef<R(Args...)> {
           return (*static_cast<std::remove_reference_t<F>*>(obj))(
               std::forward<Args>(args)...);
         }) {}
-
-  explicit operator bool() const noexcept { return call_ != nullptr; }
 
   R operator()(Args... args) const {
     return call_(obj_, std::forward<Args>(args)...);

@@ -370,18 +370,6 @@ TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
   EXPECT_EQ(got.ret, want.ret);
   EXPECT_EQ(got.insns_executed, want.insns_executed);
   EXPECT_EQ(got.helper_calls, want.helper_calls);
-
-  std::vector<BurstInvocation> native_burst(4), fallback_burst(4);
-  load.prog->run_burst(sys, env, native_burst);
-  fallback->run_burst(sys, env, fallback_burst);
-  for (std::size_t i = 0; i < fallback_burst.size(); ++i) {
-    const ExecResult& n = native_burst[i].result;
-    const ExecResult& f = fallback_burst[i].result;
-    ASSERT_TRUE(f.ok()) << f.error;
-    EXPECT_EQ(f.ret, n.ret) << "slot " << i;
-    EXPECT_EQ(f.insns_executed, n.insns_executed) << "slot " << i;
-    EXPECT_EQ(f.helper_calls, n.helper_calls) << "slot " << i;
-  }
 }
 
 TEST(NoNativeFallback, EndBpfStillBillsTheJitBucket) {

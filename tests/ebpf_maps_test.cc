@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 
 #include "ebpf/map.h"
 #include "ebpf/map_impl.h"
@@ -313,6 +314,81 @@ TEST(PerCpuHashMap, FlagsAndErase) {
             kErrNoEnt);
   // User-space put broadcast: sum reads kMaxCpus copies.
   EXPECT_EQ(map->sum_u64(k2), 9u * kMaxCpus);
+}
+
+TEST(PerCpuHashMap, CpuPastRangeIsRejectedWithoutCreating) {
+  auto map = make_map({MapType::kPerCpuHash, 8, 8, 16, "pch"});
+  const std::uint64_t key = 1, v = 9;
+  const std::span<const std::uint8_t> k{
+      reinterpret_cast<const std::uint8_t*>(&key), 8};
+  const std::span<const std::uint8_t> val{
+      reinterpret_cast<const std::uint8_t*>(&v), 8};
+  for (const std::uint32_t cpu : {kMaxCpus, ~0u}) {
+    EXPECT_EQ(map->update_cpu(k, val, BPF_ANY, cpu), kErrInval) << cpu;
+    EXPECT_EQ(map->size(), 0u) << cpu;
+  }
+  EXPECT_EQ(map->update_cpu(k, val, BPF_ANY, 0), kOk);
+  EXPECT_EQ(map->lookup_cpu(k, ~0u), nullptr);
+}
+
+// ---- shared maps through the per-CPU entry points ---------------------------
+
+// Every map helper passes the invoking context's ExecEnv::cpu_id, so on a
+// multi-core node a shared (non-per-CPU) map is reached with cpu != 0. It
+// must ignore the cpu — even one past kMaxCpus — and serve the one value.
+class SharedMapCpuTest : public ::testing::TestWithParam<MapType> {};
+
+INSTANTIATE_TEST_SUITE_P(SharedTypes, SharedMapCpuTest,
+                         ::testing::Values(MapType::kArray, MapType::kHash,
+                                           MapType::kLpmTrie),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case MapType::kArray: return "Array";
+                             case MapType::kHash: return "Hash";
+                             default: return "LpmTrie";
+                           }
+                         });
+
+TEST_P(SharedMapCpuTest, CpuArgumentIsIgnored) {
+  const MapType type = GetParam();
+  auto map = make_map({type, type == MapType::kArray ? 4u : 8u, 8, 4, "s"});
+  EXPECT_FALSE(map->per_cpu());
+  // Array index 1; for hash and LPM trie, the /32 prefix 10.0.0.1 (a
+  // host-endian u32 prefixlen, then the data bytes).
+  const std::uint8_t index_key[4] = {1, 0, 0, 0};
+  const std::uint8_t prefix_key[8] = {32, 0, 0, 0, 10, 0, 0, 1};
+  const std::span<const std::uint8_t> key =
+      type == MapType::kArray ? std::span<const std::uint8_t>(index_key)
+                              : std::span<const std::uint8_t>(prefix_key);
+  const std::uint64_t v1 = 11, v2 = 22, v3 = 33;
+  auto bytes = [](const std::uint64_t& v) {
+    return std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(&v), 8);
+  };
+
+  if (type == MapType::kHash) {
+    // A program on cpu 5 creates the missing key.
+    EXPECT_EQ(map->lookup(key), nullptr);
+    EXPECT_EQ(map->update_cpu(key, bytes(v1), BPF_ANY, 5), kOk);
+    EXPECT_EQ(map->size(), 1u);
+  } else {
+    EXPECT_EQ(map->update(key, bytes(v1), BPF_ANY), kOk);
+  }
+  std::uint8_t* value = map->lookup(key);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(map->lookup_cpu(key, 7), value);
+  EXPECT_EQ(map->lookup_cpu(key, kMaxCpus + 3), value);
+
+  // A write from cpu 5 changes the value every cpu reads.
+  EXPECT_EQ(map->update_cpu(key, bytes(v2), BPF_ANY, 5), kOk);
+  EXPECT_EQ(map->lookup(key), value);
+  std::uint64_t got;
+  std::memcpy(&got, value, 8);
+  EXPECT_EQ(got, v2);
+  EXPECT_EQ(map->update_cpu(key, bytes(v3), BPF_EXIST, kMaxCpus + 3), kOk);
+  std::memcpy(&got, map->lookup_cpu(key, 2), 8);
+  EXPECT_EQ(got, v3);
+  EXPECT_EQ(map->sum_u64(key), v3);  // one value, counted once
 }
 
 TEST(PerfEventBuffer, RecordsCarryCpuField) {

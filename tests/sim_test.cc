@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
+#include "apps/trafgen.h"
 #include "net/buffer_pool.h"
 #include "net/packet.h"
 #include "sim/costmodel.h"
@@ -324,6 +326,23 @@ TEST(Node, CpuModelCapsForwardingRate) {
   // the drained backlog and the post-offer service tail.
   EXPECT_GT(line.r->stats().drops_rx_queue, 0u) << "overload must tail-drop";
   EXPECT_NEAR(static_cast<double>(received), 32'000.0, 3'000.0);
+}
+
+// A rate with no tick interval is a config error, as in Fib::add_route and
+// make_map: converting 1e9 / pps would be undefined behaviour.
+TEST(TrafGen, RejectsARateWithNoTickInterval) {
+  Line line;
+  apps::TrafGen::Config cfg;
+  cfg.spec.src = A("fc00:1::1");
+  cfg.spec.dst = A("fc00:2::2");
+  for (const double pps : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e-30}) {
+    cfg.pps = pps;
+    EXPECT_THROW({ apps::TrafGen gen(*line.a, cfg); }, std::invalid_argument)
+        << "pps " << pps;
+  }
+  cfg.pps = 1e12;  // shorter than 1 ns: ticks every nanosecond
+  EXPECT_NO_THROW({ apps::TrafGen gen(*line.a, cfg); });
 }
 
 TEST(Node, EcmpSplitsFlowsAcrossNexthops) {

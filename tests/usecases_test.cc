@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ebpf/verifier.h"
 #include "seg6/helpers.h"
 #include "sim/network.h"
@@ -147,6 +149,31 @@ TEST(Hybrid, TwdDaemonMeasuresDelayDifference) {
   const auto l2_delay = lab.link2()->qdisc(0).config().delay_ns;
   EXPECT_GT(l2_delay, 10 * sim::kMilli)
       << "fast link must have been slowed to match the slow one";
+}
+
+// Figure 4's lab end to end, each mode at one payload size for a short
+// window. The goodputs are exact: the generator, the LWT path and the maps
+// must not move them. Plain forwarding > kernel decap > eBPF WRR on the
+// interpreter, as in the paper.
+TEST(Fig4, GoodputPerModeIsPinned) {
+  const struct {
+    Fig4Lab::Mode mode;
+    double mbps;
+  } cases[] = {
+      {Fig4Lab::Mode::kPlainForward, 874.56},
+      {Fig4Lab::Mode::kKernelDecap, 799.92},
+      {Fig4Lab::Mode::kEbpfWrr, 376.32},
+  };
+  for (const auto& c : cases) {
+    Fig4Lab lab({.mode = c.mode});
+    EXPECT_DOUBLE_EQ(lab.run_udp(600, 20 * sim::kMilli), c.mbps)
+        << "mode " << static_cast<int>(c.mode);
+  }
+}
+
+TEST(Fig4, ZeroPayloadHasNoRateAndIsRejected) {
+  Fig4Lab lab({});
+  EXPECT_THROW(lab.run_udp(0, sim::kMilli), std::invalid_argument);
 }
 
 // ---- §4.3 OAMP -----------------------------------------------------------------------
