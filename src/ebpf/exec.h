@@ -1,9 +1,11 @@
 // Execution environment shared by the eBPF interpreter and the JIT engine.
 //
 // eBPF pointers are real host pointers (as in the kernel). The verifier is
-// the primary safety mechanism; on top of it, both engines perform runtime
-// bounds checks against the region list below (defense in depth — a verifier
-// bug must not corrupt the simulator).
+// the safety mechanism. The interpreter also bounds-checks every load and
+// store against the region list below (defense in depth: a verifier bug
+// faults instead of corrupting the simulator); the native engine does not,
+// it trusts the verifier's proof. Helpers check their memory arguments
+// against the region list on every engine.
 #pragma once
 
 #include <array>

@@ -295,7 +295,6 @@ void Checker::push(State s) {
     seen_[s.pc].push_back(s);
   }
   worklist_.push_back(std::move(s));
-  stats_.peak_worklist = std::max(stats_.peak_worklist, worklist_.size());
 }
 
 std::optional<VerifierError> Checker::explore() {

@@ -41,7 +41,6 @@ struct VerifyOptions {
 struct VerifyStats {
   std::size_t states_visited = 0;
   std::size_t states_pruned = 0;
-  std::size_t peak_worklist = 0;
 };
 
 struct VerifyResult {

@@ -38,8 +38,6 @@ std::uint32_t Netns::prandom() {
   return static_cast<std::uint32_t>(z >> 32);
 }
 
-void Netns::seed_prandom(std::uint64_t seed) { prandom_state_ = seed; }
-
 Seg6BurstRunner::Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog)
     : ns_(ns) {
   ctx_.netns = &ns;
@@ -86,21 +84,6 @@ void Seg6BurstRunner::account(ProcessTrace* trace,
     trace->bpf_insns_jit += exec.insns_executed;
   else
     trace->bpf_insns_interp += exec.insns_executed;
-}
-
-void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
-                         std::span<net::Packet* const> pkts,
-                         ProcessTrace* const* traces,
-                         BurstPerPacketFn per_packet) {
-  Seg6BurstRunner runner(ns, prog);
-  for (std::size_t k = 0; k < pkts.size(); ++k) {
-    runner.prepare(*pkts[k], traces[k]);
-    const ebpf::ExecResult exec =
-        ns.bpf().run(prog, runner.env(), runner.ctx_addr());
-    const Seg6BurstRunner::Verdict verdict = runner.harvest();
-    runner.account(traces[k], exec);
-    per_packet(k, exec, verdict);
-  }
 }
 
 }  // namespace srv6bpf::seg6

@@ -22,7 +22,6 @@
 #include "net/ip6.h"
 #include "net/packet.h"
 #include "seg6/fib.h"
-#include "util/function_ref.h"
 
 namespace srv6bpf::seg6 {
 
@@ -109,6 +108,11 @@ class Netns {
 
   // Source address used for SRH encapsulation (ip sr tunsrc analogue).
   net::Ipv6Addr sr_tunsrc;
+  // Outer source of an SRv6 encapsulation of `pkt`: sr_tunsrc when set,
+  // else the packet's own source.
+  net::Ipv6Addr encap_src(net::Packet& pkt) const {
+    return sr_tunsrc.is_unspecified() ? pkt.ipv6().src() : sr_tunsrc;
+  }
 
   // Simulated clock; defaults to 0 when unset.
   std::function<std::uint64_t()> clock;
@@ -129,7 +133,6 @@ class Netns {
 
   // Deterministic per-netns randomness for bpf_get_prandom_u32.
   std::uint32_t prandom();
-  void seed_prandom(std::uint64_t seed);
 
  private:
   std::string name_;
@@ -188,13 +191,22 @@ class Seg6BurstRunner {
 // the runner harvests the verdict and charges `traces[k]`, and then
 // `per_packet(k, exec, verdict)` interprets the outcome (End.BPF vs LWT
 // epilogue) before the next packet runs. Callers keep any index mapping of
-// their own. The callback is a non-owning FunctionRef (call-scope
-// lifetime): hook plumbing costs the hot path zero allocations per burst.
-using BurstPerPacketFn = util::FunctionRef<void(
-    std::size_t, const ebpf::ExecResult&, const Seg6BurstRunner::Verdict&)>;
+// their own. A template, so the epilogue inlines and its closure is never
+// wrapped or allocated.
+template <typename PerPacket>
 void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
                          std::span<net::Packet* const> pkts,
                          ProcessTrace* const* traces,
-                         BurstPerPacketFn per_packet);
+                         PerPacket&& per_packet) {
+  Seg6BurstRunner runner(ns, prog);
+  for (std::size_t k = 0; k < pkts.size(); ++k) {
+    runner.prepare(*pkts[k], traces[k]);
+    const ebpf::ExecResult exec =
+        ns.bpf().run(prog, runner.env(), runner.ctx_addr());
+    const Seg6BurstRunner::Verdict verdict = runner.harvest();
+    runner.account(traces[k], exec);
+    per_packet(k, exec, verdict);
+  }
+}
 
 }  // namespace srv6bpf::seg6

@@ -147,4 +147,13 @@ class Fib {
 // (so ECMP keeps flows on one path even when encapsulated upstream).
 std::uint32_t flow_hash(const net::Packet& pkt);
 
+// Resolves `nh` into the packet's dst metadata: the next hop is the gateway,
+// or `dst` itself when the nexthop is on-link.
+inline void set_nexthop(net::Packet& pkt, const Nexthop& nh,
+                        const net::Ipv6Addr& dst) {
+  pkt.dst().nexthop = nh.via.is_unspecified() ? dst : nh.via;
+  pkt.dst().oif = nh.oif;
+  pkt.dst().valid = true;
+}
+
 }  // namespace srv6bpf::seg6

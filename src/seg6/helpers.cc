@@ -26,6 +26,16 @@ Seg6ProgCtx* prog_ctx(ExecEnv& env) {
 // Returns a view of the outermost SRH, or nullopt.
 std::optional<net::SrhView> outer_srh(net::Packet& pkt) { return pkt.srh(); }
 
+// Inserts the segments of a program-supplied SRH inline (End.B6,
+// BPF_LWT_ENCAP_SEG6_INLINE). They are read out in travel order before the
+// packet changes, so `srh` may point into the packet itself.
+bool inline_srh(net::Packet& pkt, const net::SrhView& srh) {
+  std::vector<net::Ipv6Addr> segs;
+  for (std::size_t i = srh.num_segments(); i-- > 0;)
+    segs.push_back(srh.segment(i));
+  return seg6_do_inline(pkt, segs);
+}
+
 // ---- bpf_lwt_seg6_store_bytes ------------------------------------------------
 // Indirect write access restricted to the SRH's editable fields: flags, tag
 // and the TLV area. Anything else returns -EINVAL (principle (i) of §3).
@@ -121,10 +131,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
     net::Ipv6View ip(pkt.data());
     const Route* route = fib->lookup(ip.dst(), ns.fib_cache_slot());
     if (route == nullptr || route->nexthops.empty()) return err_(kENoEnt);
-    const Nexthop& nh = Fib::select_nexthop(*route, flow_hash(pkt));
-    pkt.dst().nexthop = nh.via.is_unspecified() ? ip.dst() : nh.via;
-    pkt.dst().oif = nh.oif;
-    pkt.dst().valid = true;
+    set_nexthop(pkt, Fib::select_nexthop(*route, flow_hash(pkt)), ip.dst());
     ctx->dst_set = true;
     if (ctx->trace != nullptr) ++ctx->trace->fib_lookups;
     return 0;
@@ -150,10 +157,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
       // inline; the original destination becomes the final segment.
       net::SrhView view(const_cast<std::uint8_t*>(p), param_len);
       if (param_len < net::kSrhFixedSize || !view.valid()) return err_(kEInval);
-      std::vector<net::Ipv6Addr> segs;
-      for (std::size_t i = view.num_segments(); i-- > 0;)
-        segs.push_back(view.segment(i));
-      if (!seg6_do_inline(pkt, segs)) return err_(kEInval);
+      if (!inline_srh(pkt, view)) return err_(kEInval);
       if (ctx->trace != nullptr) ++ctx->trace->encaps;
       ctx->packet_replaced = true;
       ctx->refresh_packet_view();
@@ -162,25 +166,9 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
     case Seg6Action::kEndB6Encaps: {
       net::SrhView view(const_cast<std::uint8_t*>(p), param_len);
       if (param_len < net::kSrhFixedSize || !view.valid()) return err_(kEInval);
-      const net::Ipv6Addr src = ns.sr_tunsrc.is_unspecified()
-                                    ? net::Ipv6View(pkt.data()).src()
-                                    : ns.sr_tunsrc;
       // Verbatim SRH push (TLVs preserved), then outer IPv6.
-      std::vector<std::uint8_t> srh_bytes(p, p + view.total_len());
-      srh_bytes[0] = net::kProtoIpv6;
-      net::Ipv6Header outer;
-      outer.src = src;
-      net::SrhView stored(srh_bytes.data(), srh_bytes.size());
-      outer.dst = stored.current_segment();
-      outer.next_header = net::kProtoRouting;
-      outer.hop_limit = 64;
-      outer.payload_length =
-          static_cast<std::uint16_t>(srh_bytes.size() + pkt.size());
-      std::uint8_t* front =
-          pkt.push_front(net::kIpv6HeaderSize + srh_bytes.size());
-      outer.write(front);
-      std::memcpy(front + net::kIpv6HeaderSize, srh_bytes.data(),
-                  srh_bytes.size());
+      seg6_encap_srh(pkt, std::vector<std::uint8_t>(p, p + view.total_len()),
+                     ns.encap_src(pkt));
       if (ctx->trace != nullptr) ++ctx->trace->encaps;
       ctx->packet_replaced = true;
       ctx->refresh_packet_view();
@@ -219,28 +207,10 @@ std::uint64_t do_push_encap(ExecEnv& env, std::uint64_t /*skb*/,
   if (!view.valid() || view.total_len() != len) return err_(kEInval);
 
   if (type == BPF_LWT_ENCAP_SEG6) {
-    const net::Ipv6Addr src = ctx->netns->sr_tunsrc.is_unspecified()
-                                  ? net::Ipv6View(pkt.data()).src()
-                                  : ctx->netns->sr_tunsrc;
-    std::vector<std::uint8_t> srh_bytes(p, p + len);
-    srh_bytes[0] = net::kProtoIpv6;  // inner protocol
-    net::SrhView stored(srh_bytes.data(), srh_bytes.size());
-    net::Ipv6Header outer;
-    outer.src = src;
-    outer.dst = stored.current_segment();
-    outer.next_header = net::kProtoRouting;
-    outer.hop_limit = 64;
-    outer.payload_length =
-        static_cast<std::uint16_t>(srh_bytes.size() + pkt.size());
-    std::uint8_t* front = pkt.push_front(net::kIpv6HeaderSize + srh_bytes.size());
-    outer.write(front);
-    std::memcpy(front + net::kIpv6HeaderSize, srh_bytes.data(),
-                srh_bytes.size());
+    seg6_encap_srh(pkt, std::vector<std::uint8_t>(p, p + len),
+                   ctx->netns->encap_src(pkt));
   } else if (type == BPF_LWT_ENCAP_SEG6_INLINE) {
-    std::vector<net::Ipv6Addr> segs;
-    for (std::size_t i = view.num_segments(); i-- > 0;)
-      segs.push_back(view.segment(i));
-    if (!seg6_do_inline(pkt, segs)) return err_(kEInval);
+    if (!inline_srh(pkt, view)) return err_(kEInval);
   } else {
     return err_(kEInval);
   }

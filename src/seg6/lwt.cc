@@ -42,10 +42,8 @@ PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
     case LwtState::Kind::kSeg6Encap: {
       // Only encapsulate once, at the xmit stage.
       if (hook != LwtHook::kXmit) return PipelineResult::use_route();
-      const net::Ipv6Addr src = ns.sr_tunsrc.is_unspecified()
-                                    ? pkt.ipv6().src()
-                                    : ns.sr_tunsrc;
-      if (!seg6_do_encap(pkt, lwt.segments, src)) return PipelineResult::drop();
+      if (!seg6_do_encap(pkt, lwt.segments, ns.encap_src(pkt)))
+        return PipelineResult::drop();
       if (trace != nullptr) ++trace->encaps;
       return PipelineResult::cont(0);
     }

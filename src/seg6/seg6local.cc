@@ -73,12 +73,16 @@ bool seg6_decap(net::Packet& pkt) {
 bool seg6_do_encap(net::Packet& pkt, std::span<const net::Ipv6Addr> segments,
                    const net::Ipv6Addr& src) {
   if (segments.empty() || pkt.size() < net::kIpv6HeaderSize) return false;
-  const std::vector<std::uint8_t> srh =
-      net::build_srh(net::kProtoIpv6, segments);
+  seg6_encap_srh(pkt, net::build_srh(net::kProtoIpv6, segments), src);
+  return true;
+}
 
+void seg6_encap_srh(net::Packet& pkt, std::vector<std::uint8_t> srh,
+                    const net::Ipv6Addr& src) {
+  srh[0] = net::kProtoIpv6;
   net::Ipv6Header outer;
   outer.src = src;
-  outer.dst = segments.front();
+  outer.dst = net::SrhView(srh.data(), srh.size()).current_segment();
   outer.next_header = net::kProtoRouting;
   outer.hop_limit = 64;
   outer.payload_length = static_cast<std::uint16_t>(srh.size() + pkt.size());
@@ -86,7 +90,6 @@ bool seg6_do_encap(net::Packet& pkt, std::span<const net::Ipv6Addr> segments,
   std::uint8_t* front = pkt.push_front(net::kIpv6HeaderSize + srh.size());
   outer.write(front);
   std::memcpy(front + net::kIpv6HeaderSize, srh.data(), srh.size());
-  return true;
 }
 
 bool seg6_do_inline(net::Packet& pkt,
@@ -172,10 +175,7 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
     case Seg6Action::kEndB6Encaps: {
       count_op();
       if (!srh_advance(pkt)) return PipelineResult::drop();
-      const net::Ipv6Addr src = ns.sr_tunsrc.is_unspecified()
-                                    ? pkt.ipv6().src()
-                                    : ns.sr_tunsrc;
-      if (!seg6_do_encap(pkt, entry.segments, src))
+      if (!seg6_do_encap(pkt, entry.segments, ns.encap_src(pkt)))
         return PipelineResult::drop();
       if (trace != nullptr) ++trace->encaps;
       return PipelineResult::cont(0);

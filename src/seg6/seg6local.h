@@ -42,10 +42,10 @@ struct Seg6LocalEntry {
 };
 
 // SID -> behaviour table. Hash-based (the kernel uses a hashed route table
-// too): it sits on the per-burst classify stage, where an ordered map's
-// 128-bit comparisons per tree level were measurable. Entry references are
-// stable across insertions (unordered_map guarantee), which the burst
-// pipeline relies on.
+// too): every lookup round asks it first, once per destination group, where
+// an ordered map's 128-bit comparisons per tree level were measurable. Entry
+// references are stable across insertions (unordered_map guarantee), which
+// the burst pipeline relies on.
 class Seg6LocalTable {
  public:
   void add(const net::Ipv6Addr& sid, Seg6LocalEntry entry) {
@@ -103,6 +103,14 @@ bool seg6_decap(net::Packet& pkt);
 // `segments` (travel order); outer src is `src`, outer dst the first segment.
 bool seg6_do_encap(net::Packet& pkt, std::span<const net::Ipv6Addr> segments,
                    const net::Ipv6Addr& src);
+
+// The one SRv6 encapsulation (the kernel's seg6_do_srh_encap): sets the
+// SRH's next header to IPv6 and pushes an outer IPv6 header (src `src`, dst
+// the SRH's current segment, hop limit 64) followed by `srh`. `srh` must be
+// a valid SRH. It is taken by value because a program may pass a pointer
+// into its own packet, which push_front may move.
+void seg6_encap_srh(net::Packet& pkt, std::vector<std::uint8_t> srh,
+                    const net::Ipv6Addr& src);
 
 // Transit behaviour T.Insert / End.B6 core: inserts an SRH directly after the
 // IPv6 header; the original destination is appended as the final segment.

@@ -49,8 +49,8 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
   std::array<seg6::PipelineResult, net::kMaxBurstPackets> gr;
   std::array<std::size_t, net::kMaxBurstPackets> gi;
 
-  // Finalizers. These mirror the single-packet state machine's exits; the
-  // specific drop counter for kDrop verdicts is bumped by the caller side.
+  // Finalizers: the packet leaves the rounds. Drop sites charge their own
+  // reason before calling finish_drop.
   auto finish_drop = [&](std::size_t i) {
     b.meta(i).verdict = net::BurstVerdict::kDrop;
     st.active[i] = false;
@@ -73,42 +73,12 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
     }
   }
 
-  // First seg6local pass: run-group consecutive valid packets by destination
-  // and resolve the SID table once per run (mirrors the pre-loop lookup of
-  // the single-packet pipeline, so it does not consume a disposition round).
-  if (!local_out) {
-    std::size_t i = 0;
-    while (i < n) {
-      if (!st.active[i]) {
-        ++i;
-        continue;
-      }
-      const net::Ipv6Addr dst = b.pkt(i).ipv6().dst();
-      std::size_t m = 0;
-      std::size_t j = i;
-      for (; j < n && st.active[j] && b.pkt(j).ipv6().dst() == dst; ++j) {
-        gp[m] = &b.pkt(j);
-        gt[m] = &traces[j];
-        gi[m] = j;
-        ++m;
-      }
-      if (const seg6::Seg6LocalEntry* sid = ns.seg6local().lookup(dst)) {
-        seg6::seg6local_process_burst(ns, {gp.data(), m}, *sid, gt.data(),
-                                      gr.data());
-        for (std::size_t k = 0; k < m; ++k) st.r[gi[k]] = gr[k];
-      } else if (ns.is_local(dst)) {
-        for (std::size_t k = 0; k < m; ++k) finish_local(gi[k]);
-      }
-      // else: st.r stays kContinue(0) — plain FIB forwarding.
-      i = j;
-    }
-  }
-
-  // ---- Stages 2+3: disposition rounds (seg6local / lwt / fib) -------------
-  // Each round is one iteration of the former per-packet disposition loop:
-  // settle non-continue dispositions, then handle the continues with grouped
-  // lookups. Encapsulations and rewritten destinations come back for another
-  // round; the bound defeats routing loops inside one node.
+  // ---- Stages 2+3: lookup rounds (seg6local / local / lwt + fib) -----------
+  // Each round settles the packets whose disposition is final, then looks
+  // up the rest run-grouped by (destination, table): SID table first, then
+  // local addresses, then the FIB. SID behaviours, encapsulations and
+  // rewritten destinations come back for another round; the bound defeats
+  // routing loops inside one node.
   for (int round = 0; round < 4; ++round) {
     std::size_t still_continue = 0;
 
@@ -180,9 +150,6 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
       }
       i = j;
 
-      // A rewritten destination may target another local SID (e.g. B6
-      // policies whose first segment is local) or a local address (e.g.
-      // after decap on the final node).
       if (const seg6::Seg6LocalEntry* sid = ns.seg6local().lookup(dst)) {
         seg6::seg6local_process_burst(ns, {gp.data(), m}, *sid, gt.data(),
                                       gr.data());
@@ -226,10 +193,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
         if (node.iface_link_down(nh.oif) && route->frr != nullptr) {
           const seg6::FrrBackup& frr = *route->frr;
           if (!frr.segments.empty()) {
-            const net::Ipv6Addr src = ns.sr_tunsrc.is_unspecified()
-                                          ? p.ipv6().src()
-                                          : ns.sr_tunsrc;
-            if (!seg6::seg6_do_encap(p, frr.segments, src)) {
+            if (!seg6::seg6_do_encap(p, frr.segments, ns.encap_src(p))) {
               stats.note_drop(DropReason::kLinkDown, drop_time(p));
               gt[k]->dropped = true;
               finish_drop(gi[k]);
@@ -239,10 +203,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
           }
           ++stats.frr_reroutes;
           if (frr.nh.oif >= 0 && !node.iface_link_down(frr.nh.oif)) {
-            p.dst().nexthop =
-                frr.nh.via.is_unspecified() ? p.ipv6().dst() : frr.nh.via;
-            p.dst().oif = frr.nh.oif;
-            p.dst().valid = true;
+            seg6::set_nexthop(p, frr.nh, p.ipv6().dst());
             st.r[gi[k]] = seg6::PipelineResult::forward();
           } else {
             // No pinned backup adjacency: the rewritten outer destination
@@ -251,9 +212,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
           }
           return;
         }
-        p.dst().nexthop = nh.via.is_unspecified() ? dst : nh.via;
-        p.dst().oif = nh.oif;
-        p.dst().valid = true;
+        seg6::set_nexthop(p, nh, dst);
         st.r[gi[k]] = seg6::PipelineResult::forward();
       };
 
@@ -272,7 +231,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
     }
   }
 
-  // Disposition rounds exhausted: whatever is still in flight loops.
+  // Lookup rounds exhausted: whatever is still in flight loops.
   for (std::size_t i = 0; i < n; ++i) {
     if (!st.active[i]) continue;
     stats.note_drop(DropReason::kNoRoute, drop_time(b.pkt(i)));

@@ -2,25 +2,28 @@
 // bursts.
 //
 // Stages, in order:
-//   classify   — validate, then run-group packets by IPv6 destination and
-//                resolve each group's fate once: seg6local SID match, local
-//                delivery, or FIB continuation;
-//   seg6local  — grouped behaviour execution (seg6local_process_burst): one
-//                SID-table hit and, for End.BPF, one ExecEnv setup per
-//                group;
-//   lwt + fib  — disposition rounds: route lookups per (dst, table) group
-//                through the servicing context's one-entry FibCacheSlot,
-//                backed by the multibit-stride LPM trie on miss
-//                (util/lpm_trie.h), route-attached tunnels via
-//                lwt_process_burst (BPF program setup paid once per route
-//                group), ECMP nexthop selection per packet;
+//   classify   — validate each packet (IPv6 header present, version 6);
+//   lookup rounds, at most 4 per packet (the bound defeats a routing loop
+//                inside one node), each run-grouping the packets still in
+//                flight by (IPv6 destination, table) and resolving each group
+//                once, in this order:
+//     seg6local — SID-table hit: grouped behaviour execution
+//                 (seg6local_process_burst), for End.BPF one ExecEnv setup
+//                 per group; the result comes back next round;
+//     local     — local address: delivered;
+//     lwt + fib — route lookup through the servicing context's one-entry
+//                 FibCacheSlot, backed by the multibit-stride LPM trie on
+//                 miss (util/lpm_trie.h), route-attached tunnels via
+//                 lwt_process_burst (BPF program setup paid once per route
+//                 group), ECMP nexthop selection per packet;
 //   tx-prep    — hop-limit handling and per-packet verdict/oif metadata;
 //                the Node then groups forwards per egress interface and
 //                hands them to Link::transmit_burst.
 //
-// Per-packet semantics are bit-identical to the former single-packet
-// Node::process() state machine (the burst differential test enforces it);
-// bursts only amortise lookups, program setup and event-loop traffic.
+// Per-packet results do not depend on how packets are grouped into bursts
+// (the burst differential tests hold deliveries, traces and NodeStats equal
+// at burst sizes 1, 8 and 32); bursts only amortise lookups, program setup
+// and event-loop traffic.
 //
 // The pipeline is deliberately stateless between calls: processing can
 // re-enter it (ICMP generation, local handlers that send), so all per-burst
@@ -43,7 +46,7 @@ class Datapath {
   // Runs the stages over `burst`, writing per-packet verdict/oif/timestamps
   // into the burst metadata and per-packet cost traces into `traces`, which
   // must have room for burst.size() entries. `local_out` marks locally
-  // originated packets (no seg6local classify, no hop-limit decrement).
+  // originated packets, whose hop limit is not decremented.
   void process_burst(net::PacketBurst& burst, bool local_out,
                      seg6::ProcessTrace* traces);
 

@@ -91,14 +91,6 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
   s2_fib.add_route(net::Prefix::parse("::/0").value(),
                    {kRIf1, l2.b_ifindex, 1});
 
-  // ---- CPU + JIT knobs ----
-  if (opts.cpu_model_on_r) {
-    r_->cpu.enabled = true;
-    r_->cpu.profile = sim::kXeonProfile;
-  }
-  s1_->ns().bpf().set_jit_enabled(opts.jit);
-  r_->ns().bpf().set_jit_enabled(opts.jit);
-
   // ---- apps ----
   // Both receive paths are gated by compiled filter expressions, the
   // userspace half of the paper's deployment: the sink and the controller

@@ -35,13 +35,8 @@ class DelayMonitorLab {
  public:
   struct Options {
     std::uint64_t probe_ratio = 100;      // 1:N probing
-    bool cpu_model_on_r = false;          // enable the 610kpps-style CPU cap
-    bool jit = true;
     sim::TimeNs link_delay = 2 * sim::kMilli;
     std::uint64_t seed = 42;
-    // Where End.DM runs: on R (tail = R, fig-3 "End.DM" bars) or on S2's
-    // router side. The paper measures End.DM on R.
-    bool dm_on_r = true;
     // Both receive sockets are gated by attached classic-BPF filters,
     // compiled from these tcpdump expressions (SO_ATTACH_FILTER style:
     // expression -> cBPF -> eBPF -> whichever engine the node runs). The

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <ostream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/srh.h"
@@ -423,6 +428,246 @@ TEST_F(EndBpfTest, StoreBytesOutsideEditableFieldsRejected) {
   EXPECT_EQ(pkt.srh()->segment(0), seg_before)
       << "segment list must be untouched";
 }
+
+// ---- every SRv6 helper action, end to end ---------------------------------------
+//
+// One End.BPF program per bpf_lwt_seg6_action behaviour and one LWT xmit
+// program per bpf_lwt_push_encap mode. Each program hands its helper either
+// a parameter copied to its stack or (`param` empty) the packet's own SRH,
+// then returns `ok_ret`, or BPF_DROP if the helper failed. The expected
+// dispositions, packet digests, dst metadata and trace counters are pinned.
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Six segments, in a packet with 136 bytes of headroom: pushing the outer
+// header plus this SRH (144 bytes) regrows the headroom, and the regrowth
+// moves the packet over the SRH a program points at. An encapsulation that
+// read that SRH after push_front would copy bytes of the moved packet.
+constexpr std::size_t kSixSegmentSrhLen =
+    net::kSrhFixedSize + 6 * net::kSegmentSize;
+net::Packet six_segment_packet() {
+  const net::Packet built =
+      srv6_packet({A("fc00::e1"), A("fc00::c2"), A("fc00::c3"), A("fc00::c4"),
+                   A("fc00::c5"), A("fc00::c6")});
+  return net::Packet(built.bytes(), 136);
+}
+
+std::vector<ebpf::Insn> helper_prog(std::int32_t helper, std::int32_t arg,
+                                    const std::vector<std::uint8_t>& param,
+                                    std::uint64_t ok_ret) {
+  using namespace ebpf;
+  const auto len = static_cast<std::int32_t>(
+      param.empty() ? kSixSegmentSrhLen : param.size());
+  Asm a;
+  a.mov64_reg(R6, R1);
+  if (param.empty()) {
+    // The SRH right behind the IPv6 header of six_segment_packet(),
+    // bounds-checked against data_end.
+    a.ldx(BPF_DW, R7, R6, 0)
+        .ldx(BPF_DW, R8, R6, 8)
+        .mov64_reg(R1, R7)
+        .add64_imm(R1, static_cast<std::int32_t>(net::kIpv6HeaderSize) + len)
+        .jgt_reg(R1, R8, "drop")
+        .mov64_reg(R3, R7)
+        .add64_imm(R3, static_cast<std::int32_t>(net::kIpv6HeaderSize));
+  } else {
+    const std::int32_t top = -((len + 7) / 8 * 8);
+    for (std::int32_t off = 0; off < len; off += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, param.data() + off, std::min(8, len - off));
+      a.ld_imm64(R2, word).stx(BPF_DW, R10, R2,
+                               static_cast<std::int16_t>(top + off));
+    }
+    a.mov64_reg(R3, R10).add64_imm(R3, top);
+  }
+  a.mov64_reg(R1, R6)
+      .mov32_imm(R2, arg)
+      .mov32_imm(R4, len)
+      .call(helper)
+      .jne_imm(R0, 0, "drop")
+      .mov32_imm(R0, static_cast<std::int32_t>(ok_ret))
+      .exit_()
+      .label("drop")
+      .mov32_imm(R0, static_cast<std::int32_t>(BPF_DROP))
+      .exit_();
+  return a.build();
+}
+
+std::vector<std::uint8_t> le32(std::uint32_t v) {
+  std::vector<std::uint8_t> out(4);
+  std::memcpy(out.data(), &v, 4);
+  return out;
+}
+
+std::vector<std::uint8_t> addr_bytes(const char* s) {
+  const net::Ipv6Addr a = A(s);
+  return {a.bytes().begin(), a.bytes().end()};
+}
+
+// A 2-segment SRH with a tag, which must come through verbatim; an
+// encapsulation rewrites its next header (No Next Header) to IPv6.
+std::vector<std::uint8_t> policy_srh() {
+  const net::Ipv6Addr segs[] = {A("fc00::b1"), A("fc00::b2")};
+  return net::build_srh(net::kProtoNone, segs, {}, 0x1234);
+}
+
+enum class Input { kTwoSegments, kSixSegments, kEncapsulated, kPlain };
+
+net::Packet make_input(Input in) {
+  switch (in) {
+    case Input::kTwoSegments:
+      return srv6_packet({A("fc00::e1"), A("fc00::d1")});
+    case Input::kSixSegments:
+      return six_segment_packet();
+    case Input::kEncapsulated: {
+      net::PacketSpec inner;
+      inner.src = A("fc00::1");
+      inner.dst = A("fc00::2");
+      net::Packet pkt = net::make_udp_packet(inner);
+      const net::Ipv6Addr segs[] = {A("fc00::e1"), A("fc00::d7")};
+      EXPECT_TRUE(seg6_do_encap(pkt, segs, A("fc00::99")));
+      return pkt;
+    }
+    case Input::kPlain:
+      break;
+  }
+  net::PacketSpec spec;
+  spec.src = A("fc00::1");
+  spec.dst = A("fc00::2");
+  return net::make_udp_packet(spec);
+}
+
+// What a case must produce, pinned.
+struct Pinned {
+  Disposition disposition;
+  std::size_t size;
+  std::uint64_t digest;
+  const char* outer_dst;
+  const char* nexthop;  // nullptr: pkt.dst() stays invalid
+  int oif;
+  int encaps;
+  int decaps;
+  int fib_lookups;
+};
+
+struct HelperCase {
+  const char* name;
+  bool end_bpf;  // End.BPF + bpf_lwt_seg6_action, else LWT xmit + push_encap
+  std::int32_t arg;  // Seg6Action or BPF_LWT_ENCAP_* type
+  Input input;
+  std::vector<std::uint8_t> param;  // empty: the packet's own SRH
+  std::uint64_t ok_ret;
+  bool tunsrc;  // sets Netns::sr_tunsrc to fc00::99
+  Pinned want;
+};
+
+void PrintTo(const HelperCase& c, std::ostream* os) { *os << c.name; }
+
+class Seg6HelperTest : public ::testing::TestWithParam<HelperCase> {};
+
+TEST_P(Seg6HelperTest, PinsDispositionBytesDstAndTrace) {
+  const HelperCase& c = GetParam();
+  Netns ns("test");
+  ns.table(0).add_route(P("fc00::/16"), {A("fe80::1"), 0, 1});
+  ns.table(7).add_route(P("fc00::/16"), {net::Ipv6Addr{}, 5, 1});  // on-link
+  if (c.tunsrc) ns.sr_tunsrc = A("fc00::99");
+
+  auto res = ns.bpf().load(
+      c.name,
+      c.end_bpf ? ebpf::ProgType::kLwtSeg6Local : ebpf::ProgType::kLwtXmit,
+      helper_prog(c.end_bpf ? ebpf::helper::LWT_SEG6_ACTION
+                            : ebpf::helper::LWT_PUSH_ENCAP,
+                  c.arg, c.param, c.ok_ret));
+  ASSERT_TRUE(res.ok()) << res.verify.error;
+
+  net::Packet pkt = make_input(c.input);
+  ProcessTrace trace;
+  PipelineResult r;
+  if (c.end_bpf) {
+    Seg6LocalEntry e;
+    e.action = Seg6Action::kEndBPF;
+    e.prog = res.prog;
+    r = seg6local_process(ns, pkt, e, &trace);
+  } else {
+    LwtState lwt;
+    lwt.kind = LwtState::Kind::kBpf;
+    lwt.prog_xmit = res.prog;
+    r = lwt_process(ns, pkt, lwt, LwtHook::kXmit, &trace);
+  }
+
+  EXPECT_EQ(r.disposition, c.want.disposition);
+  EXPECT_EQ(pkt.size(), c.want.size);
+  EXPECT_EQ(fnv1a(pkt.bytes()), c.want.digest)
+      << std::hex << "0x" << fnv1a(pkt.bytes());
+  EXPECT_EQ(pkt.ipv6().dst(), A(c.want.outer_dst));
+  EXPECT_EQ(pkt.ipv6().payload_length() + net::kIpv6HeaderSize, pkt.size());
+  if (c.want.nexthop == nullptr) {
+    EXPECT_FALSE(pkt.dst().valid);
+  } else {
+    EXPECT_TRUE(pkt.dst().valid);
+    EXPECT_EQ(pkt.dst().nexthop, A(c.want.nexthop));
+    EXPECT_EQ(pkt.dst().oif, c.want.oif);
+  }
+  EXPECT_EQ(trace.encaps, c.want.encaps);
+  EXPECT_EQ(trace.decaps, c.want.decaps);
+  EXPECT_EQ(trace.fib_lookups, c.want.fib_lookups);
+}
+
+constexpr auto act(Seg6Action a) { return static_cast<std::int32_t>(a); }
+constexpr auto encap(std::uint32_t t) { return static_cast<std::int32_t>(t); }
+using ebpf::BPF_OK;
+using ebpf::BPF_REDIRECT;
+constexpr auto kFwd = Disposition::kForward;
+constexpr auto kCont = Disposition::kContinue;
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryAction, Seg6HelperTest,
+    ::testing::Values(
+        HelperCase{"EndX", true, act(Seg6Action::kEndX), Input::kTwoSegments,
+                   addr_bytes("fc00::42"), BPF_REDIRECT, false,
+                   {kFwd, 120, 0x613f95554f100a73, "fc00::d1", "fc00::42", 0,
+                    0, 0, 1}},
+        HelperCase{"EndT_OnLink", true, act(Seg6Action::kEndT),
+                   Input::kTwoSegments, le32(7), BPF_REDIRECT, false,
+                   {kFwd, 120, 0x613f95554f100a73, "fc00::d1", "fc00::d1", 5,
+                    0, 0, 1}},
+        HelperCase{"EndDT6", true, act(Seg6Action::kEndDT6),
+                   Input::kEncapsulated, le32(0), BPF_REDIRECT, false,
+                   {kFwd, 112, 0xf953982445efb17a, "fc00::2", "fe80::1", 0, 0,
+                    1, 1}},
+        HelperCase{"EndB6", true, act(Seg6Action::kEndB6), Input::kTwoSegments,
+                   policy_srh(), BPF_OK, false,
+                   {kCont, 176, 0xed41d164adb4c1dc, "fc00::b1", nullptr, -1, 1,
+                    0, 0}},
+        HelperCase{"EndB6Encap", true, act(Seg6Action::kEndB6Encaps),
+                   Input::kTwoSegments, policy_srh(), BPF_OK, false,
+                   {kCont, 200, 0x94f939e4ae334267, "fc00::b1", nullptr, -1, 1,
+                    0, 0}},
+        HelperCase{"EndB6Encap_OwnSrh", true, act(Seg6Action::kEndB6Encaps),
+                   Input::kSixSegments, {}, BPF_OK, true,
+                   {kCont, 328, 0x1197cc1412e11734, "fc00::c2", nullptr, -1, 1,
+                    0, 0}},
+        HelperCase{"PushEncapSeg6", false, encap(BPF_LWT_ENCAP_SEG6),
+                   Input::kPlain, policy_srh(), BPF_OK, true,
+                   {kCont, 192, 0xb77cdc7c070ec0a1, "fc00::b1", nullptr, -1, 1,
+                    0, 0}},
+        HelperCase{"PushEncapSeg6_OwnSrh", false, encap(BPF_LWT_ENCAP_SEG6),
+                   Input::kSixSegments, {}, BPF_OK, false,
+                   {kCont, 328, 0xd64c482e9f3bdddf, "fc00::e1", nullptr, -1, 1,
+                    0, 0}},
+        HelperCase{"PushEncapSeg6Inline", false,
+                   encap(BPF_LWT_ENCAP_SEG6_INLINE), Input::kPlain,
+                   policy_srh(), BPF_OK, false,
+                   {kCont, 168, 0xbbff7e7e6273a9ad, "fc00::b1", nullptr, -1, 1,
+                    0, 0}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---- LWT ---------------------------------------------------------------------------
 

@@ -5,10 +5,13 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "apps/trafgen.h"
 #include "net/buffer_pool.h"
 #include "net/packet.h"
+#include "seg6/fib.h"
+#include "seg6/seg6local.h"
 #include "sim/costmodel.h"
 #include "sim/event_loop.h"
 #include "sim/netem.h"
@@ -303,6 +306,55 @@ TEST(Node, NoRouteDrops) {
   line.net.run_for(10 * kMilli);
   // R has no ::/0 so it drops.
   EXPECT_EQ(line.r->stats().drops_no_route, 1u);
+}
+
+// A route whose tunnel encapsulates toward its own prefix loops inside one
+// node. Every packet gets 4 lookup rounds, a SID's round included, whether
+// it came from a link or was sent locally; what still loops then is dropped
+// as no-route.
+TEST(Node, LookupRoundBudgetBoundsALoopInsideOneNode) {
+  auto run = [](auto send) {
+    Line line;
+    seg6::Netns& ns = line.r->ns();
+    auto lwt = std::make_shared<seg6::LwtState>();
+    lwt->kind = seg6::LwtState::Kind::kSeg6Encap;
+    lwt->segments = {A("fc00:5::1")};
+    const int oif = ns.table(0).lookup(A("fc00:2::2"))->nexthops[0].oif;
+    ns.table(0).add_route(
+        seg6::Route{P("fc00:5::/64"), {{net::Ipv6Addr{}, oif, 1}}, lwt});
+    seg6::Seg6LocalEntry end;
+    end.action = seg6::Seg6Action::kEnd;
+    ns.seg6local().add(A("fc00:2::e"), end);
+    send(line);
+    line.net.run_for(10 * kMilli);
+    return line.r->stats();
+  };
+  auto packet = [](const char* src, std::vector<net::Ipv6Addr> segments) {
+    net::PacketSpec spec;
+    spec.src = A(src);
+    spec.dst = A("fc00:5::9");
+    spec.segments = std::move(segments);
+    return net::make_udp_packet(spec);
+  };
+
+  const NodeStats from_link = run(
+      [&](Line& l) { l.a->send(packet("fc00:1::1", {})); });
+  EXPECT_EQ(from_link.pipeline.encaps, 4u);
+  EXPECT_EQ(from_link.drops_no_route, 1u);
+
+  const NodeStats sid_first = run([&](Line& l) {
+    l.a->send(packet("fc00:1::1", {A("fc00:2::e"), A("fc00:5::9")}));
+  });
+  EXPECT_EQ(sid_first.pipeline.seg6local_ops, 1u);
+  EXPECT_EQ(sid_first.pipeline.encaps, 3u);
+  EXPECT_EQ(sid_first.drops_no_route, 1u);
+
+  const NodeStats local = run(
+      [&](Line& l) { l.r->send(packet("fc00:2::1", {})); });
+  EXPECT_EQ(local.pipeline.encaps, 4u);
+  EXPECT_EQ(local.drops_no_route, 1u);
+  // None of the three leaves R.
+  EXPECT_EQ(local.tx_packets + from_link.tx_packets + sid_first.tx_packets, 0u);
 }
 
 TEST(Node, CpuModelCapsForwardingRate) {
