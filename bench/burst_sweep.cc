@@ -9,10 +9,14 @@
 // simulated-packets-per-wall-second, plus scheduled events per packet and
 // the achieved burst occupancy at R.
 //
-// Writes BENCH_burst.json (flags and exit status: bench/report.h). The
-// b32 >= 1.3x b1 gate applies to full runs only: --quick windows are too
-// short to survive scheduling noise on shared CI runners.
+// Writes BENCH_burst.json (flags and exit status: bench/report.h). Two
+// gates: the sink rate must be burst-invariant (max/min sim_kpps across the
+// rows <= 1.001), and burst 32 must be >= 1.3x burst 1 in simulated packets
+// per wall-second, a wall gate.
+#include <algorithm>
 #include <chrono>
+#include <limits>
+#include <utility>
 
 #include "bench_common.h"
 
@@ -21,8 +25,10 @@ using namespace srv6bpf::bench;
 
 namespace {
 
-// Records one burst size's row; returns its simulated packets per wall-second.
-double run_one(std::size_t burst, sim::TimeNs duration, Obj& row) {
+// Records one burst size's row; returns its sink rate in simulated kpps and
+// its simulated packets per wall-second.
+std::pair<double, double> run_one(std::size_t burst, sim::TimeNs duration,
+                                  Obj& row) {
   Setup1 lab;
   lab.rx_burst = burst;
   lab.gen_burst = burst;
@@ -55,7 +61,7 @@ double run_one(std::size_t burst, sim::TimeNs duration, Obj& row) {
                      static_cast<double>(rs.service_events)
                : 0,
            2);
-  return pkts_per_wall_s;
+  return {sim_kpps, pkts_per_wall_s};
 }
 
 }  // namespace
@@ -73,14 +79,23 @@ int main(int argc, char** argv) {
       .num("duration_ms", static_cast<double>(duration) / 1e6, 0);
 
   double b1 = 0, b32 = 0;
+  // The sim_kpps range across the rows.
+  double lo = std::numeric_limits<double>::infinity(), hi = 0;
   for (const std::size_t b : {1, 4, 16, 32, 64}) {
-    const double rate = run_one(b, duration, rep.row("rows"));
+    const auto [sim_kpps, rate] = run_one(b, duration, rep.row("rows"));
     if (b == 1) b1 = rate;
     if (b == 32) b32 = rate;
+    lo = std::min(lo, sim_kpps);
+    hi = std::max(hi, sim_kpps);
   }
   const double speedup = b1 > 0 ? b32 / b1 : 0;
   rep.num("speedup_b32_vs_b1", speedup, 3);
-  rep.gate(mode.quick || speedup >= 1.3,
-           "burst-32 vs burst-1 simulator speedup %.3f below 1.3", speedup);
+  rep.gate(lo > 0 && hi / lo <= 1.001,
+           "sim_kpps max/min across bursts %.4f above 1.001: the datapath is "
+           "no longer burst-invariant",
+           hi / lo);
+  rep.wall_gate(speedup >= 1.3,
+                "burst-32 vs burst-1 simulator speedup %.3f below 1.3",
+                speedup);
   return rep.finish();
 }

@@ -9,9 +9,9 @@
 // bringing the config back. Each (fault_rate, threads) cell reruns the SAME
 // (seed, schedule) pair, so the gates are:
 //
-//   - digest_match (hard, self-gated AND a floor in check_history.py): for
-//     every fault rate, the PDES runs at 1 and 8 worker threads produce the
-//     identical delivery digest — chaos is reproducible, bit for bit.
+//   - digest_match (hard): for every fault rate, the PDES runs at 1 and 8
+//     worker threads produce the identical delivery digest — chaos is
+//     reproducible, bit for bit.
 //   - violations == 0 (hard): the sim::InvariantAuditor's conservation
 //     ledger balances at every audit point and drains to exactly zero
 //     in-flight packets — no packet is created or lost outside the

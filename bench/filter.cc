@@ -11,7 +11,8 @@
 // Part 2 (scenario): the fig3-style monitoring sink driven entirely by a
 // compiled filter expression on the setup-1 topology, reporting the sink's
 // simulated receive rate. Simulated rates are deterministic, so
-// scenario.sim_kpps is a hard floor in bench/history/baseline.json.
+// scenario.sim_kpps >= 550 is a gate in every mode; the geomean
+// native-vs-reference speedup >= 1.2 is a wall gate.
 //
 // Writes BENCH_filter.json (flags and exit status: bench/report.h).
 #include <chrono>
@@ -161,8 +162,9 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
 
 // Fig3-style scenario: the setup-1 sink accepts only what its compiled
 // filter expression passes. Half the offered stream targets the sink port,
-// half targets another port the filter must reject.
-void run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
+// half targets another port the filter must reject. Returns the sink rate in
+// simulated kpps.
+double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
   Setup1 lab;
   std::string err;
   auto f = apps::SocketFilter::from_expr(lab.s2->ns(), "sink", expr, &err);
@@ -182,6 +184,7 @@ void run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
       .num("filter_accepted", f->accepted())
       .num("filter_dropped", f->dropped())
       .num("accept_fraction", total > 0 ? f->accepted() / total : 0, 4);
+  return sim_kpps;
 }
 
 }  // namespace
@@ -208,9 +211,15 @@ int main(int argc, char** argv) {
   double log_sum = 0;
   for (const char* e : exprs)
     log_sum += std::log(measure_expr(e, corpus, iters, rep.row("filters")));
-  rep.num("geomean_speedup_native_vs_reference",
-          std::exp(log_sum / std::size(exprs)), 2);
+  const double geomean = std::exp(log_sum / std::size(exprs));
+  rep.num("geomean_speedup_native_vs_reference", geomean, 2);
 
-  run_scenario("udp and dst port 7001", window, rep.obj("scenario"));
+  const double sim_kpps =
+      run_scenario("udp and dst port 7001", window, rep.obj("scenario"));
+  rep.gate(sim_kpps >= 550.0, "filtered sink rate %.1f kpps below 550",
+           sim_kpps);
+  rep.wall_gate(geomean >= 1.2,
+                "geomean native/reference filter speedup %.3f below 1.2",
+                geomean);
   return rep.finish();
 }

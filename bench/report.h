@@ -1,5 +1,6 @@
 // The harness of the JSON benches: their two shared flags, the BENCH_*.json
-// record, its stdout echo, the gates and the exit status.
+// record, its stdout echo, the gates and the exit status. Each bench holds
+// its own thresholds, so its exit status is the whole verdict.
 //
 // A bench records each number once, formatted when it is recorded, into an
 // ordered record of scalars, nested objects and arrays of row objects.
@@ -142,24 +143,32 @@ class Report : public Obj {
     if (!mode_.json_only) print_header(title, paper_note);
   }
 
-  // Prints "GATE: <message>" to stderr when `ok` is false, which makes
-  // finish() fail.
+  // A threshold on a result that does not depend on the host (simulated
+  // time, counts, digests): prints "GATE: <message>" to stderr when `ok` is
+  // false, which makes finish() fail, in every mode.
   __attribute__((format(printf, 3, 4))) void gate(bool ok, const char* fmt,
                                                   ...) {
-    if (ok) return;
-    gate_failed_ = true;
     std::va_list args;
     va_start(args, fmt);
-    std::fputs("GATE: ", stderr);
-    std::vfprintf(stderr, fmt, args);
-    std::fputc('\n', stderr);
+    check(ok, /*fatal=*/true, fmt, args);
+    va_end(args);
+  }
+
+  // A threshold on a wall-clock ratio: fails like gate() on a full run, but
+  // under --quick, whose short windows on a shared host are too noisy to
+  // fail on, it only prints "WARN: <message>" to stderr.
+  __attribute__((format(printf, 3, 4))) void wall_gate(bool ok,
+                                                       const char* fmt, ...) {
+    std::va_list args;
+    va_start(args, fmt);
+    check(ok, /*fatal=*/!mode_.quick, fmt, args);
     va_end(args);
   }
 
   // Echoes the record to stdout unless --json-only, then writes it to the
-  // file. Returns the exit status: 1 when a gate failed or the file could
-  // not be opened, written or closed, 0 otherwise. Only a written file is
-  // reported as "wrote <path>".
+  // file. Returns the exit status: 1 when a gate printed "GATE:" or the file
+  // could not be opened, written or closed, 0 otherwise. Only a written file
+  // is reported as "wrote <path>".
   int finish() {
     const std::string text = render() + "\n";
     if (!mode_.json_only) std::fputs(text.c_str(), stdout);
@@ -174,6 +183,16 @@ class Report : public Obj {
   }
 
  private:
+  __attribute__((format(printf, 4, 0))) void check(bool ok, bool fatal,
+                                                   const char* fmt,
+                                                   std::va_list args) {
+    if (ok) return;
+    gate_failed_ = gate_failed_ || fatal;
+    std::fputs(fatal ? "GATE: " : "WARN: ", stderr);
+    std::vfprintf(stderr, fmt, args);
+    std::fputc('\n', stderr);
+  }
+
   std::string path_;
   Mode mode_;
   bool gate_failed_ = false;

@@ -28,14 +28,14 @@
 // classes (matching TrafGen's flow_label_spread) plus, in the netem rows, a
 // classic-BPF expression class compiled by the PR 7 tcpdump frontend.
 //
-// Writes BENCH_slo.json (flags and exit status: bench/report.h);
-// bench/check_history.py enforces floors *and* ceilings (latency/blackhole
-// metrics regress upward) from bench/history/baseline.json. All gated
-// metrics are simulated-time deterministic and mode-invariant (identical
-// semantics under --quick).
+// Writes BENCH_slo.json (flags and exit status: bench/report.h) and gates
+// floors *and* ceilings (latency and blackhole metrics regress upward). All
+// gated metrics are simulated-time deterministic and mode-invariant
+// (identical semantics under --quick).
 
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -194,13 +194,21 @@ void record_window(Obj& w, const util::HdrHistogram& overall,
     record_quantiles(w.obj("classes").obj("fl" + std::to_string(i)), cls[i]);
 }
 
+// a / b, or 0 when b is 0.
+double ratio(std::uint64_t a, std::uint64_t b) {
+  return b == 0 ? 0 : static_cast<double>(a) / static_cast<double>(b);
+}
+
 // What the gates and the offered total read from one failover run.
 struct Failover {
   std::uint64_t offered = 0;
+  double delivery_ratio = 0;
   std::uint64_t frr_reroutes = 0;
   std::uint64_t blackhole_ns = 0;
   bool recovered = false;
-  bool hooks = false;
+  double tail_inflation_p99 = 0;  // post-failure p99 / pre-failure p99
+  double pre_p99 = 0;             // ns, overall
+  double post_p99 = 0;
   std::uint64_t window_allocs = 0;
   bool zero_alloc = false;  // hooks linked in and window_allocs == 0
 };
@@ -261,32 +269,26 @@ Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
       lab.sink->meter().report(t_end - t_start);
   Failover f;
   f.offered = lab.gen->sent();
+  const std::uint64_t delivered = lab.sink->packets();
+  f.delivery_ratio = ratio(delivered, f.offered);
   f.frr_reroutes = rs.frr_reroutes;
   f.blackhole_ns = clock.blackhole_ns();
   f.recovered = clock.recovered();
-  f.hooks = hooks;
+  f.pre_p99 = pre_overall.p99();
+  f.post_p99 = tracer.overall().p99();
+  f.tail_inflation_p99 = ratio(tracer.overall().p99(), pre_overall.p99());
   f.window_allocs = allocs_w1 - allocs_w0;
   f.zero_alloc = hooks && f.window_allocs == 0;
-  const std::uint64_t delivered = lab.sink->packets();
   out.num("offered", f.offered)
       .num("delivered", delivered)
-      .num("delivery_ratio",
-           f.offered == 0 ? 0
-                          : static_cast<double>(delivered) /
-                                static_cast<double>(f.offered),
-           6)
+      .num("delivery_ratio", f.delivery_ratio, 6)
       .num("frr_reroutes", f.frr_reroutes)
       .num("drops_link_down", rs.drops_link_down)
       .num("first_link_down_drop_ns",
            first == sim::NodeStats::kNeverDropped ? 0 : first)
       .num("blackhole_ns", f.blackhole_ns)
       .num("recovered", f.recovered ? 1 : 0)
-      .num("tail_inflation_p99",
-           pre_overall.p99() == 0
-               ? 0
-               : static_cast<double>(tracer.overall().p99()) /
-                     static_cast<double>(pre_overall.p99()),
-           4)
+      .num("tail_inflation_p99", f.tail_inflation_p99, 4)
       .num("alloc_hooks", hooks ? 1 : 0)
       .num("window_allocs", f.window_allocs)
       .num("zero_alloc", f.zero_alloc ? 1 : 0)
@@ -297,9 +299,16 @@ Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
   return f;
 }
 
-// Records one netem row into `row`; returns its offered packet count.
-std::uint64_t run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau,
-                        double pps, sim::TimeNs dur, Obj& row) {
+// What the gates and the offered total read from one netem row.
+struct Netem {
+  std::uint64_t offered = 0;
+  double loss_ratio = 0;
+  double p99 = 0;  // ns, overall
+};
+
+// Records one netem row into `row`.
+Netem run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau, double pps,
+                sim::TimeNs dur, Obj& row) {
   Lab lab(/*with_frr=*/true);
 
   sim::NetemConfig cfg;
@@ -330,22 +339,21 @@ std::uint64_t run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau,
   lab.start_traffic(pps, t_start, dur);
   lab.net.run_until(t_start + dur + 100 * sim::kMilli);
 
-  const std::uint64_t offered = lab.gen->sent();
+  Netem n;
+  n.offered = lab.gen->sent();
   const std::uint64_t losses = lab.l_r1r2->qdisc(0).losses();
+  n.loss_ratio = ratio(losses, n.offered);
+  n.p99 = tracer.overall().p99();
   row.num("loss_prob", loss, 4)
       .num("jitter_ns", jitter)
       .num("jitter_tau_ns", tau)
-      .num("offered", offered)
+      .num("offered", n.offered)
       .num("delivered", lab.sink->packets())
       .num("losses", losses)
-      .num("loss_ratio",
-           offered == 0 ? 0
-                        : static_cast<double>(losses) /
-                              static_cast<double>(offered),
-           6);
+      .num("loss_ratio", n.loss_ratio, 6);
   record_quantiles(row.obj("overall"), tracer.overall());
   record_quantiles(row.obj("expr_class"), tracer.class_hist(0));
-  return offered;
+  return n;
 }
 
 }  // namespace
@@ -380,15 +388,18 @@ int main(int argc, char** argv) {
                                     scenarios.obj("frr"));
   const Failover igp = run_failover(false, soak_pps, igp_fail, reconverge,
                                     igp_end, scenarios.obj("igp"));
-  std::uint64_t total_offered = frr.offered + igp.offered;
-  total_offered += run_netem(0.0, 0, 0, netem_pps, netem_dur,
-                             netem.obj("baseline"));
-  total_offered += run_netem(0.01, 0, 0, netem_pps, netem_dur,
-                             netem.obj("loss"));
-  total_offered += run_netem(0.0, 20 * sim::kMicro, 200 * sim::kMicro,
-                             netem_pps, netem_dur, netem.obj("jitter"));
-  total_offered += run_netem(0.01, 20 * sim::kMicro, 200 * sim::kMicro,
-                             netem_pps, netem_dur, netem.obj("loss_jitter"));
+  const Netem baseline =
+      run_netem(0.0, 0, 0, netem_pps, netem_dur, netem.obj("baseline"));
+  const Netem loss =
+      run_netem(0.01, 0, 0, netem_pps, netem_dur, netem.obj("loss"));
+  const Netem jitter = run_netem(0.0, 20 * sim::kMicro, 200 * sim::kMicro,
+                                 netem_pps, netem_dur, netem.obj("jitter"));
+  const Netem loss_jitter =
+      run_netem(0.01, 20 * sim::kMicro, 200 * sim::kMicro, netem_pps,
+                netem_dur, netem.obj("loss_jitter"));
+  const std::uint64_t total_offered = frr.offered + igp.offered +
+                                      baseline.offered + loss.offered +
+                                      jitter.offered + loss_jitter.offered;
 
   rep.str("bench", "slo_soak")
       .num("quick", quick ? 1 : 0)
@@ -398,21 +409,44 @@ int main(int argc, char** argv) {
   rep.obj("scenarios") = scenarios;
   rep.obj("netem") = netem;
 
-  // Deterministic self-gates, enforced in every mode: the FRR repair must
-  // actually fire and hold the blackhole under a millisecond, the IGP
-  // blackhole must straddle the modelled convergence delay, and (with the
-  // counting hooks linked in) the delivery path must be allocation-free.
-  rep.gate(!(frr.frr_reroutes == 0 || !frr.recovered ||
-             frr.blackhole_ns > sim::kMilli),
-           "frr repair ineffective (reroutes=%llu blackhole=%llu ns)",
-           static_cast<unsigned long long>(frr.frr_reroutes),
-           static_cast<unsigned long long>(frr.blackhole_ns));
-  rep.gate(!(igp.blackhole_ns < reconverge ||
-             igp.blackhole_ns > reconverge + 10 * sim::kMilli),
-           "igp blackhole %llu ns not ~reconverge delay",
-           static_cast<unsigned long long>(igp.blackhole_ns));
-  rep.gate(!(frr.hooks && !frr.zero_alloc),
+  // Deterministic gates, enforced in every mode. The FRR repair must fire
+  // and hold the blackhole under a millisecond; without FRR the blackhole
+  // must straddle the modelled convergence delay; the delivery path must
+  // be allocation-free.
+  using ull = unsigned long long;
+  rep.gate(frr.frr_reroutes > 0 && frr.recovered &&
+               frr.blackhole_ns <= sim::kMilli,
+           "frr repair ineffective (reroutes=%llu recovered=%d "
+           "blackhole=%llu ns)",
+           static_cast<ull>(frr.frr_reroutes), frr.recovered ? 1 : 0,
+           static_cast<ull>(frr.blackhole_ns));
+  rep.gate(igp.recovered && igp.blackhole_ns >= reconverge &&
+               igp.blackhole_ns <= reconverge + 10 * sim::kMilli,
+           "igp blackhole %llu ns not ~reconverge delay (recovered=%d)",
+           static_cast<ull>(igp.blackhole_ns), igp.recovered ? 1 : 0);
+  rep.gate(frr.zero_alloc,
            "%llu allocations in the steady-state SLO window — want 0",
-           static_cast<unsigned long long>(frr.window_allocs));
+           static_cast<ull>(frr.window_allocs));
+  // Floors and ceilings: FRR loses almost nothing while its longer repair
+  // path inflates the tail a bounded amount, IGP still delivers most
+  // traffic, the qdisc loses about what it is told to and the tails move
+  // with the configured jitter.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* name;
+    double value, lo, hi;
+  } bounds[] = {
+      {"frr delivery_ratio", frr.delivery_ratio, 0.999, kInf},
+      {"frr tail_inflation_p99", frr.tail_inflation_p99, 1.05, kInf},
+      {"frr pre p99 ns", frr.pre_p99, -kInf, 50000},
+      {"frr post p99 ns", frr.post_p99, -kInf, 65000},
+      {"igp delivery_ratio", igp.delivery_ratio, 0.6, kInf},
+      {"netem loss loss_ratio", loss.loss_ratio, 0.005, 0.02},
+      {"netem baseline p99 ns", baseline.p99, -kInf, 150000},
+      {"netem jitter p99 ns", jitter.p99, 160000, 250000},
+  };
+  for (const auto& b : bounds)
+    rep.gate(b.value >= b.lo && b.value <= b.hi, "%s %g outside [%g, %g]",
+             b.name, b.value, b.lo, b.hi);
   return rep.finish();
 }

@@ -208,16 +208,18 @@ void run_engine_comparison(int iters, bench::Report& rep) {
   record_row(rep.row("programs"), "alu_chain_512", /*sec32=*/false,
              alu_baseline_ns, alu_predecoded_ns, alu_native_ns);
 
-  rep.num("sec32_geomean_speedup_predecoded_vs_baseline",
-          std::exp(log_sum_pre / std::size(progs)), 2)
-      .num("sec32_geomean_speedup_native_vs_predecoded",
-           std::exp(log_sum_native / std::size(progs)), 2)
-      // Emitted-code quality floor: on the compute-bound chain the engine
-      // is the whole cost, so this ratio tracks the JIT itself rather than
-      // shared helper/harness time (which caps the §3.2 rows near the
-      // paper's ~1.8x).
-      .num("alu512_speedup_native_vs_predecoded",
-           alu_predecoded_ns / alu_native_ns, 2);
+  const double pre = std::exp(log_sum_pre / std::size(progs));
+  const double native = std::exp(log_sum_native / std::size(progs));
+  // Emitted-code quality: on the compute-bound chain the engine is the whole
+  // cost, so this ratio tracks the JIT itself rather than shared
+  // helper/harness time (which caps the §3.2 rows near the paper's ~1.8x).
+  const double alu512 = alu_predecoded_ns / alu_native_ns;
+  rep.num("sec32_geomean_speedup_predecoded_vs_baseline", pre, 2)
+      .num("sec32_geomean_speedup_native_vs_predecoded", native, 2)
+      .num("alu512_speedup_native_vs_predecoded", alu512, 2);
+  rep.wall_gate(pre >= 2.0, "§3.2 pre-decoded speedup %.3f below 2.0", pre);
+  rep.wall_gate(native >= 1.1, "§3.2 native speedup %.3f below 1.1", native);
+  rep.wall_gate(alu512 >= 3.0, "alu512 native speedup %.3f below 3.0", alu512);
 }
 
 // ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ net::Packet make_tcp_segment(const net::Ipv6Addr& src,
 
 TcpSender::TcpSender(sim::Node& node, AppMux& mux, Config cfg)
     : node_(node), cfg_(cfg) {
-  cwnd_ = cfg_.init_cwnd_segs * cfg_.mss;
-  ssthresh_ = cfg_.init_ssthresh;
+  cwnd_ = kInitCwndSegs * kMss;
+  ssthresh_ = kInitSsthresh;
   mux.on_tcp(cfg_.src_port,
              [this](const net::Packet&, const net::TcpHeader& h,
                     std::span<const std::uint8_t>, sim::TimeNs now) {
@@ -81,23 +81,23 @@ void TcpSender::start() {
 void TcpSender::send_segment(std::uint32_t seq, bool is_rtx, sim::TimeNs now) {
   net::Packet pkt = make_tcp_segment(cfg_.src, cfg_.dst, cfg_.src_port,
                                      cfg_.dst_port, seq, 0, net::kTcpAck,
-                                     cfg_.mss);
+                                     kMss);
   ++segs_sent_;
   if (is_rtx) {
     ++retransmits_;
-    rtt_samples_.erase(seq + cfg_.mss);  // Karn: never sample retransmits
+    rtt_samples_.erase(seq + kMss);  // Karn: never sample retransmits
   } else {
-    rtt_samples_[seq + cfg_.mss] = now;
+    rtt_samples_[seq + kMss] = now;
   }
   node_.send(std::move(pkt));
 }
 
 void TcpSender::try_send(sim::TimeNs now) {
   if (now >= stop_at_) return;
-  if (cwnd_ > cfg_.max_cwnd) cwnd_ = cfg_.max_cwnd;
-  while (snd_nxt_ - snd_una_ + cfg_.mss <= cwnd_) {
+  if (cwnd_ > kMaxCwnd) cwnd_ = kMaxCwnd;
+  while (snd_nxt_ - snd_una_ + kMss <= cwnd_) {
     send_segment(snd_nxt_, false, now);
-    snd_nxt_ += cfg_.mss;
+    snd_nxt_ += kMss;
   }
 }
 
@@ -110,7 +110,7 @@ void TcpSender::update_rtt(sim::TimeNs sample) {
     rttvar_ = (3 * rttvar_ + diff) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::max(cfg_.min_rto, srtt_ + 4 * rttvar_);
+  rto_ = std::max(kMinRto, srtt_ + 4 * rttvar_);
 }
 
 void TcpSender::arm_rto(sim::TimeNs now) {
@@ -131,8 +131,8 @@ void TcpSender::on_rto_fire() {
   }
   ++timeouts_;
   const std::uint32_t flight = snd_nxt_ - snd_una_;
-  ssthresh_ = std::max(flight / 2, 2 * cfg_.mss);
-  cwnd_ = cfg_.mss;
+  ssthresh_ = std::max(flight / 2, 2 * kMss);
+  cwnd_ = kMss;
   in_recovery_ = false;
   dupacks_ = 0;
   rto_backoff_ = std::min(rto_backoff_ + 1, 6);
@@ -141,7 +141,7 @@ void TcpSender::on_rto_fire() {
   // Go-back-N: everything beyond the retransmitted segment is resent as
   // slow start reopens the window (classic Reno RTO recovery; the receiver
   // discards duplicates). Without this, scattered losses cost one RTO each.
-  snd_nxt_ = snd_una_ + cfg_.mss;
+  snd_nxt_ = snd_una_ + kMss;
   arm_rto(now);
 }
 
@@ -173,16 +173,6 @@ void TcpSender::on_ack(const net::TcpHeader& h, sim::TimeNs now) {
         in_recovery_ = false;
         cwnd_ = ssthresh_;
         dupacks_ = 0;
-        if (rtx_in_recovery_ <= 2 && cfg_.max_dupack_threshold > 3) {
-          // A recovery that needed only the one fast retransmit was almost
-          // certainly triggered by reordering, not loss: widen the dupack
-          // threshold (Linux tcp_reordering-style, bounded) and undo half of
-          // the window reduction (Eifel response, RFC 4015-flavoured).
-          // Disabled when max_dupack_threshold == 3 (classic NewReno, the
-          // §4.2 configuration).
-          dupthresh_ = std::min(cfg_.max_dupack_threshold, dupthresh_ + 2);
-          cwnd_ = std::max(cwnd_, (cwnd_prior_ + ssthresh_) / 2);
-        }
       } else {
         // Partial ACK. In genuine multi-loss recovery these arrive once per
         // RTT (each retransmission must be acked first); under reordering
@@ -194,23 +184,17 @@ void TcpSender::on_ack(const net::TcpHeader& h, sim::TimeNs now) {
           last_partial_rtx_ = now;
           send_segment(snd_una_, true, now);
           ++fast_rtx_;
-          ++rtx_in_recovery_;
         }
-        cwnd_ = cwnd_ > acked ? cwnd_ - acked + cfg_.mss : cfg_.mss;
+        cwnd_ = cwnd_ > acked ? cwnd_ - acked + kMss : kMss;
       }
     } else {
-      // A hole that filled in before dupthresh fired is reordering, not
-      // loss: widen the window (bounded), like Linux's tcp_reordering.
-      if (dupacks_ > 0)
-        dupthresh_ = std::min(cfg_.max_dupack_threshold,
-                              std::max(dupthresh_, dupacks_ + 1));
       dupacks_ = 0;
       if (cwnd_ < ssthresh_) {
-        cwnd_ += std::min(acked, cfg_.mss);  // slow start
+        cwnd_ += std::min(acked, kMss);  // slow start
       } else {
         cwnd_ += std::max<std::uint32_t>(
             1, static_cast<std::uint32_t>(
-                   static_cast<std::uint64_t>(cfg_.mss) * cfg_.mss / cwnd_));
+                   static_cast<std::uint64_t>(kMss) * kMss / cwnd_));
       }
     }
     arm_rto(now);
@@ -221,19 +205,17 @@ void TcpSender::on_ack(const net::TcpHeader& h, sim::TimeNs now) {
   if (ack == snd_una_ && snd_nxt_ != snd_una_) {
     // ---- Duplicate ACK ----
     ++dupacks_;
-    if (!in_recovery_ && dupacks_ == dupthresh_) {
+    if (!in_recovery_ && dupacks_ == kDupackThreshold) {
       in_recovery_ = true;
       recover_ = snd_nxt_;
-      rtx_in_recovery_ = 1;
-      cwnd_prior_ = cwnd_;
       const std::uint32_t flight = snd_nxt_ - snd_una_;
-      ssthresh_ = std::max(flight / 2, 2 * cfg_.mss);
-      cwnd_ = ssthresh_ + 3 * cfg_.mss;
+      ssthresh_ = std::max(flight / 2, 2 * kMss);
+      cwnd_ = ssthresh_ + 3 * kMss;
       send_segment(snd_una_, true, now);
       ++fast_rtx_;
       arm_rto(now);
     } else if (in_recovery_) {
-      cwnd_ += cfg_.mss;  // window inflation per extra dupack
+      cwnd_ += kMss;  // window inflation per extra dupack
       try_send(now);
     }
   }

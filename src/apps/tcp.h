@@ -30,23 +30,21 @@ class TcpSender {
     net::Ipv6Addr dst;
     std::uint16_t src_port = 40000;
     std::uint16_t dst_port = 5001;
-    std::uint32_t mss = 1400;           // payload bytes per segment
-    std::uint32_t init_cwnd_segs = 10;
-    // Initial ssthresh (a receiver-window stand-in) and an absolute window
-    // cap; both bound the slow-start overshoot, whose loss bursts NewReno —
-    // without SACK — repairs only one hole per RTT.
-    std::uint32_t init_ssthresh = 256 * 1024;
-    std::uint32_t max_cwnd = 384 * 1024;  // a realistic advertised rwnd
     sim::TimeNs start_at = 0;
     sim::TimeNs duration = 10 * sim::kSecond;
-    sim::TimeNs min_rto = 200 * sim::kMilli;
-    // Reordering-window adaptation (Linux tcp_reordering / RFC 4653): when a
-    // hole fills without retransmission the duplicate-ACK threshold grows,
-    // up to this cap. Mild reordering (the compensated §4.2 path) is
-    // absorbed; pathological reordering (uncompensated WRR, tens of packets
-    // of displacement) still collapses, as the paper observed.
-    int max_dupack_threshold = 3;  // classic NewReno (no SACK), as in §4.2
   };
+
+  static constexpr std::uint32_t kMss = 1400;  // payload bytes per segment
+  static constexpr std::uint32_t kInitCwndSegs = 10;
+  // Initial ssthresh (a receiver-window stand-in) and an absolute window
+  // cap; both bound the slow-start overshoot, whose loss bursts NewReno —
+  // without SACK — repairs only one hole per RTT.
+  static constexpr std::uint32_t kInitSsthresh = 256 * 1024;
+  static constexpr std::uint32_t kMaxCwnd = 384 * 1024;  // a realistic rwnd
+  static constexpr sim::TimeNs kMinRto = 200 * sim::kMilli;
+  // Classic NewReno (no SACK), as in §4.2: a fixed three-dupack threshold,
+  // so WRR's reordering across unequal RTTs reads as loss.
+  static constexpr int kDupackThreshold = 3;
 
   TcpSender(sim::Node& node, AppMux& mux, Config cfg);
   void start();
@@ -57,7 +55,6 @@ class TcpSender {
   std::uint64_t fast_retransmits() const noexcept { return fast_rtx_; }
   std::uint64_t timeouts() const noexcept { return timeouts_; }
   std::uint32_t cwnd() const noexcept { return cwnd_; }
-  int dupack_threshold() const noexcept { return dupthresh_; }
 
  private:
   void on_ack(const net::TcpHeader& h, sim::TimeNs now);
@@ -77,11 +74,8 @@ class TcpSender {
   std::uint32_t cwnd_ = 0;      // bytes
   std::uint32_t ssthresh_ = 0;  // bytes
   int dupacks_ = 0;
-  int dupthresh_ = 3;
   bool in_recovery_ = false;
   std::uint32_t recover_ = 0;
-  std::uint32_t rtx_in_recovery_ = 0;
-  std::uint32_t cwnd_prior_ = 0;  // for the Eifel-style spurious undo
   sim::TimeNs last_partial_rtx_ = 0;
 
   // RTT estimation (Jacobson/Karels), Karn-sampled.

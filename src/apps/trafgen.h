@@ -8,9 +8,9 @@
 // covered), at cached byte offsets — the header chain is walked once, not
 // per packet. That is how trafgen/pktgen themselves reach line rate, and it
 // is what keeps the generator inside the simulator's zero-allocation steady
-// state. Config::use_template = false switches to rebuilding every packet
-// from the PacketSpec (the pre-pool behaviour), kept as the honest baseline
-// for bench_hotpath; both paths emit bit-identical packets.
+// state. A stamped packet is byte for byte make_udp_packet of its rotated
+// spec, except that with an SRH dst_spread rotates only the IPv6 header's
+// copy of the first segment (see Config::dst_spread).
 #pragma once
 
 #include <cstdint>
@@ -54,13 +54,6 @@ class TrafGen {
     // the tick) for far fewer simulator events — the burst_sweep benchmark's
     // source-side knob. The average offered rate is preserved.
     std::size_t burst = 1;
-    // Template stamping (default): copy the prebuilt frame into a pooled
-    // buffer and patch the varying fields at cached offsets. false =
-    // rebuild every packet from `spec` via make_udp_packet (fresh buffer,
-    // SRH re-serialised, checksum recomputed) — the allocation-per-packet
-    // baseline bench_hotpath measures the pooled path against. Emitted
-    // bytes are identical either way (tests/alloc_test.cc asserts it).
-    bool use_template = true;
   };
 
   TrafGen(sim::Node& node, Config cfg);

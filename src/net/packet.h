@@ -104,12 +104,12 @@ class Packet {
 // and benchmarks.
 struct PacketSpec {
   Ipv6Addr src;
-  Ipv6Addr dst;                   // written into the IPv6 header
+  Ipv6Addr dst;                   // the IPv6 dst; unused with an SRH
   std::uint8_t hop_limit = 64;
   std::uint32_t flow_label = 0;   // 20 bits; part of the RSS steering tuple
   std::vector<Ipv6Addr> segments; // if non-empty, adds an SRH (travel order);
-                                  // IPv6 dst is then segments.back() unless
-                                  // dst_override is set
+                                  // the IPv6 dst is then segments.front()
+                                  // and the final dst segments.back()
   std::vector<std::uint8_t> srh_tlvs;
   std::uint16_t srh_tag = 0;
   std::uint8_t srh_flags = 0;

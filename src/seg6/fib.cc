@@ -1,5 +1,6 @@
 #include "seg6/fib.h"
 
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 
@@ -12,8 +13,14 @@ namespace srv6bpf::seg6 {
 void Fib::add_route(Route route) {
   if (route.nexthops.empty() && !route.lwt)
     throw std::invalid_argument("route needs nexthops or tunnel state");
-  for (const Nexthop& nh : route.nexthops)
+  // select_nexthop sums the weights in an int.
+  int total = 0;
+  for (const Nexthop& nh : route.nexthops) {
     if (nh.weight <= 0) throw std::invalid_argument("nexthop weight must be > 0");
+    if (nh.weight > INT_MAX - total)
+      throw std::invalid_argument("nexthop weights sum past INT_MAX");
+    total += nh.weight;
+  }
 
   bool created = false;
   std::uint32_t* slot = trie_.find_or_insert(

@@ -60,9 +60,6 @@ class HybridLab {
   sim::Node& cpe() noexcept { return *m_; }
   sim::Node& s2() noexcept { return *s2_; }
   std::uint64_t total_retransmits() const;
-  int sender_dupack_threshold() const {
-    return senders_.empty() ? 0 : senders_.front()->dupack_threshold();
-  }
   std::uint64_t total_timeouts() const;
   std::uint64_t receiver_ooo_segments() const;
   // Most recent delay difference measured by the TWD daemon (ns).

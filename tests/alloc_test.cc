@@ -6,9 +6,9 @@
 // new/delete are the counting replacements — the allocation-regression test
 // measures the real thing, not a model. The recycling-correctness tests pin
 // the other half of the contract: pooling is wall-clock-only, so pooled,
-// recycled-buffer and pool-disabled runs (and template-stamped vs rebuilt
-// generator packets) produce bit-identical delivery digests, the same
-// FNV-golden pattern tests/mc_test.cc uses for the multi-core differential.
+// recycled-buffer and pool-disabled runs produce bit-identical delivery
+// digests, the same FNV-golden pattern tests/mc_test.cc uses for the
+// multi-core differential.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -256,7 +256,7 @@ struct Fig2Lab {
     });
   }
 
-  apps::TrafGen::Config gen_config(bool use_template) const {
+  apps::TrafGen::Config gen_config() const {
     apps::TrafGen::Config cfg;
     cfg.spec.src = A("fc00:1::1");
     cfg.spec.dst = A("fc00:2::2");
@@ -267,7 +267,6 @@ struct Fig2Lab {
     cfg.src_port_spread = 7;
     cfg.flow_label_spread = 4;
     cfg.duration = 10 * sim::kMilli;
-    cfg.use_template = use_template;
     return cfg;
   }
 };
@@ -277,10 +276,10 @@ struct Fig2Result {
   sim::NodeStats router;
 };
 
-Fig2Result run_fig2(bool pooled, bool use_template) {
+Fig2Result run_fig2(bool pooled) {
   net::BufferPool::set_enabled(pooled);
   Fig2Lab lab;
-  apps::TrafGen gen(lab.s1, lab.gen_config(use_template));
+  apps::TrafGen gen(lab.s1, lab.gen_config());
   gen.start();
   lab.net.run_for(sim::kSecond);
   return {lab.dig, lab.r.stats()};
@@ -290,37 +289,25 @@ TEST(Recycling, PooledRecycledAndDisabledRunsAreBitIdentical) {
   PoolGuard guard;
   net::BufferPool::trim();
 
-  const Fig2Result pooled = run_fig2(/*pooled=*/true, /*use_template=*/true);
+  const Fig2Result pooled = run_fig2(/*pooled=*/true);
   ASSERT_GT(pooled.dig.delivered, 1000u);
   EXPECT_GT(pooled.router.drops_rx_queue, 0u) << "scenario must saturate R";
 
   // Second pooled run: every buffer comes off the freelist populated with
   // the previous run's bytes — recycling must not leak any of them.
   EXPECT_GT(net::BufferPool::stats().pooled, 0u);
-  const Fig2Result recycled = run_fig2(/*pooled=*/true, /*use_template=*/true);
+  const Fig2Result recycled = run_fig2(/*pooled=*/true);
   EXPECT_EQ(recycled.dig.fnv, pooled.dig.fnv);
   EXPECT_EQ(recycled.dig.delivered, pooled.dig.delivered);
 
   // Pool disabled: acquire/release degrade to new/delete; the simulation
   // must not notice.
-  const Fig2Result heap = run_fig2(/*pooled=*/false, /*use_template=*/true);
+  const Fig2Result heap = run_fig2(/*pooled=*/false);
   EXPECT_EQ(heap.dig.fnv, pooled.dig.fnv);
   EXPECT_EQ(heap.dig.delivered, pooled.dig.delivered);
   EXPECT_EQ(heap.router.service_events, pooled.router.service_events);
   EXPECT_EQ(heap.router.tx_packets, pooled.router.tx_packets);
   EXPECT_TRUE(heap.router.pipeline == pooled.router.pipeline);
-}
-
-TEST(Recycling, TemplateStampedPacketsMatchRebuiltPackets) {
-  PoolGuard guard;
-  // The generator's two paths — pooled template stamp vs per-packet
-  // make_udp_packet rebuild — must emit bit-identical traffic (the digest
-  // covers every delivered byte, ports, labels and checksums included).
-  const Fig2Result stamped = run_fig2(/*pooled=*/true, /*use_template=*/true);
-  const Fig2Result rebuilt = run_fig2(/*pooled=*/true, /*use_template=*/false);
-  ASSERT_GT(stamped.dig.delivered, 1000u);
-  EXPECT_EQ(stamped.dig.fnv, rebuilt.dig.fnv);
-  EXPECT_EQ(stamped.dig.delivered, rebuilt.dig.delivered);
 }
 
 TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
@@ -330,7 +317,7 @@ TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
   net::BufferPool::set_enabled(true);
 
   Fig2Lab lab;
-  apps::TrafGen::Config cfg = lab.gen_config(/*use_template=*/true);
+  apps::TrafGen::Config cfg = lab.gen_config();
   cfg.pps = 3e6;  // the paper's offered load: saturation + rx-queue drops
   cfg.duration = 60 * sim::kMilli;
   apps::TrafGen gen(lab.s1, cfg);

@@ -74,18 +74,44 @@ TEST(BenchReport, FinishFailsWithoutAWroteLineWhenThePathIsADirectory) {
   std::filesystem::remove(path);
 }
 
+// A failed gate fails the run in both modes.
 TEST(BenchReport, OneFailedGateFailsFinish) {
   const std::string path = temp_path("bench_report_gate.json");
-  Report rep(path, Mode{.quick = false, .json_only = true}, "title", "note");
-  ::testing::internal::CaptureStderr();
-  rep.gate(true, "never printed");
-  rep.gate(false, "speedup %.2f below %d", 0.5, 2);
-  rep.gate(true, "a later passing gate does not clear it");
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
-            "GATE: speedup 0.50 below 2\n");
-  ::testing::internal::CaptureStdout();
-  EXPECT_EQ(rep.finish(), 1);
-  EXPECT_EQ(::testing::internal::GetCapturedStdout(), "wrote " + path + "\n");
+  for (const bool quick : {false, true}) {
+    SCOPED_TRACE(quick ? "--quick" : "full run");
+    Report rep(path, Mode{.quick = quick, .json_only = true}, "title", "note");
+    ::testing::internal::CaptureStderr();
+    rep.gate(true, "never printed");
+    rep.gate(false, "speedup %.2f below %d", 0.5, 2);
+    rep.gate(true, "a later passing gate does not clear it");
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "GATE: speedup 0.50 below 2\n");
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(rep.finish(), 1);
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+              "wrote " + path + "\n");
+  }
+  std::filesystem::remove(path);
+}
+
+// A failed wall gate fails a full run like gate(), but under --quick it
+// only warns.
+TEST(BenchReport, AFailedWallGateOnlyWarnsUnderQuick) {
+  const std::string path = temp_path("bench_report_wall.json");
+  for (const bool quick : {false, true}) {
+    SCOPED_TRACE(quick ? "--quick" : "full run");
+    Report rep(path, Mode{.quick = quick, .json_only = true}, "title", "note");
+    ::testing::internal::CaptureStderr();
+    rep.wall_gate(true, "never printed");
+    rep.wall_gate(false, "speedup %.2f below %d", 0.5, 2);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              std::string(quick ? "WARN" : "GATE") +
+                  ": speedup 0.50 below 2\n");
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(rep.finish(), quick ? 0 : 1);
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+              "wrote " + path + "\n");
+  }
   std::filesystem::remove(path);
 }
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,24 @@ TEST(Fib, EcmpRespectsWeights) {
     if (Fib::select_nexthop(*route, static_cast<std::uint32_t>(h)).oif == 1)
       ++first;
   EXPECT_NEAR(static_cast<double>(first) / kTrials, 0.75, 0.02);
+}
+
+// select_nexthop sums the weights in an int, so a route whose weights
+// overflow it is a config error, like a weight of zero.
+TEST(Fib, RejectsWeightsThatOverflowTheirSum) {
+  Fib fib;
+  Route r;
+  r.prefix = P("fc00::/16");
+  r.nexthops = {{A("fe80::1"), 1, INT_MAX}, {A("fe80::2"), 2, 1}};
+  EXPECT_THROW(fib.add_route(r), std::invalid_argument);
+  EXPECT_EQ(fib.lookup(A("fc00::1")), nullptr);
+
+  r.nexthops[0].weight = INT_MAX - 1;
+  fib.add_route(r);
+  const Route* route = fib.lookup(A("fc00::1"));
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(Fib::select_nexthop(*route, 0).oif, 1);
+  EXPECT_EQ(Fib::select_nexthop(*route, INT_MAX - 1).oif, 2);
 }
 
 TEST(FlowHash, StablePerFlowAndSpreadsAcrossFlows) {

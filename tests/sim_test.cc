@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <memory>
@@ -395,6 +396,56 @@ TEST(TrafGen, RejectsARateWithNoTickInterval) {
   }
   cfg.pps = 1e12;  // shorter than 1 ns: ticks every nanosecond
   EXPECT_NO_THROW({ apps::TrafGen gen(*line.a, cfg); });
+}
+
+// The generator copies one prebuilt frame and patches each packet's rotated
+// fields in place. Packet k must still be byte for byte the fresh build of
+// its rotated spec: flow label + k % 3, destination site + k % 5 and source
+// port + k % 7, with the checksum make_udp_packet computes. 105 packets
+// cover every combination. With an SRH the IPv6 destination is the first
+// segment, which dst_spread rotates in the header only, so that run keeps
+// one destination.
+TEST(TrafGen, StampedPacketsEqualFreshBuildsOfTheirRotatedSpecs) {
+  for (const bool srh : {false, true}) {
+    SCOPED_TRACE(srh ? "with an SRH" : "without an SRH");
+    Network net;
+    Node& node = net.add_node("gen");
+    apps::TrafGen::Config cfg;
+    cfg.spec.src = A("fc00:1::1");
+    cfg.spec.dst = A("fc00:2::2");
+    if (srh) cfg.spec.segments = {A("fc00:f::1"), A("fc00:2::2")};
+    cfg.spec.flow_label = 0x12345;
+    cfg.pps = 1e6;
+    cfg.duration = 105 * kMicro;
+    cfg.flow_label_spread = 3;
+    cfg.dst_spread = srh ? 1 : 5;
+    cfg.src_port_spread = 7;
+
+    std::vector<net::Packet> want;
+    for (std::uint32_t k = 0; k < 105; ++k) {
+      net::PacketSpec spec = cfg.spec;
+      spec.flow_label += k % cfg.flow_label_spread;
+      spec.dst.set_group(2, static_cast<std::uint16_t>(
+                                spec.dst.group(2) + k % cfg.dst_spread));
+      spec.src_port =
+          static_cast<std::uint16_t>(spec.src_port + k % cfg.src_port_spread);
+      want.push_back(net::make_udp_packet(spec));
+      node.ns().add_local_addr(want.back().ipv6().dst());
+    }
+    std::vector<net::Packet> got;
+    node.set_local_handler(
+        [&got](net::Packet&& p, TimeNs) { got.push_back(std::move(p)); });
+    apps::TrafGen gen(node, cfg);
+    gen.start();
+    net.run_for(kMilli);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].seq, k);
+      EXPECT_TRUE(std::ranges::equal(got[k].bytes(), want[k].bytes()))
+          << "packet " << k;
+    }
+  }
 }
 
 TEST(Node, EcmpSplitsFlowsAcrossNexthops) {
