@@ -1,8 +1,7 @@
-// Shared scaffolding for the paper-reproduction benchmarks: the setup-1
-// topology (S1 - R - S2, R's CPU modelled), the saturation measurement
-// loop (offer more load than R can forward, count what the sink receives —
-// exactly the paper's §3.2 methodology), and the digested per-segment load
-// of the generated PDES ring.
+// Shared scaffolding for the paper-reproduction benchmarks: the saturation
+// measurement loop on the setup-1 lab (offer more load than R can forward,
+// count what the sink receives — exactly the paper's §3.2 methodology), and
+// the digested per-segment load of the generated PDES ring.
 #pragma once
 
 #include <cstdio>
@@ -15,32 +14,21 @@
 #include "apps/trafgen.h"
 #include "net/packet.h"
 #include "report.h"
-#include "seg6/seg6local.h"
 #include "sim/network.h"
 #include "sim/pdes_topo.h"
-#include "usecases/programs.h"
+#include "usecases/setup1.h"
 
 namespace srv6bpf::bench {
 
 // /48 sites in the fat-FIB scenario (Setup1::add_fib48).
 inline constexpr std::size_t kFib48Routes = 2048;
 
-// The paper's lab: 3 servers, 10 Gbps NICs, all interrupts on one core of R.
-struct Setup1 {
-  sim::Network net{0xbead};
-  sim::Node* s1;
-  sim::Node* r;
-  sim::Node* s2;
-  net::Ipv6Addr s1_addr = net::Ipv6Addr::must_parse("fc00:1::1");
-  net::Ipv6Addr r_if0 = net::Ipv6Addr::must_parse("fc00:1::2");
-  net::Ipv6Addr r_if1 = net::Ipv6Addr::must_parse("fc00:2::1");
-  net::Ipv6Addr s2_addr = net::Ipv6Addr::must_parse("fc00:2::2");
-  net::Ipv6Addr sid = net::Ipv6Addr::must_parse("fc00:f::1");
+// The paper's lab (usecases::Setup1) with a port-7001 sink on S2 and the
+// saturation measurement.
+struct Setup1 : usecases::Setup1 {
   std::unique_ptr<apps::AppMux> mux;
   std::unique_ptr<apps::UdpSink> sink;
   std::unique_ptr<apps::TrafGen> gen;
-  int r_upstream_if = 0;
-  int r_downstream_if = 0;
   // Vector-pipeline knobs: R's per-service-event drain budget and the
   // generator's packets-per-tick. Simulated rates are burst-invariant (the
   // differential test enforces it); these only trade simulator wall-clock,
@@ -55,61 +43,9 @@ struct Setup1 {
   std::size_t ncpus = 1;
   std::uint32_t flows = 1;
 
-  Setup1() {
-    s1 = &net.add_node("S1");
-    r = &net.add_node("R");
-    s2 = &net.add_node("S2");
-    const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-    auto l1 = net.connect(*s1, s1_addr, *r, r_if0, kTenGig, 10 * sim::kMicro);
-    auto l2 = net.connect(*r, r_if1, *s2, s2_addr, kTenGig, 10 * sim::kMicro);
-    r_upstream_if = l1.b_ifindex;
-    r_downstream_if = l2.a_ifindex;
-
-    s1->ns().table(0).add_route(net::Prefix::parse("::/0").value(),
-                                {r_if0, l1.a_ifindex, 1});
-    r->ns().table(0).add_route(net::Prefix::parse("fc00:2::/64").value(),
-                               {net::Ipv6Addr{}, l2.a_ifindex, 1});
-    r->ns().table(0).add_route(net::Prefix::parse("fc00:1::/64").value(),
-                               {net::Ipv6Addr{}, l1.b_ifindex, 1});
-    s2->ns().table(0).add_route(net::Prefix::parse("::/0").value(),
-                                {r_if1, l2.b_ifindex, 1});
-
-    r->cpu.enabled = true;
-    r->cpu.profile = sim::kXeonProfile;
-
-    mux = std::make_unique<apps::AppMux>(*s2);
-    sink = std::make_unique<apps::UdpSink>(*mux, 7001);
-  }
-
-  // Loads `built` on R (native JIT or, with jit off, the interpreter) and
-  // binds it to the SID as End.BPF; a verifier rejection ends the bench.
-  void add_end_bpf(const usecases::BuiltProgram& built, bool jit = true) {
-    r->ns().bpf().set_jit_enabled(jit);
-    auto load = r->ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                   built.insns, built.paper_sloc);
-    if (!load.ok()) {
-      std::fprintf(stderr, "verifier rejected %s: %s\n", built.name,
-                   load.verify.error.c_str());
-      std::exit(1);
-    }
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndBPF;
-    e.prog = load.prog;
-    r->ns().seg6local().add(sid, e);
-  }
-
-  // The /48 site FIB: R routes 2001:db8:<i>::/48 toward S2, and S2 owns
-  // 2001:db8:<i>::2 in every site, for i < kFib48Routes.
-  void add_fib48() {
-    char buf[64];
-    for (std::size_t i = 0; i < kFib48Routes; ++i) {
-      std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
-      r->ns().table(0).add_route(net::Prefix::parse(buf).value(),
-                                 {net::Ipv6Addr{}, r_downstream_if, 1});
-      std::snprintf(buf, sizeof buf, "2001:db8:%zx::2", i);
-      s2->ns().add_local_addr(net::Ipv6Addr::must_parse(buf));
-    }
-  }
+  Setup1()
+      : mux(std::make_unique<apps::AppMux>(*s2)),
+        sink(std::make_unique<apps::UdpSink>(*mux, 7001)) {}
 
   // Offers `pps` of 64-byte-payload UDP (with or without an SRH through the
   // SID on R) for `duration`, then reports the sink's receive rate in kpps.

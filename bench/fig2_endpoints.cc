@@ -11,6 +11,7 @@
 #include <functional>
 
 #include "bench_common.h"
+#include "seg6/seg6local.h"
 
 using namespace srv6bpf;
 using namespace srv6bpf::bench;
@@ -103,8 +104,8 @@ int main() {
   rows.push_back({"Add TLV (BPF, no JIT)",
                   run_case(
                       [](Setup1& lab) {
-                        lab.add_end_bpf(usecases::build_add_tlv(),
-                                        /*jit=*/false);
+                        lab.r->ns().bpf().set_jit_enabled(false);
+                        lab.add_end_bpf(usecases::build_add_tlv());
                       },
                       true),
                   60, "interpreter"});

@@ -15,6 +15,7 @@
 #include "bench_common.h"
 #include "ebpf/perf_event.h"
 #include "net/srh.h"
+#include "seg6/seg6local.h"
 
 using namespace srv6bpf;
 using namespace srv6bpf::bench;

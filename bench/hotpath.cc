@@ -61,7 +61,7 @@ Run run_one(bool fib48, bool pooled, sim::TimeNs duration, Obj& rec) {
   {
     Setup1 lab;
     if (fib48)
-      lab.add_fib48();
+      lab.add_fib48(kFib48Routes);
     else
       lab.add_end_bpf(usecases::build_end());
 

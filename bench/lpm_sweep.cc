@@ -213,7 +213,7 @@ double run_micro(const Workload& w, double min_wall_s, Obj& row) {
 // Returns the sink rate in simulated kpps.
 double run_fig2_fib48(sim::TimeNs duration, Obj& e) {
   Setup1 lab;
-  lab.add_fib48();
+  lab.add_fib48(kFib48Routes);
 
   apps::TrafGen::Config cfg;
   cfg.spec.src = lab.s1_addr;

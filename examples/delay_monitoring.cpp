@@ -23,8 +23,6 @@ int main() {
   usecases::DelayMonitorLab::Options opts;
   opts.probe_ratio = 50;
   opts.link_delay = 5 * sim::kMilli;  // 5 ms per hop
-  opts.sink_filter = "udp and dst port 7001";
-  opts.controller_filter = "udp and dst port 9999";
   usecases::DelayMonitorLab lab(opts);
 
   std::printf("sink filter:       filter(\"%s\")\n",

@@ -120,19 +120,14 @@ void TrafGen::tick() {
   };
   const std::size_t burst =
       std::min(cfg_.burst > 0 ? cfg_.burst : 1, net::kMaxBurstPackets);
-  if (burst == 1) {
-    if (admit()) node_.send(next_packet());
+  // Emit a whole burst at this tick and stretch the tick interval so the
+  // average offered rate stays cfg_.pps.
+  net::PacketBurst b;
+  for (std::size_t k = 0; k < burst && next_send_ < stop_at_; ++k) {
+    if (admit()) b.push(next_packet());
     next_send_ += interval_ns_;
-  } else {
-    // Emit a whole burst at this tick and stretch the tick interval so the
-    // average offered rate stays cfg_.pps.
-    net::PacketBurst b;
-    for (std::size_t k = 0; k < burst && next_send_ < stop_at_; ++k) {
-      if (admit()) b.push(next_packet());
-      next_send_ += interval_ns_;
-    }
-    if (!b.empty()) node_.send_burst(std::move(b));
   }
+  if (!b.empty()) node_.send_burst(std::move(b));
   node_.loop().schedule_at(next_send_, [this] { tick(); });
 }
 

@@ -2,6 +2,7 @@
 
 #include "seg6/helpers.h"
 #include "seg6/seg6local.h"
+#include "util/hash.h"
 
 namespace srv6bpf::seg6 {
 
@@ -30,12 +31,10 @@ const Fib* Netns::find_table(int id) const {
 }
 
 std::uint32_t Netns::prandom() {
-  // splitmix64 step, truncated.
-  prandom_state_ += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = prandom_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return static_cast<std::uint32_t>(z >> 32);
+  // A splitmix64 step, truncated to the high half of the mix before its
+  // final xor-shift: the bpf_get_prandom_u32 sequence the goldens pin.
+  return static_cast<std::uint32_t>(splitmix64_unfinalized(prandom_state_) >>
+                                    32);
 }
 
 Seg6BurstRunner::Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog)

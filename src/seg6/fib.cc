@@ -7,6 +7,7 @@
 #include "net/srh.h"
 #include "net/transport.h"
 #include "util/byteorder.h"
+#include "util/hash.h"
 
 namespace srv6bpf::seg6 {
 
@@ -124,24 +125,14 @@ std::uint32_t flow_hash(const net::Packet& pkt) {
     break;
   }
 
-  std::uint32_t h = 0;
-  auto mix = [&h](const std::uint8_t* d, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h += d[i];
-      h += h << 10;
-      h ^= h >> 6;
-    }
-  };
+  OneAtATime h;
   // src+dst of the innermost IPv6 header currently at `p`.
-  mix(p + 8, 32);
-  mix(&proto, 1);
+  h.mix(p + 8, 32);
+  h.mix(&proto, 1);
   if (transport != nullptr &&
       (proto == net::kProtoUdp || proto == net::kProtoTcp))
-    mix(transport, 4);  // both ports
-  h += h << 3;
-  h ^= h >> 11;
-  h += h << 15;
-  return h;
+    h.mix(transport, 4);  // both ports
+  return h.finish();
 }
 
 }  // namespace srv6bpf::seg6

@@ -10,6 +10,7 @@
 #include "seg6/lwt.h"
 #include "seg6/seg6local.h"
 #include "util/byteorder.h"
+#include "util/hash.h"
 
 namespace srv6bpf::sim {
 
@@ -116,22 +117,12 @@ std::uint32_t Node::rss_hash(const net::Packet& pkt) {
   // rewrite. Per-flow stable by construction.
   if (pkt.size() < net::kIpv6HeaderSize) return 0;
   const std::uint8_t* p = pkt.data();
-  std::uint32_t h = 0;
-  auto mix = [&h](const std::uint8_t* d, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h += d[i];
-      h += h << 10;
-      h ^= h >> 6;
-    }
-  };
-  mix(p + 8, 32);  // src (16) + dst (16)
+  OneAtATime h;
+  h.mix(p + 8, 32);  // src (16) + dst (16)
   const std::uint8_t fl[3] = {static_cast<std::uint8_t>(p[1] & 0x0f), p[2],
                               p[3]};
-  mix(fl, 3);
-  h += h << 3;
-  h ^= h >> 11;
-  h += h << 15;
-  return h;
+  h.mix(fl, 3);
+  return h.finish();
 }
 
 std::size_t Node::steer(const net::Packet& pkt) const {

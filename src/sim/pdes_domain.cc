@@ -7,19 +7,9 @@
 
 #include "sim/link.h"
 #include "sim/node.h"
+#include "util/hash.h"
 
 namespace srv6bpf::sim {
-
-namespace {
-// splitmix64 finalizer: decorrelates the per-side RNG seeds derived from
-// (network seed, link index, side) so adjacent links don't share streams.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 std::uint32_t PdesNet::hash_name(const std::string& name, std::size_t p) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
@@ -94,7 +84,10 @@ void PdesNet::seal(EventLoop& master,
       const std::size_t d =
           n ? domain_of(n) : (peer ? domain_of(peer) : 0u);
       const std::size_t pd = peer ? domain_of(peer) : d;
-      side_rngs_.emplace_back(mix64(seed_ ^ (2 * li + s + 1)));
+      // splitmix64 decorrelates the per-side RNG seeds derived from
+      // (network seed, link index, side): adjacent links share no stream.
+      std::uint64_t side_seed = seed_ ^ (2 * li + s + 1);
+      side_rngs_.emplace_back(splitmix64(side_seed));
       PdesMailbox* box = nullptr;
       if (pd != d && n != nullptr && peer != nullptr) {
         if (link.prop_delay() == 0)

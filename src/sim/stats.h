@@ -134,6 +134,8 @@ struct NodeStats {
   std::uint64_t serviced_packets = 0;
   PipelineTotals pipeline;
 
+  friend bool operator==(const NodeStats&, const NodeStats&) = default;
+
   // Folds one packet's ProcessTrace into `pipeline` (defined in stats.cc to
   // keep the seg6 headers out of this one).
   void account(const seg6::ProcessTrace& t);

@@ -14,6 +14,8 @@ const net::Ipv6Addr kRIf0 = net::Ipv6Addr::must_parse("fc00:1::2");
 const net::Ipv6Addr kRIf1 = net::Ipv6Addr::must_parse("fc00:2::1");
 const net::Ipv6Addr kS2Addr = net::Ipv6Addr::must_parse("fc00:2::2");
 const net::Ipv6Addr kDmSid = net::Ipv6Addr::must_parse("fc00:a::dd");
+constexpr const char* kSinkFilter = "udp and dst port 7001";
+constexpr const char* kControllerFilter = "udp and dst port 9999";
 }  // namespace
 
 DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
@@ -99,18 +101,16 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
   std::string ferr;
   mux_s2_ = std::make_unique<apps::AppMux>(*s2_);
   sink_filter_ = apps::SocketFilter::from_expr(s2_->ns(), "sink_filter",
-                                               opts.sink_filter, &ferr);
+                                               kSinkFilter, &ferr);
   if (sink_filter_ == nullptr)
-    throw std::runtime_error("sink filter \"" + opts.sink_filter +
-                             "\": " + ferr);
+    throw std::runtime_error(std::string("sink filter: ") + ferr);
   sink_ = std::make_unique<apps::UdpSink>(*mux_s2_, 7001, sink_filter_);
 
   mux_s1_ = std::make_unique<apps::AppMux>(*s1_);
   ctrl_filter_ = apps::SocketFilter::from_expr(s1_->ns(), "ctrl_filter",
-                                               opts.controller_filter, &ferr);
+                                               kControllerFilter, &ferr);
   if (ctrl_filter_ == nullptr)
-    throw std::runtime_error("controller filter \"" + opts.controller_filter +
-                             "\": " + ferr);
+    throw std::runtime_error(std::string("controller filter: ") + ferr);
   mux_s1_->attach_udp_filter(kControllerPort, ctrl_filter_);
   mux_s1_->on_udp(kControllerPort,
                   [this](const net::Packet&, const net::UdpHeader&,

@@ -37,13 +37,6 @@ class DelayMonitorLab {
     std::uint64_t probe_ratio = 100;      // 1:N probing
     sim::TimeNs link_delay = 2 * sim::kMilli;
     std::uint64_t seed = 42;
-    // Both receive sockets are gated by attached classic-BPF filters,
-    // compiled from these tcpdump expressions (SO_ATTACH_FILTER style:
-    // expression -> cBPF -> eBPF -> whichever engine the node runs). The
-    // sink only meters packets its filter accepts; the controller only
-    // parses datagrams its filter accepts.
-    std::string sink_filter = "udp and dst port 7001";
-    std::string controller_filter = "udp and dst port 9999";
   };
 
   explicit DelayMonitorLab(const Options& opts);
@@ -64,7 +57,11 @@ class DelayMonitorLab {
   std::uint64_t controller_datagrams() const noexcept { return ctrl_rx_; }
   std::uint64_t probes_emitted() const noexcept { return probes_; }
 
-  // The attached filters (accept/drop counters, source expressions).
+  // The classic-BPF filters gating both receive sockets, compiled from
+  // tcpdump expressions (SO_ATTACH_FILTER style: expression -> cBPF ->
+  // eBPF -> whichever engine the node runs): the sink meters only
+  // "udp and dst port 7001", the controller parses only "udp and dst port
+  // 9999". Each keeps accept/drop counters and its source expression.
   const std::shared_ptr<apps::SocketFilter>& sink_filter() const noexcept {
     return sink_filter_;
   }

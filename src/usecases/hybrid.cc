@@ -35,6 +35,10 @@ const net::Ipv6Addr kAD2 = net::Ipv6Addr::must_parse("fd00:aa::d2");
 constexpr std::uint16_t kTwdPortL1 = 41001;
 constexpr std::uint16_t kTwdPortL2 = 41002;
 
+constexpr std::uint64_t kLink1Bps = 50 * 1000 * 1000;
+constexpr std::uint64_t kLink2Bps = 30 * 1000 * 1000;
+constexpr sim::TimeNs kTwdInterval = 50 * sim::kMilli;
+
 // Installs the WRR LWT program on `node` for `prefix`, scheduling across
 // sid1/sid2 with the given weights.
 std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
@@ -83,7 +87,7 @@ void add_dt6_sid(sim::Node& node, const net::Ipv6Addr& sid) {
 // HybridLab (TCP over two asymmetric links)
 // ---------------------------------------------------------------------------
 
-HybridLab::HybridLab(const Options& opts) : net_(opts.seed) {
+HybridLab::HybridLab(const Options& opts) : net_(/*seed=*/7) {
   s1_ = &net_.add_node("S1");
   a_ = &net_.add_node("A");   // aggregation box
   m_ = &net_.add_node("M");   // Turris Omnia CPE
@@ -91,8 +95,8 @@ HybridLab::HybridLab(const Options& opts) : net_(opts.seed) {
 
   const std::uint64_t kGig = 1000ull * 1000 * 1000;
   auto l0 = net_.connect(*s1_, kS1, *a_, kAIf0, kGig, 100 * sim::kMicro);
-  auto l1 = net_.connect(*a_, kAL1, *m_, kML1, opts.link1_bps, 0);
-  auto l2 = net_.connect(*a_, kAL2, *m_, kML2, opts.link2_bps, 0);
+  auto l1 = net_.connect(*a_, kAL1, *m_, kML1, kLink1Bps, 0);
+  auto l2 = net_.connect(*a_, kAL2, *m_, kML2, kLink2Bps, 0);
   auto l3 = net_.connect(*m_, kMIf2, *s2_, kS2, kGig, 100 * sim::kMicro);
   link1_ = l1.link;
   link2_ = l2.link;
@@ -176,7 +180,7 @@ HybridLab::HybridLab(const Options& opts) : net_(opts.seed) {
   mux_s2_ = std::make_unique<apps::AppMux>(*s2_);
   mux_a_ = std::make_unique<apps::AppMux>(*a_);
 
-  if (opts.twd_compensation) start_twd_daemon(opts);
+  if (opts.twd_compensation) start_twd_daemon();
 }
 
 void HybridLab::send_twd_probe(int link_index) {
@@ -214,9 +218,8 @@ void HybridLab::send_twd_probe(int link_index) {
   a_->send(std::move(pkt));
 }
 
-void HybridLab::start_twd_daemon(const Options& opts) {
+void HybridLab::start_twd_daemon() {
   twd_on_ = true;
-  twd_interval_ = opts.twd_interval;
 
   base_delay_[0] = link1_->qdisc(a_link1_side_).config().delay_ns;
   base_delay_[1] = link2_->qdisc(a_link2_side_).config().delay_ns;
@@ -303,7 +306,7 @@ void HybridLab::start_probe_cycle() {
   if (!twd_on_) return;
   send_twd_probe(0);
   send_twd_probe(1);
-  net_.loop().schedule(twd_interval_, [this] { start_probe_cycle(); });
+  net_.loop().schedule(kTwdInterval, [this] { start_probe_cycle(); });
 }
 
 double HybridLab::run_tcp(int flows, sim::TimeNs duration) {
@@ -357,7 +360,8 @@ std::uint64_t HybridLab::receiver_ooo_segments() const {
 // Fig4Lab (UDP forwarding performance of the Turris CPE)
 // ---------------------------------------------------------------------------
 
-Fig4Lab::Fig4Lab(const Options& opts) : net_(opts.seed), mode_(opts.mode) {
+Fig4Lab::Fig4Lab(const Options& opts)
+    : net_(/*seed=*/11), mode_(opts.mode) {
   s1_ = &net_.add_node("S1");
   m_ = &net_.add_node("M");
   s2_ = &net_.add_node("S2");

@@ -31,19 +31,16 @@ namespace srv6bpf::usecases {
 
 class HybridLab {
  public:
+  // Link 1 (xDSL-like, 50 Mbps) and link 2 (LTE-like, 30 Mbps), as in the
+  // paper; the TWD daemon probes every 50 ms.
   struct Options {
-    // Link 1 (xDSL-like) and link 2 (LTE-like), as in the paper.
-    std::uint64_t link1_bps = 50 * 1000 * 1000;
     sim::TimeNs link1_rtt = 30 * sim::kMilli;
     sim::TimeNs link1_jitter_rtt = 5 * sim::kMilli;
-    std::uint64_t link2_bps = 30 * 1000 * 1000;
     sim::TimeNs link2_rtt = 5 * sim::kMilli;
     sim::TimeNs link2_jitter_rtt = 2 * sim::kMilli;
     std::uint64_t weight1 = 5;  // WRR weights match the link capacities
     std::uint64_t weight2 = 3;
     bool twd_compensation = false;
-    sim::TimeNs twd_interval = 50 * sim::kMilli;
-    std::uint64_t seed = 7;
   };
 
   explicit HybridLab(const Options& opts);
@@ -67,7 +64,7 @@ class HybridLab {
   std::uint64_t twd_probes_returned() const noexcept { return twd_rx_; }
 
  private:
-  void start_twd_daemon(const Options& opts);
+  void start_twd_daemon();
   void start_probe_cycle();
   void send_twd_probe(int link_index);
 
@@ -89,7 +86,6 @@ class HybridLab {
 
   // TWD daemon state on A.
   bool twd_on_ = false;
-  sim::TimeNs twd_interval_ = 0;
   std::uint64_t twd_seq_ = 0;
   std::uint64_t twd_rx_ = 0;
   // Windowed minimum filter per link: the minimum one-way delay over the
@@ -109,7 +105,6 @@ class Fig4Lab {
 
   struct Options {
     Mode mode = Mode::kPlainForward;
-    std::uint64_t seed = 11;
   };
 
   explicit Fig4Lab(const Options& opts);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/hash.h"
+
 namespace srv6bpf {
 namespace {
 
@@ -9,18 +11,10 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
-// splitmix64, used to expand the seed into the xoshiro state.
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
+  // splitmix64 expands the seed into the xoshiro state.
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
 }

@@ -19,18 +19,15 @@
 #include "apps/trafgen.h"
 #include "net/buffer_pool.h"
 #include "net/packet.h"
-#include "seg6/seg6local.h"
 #include "sim/inline_fn.h"
 #include "sim/network.h"
 #include "sim/rx_ring.h"
 #include "usecases/programs.h"
+#include "usecases/setup1.h"
 #include "util/alloc_hooks.h"
 
 namespace srv6bpf {
 namespace {
-
-net::Ipv6Addr A(const char* s) { return net::Ipv6Addr::must_parse(s); }
-net::Prefix P(const char* s) { return net::Prefix::parse(s).value(); }
 
 // Restores pool enablement (and drains the freelists) around tests that
 // toggle it, so test order can't leak state.
@@ -213,40 +210,14 @@ struct Digest {
   }
 };
 
-struct Fig2Lab {
-  sim::Network net{0xbead};
-  sim::Node& s1;
-  sim::Node& r;
-  sim::Node& s2;
-  apps::AppMux mux;
+// The paper's fig2 lab with Tag++ End.BPF on R and a sink that digests
+// every delivery.
+struct DigestedFig2 : usecases::Setup1 {
+  apps::AppMux mux{*s2};
   Digest dig;
-  sim::Network::Attachment l1, l2;
 
-  Fig2Lab()
-      : s1(net.add_node("S1")), r(net.add_node("R")), s2(net.add_node("S2")),
-        mux(s2),
-        l1(net.connect(s1, A("fc00:1::1"), r, A("fc00:1::2"),
-                       10ull * 1000 * 1000 * 1000, 10 * sim::kMicro)),
-        l2(net.connect(r, A("fc00:2::1"), s2, A("fc00:2::2"),
-                       10ull * 1000 * 1000 * 1000, 10 * sim::kMicro)) {
-    s1.ns().table(0).add_route(P("::/0"), {A("fc00:1::2"), l1.a_ifindex, 1});
-    r.ns().table(0).add_route(P("fc00:2::/64"),
-                              {net::Ipv6Addr{}, l2.a_ifindex, 1});
-    r.ns().table(0).add_route(P("fc00:1::/64"),
-                              {net::Ipv6Addr{}, l1.b_ifindex, 1});
-    s2.ns().table(0).add_route(P("::/0"), {A("fc00:2::1"), l2.b_ifindex, 1});
-    r.cpu.enabled = true;
-    r.cpu.profile = sim::kXeonProfile;
-
-    auto built = usecases::build_tag_increment();
-    auto load = r.ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                  built.insns, built.paper_sloc);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndBPF;
-    e.prog = load.prog;
-    r.ns().seg6local().add(A("fc00:f::1"), e);
-
+  DigestedFig2() {
+    add_end_bpf(usecases::build_tag_increment());
     mux.on_udp(7001, [this](const net::Packet& pkt, const net::UdpHeader&,
                             std::span<const std::uint8_t>, sim::TimeNs now) {
       ++dig.delivered;
@@ -258,9 +229,9 @@ struct Fig2Lab {
 
   apps::TrafGen::Config gen_config() const {
     apps::TrafGen::Config cfg;
-    cfg.spec.src = A("fc00:1::1");
-    cfg.spec.dst = A("fc00:2::2");
-    cfg.spec.segments = {A("fc00:f::1"), A("fc00:2::2")};
+    cfg.spec.src = s1_addr;
+    cfg.spec.dst = s2_addr;
+    cfg.spec.segments = {sid, s2_addr};
     cfg.spec.dst_port = 7001;
     cfg.spec.payload_size = 64;
     cfg.pps = 800e3;  // past one Xeon core: queues build and drops happen
@@ -271,38 +242,38 @@ struct Fig2Lab {
   }
 };
 
-struct Fig2Result {
+struct PoolRun {
   Digest dig;
   sim::NodeStats router;
 };
 
-Fig2Result run_fig2(bool pooled) {
+PoolRun run_digested_fig2(bool pooled) {
   net::BufferPool::set_enabled(pooled);
-  Fig2Lab lab;
-  apps::TrafGen gen(lab.s1, lab.gen_config());
+  DigestedFig2 lab;
+  apps::TrafGen gen(*lab.s1, lab.gen_config());
   gen.start();
   lab.net.run_for(sim::kSecond);
-  return {lab.dig, lab.r.stats()};
+  return {lab.dig, lab.r->stats()};
 }
 
 TEST(Recycling, PooledRecycledAndDisabledRunsAreBitIdentical) {
   PoolGuard guard;
   net::BufferPool::trim();
 
-  const Fig2Result pooled = run_fig2(/*pooled=*/true);
+  const PoolRun pooled = run_digested_fig2(/*pooled=*/true);
   ASSERT_GT(pooled.dig.delivered, 1000u);
   EXPECT_GT(pooled.router.drops_rx_queue, 0u) << "scenario must saturate R";
 
   // Second pooled run: every buffer comes off the freelist populated with
   // the previous run's bytes — recycling must not leak any of them.
   EXPECT_GT(net::BufferPool::stats().pooled, 0u);
-  const Fig2Result recycled = run_fig2(/*pooled=*/true);
+  const PoolRun recycled = run_digested_fig2(/*pooled=*/true);
   EXPECT_EQ(recycled.dig.fnv, pooled.dig.fnv);
   EXPECT_EQ(recycled.dig.delivered, pooled.dig.delivered);
 
   // Pool disabled: acquire/release degrade to new/delete; the simulation
   // must not notice.
-  const Fig2Result heap = run_fig2(/*pooled=*/false);
+  const PoolRun heap = run_digested_fig2(/*pooled=*/false);
   EXPECT_EQ(heap.dig.fnv, pooled.dig.fnv);
   EXPECT_EQ(heap.dig.delivered, pooled.dig.delivered);
   EXPECT_EQ(heap.router.service_events, pooled.router.service_events);
@@ -316,11 +287,11 @@ TEST(ZeroAlloc, WarmedFig2WindowPerformsNoAllocations) {
   PoolGuard guard;
   net::BufferPool::set_enabled(true);
 
-  Fig2Lab lab;
+  DigestedFig2 lab;
   apps::TrafGen::Config cfg = lab.gen_config();
   cfg.pps = 3e6;  // the paper's offered load: saturation + rx-queue drops
   cfg.duration = 60 * sim::kMilli;
-  apps::TrafGen gen(lab.s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
 
   // Warm-up fills the RX rings to their limit, the event queue's reserved

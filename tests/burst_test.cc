@@ -1,20 +1,21 @@
 // The vector datapath: PacketBurst mechanics, the hot-path satellite
 // structures (SID hash table, FIB route cache, bounds-checked interface
 // lookup) and — the heart of this file — burst-vs-sequential differential
-// tests: the fig2 (End.BPF on a Xeon router) and fig4-hybrid (WRR eBPF
-// encap on the Turris CPE) scenarios must deliver identical packet counts,
-// cumulative pipeline traces and final NodeStats at burst sizes {1, 8, 32}.
+// tests: the fig2 (End.BPF on a Xeon router) and hybrid-WRR (WRR eBPF
+// encap on the Turris CPE) scenarios of tests/golden_scenarios.h must
+// deliver identical packet counts and final NodeStats (cumulative pipeline
+// traces included) at burst sizes {1, 8, 32}.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
-#include "apps/sink.h"
+#include "golden_scenarios.h"
 #include "net/burst.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
 #include "sim/network.h"
-#include "usecases/programs.h"
 
 namespace srv6bpf {
 namespace {
@@ -118,220 +119,62 @@ TEST(Node, InterfaceAddrBoundsChecked) {
 
 // ---- burst-vs-sequential differential ---------------------------------------
 
-struct RunResult {
-  std::uint64_t delivered = 0;
-  std::uint64_t delivered_bytes = 0;
-  sim::NodeStats router;  // the CPU-modelled device under test
-  sim::NodeStats sink_node;
-};
-
-void expect_same(const RunResult& a, const RunResult& b, const char* what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes);
-
-  const sim::NodeStats& x = a.router;
-  const sim::NodeStats& y = b.router;
-  EXPECT_EQ(x.rx_packets, y.rx_packets);
-  EXPECT_EQ(x.tx_packets, y.tx_packets);
-  EXPECT_EQ(x.local_delivered, y.local_delivered);
-  EXPECT_EQ(x.drops_rx_queue, y.drops_rx_queue);
-  EXPECT_EQ(x.drops_no_route, y.drops_no_route);
-  EXPECT_EQ(x.drops_ttl, y.drops_ttl);
-  EXPECT_EQ(x.drops_verdict, y.drops_verdict);
-  EXPECT_EQ(x.drops_malformed, y.drops_malformed);
-  EXPECT_EQ(x.icmp_time_exceeded_sent, y.icmp_time_exceeded_sent);
-  // The cumulative per-packet traces: what the pipeline actually did.
-  EXPECT_TRUE(x.pipeline == y.pipeline);
-
-  EXPECT_EQ(a.sink_node.local_delivered, b.sink_node.local_delivered);
-  EXPECT_EQ(a.sink_node.rx_packets, b.sink_node.rx_packets);
-}
-
-// fig2-style: S1 - R(Xeon, End.BPF Tag++) - S2; a 100-packet clump arrives
-// back-to-back, queues in R's RX ring and drains in bursts.
-RunResult run_fig2_scenario(std::size_t burst) {
-  sim::Network net(0xbead);
-  auto& s1 = net.add_node("S1");
-  auto& r = net.add_node("R");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
-  const auto r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
-  const auto sid = A("fc00:f::1");
-  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
-  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
-  s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:2::/64"), {net::Ipv6Addr{}, l2.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:1::/64"), {net::Ipv6Addr{}, l1.b_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {r1, l2.b_ifindex, 1});
-
-  r.cpu.enabled = true;
-  r.cpu.profile = sim::kXeonProfile;
-  r.cpu.rx_burst = burst;
-
-  auto built = usecases::build_tag_increment();
-  auto load = r.ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                built.insns, built.paper_sloc);
-  EXPECT_TRUE(load.ok()) << load.verify.error;
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  r.ns().seg6local().add(sid, e);
-
-  apps::AppMux mux(s2);
-  apps::UdpSink sink(mux, 7001);
-
-  for (int i = 0; i < 100; ++i) {
-    net::PacketSpec spec;
-    spec.src = a1;
-    spec.dst = a2;
-    spec.segments = {sid, a2};
-    spec.srh_tag = static_cast<std::uint16_t>(i);
-    spec.src_port = static_cast<std::uint16_t>(9000 + (i % 7));
-    spec.dst_port = 7001;
-    spec.payload_size = 64;
-    auto pkt = net::make_udp_packet(spec);
-    net.loop().schedule_at(static_cast<sim::TimeNs>(i) * 100,
-                           [&s1, p = std::move(pkt)]() mutable {
-                             s1.send(std::move(p));
-                           });
-  }
-  net.run_for(sim::kSecond);  // drain completely
-
-  RunResult res;
-  res.delivered = sink.packets();
-  res.delivered_bytes = sink.payload_bytes();
-  res.router = r.stats();
-  res.sink_node = s2.stats();
-  return res;
+// A router's whole NodeStats minus the two counters that legitimately change
+// with burst size: the service events that drained its RX rings, and the
+// packets they drained.
+sim::NodeStats burst_invariant(sim::NodeStats s) {
+  s.service_events = 0;
+  s.serviced_packets = 0;
+  return s;
 }
 
 TEST(BurstDifferential, Fig2EndBpfIdenticalAcrossBurstSizes) {
-  const RunResult b1 = run_fig2_scenario(1);
-  const RunResult b8 = run_fig2_scenario(8);
-  const RunResult b32 = run_fig2_scenario(32);
-
-  EXPECT_EQ(b1.delivered, 100u);
+  const golden::Outcome b1 = golden::run_fig2({.burst = 1});
+  EXPECT_EQ(b1.dig.delivered, 100u);
   EXPECT_EQ(b1.router.total_drops(), 0u);
   EXPECT_EQ(b1.router.pipeline.bpf_runs, 100u);
-  expect_same(b1, b8, "burst 8 vs 1");
-  expect_same(b1, b32, "burst 32 vs 1");
-
-  // Bursts must actually have formed (the clump outpaces the Xeon service
-  // rate), otherwise this test proves nothing.
-  const RunResult again = run_fig2_scenario(32);
-  EXPECT_EQ(again.router.serviced_packets, 100u);
-  EXPECT_LT(again.router.service_events, 100u / 2);
-}
-
-// fig4-hybrid-style: S1 - M(Turris, interpreter, WRR eBPF encap) - S2 with
-// two End.DT6 decap SIDs on S2 — the paper's §4.2 datapath with the CPE's
-// CPU as the bottleneck.
-RunResult run_hybrid_scenario(std::size_t burst) {
-  sim::Network net(0x7777);
-  auto& s1 = net.add_node("S1");
-  auto& m = net.add_node("M");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fd01:1::1"), m0 = A("fd01:1::2");
-  const auto m1 = A("fd01:2::1"), a2 = A("fd01:2::2");
-  const auto d1 = A("fd01:5e::d1"), d2 = A("fd01:5e::d2");
-  const std::uint64_t kGig = 1000ull * 1000 * 1000;
-  auto l0 = net.connect(s1, a1, m, m0, kGig, 100 * sim::kMicro);
-  auto l1 = net.connect(m, m1, s2, a2, kGig, 100 * sim::kMicro);
-
-  s1.ns().table(0).add_route(P("::/0"), {m0, l0.a_ifindex, 1});
-  m.ns().table(0).add_route(P("fd01:1::/64"), {net::Ipv6Addr{}, l0.b_ifindex, 1});
-  m.ns().table(0).add_route(P("fd01:5e::/64"), {net::Ipv6Addr{}, l1.a_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {m1, l1.b_ifindex, 1});
-
-  m.cpu.enabled = true;
-  m.cpu.profile = sim::kTurrisProfile;
-  m.cpu.rx_burst = burst;
-  m.ns().bpf().set_jit_enabled(false);  // ARM32 JIT bug (§4.2)
-
-  // WRR LWT program on M for the S2 prefix, scheduling across the two
-  // decap SIDs with weights 5:3 (as in Fig4Lab's kEbpfWrr mode).
-  {
-    auto& bpf = m.ns().bpf();
-    ebpf::MapDef def;
-    def.type = ebpf::MapType::kArray;
-    def.key_size = 4;
-    def.value_size = sizeof(usecases::WrrConfig);
-    def.max_entries = 1;
-    def.name = "wrr_cfg";
-    const std::uint32_t cfg_id = bpf.maps().create(def);
-    usecases::WrrConfig cfg;
-    cfg.weight1 = 5;
-    cfg.weight2 = 3;
-    std::memcpy(cfg.sid1, d1.bytes().data(), 16);
-    std::memcpy(cfg.sid2, d2.bytes().data(), 16);
-    bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
-    auto built = usecases::build_wrr(cfg_id);
-    auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
-                         built.paper_sloc);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
-    auto lwt = std::make_shared<seg6::LwtState>();
-    lwt->kind = seg6::LwtState::Kind::kBpf;
-    lwt->prog_xmit = load.prog;
-    m.ns().table(0).add_route({P("fd01:2::/64"), {}, lwt});
+  for (const std::size_t burst : {8, 32}) {
+    SCOPED_TRACE("burst " + std::to_string(burst) + " vs 1");
+    const golden::Outcome b = golden::run_fig2({.burst = burst});
+    EXPECT_EQ(b.dig.delivered, b1.dig.delivered);
+    EXPECT_EQ(b.dig.bytes, b1.dig.bytes);
+    EXPECT_EQ(burst_invariant(b.router), burst_invariant(b1.router));
+    EXPECT_EQ(b.sink, b1.sink);
+    if (burst == 32) {
+      // Bursts must actually have formed (the clump outpaces the Xeon
+      // service rate), otherwise this test proves nothing.
+      EXPECT_EQ(b.router.serviced_packets, 100u);
+      EXPECT_LT(b.router.service_events, 100u / 2);
+    }
   }
-  for (const auto& sid : {d1, d2}) {
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndDT6;
-    e.table = 0;
-    s2.ns().seg6local().add(sid, e);
-  }
-
-  apps::AppMux mux(s2);
-  apps::UdpSink sink(mux, 5201);
-
-  for (int i = 0; i < 96; ++i) {
-    net::PacketSpec spec;
-    spec.src = a1;
-    spec.dst = a2;
-    spec.src_port = static_cast<std::uint16_t>(30000 + (i % 5));
-    spec.dst_port = 5201;
-    spec.payload_size = 400;
-    auto pkt = net::make_udp_packet(spec);
-    net.loop().schedule_at(static_cast<sim::TimeNs>(i) * 500,
-                           [&s1, p = std::move(pkt)]() mutable {
-                             s1.send(std::move(p));
-                           });
-  }
-  net.run_for(sim::kSecond);
-
-  RunResult res;
-  res.delivered = sink.packets();
-  res.delivered_bytes = sink.payload_bytes();
-  res.router = m.stats();
-  res.sink_node = s2.stats();
-  return res;
 }
 
 TEST(BurstDifferential, HybridWrrIdenticalAcrossBurstSizes) {
-  const RunResult b1 = run_hybrid_scenario(1);
-  const RunResult b8 = run_hybrid_scenario(8);
-  const RunResult b32 = run_hybrid_scenario(32);
-
-  EXPECT_EQ(b1.delivered, 96u);
+  const golden::Outcome b1 = golden::run_hybrid({.burst = 1});
+  EXPECT_EQ(b1.dig.delivered, 96u);
   EXPECT_EQ(b1.router.pipeline.bpf_runs, 96u);
   EXPECT_GT(b1.router.pipeline.bpf_insns_interp, 0u);
   EXPECT_EQ(b1.router.pipeline.bpf_insns_jit, 0u);
   EXPECT_GT(b1.router.pipeline.encaps, 0u);
-  expect_same(b1, b8, "burst 8 vs 1");
-  expect_same(b1, b32, "burst 32 vs 1");
-
-  const RunResult again = run_hybrid_scenario(32);
-  EXPECT_LT(again.router.service_events, 96u / 2);
+  for (const std::size_t burst : {8, 32}) {
+    SCOPED_TRACE("burst " + std::to_string(burst) + " vs 1");
+    const golden::Outcome b = golden::run_hybrid({.burst = burst});
+    EXPECT_EQ(b.dig.delivered, b1.dig.delivered);
+    EXPECT_EQ(b.dig.bytes, b1.dig.bytes);
+    EXPECT_EQ(burst_invariant(b.router), burst_invariant(b1.router));
+    EXPECT_EQ(b.sink, b1.sink);
+    if (burst == 32) {
+      EXPECT_LT(b.router.service_events, 96u / 2);
+    }
+  }
 }
 
 // The WRR schedule itself (map counter state) must be order-preserving:
 // grouping may never reorder program executions. Distribution across the
 // two decap SIDs is 5:3 over every 8-packet cycle regardless of burst size.
 TEST(BurstDifferential, WrrScheduleOrderPreserved) {
-  const RunResult a = run_hybrid_scenario(1);
-  const RunResult b = run_hybrid_scenario(64);
+  const golden::Outcome a = golden::run_hybrid({.burst = 1});
+  const golden::Outcome b = golden::run_hybrid({.burst = 64});
   EXPECT_EQ(a.router.pipeline.helper_calls, b.router.pipeline.helper_calls);
   EXPECT_EQ(a.router.pipeline.bpf_insns_interp,
             b.router.pipeline.bpf_insns_interp);

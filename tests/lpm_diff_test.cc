@@ -18,6 +18,7 @@
 #include "net/packet.h"
 #include "net/transport.h"
 #include "sim/network.h"
+#include "usecases/setup1.h"
 #include "util/lpm_trie.h"
 #include "util/rng.h"
 
@@ -287,29 +288,12 @@ TEST(LpmDifferential, ErasePrunesEmptyNodes) {
 // incremental UDP checksum fixup must keep every rotated packet valid.
 TEST(LpmEndToEnd, DstSpreadDrivesTrieWithValidChecksums) {
   constexpr std::size_t kSites = 32;
-  sim::Network net(0x4d);
-  auto& s1 = net.add_node("S1");
-  auto& r = net.add_node("R");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = net::Ipv6Addr::must_parse("fc00:1::1");
-  const auto r0 = net::Ipv6Addr::must_parse("fc00:1::2");
-  const auto r1 = net::Ipv6Addr::must_parse("fc00:2::1");
-  const auto a2 = net::Ipv6Addr::must_parse("fc00:2::2");
-  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
-  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
-  s1.ns().table(0).add_route(net::Prefix::parse("::/0").value(),
-                             {r0, l1.a_ifindex, 1});
-  char buf[64];
-  for (std::size_t i = 0; i < kSites; ++i) {
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
-    r.ns().table(0).add_route(net::Prefix::parse(buf).value(),
-                              {net::Ipv6Addr{}, l2.a_ifindex, 1});
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::2", i);
-    s2.ns().add_local_addr(net::Ipv6Addr::must_parse(buf));
-  }
+  usecases::Setup1 lab(0x4d);
+  sim::Node& r = *lab.r;
+  r.cpu.enabled = false;  // R forwards at line rate: only its FIB is tested
+  lab.add_fib48(kSites);
 
-  apps::AppMux mux(s2);
+  apps::AppMux mux(*lab.s2);
   std::set<net::Ipv6Addr> dsts_seen;
   std::uint64_t delivered = 0, checksums_ok = 0;
   mux.on_udp(7001, [&](const net::Packet& pkt, const net::UdpHeader&,
@@ -329,7 +313,7 @@ TEST(LpmEndToEnd, DstSpreadDrivesTrieWithValidChecksums) {
   });
 
   apps::TrafGen::Config cfg;
-  cfg.spec.src = a1;
+  cfg.spec.src = lab.s1_addr;
   cfg.spec.dst = net::Ipv6Addr::must_parse("2001:db8::2");
   cfg.spec.dst_port = 7001;
   cfg.spec.payload_size = 64;
@@ -337,9 +321,9 @@ TEST(LpmEndToEnd, DstSpreadDrivesTrieWithValidChecksums) {
   cfg.dst_spread = kSites;
   cfg.src_port_spread = 5;  // both rewrites must compose checksum-correctly
   cfg.duration = 2 * sim::kMilli;
-  apps::TrafGen gen(s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
-  net.run_for(sim::kSecond);
+  lab.net.run_for(sim::kSecond);
 
   EXPECT_EQ(delivered, gen.sent());
   EXPECT_EQ(checksums_ok, delivered) << "rotated dsts must keep valid UDP "

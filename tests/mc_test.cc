@@ -6,8 +6,7 @@
 // every sink delivery's (arrival time, packet seq), service-event counts and
 // cumulative pipeline traces) were captured from the pre-multi-core tree
 // (PR 2, commit 0592f2d) running the fig2 and hybrid-WRR scenarios of
-// tests/burst_test.cc; they are functions of simulated time only, so they
-// hold on any host and compiler.
+// tests/golden_scenarios.h.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,103 +18,20 @@
 #include "ebpf/asm.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
-#include "net/burst.h"
+#include "golden_scenarios.h"
 #include "net/packet.h"
-#include "seg6/seg6local.h"
 #include "sim/network.h"
 #include "usecases/programs.h"
+#include "usecases/setup1.h"
 
 namespace srv6bpf {
 namespace {
 
-net::Ipv6Addr A(const char* s) { return net::Ipv6Addr::must_parse(s); }
-net::Prefix P(const char* s) { return net::Prefix::parse(s).value(); }
-
-// FNV-1a over little-endian u64s: the sink-delivery digest.
-struct Digest {
-  std::uint64_t delivered = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
-};
-
 // ---- ncpus=1 differential vs the pre-multi-core tree ------------------------
-
-struct Fig2Result {
-  Digest dig;
-  sim::NodeStats router;
-};
-
-Fig2Result run_fig2(std::size_t burst, std::size_t ncpus) {
-  sim::Network net(0xbead);
-  auto& s1 = net.add_node("S1");
-  auto& r = net.add_node("R");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
-  const auto r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
-  const auto sid = A("fc00:f::1");
-  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
-  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
-  s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:2::/64"), {net::Ipv6Addr{}, l2.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:1::/64"), {net::Ipv6Addr{}, l1.b_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {r1, l2.b_ifindex, 1});
-
-  r.cpu.enabled = true;
-  r.cpu.profile = sim::kXeonProfile;
-  r.cpu.rx_burst = burst;
-  r.cpu.ncpus = ncpus;
-
-  auto built = usecases::build_tag_increment();
-  auto load = r.ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                built.insns, built.paper_sloc);
-  EXPECT_TRUE(load.ok()) << load.verify.error;
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  r.ns().seg6local().add(sid, e);
-
-  apps::AppMux mux(s2);
-  Fig2Result res;
-  mux.on_udp(7001, [&res](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++res.dig.delivered;
-    res.dig.bytes += payload.size();
-    res.dig.mix(now);
-    res.dig.mix(pkt.seq);
-  });
-
-  for (int i = 0; i < 100; ++i) {
-    net::PacketSpec spec;
-    spec.src = a1;
-    spec.dst = a2;
-    spec.segments = {sid, a2};
-    spec.srh_tag = static_cast<std::uint16_t>(i);
-    spec.src_port = static_cast<std::uint16_t>(9000 + (i % 7));
-    spec.dst_port = 7001;
-    spec.payload_size = 64;
-    auto pkt = net::make_udp_packet(spec);
-    pkt.seq = static_cast<std::uint32_t>(i);
-    net.loop().schedule_at(static_cast<sim::TimeNs>(i) * 100,
-                           [&s1, p = std::move(pkt)]() mutable {
-                             s1.send(std::move(p));
-                           });
-  }
-  net.run_for(sim::kSecond);
-  res.router = r.stats();
-  return res;
-}
 
 TEST(Ncpus1Differential, Fig2BitIdenticalToPreMultiCoreTree) {
   // Golden digests from the single-core tree at PR 2 (see file header).
-  const Fig2Result b32 = run_fig2(/*burst=*/32, /*ncpus=*/1);
+  const golden::Outcome b32 = golden::run_fig2({.burst = 32, .ncpus = 1});
   EXPECT_EQ(b32.dig.delivered, 100u);
   EXPECT_EQ(b32.dig.bytes, 6400u);
   EXPECT_EQ(b32.dig.fnv, 0x1023e722a53e82dbull);
@@ -125,7 +41,7 @@ TEST(Ncpus1Differential, Fig2BitIdenticalToPreMultiCoreTree) {
   EXPECT_EQ(b32.router.pipeline.bpf_insns_jit, 2500u);
   EXPECT_EQ(b32.router.pipeline.helper_calls, 100u);
 
-  const Fig2Result b1 = run_fig2(/*burst=*/1, /*ncpus=*/1);
+  const golden::Outcome b1 = golden::run_fig2({.burst = 1, .ncpus = 1});
   EXPECT_EQ(b1.dig.delivered, 100u);
   EXPECT_EQ(b1.dig.fnv, 0x1588f2507da9c6ebull);
   EXPECT_EQ(b1.router.service_events, 100u);
@@ -139,147 +55,21 @@ TEST(Ncpus1Differential, DefaultNcpusIsOne) {
   EXPECT_EQ(n.cpu.ncpus, 1u);
 }
 
-Digest run_hybrid(std::size_t burst, std::size_t ncpus,
-                  sim::NodeStats* router_out = nullptr) {
-  sim::Network net(0x7777);
-  auto& s1 = net.add_node("S1");
-  auto& m = net.add_node("M");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fd01:1::1"), m0 = A("fd01:1::2");
-  const auto m1 = A("fd01:2::1"), a2 = A("fd01:2::2");
-  const auto d1 = A("fd01:5e::d1"), d2 = A("fd01:5e::d2");
-  const std::uint64_t kGig = 1000ull * 1000 * 1000;
-  auto l0 = net.connect(s1, a1, m, m0, kGig, 100 * sim::kMicro);
-  auto l1 = net.connect(m, m1, s2, a2, kGig, 100 * sim::kMicro);
-
-  s1.ns().table(0).add_route(P("::/0"), {m0, l0.a_ifindex, 1});
-  m.ns().table(0).add_route(P("fd01:1::/64"), {net::Ipv6Addr{}, l0.b_ifindex, 1});
-  m.ns().table(0).add_route(P("fd01:5e::/64"), {net::Ipv6Addr{}, l1.a_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {m1, l1.b_ifindex, 1});
-
-  m.cpu.enabled = true;
-  m.cpu.profile = sim::kTurrisProfile;
-  m.cpu.rx_burst = burst;
-  m.cpu.ncpus = ncpus;
-  m.ns().bpf().set_jit_enabled(false);
-
-  {
-    auto& bpf = m.ns().bpf();
-    ebpf::MapDef def;
-    def.type = ebpf::MapType::kArray;
-    def.key_size = 4;
-    def.value_size = sizeof(usecases::WrrConfig);
-    def.max_entries = 1;
-    def.name = "wrr_cfg";
-    const std::uint32_t cfg_id = bpf.maps().create(def);
-    usecases::WrrConfig cfg;
-    cfg.weight1 = 5;
-    cfg.weight2 = 3;
-    std::memcpy(cfg.sid1, d1.bytes().data(), 16);
-    std::memcpy(cfg.sid2, d2.bytes().data(), 16);
-    bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
-    auto built = usecases::build_wrr(cfg_id);
-    auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
-                         built.paper_sloc);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
-    auto lwt = std::make_shared<seg6::LwtState>();
-    lwt->kind = seg6::LwtState::Kind::kBpf;
-    lwt->prog_xmit = load.prog;
-    m.ns().table(0).add_route({P("fd01:2::/64"), {}, lwt});
-  }
-  for (const auto& sid : {d1, d2}) {
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndDT6;
-    e.table = 0;
-    s2.ns().seg6local().add(sid, e);
-  }
-
-  apps::AppMux mux(s2);
-  Digest dig;
-  mux.on_udp(5201, [&dig](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++dig.delivered;
-    dig.bytes += payload.size();
-    dig.mix(now);
-    dig.mix(pkt.seq);
-  });
-
-  for (int i = 0; i < 96; ++i) {
-    net::PacketSpec spec;
-    spec.src = a1;
-    spec.dst = a2;
-    spec.src_port = static_cast<std::uint16_t>(30000 + (i % 5));
-    spec.dst_port = 5201;
-    spec.payload_size = 400;
-    auto pkt = net::make_udp_packet(spec);
-    pkt.seq = static_cast<std::uint32_t>(i);
-    net.loop().schedule_at(static_cast<sim::TimeNs>(i) * 500,
-                           [&s1, p = std::move(pkt)]() mutable {
-                             s1.send(std::move(p));
-                           });
-  }
-  net.run_for(sim::kSecond);
-  if (router_out != nullptr) *router_out = m.stats();
-  return dig;
-}
-
 TEST(Ncpus1Differential, HybridWrrBitIdenticalToPreMultiCoreTree) {
-  sim::NodeStats router;
-  const Digest b32 = run_hybrid(/*burst=*/32, /*ncpus=*/1, &router);
-  EXPECT_EQ(b32.delivered, 96u);
-  EXPECT_EQ(b32.bytes, 38400u);
-  EXPECT_EQ(b32.fnv, 0xf73ec5219ddf73caull);
-  EXPECT_EQ(router.service_events, 6u);
-  EXPECT_EQ(router.pipeline.bpf_runs, 96u);
-  EXPECT_EQ(router.pipeline.bpf_insns_interp, 3972u);
-  EXPECT_EQ(router.pipeline.helper_calls, 192u);
-  EXPECT_EQ(router.pipeline.encaps, 96u);
+  const golden::Outcome b32 = golden::run_hybrid({.burst = 32, .ncpus = 1});
+  EXPECT_EQ(b32.dig.delivered, 96u);
+  EXPECT_EQ(b32.dig.bytes, 38400u);
+  EXPECT_EQ(b32.dig.fnv, 0xf73ec5219ddf73caull);
+  EXPECT_EQ(b32.router.service_events, 6u);
+  EXPECT_EQ(b32.router.pipeline.bpf_runs, 96u);
+  EXPECT_EQ(b32.router.pipeline.bpf_insns_interp, 3972u);
+  EXPECT_EQ(b32.router.pipeline.helper_calls, 192u);
+  EXPECT_EQ(b32.router.pipeline.encaps, 96u);
 
-  const Digest b1 = run_hybrid(/*burst=*/1, /*ncpus=*/1);
-  EXPECT_EQ(b1.delivered, 96u);
-  EXPECT_EQ(b1.fnv, 0xc45d7846b35cecd9ull);
+  const golden::Outcome b1 = golden::run_hybrid({.burst = 1, .ncpus = 1});
+  EXPECT_EQ(b1.dig.delivered, 96u);
+  EXPECT_EQ(b1.dig.fnv, 0xc45d7846b35cecd9ull);
 }
-
-// ---- shared lab for the behaviour tests -------------------------------------
-
-// S1 - R(Xeon CPU model, ncpus configurable) - S2 with plain forwarding
-// routes. The golden-digest runners above intentionally keep their own
-// verbatim copies of tests/burst_test.cc's setup — the digests pin that
-// exact lab, back-routes and all.
-struct McLab {
-  static constexpr std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  sim::Network net;
-  sim::Node& s1;
-  sim::Node& r;
-  sim::Node& s2;
-  net::Ipv6Addr a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
-  net::Ipv6Addr r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
-  net::Ipv6Addr sid = A("fc00:f::1");
-  sim::Network::Attachment l1, l2;
-
-  McLab(std::uint64_t seed, std::size_t ncpus)
-      : net(seed), s1(net.add_node("S1")), r(net.add_node("R")),
-        s2(net.add_node("S2")),
-        l1(net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro)),
-        l2(net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro)) {
-    s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
-    r.ns().table(0).add_route(P("fc00:2::/64"),
-                              {net::Ipv6Addr{}, l2.a_ifindex, 1});
-    s2.ns().table(0).add_route(P("::/0"), {r1, l2.b_ifindex, 1});
-    r.cpu.enabled = true;
-    r.cpu.profile = sim::kXeonProfile;
-    r.cpu.ncpus = ncpus;
-  }
-
-  // Installs `prog` as an End.BPF behaviour on `sid` at R.
-  void attach_end_bpf(const ebpf::ProgHandle& prog) {
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndBPF;
-    e.prog = prog;
-    r.ns().seg6local().add(sid, e);
-  }
-};
 
 // ---- RSS steering -----------------------------------------------------------
 
@@ -289,12 +79,11 @@ struct McLab {
 // actually spread over more than one context — otherwise the test proves
 // nothing about cross-context behaviour.
 TEST(RssSteering, SameFlowNeverReordersAcrossContexts) {
-  McLab lab(0x515, /*ncpus=*/4);
-  auto& s1 = lab.s1;
-  auto& r = lab.r;
-  const auto a1 = lab.a1, a2 = lab.a2;
+  usecases::Setup1 lab(0x515);
+  sim::Node& r = *lab.r;
+  r.cpu.ncpus = 4;
 
-  apps::AppMux mux(lab.s2);
+  apps::AppMux mux(*lab.s2);
   // flow label -> packet seqs in arrival order at the sink.
   std::map<std::uint32_t, std::vector<std::uint32_t>> arrivals;
   mux.on_udp(7001, [&arrivals](const net::Packet& pkt, const net::UdpHeader&,
@@ -307,15 +96,15 @@ TEST(RssSteering, SameFlowNeverReordersAcrossContexts) {
   });
 
   apps::TrafGen::Config cfg;
-  cfg.spec.src = a1;
-  cfg.spec.dst = a2;
+  cfg.spec.src = lab.s1_addr;
+  cfg.spec.dst = lab.s2_addr;
   cfg.spec.dst_port = 7001;
   cfg.spec.payload_size = 64;
   cfg.pps = 2e6;  // well past one Xeon core: queues build, contexts diverge
   cfg.flow_label_spread = 16;
   cfg.start_at = 0;
   cfg.duration = 2 * sim::kMilli;
-  apps::TrafGen gen(s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
   lab.net.run_for(sim::kSecond);
 
@@ -345,19 +134,20 @@ TEST(RssSteering, SameFlowNeverReordersAcrossContexts) {
 // simulated time where it is deterministic.
 TEST(RssSteering, FourContextsForwardMoreThanOne) {
   auto run = [](std::size_t ncpus) {
-    McLab lab(0xabc, ncpus);
-    apps::AppMux mux(lab.s2);
+    usecases::Setup1 lab(0xabc);
+    lab.r->cpu.ncpus = ncpus;
+    apps::AppMux mux(*lab.s2);
     apps::UdpSink sink(mux, 7001);
     apps::TrafGen::Config cfg;
-    cfg.spec.src = lab.a1;
-    cfg.spec.dst = lab.a2;
+    cfg.spec.src = lab.s1_addr;
+    cfg.spec.dst = lab.s2_addr;
     cfg.spec.dst_port = 7001;
     cfg.spec.payload_size = 64;
     cfg.pps = 3e6;
     cfg.burst = 8;
     cfg.flow_label_spread = 64;
     cfg.duration = 20 * sim::kMilli;
-    apps::TrafGen gen(lab.s1, cfg);
+    apps::TrafGen gen(*lab.s1, cfg);
     gen.start();
     lab.net.run_for(sim::kSecond);
     return sink.packets();
@@ -373,8 +163,9 @@ TEST(RssSteering, FourContextsForwardMoreThanOne) {
 // must count exactly that context's program runs (no cross-context bleed),
 // and the user-space summed read must equal the total.
 TEST(PerCpuMaps, PerContextValuesAndSummedReads) {
-  McLab lab(0x9c9, /*ncpus=*/4);
-  auto& r = lab.r;
+  usecases::Setup1 lab(0x9c9);
+  sim::Node& r = *lab.r;
+  r.cpu.ncpus = 4;
 
   auto& bpf = r.ns().bpf();
   ebpf::MapDef def;
@@ -388,20 +179,20 @@ TEST(PerCpuMaps, PerContextValuesAndSummedReads) {
   auto load = bpf.load(built.name, ebpf::ProgType::kLwtSeg6Local, built.insns,
                        built.paper_sloc);
   ASSERT_TRUE(load.ok()) << load.verify.error;
-  lab.attach_end_bpf(load.prog);
+  lab.add_end_bpf(load.prog);
 
-  apps::AppMux mux(lab.s2);
+  apps::AppMux mux(*lab.s2);
   apps::UdpSink sink(mux, 7001);
   apps::TrafGen::Config cfg;
-  cfg.spec.src = lab.a1;
-  cfg.spec.dst = lab.a2;
-  cfg.spec.segments = {lab.sid, lab.a2};
+  cfg.spec.src = lab.s1_addr;
+  cfg.spec.dst = lab.s2_addr;
+  cfg.spec.segments = {lab.sid, lab.s2_addr};
   cfg.spec.dst_port = 7001;
   cfg.spec.payload_size = 64;
   cfg.pps = 400e3;  // under the 4-context capacity: nothing drops
   cfg.flow_label_spread = 32;
   cfg.duration = 5 * sim::kMilli;
-  apps::TrafGen gen(lab.s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
   lab.net.run_for(sim::kSecond);
 
@@ -470,8 +261,9 @@ TEST(PerfEvents, PerCpuRingCapacity) {
 // context's id: run a perf-emitting End.BPF program on a 4-context router
 // and check every record's cpu against the contexts that actually ran.
 TEST(PerfEvents, DatapathRecordsCarryServicingContext) {
-  McLab lab(0xfe1, /*ncpus=*/4);
-  auto& r = lab.r;
+  usecases::Setup1 lab(0xfe1);
+  sim::Node& r = *lab.r;
+  r.cpu.ncpus = 4;
 
   auto& bpf = r.ns().bpf();
   const std::uint32_t perf_id =
@@ -493,20 +285,20 @@ TEST(PerfEvents, DatapathRecordsCarryServicingContext) {
       .exit_();
   auto load = bpf.load("cpu_tag", ebpf::ProgType::kLwtSeg6Local, a.build());
   ASSERT_TRUE(load.ok()) << load.verify.error;
-  lab.attach_end_bpf(load.prog);
+  lab.add_end_bpf(load.prog);
 
-  apps::AppMux mux(lab.s2);
+  apps::AppMux mux(*lab.s2);
   apps::UdpSink sink(mux, 7001);
   apps::TrafGen::Config cfg;
-  cfg.spec.src = lab.a1;
-  cfg.spec.dst = lab.a2;
-  cfg.spec.segments = {lab.sid, lab.a2};
+  cfg.spec.src = lab.s1_addr;
+  cfg.spec.dst = lab.s2_addr;
+  cfg.spec.segments = {lab.sid, lab.s2_addr};
   cfg.spec.dst_port = 7001;
   cfg.spec.payload_size = 64;
   cfg.pps = 400e3;
   cfg.flow_label_spread = 32;
   cfg.duration = 5 * sim::kMilli;
-  apps::TrafGen gen(lab.s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
   lab.net.run_for(sim::kSecond);
 

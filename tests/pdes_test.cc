@@ -26,12 +26,13 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "golden_scenarios.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
 #include "sim/network.h"
 #include "sim/pdes_mailbox.h"
 #include "sim/pdes_topo.h"
-#include "usecases/programs.h"
+#include "usecases/setup1.h"
 #include "util/hdr_histogram.h"
 
 namespace srv6bpf {
@@ -40,26 +41,10 @@ namespace {
 net::Ipv6Addr A(const char* s) { return net::Ipv6Addr::must_parse(s); }
 net::Prefix P(const char* s) { return net::Prefix::parse(s).value(); }
 
-// FNV-1a over little-endian u64s — the mc_test sink-delivery digest.
-struct Digest {
-  std::uint64_t delivered = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
-  bool operator==(const Digest& o) const {
-    return delivered == o.delivered && bytes == o.bytes && fnv == o.fnv;
-  }
-};
-
-// `threads` convention for every runner below: kSerial = never seal (the
-// historical single-loop simulator), >= 1 = partition + seal + run on that
-// many workers.
-constexpr int kSerial = -1;
+// The sink digest and the `threads` convention (kSerial = never seal) of
+// every runner below.
+using golden::Digest;
+using golden::kSerial;
 
 // ---- EventLoop comparator regressions ---------------------------------------
 
@@ -244,138 +229,36 @@ TEST(PdesMailbox, TwoThreadPumpPreservesOrder) {
   EXPECT_TRUE(box.empty());
 }
 
-// ---- fig2: the mc_test golden scenario, partitioned -------------------------
+// ---- fig2 and hybrid-WRR: the mc_test goldens, partitioned -----------------
 
-struct Fig2Result {
-  Digest dig;
-  sim::NodeStats router;
-};
-
-// Verbatim topology/traffic of tests/mc_test.cc run_fig2 (whose goldens
-// were captured from the PR 2 tree), plus the partition plumbing: with
-// threads >= 1 the three nodes land in three domains and both hops become
-// synchronization edges. The sends go through s1's own loop, which is the
-// master loop when serial — the schedule sites are identical in both modes.
-Fig2Result run_fig2(std::size_t burst, std::size_t ncpus, int threads) {
-  sim::Network net(0xbead);
-  auto& s1 = net.add_node("S1");
-  auto& r = net.add_node("R");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
-  const auto r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
-  const auto sid = A("fc00:f::1");
-  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
-  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
-  s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:2::/64"),
-                            {net::Ipv6Addr{}, l2.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:1::/64"),
-                            {net::Ipv6Addr{}, l1.b_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {r1, l2.b_ifindex, 1});
-
-  r.cpu.enabled = true;
-  r.cpu.profile = sim::kXeonProfile;
-  r.cpu.rx_burst = burst;
-  r.cpu.ncpus = ncpus;
-
-  auto built = usecases::build_tag_increment();
-  auto load = r.ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                built.insns, built.paper_sloc);
-  EXPECT_TRUE(load.ok()) << load.verify.error;
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  r.ns().seg6local().add(sid, e);
-
-  if (threads != kSerial) {
-    net.set_domain_count(3);
-    net.assign_domain(s1, 0);
-    net.assign_domain(r, 1);
-    net.assign_domain(s2, 2);
-    net.seal_domains();
-  }
-
-  apps::AppMux mux(s2);
-  Fig2Result res;
-  mux.on_udp(7001, [&res](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++res.dig.delivered;
-    res.dig.bytes += payload.size();
-    res.dig.mix(now);
-    res.dig.mix(pkt.seq);
-  });
-
-  for (int i = 0; i < 100; ++i) {
-    net::PacketSpec spec;
-    spec.src = a1;
-    spec.dst = a2;
-    spec.segments = {sid, a2};
-    spec.srh_tag = static_cast<std::uint16_t>(i);
-    spec.src_port = static_cast<std::uint16_t>(9000 + (i % 7));
-    spec.dst_port = 7001;
-    spec.payload_size = 64;
-    auto pkt = net::make_udp_packet(spec);
-    pkt.seq = static_cast<std::uint32_t>(i);
-    s1.loop().schedule_at(static_cast<sim::TimeNs>(i) * 100,
-                          [&s1, p = std::move(pkt)]() mutable {
-                            s1.send(std::move(p));
-                          });
-  }
-  // All deliveries land well inside 20 ms; the digest is a function of
-  // delivery times only, so the shorter window matches mc_test's 1 s run.
-  if (threads == kSerial)
-    net.run_for(20 * sim::kMilli);
-  else
-    net.run_parallel_for(20 * sim::kMilli, static_cast<std::size_t>(threads));
-  res.router = r.stats();
-  return res;
-}
-
-void expect_stats_equal(const sim::NodeStats& a, const sim::NodeStats& b) {
-  EXPECT_EQ(a.rx_packets, b.rx_packets);
-  EXPECT_EQ(a.tx_packets, b.tx_packets);
-  EXPECT_EQ(a.local_delivered, b.local_delivered);
-  EXPECT_EQ(a.drops_rx_queue, b.drops_rx_queue);
-  EXPECT_EQ(a.drops_no_route, b.drops_no_route);
-  EXPECT_EQ(a.drops_ttl, b.drops_ttl);
-  EXPECT_EQ(a.drops_verdict, b.drops_verdict);
-  EXPECT_EQ(a.drops_malformed, b.drops_malformed);
-  EXPECT_EQ(a.drops_link_down, b.drops_link_down);
-  EXPECT_EQ(a.frr_reroutes, b.frr_reroutes);
-  EXPECT_EQ(a.service_events, b.service_events);
-  EXPECT_EQ(a.serviced_packets, b.serviced_packets);
-  EXPECT_TRUE(a.pipeline == b.pipeline);
-  for (std::size_t i = 0; i < sim::kDropReasonCount; ++i)
-    EXPECT_EQ(a.first_drop_ns[i], b.first_drop_ns[i]) << "drop reason " << i;
-}
+// With threads >= 1 tests/golden_scenarios.h puts the three nodes in three
+// domains, so both hops become synchronization edges.
 
 TEST(PdesDeterminism, Fig2PartitionedMatchesSerialAndGolden) {
-  const Fig2Result serial = run_fig2(32, 1, kSerial);
+  const golden::Outcome serial = golden::run_fig2({.threads = kSerial});
   // The mc_test goldens (captured from the PR 2 single-core tree) must
   // still hold for the serial loop with the stamp comparator...
   EXPECT_EQ(serial.dig.delivered, 100u);
   EXPECT_EQ(serial.dig.bytes, 6400u);
   EXPECT_EQ(serial.dig.fnv, 0x1023e722a53e82dbull);
   // ...and the partitioned run reproduces them bit-for-bit.
-  const Fig2Result part = run_fig2(32, 1, 1);
+  const golden::Outcome part = golden::run_fig2({.threads = 1});
   EXPECT_TRUE(part.dig == serial.dig);
-  expect_stats_equal(part.router, serial.router);
+  EXPECT_EQ(part.router, serial.router);
 }
 
 // The headline stress: >= 20 repetitions at every thread count, each run
 // bit-identical to the single-thread partitioned baseline (and hence, via
 // the test above, to the serial run and the historical goldens).
 TEST(PdesDeterminism, Fig2DigestsIdenticalAcrossThreadsAndRepetitions) {
-  const Fig2Result base = run_fig2(32, 1, 1);
+  const golden::Outcome base = golden::run_fig2({.threads = 1});
   for (const int threads : {1, 2, 4, 8}) {
     for (int rep = 0; rep < 20; ++rep) {
-      const Fig2Result run = run_fig2(32, 1, threads);
+      const golden::Outcome run = golden::run_fig2({.threads = threads});
       ASSERT_TRUE(run.dig == base.dig)
           << "threads=" << threads << " rep=" << rep << " fnv=" << std::hex
           << run.dig.fnv;
-      expect_stats_equal(run.router, base.router);
+      EXPECT_EQ(run.router, base.router);
     }
   }
 }
@@ -384,119 +267,23 @@ TEST(PdesDeterminism, Fig2MultiCoreRouterPartitioned) {
   // RSS-sharded router (ncpus=4) under partitioning: context-keyed service
   // events and per-context stats shards all live in one domain; the merge
   // must still be thread-count-invariant.
-  const Fig2Result serial = run_fig2(32, 4, kSerial);
+  const golden::Outcome serial =
+      golden::run_fig2({.ncpus = 4, .threads = kSerial});
   for (const int threads : {1, 2, 4}) {
-    const Fig2Result run = run_fig2(32, 4, threads);
+    const golden::Outcome run =
+        golden::run_fig2({.ncpus = 4, .threads = threads});
     EXPECT_TRUE(run.dig == serial.dig) << "threads=" << threads;
-    expect_stats_equal(run.router, serial.router);
+    EXPECT_EQ(run.router, serial.router);
   }
-}
-
-// ---- hybrid-WRR: the second mc_test golden ----------------------------------
-
-Digest run_hybrid(int threads) {
-  sim::Network net(0x7777);
-  auto& s1 = net.add_node("S1");
-  auto& m = net.add_node("M");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fd01:1::1"), m0 = A("fd01:1::2");
-  const auto m1 = A("fd01:2::1"), a2 = A("fd01:2::2");
-  const auto d1 = A("fd01:5e::d1"), d2 = A("fd01:5e::d2");
-  const std::uint64_t kGig = 1000ull * 1000 * 1000;
-  auto l0 = net.connect(s1, a1, m, m0, kGig, 100 * sim::kMicro);
-  auto l1 = net.connect(m, m1, s2, a2, kGig, 100 * sim::kMicro);
-
-  s1.ns().table(0).add_route(P("::/0"), {m0, l0.a_ifindex, 1});
-  m.ns().table(0).add_route(P("fd01:1::/64"),
-                            {net::Ipv6Addr{}, l0.b_ifindex, 1});
-  m.ns().table(0).add_route(P("fd01:5e::/64"),
-                            {net::Ipv6Addr{}, l1.a_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {m1, l1.b_ifindex, 1});
-
-  m.cpu.enabled = true;
-  m.cpu.profile = sim::kTurrisProfile;
-  m.cpu.rx_burst = 32;
-  m.cpu.ncpus = 1;
-  m.ns().bpf().set_jit_enabled(false);
-
-  {
-    auto& bpf = m.ns().bpf();
-    ebpf::MapDef def;
-    def.type = ebpf::MapType::kArray;
-    def.key_size = 4;
-    def.value_size = sizeof(usecases::WrrConfig);
-    def.max_entries = 1;
-    def.name = "wrr_cfg";
-    const std::uint32_t cfg_id = bpf.maps().create(def);
-    usecases::WrrConfig cfg;
-    cfg.weight1 = 5;
-    cfg.weight2 = 3;
-    std::memcpy(cfg.sid1, d1.bytes().data(), 16);
-    std::memcpy(cfg.sid2, d2.bytes().data(), 16);
-    bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
-    auto built = usecases::build_wrr(cfg_id);
-    auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
-                         built.paper_sloc);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
-    auto lwt = std::make_shared<seg6::LwtState>();
-    lwt->kind = seg6::LwtState::Kind::kBpf;
-    lwt->prog_xmit = load.prog;
-    m.ns().table(0).add_route({P("fd01:2::/64"), {}, lwt});
-  }
-  for (const auto& sid : {d1, d2}) {
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndDT6;
-    e.table = 0;
-    s2.ns().seg6local().add(sid, e);
-  }
-
-  if (threads != kSerial) {
-    net.set_domain_count(3);
-    net.assign_domain(s1, 0);
-    net.assign_domain(m, 1);
-    net.assign_domain(s2, 2);
-    net.seal_domains();
-  }
-
-  apps::AppMux mux(s2);
-  Digest dig;
-  mux.on_udp(5201, [&dig](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++dig.delivered;
-    dig.bytes += payload.size();
-    dig.mix(now);
-    dig.mix(pkt.seq);
-  });
-
-  for (int i = 0; i < 96; ++i) {
-    net::PacketSpec spec;
-    spec.src = a1;
-    spec.dst = a2;
-    spec.src_port = static_cast<std::uint16_t>(30000 + (i % 5));
-    spec.dst_port = 5201;
-    spec.payload_size = 400;
-    auto pkt = net::make_udp_packet(spec);
-    pkt.seq = static_cast<std::uint32_t>(i);
-    s1.loop().schedule_at(static_cast<sim::TimeNs>(i) * 500,
-                          [&s1, p = std::move(pkt)]() mutable {
-                            s1.send(std::move(p));
-                          });
-  }
-  if (threads == kSerial)
-    net.run_for(50 * sim::kMilli);
-  else
-    net.run_parallel_for(50 * sim::kMilli, static_cast<std::size_t>(threads));
-  return dig;
 }
 
 TEST(PdesDeterminism, HybridWrrPartitionedMatchesSerialAndGolden) {
-  const Digest serial = run_hybrid(kSerial);
+  const Digest serial = golden::run_hybrid({.threads = kSerial}).dig;
   EXPECT_EQ(serial.delivered, 96u);
   EXPECT_EQ(serial.bytes, 38400u);
   EXPECT_EQ(serial.fnv, 0xf73ec5219ddf73caull);  // mc_test golden
   for (const int threads : {1, 2, 4}) {
-    const Digest run = run_hybrid(threads);
+    const Digest run = golden::run_hybrid({.threads = threads}).dig;
     EXPECT_TRUE(run == serial) << "threads=" << threads;
   }
 }
@@ -505,54 +292,18 @@ TEST(PdesDeterminism, HybridWrrPartitionedMatchesSerialAndGolden) {
 
 Digest run_fig2_fib48(int threads) {
   constexpr std::size_t kFibRoutes = 2048;
-  sim::Network net(0xf1b48);
-  auto& s1 = net.add_node("S1");
-  auto& r = net.add_node("R");
-  auto& s2 = net.add_node("S2");
-  const auto a1 = A("fc00:1::1"), r0 = A("fc00:1::2");
-  const auto r1 = A("fc00:2::1"), a2 = A("fc00:2::2");
-  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  auto l1 = net.connect(s1, a1, r, r0, kTenGig, 10 * sim::kMicro);
-  auto l2 = net.connect(r, r1, s2, a2, kTenGig, 10 * sim::kMicro);
-  s1.ns().table(0).add_route(P("::/0"), {r0, l1.a_ifindex, 1});
-  s2.ns().table(0).add_route(P("::/0"), {r1, l2.b_ifindex, 1});
+  usecases::Setup1 lab(0xf1b48);
+  // The lpm_sweep end-to-end shape: 2048 /48 sites routed at R, matching
+  // local addresses at S2.
+  lab.add_fib48(kFibRoutes);
+  golden::partition3(lab.net, *lab.s1, *lab.r, *lab.s2, threads);
 
-  r.cpu.enabled = true;
-  r.cpu.profile = sim::kXeonProfile;
-  r.cpu.ncpus = 1;
-
-  // The lpm_sweep end-to-end shape (bench/hotpath.cc install_fib48): 2048
-  // /48 sites routed at R, matching local addresses at S2.
-  char buf[64];
-  for (std::size_t i = 0; i < kFibRoutes; ++i) {
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::/48", i);
-    r.ns().table(0).add_route(net::Prefix::parse(buf).value(),
-                              {net::Ipv6Addr{}, l2.a_ifindex, 1});
-    std::snprintf(buf, sizeof buf, "2001:db8:%zx::2", i);
-    s2.ns().add_local_addr(net::Ipv6Addr::must_parse(buf));
-  }
-
-  if (threads != kSerial) {
-    net.set_domain_count(3);
-    net.assign_domain(s1, 0);
-    net.assign_domain(r, 1);
-    net.assign_domain(s2, 2);
-    net.seal_domains();
-  }
-
-  apps::AppMux mux(s2);
+  apps::AppMux mux(*lab.s2);
   Digest dig;
-  mux.on_udp(7001, [&dig](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++dig.delivered;
-    dig.bytes += payload.size();
-    dig.mix(now);
-    dig.mix(pkt.seq);
-  });
+  golden::digest_udp(mux, 7001, dig);
 
   apps::TrafGen::Config cfg;
-  cfg.spec.src = a1;
+  cfg.spec.src = lab.s1_addr;
   cfg.spec.dst = A("2001:db8::2");
   cfg.spec.payload_size = 64;
   cfg.spec.dst_port = 7001;
@@ -561,13 +312,10 @@ Digest run_fig2_fib48(int threads) {
   cfg.dst_spread = kFibRoutes;
   cfg.flow_label_spread = 8;
   cfg.src_port_spread = 13;
-  apps::TrafGen gen(s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
 
-  if (threads == kSerial)
-    net.run_for(10 * sim::kMilli);
-  else
-    net.run_parallel_for(10 * sim::kMilli, static_cast<std::size_t>(threads));
+  golden::run_window(lab.net, 10 * sim::kMilli, threads);
   return dig;
 }
 
@@ -587,12 +335,7 @@ TEST(PdesDeterminism, Fig2Fib48PartitionedMatchesSerial) {
 // a mid-run link cut and a later restore while trafgen streams. Under a
 // sealed partition the cut is scheduled per carrier replica (one event in
 // each end's domain at the same instant) — the digest must not notice.
-struct FailoverResult {
-  Digest dig;
-  sim::NodeStats router;
-};
-
-FailoverResult run_failover(int threads) {
+golden::Outcome run_failover(int threads) {
   sim::Network net(0xfee1);
   auto& s1 = net.add_node("S1");
   auto& r = net.add_node("R");
@@ -608,25 +351,11 @@ FailoverResult run_failover(int threads) {
   route.frr = std::make_shared<seg6::FrrBackup>(
       seg6::FrrBackup{{}, {net::Ipv6Addr{}, l2.a_ifindex, 1}});
   r.ns().table(0).add_route(std::move(route));
-
-  if (threads != kSerial) {
-    net.set_domain_count(3);
-    net.assign_domain(s1, 0);
-    net.assign_domain(r, 1);
-    net.assign_domain(s2, 2);
-    net.seal_domains();
-  }
+  golden::partition3(net, s1, r, s2, threads);
 
   apps::AppMux mux(s2);
-  FailoverResult res;
-  mux.on_udp(7001, [&res](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++res.dig.delivered;
-    res.dig.bytes += payload.size();
-    res.dig.mix(now);
-    res.dig.mix(pkt.seq);
-  });
+  golden::Outcome res;
+  golden::digest_udp(mux, 7001, res.dig);
 
   apps::TrafGen::Config cfg;
   cfg.spec.src = A("fc00:1::1");
@@ -642,22 +371,19 @@ FailoverResult run_failover(int threads) {
   net.schedule_link_down(*l1.link, 1 * sim::kMilli);
   net.schedule_link_up(*l1.link, 3 * sim::kMilli);
 
-  if (threads == kSerial)
-    net.run_for(6 * sim::kMilli);
-  else
-    net.run_parallel_for(6 * sim::kMilli, static_cast<std::size_t>(threads));
+  golden::run_window(net, 6 * sim::kMilli, threads);
   res.router = r.stats();
   return res;
 }
 
 TEST(PdesDeterminism, FailoverPartitionedMatchesSerial) {
-  const FailoverResult serial = run_failover(kSerial);
+  const golden::Outcome serial = run_failover(kSerial);
   EXPECT_GT(serial.dig.delivered, 500u);
   EXPECT_GT(serial.router.frr_reroutes, 0u);  // the cut actually rerouted
   for (const int threads : {1, 2, 4}) {
-    const FailoverResult run = run_failover(threads);
+    const golden::Outcome run = run_failover(threads);
     EXPECT_TRUE(run.dig == serial.dig) << "threads=" << threads;
-    expect_stats_equal(run.router, serial.router);
+    EXPECT_EQ(run.router, serial.router);
   }
 }
 
@@ -728,14 +454,7 @@ OverflowResult run_mailbox_overflow(std::size_t threads) {
 
   apps::AppMux mux(b);
   OverflowResult res;
-  mux.on_udp(7001, [&res](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++res.dig.delivered;
-    res.dig.bytes += payload.size();
-    res.dig.mix(now);
-    res.dig.mix(pkt.seq);
-  });
+  golden::digest_udp(mux, 7001, res.dig);
   apps::TrafGen::Config cfg;
   cfg.spec.src = A("fc00:1::1");
   cfg.spec.dst = A("fc00:1::2");
@@ -829,76 +548,46 @@ TEST(PdesDeterminism, SameTimestampCrossDomainArrivalsOrderBySenderDomain) {
 // the router plus a no-route flow. The partitioned run's merged counters,
 // *and* each drop reason's first-occurrence timestamp min-fold, must equal
 // the serial run's exactly.
-FailoverResult run_overload(int threads) {
-  sim::Network net(0x0dd5);
-  auto& s1 = net.add_node("S1");
-  auto& r = net.add_node("R");
-  auto& s2 = net.add_node("S2");
-  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
-  auto l1 = net.connect(s1, A("fc00:1::1"), r, A("fc00:1::2"), kTenGig,
-                        10 * sim::kMicro);
-  auto l2 = net.connect(r, A("fc00:2::1"), s2, A("fc00:2::2"), kTenGig,
-                        10 * sim::kMicro);
-  s1.ns().table(0).add_route(P("::/0"), {A("fc00:1::2"), l1.a_ifindex, 1});
-  r.ns().table(0).add_route(P("fc00:2::/64"),
-                            {net::Ipv6Addr{}, l2.a_ifindex, 1});
-  r.cpu.enabled = true;
-  r.cpu.profile = sim::kXeonProfile;
-  r.cpu.ncpus = 2;  // two contexts: the merge actually folds shards
+golden::Outcome run_overload(int threads) {
+  usecases::Setup1 lab(0x0dd5);
+  lab.r->cpu.ncpus = 2;  // two contexts: the merge actually folds shards
+  golden::partition3(lab.net, *lab.s1, *lab.r, *lab.s2, threads);
 
-  if (threads != kSerial) {
-    net.set_domain_count(3);
-    net.assign_domain(s1, 0);
-    net.assign_domain(r, 1);
-    net.assign_domain(s2, 2);
-    net.seal_domains();
-  }
-
-  apps::AppMux mux(s2);
-  FailoverResult res;
-  mux.on_udp(7001, [&res](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) {
-    ++res.dig.delivered;
-    res.dig.bytes += payload.size();
-    res.dig.mix(now);
-    res.dig.mix(pkt.seq);
-  });
+  apps::AppMux mux(*lab.s2);
+  golden::Outcome res;
+  golden::digest_udp(mux, 7001, res.dig);
 
   // Main flood: 3 Mpps against a ~600 kpps core pair -> rx-queue drops.
   apps::TrafGen::Config cfg;
-  cfg.spec.src = A("fc00:1::1");
-  cfg.spec.dst = A("fc00:2::2");
+  cfg.spec.src = lab.s1_addr;
+  cfg.spec.dst = lab.s2_addr;
   cfg.spec.payload_size = 64;
   cfg.spec.dst_port = 7001;
   cfg.pps = 3000000;
   cfg.duration = 2 * sim::kMilli;
   cfg.flow_label_spread = 16;
-  apps::TrafGen gen(s1, cfg);
+  apps::TrafGen gen(*lab.s1, cfg);
   gen.start();
   // Side flow to an unrouted prefix -> drops_no_route with a first-drop
   // timestamp from mid-run.
   apps::TrafGen::Config miss;
-  miss.spec.src = A("fc00:1::1");
+  miss.spec.src = lab.s1_addr;
   miss.spec.dst = A("fc00:99::1");
   miss.spec.payload_size = 64;
   miss.spec.dst_port = 7002;
   miss.pps = 50000;
   miss.start_at = 500 * sim::kMicro;
   miss.duration = sim::kMilli;
-  apps::TrafGen gen_miss(s1, miss);
+  apps::TrafGen gen_miss(*lab.s1, miss);
   gen_miss.start();
 
-  if (threads == kSerial)
-    net.run_for(5 * sim::kMilli);
-  else
-    net.run_parallel_for(5 * sim::kMilli, static_cast<std::size_t>(threads));
-  res.router = r.stats();
+  golden::run_window(lab.net, 5 * sim::kMilli, threads);
+  res.router = lab.r->stats();
   return res;
 }
 
 TEST(PdesStats, ShardMergeAndFirstDropMinFoldMatchSerial) {
-  const FailoverResult serial = run_overload(kSerial);
+  const golden::Outcome serial = run_overload(kSerial);
   ASSERT_GT(serial.router.drops_rx_queue, 0u);
   ASSERT_GT(serial.router.drops_no_route, 0u);
   ASSERT_NE(serial.router.first_drop_at(sim::DropReason::kRxQueue),
@@ -906,9 +595,9 @@ TEST(PdesStats, ShardMergeAndFirstDropMinFoldMatchSerial) {
   ASSERT_NE(serial.router.first_drop_at(sim::DropReason::kNoRoute),
             sim::NodeStats::kNeverDropped);
   for (const int threads : {1, 3}) {
-    const FailoverResult run = run_overload(threads);
+    const golden::Outcome run = run_overload(threads);
     EXPECT_TRUE(run.dig == serial.dig) << "threads=" << threads;
-    expect_stats_equal(run.router, serial.router);
+    EXPECT_EQ(run.router, serial.router);
   }
 }
 
@@ -960,10 +649,7 @@ RingResult run_ring(int threads, const sim::RingTopoSpec& spec,
     gens.back()->start();
   }
 
-  if (threads == kSerial)
-    net.run_for(window);
-  else
-    net.run_parallel_for(window, static_cast<std::size_t>(threads));
+  golden::run_window(net, window, threads);
 
   // Deterministic cross-domain fold: segment order (the merge itself is
   // order-invariant; tests/slo_test.cc pins that algebra).
