@@ -1,9 +1,12 @@
 // Shared scaffolding for the paper-reproduction benchmarks: the saturation
 // measurement loop on the setup-1 lab (offer more load than R can forward,
-// count what the sink receives — exactly the paper's §3.2 methodology), and
-// the digested per-segment load of the generated PDES ring.
+// count what the sink receives — exactly the paper's §3.2 methodology), the
+// digested per-segment load of the generated PDES ring, and the verifier's
+// cost of loading a program.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -12,6 +15,8 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "ebpf/verifier.h"
+#include "ebpf/vm.h"
 #include "net/packet.h"
 #include "report.h"
 #include "sim/network.h"
@@ -141,6 +146,47 @@ struct RingLoad {
     return t;
   }
 };
+
+// What verifying a program costs with state pruning (as BpfSystem::load
+// verifies) and without: the states each run visits, and the median wall µs
+// of one run. The two are timed in alternating batches, each batch at least
+// ~256 unpruned states long so that reading the clock costs little.
+struct VerifyCost {
+  std::size_t states = 0;
+  std::size_t states_unpruned = 0;
+  double us = 0;
+  double us_unpruned = 0;
+};
+
+inline VerifyCost measure_verify(ebpf::BpfSystem& sys,
+                                 const std::vector<ebpf::Insn>& insns,
+                                 ebpf::ProgType type, int reps) {
+  const ebpf::Verifier verifiers[] = {
+      {&sys.maps(), &sys.helpers()},
+      {&sys.maps(), &sys.helpers(), {.enable_pruning = false}}};
+  VerifyCost c;
+  c.states = verifiers[0].verify(insns, type).stats.states_visited;
+  c.states_unpruned = verifiers[1].verify(insns, type).stats.states_visited;
+  const std::size_t batch = 1 + 256 / c.states_unpruned;
+  std::vector<double> us[2];
+  volatile bool sink = false;
+  for (int r = 0; r < reps; ++r) {
+    for (int v = 0; v < 2; ++v) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < batch; ++i)
+        sink = verifiers[v].verify(insns, type).ok;
+      const auto t1 = std::chrono::steady_clock::now();
+      us[v].push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count() / batch);
+    }
+  }
+  (void)sink;
+  for (std::vector<double>& u : us)
+    std::nth_element(u.begin(), u.begin() + u.size() / 2, u.end());
+  c.us = us[0][us[0].size() / 2];
+  c.us_unpruned = us[1][us[1].size() / 2];
+  return c;
+}
 
 // "0x%016llx", the digests' JSON spelling.
 inline std::string hex64(std::uint64_t v) {

@@ -6,7 +6,10 @@
 // a pre-3.15 kernel did per packet) and translated to eBPF and run on each of
 // the three engines (what this simulator — and the modern kernel — actually
 // executes). The native-vs-reference speedup is the payoff of the
-// translate-once design the cbpf/ tier reproduces.
+// translate-once design the cbpf/ tier reproduces. Each row also records
+// what verifying the translated program costs at load, with state pruning
+// and without: pruning may visit no more states (a gate) and take no longer
+// (a wall gate).
 //
 // Part 2 (scenario): the fig3-style monitoring sink driven entirely by a
 // compiled filter expression on the setup-1 topology, reporting the sink's
@@ -116,9 +119,10 @@ double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
       static_cast<std::uint64_t>(iters) * corpus.pkts.size());
 }
 
-// Records one expression's row; returns its native-vs-reference speedup.
+// Records and gates one expression's row; returns its native-vs-reference
+// speedup.
 double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
-                    Obj& row) {
+                    int verify_reps, Report& rep) {
   const cbpf::CompileResult cr = cbpf::compile(expr);
   if (!cr.ok) {
     std::fprintf(stderr, "compile(\"%s\"): %s\n", expr.c_str(),
@@ -149,14 +153,28 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
   const double native_ns =
       translated_ns(*load.prog, sys, ebpf::EngineKind::kNative, corpus, iters);
   const double speedup = ref_ns / native_ns;
-  row.str("expr", expr)
+  const VerifyCost vc = measure_verify(sys, tr.insns,
+                                       ebpf::ProgType::kSocketFilter,
+                                       verify_reps);
+  rep.row("filters")
+      .str("expr", expr)
       .num("cbpf_insns", cr.insns.size())
       .num("ebpf_insns", tr.insns.size())
       .num("reference_interp_ns", ref_ns, 1)
       .num("baseline_interp_ns", baseline_ns, 1)
       .num("predecoded_interp_ns", predecoded_ns, 1)
       .num("native_ns", native_ns, 1)
-      .num("speedup_native_vs_reference", speedup, 2);
+      .num("speedup_native_vs_reference", speedup, 2)
+      .num("verify_states", vc.states)
+      .num("verify_states_unpruned", vc.states_unpruned)
+      .num("verify_us", vc.us, 1)
+      .num("verify_us_unpruned", vc.us_unpruned, 1);
+  rep.gate(vc.states <= vc.states_unpruned,
+           "\"%s\" verifies in %zu states with pruning, %zu without",
+           expr.c_str(), vc.states, vc.states_unpruned);
+  rep.wall_gate(vc.us <= vc.us_unpruned,
+                "\"%s\" verifies in %.1f us with pruning, %.1f us without",
+                expr.c_str(), vc.us, vc.us_unpruned);
   return speedup;
 }
 
@@ -192,6 +210,7 @@ double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
 int main(int argc, char** argv) {
   const Mode mode = parse_mode(argc, argv);
   const int iters = mode.quick ? 20000 : 400000;
+  const int verify_reps = mode.quick ? 5 : 21;
   const sim::TimeNs window = mode.quick ? 60 * sim::kMilli : 200 * sim::kMilli;
   Report rep("BENCH_filter.json", mode,
              "Classic-BPF filter tier: expression -> cBPF -> eBPF",
@@ -210,7 +229,7 @@ int main(int argc, char** argv) {
   };
   double log_sum = 0;
   for (const char* e : exprs)
-    log_sum += std::log(measure_expr(e, corpus, iters, rep.row("filters")));
+    log_sum += std::log(measure_expr(e, corpus, iters, verify_reps, rep));
   const double geomean = std::exp(log_sum / std::size(exprs));
   rep.num("geomean_speedup_native_vs_reference", geomean, 2);
 

@@ -10,7 +10,10 @@
 // will read ~1x). "Engine-only" means the ExecEnv/ctx are
 // built once and the timed loop contains only the VM run (plus a packet
 // reset for the one program that resizes it); this isolates what the
-// decode-once refactor actually changed.
+// decode-once refactor actually changed. Each §3.2 row also records what
+// verifying the program costs at load with state pruning and without. These
+// loads take a few µs and pruning saves them at most two states, so it may
+// cost at most 10% more than no pruning (a wall gate).
 //
 // Part 2: google-benchmark microbenchmarks of dispatch, helper-call, map and
 // verifier costs (skipped when --json-only is passed, or when part 1 fails;
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
@@ -31,7 +35,6 @@
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "net/packet.h"
-#include "report.h"
 #include "seg6/ctx.h"
 #include "usecases/programs.h"
 
@@ -171,7 +174,7 @@ void record_row(Obj& row, const std::string& name, bool sec32,
       .num("speedup_native_vs_predecoded", predecoded_ns / native_ns, 2);
 }
 
-void run_engine_comparison(int iters, bench::Report& rep) {
+void run_engine_comparison(int iters, int verify_reps, bench::Report& rep) {
   rep.str("bench", "vm_micro")
       .str("measurement", "engine_only_ns_per_run")
       .flag("native_jit_available", Jit::available());
@@ -185,6 +188,7 @@ void run_engine_comparison(int iters, bench::Report& rep) {
       {usecases::build_tag_increment(), false},
       {usecases::build_add_tlv(), true},  // resizes the packet every run
   };
+  seg6::Netns verify_ns("verify");  // the seg6 helpers the programs call
   double log_sum_pre = 0, log_sum_native = 0;
   for (const Prog& p : progs) {
     const double baseline_ns = engine_only_ns(
@@ -193,8 +197,17 @@ void run_engine_comparison(int iters, bench::Report& rep) {
         engine_only_ns(p.built, EngineKind::kInterp, p.reset_packet, iters);
     const double native_ns =
         engine_only_ns(p.built, EngineKind::kNative, p.reset_packet, iters);
-    record_row(rep.row("programs"), p.built.name, /*sec32=*/true, baseline_ns,
-               predecoded_ns, native_ns);
+    Obj& row = rep.row("programs");
+    record_row(row, p.built.name, /*sec32=*/true, baseline_ns, predecoded_ns,
+               native_ns);
+    const bench::VerifyCost vc =
+        bench::measure_verify(verify_ns.bpf(), p.built.insns,
+                              ProgType::kLwtSeg6Local, verify_reps);
+    row.num("verify_us", vc.us, 2).num("verify_us_unpruned", vc.us_unpruned, 2);
+    rep.wall_gate(vc.us <= 1.1 * vc.us_unpruned,
+                  "%s verifies in %.2f us with pruning, over 1.1x its %.2f "
+                  "us without",
+                  p.built.name, vc.us, vc.us_unpruned);
     log_sum_pre += std::log(baseline_ns / predecoded_ns);
     log_sum_native += std::log(predecoded_ns / native_ns);
   }
@@ -345,7 +358,8 @@ int main(int argc, char** argv) {
                     "VM micro: engine-only ns/run of the three eBPF engines",
                     "§3.2: the kernel JIT buys ~1.8x on the seg6local "
                     "programs");
-  run_engine_comparison(mode.quick ? 5000 : 100000, rep);
+  run_engine_comparison(mode.quick ? 5000 : 100000, mode.quick ? 11 : 201,
+                        rep);
   const int status = rep.finish();
   if (status != 0 || mode.json_only) return status;
 

@@ -85,18 +85,38 @@ struct StackSlot {
   bool operator==(const StackSlot&) const = default;
 };
 
+constexpr StackSlot kUnwritten{};
 constexpr int kStackSlots = kStackSize / 8;
 
 struct State {
   std::uint32_t pc = 0;
   std::array<Reg, kNumRegs> regs{};
-  std::array<StackSlot, kStackSlots> stack{};
+  // 8-byte slots from the frame top down (stack[0] holds fp-8..fp-1), only
+  // as deep as this path has written; a missing slot is unwritten.
+  std::vector<StackSlot> stack;
   // Bytes from packet start proven readable on this path.
   std::uint32_t pkt_range = 0;
   std::uint32_t next_id = 1;
 
+  // The slot holding frame byte `pos` (0 = fp-512, 511 = fp-1).
+  const StackSlot& read_slot(std::int64_t pos) const {
+    const std::size_t i = kStackSlots - 1 - pos / 8;
+    return i < stack.size() ? stack[i] : kUnwritten;
+  }
+  StackSlot& write_slot(std::int64_t pos) {
+    const std::size_t i = kStackSlots - 1 - pos / 8;
+    if (i >= stack.size()) stack.resize(i + 1);
+    return stack[i];
+  }
+
   bool same_invariants(const State& o) const {
-    return regs == o.regs && stack == o.stack && pkt_range == o.pkt_range;
+    if (regs != o.regs || pkt_range != o.pkt_range) return false;
+    const bool shorter = stack.size() <= o.stack.size();
+    const std::vector<StackSlot>& lo = shorter ? stack : o.stack;
+    const std::vector<StackSlot>& hi = shorter ? o.stack : stack;
+    return std::equal(lo.begin(), lo.end(), hi.begin()) &&
+           std::all_of(hi.begin() + lo.size(), hi.end(),
+                       [](const StackSlot& s) { return s == kUnwritten; });
   }
 };
 
@@ -182,8 +202,9 @@ class Checker {
   VerifyOptions opts_;
 
   std::vector<bool> is_aux_;        // second slot of LD_IMM64
+  std::vector<bool> is_join_;       // two or more CFG predecessors
   std::deque<State> worklist_;
-  std::vector<std::vector<State>> seen_;  // per-pc states for pruning
+  std::vector<std::vector<State>> seen_;  // per-join-point states for pruning
   VerifyStats stats_;
 };
 
@@ -237,6 +258,7 @@ std::optional<VerifierError> Checker::check_cfg() {
   // Iterative DFS with colouring for cycle detection + reachability.
   enum Colour : std::uint8_t { kWhite, kGrey, kBlack };
   std::vector<Colour> colour(n, kWhite);
+  is_join_.assign(n, false);
   std::vector<std::pair<int, int>> dfs;  // (node, next-successor-index)
   dfs.emplace_back(0, 0);
   colour[0] = kGrey;
@@ -257,6 +279,8 @@ std::optional<VerifierError> Checker::check_cfg() {
     if (is_aux_[t]) return err(node, "jump into the middle of ld_imm64");
     if (colour[t] == kGrey)
       return err(node, "back-edge detected (loops are not allowed)");
+    // Every edge but the first into `t` finds it finished.
+    if (colour[t] == kBlack) is_join_[t] = true;
     if (colour[t] == kWhite) {
       colour[t] = kGrey;
       dfs.emplace_back(t, 0);
@@ -284,8 +308,10 @@ std::optional<VerifierError> Checker::check_cfg() {
 // Symbolic execution
 // ---------------------------------------------------------------------------
 
+// Pruning stores and compares states only at join points, where paths meet.
+// States that become identical after a join stay apart until the next one.
 void Checker::push(State s) {
-  if (opts_.enable_pruning) {
+  if (opts_.enable_pruning && is_join_[s.pc]) {
     for (const State& old : seen_[s.pc]) {
       if (old.same_invariants(s)) {
         ++stats_.states_pruned;
@@ -768,12 +794,12 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
         if (spill_ptr) {
           if (size != 8 || pos % 8 != 0)
             return err(insn_idx, "pointer spill must be 8-byte sized/aligned");
-          StackSlot& slot = s.stack[pos / 8];
-          slot = {.written = 0xff, .spilled = true, .spill = *store_src};
+          s.write_slot(pos) = {
+              .written = 0xff, .spilled = true, .spill = *store_src};
           return std::nullopt;
         }
         for (int i = 0; i < size; ++i) {
-          StackSlot& slot = s.stack[(pos + i) / 8];
+          StackSlot& slot = s.write_slot(pos + i);
           if (slot.spilled) {  // scalar overwrite kills the spill
             slot.spilled = false;
             slot.written = 0;
@@ -783,12 +809,12 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
         return std::nullopt;
       }
       // Read.
-      if (size == 8 && pos % 8 == 0 && s.stack[pos / 8].spilled) {
-        if (load_out) *load_out = s.stack[pos / 8].spill;
+      if (size == 8 && pos % 8 == 0 && s.read_slot(pos).spilled) {
+        if (load_out) *load_out = s.read_slot(pos).spill;
         return std::nullopt;
       }
       for (int i = 0; i < size; ++i) {
-        const StackSlot& slot = s.stack[(pos + i) / 8];
+        const StackSlot& slot = s.read_slot(pos + i);
         if (slot.spilled)
           return err(insn_idx, "partial read of spilled pointer");
         if (!(slot.written & (1u << ((pos + i) % 8))))

@@ -16,9 +16,13 @@
 //     the packet invalidate previously derived packet pointers.
 //
 // Implementation: explicit-state symbolic execution over the instruction
-// DAG with optional state pruning (identical-state deduplication per
-// instruction). The DAG property bounds the exploration; a visited-state
-// budget rejects pathological programs as "too complex", like the kernel.
+// DAG with optional state pruning: identical-state deduplication at join
+// points (instructions with two or more CFG predecessors), the only places
+// two paths can meet, so states are stored and compared only there. A state
+// holds the 11 registers, the proven packet range and the stack slots only
+// as deep as the path has written. The DAG property bounds the exploration;
+// a visited-state budget rejects pathological programs as "too complex",
+// like the kernel.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,8 @@
 // engines, and asserts bit-identical accept/reject/length results. The
 // translator must never emit a program the verifier rejects for a program
 // that passed check() — a rejection here is a translator bug, so it is a
-// hard failure rather than a skip.
+// hard failure rather than a skip. Each translated program is also a
+// pruning-oracle case (pruning_oracle.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,12 +22,15 @@
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "net/packet.h"
+#include "pruning_oracle.h"
 #include "util/rng.h"
 
 namespace srv6bpf::cbpf {
 namespace {
 
 constexpr int kWantedPrograms = 1000;
+// State budget of the pruning oracle's unpruned runs.
+constexpr std::size_t kUnprunedBudget = 20000;
 
 // ---- Random classic program generator ---------------------------------------
 // Every emitted program passes check() by construction: forward-in-range
@@ -164,6 +168,7 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
       ebpf::EngineKind::kInterpBaseline, ebpf::EngineKind::kInterp,
       ebpf::EngineKind::kNative};
 
+  int compared = 0;
   for (int n = 0; n < kWantedPrograms; ++n) {
     const std::vector<SockFilter> prog = generate(rng);
     ASSERT_TRUE(check(prog).ok) << disasm(prog);
@@ -172,6 +177,13 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
     ASSERT_TRUE(tr.ok) << tr.error << "\n" << disasm(prog);
 
     ebpf::BpfSystem sys;
+    const ebpf::PruningOracle oracle =
+        ebpf::check_pruning(&sys.maps(), &sys.helpers(), tr.insns,
+                            ebpf::ProgType::kSocketFilter, kUnprunedBudget);
+    if (oracle.compared) {
+      ++compared;
+      ASSERT_TRUE(oracle.agree()) << dump(prog, tr.insns);
+    }
     auto load = sys.load("cbpf_diff", ebpf::ProgType::kSocketFilter, tr.insns);
     ASSERT_TRUE(load.ok()) << "verifier rejected translated program at insn "
                            << load.verify.error_insn << ": "
@@ -209,6 +221,8 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
       }
     }
   }
+  // Most unpruned runs must fit the oracle's budget, or it checks little.
+  EXPECT_GE(compared, kWantedPrograms * 9 / 10);
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 // jump target or a wrong immediate extension shows up here long before it
 // would surface in a paper-figure bench). On hosts without native support
 // the kNative row falls back to the pre-decoded interpreter, so the
-// comparison only covers the interpreters.
+// comparison only covers the interpreters. Every generated program, accepted
+// or not, is also a pruning-oracle case (pruning_oracle.h).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
 #include "ebpf/vm.h"
+#include "pruning_oracle.h"
 #include "util/rng.h"
 
 namespace srv6bpf::ebpf {
@@ -28,6 +30,8 @@ namespace {
 constexpr int kWantedPrograms = 1000;
 constexpr int kMaxAttempts = 4000;
 constexpr std::uint32_t kMapEntries = 16;
+// State budget of the pruning oracle's unpruned runs.
+constexpr std::size_t kUnprunedBudget = 20000;
 
 // Registers the generator uses as general-purpose scalars. All are
 // initialised by the preamble so any gadget may read any of them.
@@ -290,14 +294,17 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
   const MapDef def{MapType::kArray, 4, 8, kMapEntries, "m"};
   const std::uint32_t map_id = probe.maps().create(def);
 
-  int verified = 0;
-  for (int attempt = 0; attempt < kMaxAttempts && verified < kWantedPrograms;
-       ++attempt) {
+  int attempts = 0, verified = 0, compared = 0;
+  for (; attempts < kMaxAttempts && verified < kWantedPrograms; ++attempts) {
     const std::vector<Insn> insns = generate(rng, map_id);
-    {
-      Verifier v(&probe.maps(), &probe.helpers());
-      if (!v.verify(insns, ProgType::kLwtSeg6Local).ok) continue;
+    const PruningOracle oracle =
+        check_pruning(&probe.maps(), &probe.helpers(), insns,
+                      ProgType::kLwtSeg6Local, kUnprunedBudget);
+    if (oracle.compared) {
+      ++compared;
+      ASSERT_TRUE(oracle.agree()) << disasm(insns);
     }
+    if (!oracle.pruned.ok) continue;
     ++verified;
 
     const EngineObservation base = run_on(EngineKind::kInterpBaseline, insns);
@@ -323,6 +330,8 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
   // The generator is tuned so nearly every program verifies; if this drops
   // below the target the generator regressed, not the engines.
   EXPECT_GE(verified, kWantedPrograms);
+  // Most unpruned runs must fit the oracle's budget, or it checks little.
+  EXPECT_GE(compared, attempts * 9 / 10);
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Verifier accept/reject corpus. Mirrors the style of the kernel's
 // tools/testing/selftests/bpf/verifier tests: each case is a small program
-// plus an expectation about acceptance or the rejection reason.
+// plus an expectation about acceptance or the rejection reason. Every case
+// is also a pruning-oracle case (pruning_oracle.h): it must get the same
+// verdict with state pruning on and off.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "cbpf/expr.h"
+#include "cbpf/translate.h"
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
 #include "ebpf/verifier.h"
+#include "pruning_oracle.h"
 #include "seg6/helpers.h"
 
 namespace srv6bpf::ebpf {
@@ -22,10 +29,17 @@ class VerifierTest : public ::testing::Test {
     perf_id_ = create_perf_event_array(maps_, "perf");
   }
 
+  // The pruned verdict, after checking it against the unpruned one.
+  VerifyResult verify(const std::vector<Insn>& insns,
+                      ProgType type = ProgType::kLwtSeg6Local) const {
+    const PruningOracle o = check_pruning(&maps_, &helpers_, insns, type);
+    EXPECT_TRUE(o.compared);
+    EXPECT_TRUE(o.agree());
+    return o.pruned;
+  }
   VerifyResult verify(const Asm& a,
                       ProgType type = ProgType::kLwtSeg6Local) const {
-    Verifier v(&maps_, &helpers_);
-    return v.verify(a.build(), type);
+    return verify(a.build(), type);
   }
 
   void expect_ok(const Asm& a, ProgType type = ProgType::kLwtSeg6Local) {
@@ -51,8 +65,7 @@ class VerifierTest : public ::testing::Test {
 // ---- CFG ----------------------------------------------------------------------
 
 TEST_F(VerifierTest, EmptyProgramRejected) {
-  Verifier v(&maps_, &helpers_);
-  const auto r = v.verify(std::vector<Insn>{}, ProgType::kLwtSeg6Local);
+  const auto r = verify(std::vector<Insn>{});
   EXPECT_FALSE(r.ok);
 }
 
@@ -579,6 +592,85 @@ TEST_F(VerifierTest, StatsReportPruning) {
   const auto r = verify(a);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.stats.states_pruned, 0u);
+}
+
+// A chain of JSET diamonds has 2^n paths, but both sides of each diamond
+// reach its join in the same state, so pruning keeps the walk linear: the
+// load, four states per diamond, and the final mov and exit.
+TEST_F(VerifierTest, PrunedDiamondChainGrowsLinearly) {
+  for (int n = 1; n <= 14; ++n) {
+    Asm a;
+    a.ldx(BPF_W, R2, R1, 16);
+    for (int i = 0; i < n; ++i) {
+      const std::string t = "t" + std::to_string(i);
+      const std::string join = "j" + std::to_string(i);
+      a.jset_imm(R2, 1 << (i % 8), t)
+          .mov64_imm(R3, 0)
+          .ja(join)
+          .label(t)
+          .mov64_imm(R3, 0)
+          .label(join);
+    }
+    a.mov64_imm(R0, 0).exit_();
+    const auto r = verify(a);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.stats.states_visited, 4u * n + 3) << n << " diamonds";
+    EXPECT_EQ(r.stats.states_pruned, static_cast<std::size_t>(n));
+  }
+}
+
+// Stack state is kept only as deep as a path wrote it. Where two paths join
+// and only one wrote fp-512, the other's stack is shorter, and the join must
+// still tell the two apart: nothing is pruned, and the read of fp-512 after
+// the join is rejected. Both paths take two steps from the branch, so both
+// reach the join before either leaves it; the taken path arrives first.
+TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesSecond) {
+  Asm a;
+  a.ldx(BPF_W, R2, R1, 16)
+      .jset_imm(R2, 1, "nowrite")
+      .st(BPF_DW, R10, -512, 0)
+      .ja("join")
+      .label("nowrite")
+      .mov64_reg(R2, R2)
+      .mov64_reg(R2, R2)
+      .label("join")
+      .ldx(BPF_DW, R0, R10, -512)
+      .exit_();
+  expect_reject(a, "uninitialised stack at off -512");
+  EXPECT_EQ(verify(a).stats.states_pruned, 0u);
+}
+
+TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesFirst) {
+  Asm a;
+  a.ldx(BPF_W, R2, R1, 16)
+      .jset_imm(R2, 1, "write")
+      .mov64_reg(R2, R2)
+      .ja("join")
+      .label("write")
+      .st(BPF_DW, R10, -512, 0)
+      .mov64_reg(R2, R2)
+      .label("join")
+      .ldx(BPF_DW, R0, R10, -512)
+      .exit_();
+  expect_reject(a, "uninitialised stack at off -512");
+  EXPECT_EQ(verify(a).stats.states_pruned, 0u);
+}
+
+// The filter expressions of bench_filter and DelayMonitorLab, translated to
+// eBPF socket filters: oracle cases like every other.
+TEST_F(VerifierTest, FilterExpressionsKeepTheirVerdict) {
+  for (const char* expr :
+       {"udp", "udp and dst port 7001", "udp and dst port 9999",
+        "srh and udp and dst port 7001",
+        "ip6 and (dst net fc00:2::/64 or dst host fc00:1::1) and not tcp"}) {
+    SCOPED_TRACE(expr);
+    const cbpf::CompileResult cr = cbpf::compile(expr);
+    ASSERT_TRUE(cr.ok) << cr.error;
+    const cbpf::TranslateResult tr = cbpf::translate(cr.insns);
+    ASSERT_TRUE(tr.ok) << tr.error;
+    const auto r = verify(tr.insns, ProgType::kSocketFilter);
+    EXPECT_TRUE(r.ok) << r.error;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ebpf/verifier.h"
+#include "pruning_oracle.h"
 #include "seg6/helpers.h"
 #include "sim/network.h"
 #include "usecases/delay_monitor.h"
@@ -29,20 +30,29 @@ class ProgramCorpus : public ::testing::Test {
     def.value_size = sizeof(WrrConfig);
     wrr_id_ = ns_.bpf().maps().create(def);
     perf_id_ = ebpf::create_perf_event_array(ns_.bpf().maps(), "perf");
+    cnt_id_ = ns_.bpf().maps().create(
+        {ebpf::MapType::kPerCpuArray, 4, 8, 1, "cnt"});
   }
 
+  // Loads the program, and checks that it gets the same verdict with state
+  // pruning on and off (pruning_oracle.h).
   void expect_loads(const BuiltProgram& built, ebpf::ProgType type) {
     auto res = ns_.bpf().load(built.name, type, built.insns, built.paper_sloc);
     EXPECT_TRUE(res.ok()) << built.name << ": " << res.verify.error;
     if (res.ok()) {
       EXPECT_GT(res.prog->program().size(), 0u);
     }
+    const ebpf::PruningOracle o = ebpf::check_pruning(
+        &ns_.bpf().maps(), &ns_.bpf().helpers(), built.insns, type);
+    EXPECT_TRUE(o.compared) << built.name;
+    EXPECT_TRUE(o.agree()) << built.name;
   }
 
   seg6::Netns ns_{"corpus"};
   std::uint32_t cfg_id_ = 0;
   std::uint32_t wrr_id_ = 0;
   std::uint32_t perf_id_ = 0;
+  std::uint32_t cnt_id_ = 0;
 };
 
 TEST_F(ProgramCorpus, AllPaperProgramsVerify) {
@@ -55,6 +65,7 @@ TEST_F(ProgramCorpus, AllPaperProgramsVerify) {
   expect_loads(build_end_dm_twd(), ebpf::ProgType::kLwtSeg6Local);
   expect_loads(build_wrr(wrr_id_), ebpf::ProgType::kLwtXmit);
   expect_loads(build_end_oamp(perf_id_), ebpf::ProgType::kLwtSeg6Local);
+  expect_loads(build_percpu_counter(cnt_id_), ebpf::ProgType::kLwtSeg6Local);
 }
 
 TEST_F(ProgramCorpus, Seg6ProgramsRejectedOnLwtHooks) {
