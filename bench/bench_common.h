@@ -22,6 +22,7 @@
 #include "sim/network.h"
 #include "sim/pdes_topo.h"
 #include "usecases/setup1.h"
+#include "util/hash.h"
 
 namespace srv6bpf::bench {
 
@@ -40,13 +41,6 @@ struct Setup1 : usecases::Setup1 {
   // which bench_burst_sweep measures.
   std::size_t rx_burst = sim::kDefaultRxBurst;
   std::size_t gen_burst = 1;
-  // Multi-core knobs: R's RSS context count, and how many flow labels the
-  // generator cycles through (the RSS steering tuple is src/dst/flow label,
-  // so flows > 1 is what spreads the offered load across R's contexts).
-  // Unlike burst, ncpus changes *simulated* capacity: bench_mc_sweep
-  // measures the forwarding-rate scaling it buys.
-  std::size_t ncpus = 1;
-  std::uint32_t flows = 1;
 
   Setup1()
       : mux(std::make_unique<apps::AppMux>(*s2)),
@@ -56,7 +50,6 @@ struct Setup1 : usecases::Setup1 {
   // SID on R) for `duration`, then reports the sink's receive rate in kpps.
   double measure(bool through_sid, double pps, sim::TimeNs duration) {
     r->cpu.rx_burst = rx_burst;
-    r->cpu.ncpus = ncpus;
     apps::TrafGen::Config cfg;
     cfg.spec.src = s1_addr;
     cfg.spec.dst = s2_addr;
@@ -65,7 +58,6 @@ struct Setup1 : usecases::Setup1 {
     cfg.spec.dst_port = 7001;
     cfg.pps = pps;
     cfg.burst = gen_burst;
-    cfg.flow_label_spread = flows;
     cfg.start_at = net.now();
     cfg.duration = duration + 50 * sim::kMilli;
     gen = std::make_unique<apps::TrafGen>(*s1, cfg);
@@ -82,13 +74,8 @@ struct Setup1 : usecases::Setup1 {
 // FNV-1a over little-endian u64s (the mc_test golden-digest pattern).
 struct Digest {
   std::uint64_t delivered = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
+  std::uint64_t fnv = kFnv1aBasis;
+  void mix(std::uint64_t v) { fnv = fnv1a_u64(fnv, v); }
 };
 
 // Saturating UDP load on every segment of a generated ring

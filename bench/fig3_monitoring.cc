@@ -36,17 +36,8 @@ net::Packet make_owd_probe(const Setup1& lab, const net::Ipv6Addr& dm_sid) {
   auto ctrl = net::build_controller_tlv(net::kTlvController, lab.s1_addr, 9999);
   tlvs.insert(tlvs.end(), ctrl.begin(), ctrl.end());
   const net::Ipv6Addr segs[] = {dm_sid, lab.s2_addr};
-  const auto srh = net::build_srh(net::kProtoIpv6, segs, tlvs);
-
-  net::Ipv6Header outer;
-  outer.src = lab.s1_addr;
-  outer.dst = dm_sid;
-  outer.next_header = net::kProtoRouting;
-  outer.hop_limit = 64;
-  outer.payload_length = static_cast<std::uint16_t>(srh.size() + pkt.size());
-  std::uint8_t* front = pkt.push_front(net::kIpv6HeaderSize + srh.size());
-  outer.write(front);
-  std::memcpy(front + net::kIpv6HeaderSize, srh.data(), srh.size());
+  seg6::seg6_encap_srh(pkt, net::build_srh(net::kProtoIpv6, segs, tlvs),
+                       lab.s1_addr);
   return pkt;
 }
 

@@ -191,9 +191,9 @@ double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
                  err.c_str());
     std::exit(1);
   }
-  // Rebind port 7001 to a filtered sink (AppMux replaces the handler), so
-  // every metered packet first runs the translated filter on S2's engine.
-  lab.sink = std::make_unique<apps::UdpSink>(*lab.mux, 7001, f);
+  // Gate the port-7001 sink's socket, so every metered packet first runs
+  // the translated filter on S2's engine.
+  lab.mux->attach_udp_filter(7001, f);
   const double sim_kpps = lab.measure(/*through_sid=*/false, 3e6, window);
   const double total = static_cast<double>(f->accepted() + f->dropped());
   sc.str("expr", expr)

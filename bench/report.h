@@ -24,7 +24,7 @@ struct Mode {
 };
 
 // Reads --quick and --json-only and removes them from argv. Every other
-// argument (mc_sweep's --smoke, google-benchmark's flags) stays, in order.
+// argument (bench_vm_micro's google-benchmark flags) stays, in order.
 inline Mode parse_mode(int& argc, char** argv) {
   Mode mode;
   int kept = 1;

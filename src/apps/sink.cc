@@ -21,10 +21,6 @@ void AppMux::attach_udp_filter(std::uint16_t port,
 }
 
 void AppMux::deliver(net::Packet&& pkt, sim::TimeNs now) {
-  if (ingress_filter_ != nullptr && !ingress_filter_->accept(pkt)) {
-    ++filtered_;
-    return;
-  }
   const auto loc = net::locate_transport(pkt);
   if (loc) {
     const std::span<const std::uint8_t> from_transport{
@@ -64,25 +60,11 @@ void AppMux::deliver(net::Packet&& pkt, sim::TimeNs now) {
 UdpSink::UdpSink(AppMux& mux, std::uint16_t port) {
   mux.on_udp(port, [this](const net::Packet& pkt, const net::UdpHeader&,
                           std::span<const std::uint8_t> payload,
-                          sim::TimeNs now) { observe(pkt, payload, now); });
-}
-
-UdpSink::UdpSink(AppMux& mux, std::uint16_t port,
-                 std::shared_ptr<SocketFilter> f)
-    : filter_(std::move(f)) {
-  mux.on_udp(port, [this](const net::Packet& pkt, const net::UdpHeader&,
-                          std::span<const std::uint8_t> payload,
                           sim::TimeNs now) {
-    if (filter_ != nullptr && !filter_->accept(pkt)) return;
-    observe(pkt, payload, now);
+    meter_.record(payload.size(), now);
+    if (tracer_ != nullptr) tracer_->record(pkt, now);
+    if (reconv_ != nullptr) reconv_->note_delivery(now);
   });
-}
-
-void UdpSink::observe(const net::Packet& pkt,
-                      std::span<const std::uint8_t> payload, sim::TimeNs now) {
-  meter_.record(payload.size(), now);
-  if (tracer_ != nullptr) tracer_->record(pkt, now);
-  if (reconv_ != nullptr) reconv_->note_delivery(now);
 }
 
 }  // namespace srv6bpf::apps

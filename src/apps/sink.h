@@ -1,8 +1,7 @@
 // Local packet delivery plumbing for hosts: a per-node demultiplexer (AppMux)
 // and the counting sinks the benchmarks read their kpps/goodput numbers from.
 //
-// Both attachment styles of classic socket filtering are modelled here: a
-// node-wide ingress filter (raw socket analogue) and per-port filters
+// A socket takes a classic filter through AppMux::attach_udp_filter
 // (SO_ATTACH_FILTER on the listening socket). Filters are SocketFilter
 // instances — compiled tcpdump expressions or raw classic BPF, translated to
 // eBPF and run on the node's engines (apps/socket_filter.h).
@@ -45,22 +44,14 @@ class AppMux {
   // Fallback for everything else (ICMPv6, unmatched ports).
   void on_raw(RawHandler h) { raw_ = std::move(h); }
 
-  // Node-wide ingress filter: every locally delivered packet must pass it
-  // before any dispatch happens. Null detaches.
-  void attach_filter(std::shared_ptr<SocketFilter> f) {
-    ingress_filter_ = std::move(f);
-  }
   // Per-socket filter: consulted after dispatch resolves to `port`'s UDP
-  // handler and before the handler runs (SO_ATTACH_FILTER analogue).
+  // handler and before the handler runs (SO_ATTACH_FILTER analogue). Null
+  // detaches.
   void attach_udp_filter(std::uint16_t port, std::shared_ptr<SocketFilter> f);
-
-  const std::shared_ptr<SocketFilter>& ingress_filter() const noexcept {
-    return ingress_filter_;
-  }
 
   sim::Node& node() noexcept { return node_; }
   std::uint64_t unmatched() const noexcept { return unmatched_; }
-  // Packets dropped by the ingress or a per-socket filter.
+  // Packets dropped by a per-socket filter.
   std::uint64_t filtered() const noexcept { return filtered_; }
 
  private:
@@ -70,23 +61,21 @@ class AppMux {
   std::map<std::uint16_t, UdpHandler> udp_;
   std::map<std::uint16_t, TcpHandler> tcp_;
   RawHandler raw_;
-  std::shared_ptr<SocketFilter> ingress_filter_;
   std::map<std::uint16_t, std::shared_ptr<SocketFilter>> udp_filters_;
   std::uint64_t unmatched_ = 0;
   std::uint64_t filtered_ = 0;
 };
 
 // Counts UDP datagrams to a port: the S2 "sink" of the paper's setup 1.
-// With a filter, only packets the filter accepts are metered (and the
-// filter's own accept/drop counters stay readable through filter()).
-// Deliveries are timestamped into the RateMeter (so report() can flag
-// microbursts from inter-arrival gaps) and, when observers are attached,
-// fed to a sim::LatencyTracer (per-flow-class end-to-end latency) and a
-// sim::ReconvergenceClock (failure blackhole measurement).
+// A filter attached to the port (AppMux::attach_udp_filter) gates what
+// reaches the sink. Deliveries are timestamped into the RateMeter (so
+// report() can flag microbursts from inter-arrival gaps) and, when
+// observers are attached, fed to a sim::LatencyTracer (per-flow-class
+// end-to-end latency) and a sim::ReconvergenceClock (failure blackhole
+// measurement).
 class UdpSink {
  public:
   UdpSink(AppMux& mux, std::uint16_t port);
-  UdpSink(AppMux& mux, std::uint16_t port, std::shared_ptr<SocketFilter> f);
 
   // Observers are borrowed, not owned: they must outlive the sink (or be
   // detached with nullptr first).
@@ -98,17 +87,10 @@ class UdpSink {
   std::uint64_t packets() const noexcept { return meter_.packets(); }
   std::uint64_t payload_bytes() const noexcept { return meter_.bytes(); }
   const sim::RateMeter& meter() const noexcept { return meter_; }
-  const std::shared_ptr<SocketFilter>& filter() const noexcept {
-    return filter_;
-  }
   void reset() { meter_.reset(); }
 
  private:
-  void observe(const net::Packet& pkt, std::span<const std::uint8_t> payload,
-               sim::TimeNs now);
-
   sim::RateMeter meter_;
-  std::shared_ptr<SocketFilter> filter_;
   sim::LatencyTracer* tracer_ = nullptr;
   sim::ReconvergenceClock* reconv_ = nullptr;
 };

@@ -7,13 +7,8 @@
 // translated once at attach time and each packet runs the eBPF form on
 // whichever engine the node selected (native JIT by default).
 //
-// Attachment points (apps/sink.h):
-//   * AppMux::attach_filter()           — node-wide ingress tap, every
-//     locally delivered packet passes or is dropped (raw socket analogue);
-//   * AppMux::attach_udp_filter(port)   — per-"socket" filter consulted
-//     before that port's handler runs (SO_ATTACH_FILTER analogue);
-//   * UdpSink(mux, port, filter)        — a counting sink that only meters
-//     packets its filter accepts.
+// A filter attaches to a socket through AppMux::attach_udp_filter(port)
+// (apps/sink.h), which consults it before that port's handler runs.
 #pragma once
 
 #include <cstdint>

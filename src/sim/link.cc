@@ -53,8 +53,8 @@ void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
     const TimeNs t = std::max(burst.meta(i).at_ns, now);
     const std::size_t wire_bytes = pkt.size() + kWireOverheadBytes;
 
-    // Stage 1: the egress qdisc (netem shaping/delay/jitter).
-    const NetemQdisc::Decision qd = tx.qdisc.enqueue(t, wire_bytes, *tx.rng);
+    // Stage 1: the egress qdisc (netem loss/delay/jitter).
+    const NetemQdisc::Decision qd = tx.qdisc.enqueue(t, *tx.rng);
     if (qd.dropped) {
       ++tx.stats.drops;
       continue;

@@ -5,35 +5,13 @@
 
 namespace srv6bpf::sim {
 
-NetemQdisc::Decision NetemQdisc::enqueue(TimeNs now, std::size_t wire_bytes,
-                                         Rng& rng) {
-  TimeNs ready = now;
-
+NetemQdisc::Decision NetemQdisc::enqueue(TimeNs now, Rng& rng) {
   // Random loss first (netem's loss stage sits before queueing): the packet
-  // never occupies shaper or wire time. Guarded so loss-free configs consume
-  // no extra RNG draws and keep their historical jitter sequences.
+  // never occupies wire time. Guarded so loss-free configs consume no extra
+  // RNG draws and keep their historical jitter sequences.
   if (cfg_.loss_prob > 0 && rng.chance(cfg_.loss_prob)) {
-    ++drops_;
     ++losses_;
     return {.dropped = true, .deliver_at = 0};
-  }
-
-  if (cfg_.rate_bps > 0) {
-    // Backlog currently in the shaper, expressed in time; reject when the
-    // corresponding byte count exceeds the queue limit (tail drop).
-    const TimeNs backlog_ns = shaper_free_at_ > now ? shaper_free_at_ - now : 0;
-    const double backlog_bytes =
-        static_cast<double>(backlog_ns) * static_cast<double>(cfg_.rate_bps) /
-        8e9;
-    if (backlog_bytes > static_cast<double>(cfg_.limit_bytes)) {
-      ++drops_;
-      return {.dropped = true, .deliver_at = 0};
-    }
-    const TimeNs ser = static_cast<TimeNs>(
-        static_cast<double>(wire_bytes) * 8e9 /
-        static_cast<double>(cfg_.rate_bps));
-    shaper_free_at_ = std::max(shaper_free_at_, now) + ser;
-    ready = shaper_free_at_;
   }
 
   TimeNs extra = cfg_.delay_ns;
@@ -56,7 +34,7 @@ NetemQdisc::Decision NetemQdisc::enqueue(TimeNs now, std::size_t wire_bytes,
     }
     extra = jittered <= 0 ? 0 : static_cast<TimeNs>(jittered);
   }
-  TimeNs deliver = ready + extra;
+  TimeNs deliver = now + extra;
   if (cfg_.keep_order) {
     deliver = std::max(deliver, last_delivery_);
     last_delivery_ = deliver;

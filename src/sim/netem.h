@@ -1,8 +1,9 @@
-// netem-style egress queueing discipline: configurable delay, normal jitter,
-// rate limiting and a bounded queue. The hybrid-access experiment (§4.2) uses
-// this exactly as the paper uses `tc netem`: to shape the two WAN links
-// (50 Mbps / 30±5 ms and 30 Mbps / 5±2 ms) and to apply the TWD daemon's
-// delay compensation at runtime.
+// netem-style egress queueing discipline: configurable delay, normal jitter
+// and random loss. Serialization and the drop-tail queue belong to the wire
+// behind it (sim/link.h). The hybrid-access experiment (§4.2) uses this
+// exactly as the paper uses `tc netem`: to delay the two WAN links
+// (30±5 ms and 5±2 ms RTT) and to apply the TWD daemon's delay
+// compensation at runtime.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +20,11 @@ struct NetemConfig {
   // Ornstein-Uhlenbeck time constant). 0 = independent per packet; larger
   // values make latency wander slowly, as access links do in practice.
   TimeNs jitter_tau_ns = 0;
-  std::uint64_t rate_bps = 0;  // 0 = unshaped
-  std::uint32_t limit_bytes = 256 * 1024;  // queue capacity for the shaper
   bool keep_order = true;      // enforce FIFO delivery despite jitter
   // Independent per-packet loss probability (netem's `loss random P%`).
   // 0 keeps the qdisc's RNG consumption unchanged, so loss-free
   // configurations draw the exact same jitter sequences as before the knob
-  // existed. Losses are counted separately from queue-overflow drops.
+  // existed.
   double loss_prob = 0.0;
 };
 
@@ -44,20 +43,16 @@ class NetemQdisc {
     bool dropped = false;
     TimeNs deliver_at = 0;
   };
-  // Computes the delivery time for `wire_bytes` enqueued at `now`, updating
-  // the shaper state, or reports a queue-overflow drop.
-  Decision enqueue(TimeNs now, std::size_t wire_bytes, Rng& rng);
+  // Computes when a packet enqueued at `now` leaves the qdisc for the wire,
+  // or reports a random-loss drop.
+  Decision enqueue(TimeNs now, Rng& rng);
 
-  std::uint64_t drops() const noexcept { return drops_; }
-  // Packets dropped by the random-loss stage specifically (a subset of the
-  // Decision.dropped outcomes, kept separate from queue overflow).
+  // Packets dropped by the random-loss stage.
   std::uint64_t losses() const noexcept { return losses_; }
 
  private:
   NetemConfig cfg_;
-  TimeNs shaper_free_at_ = 0;   // when the rate shaper finishes current work
   TimeNs last_delivery_ = 0;    // for keep_order
-  std::uint64_t drops_ = 0;
   std::uint64_t losses_ = 0;
   // Ornstein-Uhlenbeck jitter state (deviation from delay_ns, in ns).
   double ou_state_ = 0.0;

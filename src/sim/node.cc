@@ -134,13 +134,6 @@ void Node::enqueue_rx(net::Packet&& pkt, int ifindex) {
   CpuContext& ctx = contexts()[steer(pkt)];
   RxRing& ring =
       ifaces_[static_cast<std::size_t>(ifindex)].rx_rings[ctx.id];
-  if (cpu.rx_overflow_policy == RxOverflowPolicy::kDropOldest &&
-      ring.size() >= cpu.rx_queue_limit && !ring.empty()) {
-    // Head drop: evict the oldest queued packet to admit the arrival. The
-    // evictee is the counted drop, stamped with its own wire arrival.
-    nic_stats_.note_drop(DropReason::kRxQueue,
-                         ring.evict_oldest().rx_tstamp_ns);
-  }
   // Drop timestamps use the packet's own wire arrival (not the coalesced
   // event clock) so first-drop times stay burst-invariant — captured before
   // the push consumes the packet.

@@ -99,11 +99,6 @@ class Node {
     bool enabled = false;  // hosts: off; routers under test: on
     CpuProfile profile = kXeonProfile;
     std::size_t rx_queue_limit = 512;  // per (interface, context) RX ring
-    // What happens to an arrival when its RX ring is full: refuse it (tail
-    // drop, the default and historical behaviour) or evict the oldest
-    // queued packet to admit it (head drop). Either way the losing packet
-    // is charged to drops_rx_queue and the ring counts the overflow.
-    RxOverflowPolicy rx_overflow_policy = RxOverflowPolicy::kDropNewest;
     // Packets drained per service event (the NAPI poll budget); capped at
     // net::kMaxBurstPackets. Trades simulator efficiency against delivery
     // coalescing granularity; charged costs and counts are burst-invariant.
@@ -175,8 +170,7 @@ class Node {
   // Aggregated view: NIC/IRQ-side counters plus the sum of every context's
   // shard. The per-context breakdown is cpu_stats(k).
   NodeStats stats() const;
-  // Overflow events summed over every (interface, context) RX ring — the
-  // counted face of the Cpu::rx_overflow_policy.
+  // Tail drops summed over every (interface, context) RX ring.
   std::uint64_t rx_ring_overflows() const noexcept;
   std::size_t context_count() const noexcept { return ctxs_.size(); }
   // Shard of context `k`; throws std::out_of_range past context_count().

@@ -12,11 +12,9 @@
 namespace srv6bpf::sim {
 
 std::uint32_t PdesNet::hash_name(const std::string& name, std::size_t p) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h = fnv1a_bytes(
+      kFnv1aBasis, {reinterpret_cast<const std::uint8_t*>(name.data()),
+                    name.size()});
   return static_cast<std::uint32_t>(h % (p == 0 ? 1 : p));
 }
 

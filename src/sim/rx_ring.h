@@ -1,5 +1,7 @@
 // RxRing: a bounded circular queue of packets — the per-(interface, CPU
-// context) NIC RX ring of the multi-core Node.
+// context) NIC RX ring of the multi-core Node. A full ring refuses the
+// arrival (tail drop, as a NIC does); the node charges it to
+// drops_rx_queue and the ring counts it in overflows().
 //
 // The previous std::deque backlog allocated and freed a block every handful
 // of packets in steady state (push_back/pop_front churn walks the deque's
@@ -20,18 +22,6 @@
 #include "net/packet.h"
 
 namespace srv6bpf::sim {
-
-// What to do with an arriving packet when the ring is at its limit. Both are
-// explicit, counted policies (RxRing::overflows; the node charges
-// drops_rx_queue for the losing packet either way):
-//   kDropNewest — tail drop, the historical NIC behaviour: the arrival is
-//                 refused, queued packets keep their service order.
-//   kDropOldest — head drop: the oldest queued packet is evicted to admit
-//                 the arrival, bounding queueing delay under overload at the
-//                 cost of reordering-free-ness of *which* packets survive
-//                 (CoDel-ish head dropping; per-flow order of survivors is
-//                 still FIFO).
-enum class RxOverflowPolicy : std::uint8_t { kDropNewest, kDropOldest };
 
 class RxRing {
  public:
@@ -63,15 +53,6 @@ class RxRing {
     return p;
   }
 
-  // Evicts the oldest queued packet to make room (the kDropOldest policy's
-  // overflow action — the caller charges the drop for the evictee, then
-  // push() is guaranteed to succeed). Counts an overflow. Precondition:
-  // !empty().
-  net::Packet evict_oldest() {
-    ++overflows_;
-    return pop();
-  }
-
   // Discards every queued packet (node crash teardown), handing each to
   // `fn(Packet&&)` so the caller can account it before the buffer recycles.
   template <typename Fn>
@@ -79,7 +60,7 @@ class RxRing {
     while (!empty()) fn(pop());
   }
 
-  // Overflow events on this ring (either policy), since construction.
+  // Tail drops on this ring since construction.
   std::uint64_t overflows() const noexcept { return overflows_; }
 
  private:

@@ -104,7 +104,8 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
                                                kSinkFilter, &ferr);
   if (sink_filter_ == nullptr)
     throw std::runtime_error(std::string("sink filter: ") + ferr);
-  sink_ = std::make_unique<apps::UdpSink>(*mux_s2_, 7001, sink_filter_);
+  sink_ = std::make_unique<apps::UdpSink>(*mux_s2_, 7001);
+  mux_s2_->attach_udp_filter(7001, sink_filter_);
 
   mux_s1_ = std::make_unique<apps::AppMux>(*s1_);
   ctrl_filter_ = apps::SocketFilter::from_expr(s1_->ns(), "ctrl_filter",

@@ -39,13 +39,18 @@ constexpr std::uint64_t kLink1Bps = 50 * 1000 * 1000;
 constexpr std::uint64_t kLink2Bps = 30 * 1000 * 1000;
 constexpr sim::TimeNs kTwdInterval = 50 * sim::kMilli;
 
-// Installs the WRR LWT program on `node` for `prefix`, scheduling across
-// sid1/sid2 with the given weights.
+void add_dt6_sid(sim::Node& node, const net::Ipv6Addr& sid) {
+  seg6::Seg6LocalEntry e;
+  e.action = seg6::Seg6Action::kEndDT6;
+  e.table = 0;
+  node.ns().seg6local().add(sid, e);
+}
+
+}  // namespace
+
 std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
                                              const net::Ipv6Addr& sid1,
-                                             const net::Ipv6Addr& sid2,
-                                             std::uint64_t w1,
-                                             std::uint64_t w2) {
+                                             const net::Ipv6Addr& sid2) {
   auto& bpf = node.ns().bpf();
   ebpf::MapDef def;
   def.type = ebpf::MapType::kArray;
@@ -56,8 +61,6 @@ std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
   const std::uint32_t cfg_id = bpf.maps().create(def);
 
   WrrConfig cfg;
-  cfg.weight1 = w1;
-  cfg.weight2 = w2;
   std::memcpy(cfg.sid1, sid1.bytes().data(), 16);
   std::memcpy(cfg.sid2, sid2.bytes().data(), 16);
   bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
@@ -73,15 +76,6 @@ std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
   lwt->prog_xmit = load.prog;
   return lwt;
 }
-
-void add_dt6_sid(sim::Node& node, const net::Ipv6Addr& sid) {
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndDT6;
-  e.table = 0;
-  node.ns().seg6local().add(sid, e);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // HybridLab (TCP over two asymmetric links)
@@ -135,8 +129,7 @@ HybridLab::HybridLab(const Options& opts) : net_(/*seed=*/7) {
   s2f.add_route(p("::/0"), {kMIf2, l3.b_ifindex, 1});
 
   // A: client prefix through the WRR scheduler; SIDs pinned per link.
-  af.add_route({p("fd00:2::/64"), {},
-                make_wrr_lwt(*a_, kMD1, kMD2, opts.weight1, opts.weight2)});
+  af.add_route({p("fd00:2::/64"), {}, make_wrr_lwt(*a_, kMD1, kMD2)});
   af.add_route(p("fd00:ae::d1/128"), {kML1, l1.a_ifindex, 1});
   af.add_route(p("fd00:ae::7d01/128"), {kML1, l1.a_ifindex, 1});
   af.add_route(p("fd00:ae::d2/128"), {kML2, l2.a_ifindex, 1});
@@ -148,8 +141,7 @@ HybridLab::HybridLab(const Options& opts) : net_(/*seed=*/7) {
   add_dt6_sid(*a_, kAD2);
 
   // M (CPE): upstream through its own WRR; local LAN on if2.
-  mf.add_route({p("fd00:1::/64"), {},
-                make_wrr_lwt(*m_, kAD1, kAD2, opts.weight1, opts.weight2)});
+  mf.add_route({p("fd00:1::/64"), {}, make_wrr_lwt(*m_, kAD1, kAD2)});
   mf.add_route(p("fd00:aa::d1/128"), {kAL1, l1.b_ifindex, 1});
   mf.add_route(p("fd00:aa::d2/128"), {kAL2, l2.b_ifindex, 1});
   mf.add_route(p("fd00:2::/64"), {net::Ipv6Addr{}, l3.a_ifindex, 1});
@@ -412,8 +404,8 @@ Fig4Lab::Fig4Lab(const Options& opts)
       s1f.add_route(p("::/0"), {m0, l0.a_ifindex, 1});
       // M encapsulates with the WRR program (interpreter-executed) towards
       // two decap SIDs on the far box.
-      mfib.add_route({p("fd01:2::/64"), {},
-                      make_wrr_lwt(*m_, s2Decap1, s2Decap2, 5, 3)});
+      mfib.add_route(
+          {p("fd01:2::/64"), {}, make_wrr_lwt(*m_, s2Decap1, s2Decap2)});
       add_dt6_sid(*s2_, s2Decap1);
       add_dt6_sid(*s2_, s2Decap2);
       break;

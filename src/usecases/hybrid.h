@@ -29,6 +29,15 @@
 
 namespace srv6bpf::usecases {
 
+// Loads the WRR LWT program on `node` with its one-entry config map and
+// returns the LWT state for a route: each packet is encapsulated towards
+// sid1 or sid2, weighted 5:3 (WrrConfig's defaults, the ratio of the two
+// WAN links' capacities). Throws std::runtime_error if the verifier rejects
+// the program.
+std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
+                                             const net::Ipv6Addr& sid1,
+                                             const net::Ipv6Addr& sid2);
+
 class HybridLab {
  public:
   // Link 1 (xDSL-like, 50 Mbps) and link 2 (LTE-like, 30 Mbps), as in the
@@ -38,8 +47,6 @@ class HybridLab {
     sim::TimeNs link1_jitter_rtt = 5 * sim::kMilli;
     sim::TimeNs link2_rtt = 5 * sim::kMilli;
     sim::TimeNs link2_jitter_rtt = 2 * sim::kMilli;
-    std::uint64_t weight1 = 5;  // WRR weights match the link capacities
-    std::uint64_t weight2 = 3;
     bool twd_compensation = false;
   };
 

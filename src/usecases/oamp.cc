@@ -12,6 +12,12 @@ namespace srv6bpf::usecases {
 
 namespace {
 constexpr std::uint16_t kEchoReplyPort = 33500;
+// Traceroute probes: destination port kTraceBasePort + TTL (which the echo
+// responder and the ICMP quote hand back), kTraceFlows source ports per TTL
+// (Paris-style, to expose ECMP spreading), kPerTtlTimeout per round.
+constexpr std::uint16_t kTraceBasePort = 33434;
+constexpr int kTraceFlows = 6;
+constexpr sim::TimeNs kPerTtlTimeout = 50 * sim::kMilli;
 
 net::Ipv6Addr addr(const char* s) { return net::Ipv6Addr::must_parse(s); }
 net::Prefix pfx(const char* s) { return net::Prefix::parse(s).value(); }
@@ -95,7 +101,7 @@ OampLab::OampLab(std::uint64_t seed) : net_(seed) {
   auto* mux_ptr = mux.get();
   d_muxes.push_back(std::move(mux));
   for (std::uint16_t ttl = 1; ttl <= 32; ++ttl) {
-    const std::uint16_t port = static_cast<std::uint16_t>(33434 + ttl);
+    const std::uint16_t port = static_cast<std::uint16_t>(kTraceBasePort + ttl);
     mux_ptr->on_udp(port, [this, port](const net::Packet& pkt,
                                        const net::UdpHeader&,
                                        std::span<const std::uint8_t>,
@@ -175,7 +181,7 @@ Traceroute::Traceroute(sim::Node& node, apps::AppMux& mux, Options opts)
              [this](const net::Packet&, const net::UdpHeader&,
                     std::span<const std::uint8_t> payload, sim::TimeNs) {
                if (payload.size() < 2) return;
-               const int ttl = load_be16(payload.data()) - 33434;
+               const int ttl = load_be16(payload.data()) - kTraceBasePort;
                reached_target_ = true;
                auto& hop = hops_[ttl];
                hop.ttl = ttl;
@@ -216,7 +222,7 @@ Traceroute::Traceroute(sim::Node& node, apps::AppMux& mux, Options opts)
     std::memcpy(quoted_dst.bytes().data(), d + q + 24, 16);
     if (quoted_dst != opts_.target) return;
     const std::uint16_t dport = load_be16(d + q + net::kIpv6HeaderSize + 2);
-    const int ttl = dport - 33434;
+    const int ttl = dport - kTraceBasePort;
     if (ttl < 1 || ttl > opts_.max_ttl) return;
     net::Ipv6Addr hop_addr;
     std::memcpy(hop_addr.bytes().data(), d + 8, 16);  // ICMP source
@@ -228,13 +234,13 @@ Traceroute::Traceroute(sim::Node& node, apps::AppMux& mux, Options opts)
 }
 
 void Traceroute::send_ttl_probes(int ttl) {
-  for (int flow = 0; flow < opts_.flows; ++flow) {
+  for (int flow = 0; flow < kTraceFlows; ++flow) {
     net::PacketSpec spec;
     spec.src = opts_.prober_addr;
     spec.dst = opts_.target;
     spec.hop_limit = static_cast<std::uint8_t>(ttl);
-    spec.src_port = static_cast<std::uint16_t>(opts_.base_port + 100 + flow);
-    spec.dst_port = static_cast<std::uint16_t>(opts_.base_port + ttl);
+    spec.src_port = static_cast<std::uint16_t>(kTraceBasePort + 100 + flow);
+    spec.dst_port = static_cast<std::uint16_t>(kTraceBasePort + ttl);
     spec.payload_size = 12;
     node_.send(net::make_udp_packet(spec));
   }
@@ -263,13 +269,13 @@ void Traceroute::send_oamp_probe(const net::Ipv6Addr& hop_addr) {
 std::vector<TracerouteHop> Traceroute::run(sim::Network& net) {
   for (int ttl = 1; ttl <= opts_.max_ttl && !reached_target_; ++ttl) {
     send_ttl_probes(ttl);
-    net.run_for(opts_.per_ttl_timeout);
+    net.run_for(kPerTtlTimeout);
   }
   // Query End.OAMP on every discovered hop ("leverages if possible this
   // function at each hop, and otherwise falls back to the legacy ICMP
   // mechanism").
   for (const auto& [addr_key, ttl] : addr_to_ttl_) send_oamp_probe(addr_key);
-  net.run_for(4 * opts_.per_ttl_timeout);
+  net.run_for(4 * kPerTtlTimeout);
 
   std::vector<TracerouteHop> out;
   for (auto& [ttl, hop] : hops_) out.push_back(hop);

@@ -77,9 +77,6 @@ class Traceroute {
     net::Ipv6Addr target;
     net::Ipv6Addr prober_addr;
     int max_ttl = 8;
-    int flows = 6;  // Paris-style: vary flow id to expose ECMP spreading
-    std::uint16_t base_port = 33434;
-    sim::TimeNs per_ttl_timeout = 50 * sim::kMilli;
   };
 
   Traceroute(sim::Node& node, apps::AppMux& mux, Options opts);

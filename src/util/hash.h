@@ -1,13 +1,16 @@
-// The simulator's two integer hashes, each written once.
+// The simulator's three integer hashes, each written once.
 //
 // Their outputs are part of the deterministic contract: RSS context
 // placement and ECMP nexthop choice (one-at-a-time), bpf_get_prandom_u32,
-// the Rng seed expansion and the per-link RNG seeds (splitmix64) all feed
-// the golden digests, so neither may change by a bit.
+// the Rng seed expansion and the per-link RNG seeds (splitmix64), and the
+// PDES name-hash placement of unassigned nodes (FNV-1a) all feed the
+// golden digests, so none may change by a bit. FNV-1a also folds the
+// digests themselves.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace srv6bpf {
 
@@ -49,5 +52,27 @@ class OneAtATime {
  private:
   std::uint32_t h_ = 0;
 };
+
+// 64-bit FNV-1a (Fowler, Noll & Vo), folded into a running value that
+// starts at kFnv1aBasis.
+inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ull;
+
+inline std::uint64_t fnv1a_bytes(std::uint64_t h,
+                                 std::span<const std::uint8_t> bytes) noexcept {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Folds the eight bytes of `v`, least significant first.
+inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (i * 8)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 }  // namespace srv6bpf

@@ -17,6 +17,7 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "golden_scenarios.h"
 #include "net/buffer_pool.h"
 #include "net/packet.h"
 #include "sim/inline_fn.h"
@@ -25,6 +26,7 @@
 #include "usecases/programs.h"
 #include "usecases/setup1.h"
 #include "util/alloc_hooks.h"
+#include "util/hash.h"
 
 namespace srv6bpf {
 namespace {
@@ -190,40 +192,22 @@ TEST(RxRing, FifoAcrossWraparoundAndLimit) {
 
 // ---- recycling correctness + the zero-allocation window ---------------------
 
-// FNV-1a over little-endian u64s + every delivered payload byte: arrival
-// time, generator seq and full packet bytes all go in, so a single recycled
-// buffer leaking stale state or a timing shift flips the digest.
-struct Digest {
-  std::uint64_t delivered = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
-  void mix_bytes(std::span<const std::uint8_t> b) {
-    for (const std::uint8_t x : b) {
-      fnv ^= x;
-      fnv *= 1099511628211ull;
-    }
-  }
-};
-
 // The paper's fig2 lab with Tag++ End.BPF on R and a sink that digests
-// every delivery.
+// every delivery: arrival time, generator seq and every packet byte all go
+// in, so a single recycled buffer leaking stale state or a timing shift
+// flips the digest.
 struct DigestedFig2 : usecases::Setup1 {
   apps::AppMux mux{*s2};
-  Digest dig;
+  golden::Digest dig;
 
   DigestedFig2() {
     add_end_bpf(usecases::build_tag_increment());
     mux.on_udp(7001, [this](const net::Packet& pkt, const net::UdpHeader&,
                             std::span<const std::uint8_t>, sim::TimeNs now) {
       ++dig.delivered;
-      dig.mix_u64(now);
-      dig.mix_u64(pkt.seq);
-      dig.mix_bytes(pkt.bytes());
+      dig.mix(now);
+      dig.mix(pkt.seq);
+      dig.fnv = fnv1a_bytes(dig.fnv, pkt.bytes());
     });
   }
 
@@ -243,7 +227,7 @@ struct DigestedFig2 : usecases::Setup1 {
 };
 
 struct PoolRun {
-  Digest dig;
+  golden::Digest dig;
   sim::NodeStats router;
 };
 

@@ -19,9 +19,8 @@
 //     neighbor steers traffic onto the route's seg6::FrrBackup (delivery
 //     continues through the outage), and the InvariantAuditor's conservation
 //     ledger balances to zero in-flight after the drain — crashes included;
-//   - RxRing overflow as explicit, counted policy: kDropNewest refuses the
-//     arrival, kDropOldest evicts the head to admit it, both charge
-//     drops_rx_queue and count ring overflows;
+//   - RxRing overflow: a full ring refuses the arrival, charges
+//     drops_rx_queue and counts a ring overflow;
 //   - the BufferPool admission cap and the per-reason first-drop timestamps
 //     that make exhaustion debuggable.
 #include <gtest/gtest.h>
@@ -36,6 +35,7 @@
 #include "apps/trafgen.h"
 #include "ebpf/map.h"
 #include "ebpf/map_impl.h"
+#include "golden_scenarios.h"
 #include "net/buffer_pool.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
@@ -148,25 +148,10 @@ TEST(MapFaults, ResetContentsWipesValuesNotDefinition) {
 
 // ---- crash / restart lifecycle ----------------------------------------------
 
-// FNV-1a sink digest — the pdes_test pattern.
-struct Digest {
-  std::uint64_t delivered = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
-  bool operator==(const Digest& o) const {
-    return delivered == o.delivered && fnv == o.fnv;
-  }
-};
-
-constexpr int kSerial = -1;
+using golden::kSerial;
 
 struct CrashRunResult {
-  Digest dig;
+  golden::Digest dig;
   sim::NodeStats router;
   std::uint64_t attempted = 0;
   std::uint64_t delivered_during_outage = 0;
@@ -197,13 +182,7 @@ CrashRunResult run_crash_scenario(int threads) {
   r.ns().table(0).add_route(P("fc00:1::/64"),
                             {net::Ipv6Addr{}, l0.b_ifindex, 1});
 
-  if (threads != kSerial) {
-    net.set_domain_count(3);
-    net.assign_domain(s1, 0);
-    net.assign_domain(r, 1);
-    net.assign_domain(s2, 2);
-    net.seal_domains();
-  }
+  golden::partition3(net, s1, r, s2, threads);
 
   sim::FaultInjector inj(net, 0xfa57);
   sim::CrashSpec spec;
@@ -253,15 +232,9 @@ CrashRunResult run_crash_scenario(int threads) {
   auditor.add_link(*l0.link);
   auditor.add_link(*l1.link);
 
-  auto run_to = [&](sim::TimeNs t) {
-    if (threads == kSerial)
-      net.run_until(t);
-    else
-      net.run_parallel_until(t, static_cast<std::size_t>(threads));
-  };
-  run_to(2 * sim::kMilli);
+  golden::run_window(net, 2 * sim::kMilli, threads);
   auditor.audit(net.now());
-  run_to(6 * sim::kMilli);
+  golden::run_window(net, 4 * sim::kMilli, threads);
   auditor.audit(net.now(), /*final_drain=*/true);
 
   res.router = r.stats();
@@ -445,15 +418,12 @@ TEST(CrashRestart, NeighborDegradesToFrrBackupDuringOutage) {
   EXPECT_EQ(r1.stats().drops_link_down, 0u);  // FRR caught every decision
 }
 
-// ---- RxRing overflow policies ----------------------------------------------
+// ---- RxRing overflow --------------------------------------------------------
 
-// Injects `count` back-to-back arrivals into a CPU-modelled router whose RX
-// ring holds `limit`, and returns the seqs that survived to the sink.
-std::vector<std::uint32_t> overflow_survivors(sim::RxOverflowPolicy policy,
-                                              std::uint32_t count,
-                                              std::size_t limit,
-                                              sim::Node** router_out,
-                                              sim::Network& net) {
+// 32 back-to-back arrivals at a CPU-modelled router whose RX ring holds 8:
+// the first 8 queue, the other 24 are refused and counted.
+TEST(RxOverflow, DropNewestRefusesTheArrival) {
+  sim::Network net(0x0f1);
   auto& r = net.add_node("R");
   auto& s2 = net.add_node("S2");
   const std::uint64_t bw = 10ull * 1000 * 1000 * 1000;
@@ -463,8 +433,7 @@ std::vector<std::uint32_t> overflow_survivors(sim::RxOverflowPolicy policy,
                             {net::Ipv6Addr{}, l1.a_ifindex, 1});
   r.cpu.enabled = true;
   r.cpu.profile = sim::kXeonProfile;
-  r.cpu.rx_queue_limit = limit;
-  r.cpu.rx_overflow_policy = policy;
+  r.cpu.rx_queue_limit = 8;
 
   apps::AppMux mux(s2);
   std::vector<std::uint32_t> seqs;
@@ -473,11 +442,10 @@ std::vector<std::uint32_t> overflow_survivors(sim::RxOverflowPolicy policy,
     seqs.push_back(pkt.seq);
   });
 
-  // All `count` packets arrive at the same instant — before the service
-  // event can drain anything — so exactly `limit` fit and the policy decides
-  // which ones.
-  net.loop().schedule_at(100, [&r, count] {
-    for (std::uint32_t i = 0; i < count; ++i) {
+  // All packets arrive at the same instant, before the service event can
+  // drain anything.
+  net.loop().schedule_at(100, [&r] {
+    for (std::uint32_t i = 0; i < 32; ++i) {
       net::PacketSpec spec;
       spec.src = A("fc00:9::1");
       spec.dst = A("fc00:2::2");
@@ -489,33 +457,13 @@ std::vector<std::uint32_t> overflow_survivors(sim::RxOverflowPolicy policy,
     }
   });
   net.run_until(10 * sim::kMilli);
-  *router_out = &r;
-  return seqs;
-}
 
-TEST(RxOverflow, DropNewestRefusesTheArrival) {
-  sim::Network net(0x0f1);
-  sim::Node* r = nullptr;
-  const auto seqs =
-      overflow_survivors(sim::RxOverflowPolicy::kDropNewest, 32, 8, &r, net);
   ASSERT_EQ(seqs.size(), 8u);
   for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(seqs[i], i);  // head kept
-  EXPECT_EQ(r->stats().drops_rx_queue, 24u);
-  EXPECT_EQ(r->rx_ring_overflows(), 24u);
-  EXPECT_NE(r->stats().first_drop_at(sim::DropReason::kRxQueue),
+  EXPECT_EQ(r.stats().drops_rx_queue, 24u);
+  EXPECT_EQ(r.rx_ring_overflows(), 24u);
+  EXPECT_NE(r.stats().first_drop_at(sim::DropReason::kRxQueue),
             sim::NodeStats::kNeverDropped);
-}
-
-TEST(RxOverflow, DropOldestEvictsTheHead) {
-  sim::Network net(0x0f2);
-  sim::Node* r = nullptr;
-  const auto seqs =
-      overflow_survivors(sim::RxOverflowPolicy::kDropOldest, 32, 8, &r, net);
-  ASSERT_EQ(seqs.size(), 8u);
-  for (std::uint32_t i = 0; i < 8; ++i)
-    EXPECT_EQ(seqs[i], 24 + i);  // tail kept: the freshest packets survive
-  EXPECT_EQ(r->stats().drops_rx_queue, 24u);
-  EXPECT_EQ(r->rx_ring_overflows(), 24u);
 }
 
 // ---- BufferPool admission cap & drop attribution ----------------------------

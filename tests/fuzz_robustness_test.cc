@@ -31,6 +31,7 @@
 #include "sim/fault_injector.h"
 #include "sim/invariant_auditor.h"
 #include "sim/network.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace srv6bpf {
@@ -205,15 +206,11 @@ TEST(FuzzDatapath, LinkCorruptionIsAccountedAndReproducible) {
     inj.install();
 
     apps::AppMux mux(s2);
-    std::uint64_t delivered = 0, fnv = 1469598103934665603ull;
+    std::uint64_t delivered = 0, fnv = kFnv1aBasis;
     mux.on_udp(7001, [&](const net::Packet& pkt, const net::UdpHeader&,
                          std::span<const std::uint8_t>, sim::TimeNs now) {
       ++delivered;
-      for (const std::uint64_t v : {now, std::uint64_t{pkt.seq}})
-        for (int i = 0; i < 8; ++i) {
-          fnv ^= (v >> (i * 8)) & 0xff;
-          fnv *= 1099511628211ull;
-        }
+      fnv = fnv1a_u64(fnv1a_u64(fnv, now), pkt.seq);
     });
 
     apps::TrafGen::Config cfg;

@@ -16,17 +16,16 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <span>
-#include <stdexcept>
 
 #include "apps/sink.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
 #include "sim/network.h"
+#include "usecases/hybrid.h"
 #include "usecases/programs.h"
 #include "usecases/setup1.h"
+#include "util/hash.h"
 
 namespace srv6bpf::golden {
 
@@ -34,13 +33,8 @@ namespace srv6bpf::golden {
 struct Digest {
   std::uint64_t delivered = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t fnv = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (i * 8)) & 0xff;
-      fnv *= 1099511628211ull;
-    }
-  }
+  std::uint64_t fnv = kFnv1aBasis;
+  void mix(std::uint64_t v) { fnv = fnv1a_u64(fnv, v); }
   friend bool operator==(const Digest&, const Digest&) = default;
 };
 
@@ -160,31 +154,8 @@ inline Outcome run_hybrid(const RunConfig& rc) {
   m.ns().bpf().set_jit_enabled(false);  // ARM32 JIT bug (§4.2)
 
   // The WRR LWT program on M for S2's prefix, as in Fig4Lab's kEbpfWrr.
-  {
-    auto& bpf = m.ns().bpf();
-    ebpf::MapDef def;
-    def.type = ebpf::MapType::kArray;
-    def.key_size = 4;
-    def.value_size = sizeof(usecases::WrrConfig);
-    def.max_entries = 1;
-    def.name = "wrr_cfg";
-    const std::uint32_t cfg_id = bpf.maps().create(def);
-    usecases::WrrConfig cfg;
-    cfg.weight1 = 5;
-    cfg.weight2 = 3;
-    std::memcpy(cfg.sid1, d1.bytes().data(), 16);
-    std::memcpy(cfg.sid2, d2.bytes().data(), 16);
-    bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
-    auto built = usecases::build_wrr(cfg_id);
-    auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
-                         built.paper_sloc);
-    if (!load.ok())
-      throw std::runtime_error("wrr rejected: " + load.verify.error);
-    auto lwt = std::make_shared<seg6::LwtState>();
-    lwt->kind = seg6::LwtState::Kind::kBpf;
-    lwt->prog_xmit = load.prog;
-    m.ns().table(0).add_route({prefix("fd01:2::/64"), {}, lwt});
-  }
+  m.ns().table(0).add_route(
+      {prefix("fd01:2::/64"), {}, usecases::make_wrr_lwt(m, d1, d2)});
   for (const auto& sid : {d1, d2}) {
     seg6::Seg6LocalEntry e;
     e.action = seg6::Seg6Action::kEndDT6;

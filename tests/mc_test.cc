@@ -129,18 +129,21 @@ TEST(RssSteering, SameFlowNeverReordersAcrossContexts) {
   EXPECT_GT(total, 100u);
 }
 
-// Saturating the same scenario at 1 and 4 contexts: the multi-core node must
-// actually forward more — this is the subsystem's raison d'être, asserted in
-// simulated time where it is deterministic.
+// Saturating fig2 at 1, 2 and 4 contexts, with plain forwarding and with
+// the End.BPF program on the SID: the multi-core node must actually forward
+// more — this is the subsystem's raison d'être, asserted in simulated time
+// where it is deterministic.
 TEST(RssSteering, FourContextsForwardMoreThanOne) {
-  auto run = [](std::size_t ncpus) {
+  auto run = [](bool end_bpf, std::size_t ncpus) {
     usecases::Setup1 lab(0xabc);
     lab.r->cpu.ncpus = ncpus;
+    if (end_bpf) lab.add_end_bpf(usecases::build_end());
     apps::AppMux mux(*lab.s2);
     apps::UdpSink sink(mux, 7001);
     apps::TrafGen::Config cfg;
     cfg.spec.src = lab.s1_addr;
     cfg.spec.dst = lab.s2_addr;
+    if (end_bpf) cfg.spec.segments = {lab.sid, lab.s2_addr};
     cfg.spec.dst_port = 7001;
     cfg.spec.payload_size = 64;
     cfg.pps = 3e6;
@@ -150,11 +153,17 @@ TEST(RssSteering, FourContextsForwardMoreThanOne) {
     apps::TrafGen gen(*lab.s1, cfg);
     gen.start();
     lab.net.run_for(sim::kSecond);
-    return sink.packets();
+    return static_cast<double>(sink.packets());
   };
-  const std::uint64_t one = run(1);
-  const std::uint64_t four = run(4);
-  EXPECT_GT(four, one * 3) << "4 contexts must scale >3x on saturated fig2";
+  for (const bool end_bpf : {false, true}) {
+    SCOPED_TRACE(end_bpf ? "End.BPF" : "plain");
+    const double one = run(end_bpf, 1);
+    const double two = run(end_bpf, 2);
+    const double four = run(end_bpf, 4);
+    EXPECT_GT(four, one * 3) << "4 contexts must scale >3x on saturated fig2";
+    EXPECT_GE(two, one * 1.4);
+    EXPECT_GE(four, one * 1.5);
+  }
 }
 
 // ---- per-CPU maps through the live datapath ---------------------------------

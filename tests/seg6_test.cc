@@ -19,6 +19,7 @@
 #include "seg6/seg6local.h"
 #include "ebpf/asm.h"
 #include "usecases/programs.h"
+#include "util/hash.h"
 
 namespace srv6bpf::seg6 {
 namespace {
@@ -457,15 +458,6 @@ TEST_F(EndBpfTest, StoreBytesOutsideEditableFieldsRejected) {
 // then returns `ok_ret`, or BPF_DROP if the helper failed. The expected
 // dispositions, packet digests, dst metadata and trace counters are pinned.
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Six segments, in a packet with 136 bytes of headroom: pushing the outer
 // header plus this SRH (144 bytes) regrows the headroom, and the regrowth
 // moves the packet over the SRH a program points at. An encapsulation that
@@ -624,8 +616,8 @@ TEST_P(Seg6HelperTest, PinsDispositionBytesDstAndTrace) {
 
   EXPECT_EQ(r.disposition, c.want.disposition);
   EXPECT_EQ(pkt.size(), c.want.size);
-  EXPECT_EQ(fnv1a(pkt.bytes()), c.want.digest)
-      << std::hex << "0x" << fnv1a(pkt.bytes());
+  const std::uint64_t digest = fnv1a_bytes(kFnv1aBasis, pkt.bytes());
+  EXPECT_EQ(digest, c.want.digest) << std::hex << "0x" << digest;
   EXPECT_EQ(pkt.ipv6().dst(), A(c.want.outer_dst));
   EXPECT_EQ(pkt.ipv6().payload_length() + net::kIpv6HeaderSize, pkt.size());
   if (c.want.nexthop == nullptr) {

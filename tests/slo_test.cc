@@ -356,7 +356,7 @@ std::vector<sim::TimeNs> netem_delivery_times(std::uint64_t seed, double loss,
   sim::NetemQdisc q(cfg);
   std::vector<sim::TimeNs> out;
   for (int i = 0; i < n; ++i) {
-    const auto d = q.enqueue(static_cast<sim::TimeNs>(i) * 1000, 100, rng);
+    const auto d = q.enqueue(static_cast<sim::TimeNs>(i) * 1000, rng);
     out.push_back(d.dropped ? 0 : d.deliver_at);
   }
   return out;
@@ -391,7 +391,7 @@ TEST(Netem, ZeroLossKeepsHistoricalJitterSequence) {
   cfg.keep_order = false;
   sim::NetemQdisc q(cfg);
   for (int i = 0; i < 200; ++i) {
-    const auto d = q.enqueue(static_cast<sim::TimeNs>(i) * 1000, 100, rng);
+    const auto d = q.enqueue(static_cast<sim::TimeNs>(i) * 1000, rng);
     EXPECT_EQ(with_knob[static_cast<std::size_t>(i)], d.deliver_at) << i;
   }
 }

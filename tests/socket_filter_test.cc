@@ -1,6 +1,6 @@
 // SO_ATTACH_FILTER-style socket filters on the app layer: SocketFilter
-// compile/attach, per-packet accept/drop accounting, and AppMux ingress and
-// per-port attachment driven end-to-end through a small topology.
+// compile/attach, per-packet accept/drop accounting, and AppMux per-port
+// attachment driven end-to-end through a small topology.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -108,7 +108,8 @@ TEST(SocketFilter, PerSocketFilterGatesUdpSink) {
   auto f = apps::SocketFilter::from_expr(
       lab.s2.ns(), "sink7001", "udp and dst port 7001 and greater 90", &err);
   ASSERT_NE(f, nullptr) << err;
-  apps::UdpSink sink(mux, 7001, f);
+  apps::UdpSink sink(mux, 7001);
+  mux.attach_udp_filter(7001, f);
 
   lab.send_udp(7001, 20);   // 68-byte packet: too short for "greater 90"
   lab.send_udp(7001, 200);  // passes
@@ -118,10 +119,11 @@ TEST(SocketFilter, PerSocketFilterGatesUdpSink) {
   EXPECT_EQ(sink.packets(), 1u);
   EXPECT_EQ(f->accepted(), 1u);
   EXPECT_EQ(f->dropped(), 1u);
-  EXPECT_EQ(sink.filter(), f);
+  EXPECT_EQ(mux.filtered(), 1u);
+  EXPECT_EQ(mux.unmatched(), 1u);
 }
 
-TEST(SocketFilter, AppMuxAttachesPerPortAndIngressFilters) {
+TEST(SocketFilter, AppMuxAttachesAndDetachesPerPortFilters) {
   Lab lab;
   apps::AppMux mux(lab.s2);
   apps::UdpSink sink(mux, 7001);
@@ -132,29 +134,19 @@ TEST(SocketFilter, AppMuxAttachesPerPortAndIngressFilters) {
   ASSERT_NE(port_f, nullptr) << err;
   mux.attach_udp_filter(7001, port_f);
 
-  auto ingress = apps::SocketFilter::from_expr(lab.s2.ns(), "ingress",
-                                               "not dst port 9999", &err);
-  ASSERT_NE(ingress, nullptr) << err;
-  mux.attach_filter(ingress);
-  EXPECT_EQ(mux.ingress_filter(), ingress);
-
-  lab.send_udp(7001);  // passes ingress + port filter -> metered
-  lab.send_udp(9999);  // killed node-wide by the ingress filter
+  lab.send_udp(7001);  // passes the port filter -> metered
   lab.send_udp(7001);
   lab.net.run_for(10 * sim::kMilli);
-
   EXPECT_EQ(sink.packets(), 2u);
-  EXPECT_EQ(ingress->dropped(), 1u);
-  EXPECT_EQ(mux.filtered(), 1u);
+  EXPECT_EQ(port_f->accepted(), 2u);
 
-  // Detach: the 9999 packet now falls through to unmatched instead.
-  const std::uint64_t unmatched_before = mux.unmatched();
-  mux.attach_filter(nullptr);
+  // Detach: the port's packets reach the sink without consulting the filter.
   mux.attach_udp_filter(7001, nullptr);
-  lab.send_udp(9999);
+  lab.send_udp(7001);
   lab.net.run_for(10 * sim::kMilli);
-  EXPECT_EQ(mux.ingress_filter(), nullptr);
-  EXPECT_EQ(mux.unmatched(), unmatched_before + 1);
+  EXPECT_EQ(sink.packets(), 3u);
+  EXPECT_EQ(port_f->accepted(), 2u);
+  EXPECT_EQ(mux.filtered(), 0u);
 }
 
 }  // namespace

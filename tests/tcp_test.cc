@@ -80,10 +80,7 @@ TEST(Tcp, ThroughputBoundedByBandwidth) {
 TEST(Tcp, RecoversFromLossBurst) {
   TcpPair pair(/*bw=*/20'000'000, /*delay=*/5 * sim::kMilli);
   // Squeeze the queue so slow-start overshoot drops packets.
-  sim::NetemConfig cfg;
-  cfg.rate_bps = 18'000'000;
-  cfg.limit_bytes = 30'000;
-  pair.link->qdisc(0).set_config(cfg);
+  pair.link->set_wire_queue_limit(30'000);
   const double goodput = pair.run(5 * sim::kSecond);
   EXPECT_GT(goodput, 10.0) << "loss recovery must keep the pipe flowing";
   EXPECT_GT(pair.sender->retransmits(), 0u);
