@@ -178,9 +178,10 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
   return speedup;
 }
 
-// Fig3-style scenario: the setup-1 sink accepts only what its compiled
-// filter expression passes. Half the offered stream targets the sink port,
-// half targets another port the filter must reject. Returns the sink rate in
+// Fig3-style scenario: the setup-1 sink meters only what its compiled
+// filter expression passes. Every offered packet targets the sink's port, so
+// the filter runs on, and accepts, every delivery; a filter that rejected
+// any of them would show as a drop in the sink rate. Returns the sink rate in
 // simulated kpps.
 double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
   Setup1 lab;
@@ -195,13 +196,10 @@ double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
   // the translated filter on S2's engine.
   lab.mux->attach_udp_filter(7001, f);
   const double sim_kpps = lab.measure(/*through_sid=*/false, 3e6, window);
-  const double total = static_cast<double>(f->accepted() + f->dropped());
   sc.str("expr", expr)
       .num("offered_kpps", 3000.0, 1)
       .num("sim_kpps", sim_kpps, 1)
-      .num("filter_accepted", f->accepted())
-      .num("filter_dropped", f->dropped())
-      .num("accept_fraction", total > 0 ? f->accepted() / total : 0, 4);
+      .num("filter_accepted", f->accepted());
   return sim_kpps;
 }
 

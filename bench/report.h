@@ -42,10 +42,12 @@ inline Mode parse_mode(int& argc, char** argv) {
   return mode;
 }
 
-inline void print_header(const char* title, const char* paper_note) {
+// The title between two rules, with the paper's claim when there is one.
+inline void print_header(const char* title,
+                         const char* paper_note = nullptr) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title);
-  std::printf("(paper: %s)\n", paper_note);
+  if (paper_note != nullptr) std::printf("(paper: %s)\n", paper_note);
   std::printf("==============================================================\n");
 }
 

@@ -225,7 +225,8 @@ void run_engine_comparison(int iters, int verify_reps, bench::Report& rep) {
   const double native = std::exp(log_sum_native / std::size(progs));
   // Emitted-code quality: on the compute-bound chain the engine is the whole
   // cost, so this ratio tracks the JIT itself rather than shared
-  // helper/harness time (which caps the §3.2 rows near the paper's ~1.8x).
+  // helper/harness time (which caps the §3.2 rows near the paper's JIT
+  // factor, the "Add TLV JIT / no-JIT" anchor in paper.h).
   const double alu512 = alu_predecoded_ns / alu_native_ns;
   rep.num("sec32_geomean_speedup_predecoded_vs_baseline", pre, 2)
       .num("sec32_geomean_speedup_native_vs_predecoded", native, 2)
@@ -356,8 +357,8 @@ int main(int argc, char** argv) {
   const bench::Mode mode = bench::parse_mode(argc, argv);
   bench::Report rep("BENCH_vm.json", mode,
                     "VM micro: engine-only ns/run of the three eBPF engines",
-                    "§3.2: the kernel JIT buys ~1.8x on the seg6local "
-                    "programs");
+                    "§3.2: the kernel JIT's factor on the seg6local "
+                    "programs is bench_paper's Add TLV JIT / no-JIT anchor");
   run_engine_comparison(mode.quick ? 5000 : 100000, mode.quick ? 11 : 201,
                         rep);
   const int status = rep.finish();

@@ -10,8 +10,8 @@
 // with the instruction counts coming from actually running the programs, so
 // program complexity (End's 3 insns vs Add-TLV's ~100) drives the figures.
 //
-// Calibration anchors (bench_fig2_endpoints and bench_fig4_hybrid_udp print
-// the resulting shapes against the paper's):
+// Calibration anchors (bench/paper.h holds the resulting shapes against the
+// paper's, in bench_paper and tests/paper_test.cc):
 //   * kXeonForwardNs   = 1/610kpps — the paper's §3.2 baseline;
 //   * kInterpInsnNs    — chosen so disabling the JIT divides Add-TLV
 //     throughput by ~1.8 (§3.2) given Add-TLV's real instruction count;

@@ -18,6 +18,34 @@ constexpr const char* kSinkFilter = "udp and dst port 7001";
 constexpr const char* kControllerFilter = "udp and dst port 9999";
 }  // namespace
 
+std::shared_ptr<seg6::LwtState> make_dm_encap_lwt(
+    sim::Node& node, std::uint64_t ratio, const net::Ipv6Addr& dm_sid,
+    const net::Ipv6Addr& final_seg, const net::Ipv6Addr& ctrl_addr,
+    std::uint16_t ctrl_port) {
+  auto& bpf = node.ns().bpf();
+  const std::uint32_t cfg_id = bpf.maps().create(  // MapDef: 1-entry array
+      {.value_size = sizeof(DmEncapConfig), .name = "dm_encap_cfg"});
+
+  DmEncapConfig cfg;
+  cfg.ratio = ratio;
+  std::memcpy(cfg.dm_sid, dm_sid.bytes().data(), 16);
+  std::memcpy(cfg.final_seg, final_seg.bytes().data(), 16);
+  std::memcpy(cfg.ctrl_addr, ctrl_addr.bytes().data(), 16);
+  cfg.ctrl_port = ctrl_port;
+  bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
+
+  auto built = build_dm_encap(cfg_id);
+  auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
+                       built.paper_sloc);
+  if (!load.ok())
+    throw std::runtime_error("dm_encap rejected: " + load.verify.error);
+
+  auto lwt = std::make_shared<seg6::LwtState>();
+  lwt->kind = seg6::LwtState::Kind::kBpf;
+  lwt->prog_xmit = load.prog;
+  return lwt;
+}
+
 DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
   s1_ = &net_.add_node("S1");
   r_ = &net_.add_node("R");
@@ -35,36 +63,10 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
   auto& s2_fib = s2_->ns().table(0);
 
   // S1 -> monitored prefix: LWT BPF xmit program (the paper's transit hook).
-  auto& s1_bpf = s1_->ns().bpf();
-  ebpf::MapDef cfg_def;
-  cfg_def.type = ebpf::MapType::kArray;
-  cfg_def.key_size = 4;
-  cfg_def.value_size = sizeof(DmEncapConfig);
-  cfg_def.max_entries = 1;
-  cfg_def.name = "dm_encap_cfg";
-  const std::uint32_t cfg_id = s1_bpf.maps().create(cfg_def);
-
-  DmEncapConfig cfg;
-  cfg.ratio = opts.probe_ratio;
-  std::memcpy(cfg.dm_sid, kDmSid.bytes().data(), 16);
-  std::memcpy(cfg.final_seg, kS2Addr.bytes().data(), 16);
-  std::memcpy(cfg.ctrl_addr, kS1Addr.bytes().data(), 16);
-  cfg.ctrl_port = kControllerPort;
-  const std::uint32_t key0 = 0;
-  s1_bpf.maps().get(cfg_id)->put(key0, cfg);
-
-  auto encap_built = build_dm_encap(cfg_id);
-  auto encap_load = s1_bpf.load(encap_built.name, ebpf::ProgType::kLwtXmit,
-                                encap_built.insns, encap_built.paper_sloc);
-  if (!encap_load.ok())
-    throw std::runtime_error("dm_encap rejected: " + encap_load.verify.error);
-
-  auto lwt = std::make_shared<seg6::LwtState>();
-  lwt->kind = seg6::LwtState::Kind::kBpf;
-  lwt->prog_xmit = encap_load.prog;
   s1_fib.add_route({net::Prefix::parse("fc00:2::/64").value(),
                     {{kRIf0, l1.a_ifindex, 1}},
-                    lwt});
+                    make_dm_encap_lwt(*s1_, opts.probe_ratio, kDmSid, kS2Addr,
+                                      kS1Addr, kControllerPort)});
   // Probe outer destinations (the DM SID) also go via R.
   s1_fib.add_route(net::Prefix::parse("fc00:a::/64").value(),
                    {kRIf0, l1.a_ifindex, 1});

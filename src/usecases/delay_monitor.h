@@ -25,6 +25,16 @@
 
 namespace srv6bpf::usecases {
 
+// Loads the DM transit LWT program on `node` with its one-entry config map
+// and returns the LWT state for a route: one packet in `ratio` leaves
+// encapsulated with the probe SRH [dm_sid, final_seg], whose controller TLV
+// names ctrl_addr:ctrl_port. Throws std::runtime_error if the verifier
+// rejects the program.
+std::shared_ptr<seg6::LwtState> make_dm_encap_lwt(
+    sim::Node& node, std::uint64_t ratio, const net::Ipv6Addr& dm_sid,
+    const net::Ipv6Addr& final_seg, const net::Ipv6Addr& ctrl_addr,
+    std::uint16_t ctrl_port);
+
 struct OwdSample {
   std::uint64_t tx_ns = 0;
   std::uint64_t rx_ns = 0;

@@ -96,16 +96,13 @@ OampLab::OampLab(std::uint64_t seed) : net_(seed) {
 
   // ---- destination echo responder: answers traceroute probes so the prober
   // knows the target was reached (stands in for ICMP port-unreachable) ----
-  static std::vector<std::unique_ptr<apps::AppMux>> d_muxes;
-  auto mux = std::make_unique<apps::AppMux>(*d_);
-  auto* mux_ptr = mux.get();
-  d_muxes.push_back(std::move(mux));
+  d_mux_ = std::make_unique<apps::AppMux>(*d_);
   for (std::uint16_t ttl = 1; ttl <= 32; ++ttl) {
     const std::uint16_t port = static_cast<std::uint16_t>(kTraceBasePort + ttl);
-    mux_ptr->on_udp(port, [this, port](const net::Packet& pkt,
-                                       const net::UdpHeader&,
-                                       std::span<const std::uint8_t>,
-                                       sim::TimeNs) {
+    d_mux_->on_udp(port, [this, port](const net::Packet& pkt,
+                                      const net::UdpHeader&,
+                                      std::span<const std::uint8_t>,
+                                      sim::TimeNs) {
       const auto loc = net::locate_transport(pkt);
       if (!loc) return;
       net::Ipv6View ip(const_cast<std::uint8_t*>(pkt.data()) + loc->inner_ip);

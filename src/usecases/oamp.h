@@ -68,6 +68,7 @@ class OampLab {
   net::Ipv6Addr s_addr_;
   net::Ipv6Addr d_addr_;
   std::vector<std::unique_ptr<apps::PerfPoller>> pollers_;
+  std::unique_ptr<apps::AppMux> d_mux_;  // the destination's echo responder
 };
 
 // The modified traceroute application, run on the prober node.

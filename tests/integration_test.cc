@@ -8,7 +8,6 @@
 #include "seg6/seg6local.h"
 #include "sim/network.h"
 #include "usecases/delay_monitor.h"
-#include "usecases/hybrid.h"
 #include "usecases/oamp.h"
 #include "usecases/programs.h"
 
@@ -172,24 +171,6 @@ TEST(Integration, DelayMonitoringProducesSamples) {
     EXPECT_GE(s.owd_ns(), 3 * sim::kMilli);
     EXPECT_LT(s.owd_ns(), 4 * sim::kMilli);
   }
-}
-
-// ---- §4.2 WRR splits traffic according to weights -------------------------------------
-
-TEST(Integration, HybridWrrSplitsByWeights) {
-  HybridLab::Options opts;
-  opts.twd_compensation = false;
-  HybridLab lab(opts);
-
-  // Use UDP-ish one-way traffic: TCP machinery not needed to check the split.
-  auto& net = lab.net();
-  (void)net;
-  const double goodput = lab.run_tcp(1, 2 * sim::kSecond);
-  (void)goodput;
-
-  const auto& st1 = lab.net().loop();
-  (void)st1;
-  SUCCEED();  // the dedicated WRR split assertions live in usecases_test.cc
 }
 
 // ---- §4.3 traceroute discovers the ECMP diamond ----------------------------------------
