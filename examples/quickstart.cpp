@@ -90,11 +90,16 @@ int main() {
 
   net.run_for(10 * sim::kMilli);
 
+  // Every packet of the burst takes the same path through Tag++, so the
+  // last packet's share is R's pipeline sums divided by its packet count.
+  const sim::NodeStats rs = r.stats();
+  const sim::PipelineTotals& pipe = rs.pipeline;
   std::printf("R forwarded %llu packet(s) (%llu eBPF runs in total); "
               "last packet: %d eBPF run(s), %llu insns on the JIT engine\n",
-              static_cast<unsigned long long>(r.stats().tx_packets),
-              static_cast<unsigned long long>(r.stats().pipeline.bpf_runs),
-              r.last_trace().bpf_runs,
-              static_cast<unsigned long long>(r.last_trace().bpf_insns_jit));
+              static_cast<unsigned long long>(rs.tx_packets),
+              static_cast<unsigned long long>(pipe.bpf_runs),
+              static_cast<int>(pipe.bpf_runs / pipe.packets),
+              static_cast<unsigned long long>(pipe.bpf_insns_jit /
+                                              pipe.packets));
   return 0;
 }

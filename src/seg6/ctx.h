@@ -12,9 +12,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
+#include <unordered_set>
 
 #include "ebpf/exec.h"
 #include "ebpf/skb.h"
@@ -36,9 +36,12 @@ enum class Disposition {
   kDrop,
 };
 
+// Intentionally no field initialisers, like ProcessTrace: the datapath's
+// burst scratch holds kMaxBurstPackets of these and writes only the burst's
+// packets. Every factory below sets both fields.
 struct PipelineResult {
-  Disposition disposition = Disposition::kDrop;
-  int table = 0;  // for kContinue
+  Disposition disposition;
+  int table;  // for kContinue
   static PipelineResult drop() { return {Disposition::kDrop, 0}; }
   static PipelineResult cont(int table = 0) {
     return {Disposition::kContinue, table};
@@ -49,16 +52,20 @@ struct PipelineResult {
 
 // Everything the cost model (sim/costmodel.h) needs to charge a packet for
 // the processing it received on a node.
+//
+// Intentionally no field initialisers: the per-burst scratch holds
+// kMaxBurstPackets of these and reset() zeroes only the burst's packets.
+// Declare a lone trace value-initialised (`ProcessTrace t{};`).
 struct ProcessTrace {
-  int fib_lookups = 0;
-  int seg6local_ops = 0;       // static seg6local behaviour executions
-  int bpf_runs = 0;
-  std::uint64_t bpf_insns_jit = 0;     // insns executed on the JIT engine
-  std::uint64_t bpf_insns_interp = 0;  // insns executed on the interpreter
-  std::uint64_t helper_calls = 0;
-  int encaps = 0;
-  int decaps = 0;
-  bool dropped = false;
+  int fib_lookups;
+  int seg6local_ops;       // static seg6local behaviour executions
+  int bpf_runs;
+  std::uint64_t bpf_insns_jit;     // insns executed on the JIT engine
+  std::uint64_t bpf_insns_interp;  // insns executed on the interpreter
+  std::uint64_t helper_calls;
+  int encaps;
+  int decaps;
+  bool dropped;
 
   void reset() { *this = ProcessTrace{}; }
 };
@@ -102,6 +109,8 @@ class Netns {
   Seg6LocalTable& seg6local() noexcept { return *seg6local_; }
 
   void add_local_addr(const net::Ipv6Addr& a) { local_addrs_.insert(a); }
+  // Exact match in a hash set: one probe per datapath destination group,
+  // however many addresses the host owns (a /48 site sink owns thousands).
   bool is_local(const net::Ipv6Addr& a) const {
     return local_addrs_.count(a) != 0;
   }
@@ -139,7 +148,7 @@ class Netns {
   ebpf::BpfSystem bpf_;
   std::map<int, Fib> tables_;
   std::unique_ptr<Seg6LocalTable> seg6local_;
-  std::set<net::Ipv6Addr> local_addrs_;
+  std::unordered_set<net::Ipv6Addr, net::Ipv6AddrHash> local_addrs_;
   std::uint64_t prandom_state_ = 0x853c49e6748fea9bull;
   // One slot per possible CPU context (current_cpu is clamped below
   // ebpf::kMaxCpus by the Node's context setup).

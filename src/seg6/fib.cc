@@ -80,6 +80,13 @@ const Route* Fib::lookup(const net::Ipv6Addr& dst, FibCacheSlot& slot) const {
 }
 
 const Nexthop& Fib::select_nexthop(const Route& route,
+                                   const net::Packet& pkt) {
+  // The hash only picks among nexthops: with one there is nothing to pick.
+  if (route.nexthops.size() == 1) return route.nexthops.front();
+  return select_nexthop(route, flow_hash(pkt));
+}
+
+const Nexthop& Fib::select_nexthop(const Route& route,
                                    std::uint32_t flow_hash) {
   if (route.nexthops.empty())
     throw std::logic_error("select_nexthop on route without nexthops");

@@ -5,7 +5,8 @@
 // route indices as values: a /48 lookup is 6 byte-indexed node hops instead
 // of 48 bit tests (bench/lpm_sweep.cc tracks the ratio). Nexthop selection
 // for multipath routes uses a 5-tuple flow hash, like the kernel's
-// flowlabel/5-tuple ECMP (§4.3's End.OAMP queries these nexthops).
+// flowlabel/5-tuple ECMP (§4.3's End.OAMP queries these nexthops); a
+// one-nexthop route has no choice to make and never hashes the packet.
 #pragma once
 
 #include <cstdint>
@@ -120,8 +121,15 @@ class Fib {
   // that queried this table.
   std::uint64_t cache_hits() const noexcept { return cache_hits_; }
 
-  // ECMP selection: picks the nexthop for `flow_hash` using weighted
-  // hash-threshold mapping. Requires a non-empty nexthop list.
+  // ECMP selection for `pkt`: a one-nexthop route returns its nexthop
+  // without reading the packet; a multipath route maps the packet's
+  // flow_hash through the overload below. This is the forwarding path's
+  // entry point. Requires a non-empty nexthop list.
+  static const Nexthop& select_nexthop(const Route& route,
+                                       const net::Packet& pkt);
+  // The weighted hash-threshold mapping: picks the nexthop for
+  // `flow_hash`, deterministic per flow and proportional to weight.
+  // Requires a non-empty nexthop list.
   static const Nexthop& select_nexthop(const Route& route,
                                        std::uint32_t flow_hash);
 

@@ -131,7 +131,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
     net::Ipv6View ip(pkt.data());
     const Route* route = fib->lookup(ip.dst(), ns.fib_cache_slot());
     if (route == nullptr || route->nexthops.empty()) return err_(kENoEnt);
-    set_nexthop(pkt, Fib::select_nexthop(*route, flow_hash(pkt)), ip.dst());
+    set_nexthop(pkt, Fib::select_nexthop(*route, pkt), ip.dst());
     ctx->dst_set = true;
     if (ctx->trace != nullptr) ++ctx->trace->fib_lookups;
     return 0;

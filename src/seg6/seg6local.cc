@@ -127,7 +127,7 @@ bool seg6_end_x(Netns& ns, net::Packet& pkt, const Nexthop& nh,
     if (fib == nullptr) return false;
     const Route* route = fib->lookup(nh.via, ns.fib_cache_slot());
     if (route == nullptr || route->nexthops.empty()) return false;
-    oif = Fib::select_nexthop(*route, flow_hash(pkt)).oif;
+    oif = Fib::select_nexthop(*route, pkt).oif;
     if (trace != nullptr) ++trace->fib_lookups;
   }
   pkt.dst().nexthop = nh.via;

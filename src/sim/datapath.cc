@@ -11,7 +11,8 @@ namespace srv6bpf::sim {
 namespace {
 
 // Scratch the stages share for one burst. Lives on the caller's stack so the
-// pipeline stays re-entrant (ICMP generation sends from inside a burst).
+// pipeline stays re-entrant (ICMP generation sends from inside a burst), and
+// is written only for the burst's packets.
 struct BurstState {
   std::array<seg6::PipelineResult, net::kMaxBurstPackets> r;
   std::array<bool, net::kMaxBurstPackets> active;
@@ -42,12 +43,11 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
   };
 
   BurstState st;
-  // Group scratch: packet/trace/result views over one run of packets that
-  // share a lookup key (destination or route).
+  // Group scratch: packet/trace views over one run of packets that share a
+  // lookup key (destination or route). A group is the contiguous run
+  // [start, j) of the burst, so its results land straight in st.r[start..].
   std::array<net::Packet*, net::kMaxBurstPackets> gp;
   std::array<seg6::ProcessTrace*, net::kMaxBurstPackets> gt;
-  std::array<seg6::PipelineResult, net::kMaxBurstPackets> gr;
-  std::array<std::size_t, net::kMaxBurstPackets> gi;
 
   // Finalizers: the packet leaves the rounds. Drop sites charge their own
   // reason before calling finish_drop.
@@ -138,6 +138,7 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
       }
       const net::Ipv6Addr dst = b.pkt(i).ipv6().dst();
       const int table = st.r[i].table;
+      const std::size_t start = i;
       std::size_t m = 0;
       std::size_t j = i;
       for (; j < n && st.active[j] && st.r[j].table == table &&
@@ -145,19 +146,18 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
            ++j) {
         gp[m] = &b.pkt(j);
         gt[m] = &traces[j];
-        gi[m] = j;
         ++m;
       }
       i = j;
+      seg6::PipelineResult* gr = &st.r[start];
 
       if (const seg6::Seg6LocalEntry* sid = ns.seg6local().lookup(dst)) {
         seg6::seg6local_process_burst(ns, {gp.data(), m}, *sid, gt.data(),
-                                      gr.data());
-        for (std::size_t k = 0; k < m; ++k) st.r[gi[k]] = gr[k];
+                                      gr);
         continue;  // next round settles
       }
       if (ns.is_local(dst)) {
-        for (std::size_t k = 0; k < m; ++k) finish_local(gi[k]);
+        for (std::size_t k = 0; k < m; ++k) finish_local(start + k);
         continue;
       }
 
@@ -169,13 +169,14 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
         for (std::size_t k = 0; k < m; ++k) {
           stats.note_drop(DropReason::kNoRoute, drop_time(*gp[k]));
           gt[k]->dropped = true;
-          finish_drop(gi[k]);
+          finish_drop(start + k);
         }
         continue;
       }
 
       // Resolves the route's own nexthop into the packet's dst metadata
-      // (ECMP per-packet: the flow hash keeps flows on one path). When the
+      // (ECMP per-packet on a multipath route: the flow hash keeps flows on
+      // one path; a one-nexthop route skips the hash). When the
       // selected nexthop's egress link is down and the route carries a
       // precomputed TI-LFA backup, the point-of-local-repair path activates
       // right here: encapsulate with the repair segment list and steer out
@@ -184,19 +185,18 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
       auto take_nexthop = [&](std::size_t k) {
         if (route->nexthops.empty()) {
           stats.note_drop(DropReason::kNoRoute, drop_time(*gp[k]));
-          finish_drop(gi[k]);
+          finish_drop(start + k);
           return;
         }
         net::Packet& p = *gp[k];
-        const seg6::Nexthop& nh =
-            seg6::Fib::select_nexthop(*route, seg6::flow_hash(p));
+        const seg6::Nexthop& nh = seg6::Fib::select_nexthop(*route, p);
         if (node.iface_link_down(nh.oif) && route->frr != nullptr) {
           const seg6::FrrBackup& frr = *route->frr;
           if (!frr.segments.empty()) {
             if (!seg6::seg6_do_encap(p, frr.segments, ns.encap_src(p))) {
               stats.note_drop(DropReason::kLinkDown, drop_time(p));
               gt[k]->dropped = true;
-              finish_drop(gi[k]);
+              finish_drop(start + k);
               return;
             }
             ++gt[k]->encaps;
@@ -204,27 +204,24 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
           ++stats.frr_reroutes;
           if (frr.nh.oif >= 0 && !node.iface_link_down(frr.nh.oif)) {
             seg6::set_nexthop(p, frr.nh, p.ipv6().dst());
-            st.r[gi[k]] = seg6::PipelineResult::forward();
+            gr[k] = seg6::PipelineResult::forward();
           } else {
             // No pinned backup adjacency: the rewritten outer destination
             // (the first repair segment) goes back for another lookup round.
-            st.r[gi[k]] = seg6::PipelineResult::cont(0);
+            gr[k] = seg6::PipelineResult::cont(0);
           }
           return;
         }
         seg6::set_nexthop(p, nh, dst);
-        st.r[gi[k]] = seg6::PipelineResult::forward();
+        gr[k] = seg6::PipelineResult::forward();
       };
 
       if (route->lwt && route->lwt->kind != seg6::LwtState::Kind::kNone) {
         seg6::lwt_process_burst(ns, {gp.data(), m}, *route->lwt,
-                                seg6::LwtHook::kXmit, gt.data(), gr.data());
-        for (std::size_t k = 0; k < m; ++k) {
+                                seg6::LwtHook::kXmit, gt.data(), gr);
+        for (std::size_t k = 0; k < m; ++k)
           if (gr[k].disposition == seg6::Disposition::kUseRoute)
             take_nexthop(k);
-          else
-            st.r[gi[k]] = gr[k];
-        }
         continue;
       }
       for (std::size_t k = 0; k < m; ++k) take_nexthop(k);

@@ -15,7 +15,8 @@
 //                 FibCacheSlot, backed by the multibit-stride LPM trie on
 //                 miss (util/lpm_trie.h), route-attached tunnels via
 //                 lwt_process_burst (BPF program setup paid once per route
-//                 group), ECMP nexthop selection per packet;
+//                 group), then the nexthop per packet: a flow hash picks
+//                 one only on a multipath route (Fib::select_nexthop);
 //   tx-prep    — hop-limit handling and per-packet verdict/oif metadata;
 //                the Node then groups forwards per egress interface and
 //                hands them to Link::transmit_burst.
@@ -27,15 +28,23 @@
 //
 // The pipeline is deliberately stateless between calls: processing can
 // re-enter it (ICMP generation, local handlers that send), so all per-burst
-// scratch lives on the caller's stack.
+// scratch lives on the caller's stack. Scratch is sized for
+// kMaxBurstPackets but written only for the burst's n packets: nearly every
+// call carries one packet (a host's single sends), and filling all 64 slots
+// would make that call pay for 64. The per-packet scratch types therefore
+// carry no member initialisers; the asserts below keep it that way.
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 
 #include "net/burst.h"
 #include "seg6/ctx.h"
 
 namespace srv6bpf::sim {
+
+static_assert(std::is_trivially_default_constructible_v<seg6::ProcessTrace>);
+static_assert(std::is_trivially_default_constructible_v<seg6::PipelineResult>);
 
 class Node;
 

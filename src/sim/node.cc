@@ -221,7 +221,6 @@ void Node::service_burst(CpuContext& ctx) {
 
   std::array<seg6::ProcessTrace, net::kMaxBurstPackets> traces;
   datapath_.process_burst(b, /*local_out=*/false, traces.data());
-  trace_ = traces[b.size() - 1];
 
   // Per-packet completion times are exactly the sequential model's: packet i
   // finishes when this core has served every packet before it plus itself.
@@ -275,7 +274,6 @@ void Node::process_and_dispatch(net::PacketBurst& b, bool local_out) {
 
   std::array<seg6::ProcessTrace, net::kMaxBurstPackets> traces;
   datapath_.process_burst(b, local_out, traces.data());
-  trace_ = traces[b.size() - 1];
   const TimeNs now = loop_->now();
   for (std::size_t i = 0; i < b.size(); ++i) b.meta(i).at_ns = now;
   dispatch_burst(b);

@@ -180,9 +180,6 @@ class Node {
   // label) — exposed so tests and benches can predict context placement.
   static std::uint32_t rss_hash(const net::Packet& pkt);
 
-  // Exposed for tests: the trace of the last packet through the pipeline.
-  const seg6::ProcessTrace& last_trace() const noexcept { return trace_; }
-
  private:
   friend class Datapath;
 
@@ -225,7 +222,6 @@ class Node {
   seg6::Netns ns_;
   std::vector<Iface> ifaces_;
   LocalHandler local_handler_;
-  seg6::ProcessTrace trace_;
   Datapath datapath_;
 
   std::vector<CpuContext> ctxs_;

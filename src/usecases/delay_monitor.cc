@@ -1,9 +1,10 @@
 #include "usecases/delay_monitor.h"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "ebpf/perf_event.h"
-#include "seg6/seg6local.h"
 #include "util/byteorder.h"
 
 namespace srv6bpf::usecases {
@@ -34,15 +35,10 @@ std::shared_ptr<seg6::LwtState> make_dm_encap_lwt(
   cfg.ctrl_port = ctrl_port;
   bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
 
-  auto built = build_dm_encap(cfg_id);
-  auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
-                       built.paper_sloc);
-  if (!load.ok())
-    throw std::runtime_error("dm_encap rejected: " + load.verify.error);
-
   auto lwt = std::make_shared<seg6::LwtState>();
   lwt->kind = seg6::LwtState::Kind::kBpf;
-  lwt->prog_xmit = load.prog;
+  lwt->prog_xmit =
+      load_or_throw(bpf, build_dm_encap(cfg_id), ebpf::ProgType::kLwtXmit);
   return lwt;
 }
 
@@ -80,16 +76,9 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
   auto& r_bpf = r_->ns().bpf();
   const std::uint32_t perf_id =
       ebpf::create_perf_event_array(r_bpf.maps(), "dm_events", 65536);
-  auto dm_built = build_end_dm(perf_id);
-  auto dm_load = r_bpf.load(dm_built.name, ebpf::ProgType::kLwtSeg6Local,
-                            dm_built.insns, dm_built.paper_sloc);
-  if (!dm_load.ok())
-    throw std::runtime_error("end_dm rejected: " + dm_load.verify.error);
-
-  seg6::Seg6LocalEntry dm_entry;
-  dm_entry.action = seg6::Seg6Action::kEndBPF;
-  dm_entry.prog = dm_load.prog;
-  r_->ns().seg6local().add(kDmSid, dm_entry);
+  bind_end_bpf(r_->ns(), kDmSid,
+               load_or_throw(r_bpf, build_end_dm(perf_id),
+                             ebpf::ProgType::kLwtSeg6Local));
 
   // S2: default route back through R; local sink.
   s2_fib.add_route(net::Prefix::parse("::/0").value(),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 #include "net/checksum.h"
 #include "net/srh.h"
@@ -52,28 +51,18 @@ std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
                                              const net::Ipv6Addr& sid1,
                                              const net::Ipv6Addr& sid2) {
   auto& bpf = node.ns().bpf();
-  ebpf::MapDef def;
-  def.type = ebpf::MapType::kArray;
-  def.key_size = 4;
-  def.value_size = sizeof(WrrConfig);
-  def.max_entries = 1;
-  def.name = node.name() + "_wrr_cfg";
-  const std::uint32_t cfg_id = bpf.maps().create(def);
+  const std::uint32_t cfg_id = bpf.maps().create(  // MapDef: 1-entry array
+      {.value_size = sizeof(WrrConfig), .name = node.name() + "_wrr_cfg"});
 
   WrrConfig cfg;
   std::memcpy(cfg.sid1, sid1.bytes().data(), 16);
   std::memcpy(cfg.sid2, sid2.bytes().data(), 16);
   bpf.maps().get(cfg_id)->put(std::uint32_t{0}, cfg);
 
-  auto built = build_wrr(cfg_id);
-  auto load = bpf.load(built.name, ebpf::ProgType::kLwtXmit, built.insns,
-                       built.paper_sloc);
-  if (!load.ok())
-    throw std::runtime_error("wrr rejected: " + load.verify.error);
-
   auto lwt = std::make_shared<seg6::LwtState>();
   lwt->kind = seg6::LwtState::Kind::kBpf;
-  lwt->prog_xmit = load.prog;
+  lwt->prog_xmit =
+      load_or_throw(bpf, build_wrr(cfg_id), ebpf::ProgType::kLwtXmit);
   return lwt;
 }
 
@@ -153,20 +142,11 @@ HybridLab::HybridLab(const Options& opts) : net_(/*seed=*/7) {
   // The CPE runs without the JIT (ARM32 JIT bug, §4.2).
   m_->ns().bpf().set_jit_enabled(false);
 
-  // End.DM-TWD SIDs on the CPE.
-  {
-    auto& bpf = m_->ns().bpf();
-    auto built = build_end_dm_twd();
-    auto load = bpf.load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                         built.insns, built.paper_sloc);
-    if (!load.ok())
-      throw std::runtime_error("end_dm_twd rejected: " + load.verify.error);
-    seg6::Seg6LocalEntry e;
-    e.action = seg6::Seg6Action::kEndBPF;
-    e.prog = load.prog;
-    m_->ns().seg6local().add(kMTwd1, e);
-    m_->ns().seg6local().add(kMTwd2, e);
-  }
+  // End.DM-TWD SIDs on the CPE: one program behind both.
+  const ebpf::ProgHandle twd = load_or_throw(
+      m_->ns().bpf(), build_end_dm_twd(), ebpf::ProgType::kLwtSeg6Local);
+  bind_end_bpf(m_->ns(), kMTwd1, twd);
+  bind_end_bpf(m_->ns(), kMTwd2, twd);
 
   mux_s1_ = std::make_unique<apps::AppMux>(*s1_);
   mux_s2_ = std::make_unique<apps::AppMux>(*s2_);

@@ -117,16 +117,9 @@ void OampLab::enable_oamp(sim::Node& node, const net::Ipv6Addr& iface_addr) {
   auto& bpf = node.ns().bpf();
   const std::uint32_t perf_id =
       ebpf::create_perf_event_array(bpf.maps(), node.name() + "_oamp", 1024);
-  auto built = build_end_oamp(perf_id);
-  auto load = bpf.load(built.name, ebpf::ProgType::kLwtSeg6Local, built.insns,
-                       built.paper_sloc);
-  if (!load.ok())
-    throw std::runtime_error("end_oamp rejected: " + load.verify.error);
-
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = load.prog;
-  node.ns().seg6local().add(oamp_sid_for(iface_addr), e);
+  bind_end_bpf(node.ns(), oamp_sid_for(iface_addr),
+               load_or_throw(bpf, build_end_oamp(perf_id),
+                             ebpf::ProgType::kLwtSeg6Local));
 
   // Responder daemon: answer the prober with this router's identity and the
   // ECMP nexthop set from the perf event.

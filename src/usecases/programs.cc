@@ -1,5 +1,8 @@
 #include "usecases/programs.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "seg6/helpers.h"
@@ -408,6 +411,25 @@ BuiltProgram build_percpu_counter(std::uint32_t cnt_map_id) {
       .mov32_imm(R0, static_cast<std::int32_t>(BPF_OK))
       .exit_();
   return {a.build(), 15, "per-CPU counter (BPF)"};
+}
+
+// ---- Loading and binding -------------------------------------------------------
+
+ProgHandle load_or_throw(BpfSystem& bpf, const BuiltProgram& built,
+                         ProgType type) {
+  auto load = bpf.load(built.name, type, built.insns, built.paper_sloc);
+  if (!load.ok())
+    throw std::runtime_error(std::string(built.name) +
+                             " rejected: " + load.verify.error);
+  return load.prog;
+}
+
+void bind_end_bpf(seg6::Netns& ns, const net::Ipv6Addr& sid,
+                  const ProgHandle& prog) {
+  seg6::Seg6LocalEntry e;
+  e.action = seg6::Seg6Action::kEndBPF;
+  e.prog = prog;
+  ns.seg6local().add(sid, e);
 }
 
 }  // namespace srv6bpf::usecases

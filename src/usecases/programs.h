@@ -29,7 +29,12 @@
 
 #include "ebpf/insn.h"
 #include "ebpf/map.h"
+#include "ebpf/vm.h"
 #include "net/ip6.h"
+
+namespace srv6bpf::seg6 {
+class Netns;
+}
 
 namespace srv6bpf::usecases {
 
@@ -108,9 +113,9 @@ struct OampEvent {
 static_assert(sizeof(OampEvent) == 152);
 
 // ---- Program builders ---------------------------------------------------------
-// Each returns the raw instruction stream; load via BpfSystem::load with the
-// indicated program type. `sloc` reports the paper's SLOC figure for the C
-// original, surfaced by the benchmarks.
+// Each returns the raw instruction stream; load via load_or_throw (below)
+// with the indicated program type. `sloc` reports the paper's SLOC figure for
+// the C original, surfaced by the benchmarks.
 
 struct BuiltProgram {
   std::vector<ebpf::Insn> insns;
@@ -133,5 +138,15 @@ BuiltProgram build_end_oamp(std::uint32_t perf_map_id);  // seg6local
 // servicing context is visible downstream. Race-free across the multi-core
 // Node's contexts by construction — the per-CPU map is the whole point.
 BuiltProgram build_percpu_counter(std::uint32_t cnt_map_id);  // seg6local
+
+// ---- Loading and binding -------------------------------------------------------
+
+// Loads `built` into `bpf` as a `type` program. Throws std::runtime_error
+// ("<name> rejected: <verifier error>") on a verifier rejection.
+ebpf::ProgHandle load_or_throw(ebpf::BpfSystem& bpf, const BuiltProgram& built,
+                               ebpf::ProgType type);
+// Binds `prog` to `sid` in `ns`'s SID table as End.BPF.
+void bind_end_bpf(seg6::Netns& ns, const net::Ipv6Addr& sid,
+                  const ebpf::ProgHandle& prog);
 
 }  // namespace srv6bpf::usecases

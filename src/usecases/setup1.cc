@@ -1,10 +1,6 @@
 #include "usecases/setup1.h"
 
 #include <cstdio>
-#include <stdexcept>
-#include <string>
-
-#include "seg6/seg6local.h"
 
 namespace srv6bpf::usecases {
 
@@ -32,19 +28,12 @@ Setup1::Setup1(std::uint64_t seed) : net(seed) {
 }
 
 void Setup1::add_end_bpf(const BuiltProgram& built) {
-  auto load = r->ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                 built.insns, built.paper_sloc);
-  if (!load.ok())
-    throw std::runtime_error(std::string(built.name) +
-                             " rejected: " + load.verify.error);
-  add_end_bpf(load.prog);
+  add_end_bpf(
+      load_or_throw(r->ns().bpf(), built, ebpf::ProgType::kLwtSeg6Local));
 }
 
 void Setup1::add_end_bpf(const ebpf::ProgHandle& prog) {
-  seg6::Seg6LocalEntry e;
-  e.action = seg6::Seg6Action::kEndBPF;
-  e.prog = prog;
-  r->ns().seg6local().add(sid, e);
+  bind_end_bpf(r->ns(), sid, prog);
 }
 
 void Setup1::add_fib48(std::size_t sites) {

@@ -270,7 +270,7 @@ TEST_P(JitEdgeTest, AddTlvReallocatesPacketIdenticallyOnAllEngines) {
     seg6::Seg6LocalEntry e;
     e.action = seg6::Seg6Action::kEndBPF;
     e.prog = load.prog;
-    seg6::ProcessTrace trace;
+    seg6::ProcessTrace trace{};
     const auto r = seg6local_process(ns, pkt, e, &trace);
     EXPECT_EQ(r.disposition, seg6::Disposition::kContinue);
     EXPECT_EQ(pkt.size(), before + 8);
@@ -396,7 +396,7 @@ TEST(NoNativeFallback, EndBpfStillBillsTheJitBucket) {
     seg6::Seg6LocalEntry e;
     e.action = seg6::Seg6Action::kEndBPF;
     e.prog = native ? load.prog : without_native(ns.bpf(), *load.prog);
-    seg6::ProcessTrace trace;
+    seg6::ProcessTrace trace{};
     const auto r = seg6local_process(ns, pkt, e, &trace);
     EXPECT_EQ(r.disposition, seg6::Disposition::kContinue);
     return std::pair{trace, std::vector<std::uint8_t>(

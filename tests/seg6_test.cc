@@ -130,6 +130,83 @@ TEST(FlowHash, SeesThroughEncapsulation) {
       << "ECMP must hash the inner flow so encapsulated flows stay pinned";
 }
 
+// The packet overload skips the hash on a one-nexthop route; on every route
+// it must pick exactly the nexthop the hash overload picks for the packet's
+// flow_hash, whatever headers the packet carries.
+TEST(Fib, PacketSelectionMatchesHashSelection) {
+  std::vector<net::Packet> pkts;
+  net::PacketSpec spec;
+  spec.src = A("fc00::1");
+  spec.dst = A("fc00::2");
+  for (std::uint16_t port = 1000; port < 1032; ++port) {
+    spec.src_port = port;
+    spec.segments.clear();
+    pkts.push_back(net::make_udp_packet(spec));  // plain UDP
+
+    net::Packet tunnelled = pkts.back();  // IPv6-in-IPv6, no SRH
+    net::Ipv6Header outer;
+    outer.src = A("fc00::98");
+    outer.dst = A("fc00::99");
+    outer.next_header = net::kProtoIpv6;
+    outer.payload_length = static_cast<std::uint16_t>(tunnelled.size());
+    outer.write(tunnelled.push_front(net::kIpv6HeaderSize));
+    pkts.push_back(std::move(tunnelled));
+
+    spec.segments = {A("fc00::e1"), A("fc00::d1")};
+    pkts.push_back(net::make_udp_packet(spec));  // SRH
+  }
+  const std::uint8_t runt[20] = {0x60};  // shorter than an IPv6 header
+  pkts.emplace_back(std::span<const std::uint8_t>(runt));
+
+  for (const std::vector<int>& weights :
+       {std::vector<int>{1}, std::vector<int>{1, 1},
+        std::vector<int>{5, 3, 1}}) {
+    Route route;
+    route.prefix = P("fc00::/16");
+    for (std::size_t k = 0; k < weights.size(); ++k)
+      route.nexthops.push_back(
+          {net::Ipv6Addr{}, static_cast<int>(k + 1), weights[k]});
+    std::vector<bool> picked(weights.size() + 1, false);
+    for (const net::Packet& pkt : pkts) {
+      const Nexthop& nh = Fib::select_nexthop(route, pkt);
+      EXPECT_EQ(&nh, &Fib::select_nexthop(route, flow_hash(pkt)))
+          << weights.size() << " nexthops, " << pkt.size() << "-byte packet";
+      picked[static_cast<std::size_t>(nh.oif)] = true;
+    }
+    // The flows spread over the multipath routes, so the comparison above
+    // covers more than one nexthop of each.
+    EXPECT_EQ(std::count(picked.begin(), picked.end(), true),
+              static_cast<std::ptrdiff_t>(weights.size()));
+  }
+}
+
+// Local addresses at a /48 site sink's scale: 2,048 addresses that differ
+// only in group 2 are all local, and a one-bit flip in byte 0, 8 or 15 of
+// any of them is not.
+TEST(Netns, IsLocalAtSiteSinkScale) {
+  Netns ns("sink");
+  std::vector<net::Ipv6Addr> addrs;
+  for (unsigned i = 0; i < 2048; ++i) {
+    net::Ipv6Addr a = A("2001:db8::2");
+    a.bytes()[4] = static_cast<std::uint8_t>(i >> 8);
+    a.bytes()[5] = static_cast<std::uint8_t>(i);
+    addrs.push_back(a);
+    ns.add_local_addr(a);
+  }
+  int local = 0;
+  int flipped_local = 0;
+  for (const net::Ipv6Addr& a : addrs) {
+    local += ns.is_local(a) ? 1 : 0;
+    for (const std::size_t byte : {0u, 8u, 15u}) {
+      net::Ipv6Addr flipped = a;
+      flipped.bytes()[byte] ^= 1;
+      flipped_local += ns.is_local(flipped) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(local, 2048);
+  EXPECT_EQ(flipped_local, 0);
+}
+
 // ---- behaviour primitives -------------------------------------------------------
 
 TEST(Seg6Local, AdvanceRewritesDestination) {
@@ -203,7 +280,7 @@ class Seg6LocalTest : public ::testing::Test {
     ns_.table(0).add_route(P("fc00::/16"), {A("fe80::1"), 0, 1});
   }
   Netns ns_;
-  ProcessTrace trace_;
+  ProcessTrace trace_{};
 };
 
 TEST_F(Seg6LocalTest, EndContinues) {
@@ -600,7 +677,7 @@ TEST_P(Seg6HelperTest, PinsDispositionBytesDstAndTrace) {
   ASSERT_TRUE(res.ok()) << res.verify.error;
 
   net::Packet pkt = make_input(c.input);
-  ProcessTrace trace;
+  ProcessTrace trace{};
   PipelineResult r;
   if (c.end_bpf) {
     Seg6LocalEntry e;

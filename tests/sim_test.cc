@@ -159,14 +159,14 @@ TEST(Netem, JitterVariesButKeepsOrder) {
 // ---- cost model ------------------------------------------------------------------
 
 TEST(CostModel, BaselineMatches610Kpps) {
-  seg6::ProcessTrace t;
+  seg6::ProcessTrace t{};
   const auto cost = packet_cost_ns(kXeonProfile, t);
   // 610 kpps -> 1639.3 ns.
   EXPECT_NEAR(1e9 / static_cast<double>(cost), 610e3, 2e3);
 }
 
 TEST(CostModel, ComponentsAreAdditive) {
-  seg6::ProcessTrace t;
+  seg6::ProcessTrace t{};
   t.seg6local_ops = 1;
   t.bpf_runs = 1;
   t.bpf_insns_jit = 100;
@@ -180,7 +180,7 @@ TEST(CostModel, ComponentsAreAdditive) {
 }
 
 TEST(CostModel, InterpreterCostsMoreThanJit) {
-  seg6::ProcessTrace jit, interp;
+  seg6::ProcessTrace jit{}, interp{};
   jit.bpf_insns_jit = 200;
   interp.bpf_insns_interp = 200;
   EXPECT_GT(packet_cost_ns(kXeonProfile, interp),
