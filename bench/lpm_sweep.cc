@@ -1,30 +1,27 @@
 // LPM sweep — what the multibit-stride trie buys over the bit-by-bit walk.
 //
-// Two views:
-//   * micro: lookup ns/op of the stride engine (util::LpmTrie) vs the
-//     classic one-bit-per-node walk it replaced (util::BitwiseLpmTrie, kept
-//     as the oracle) over three prefix-set shapes — the /48-heavy FIB the
-//     paper's SRv6 deployments route on, a mixed /32+/48+/64 table and a
-//     /128 host-route table. The engines are also cross-checked per key
-//     (identical match ids), so this doubles as a coarse differential.
-//   * end-to-end: the fig2 topology (S1 -> R -> S2, Xeon-modelled R) with a
-//     /48-heavy FIB at R and TrafGen::Config::dst_spread cycling the
-//     destination over every /48 — multi-destination traffic that defeats
-//     the one-entry FibCacheSlot, so every burst group pays a real trie
-//     walk. Reported as simulated-packets-per-wall-second.
+// Lookup ns/op of the stride engine (util::LpmTrie) vs the classic
+// one-bit-per-node walk it replaced (util::BitwiseLpmTrie, kept as the
+// oracle) over three prefix-set shapes — the /48-heavy FIB the paper's SRv6
+// deployments route on, a mixed /32+/48+/64 table and a /128 host-route
+// table. The engines are also cross-checked per key (identical match ids),
+// so this doubles as a coarse differential. The end-to-end view, fig2 with
+// a /48-heavy FIB at R and dst_spread traffic, is bench_hotpath's
+// fig2_fib48 scenario.
 //
-// The gates: stride >= 2x bitwise on the /48-heavy micro workload, and the
-// end-to-end sink rate >= 550 simulated kpps. The speedup is wall-clock
-// based but host-factor-free (same machine, same keys, back to back), so,
-// unlike the other benches' wall ratios, it is a hard gate in every mode,
-// --quick included.
+// The gate: stride >= 2x bitwise on the /48-heavy workload. The speedup is
+// wall-clock based but host-factor-free (same machine, same keys, back to
+// back), so, unlike the other benches' wall ratios, it is a hard gate in
+// every mode, --quick included.
 //
 // Writes BENCH_lpm.json (flags and exit status: bench/report.h).
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "report.h"
 #include "util/lpm_trie.h"
 #include "util/rng.h"
 
@@ -33,8 +30,7 @@ using namespace srv6bpf::bench;
 
 namespace {
 
-constexpr double kGate = 2.0;  // ISSUE 4: stride >= 2x bitwise on fib48
-constexpr double kOfferedPps = 3e6;
+constexpr double kGate = 2.0;  // stride >= 2x bitwise on fib48
 
 struct Key16 {
   std::uint8_t b[16] = {};
@@ -207,63 +203,16 @@ double run_micro(const Workload& w, double min_wall_s, Obj& row) {
   return speedup;
 }
 
-// fig2 with a fat FIB: R routes kFib48Routes /48 sites toward S2, TrafGen
-// cycles the destination across all of them (dst_spread), so the one-entry
-// cache slot never answers and the stride trie carries the lwt/fib stage.
-// Returns the sink rate in simulated kpps.
-double run_fig2_fib48(sim::TimeNs duration, Obj& e) {
-  Setup1 lab;
-  lab.add_fib48(kFib48Routes);
-
-  apps::TrafGen::Config cfg;
-  cfg.spec.src = lab.s1_addr;
-  cfg.spec.dst = net::Ipv6Addr::must_parse("2001:db8::2");
-  cfg.spec.payload_size = 64;
-  cfg.spec.dst_port = 7001;
-  cfg.pps = kOfferedPps;
-  cfg.dst_spread = kFib48Routes;
-  cfg.start_at = lab.net.now();
-  cfg.duration = duration + 80 * sim::kMilli;
-  lab.gen = std::make_unique<apps::TrafGen>(*lab.s1, cfg);
-  lab.gen->start();
-
-  lab.net.run_for(30 * sim::kMilli);  // warm-up
-  lab.sink->reset();
-  // Snapshot the generator so offered / wall_s covers exactly the timed
-  // window (the warm-up's packets are in neither numerator nor denominator).
-  const std::uint64_t sent0 = lab.gen->sent();
-  const auto t0 = std::chrono::steady_clock::now();
-  const sim::TimeNs sim0 = lab.net.now();
-  lab.net.run_for(duration);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const std::uint64_t offered = lab.gen->sent() - sent0;
-  const double sim_kpps = lab.sink->meter().kpps(lab.net.now() - sim0);
-  e.num("routes", kFib48Routes)
-      .num("offered_pps", kOfferedPps, 0)
-      .num("sim_kpps", sim_kpps, 1)
-      .num("offered", offered)
-      .num("delivered", lab.sink->packets())
-      .num("fib_cache_hits", lab.r->ns().table(0).cache_hits())
-      .num("wall_s", wall_s, 4)
-      .num("sim_pkts_per_wall_s",
-           wall_s > 0 ? static_cast<double>(offered) / wall_s : 0, 0);
-  return sim_kpps;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Mode mode = parse_mode(argc, argv);
   const double micro_window_s = mode.quick ? 0.05 : 0.4;  // per engine per pass
-  const sim::TimeNs duration = (mode.quick ? 50 : 200) * sim::kMilli;
   Report rep("BENCH_lpm.json", mode,
              "LPM sweep: multibit-stride trie vs the bit-by-bit walk",
              "every forwarded packet and lwt_seg6_action reroute walks the "
              "FIB; a /48 lookup must cost byte hops, not 48 bit tests");
-  rep.str("bench", "lpm_sweep")
-      .num("duration_ms", static_cast<double>(duration) / 1e6, 0);
+  rep.str("bench", "lpm_sweep");
 
   Rng rng(0x48);
   const std::vector<Workload> workloads = {make_fib48(rng),
@@ -275,13 +224,10 @@ int main(int argc, char** argv) {
     if (w.name == "fib48") speedup_fib48 = speedup;
   }
 
-  const double fib48_kpps = run_fig2_fib48(duration, rep.obj("fig2_fib48"));
   rep.num("speedup_fib48", speedup_fib48, 2).num("gate", kGate, 2);
   // Same-host back-to-back ratio: host-independent enough to enforce in
   // every mode (the stride engine wins by an integer factor, not noise).
   rep.gate(speedup_fib48 >= kGate, "fib48 stride speedup %.2f below %.2f",
            speedup_fib48, kGate);
-  rep.gate(fib48_kpps >= 550, "fig2_fib48 sink rate %.1f kpps below 550",
-           fib48_kpps);
   return rep.finish();
 }

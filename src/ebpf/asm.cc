@@ -197,8 +197,22 @@ std::string disasm(const Insn& insn) {
 std::string disasm(const std::vector<Insn>& prog) {
   std::ostringstream os;
   for (std::size_t i = 0; i < prog.size(); ++i) {
-    os << i << ": " << disasm(prog[i]) << "\n";
-    if (prog[i].is_ld_imm64()) ++i;  // skip the second slot
+    const Insn& insn = prog[i];
+    os << i << ": ";
+    if (insn.is_ld_imm64() && insn.src != BPF_PSEUDO_MAP_FD &&
+        i + 1 < prog.size()) {
+      // The second slot holds the high half: print the value the pair
+      // loads, not only its low word.
+      const std::uint64_t lo = static_cast<std::uint32_t>(insn.imm);
+      const std::uint64_t hi = static_cast<std::uint32_t>(prog[i + 1].imm);
+      const std::uint64_t imm = (hi << 32) | lo;
+      os << "ld_imm64 r" << int(insn.dst) << ", 0x" << std::hex << imm
+         << std::dec;
+    } else {
+      os << disasm(insn);
+    }
+    os << "\n";
+    if (insn.is_ld_imm64()) ++i;  // skip the second slot
   }
   return os.str();
 }

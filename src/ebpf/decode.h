@@ -14,11 +14,13 @@
 // memory bounds checks and an amortised step budget. This mirrors the Linux
 // kernel split between the eBPF JIT output and the ___bpf_prog_run
 // computed-goto core: both consume a decode-once representation.
+//
+// Only the engines read this form; listings print the raw stream instead
+// (disasm in ebpf/insn.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "ebpf/helpers.h"
@@ -97,9 +99,6 @@ class DecodedProgram {
   const DecodedInsn* data() const noexcept { return ops_.data(); }
   std::size_t size() const noexcept { return ops_.size(); }
   const std::vector<DecodedInsn>& ops() const noexcept { return ops_; }
-
-  // Human-readable listing, one op per line (ebpf/disasm.h).
-  std::string dump() const;
 
  private:
   friend std::shared_ptr<const DecodedProgram> decode_program(

@@ -196,24 +196,4 @@ void register_generic_helpers(HelperRegistry& reg) {
       do_trace_printk);
 }
 
-std::string helper_name(std::int32_t id) {
-  switch (id) {
-    case helper::MAP_LOOKUP_ELEM: return "map_lookup_elem";
-    case helper::MAP_UPDATE_ELEM: return "map_update_elem";
-    case helper::MAP_DELETE_ELEM: return "map_delete_elem";
-    case helper::KTIME_GET_NS: return "ktime_get_ns";
-    case helper::TRACE_PRINTK: return "trace_printk";
-    case helper::GET_PRANDOM_U32: return "get_prandom_u32";
-    case helper::GET_SMP_PROCESSOR_ID: return "get_smp_processor_id";
-    case helper::PERF_EVENT_OUTPUT: return "perf_event_output";
-    case helper::SKB_LOAD_BYTES: return "skb_load_bytes";
-    case helper::LWT_PUSH_ENCAP: return "lwt_push_encap";
-    case helper::LWT_SEG6_STORE_BYTES: return "lwt_seg6_store_bytes";
-    case helper::LWT_SEG6_ADJUST_SRH: return "lwt_seg6_adjust_srh";
-    case helper::LWT_SEG6_ACTION: return "lwt_seg6_action";
-    case helper::FIB_ECMP_NEXTHOPS: return "fib_ecmp_nexthops";
-  }
-  return "helper#" + std::to_string(id);
-}
-
 }  // namespace srv6bpf::ebpf

@@ -1,8 +1,10 @@
 // eBPF helper functions: the kernel-side proxies callable from programs.
 //
 // Each helper has a numeric id (matching include/uapi/linux/bpf.h for the
-// real ones), a type signature used by the verifier to validate call sites,
-// and an implementation receiving the 5 argument registers plus the ExecEnv.
+// real ones), a name and a type signature (HelperProto, registered once with
+// the implementation; the verifier validates call sites against the
+// signature and names the helper in its errors), and an implementation
+// receiving the 5 argument registers plus the ExecEnv.
 //
 // The four SRv6 helpers the paper contributes (ids 73-76, merged in Linux
 // 4.18) are implemented in src/seg6/helpers.cc because they need the packet
@@ -108,9 +110,5 @@ class HelperRegistry {
 // Registers map_lookup/update/delete, ktime_get_ns, get_prandom_u32,
 // get_smp_processor_id, perf_event_output, skb_load_bytes and trace_printk.
 void register_generic_helpers(HelperRegistry& reg);
-
-// Human-readable name for a helper id ("helper#N" for unknown ids); used by
-// the disassembler so dump() output names call targets.
-std::string helper_name(std::int32_t id);
 
 }  // namespace srv6bpf::ebpf

@@ -159,7 +159,8 @@ inline constexpr std::uint64_t BPF_REDIRECT = 7;
 // and verifier error messages).
 std::string disasm(const Insn& insn);
 
-// Disassemble a whole program, one instruction per line with indices.
+// Disassemble a whole program, one instruction per line with indices. An
+// ld_imm64 pair takes one line, with its full 64-bit immediate.
 std::string disasm(const std::vector<Insn>& prog);
 
 }  // namespace srv6bpf::ebpf

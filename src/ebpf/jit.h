@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "ebpf/decode.h"
 #include "ebpf/helpers.h"
@@ -49,10 +48,6 @@ class CompiledProgram {
 
   const DecodedProgram& decoded() const noexcept { return *decoded_; }
   std::size_t op_count() const noexcept { return decoded_->size(); }
-
-  // Disassembly of the decoded form plus the emitted-code size (or the
-  // fallback notice); differential-test failures print this.
-  std::string dump() const;
 
  private:
   std::shared_ptr<const DecodedProgram> decoded_;

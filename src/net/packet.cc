@@ -22,7 +22,6 @@ Packet::Packet(const Packet& other)
   ingress_ifindex = other.ingress_ifindex;
   rx_tstamp_ns = other.rx_tstamp_ns;
   tx_tstamp_ns = other.tx_tstamp_ns;
-  flow_id = other.flow_id;
   seq = other.seq;
   if (other.buf_ != nullptr) {
     buf_ = BufferPool::acquire(other.head_ + other.len_);
@@ -53,7 +52,6 @@ Packet& Packet::operator=(const Packet& other) {
   ingress_ifindex = other.ingress_ifindex;
   rx_tstamp_ns = other.rx_tstamp_ns;
   tx_tstamp_ns = other.tx_tstamp_ns;
-  flow_id = other.flow_id;
   seq = other.seq;
   return *this;
 }
@@ -65,7 +63,6 @@ Packet::Packet(Packet&& other) noexcept
   ingress_ifindex = other.ingress_ifindex;
   rx_tstamp_ns = other.rx_tstamp_ns;
   tx_tstamp_ns = other.tx_tstamp_ns;
-  flow_id = other.flow_id;
   seq = other.seq;
   other.buf_ = nullptr;
   other.head_ = 0;
@@ -83,7 +80,6 @@ Packet& Packet::operator=(Packet&& other) noexcept {
   ingress_ifindex = other.ingress_ifindex;
   rx_tstamp_ns = other.rx_tstamp_ns;
   tx_tstamp_ns = other.tx_tstamp_ns;
-  flow_id = other.flow_id;
   seq = other.seq;
   other.buf_ = nullptr;
   other.head_ = 0;

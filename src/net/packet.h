@@ -79,7 +79,6 @@ class Packet {
   std::uint32_t ingress_ifindex = 0;
   std::uint64_t rx_tstamp_ns = 0;   // set by the receiving node
   std::uint64_t tx_tstamp_ns = 0;   // set when first transmitted
-  std::uint64_t flow_id = 0;        // generator-assigned, for tracing/stats
   std::uint32_t seq = 0;            // generator sequence number
 
   // ---- convenience views (outermost headers) ----

@@ -37,10 +37,8 @@ std::uint32_t Netns::prandom() {
                                     32);
 }
 
-Seg6BurstRunner::Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog)
-    : ns_(ns) {
+Seg6BurstRunner::Seg6BurstRunner(Netns& ns) : ns_(ns) {
   ctx_.netns = &ns;
-  ctx_.prog_type = prog.type();
   ctx_.skb.protocol = ebpf::kEthPIpv6Be;
   env_.user = &ctx_;
   env_.now_ns = [&ns] { return ns.now(); };
@@ -57,7 +55,6 @@ Seg6BurstRunner::Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog)
 void Seg6BurstRunner::prepare(net::Packet& pkt, ProcessTrace* trace) {
   ctx_.pkt = &pkt;
   ctx_.trace = trace;
-  ctx_.now_ns = ns_.now();
   ctx_.srh_dirty = false;
   ctx_.packet_replaced = false;
   ctx_.dst_set = false;

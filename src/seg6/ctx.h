@@ -65,7 +65,6 @@ struct ProcessTrace {
   std::uint64_t helper_calls;
   int encaps;
   int decaps;
-  bool dropped;
 
   void reset() { *this = ProcessTrace{}; }
 };
@@ -77,9 +76,7 @@ struct Seg6ProgCtx {
   net::Packet* pkt = nullptr;
   ebpf::SkbCtx skb;              // the ctx struct the program sees
   ebpf::ExecEnv* env = nullptr;  // to refresh packet regions after resizes
-  ebpf::ProgType prog_type = ebpf::ProgType::kLwtSeg6Local;
   ProcessTrace* trace = nullptr;
-  std::uint64_t now_ns = 0;
 
   bool srh_dirty = false;        // SRH bytes/size modified -> revalidate
   bool packet_replaced = false;  // encap/decap/resize happened
@@ -166,7 +163,7 @@ class Netns {
 // per-packet helper flags.
 class Seg6BurstRunner {
  public:
-  Seg6BurstRunner(Netns& ns, const ebpf::LoadedProgram& prog);
+  explicit Seg6BurstRunner(Netns& ns);
   Seg6BurstRunner(const Seg6BurstRunner&) = delete;
   Seg6BurstRunner& operator=(const Seg6BurstRunner&) = delete;
 
@@ -207,7 +204,7 @@ void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
                          std::span<net::Packet* const> pkts,
                          ProcessTrace* const* traces,
                          PerPacket&& per_packet) {
-  Seg6BurstRunner runner(ns, prog);
+  Seg6BurstRunner runner(ns);
   for (std::size_t k = 0; k < pkts.size(); ++k) {
     runner.prepare(*pkts[k], traces[k]);
     const ebpf::ExecResult exec =

@@ -32,17 +32,16 @@ struct Nexthop {
   friend bool operator==(const Nexthop&, const Nexthop&) = default;
 };
 
-// Lightweight tunnel state attached to a route (seg6 / seg6 inline / BPF).
+// Lightweight tunnel state attached to a route (seg6 encap / BPF), applied
+// at the route's xmit hook (seg6/lwt.h).
 struct LwtState {
-  enum class Kind { kNone, kSeg6Encap, kSeg6Inline, kBpf };
+  enum class Kind { kNone, kSeg6Encap, kBpf };
   Kind kind = Kind::kNone;
 
-  // kSeg6Encap / kSeg6Inline: segment list in travel order.
+  // kSeg6Encap: segment list in travel order.
   std::vector<net::Ipv6Addr> segments;
 
-  // kBpf: programs per LWT hook (any may be null).
-  ebpf::ProgHandle prog_in;
-  ebpf::ProgHandle prog_out;
+  // kBpf: the xmit hook's program (null: the route forwards untouched).
   ebpf::ProgHandle prog_xmit;
 };
 

@@ -25,12 +25,6 @@ PipelineResult lwt_bpf_epilogue(net::Packet& pkt, const ebpf::ExecResult& exec,
   }
 }
 
-const ebpf::ProgHandle& lwt_prog_for_hook(const LwtState& lwt, LwtHook hook) {
-  return hook == LwtHook::kIn    ? lwt.prog_in
-         : hook == LwtHook::kOut ? lwt.prog_out
-                                 : lwt.prog_xmit;
-}
-
 }  // namespace
 
 PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
@@ -40,24 +34,14 @@ PipelineResult lwt_process(Netns& ns, net::Packet& pkt, const LwtState& lwt,
       return PipelineResult::use_route();
 
     case LwtState::Kind::kSeg6Encap: {
-      // Only encapsulate once, at the xmit stage.
-      if (hook != LwtHook::kXmit) return PipelineResult::use_route();
       if (!seg6_do_encap(pkt, lwt.segments, ns.encap_src(pkt)))
         return PipelineResult::drop();
       if (trace != nullptr) ++trace->encaps;
       return PipelineResult::cont(0);
     }
 
-    case LwtState::Kind::kSeg6Inline: {
-      if (hook != LwtHook::kXmit) return PipelineResult::use_route();
-      if (!seg6_do_inline(pkt, lwt.segments)) return PipelineResult::drop();
-      if (trace != nullptr) ++trace->encaps;
-      return PipelineResult::cont(0);
-    }
-
     case LwtState::Kind::kBpf: {
-      if (lwt_prog_for_hook(lwt, hook) == nullptr)
-        return PipelineResult::use_route();
+      if (lwt.prog_xmit == nullptr) return PipelineResult::use_route();
       net::Packet* const one = &pkt;
       PipelineResult result;
       lwt_process_burst(ns, {&one, 1}, lwt, hook, &trace, &result);
@@ -71,17 +55,15 @@ void lwt_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                        const LwtState& lwt, LwtHook hook,
                        ProcessTrace* const* traces, PipelineResult* results) {
   const std::size_t n = pkts.size();
-  const ebpf::ProgHandle* prog = nullptr;
-  if (lwt.kind == LwtState::Kind::kBpf) prog = &lwt_prog_for_hook(lwt, hook);
   // Non-BPF tunnel kinds are plain header surgery; only a BPF program has
   // per-invocation setup worth amortising.
-  if (prog == nullptr || *prog == nullptr) {
+  if (lwt.kind != LwtState::Kind::kBpf || lwt.prog_xmit == nullptr) {
     for (std::size_t i = 0; i < n; ++i)
       results[i] = lwt_process(ns, *pkts[i], lwt, hook, traces[i]);
     return;
   }
 
-  run_prog_over_burst(ns, **prog, pkts, traces,
+  run_prog_over_burst(ns, *lwt.prog_xmit, pkts, traces,
                       [&](std::size_t k, const ebpf::ExecResult& exec,
                           const Seg6BurstRunner::Verdict& v) {
                         results[k] = lwt_bpf_epilogue(*pkts[k], exec,

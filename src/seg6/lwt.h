@@ -1,6 +1,9 @@
-// Lightweight tunnels attached to routes: the seg6 transit behaviours
-// (T.Encaps / T.Insert, the `seg6` iproute2 encap type) and route-attached
-// BPF programs (the `bpf` encap type with in/out/xmit sections).
+// Lightweight tunnels attached to routes: the seg6 transit encapsulation
+// (T.Encaps, the `seg6` iproute2 encap type) and route-attached BPF
+// programs on the xmit hook (the `bpf` encap type's `xmit` section, the
+// hook the paper's §4.1 and §4.2 programs use). The datapath runs every
+// route tunnel at xmit; the hook stays a parameter so each call site names
+// it.
 #pragma once
 
 #include <span>
@@ -11,7 +14,7 @@
 
 namespace srv6bpf::seg6 {
 
-enum class LwtHook { kIn, kOut, kXmit };
+enum class LwtHook { kXmit };
 
 // Applies a route's tunnel state to a packet being forwarded by that route.
 // Dispositions:

@@ -68,7 +68,6 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
     net::Packet& p = b.pkt(i);
     if (p.size() < net::kIpv6HeaderSize || p.ipv6().version() != 6) {
       stats.note_drop(DropReason::kMalformed, drop_time(p));
-      traces[i].dropped = true;
       finish_drop(i);
     }
   }
@@ -89,7 +88,6 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
       switch (st.r[i].disposition) {
         case seg6::Disposition::kDrop:
           stats.note_drop(DropReason::kVerdict, drop_time(p));
-          traces[i].dropped = true;
           finish_drop(i);
           break;
         case seg6::Disposition::kLocal:
@@ -112,7 +110,6 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
             if (hl <= 1) {
               stats.note_drop(DropReason::kTtl, drop_time(p));
               node.send_icmp_time_exceeded(p);
-              traces[i].dropped = true;
               finish_drop(i);
               break;
             }
@@ -168,7 +165,6 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
       if (route == nullptr) {
         for (std::size_t k = 0; k < m; ++k) {
           stats.note_drop(DropReason::kNoRoute, drop_time(*gp[k]));
-          gt[k]->dropped = true;
           finish_drop(start + k);
         }
         continue;
@@ -195,7 +191,6 @@ void Datapath::process_burst(net::PacketBurst& b, bool local_out,
           if (!frr.segments.empty()) {
             if (!seg6::seg6_do_encap(p, frr.segments, ns.encap_src(p))) {
               stats.note_drop(DropReason::kLinkDown, drop_time(p));
-              gt[k]->dropped = true;
               finish_drop(start + k);
               return;
             }

@@ -55,8 +55,9 @@ class Link {
   // Administrative/physical link state. While down, transmits from either
   // side are dropped at the egress (counted in SideStats::drops_link_down);
   // packets already on the wire still arrive — propagation is not recalled,
-  // exactly like a fiber cut behind a long haul. Nodes consult is_up() for
-  // fast-reroute (seg6::FrrBackup) before handing a burst to the link.
+  // exactly like a fiber cut behind a long haul. Nodes read their side's
+  // side_up() (Node::iface_link_down) for fast-reroute (seg6::FrrBackup)
+  // before handing a burst to the link.
   // Network::schedule_link_down/up flip this from the event loop.
   //
   // The carrier is replicated per side: each end's domain flips (and reads)
@@ -64,7 +65,6 @@ class Link {
   // virtual instant without either thread touching the other's state. The
   // serial simulator flips both replicas in one event; set_up keeps doing
   // exactly that.
-  bool is_up() const noexcept { return side_up_[0] && side_up_[1]; }
   void set_up(bool up) noexcept { side_up_[0] = side_up_[1] = up; }
   bool side_up(int side) const noexcept { return side_up_[side]; }
   void set_side_up(int side, bool up) noexcept { side_up_[side] = up; }

@@ -112,7 +112,6 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
                     s.tx_ns = load_unaligned<std::uint64_t>(payload.data());
                     s.rx_ns = load_unaligned<std::uint64_t>(payload.data() + 8);
                     samples_.push_back(s);
-                    ++ctrl_rx_;
                   });
 
   // The user-space daemon on R: poll the perf ring, relay to the controller

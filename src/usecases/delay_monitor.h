@@ -8,7 +8,11 @@
 // controller in a UDP datagram.
 //
 // Lab layout (paper Figure 1, setup 1):
-//     S1 ---- R ---- S2        (10 Gbps links; R's CPU is the bottleneck)
+//     S1 ---- R ---- S2        (10 Gbps links)
+//
+// No node enables its CPU model (sim::Node::cpu), so R adds no queueing:
+// an OWD sample reads the S1 -> R link delay plus the probe's time on the
+// wire.
 #pragma once
 
 #include <memory>
@@ -64,7 +68,6 @@ class DelayMonitorLab {
   // Results.
   const std::vector<OwdSample>& samples() const noexcept { return samples_; }
   std::uint64_t sink_packets() const;
-  std::uint64_t controller_datagrams() const noexcept { return ctrl_rx_; }
   std::uint64_t probes_emitted() const noexcept { return probes_; }
 
   // The classic-BPF filters gating both receive sockets, compiled from
@@ -95,7 +98,6 @@ class DelayMonitorLab {
   std::unique_ptr<apps::TrafGen> gen_;
   std::unique_ptr<apps::PerfPoller> poller_;
   std::vector<OwdSample> samples_;
-  std::uint64_t ctrl_rx_ = 0;
   std::uint64_t probes_ = 0;
 };
 

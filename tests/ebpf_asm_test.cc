@@ -80,7 +80,14 @@ TEST(Disasm, ReadableOutput) {
       .add64_reg(R1, R2)
       .ldx(BPF_W, R0, R1, 4)
       .stx(BPF_DW, R10, R0, -8)
+      .ld_imm64(R3, 0xfedcba9876543210ull)
+      .ld_map(R4, 7)
+      .jeq_imm(R3, 42, "out")
+      .st(BPF_H, R10, -16, 9)
+      .to_be(R3, 16)
+      .neg64(R1)
       .call(5)
+      .label("out")
       .exit_();
   const std::string text = disasm(a.build());
   EXPECT_NE(text.find("mov64 r1, 5"), std::string::npos);
@@ -88,6 +95,16 @@ TEST(Disasm, ReadableOutput) {
   EXPECT_NE(text.find("ldxu32 r0, [r1+4]"), std::string::npos);
   EXPECT_NE(text.find("call 5"), std::string::npos);
   EXPECT_NE(text.find("exit"), std::string::npos);
+  // An ld_imm64 pair is one line with the whole 64-bit immediate, and the
+  // listing goes on at the slot after the pair: no line for slot 5 or 7.
+  EXPECT_NE(text.find("\n4: ld_imm64 r3, 0xfedcba9876543210\n"
+                      "6: ld_map r4, map#7\n"
+                      "8: jeq r3, 42, +4\n"
+                      "9: stu16 [r10-16], 9\n"
+                      "10: be16 r3\n"
+                      "11: neg64 r1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(Insn, FieldPredicates) {

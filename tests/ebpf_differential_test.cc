@@ -14,10 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "ebpf/asm.h"
-#include "ebpf/disasm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
 #include "ebpf/vm.h"
@@ -243,15 +243,17 @@ struct EngineObservation {
   std::vector<std::uint64_t> map_values;
 };
 
-// Decoded-form disassembly plus emitted-code size; built lazily, only when
-// an assertion fails (gtest evaluates the streamed expression on failure).
+// Program listing plus emitted-code size; built lazily, only when an
+// assertion fails (gtest evaluates the streamed expression on failure).
 std::string dump_program(const std::vector<Insn>& insns) {
   BpfSystem sys;
   const MapDef def{MapType::kArray, 4, 8, kMapEntries, "m"};
   sys.maps().create(def);
   auto load = sys.load("dump", ProgType::kLwtSeg6Local, insns);
   if (!load.ok()) return "(program no longer loads)\n" + disasm(insns);
-  return load.prog->compiled().dump();
+  return disasm(insns) + "native: " +
+         std::to_string(load.prog->compiled().native_code_size()) +
+         " bytes\n";
 }
 
 EngineObservation run_on(EngineKind engine, const std::vector<Insn>& insns) {

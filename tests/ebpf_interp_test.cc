@@ -1,6 +1,6 @@
 // Instruction-semantics tests, run against ALL execution engines through a
-// parameterized fixture: any divergence between the interpreters and the
-// native x86-64 JIT is a bug by definition.
+// parameterized fixture (engine_fixture.h): any divergence between the
+// interpreters and the native x86-64 JIT is a bug by definition.
 #include <gtest/gtest.h>
 
 #include "ebpf/asm.h"
@@ -11,45 +11,14 @@
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/vm.h"
+#include "engine_fixture.h"
 
 namespace srv6bpf::ebpf {
 namespace {
 
-class EngineTest : public ::testing::TestWithParam<EngineKind> {
- protected:
-  // Runs a program through the selected engine: the pre-decoded threaded
-  // interpreter, the legacy decode-every-step interpreter, or the native
-  // x86-64 JIT (which falls back to the pre-decoded interpreter on
-  // unsupported hosts). All programs in this file are verifiable.
-  ExecResult run(const std::vector<Insn>& insns, std::uint64_t ctx = 0) {
-    BpfSystem sys;
-    auto load = sys.load("t", ProgType::kLwtSeg6Local, insns);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
-    if (!load.ok()) return {};
-    ExecEnv env;
-    sys.set_engine(GetParam());
-    return sys.run(*load.prog, env, ctx);
-  }
-
-  std::uint64_t eval(const std::vector<Insn>& insns) {
-    const ExecResult r = run(insns);
-    EXPECT_TRUE(r.ok()) << r.error;
-    return r.ret;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
-                         ::testing::Values(EngineKind::kInterp,
-                                           EngineKind::kInterpBaseline,
-                                           EngineKind::kNative),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case EngineKind::kInterp: return "Interp";
-                             case EngineKind::kInterpBaseline:
-                               return "InterpBaseline";
-                             default: return "Native";
-                           }
-                         });
+using EngineTest = EngineFixture;
+INSTANTIATE_TEST_SUITE_P(Engines, EngineTest, ::testing::ValuesIn(kEngines),
+                         engine_param_name);
 
 // ---- ALU64 -------------------------------------------------------------------
 

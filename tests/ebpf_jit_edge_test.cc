@@ -1,6 +1,6 @@
 // JIT edge cases the random differential generator under-samples.
 //
-// Every test runs on all three engines (parameterized fixture): the native
+// Every test runs on all three engines (engine_fixture.h): the native
 // x86-64 JIT is the newest and most delicate — division must not trap,
 // 32-bit ops must zero-extend, the BPF stack boundary must be addressable,
 // and helper-driven packet reallocation must not leave stale pointers — but
@@ -19,6 +19,7 @@
 #include "ebpf/insn.h"
 #include "ebpf/jit.h"
 #include "ebpf/vm.h"
+#include "engine_fixture.h"
 #include "net/packet.h"
 #include "seg6/ctx.h"
 #include "seg6/seg6local.h"
@@ -27,37 +28,9 @@
 namespace srv6bpf::ebpf {
 namespace {
 
-class JitEdgeTest : public ::testing::TestWithParam<EngineKind> {
- protected:
-  ExecResult run(const std::vector<Insn>& insns, std::uint64_t ctx = 0) {
-    BpfSystem sys;
-    auto load = sys.load("edge", ProgType::kLwtSeg6Local, insns);
-    EXPECT_TRUE(load.ok()) << load.verify.error;
-    if (!load.ok()) return {};
-    sys.set_engine(GetParam());
-    ExecEnv env;
-    return sys.run(*load.prog, env, ctx);
-  }
-
-  std::uint64_t eval(const std::vector<Insn>& insns) {
-    const ExecResult r = run(insns);
-    EXPECT_TRUE(r.ok()) << r.error;
-    return r.ret;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Engines, JitEdgeTest,
-                         ::testing::Values(EngineKind::kInterp,
-                                           EngineKind::kInterpBaseline,
-                                           EngineKind::kNative),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case EngineKind::kInterp: return "Interp";
-                             case EngineKind::kInterpBaseline:
-                               return "InterpBaseline";
-                             default: return "Native";
-                           }
-                         });
+using JitEdgeTest = EngineFixture;
+INSTANTIATE_TEST_SUITE_P(Engines, JitEdgeTest, ::testing::ValuesIn(kEngines),
+                         engine_param_name);
 
 // ---- division / modulo by zero (register divisors; immediate-zero divisors
 // ---- are rejected at load, asserted at the end of this section) ----

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/byteorder.h"
-#include "util/hexdump.h"
 #include "util/rng.h"
 
 namespace srv6bpf {
@@ -83,18 +82,6 @@ TEST(Rng, NormalHasRoughlyRightMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 30.0, 0.2);
   EXPECT_NEAR(std::sqrt(var), 5.0, 0.2);
-}
-
-TEST(Hexdump, CompactHex) {
-  const std::uint8_t data[] = {0xde, 0xad, 0xbe, 0xef};
-  EXPECT_EQ(hex(data), "deadbeef");
-}
-
-TEST(Hexdump, FullDumpContainsAscii) {
-  const std::uint8_t data[] = {'h', 'i', 0x00, 0xff};
-  const std::string dump = hexdump(data);
-  EXPECT_NE(dump.find("hi"), std::string::npos);
-  EXPECT_NE(dump.find("68"), std::string::npos);
 }
 
 }  // namespace
