@@ -9,10 +9,9 @@
 //                  (not the route cache) carries every lookup: the
 //                  end-to-end view of bench_lpm_sweep's micro rows.
 // in two modes:
-//   * pooled     — BufferPool/BurstPool recycling on (the default
-//                  configuration);
-//   * baseline   — pools disabled, so every Packet buffer / burst node is a
-//                  fresh new/delete while everything else is unchanged: the
+//   * pooled     — BufferPool recycling on (the default configuration);
+//   * baseline   — the pool disabled, so every Packet buffer is a fresh
+//                  new/delete while everything else is unchanged: the
 //                  honest pre-pool allocator behaviour, and the denominator
 //                  of the gated speedup.
 //
@@ -56,7 +55,7 @@ struct Run {
 };
 
 // One measured run, recorded into `rec`. `fib48` picks the scenario;
-// `pooled` toggles the BufferPool/BurstPool freelists.
+// `pooled` toggles the BufferPool freelist.
 Run run_one(bool fib48, bool pooled, sim::TimeNs duration, Obj& rec) {
   net::BufferPool::set_enabled(pooled);
   Run out;
@@ -184,12 +183,9 @@ int main(int argc, char** argv) {
       run_scenario(rep, "fig2_fib48", /*fib48=*/true, duration, hooks);
 
   const net::BufferPool::Stats ps = net::BufferPool::stats();
-  const net::BurstPool::Stats bs = net::BurstPool::stats();
   rep.obj("pool")
       .num("buf_high_water", ps.high_water)
-      .num("buf_pooled", ps.pooled)
-      .num("burst_allocs", bs.allocs)
-      .num("burst_reuses", bs.reuses);
+      .num("buf_pooled", ps.pooled);
   rep.num("gate_speedup", kGateSpeedup, 2);
   rep.gate(fig2.pooled_sim_kpps >= 500,
            "fig2 pooled sink rate %.1f kpps below 500", fig2.pooled_sim_kpps);

@@ -150,18 +150,21 @@ std::string disasm(const Insn& insn) {
     }
     case BPF_JMP:
     case BPF_JMP32: {
+      const char* off_sign = insn.off >= 0 ? "+" : "";
       if (insn.is_call()) {
         os << "call " << insn.imm;
       } else if (insn.is_exit()) {
         os << "exit";
       } else if (insn.is_unconditional_jump()) {
-        os << "ja +" << insn.off;
-      } else if (insn.uses_reg_src()) {
-        os << jmp_name(insn.alu_op()) << " r" << int(insn.dst) << ", r"
-           << int(insn.src) << ", +" << insn.off;
+        os << "ja " << off_sign << insn.off;
       } else {
-        os << jmp_name(insn.alu_op()) << " r" << int(insn.dst) << ", "
-           << insn.imm << ", +" << insn.off;
+        os << jmp_name(insn.alu_op()) << (cls == BPF_JMP32 ? "32" : "")
+           << " r" << int(insn.dst) << ", ";
+        if (insn.uses_reg_src())
+          os << "r" << int(insn.src);
+        else
+          os << insn.imm;
+        os << ", " << off_sign << insn.off;
       }
       break;
     }

@@ -2,8 +2,6 @@
 
 #include <new>
 
-#include "net/burst.h"
-
 namespace srv6bpf::net {
 
 namespace {
@@ -24,38 +22,15 @@ struct BufferPoolState {
   }
 };
 
-struct BurstPoolState {
-  // Freelist is threaded through a side vector-free singly-linked list of
-  // nodes; PacketBurst has no spare pointer field, so park cleared bursts in
-  // a simple array-of-pointers stack that is itself heap-grown (cold path
-  // only: its capacity follows the peak number of concurrently in-flight
-  // link deliveries, a handful per link).
-  PacketBurst** slots = nullptr;
-  std::size_t count = 0;
-  std::size_t cap = 0;
-  BurstPool::Stats stats;
-
-  ~BurstPoolState() {
-    for (std::size_t i = 0; i < count; ++i) delete slots[i];
-    delete[] slots;
-  }
-};
-
 // Construct-on-first-use so cross-TU static init order can't bite; the
-// states live until thread exit (handles never outlive the event loops
-// that hold them, which die well before then). thread_local, not global:
-// each PDES worker gets its own freelist, so the pools stay lock-free under
-// parallel runs. A buffer released on a different thread than it was
-// acquired on simply lands in the releasing thread's freelist — the pool is
-// an allocator cache, not an ownership registry, so migration is harmless
-// (stats are per-thread too; the zero-alloc gates all run single-threaded).
+// state lives until thread exit. thread_local, not global: each PDES worker
+// gets its own freelist, so the pool stays lock-free under parallel runs. A
+// buffer released on a different thread than it was acquired on simply
+// lands in the releasing thread's freelist — the pool is an allocator
+// cache, not an ownership registry, so migration is harmless (stats are
+// per-thread too; the zero-alloc gates all run single-threaded).
 BufferPoolState& buf_state() {
   thread_local BufferPoolState s;
-  return s;
-}
-
-BurstPoolState& burst_state() {
-  thread_local BurstPoolState s;
   return s;
 }
 
@@ -140,59 +115,6 @@ void BufferPool::trim() noexcept {
     b = next;
   }
   s.free_head = nullptr;
-  s.stats.pooled = 0;
-}
-
-PacketBurst* BurstPool::acquire() {
-  BurstPoolState& s = burst_state();
-  if (BufferPool::enabled() && s.count > 0) {
-    ++s.stats.reuses;
-    --s.stats.pooled;
-    return s.slots[--s.count];
-  }
-  ++s.stats.allocs;
-  return new PacketBurst();
-}
-
-void BurstPool::release(PacketBurst* b) noexcept {
-  if (b == nullptr) return;
-  b->clear();
-  BurstPoolState& s = burst_state();
-  if (!BufferPool::enabled()) {
-    delete b;
-    return;
-  }
-  if (s.count == s.cap) {  // cold path: grow the parking stack
-    const std::size_t new_cap = s.cap == 0 ? 16 : s.cap * 2;
-    PacketBurst** grown = new PacketBurst*[new_cap];
-    for (std::size_t i = 0; i < s.count; ++i) grown[i] = s.slots[i];
-    delete[] s.slots;
-    s.slots = grown;
-    s.cap = new_cap;
-  }
-  s.slots[s.count++] = b;
-  ++s.stats.pooled;
-}
-
-void BurstPool::Handle::reset() noexcept {
-  if (b_ != nullptr) {
-    BurstPool::release(b_);
-    b_ = nullptr;
-  }
-}
-
-BurstPool::Stats BurstPool::stats() noexcept { return burst_state().stats; }
-
-void BurstPool::reset_stats() noexcept {
-  BurstPoolState& s = burst_state();
-  s.stats.allocs = 0;
-  s.stats.reuses = 0;
-}
-
-void BurstPool::trim() noexcept {
-  BurstPoolState& s = burst_state();
-  for (std::size_t i = 0; i < s.count; ++i) delete s.slots[i];
-  s.count = 0;
   s.stats.pooled = 0;
 }
 

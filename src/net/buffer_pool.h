@@ -1,36 +1,30 @@
-// BufferPool / BurstPool: the steady-state allocator bypass of the datapath.
+// BufferPool: the steady-state allocator bypass of the datapath.
 //
 // Real line-rate datapaths never malloc per packet: DPDK keeps mbufs in
 // per-lcore mempools, the kernel recycles skbs through page pools, and the
 // paper's eBPF hooks ride exactly that discipline. The simulator mirrors it
-// with two freelists:
+// with a freelist of fixed-size (kPoolBufCap) packet buffers with reserved
+// headroom. net::Packet draws its storage here; destroying a Packet
+// (delivery, drop, burst teardown) returns the buffer instead of freeing
+// it, so after warm-up the forwarding path performs zero heap allocations
+// per packet. Requests larger than kPoolBufCap fall back to exact-size heap
+// buffers that are freed (not pooled) on release. Packets in flight on a
+// link wait in the link's wire FIFOs (sim/link.h), whose slots are recycled
+// in place.
 //
-//   * BufferPool — fixed-size (kPoolBufCap) packet buffers with reserved
-//     headroom. net::Packet draws its storage here; destroying a Packet
-//     (delivery, drop, burst teardown) returns the buffer instead of freeing
-//     it, so after warm-up the forwarding path performs zero heap
-//     allocations per packet. Requests larger than kPoolBufCap fall back to
-//     exact-size heap buffers that are freed (not pooled) on release.
-//   * BurstPool — recycled net::PacketBurst nodes for in-flight link
-//     deliveries: Link::transmit_burst parks the serialized burst in a
-//     pooled node and the delivery event carries only a pointer, keeping the
-//     event closure inside sim::InlineFn's inline capture budget.
-//
-// Both pools are process-wide singletons (the simulator is single-threaded;
-// nothing here locks) and share one enable switch: set_enabled(false)
-// degrades acquire/release to plain new/delete — the "no-pool baseline" that
-// bench_hotpath and the recycling-correctness test compare against. Pooling
-// is wall-clock-only by construction: buffer identity never feeds timing,
-// hashing or byte content, so pooled and unpooled runs are bit-identical
-// (tests/alloc_test.cc enforces it with FNV delivery digests).
+// The pool is a per-thread singleton (nothing here locks) with an enable
+// switch: set_enabled(false) degrades acquire/release to plain new/delete —
+// the "no-pool baseline" that bench_hotpath and the recycling-correctness
+// test compare against. Pooling is wall-clock-only by construction: buffer
+// identity never feeds timing, hashing or byte content, so pooled and
+// unpooled runs are bit-identical (tests/alloc_test.cc enforces it with FNV
+// delivery digests).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace srv6bpf::net {
-
-class PacketBurst;
 
 // Data capacity of a pooled buffer: kDefaultHeadroom of encap headroom plus
 // the largest frame the scenarios move (TCP's ~1.5 KiB) with slack for SRH
@@ -65,8 +59,7 @@ class BufferPool {
   // frees it (oversize buffers, pool disabled).
   static void release(Buf* b) noexcept;
 
-  // One switch for BufferPool and BurstPool both. Disabled = plain
-  // new/delete per acquire/release: the bench baseline.
+  // Disabled = plain new/delete per acquire/release: the bench baseline.
   static void set_enabled(bool on) noexcept;
   static bool enabled() noexcept;
 
@@ -91,51 +84,6 @@ class BufferPool {
   static void reset_stats() noexcept;
   // Frees every buffer parked on the freelist (outstanding ones are
   // untouched); lets tests measure cold-start behaviour deterministically.
-  static void trim() noexcept;
-};
-
-// Freelist of PacketBurst nodes for event closures that must outlive their
-// stack frame (Link deliveries). Shares BufferPool's enable switch.
-class BurstPool {
- public:
-  static PacketBurst* acquire();
-  static void release(PacketBurst* b) noexcept;
-
-  // Move-only owner: clears the burst and returns the node on destruction,
-  // so a delivery event that is destroyed without running (event loop torn
-  // down mid-flight) still recycles both the node and its packet buffers.
-  class Handle {
-   public:
-    Handle() = default;
-    explicit Handle(PacketBurst* b) noexcept : b_(b) {}
-    Handle(Handle&& o) noexcept : b_(o.b_) { o.b_ = nullptr; }
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        reset();
-        b_ = o.b_;
-        o.b_ = nullptr;
-      }
-      return *this;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-    ~Handle() { reset(); }
-
-    PacketBurst& operator*() const noexcept { return *b_; }
-    PacketBurst* get() const noexcept { return b_; }
-
-   private:
-    void reset() noexcept;
-    PacketBurst* b_ = nullptr;
-  };
-
-  struct Stats {
-    std::uint64_t allocs = 0;
-    std::uint64_t reuses = 0;
-    std::uint64_t pooled = 0;
-  };
-  static Stats stats() noexcept;
-  static void reset_stats() noexcept;
   static void trim() noexcept;
 };
 

@@ -59,10 +59,9 @@ class PacketBurst {
     return *this;
   }
   // The datapath always moves; copying survives for tests that want to
-  // snapshot a burst. (Event closures moved off by-value burst captures
-  // entirely — in-flight bursts ride pooled BurstPool nodes so the InlineFn
-  // closure stays pointer-sized.) size_ grows as slots are constructed so a
-  // throwing Packet copy unwinds cleanly.
+  // snapshot a burst. (No event closure captures a burst: packets in flight
+  // wait in their link's wire FIFO, sim/link.h.) size_ grows as slots are
+  // constructed so a throwing Packet copy unwinds cleanly.
   PacketBurst(const PacketBurst& other) {
     for (std::size_t i = 0; i < other.size_; ++i) {
       new (slot(i)) Packet(other.pkt(i));

@@ -12,7 +12,8 @@
 // Once the heap's vector and the store have grown to the run's peak depth,
 // scheduling never heap-allocates, which is what keeps the steady-state
 // forwarding path allocation-free (bench_hotpath gates allocs-per-packet at
-// zero).
+// zero). That depth stays small on long wires: a link side keeps only its
+// head burst's delivery in the queue (sim/link.h).
 //
 // Ordering contract. Events execute in ascending (t, key, birth) order where
 // `birth` is the event's provenance stamp: the scheduling loop's clock at
@@ -25,7 +26,10 @@
 // is what makes the tie-break *deterministic*: a cross-domain delivery
 // carries its sender's stamp through the mailbox, so the merged order per
 // domain is a pure function of the simulation, never of thread interleaving
-// or mailbox arrival order. tests/pdes_test.cc pins both properties.
+// or mailbox arrival order. tests/pdes_test.cc pins both properties. An
+// event may also be stamped before it is queued (make_stamp, then inject):
+// a link stamps each burst at transmit and queues its delivery only once
+// the burst reaches the head of the wire.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +64,8 @@ class EventLoop {
   };
 
   EventLoop() { heap_.reserve(kReservedKeys); }
-  // Destroys every pending closure without running it (pooled resources
-  // they own, such as in-flight BurstPool nodes, go back to their pools).
+  // Destroys every pending closure without running it (pooled packets they
+  // own give their buffers back).
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -87,14 +91,15 @@ class EventLoop {
   // The domain id baked into this loop's stamps. 0 for the serial loop.
   void set_domain(std::uint32_t dom) noexcept { domain_ = dom; }
   std::uint32_t domain() const noexcept { return domain_; }
-  // Allocates a stamp for a schedule that will happen *elsewhere* (a
-  // cross-domain mailbox message): consumes this loop's sequence counter at
-  // its current clock, exactly as a local schedule_at would have.
+  // Allocates a stamp for a schedule that will happen later or *elsewhere*
+  // (a link delivery queued behind its wire's head, or in another domain):
+  // consumes this loop's sequence counter at its current clock, exactly as
+  // a local schedule_at would have.
   Stamp make_stamp() noexcept { return Stamp{now_, domain_, next_seq_++}; }
-  // Enqueues an event that was stamped by another loop (mailbox drain).
-  // `t` is clamped to now() like schedule_at — conservative synchronization
-  // guarantees arrivals are never in the receiver's past, so the clamp is
-  // defensive only.
+  // Enqueues an event stamped earlier by make_stamp, on this loop or
+  // another. `t` is clamped to now() like schedule_at — a wire's deliveries
+  // and conservative synchronization both guarantee it is never in the
+  // past, so the clamp is defensive only.
   void inject(TimeNs t, std::uint32_t key, Stamp stamp, Fn&& fn);
   // Earliest pending event time, kTimeInfinity when idle.
   TimeNs next_time() const noexcept {
@@ -141,11 +146,11 @@ class EventLoop {
     Fn fn;
     std::uint32_t next_free;
   };
-  // Sizing: a chunk (1024 slots, 160 KiB) and the reserved heap (4096 keys,
+  // Sizing: a chunk (1024 slots, 96 KiB) and the reserved heap (4096 keys,
   // 160 KiB) are one allocation each that most loops never outgrow. Neither
   // is zero-filled, and a never-used slot is taken only when no freed one
   // is left, so the pages a loop touches track its peak depth: a shallow
-  // loop costs a few pages, not 320 KiB.
+  // loop costs a few pages, not 256 KiB.
   static constexpr std::size_t kChunkSlots = 1024;
   static constexpr std::size_t kReservedKeys = 4096;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};

@@ -4,14 +4,13 @@
 // optimisation, which made every scheduled event (CPU service activations,
 // link deliveries, deferred local handlers, generator ticks) an allocator
 // round-trip. InlineFn stores the closure in place, in an event-loop slot
-// (sim/event_loop.h) or a mailbox ring slot: a fixed capture budget sized
-// for the largest datapath closures (a Node* + a by-value net::Packet for
-// deferred local delivery is the high-water mark), enforced with
-// static_asserts so an oversized capture is a compile error at the
-// schedule() call site, never a silent heap fallback.
+// (sim/event_loop.h): a fixed capture budget sized for the largest datapath
+// closure (a Node* + a by-value net::Packet for deferred local delivery),
+// enforced with static_asserts so an oversized capture is a compile error at
+// the schedule() call site, never a silent heap fallback.
 //
 // Move-only by design — events are scheduled once and run once, and the
-// closures own move-only resources (BurstPool handles, pooled Packets).
+// closures own move-only resources (pooled Packets).
 #pragma once
 
 #include <cstddef>
@@ -22,10 +21,10 @@ namespace srv6bpf::sim {
 
 class InlineFn {
  public:
-  // Capture budget. sizeof(net::Packet) + a Node* + alignment slack; the
-  // static_assert below fires on any closure that outgrows it — raise the
-  // budget consciously instead of spilling to the heap.
-  static constexpr std::size_t kCapacity = 152;
+  // Capture budget: sizeof(net::Packet) + a Node*. The static_assert below
+  // fires on any closure that outgrows it — raise the budget consciously
+  // instead of spilling to the heap.
+  static constexpr std::size_t kCapacity = 80;
 
   InlineFn() noexcept = default;
 
@@ -44,8 +43,7 @@ class InlineFn {
                   "over-aligned closure capture");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "closure must be nothrow-movable (a schedule moves it "
-                  "into the event loop's slot store, a PDES mailbox through "
-                  "its ring)");
+                  "into the event loop's slot store)");
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     ops_ = &kOpsFor<Fn>;
   }

@@ -1,8 +1,8 @@
 #include "sim/link.h"
 
 #include <algorithm>
+#include <array>
 
-#include "net/buffer_pool.h"
 #include "sim/node.h"
 #include "sim/pdes_mailbox.h"
 
@@ -45,7 +45,10 @@ void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
 
   EventLoop& loop = *tx.loop;
   const TimeNs now = loop.now();
-  net::PacketBurst out;  // survivors, stamped with their wire arrival times
+  // Survivors stay in `burst`, stamped with their arrivals; these are their
+  // slots, in wire order.
+  std::array<std::uint8_t, net::kMaxBurstPackets> kept{};
+  std::uint32_t n = 0;
   for (std::size_t i = 0; i < burst.size(); ++i) {
     net::Packet& pkt = burst.pkt(i);
     // The packet's logical enqueue time: its CPU-completion timestamp when
@@ -89,34 +92,57 @@ void Link::transmit_burst(net::PacketBurst&& burst, int from_side) {
           static_cast<std::uint8_t>(1u << (bit & 7));
       ++tx.stats.corrupted;
     }
-    out.push(std::move(pkt), arrival);
+    // The wire stamps each packet with its arrival at the peer.
+    pkt.rx_tstamp_ns = arrival;
+    kept[n++] = static_cast<std::uint8_t>(i);
   }
-  if (out.empty()) return;
+  if (n == 0) return;
 
-  // Back-to-back serialization makes arrivals monotone, so one event at the
-  // last arrival moves the whole burst; per-packet arrival times ride in the
-  // metadata (interrupt coalescing, in effect). The burst is parked in a
-  // pooled node so the event closure carries only a pointer — a by-value
-  // PacketBurst capture would blow InlineFn's inline budget — and the Handle
-  // recycles the node (and its packet buffers) even if the event loop is
-  // torn down before delivery.
-  const TimeNs last_arrival = out.meta(out.size() - 1).at_ns;
-  Node* dst_node = rx.node;
-  const int dst_if = rx.ifindex;
-  net::BurstPool::Handle h(net::BurstPool::acquire());
-  *h = std::move(out);
-  InlineFn deliver([dst_node, dst_if, h = std::move(h)]() mutable {
-    dst_node->receive_burst_from_link(std::move(*h), dst_if);
-  });
-  if (tx.crossing == nullptr) {
-    loop.schedule_at(last_arrival, std::move(deliver));
-  } else {
-    // Cross-domain delivery: the peer's domain drains this ring and injects
-    // the event with *this* side's provenance stamp, so the receiver's
-    // same-timestamp tie-break is independent of drain timing.
-    tx.crossing->push(
-        PdesMail{last_arrival, 0, loop.make_stamp(), std::move(deliver)});
+  // Back-to-back serialization makes arrivals monotone, so one delivery at
+  // the last arrival moves the whole burst (interrupt coalescing, in
+  // effect). Its stamp is the one a schedule_at here would take.
+  const EventLoop::Stamp stamp = loop.make_stamp();
+  for (std::uint32_t k = 0; k < n; ++k) {
+    net::Packet& pkt = burst.pkt(kept[k]);
+    const std::uint32_t last = k + 1 == n ? n : 0;
+    if (tx.crossing == nullptr)
+      land(from_side, std::move(pkt), last, stamp);
+    else
+      tx.crossing->push(PdesMail{this, static_cast<std::uint32_t>(from_side),
+                                 last, stamp, std::move(pkt)});
   }
+}
+
+void Link::land(int side, net::Packet&& pkt, std::uint32_t n,
+                EventLoop::Stamp stamp) {
+  Side& s = sides_[side];
+  const TimeNs t = pkt.rx_tstamp_ns;
+  s.wire.push(std::move(pkt));
+  if (n == 0) return;
+  s.marks.push(WireMark{t, stamp, n});
+  if (s.marks.size() == 1) schedule_head(side);
+}
+
+void Link::schedule_head(int side) {
+  const WireMark& m = sides_[side].marks.front();
+  sides_[1 - side].loop->inject(m.t, 0, m.stamp,
+                                [this, side] { deliver(side); });
+}
+
+void Link::deliver(int side) {
+  Side& s = sides_[side];
+  const Side& rx = sides_[1 - side];
+  const WireMark m = s.marks.pop();
+  net::PacketBurst burst;
+  for (std::uint32_t i = 0; i < m.n; ++i) {
+    net::Packet pkt = s.wire.pop();
+    const TimeNs arrival = pkt.rx_tstamp_ns;
+    burst.push(std::move(pkt), arrival);
+  }
+  // The next burst's event goes in before the node runs, so a transmit the
+  // delivery triggers finds this side's FIFOs consistent.
+  if (!s.marks.empty()) schedule_head(side);
+  rx.node->receive_burst_from_link(std::move(burst), rx.ifindex);
 }
 
 }  // namespace srv6bpf::sim

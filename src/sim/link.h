@@ -8,6 +8,18 @@
 // rebinds each side into its node's domain. Egress state (qdisc,
 // wire_free_at, stats, carrier replica) is strictly per-side, so the two
 // domains sharing a link never touch the same mutable state.
+//
+// What a side has on the wire lives in two FIFOs of that side: its packets,
+// each stamped with its own arrival (rx_tstamp_ns), and one mark per
+// transmitted burst (packet count, last arrival, the transmit's EventLoop
+// stamp). Only the head mark has an event in the receiver's loop; that
+// event pops its packets, injects the next mark's event, and hands the
+// burst to the peer node. A side's marks rise strictly in the loop's
+// (t, key, birth) order (wire_free_at is monotone and stamps are unique),
+// so the loop runs every delivery exactly when it would with one event per
+// burst, while its heap holds one delivery per busy side. Both FIFOs belong
+// to the receiving domain: a crossing to another PDES domain carries the
+// packets through the mailbox, and the receiver's drain lands them here.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +28,7 @@
 #include "net/packet.h"
 #include "sim/event_loop.h"
 #include "sim/netem.h"
+#include "sim/ring.h"
 #include "util/rng.h"
 
 namespace srv6bpf::sim {
@@ -41,11 +54,10 @@ class Link {
   // back-to-back on the wire. Each packet enters the qdisc/wire at its own
   // logical timestamp (burst metadata at_ns, clamped to now) — so
   // per-packet wire math is identical to sending the packets one by one —
-  // and the whole burst is delivered to the peer with a single scheduled
-  // event at the last packet's arrival, each packet carrying its own
-  // arrival time in the metadata. When the peer lives in another PDES
-  // domain, the delivery crosses through the side's mailbox instead,
-  // stamped with this side's loop provenance.
+  // and the surviving packets reach the peer as one burst at the last
+  // packet's arrival, each carrying its own arrival time in the metadata.
+  // When the peer lives in another PDES domain, the packets cross through
+  // the side's mailbox, the last one carrying this side's loop provenance.
   void transmit_burst(net::PacketBurst&& burst, int from_side);
 
   std::uint64_t bandwidth_bps() const noexcept { return bandwidth_bps_; }
@@ -94,6 +106,13 @@ class Link {
   // loop it schedules on, the RNG stream its qdisc draws from, and the
   // outbound mailbox (null = the peer shares the domain, deliver locally).
   void bind_side(int side, EventLoop& loop, Rng* rng, PdesMailbox* crossing);
+  // Puts one packet that left `side`'s egress on that side's wire, with its
+  // arrival in pkt.rx_tstamp_ns. Runs in the receiving domain: from
+  // transmit_burst when the peer shares the domain, from the mailbox drain
+  // when it does not. `n` > 0 closes a burst: the packet is the last of `n`
+  // and `stamp` is the transmit's provenance.
+  void land(int side, net::Packet&& pkt, std::uint32_t n,
+            EventLoop::Stamp stamp);
 
   // Egress buffer size (drop-tail). Defaults to 512 KiB; WAN-access links
   // typically configure much less.
@@ -111,6 +130,12 @@ class Link {
   const SideStats& stats(int side) const { return sides_[side].stats; }
 
  private:
+  // One transmitted burst on the wire.
+  struct WireMark {
+    TimeNs t = 0;            // its last arrival: the delivery time
+    EventLoop::Stamp stamp;  // taken at transmit (the delivery's birth)
+    std::uint32_t n = 0;     // its packets, the next n of the side's wire
+  };
   struct Side {
     Node* node = nullptr;
     int ifindex = -1;
@@ -126,7 +151,16 @@ class Link {
     TimeNs corrupt_from = 0;
     TimeNs corrupt_to = 0;
     Rng corrupt_rng{0};
+    // On the wire from this side, touched only by the receiving domain
+    // (see the header comment).
+    Ring<net::Packet> wire;
+    Ring<WireMark> marks;
   };
+
+  // Injects the head mark's delivery into the receiver's loop.
+  void schedule_head(int side);
+  // The head mark's event: hands its burst to the peer node.
+  void deliver(int side);
 
   std::uint64_t bandwidth_bps_;
   TimeNs prop_delay_;

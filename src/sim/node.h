@@ -45,7 +45,7 @@
 #include "sim/datapath.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
-#include "sim/rx_ring.h"
+#include "sim/ring.h"
 #include "sim/stats.h"
 #include "util/rng.h"
 

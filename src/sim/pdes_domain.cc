@@ -121,12 +121,12 @@ bool PdesNet::iterate(Domain& d, TimeNs t_end) {
     lbts = std::min(lbts, bound);
   }
 
-  // 2. Drain inbound mailboxes into the loop. Done unconditionally — even
+  // 2. Drain inbound mailboxes onto their wires. Done unconditionally — even
   //    after this domain finished its window — so a producer spinning on
   //    another worker always finds ring space (the deadlock-freedom argument
   //    in pdes_mailbox.h).
   bool drained = false;
-  for (const Inbound& in : d.inbound) drained |= in.box->drain_into(*d.loop);
+  for (const Inbound& in : d.inbound) drained |= in.box->drain();
   if (d.done) return drained;
 
   // 3. Execute everything strictly below the bound. Events *at* the bound
@@ -182,8 +182,7 @@ void PdesNet::run_until(TimeNs t_end, std::size_t threads) {
   for (std::size_t src = 0; src < p; ++src)
     for (std::size_t dst = 0; dst < p; ++dst)
       if (PdesMailbox* box = mailboxes_[src * p + dst].get())
-        box->set_inline_consumer(
-            src % n == dst % n ? domains_[dst]->loop.get() : nullptr);
+        box->set_inline_drain(src % n == dst % n);
   if (n == 1) {
     worker(0, 1, t_end);
   } else {

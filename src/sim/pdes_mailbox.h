@@ -6,21 +6,25 @@
 // single-consumer ring suffices: two monotone cursors, release on publish,
 // acquire on observe, no CAS anywhere on the fast path.
 //
-// Each message carries the event's absolute delivery time, its ordering key,
-// the *sender's* EventLoop stamp (see event_loop.h — this is what makes the
+// Each message is one packet that crossed a link: the link and its
+// transmitting side, and the packet itself (its arrival in rx_tstamp_ns),
+// moved through the ring slot so pooled packet buffers travel without
+// copies. A burst's last packet also carries the burst's size and the
+// *sender's* EventLoop stamp (see event_loop.h — this is what makes the
 // receiver's tie-break deterministic regardless of when the message is
-// drained), and the delivery closure itself, moved through the ring slot so
-// pooled packet buffers travel without copies.
+// drained). The drain lands each packet on its link side's wire FIFO
+// (Link::land), the same place a same-domain transmit puts it, and the
+// burst's delivery event follows from there.
 //
 // Capacity is fixed. When the ring is full, `push` either drains it itself
 // or spins, depending on who consumes it (PdesNet::run_until decides per run,
 // from the worker assignment):
 //   * The pushing worker also serves the consumer domain (always the case on
 //     one worker). Nothing else will ever drain the ring, so spinning would
-//     hang; `push` moves the queued messages straight into the consumer's
-//     EventLoop with `inject`. That loop is idle, since its worker is busy
-//     running the producer, and stamps make the receiver's order
-//     independent of when a message is drained, so this changes no result.
+//     hang; `push` lands the queued packets itself. The consumer's loop is
+//     idle, since its worker is busy running the producer, and stamps make
+//     the receiver's order independent of when a message is drained, so
+//     this changes no result.
 //   * Another worker serves the consumer. That worker drains its inbound
 //     mailboxes on every scheduling pass, even when its conservative horizon
 //     forbids executing anything and after it has finished the run window,
@@ -33,23 +37,26 @@
 #include <memory>
 #include <thread>
 
+#include "net/packet.h"
 #include "sim/event_loop.h"
-#include "sim/inline_fn.h"
+#include "sim/link.h"
 
 namespace srv6bpf::sim {
 
 struct PdesMail {
-  TimeNs t = 0;            // absolute delivery time in the receiver's domain
-  std::uint32_t key = 0;   // EventLoop ordering key
-  EventLoop::Stamp stamp;  // sender-side provenance (deterministic tie-break)
-  InlineFn fn;
+  Link* link = nullptr;    // the wire the packet crossed
+  std::uint32_t side = 0;  // its transmitting side
+  // On a burst's last packet: the burst's size and the sender-side
+  // provenance of its delivery (deterministic tie-break); n is 0 otherwise.
+  std::uint32_t n = 0;
+  EventLoop::Stamp stamp;
+  net::Packet pkt;         // arrival in rx_tstamp_ns
 };
 
 class PdesMailbox {
  public:
-  // Deliveries are burst-coalesced (one message per PacketBurst), but a
-  // long lookahead window on a busy link can still queue more than this;
-  // overflow is handled in `push`, never by loss.
+  // One message per packet; a long lookahead window on a busy link can
+  // queue more than this, and overflow is handled in `push`, never by loss.
   static constexpr std::size_t kCapacity = 1024;
   static_assert((kCapacity & (kCapacity - 1)) == 0, "power-of-two ring");
 
@@ -68,9 +75,10 @@ class PdesMailbox {
     return true;
   }
 
-  // The consumer loop `push` drains a full ring into, or null when another
-  // worker consumes it. Set by PdesNet::run_until before any worker starts.
-  void set_inline_consumer(EventLoop* loop) noexcept { inline_consumer_ = loop; }
+  // Whether `push` drains a full ring itself (the producer's worker also
+  // serves the consumer) instead of waiting for another worker to. Set by
+  // PdesNet::run_until before any worker starts.
+  void set_inline_drain(bool on) noexcept { inline_drain_ = on; }
 
   // Producer side; never fails (see the overflow note above). Overflow is
   // an explicit *counted backpressure* policy, never a drop: conservative
@@ -83,8 +91,8 @@ class PdesMailbox {
   void push(PdesMail&& m) {
     if (try_push(std::move(m))) return;
     overflow_spins_.fetch_add(1, std::memory_order_relaxed);
-    if (inline_consumer_ != nullptr) {
-      drain_into(*inline_consumer_);
+    if (inline_drain_) {
+      drain();
       try_push(std::move(m));  // the ring is empty now
       return;
     }
@@ -93,13 +101,13 @@ class PdesMailbox {
     } while (!try_push(std::move(m)));
   }
 
-  // Consumer side: injects every queued message into `loop`. Returns
-  // whether there was any.
-  bool drain_into(EventLoop& loop) {
+  // Consumer side: lands every queued packet on its link side's wire.
+  // Returns whether there was any.
+  bool drain() {
     bool drained = false;
     PdesMail m;
     while (try_pop(m)) {
-      loop.inject(m.t, m.key, m.stamp, std::move(m.fn));
+      m.link->land(static_cast<int>(m.side), std::move(m.pkt), m.n, m.stamp);
       drained = true;
     }
     return drained;
@@ -132,7 +140,7 @@ class PdesMailbox {
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
   std::atomic<std::uint64_t> overflow_spins_{0};
-  EventLoop* inline_consumer_ = nullptr;
+  bool inline_drain_ = false;
   std::unique_ptr<PdesMail[]> slots_;
 };
 

@@ -1,6 +1,5 @@
-// The zero-allocation steady state (ISSUE 5): BufferPool/BurstPool
-// recycling, InlineFn event closures, RxRing backlogs and template-stamped
-// generation.
+// The zero-allocation steady state: BufferPool recycling, InlineFn event
+// closures, RxRing backlogs and template-stamped generation.
 //
 // This binary compiles bench/alloc_hooks_impl.cc, so the global operator
 // new/delete are the counting replacements — the allocation-regression test
@@ -22,7 +21,7 @@
 #include "net/packet.h"
 #include "sim/inline_fn.h"
 #include "sim/network.h"
-#include "sim/rx_ring.h"
+#include "sim/ring.h"
 #include "usecases/programs.h"
 #include "usecases/setup1.h"
 #include "util/alloc_hooks.h"
@@ -37,7 +36,6 @@ struct PoolGuard {
   ~PoolGuard() {
     net::BufferPool::set_enabled(true);
     net::BufferPool::trim();
-    net::BurstPool::trim();
   }
 };
 
@@ -188,6 +186,28 @@ TEST(RxRing, FifoAcrossWraparoundAndLimit) {
     model.pop_front();
   }
   EXPECT_TRUE(model.empty());
+
+  // Without a limit (a link's wire FIFO) a full ring doubles, also while
+  // its entries wrap around the slot array, and keeps their order.
+  for (int round = 1; round <= 6; ++round) {
+    for (int k = 0; k < 7 * round; ++k) {
+      net::Packet p;
+      p.seq = next_seq;
+      ring.push(std::move(p));
+      model.push_back(next_seq++);
+    }
+    for (int k = 0; k < 5 * round; ++k) {
+      EXPECT_EQ(ring.pop().seq, model.front());
+      model.pop_front();
+    }
+  }
+  EXPECT_EQ(ring.size(), model.size());
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.pop().seq, model.front());
+    model.pop_front();
+  }
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(ring.overflows(), 12u);  // the bounded rounds' tail drops only
 }
 
 // ---- recycling correctness + the zero-allocation window ---------------------

@@ -107,6 +107,19 @@ TEST(Disasm, ReadableOutput) {
       << text;
 }
 
+// A JMP32 conditional names its width, and a backward jump prints its
+// offset with one sign.
+TEST(Disasm, Jmp32WidthAndBackwardOffsets) {
+  EXPECT_EQ(disasm(Insn{BPF_JMP32 | BPF_JEQ | BPF_K, R1, 0, 1, 5}),
+            "jeq32 r1, 5, +1");
+  EXPECT_EQ(disasm(Insn{BPF_JMP32 | BPF_JGT | BPF_X, R1, R2, -3, 0}),
+            "jgt32 r1, r2, -3");
+  EXPECT_EQ(disasm(Insn{BPF_JMP | BPF_JEQ | BPF_K, R1, 0, -3, 5}),
+            "jeq r1, 5, -3");
+  EXPECT_EQ(disasm(Insn{BPF_JMP | BPF_JA, 0, 0, -3, 0}), "ja -3");
+  EXPECT_EQ(disasm(Insn{BPF_JMP | BPF_JA, 0, 0, 2, 0}), "ja +2");
+}
+
 TEST(Insn, FieldPredicates) {
   Insn call{BPF_JMP | BPF_CALL, 0, 0, 0, 5};
   EXPECT_TRUE(call.is_call());

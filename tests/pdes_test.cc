@@ -176,21 +176,30 @@ TEST(EventLoopOrder, RunEventsBeforeIsStrictAndCountsExecutions) {
 
 TEST(PdesMailbox, FifoOrderAndPayloadDelivery) {
   sim::PdesMailbox box;
-  int fired = -1;
-  for (int i = 0; i < 16; ++i) {
-    sim::PdesMail m;
-    m.t = static_cast<sim::TimeNs>(100 + i);
-    m.key = static_cast<std::uint32_t>(i);
-    m.fn = sim::InlineFn([i, &fired] { fired = i; });
-    box.push(std::move(m));
+  sim::Network net;
+  sim::Link& link = *net.connect(net.add_node("x"), A("fc00:1::1"),
+                                 net.add_node("y"), A("fc00:1::2"),
+                                 1'000'000'000ull, sim::kMilli).link;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    net::Packet pkt{std::span<const std::uint8_t>({0x60, 0, 0, 0})};
+    pkt.seq = i;
+    pkt.rx_tstamp_ns = 100 + i;
+    // Bursts of four: the last packet of each carries the burst.
+    const std::uint32_t n = i % 4 == 3 ? 4 : 0;
+    box.push(sim::PdesMail{&link, i % 2, n, sim::EventLoop::Stamp{i, 1, i},
+                           std::move(pkt)});
   }
   sim::PdesMail out;
-  for (int i = 0; i < 16; ++i) {
+  for (std::uint32_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(box.try_pop(out));
-    EXPECT_EQ(out.t, static_cast<sim::TimeNs>(100 + i));
-    EXPECT_EQ(out.key, static_cast<std::uint32_t>(i));
-    out.fn();
-    EXPECT_EQ(fired, i);
+    EXPECT_EQ(out.link, &link);
+    EXPECT_EQ(out.side, i % 2);
+    EXPECT_EQ(out.n, i % 4 == 3 ? 4u : 0u);
+    EXPECT_EQ(out.stamp.seq, i);
+    EXPECT_EQ(out.pkt.seq, i);
+    EXPECT_EQ(out.pkt.rx_tstamp_ns, 100u + i);
+    ASSERT_EQ(out.pkt.size(), 4u);
+    EXPECT_EQ(out.pkt.data()[0], 0x60);
   }
   EXPECT_FALSE(box.try_pop(out));
   EXPECT_TRUE(box.empty());
@@ -210,9 +219,13 @@ TEST(PdesMailbox, TwoThreadPumpPreservesOrder) {
   sim::PdesMailbox box;
   constexpr std::uint64_t kN = 200000;
   std::thread producer([&box] {
-    for (std::uint64_t i = 0; i < kN; ++i)
-      box.push(sim::PdesMail{i, static_cast<std::uint32_t>(i & 0xffff),
-                             sim::EventLoop::Stamp{i, 1, i}, sim::InlineFn{}});
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      net::Packet pkt;  // no buffer: the pool is per thread
+      pkt.seq = static_cast<std::uint32_t>(i);
+      pkt.rx_tstamp_ns = i;
+      box.push(sim::PdesMail{nullptr, 0, static_cast<std::uint32_t>(i & 63),
+                             sim::EventLoop::Stamp{i, 1, i}, std::move(pkt)});
+    }
   });
   std::uint64_t expect = 0;
   sim::PdesMail m;
@@ -221,7 +234,9 @@ TEST(PdesMailbox, TwoThreadPumpPreservesOrder) {
       std::this_thread::yield();
       continue;
     }
-    ASSERT_EQ(m.t, expect);
+    ASSERT_EQ(m.pkt.rx_tstamp_ns, expect);
+    ASSERT_EQ(m.pkt.seq, static_cast<std::uint32_t>(expect));
+    ASSERT_EQ(m.n, expect & 63);
     ASSERT_EQ(m.stamp.seq, expect);
     ++expect;
   }
