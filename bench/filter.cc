@@ -90,26 +90,13 @@ double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
                      ebpf::EngineKind engine, const Corpus& corpus,
                      int iters) {
   sys.set_engine(engine);
-  ebpf::SkbCtx skb;
-  skb.protocol = ebpf::kEthPIpv6Be;
-  ebpf::ExecEnv env;
-  env.now_ns = [] { return std::uint64_t{0}; };
-  env.prandom = [] { return std::uint32_t{0}; };
-  env.regions.push_back(ebpf::MemRegion{
-      reinterpret_cast<std::uintptr_t>(&skb), sizeof skb, true});
-  env.regions.push_back(ebpf::MemRegion{0, 0, false});
-  const std::uint64_t ctx = reinterpret_cast<std::uint64_t>(&skb);
-
+  ebpf::SkbRun run;
   volatile std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
     for (const auto& p : corpus.pkts) {
-      skb.data = reinterpret_cast<std::uint64_t>(p.data());
-      skb.data_end = skb.data + p.size();
-      skb.len = static_cast<std::uint32_t>(p.size());
-      env.regions[1] = ebpf::MemRegion{
-          reinterpret_cast<std::uintptr_t>(p.data()), p.size(), false};
-      sink = sys.run(prog, env, ctx).ret;
+      run.point_data_at(p);
+      sink = sys.run(prog, run.env, run.ctx_addr()).ret;
     }
   }
   const auto t1 = std::chrono::steady_clock::now();

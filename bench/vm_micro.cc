@@ -32,7 +32,6 @@
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
-#include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "net/packet.h"
 #include "seg6/ctx.h"
@@ -64,10 +63,10 @@ std::vector<Insn> alu_chain(int n) {
 // Part 1: §3.2 engine comparison -> BENCH_vm.json
 // ---------------------------------------------------------------------------
 
-// Engine-only ns/run of a seg6local program: Netns, ExecEnv and SkbCtx are
-// prepared once; the timed loop is the VM invocation itself. Programs that
-// resize the packet (Add TLV) get a cheap in-place packet reset per
-// iteration so the workload stays constant.
+// Engine-only ns/run of a seg6local program: the Netns and the datapath's
+// Seg6BurstRunner are prepared once; the timed loop is the VM invocation
+// itself. Programs that resize the packet (Add TLV) get a cheap in-place
+// packet reset per iteration so the workload stays constant.
 double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
                       bool reset_packet, int iters) {
   seg6::Netns ns("bench");
@@ -90,23 +89,11 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
   const net::Packet tmpl = net::make_udp_packet(spec);
   net::Packet pkt = tmpl;
 
-  seg6::Seg6ProgCtx ctx;
-  ctx.netns = &ns;
-  ctx.pkt = &pkt;
-  ctx.skb.protocol = kEthPIpv6Be;
-
-  ExecEnv env;
-  env.user = &ctx;
-  env.now_ns = [&ns] { return ns.now(); };
-  env.prandom = [&ns] { return ns.prandom(); };
-  env.regions.push_back(MemRegion{
-      reinterpret_cast<std::uintptr_t>(&ctx.skb), sizeof ctx.skb, true});
-  env.regions.push_back(MemRegion{0, 0, false});
-  ctx.env = &env;
-  ctx.refresh_packet_view();
-
+  seg6::Seg6BurstRunner runner(ns);
+  runner.prepare(pkt, nullptr);
+  ExecEnv& env = runner.env();
+  const std::uint64_t skb_addr = runner.ctx_addr();
   volatile std::uint64_t sink = 0;
-  const std::uint64_t skb_addr = reinterpret_cast<std::uint64_t>(&ctx.skb);
 
   // Programs that resize the packet need a per-iteration reset to keep the
   // workload constant. That reset is harness cost, identical for every
@@ -117,7 +104,7 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
     const auto r0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
       pkt = tmpl;  // copy-assign reuses capacity after the first iteration
-      ctx.refresh_packet_view();
+      runner.prepare(pkt, nullptr);
     }
     const auto r1 = std::chrono::steady_clock::now();
     reset_ns =
@@ -128,7 +115,7 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
   for (int i = 0; i < iters; ++i) {
     if (reset_packet) {
       pkt = tmpl;
-      ctx.refresh_packet_view();
+      runner.prepare(pkt, nullptr);
     }
     sink = ns.bpf().run(*load.prog, env, skb_addr).ret;
   }
@@ -268,7 +255,7 @@ void BM_HelperCallOverhead(benchmark::State& state) {
   auto load = sys.load("calls", ProgType::kLwtSeg6Local, a.build());
   sys.set_engine(EngineKind::kNative);
   ExecEnv env;
-  env.now_ns = [] { return 1ull; };
+  env.now_ns = 1;
   for (auto _ : state) {
     const auto r = sys.run(*load.prog, env, 0);
     benchmark::DoNotOptimize(r.ret);

@@ -9,15 +9,7 @@ namespace srv6bpf::apps {
 
 SocketFilter::SocketFilter(seg6::Netns& ns, std::string name)
     : ns_(ns), name_(std::move(name)) {
-  skb_.protocol = ebpf::kEthPIpv6Be;
-  env_.now_ns = [&ns] { return ns.now(); };
-  env_.prandom = [&ns] { return ns.prandom(); };
-  // Region 0: the ctx struct (writable — the verifier confines program
-  // writes to skb->mark). Region 1: packet bytes, retargeted per run();
-  // socket-filter packets are read-only.
-  env_.regions.push_back(ebpf::MemRegion{
-      reinterpret_cast<std::uintptr_t>(&skb_), sizeof skb_, true});
-  env_.regions.push_back(ebpf::MemRegion{0, 0, false});
+  run_.env.prandom_state = &ns.prandom_state;
 }
 
 bool SocketFilter::attach(std::vector<cbpf::SockFilter> prog,
@@ -63,17 +55,10 @@ std::shared_ptr<SocketFilter> SocketFilter::from_cbpf(
 }
 
 std::uint32_t SocketFilter::run(const net::Packet& pkt) {
-  skb_.data = reinterpret_cast<std::uint64_t>(pkt.data());
-  skb_.data_end = skb_.data + pkt.size();
-  skb_.len = static_cast<std::uint32_t>(pkt.size());
-  skb_.mark = pkt.mark;
-  skb_.ingress_ifindex = pkt.ingress_ifindex;
-  skb_.tstamp_ns = pkt.rx_tstamp_ns;
-  env_.regions[1] = ebpf::MemRegion{
-      reinterpret_cast<std::uintptr_t>(pkt.data()), pkt.size(), false};
-  env_.cpu_id = ns_.current_cpu;
-  const ebpf::ExecResult res = ns_.bpf().run(
-      *prog_, env_, reinterpret_cast<std::uint64_t>(&skb_));
+  run_.point_at(pkt);
+  run_.env.now_ns = ns_.now();
+  run_.env.cpu_id = ns_.current_cpu;
+  const ebpf::ExecResult res = ns_.bpf().run(*prog_, run_.env, run_.ctx_addr());
   return res.aborted ? 0 : static_cast<std::uint32_t>(res.ret);
 }
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cbpf/insn.h"
-#include "ebpf/exec.h"
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "seg6/ctx.h"
@@ -68,8 +67,8 @@ class SocketFilter {
   std::string expr_;  // empty for raw cBPF attachments
   std::vector<cbpf::SockFilter> classic_;
   ebpf::ProgHandle prog_;
-  ebpf::SkbCtx skb_;
-  ebpf::ExecEnv env_;
+  // A read-only view: no mark write-back and no SRv6 helper state.
+  ebpf::SkbRun run_;
   std::uint64_t accepted_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t bytes_accepted_ = 0;

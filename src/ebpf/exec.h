@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -78,18 +77,26 @@ class RegionList {
   std::size_t size_ = 0;
 };
 
-// Everything a running program may touch. Built by the attachment point
-// (seg6local End.BPF, LWT hook, or a test fixture) before each run.
+// Everything a running program may touch. A packet program's env comes
+// with its ctx in an SkbRun (ebpf/skb.h); a test fixture may build a bare
+// one.
 struct ExecEnv {
   MapRegistry* maps = nullptr;
   HelperRegistry* helpers = nullptr;
 
   // Opaque per-invocation state for helper implementations (e.g. the
-  // Seg6ProgramCtx carrying the packet and the node's FIB).
+  // Seg6ProgCtx carrying the packet and the node's FIB).
   void* user = nullptr;
 
-  // Monotonic clock for bpf_ktime_get_ns; defaults to 0 if unset.
-  std::function<std::uint64_t()> now_ns;
+  // What bpf_ktime_get_ns returns: the run's clock reading. The simulated
+  // clock cannot move inside one event, so one reading serves every run of
+  // a burst.
+  std::uint64_t now_ns = 0;
+
+  // The PRNG state bpf_get_prandom_u32 steps with one splitmix64 step
+  // (util/hash.h); its owner, the netns, keeps it across runs. A null
+  // state makes the helper return 4.
+  std::uint64_t* prandom_state = nullptr;
 
   // CPU context this invocation runs on (the multi-core Node's RSS context
   // id). Read by bpf_get_smp_processor_id and by the map helpers to select
@@ -99,9 +106,6 @@ struct ExecEnv {
   // Valid memory regions: the program context and (for packet programs) the
   // packet bytes. The engines add the stack themselves.
   RegionList regions;
-
-  // Deterministic source for bpf_get_prandom_u32.
-  std::function<std::uint32_t()> prandom;
 
   bool readable(const void* p, std::size_t n) const noexcept {
     const auto a = reinterpret_cast<std::uintptr_t>(p);

@@ -7,6 +7,7 @@
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
 #include "ebpf/skb.h"
+#include "util/hash.h"
 
 namespace srv6bpf::ebpf {
 
@@ -75,12 +76,14 @@ std::uint64_t do_map_delete(ExecEnv& env, std::uint64_t map_arg,
 
 std::uint64_t do_ktime(ExecEnv& env, std::uint64_t, std::uint64_t,
                        std::uint64_t, std::uint64_t, std::uint64_t) {
-  return env.now_ns ? env.now_ns() : 0;
+  return env.now_ns;
 }
 
 std::uint64_t do_prandom(ExecEnv& env, std::uint64_t, std::uint64_t,
                          std::uint64_t, std::uint64_t, std::uint64_t) {
-  return env.prandom ? env.prandom() : 4;  // chosen by fair dice roll
+  if (env.prandom_state == nullptr) return 4;  // chosen by fair dice roll
+  // The high half of a splitmix64 mix, taken before its final xor-shift.
+  return splitmix64_unfinalized(*env.prandom_state) >> 32;
 }
 
 std::uint64_t do_smp_processor_id(ExecEnv& env, std::uint64_t, std::uint64_t,
@@ -96,10 +99,9 @@ std::uint64_t do_perf_event_output(ExecEnv& env, std::uint64_t /*ctx*/,
   if (map == nullptr) return static_cast<std::uint64_t>(kErrInval);
   const auto* p = reinterpret_cast<const std::uint8_t*>(data);
   if (!env.readable(p, size)) return static_cast<std::uint64_t>(kErrInval);
-  const std::uint64_t now = env.now_ns ? env.now_ns() : 0;
   // Records land in the invoking context's ring (BPF_F_CURRENT_CPU; explicit
   // target-cpu flags are not modelled).
-  return map->buffer().push(now, {p, static_cast<std::size_t>(size)},
+  return map->buffer().push(env.now_ns, {p, static_cast<std::size_t>(size)},
                             env.cpu_id)
              ? 0
              : static_cast<std::uint64_t>(kErrNoSpace);

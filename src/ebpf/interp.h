@@ -34,8 +34,9 @@ class Interpreter {
  public:
   // Hot path: executes a pre-decoded program (decode-once, threaded
   // dispatch, runtime memory checks). `ctx` is the address of the program
-  // context (a SkbCtx for LWT/seg6local programs). The caller must have
-  // populated env.regions with the ctx and packet ranges.
+  // context (a SkbCtx for packet programs). The caller must have
+  // populated env.regions with the ctx and packet ranges, as an SkbRun
+  // (ebpf/skb.h) does.
   ExecResult run(const DecodedProgram& prog, ExecEnv& env,
                  std::uint64_t ctx) const;
 

@@ -8,139 +8,99 @@
 
 namespace srv6bpf::net {
 
-Packet::Packet(std::span<const std::uint8_t> contents, std::size_t headroom)
-    : buf_(BufferPool::acquire(headroom + contents.size())),
-      head_(static_cast<std::uint32_t>(headroom)),
-      len_(static_cast<std::uint32_t>(contents.size())) {
+Packet::Packet(std::span<const std::uint8_t> contents, std::size_t headroom) {
+  store_.buf = BufferPool::acquire(headroom + contents.size());
+  store_.head = static_cast<std::uint32_t>(headroom);
+  store_.len = static_cast<std::uint32_t>(contents.size());
   if (!contents.empty())
-    std::memcpy(buf_->data() + head_, contents.data(), contents.size());
+    std::memcpy(data(), contents.data(), contents.size());
 }
 
-Packet::Packet(const Packet& other)
-    : buf_(nullptr), head_(other.head_), len_(other.len_), dst_(other.dst_) {
-  mark = other.mark;
-  ingress_ifindex = other.ingress_ifindex;
-  rx_tstamp_ns = other.rx_tstamp_ns;
-  tx_tstamp_ns = other.tx_tstamp_ns;
-  seq = other.seq;
-  if (other.buf_ != nullptr) {
-    buf_ = BufferPool::acquire(other.head_ + other.len_);
-    std::memcpy(buf_->data() + head_, other.buf_->data() + other.head_, len_);
+Packet::Storage::Storage(const Storage& other)
+    : head(other.head), len(other.len) {
+  if (other.buf != nullptr) {
+    buf = BufferPool::acquire(other.head + other.len);
+    std::memcpy(buf->data() + head, other.buf->data() + other.head, len);
   }
 }
 
-Packet& Packet::operator=(const Packet& other) {
+Packet::Storage& Packet::Storage::operator=(const Storage& other) {
   if (this == &other) return *this;
-  if (other.buf_ == nullptr) {
-    BufferPool::release(buf_);
-    buf_ = nullptr;
+  if (other.buf == nullptr) {
+    BufferPool::release(buf);
+    buf = nullptr;
   } else {
     // Reuse the held buffer when it fits: assigning over a warm packet
     // (burst snapshots in tests, user code) skips the release/acquire
     // round-trip.
-    if (buf_ == nullptr || buf_->cap < other.head_ + other.len_) {
-      BufferPool::release(buf_);
-      buf_ = BufferPool::acquire(other.head_ + other.len_);
+    if (buf == nullptr || buf->cap < other.head + other.len) {
+      BufferPool::release(buf);
+      buf = BufferPool::acquire(other.head + other.len);
     }
-    std::memcpy(buf_->data() + other.head_, other.buf_->data() + other.head_,
-                other.len_);
+    std::memcpy(buf->data() + other.head, other.buf->data() + other.head,
+                other.len);
   }
-  head_ = other.head_;
-  len_ = other.len_;
-  dst_ = other.dst_;
-  mark = other.mark;
-  ingress_ifindex = other.ingress_ifindex;
-  rx_tstamp_ns = other.rx_tstamp_ns;
-  tx_tstamp_ns = other.tx_tstamp_ns;
-  seq = other.seq;
-  return *this;
-}
-
-Packet::Packet(Packet&& other) noexcept
-    : buf_(other.buf_), head_(other.head_), len_(other.len_),
-      dst_(other.dst_) {
-  mark = other.mark;
-  ingress_ifindex = other.ingress_ifindex;
-  rx_tstamp_ns = other.rx_tstamp_ns;
-  tx_tstamp_ns = other.tx_tstamp_ns;
-  seq = other.seq;
-  other.buf_ = nullptr;
-  other.head_ = 0;
-  other.len_ = 0;
-}
-
-Packet& Packet::operator=(Packet&& other) noexcept {
-  if (this == &other) return *this;
-  BufferPool::release(buf_);
-  buf_ = other.buf_;
-  head_ = other.head_;
-  len_ = other.len_;
-  dst_ = other.dst_;
-  mark = other.mark;
-  ingress_ifindex = other.ingress_ifindex;
-  rx_tstamp_ns = other.rx_tstamp_ns;
-  tx_tstamp_ns = other.tx_tstamp_ns;
-  seq = other.seq;
-  other.buf_ = nullptr;
-  other.head_ = 0;
-  other.len_ = 0;
+  head = other.head;
+  len = other.len;
   return *this;
 }
 
 void Packet::grow_headroom(std::size_t need) {
   // Leave kDefaultHeadroom beyond the immediate need so a chain of encaps
   // doesn't regrow per layer (the old vector-insert path did the same).
+  Storage& s = store_;
   const std::size_t new_head = need + kDefaultHeadroom;
-  if (buf_ != nullptr && new_head + len_ <= buf_->cap) {
-    std::memmove(buf_->data() + new_head, buf_->data() + head_, len_);
+  if (s.buf != nullptr && new_head + s.len <= s.buf->cap) {
+    std::memmove(s.buf->data() + new_head, s.buf->data() + s.head, s.len);
   } else {
-    BufferPool::Buf* grown = BufferPool::acquire(new_head + len_);
-    if (buf_ != nullptr)
-      std::memcpy(grown->data() + new_head, buf_->data() + head_, len_);
-    BufferPool::release(buf_);
-    buf_ = grown;
+    BufferPool::Buf* grown = BufferPool::acquire(new_head + s.len);
+    if (s.buf != nullptr)
+      std::memcpy(grown->data() + new_head, s.buf->data() + s.head, s.len);
+    BufferPool::release(s.buf);
+    s.buf = grown;
   }
-  head_ = static_cast<std::uint32_t>(new_head);
+  s.head = static_cast<std::uint32_t>(new_head);
 }
 
 std::uint8_t* Packet::push_front(std::size_t n) {
-  if (n > head_ || buf_ == nullptr) grow_headroom(n);
-  head_ -= static_cast<std::uint32_t>(n);
-  len_ += static_cast<std::uint32_t>(n);
+  if (n > store_.head || store_.buf == nullptr) grow_headroom(n);
+  store_.head -= static_cast<std::uint32_t>(n);
+  store_.len += static_cast<std::uint32_t>(n);
   return data();
 }
 
 void Packet::pull_front(std::size_t n) {
-  if (n > len_) n = len_;
-  head_ += static_cast<std::uint32_t>(n);
-  len_ -= static_cast<std::uint32_t>(n);
+  if (n > store_.len) n = store_.len;
+  store_.head += static_cast<std::uint32_t>(n);
+  store_.len -= static_cast<std::uint32_t>(n);
 }
 
 bool Packet::expand_at(std::size_t at, std::ptrdiff_t delta) {
-  if (at > len_) return false;
+  Storage& s = store_;
+  if (at > s.len) return false;
   if (delta == 0) return true;
   if (delta > 0) {
     const std::size_t grow = static_cast<std::size_t>(delta);
-    if (buf_ == nullptr || head_ + len_ + grow > buf_->cap) {
+    if (s.buf == nullptr || s.head + s.len + grow > s.buf->cap) {
       BufferPool::Buf* grown =
-          BufferPool::acquire(kDefaultHeadroom + len_ + grow);
-      if (buf_ != nullptr)
-        std::memcpy(grown->data() + kDefaultHeadroom, buf_->data() + head_,
-                    len_);
-      BufferPool::release(buf_);
-      buf_ = grown;
-      head_ = kDefaultHeadroom;
+          BufferPool::acquire(kDefaultHeadroom + s.len + grow);
+      if (s.buf != nullptr)
+        std::memcpy(grown->data() + kDefaultHeadroom, s.buf->data() + s.head,
+                    s.len);
+      BufferPool::release(s.buf);
+      s.buf = grown;
+      s.head = kDefaultHeadroom;
     }
-    std::uint8_t* p = buf_->data() + head_;
-    std::memmove(p + at + grow, p + at, len_ - at);
+    std::uint8_t* p = s.buf->data() + s.head;
+    std::memmove(p + at + grow, p + at, s.len - at);
     std::memset(p + at, 0, grow);
-    len_ += static_cast<std::uint32_t>(grow);
+    s.len += static_cast<std::uint32_t>(grow);
   } else {
     const std::size_t remove = static_cast<std::size_t>(-delta);
-    if (at + remove > len_) return false;
-    std::uint8_t* p = buf_->data() + head_;
-    std::memmove(p + at, p + at + remove, len_ - at - remove);
-    len_ -= static_cast<std::uint32_t>(remove);
+    if (at + remove > s.len) return false;
+    std::uint8_t* p = s.buf->data() + s.head;
+    std::memmove(p + at, p + at + remove, s.len - at - remove);
+    s.len -= static_cast<std::uint32_t>(remove);
   }
   return true;
 }

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/buffer_pool.h"
@@ -44,24 +45,21 @@ class Packet {
   explicit Packet(std::span<const std::uint8_t> contents,
                   std::size_t headroom = kDefaultHeadroom);
 
-  Packet(const Packet& other);
-  Packet& operator=(const Packet& other);
-  Packet(Packet&& other) noexcept;
-  Packet& operator=(Packet&& other) noexcept;
-  ~Packet() { BufferPool::release(buf_); }
+  // Copy, move and destruction are the implicit, inline ones: Storage
+  // holds the buffer's rules and the metadata copies as plain values.
 
   std::uint8_t* data() noexcept {
-    return buf_ == nullptr ? nullptr : buf_->data() + head_;
+    return store_.buf == nullptr ? nullptr : store_.buf->data() + store_.head;
   }
   const std::uint8_t* data() const noexcept {
-    return buf_ == nullptr ? nullptr : buf_->data() + head_;
+    return store_.buf == nullptr ? nullptr : store_.buf->data() + store_.head;
   }
-  std::size_t size() const noexcept { return len_; }
+  std::size_t size() const noexcept { return store_.len; }
   std::span<std::uint8_t> bytes() noexcept { return {data(), size()}; }
   std::span<const std::uint8_t> bytes() const noexcept {
     return {data(), size()};
   }
-  std::size_t headroom() const noexcept { return head_; }
+  std::size_t headroom() const noexcept { return store_.head; }
 
   // Prepends `n` bytes (uninitialised), regrowing headroom if needed.
   std::uint8_t* push_front(std::size_t n);
@@ -87,15 +85,43 @@ class Packet {
   std::optional<SrhView> srh() noexcept;
 
  private:
+  // The pooled buffer a packet owns and where its bytes sit in it: `head`
+  // bytes of headroom, then `len` bytes. A copy gets a buffer of its own
+  // (an assignment reuses the one it holds when that fits); a move hands
+  // the buffer over and leaves the source empty; destruction returns it
+  // to the pool, which for an empty (e.g. moved-from) packet is a null
+  // test.
+  struct Storage {
+    BufferPool::Buf* buf = nullptr;
+    std::uint32_t head = 0;
+    std::uint32_t len = 0;
+
+    Storage() = default;
+    Storage(const Storage& other);
+    Storage& operator=(const Storage& other);
+    Storage(Storage&& other) noexcept
+        : buf(std::exchange(other.buf, nullptr)),
+          head(std::exchange(other.head, 0)),
+          len(std::exchange(other.len, 0)) {}
+    Storage& operator=(Storage&& other) noexcept {
+      if (this == &other) return *this;
+      if (buf != nullptr) BufferPool::release(buf);
+      buf = std::exchange(other.buf, nullptr);
+      head = std::exchange(other.head, 0);
+      len = std::exchange(other.len, 0);
+      return *this;
+    }
+    ~Storage() {
+      if (buf != nullptr) BufferPool::release(buf);
+    }
+  };
+
   // Moves the payload so that headroom >= need, reallocating only when the
-  // current buffer cannot hold need + len_ (then releasing the old buffer
+  // current buffer cannot hold need + len (then releasing the old buffer
   // back to the pool). Never zero-initialises.
   void grow_headroom(std::size_t need);
-  std::size_t cap() const noexcept { return buf_ ? buf_->cap : 0; }
 
-  BufferPool::Buf* buf_ = nullptr;
-  std::uint32_t head_ = 0;
-  std::uint32_t len_ = 0;
+  Storage store_;
   DstEntry dst_;
 };
 

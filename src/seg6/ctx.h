@@ -16,7 +16,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "ebpf/exec.h"
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 #include "net/ip6.h"
@@ -74,17 +73,15 @@ struct ProcessTrace {
 struct Seg6ProgCtx {
   class Netns* netns = nullptr;
   net::Packet* pkt = nullptr;
-  ebpf::SkbCtx skb;              // the ctx struct the program sees
-  ebpf::ExecEnv* env = nullptr;  // to refresh packet regions after resizes
   ProcessTrace* trace = nullptr;
 
   bool srh_dirty = false;        // SRH bytes/size modified -> revalidate
   bool packet_replaced = false;  // encap/decap/resize happened
   bool dst_set = false;          // lwt_seg6_action resolved a destination
 
-  // Refresh skb.data/data_end/len and the packet memory region after any
-  // operation that may have moved or resized the packet buffer.
-  void refresh_packet_view();
+  // The ctx and env the program runs with. A helper that may move or
+  // resize the packet re-points it: run.point_data_at(pkt->bytes()).
+  ebpf::SkbRun run;
 };
 
 class Netns {
@@ -137,8 +134,9 @@ class Netns {
   // (FibCacheSlot's rationale in seg6/fib.h).
   FibCacheSlot& fib_cache_slot() noexcept { return fib_slots_[current_cpu]; }
 
-  // Deterministic per-netns randomness for bpf_get_prandom_u32.
-  std::uint32_t prandom();
+  // The PRNG state every program run on this netns steps for
+  // bpf_get_prandom_u32 (ExecEnv::prandom_state).
+  std::uint64_t prandom_state = 0x853c49e6748fea9bull;
 
  private:
   std::string name_;
@@ -146,24 +144,30 @@ class Netns {
   std::map<int, Fib> tables_;
   std::unique_ptr<Seg6LocalTable> seg6local_;
   std::unordered_set<net::Ipv6Addr, net::Ipv6AddrHash> local_addrs_;
-  std::uint64_t prandom_state_ = 0x853c49e6748fea9bull;
   // One slot per possible CPU context (current_cpu is clamped below
   // ebpf::kMaxCpus by the Node's context setup).
   std::array<FibCacheSlot, ebpf::kMaxCpus> fib_slots_;
 };
 
-// Amortised SRv6 program executor: builds the SkbCtx + ExecEnv (clock and
-// prandom closures, memory-region list) once, then retargets them packet by
-// packet — so a burst of packets hitting the same program pays the
-// per-invocation setup once per group instead of once per packet.
+// Amortised SRv6 program executor: one Seg6ProgCtx whose SkbRun takes the
+// netns's clock reading, PRNG state and CPU context once, then is pointed
+// at the burst's packets one by one, so a burst of packets hitting the same
+// program pays the per-invocation setup once per group.
 //
 // Protocol per packet: prepare() -> BpfSystem::run -> harvest() ->
 // account(). harvest() must run before the next prepare(): it writes the
-// writable ctx fields (skb->mark) back to the current packet and returns the
+// writable ctx field (skb->mark) back to the current packet and returns the
 // per-packet helper flags.
 class Seg6BurstRunner {
  public:
-  explicit Seg6BurstRunner(Netns& ns);
+  explicit Seg6BurstRunner(Netns& ns) : ns_(ns) {
+    ctx_.netns = &ns;
+    ebpf::ExecEnv& env = ctx_.run.env;
+    env.user = &ctx_;
+    env.now_ns = ns.now();
+    env.prandom_state = &ns.prandom_state;
+    env.cpu_id = ns.current_cpu;
+  }
   Seg6BurstRunner(const Seg6BurstRunner&) = delete;
   Seg6BurstRunner& operator=(const Seg6BurstRunner&) = delete;
 
@@ -181,15 +185,12 @@ class Seg6BurstRunner {
   // Charges one program execution to `trace` (engine-aware insn counts).
   void account(ProcessTrace* trace, const ebpf::ExecResult& exec) const;
 
-  ebpf::ExecEnv& env() noexcept { return env_; }
-  std::uint64_t ctx_addr() const noexcept {
-    return reinterpret_cast<std::uint64_t>(&ctx_.skb);
-  }
+  ebpf::ExecEnv& env() noexcept { return ctx_.run.env; }
+  std::uint64_t ctx_addr() const noexcept { return ctx_.run.ctx_addr(); }
 
  private:
   Netns& ns_;
   Seg6ProgCtx ctx_;
-  ebpf::ExecEnv env_;
 };
 
 // The one way an SRv6 program runs over packets: for each packet of `pkts`

@@ -105,7 +105,7 @@ std::uint64_t do_adjust_srh(ExecEnv& env, std::uint64_t /*skb*/,
 
   ctx->srh_dirty = true;
   ctx->packet_replaced = true;
-  ctx->refresh_packet_view();
+  ctx->run.point_data_at(ctx->pkt->bytes());
   return 0;
 }
 
@@ -160,7 +160,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
       if (!inline_srh(pkt, view)) return err_(kEInval);
       if (ctx->trace != nullptr) ++ctx->trace->encaps;
       ctx->packet_replaced = true;
-      ctx->refresh_packet_view();
+      ctx->run.point_data_at(ctx->pkt->bytes());
       return 0;
     }
     case Seg6Action::kEndB6Encaps: {
@@ -171,7 +171,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
                      ns.encap_src(pkt));
       if (ctx->trace != nullptr) ++ctx->trace->encaps;
       ctx->packet_replaced = true;
-      ctx->refresh_packet_view();
+      ctx->run.point_data_at(ctx->pkt->bytes());
       return 0;
     }
     case Seg6Action::kEndDT6: {
@@ -181,7 +181,7 @@ std::uint64_t do_seg6_action(ExecEnv& env, std::uint64_t /*skb*/,
       if (!seg6_decap(pkt)) return err_(kEInval);
       if (ctx->trace != nullptr) ++ctx->trace->decaps;
       ctx->packet_replaced = true;
-      ctx->refresh_packet_view();
+      ctx->run.point_data_at(ctx->pkt->bytes());
       return fib_resolve(static_cast<int>(table));
     }
     default:
@@ -216,7 +216,7 @@ std::uint64_t do_push_encap(ExecEnv& env, std::uint64_t /*skb*/,
   }
   if (ctx->trace != nullptr) ++ctx->trace->encaps;
   ctx->packet_replaced = true;
-  ctx->refresh_packet_view();
+  ctx->run.point_data_at(ctx->pkt->bytes());
   return 0;
 }
 

@@ -78,11 +78,6 @@ void FaultInjector::crash(Node& node, CrashSpec spec) {
   crashes_.push_back(CrashEntry{&node, spec});
 }
 
-void FaultInjector::map_fault(Node& node, std::uint32_t map_id, TimeNs at,
-                              std::uint64_t count, int err) {
-  map_faults_.push_back(MapFaultSpec{&node, map_id, at, count, err});
-}
-
 void FaultInjector::cap_buffer_pool(std::uint64_t max_buffers) {
   pool_cap_ = max_buffers;
 }
@@ -163,17 +158,6 @@ void FaultInjector::install() {
   }
 
   for (const CrashEntry& e : crashes_) compile_crash(e);
-
-  for (const MapFaultSpec& m : map_faults_) {
-    Node* node = m.node;
-    const std::uint32_t id = m.map_id;
-    const std::uint64_t count = m.count;
-    const int err = m.err;
-    node->loop().schedule_at(m.at, [node, id, count, err] {
-      if (ebpf::Map* map = node->ns().bpf().maps().get(id))
-        map->arm_update_fault(count, err);
-    });
-  }
 }
 
 }  // namespace srv6bpf::sim

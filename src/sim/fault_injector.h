@@ -18,7 +18,6 @@
 //   crash(node, spec)               — power-fail crash, restart, and a
 //                                     control-plane re-installer with
 //                                     exponential backoff + jitter + retry cap
-//   map_fault(node, id, at, n, err) — arm the next n eBPF map updates to fail
 //   cap_buffer_pool(n)              — BufferPool admission cap (this thread)
 //
 // Crash lifecycle (the degradation ladder tests/chaos_test.cc walks):
@@ -43,7 +42,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ebpf/map.h"
 #include "sim/event_loop.h"
 #include "util/rng.h"
 
@@ -93,8 +91,6 @@ class FaultInjector {
   void flap(Link& link, TimeNs down_at, TimeNs up_at);
   void corrupt(Link& link, int side, double prob, TimeNs from_ns, TimeNs to_ns);
   void crash(Node& node, CrashSpec spec);
-  void map_fault(Node& node, std::uint32_t map_id, TimeNs at,
-                 std::uint64_t count, int err = ebpf::kErrNoMem);
   void cap_buffer_pool(std::uint64_t max_buffers);
 
   // Compiles the schedule into events. Call once, after the topology's
@@ -132,14 +128,6 @@ class FaultInjector {
     Node* node;
     CrashSpec spec;
   };
-  struct MapFaultSpec {
-    Node* node;
-    std::uint32_t map_id;
-    TimeNs at;
-    std::uint64_t count;
-    int err;
-  };
-
   void compile_crash(const CrashEntry& entry);
 
   Network& net_;
@@ -149,7 +137,6 @@ class FaultInjector {
   std::vector<FlapSpec> flaps_;
   std::vector<CorruptSpec> corruptions_;
   std::vector<CrashEntry> crashes_;
-  std::vector<MapFaultSpec> map_faults_;
   std::vector<OutageReport> outages_;
 };
 

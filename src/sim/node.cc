@@ -145,12 +145,6 @@ void Node::enqueue_rx(net::Packet&& pkt, int ifindex) {
   maybe_schedule_service(ctx);
 }
 
-void Node::receive_from_link(net::Packet&& pkt, int ifindex) {
-  net::PacketBurst b;
-  b.push(std::move(pkt), /*at_ns=*/loop_->now());
-  receive_burst_from_link(std::move(b), ifindex);
-}
-
 void Node::receive_burst_from_link(net::PacketBurst&& burst, int ifindex) {
   if (down_) {
     // Crashed: the NIC still "sees" the bits but there is no stack to hand

@@ -123,8 +123,6 @@ class Node {
   };
 
   // ---- traffic entry points ----
-  // Single-packet arrival: thin wrapper over receive_burst_from_link.
-  void receive_from_link(net::Packet&& pkt, int ifindex);
   // Burst arrival (Link::transmit_burst): each packet carries its own wire
   // arrival time in the burst metadata.
   void receive_burst_from_link(net::PacketBurst&& burst, int ifindex);

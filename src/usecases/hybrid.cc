@@ -34,8 +34,14 @@ const net::Ipv6Addr kAD2 = net::Ipv6Addr::must_parse("fd00:aa::d2");
 constexpr std::uint16_t kTwdPortL1 = 41001;
 constexpr std::uint16_t kTwdPortL2 = 41002;
 
+// The paper's xDSL and LTE stand-ins: 50 Mbps at 30±5 ms RTT and 30 Mbps
+// at 5±2 ms RTT.
 constexpr std::uint64_t kLink1Bps = 50 * 1000 * 1000;
 constexpr std::uint64_t kLink2Bps = 30 * 1000 * 1000;
+constexpr sim::TimeNs kLink1Rtt = 30 * sim::kMilli;
+constexpr sim::TimeNs kLink1JitterRtt = 5 * sim::kMilli;
+constexpr sim::TimeNs kLink2Rtt = 5 * sim::kMilli;
+constexpr sim::TimeNs kLink2JitterRtt = 2 * sim::kMilli;
 constexpr sim::TimeNs kTwdInterval = 50 * sim::kMilli;
 
 void add_dt6_sid(sim::Node& node, const net::Ipv6Addr& sid) {
@@ -96,13 +102,13 @@ HybridLab::HybridLab(const Options& opts) : net_(/*seed=*/7) {
   // compensation able to track it.
   for (int side = 0; side < 2; ++side) {
     sim::NetemConfig n1;
-    n1.delay_ns = opts.link1_rtt / 2;
-    n1.jitter_ns = opts.link1_jitter_rtt / 2;
+    n1.delay_ns = kLink1Rtt / 2;
+    n1.jitter_ns = kLink1JitterRtt / 2;
     n1.jitter_tau_ns = 10 * sim::kSecond;
     link1_->qdisc(side).set_config(n1);
     sim::NetemConfig n2;
-    n2.delay_ns = opts.link2_rtt / 2;
-    n2.jitter_ns = opts.link2_jitter_rtt / 2;
+    n2.delay_ns = kLink2Rtt / 2;
+    n2.jitter_ns = kLink2JitterRtt / 2;
     n2.jitter_tau_ns = 10 * sim::kSecond;
     link2_->qdisc(side).set_config(n2);
   }

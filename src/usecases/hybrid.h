@@ -40,13 +40,10 @@ std::shared_ptr<seg6::LwtState> make_wrr_lwt(sim::Node& node,
 
 class HybridLab {
  public:
-  // Link 1 (xDSL-like, 50 Mbps) and link 2 (LTE-like, 30 Mbps), as in the
-  // paper; the TWD daemon probes every 50 ms.
+  // Link 1 (xDSL-like, 50 Mbps, 30±5 ms RTT) and link 2 (LTE-like,
+  // 30 Mbps, 5±2 ms RTT), as in the paper; with compensation on, the TWD
+  // daemon probes every 50 ms.
   struct Options {
-    sim::TimeNs link1_rtt = 30 * sim::kMilli;
-    sim::TimeNs link1_jitter_rtt = 5 * sim::kMilli;
-    sim::TimeNs link2_rtt = 5 * sim::kMilli;
-    sim::TimeNs link2_jitter_rtt = 2 * sim::kMilli;
     bool twd_compensation = false;
   };
 

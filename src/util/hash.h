@@ -1,11 +1,12 @@
 // The simulator's three integer hashes, each written once.
 //
 // Their outputs are part of the deterministic contract: RSS context
-// placement and ECMP nexthop choice (one-at-a-time), bpf_get_prandom_u32,
-// the Rng seed expansion and the per-link RNG seeds (splitmix64), and the
-// PDES name-hash placement of unassigned nodes (FNV-1a) all feed the
-// golden digests, so none may change by a bit. FNV-1a also folds the
-// digests themselves.
+// placement and ECMP nexthop choice (one-at-a-time), the Rng seed expansion
+// and the per-link RNG seeds (splitmix64), and the PDES name-hash
+// placement of unassigned nodes (FNV-1a) all feed the golden digests, so
+// none may change by a bit. FNV-1a also folds the digests themselves.
+// bpf_get_prandom_u32's splitmix64 sequence feeds no golden, because no
+// use-case program draws from it; seg6_test's SkbCtx case pins it.
 #pragma once
 
 #include <cstddef>

@@ -193,24 +193,15 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
     for (const auto& pkt : corpus) {
       const std::uint32_t want = run(prog, pkt.data(), pkt.size());
 
-      ebpf::SkbCtx skb;
-      skb.data = reinterpret_cast<std::uint64_t>(pkt.data());
-      skb.data_end = skb.data + pkt.size();
-      skb.len = static_cast<std::uint32_t>(pkt.size());
-      skb.protocol = ebpf::kEthPIpv6Be;
-
-      ebpf::ExecEnv env;
-      env.now_ns = [] { return std::uint64_t{42}; };
-      env.prandom = [] { return std::uint32_t{4}; };
-      env.regions.push_back(ebpf::MemRegion{
-          reinterpret_cast<std::uintptr_t>(&skb), sizeof skb, true});
-      env.regions.push_back(ebpf::MemRegion{
-          reinterpret_cast<std::uintptr_t>(pkt.data()), pkt.size(), false});
+      // bpf_get_prandom_u32 reads 4 without a PRNG state.
+      ebpf::SkbRun run;
+      run.point_data_at(pkt);
+      run.env.now_ns = 42;
 
       for (const ebpf::EngineKind engine : kEngines) {
         sys.set_engine(engine);
         const ebpf::ExecResult res =
-            sys.run(*load.prog, env, reinterpret_cast<std::uint64_t>(&skb));
+            sys.run(*load.prog, run.env, run.ctx_addr());
         ASSERT_TRUE(res.ok())
             << ebpf::engine_name(engine) << ": " << res.error << "\n"
             << dump(prog, tr.insns);

@@ -32,22 +32,9 @@ std::uint32_t run_translated(const std::vector<SockFilter>& prog,
                          << ebpf::disasm(tr.insns);
   if (!load.ok()) return 0xdead;
 
-  ebpf::SkbCtx skb;
-  skb.data = reinterpret_cast<std::uint64_t>(pkt.data());
-  skb.data_end = skb.data + pkt.size();
-  skb.len = static_cast<std::uint32_t>(pkt.size());
-  skb.protocol = ebpf::kEthPIpv6Be;
-
-  ebpf::ExecEnv env;
-  env.now_ns = [] { return std::uint64_t{0}; };
-  env.prandom = [] { return std::uint32_t{0}; };
-  env.regions.push_back(ebpf::MemRegion{
-      reinterpret_cast<std::uintptr_t>(&skb), sizeof skb, true});
-  env.regions.push_back(ebpf::MemRegion{
-      reinterpret_cast<std::uintptr_t>(pkt.data()), pkt.size(), false});
-
-  const ebpf::ExecResult res =
-      sys.run(*load.prog, env, reinterpret_cast<std::uint64_t>(&skb));
+  ebpf::SkbRun run;
+  run.point_data_at(pkt);
+  const ebpf::ExecResult res = sys.run(*load.prog, run.env, run.ctx_addr());
   EXPECT_TRUE(res.ok()) << res.error;
   return static_cast<std::uint32_t>(res.ret);
 }

@@ -453,7 +453,9 @@ TEST(RxOverflow, DropNewestRefusesTheArrival) {
       spec.payload_size = 32;
       net::Packet pkt = net::make_udp_packet(spec);
       pkt.seq = i;
-      r.receive_from_link(std::move(pkt), 0);
+      net::PacketBurst b;  // one packet per arrival
+      b.push(std::move(pkt), r.loop().now());
+      r.receive_burst_from_link(std::move(b), 0);
     }
   });
   net.run_until(10 * sim::kMilli);

@@ -271,11 +271,12 @@ EngineObservation run_on(EngineKind engine, const std::vector<Insn>& insns) {
   }
   sys.set_engine(engine);
 
+  // Each draw steps the PRNG state, so the map values show the order of
+  // the helper calls.
   ExecEnv env;
-  std::uint64_t tick = 1000;
-  std::uint32_t prand = 0x12345678;
-  env.now_ns = [&tick] { return tick += 10; };
-  env.prandom = [&prand] { return prand = prand * 1664525u + 1013904223u; };
+  std::uint64_t prandom_state = 0x12345678;
+  env.now_ns = 1000;
+  env.prandom_state = &prandom_state;
   obs.exec = sys.run(*load.prog, env, 0);
 
   Map* map = sys.maps().get(map_id);

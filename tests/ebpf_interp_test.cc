@@ -238,7 +238,7 @@ TEST_P(EngineTest, KtimeHelperFlowsThrough) {
   auto load = sys.load("t", ProgType::kLwtSeg6Local, a.build());
   ASSERT_TRUE(load.ok()) << load.verify.error;
   ExecEnv env;
-  env.now_ns = [] { return 12345u; };
+  env.now_ns = 12345;
   sys.set_engine(GetParam());
   const ExecResult r = sys.run(*load.prog, env, 0);
   ASSERT_TRUE(r.ok()) << r.error;

@@ -334,7 +334,7 @@ TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
   EXPECT_TRUE(sys.jit_enabled());
 
   ExecEnv env;
-  env.now_ns = [] { return std::uint64_t{21}; };
+  env.now_ns = 21;
   const ExecResult want = sys.run(*load.prog, env, 0);
   ASSERT_TRUE(want.ok()) << want.error;
   EXPECT_EQ(want.ret, 42u);

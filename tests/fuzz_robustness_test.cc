@@ -156,7 +156,9 @@ TEST(FuzzDatapath, MalformedArrivalsDropAccountedNeverCrash) {
           mutate(make_seed_packet(fuzz, A("fc00:2::2"), A("fc00:f::1")), fuzz);
       if (pkt.size() == 0) return;  // nothing on the wire
       ++injected;
-      r.receive_from_link(std::move(pkt), 0);
+      net::PacketBurst b;
+      b.push(std::move(pkt), r.loop().now());
+      r.receive_burst_from_link(std::move(b), 0);
     });
   }
 

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <climits>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ebpf/map.h"
+#include "net/burst.h"
 #include "net/packet.h"
 #include "net/srh.h"
 #include "net/transport.h"
@@ -17,6 +20,7 @@
 #include "seg6/helpers.h"
 #include "seg6/lwt.h"
 #include "seg6/seg6local.h"
+#include "sim/network.h"
 #include "ebpf/asm.h"
 #include "usecases/programs.h"
 #include "util/hash.h"
@@ -783,6 +787,154 @@ TEST_F(Seg6LocalTest, LwtWithoutProgramUsesRoute) {
   lwt.kind = LwtState::Kind::kBpf;  // no programs attached
   EXPECT_EQ(lwt_process(ns_, pkt, lwt, LwtHook::kXmit, &trace_).disposition,
             Disposition::kUseRoute);
+}
+
+// ---- The context every packet program sees ------------------------------------
+
+// What ctx_probe() stores, one u64 per slot of its map value.
+enum ProbeSlot {
+  kFirstByte,   // *(u8 *)data
+  kEndIsExact,  // 1 when data_end == data + the expected length
+  kLen,
+  kProtocol,
+  kMark,
+  kIngressIfindex,
+  kTstamp,
+  kKtime,
+  kPrandom1,
+  kPrandom2,
+  kProbeSlots
+};
+
+// A program that stores every SkbCtx field, bpf_ktime_get_ns() and two
+// bpf_get_prandom_u32() draws into entry `entry` of array map `map_id`,
+// then writes `new_mark` to skb->mark and returns BPF_OK.
+std::vector<ebpf::Insn> ctx_probe(std::uint32_t map_id, std::int32_t entry,
+                                  std::int32_t pkt_len,
+                                  std::int32_t new_mark) {
+  using namespace ebpf;
+  Asm a;
+  a.mov64_reg(R6, R1)
+      .st(BPF_W, R10, -4, entry)
+      .ld_map(R1, map_id)
+      .mov64_reg(R2, R10)
+      .add64_imm(R2, -4)
+      .call(helper::MAP_LOOKUP_ELEM)
+      .jeq_imm(R0, 0, "out")
+      .mov64_reg(R7, R0)
+      .ldx(BPF_DW, R2, R6, skb_off::kData)
+      .ldx(BPF_DW, R3, R6, skb_off::kDataEnd)
+      .mov64_reg(R4, R2)
+      .add64_imm(R4, pkt_len)
+      .jgt_reg(R4, R3, "out")
+      .ldx(BPF_B, R5, R2, 0)
+      .stx(BPF_DW, R7, R5, 8 * kFirstByte)
+      .mov64_imm(R5, 1)
+      .add64_imm(R4, 1)
+      .jgt_reg(R4, R3, "end_checked")
+      .mov64_imm(R5, 0)
+      .label("end_checked")
+      .stx(BPF_DW, R7, R5, 8 * kEndIsExact);
+  const struct {
+    std::uint8_t size;
+    int off;
+    ProbeSlot slot;
+  } fields[] = {{BPF_W, skb_off::kLen, kLen},
+                {BPF_W, skb_off::kProtocol, kProtocol},
+                {BPF_W, skb_off::kMark, kMark},
+                {BPF_W, skb_off::kIngressIfindex, kIngressIfindex},
+                {BPF_DW, skb_off::kTstamp, kTstamp}};
+  for (const auto& f : fields)
+    a.ldx(f.size, R5, R6, static_cast<std::int16_t>(f.off))
+        .stx(BPF_DW, R7, R5, static_cast<std::int16_t>(8 * f.slot));
+  a.call(helper::KTIME_GET_NS)
+      .stx(BPF_DW, R7, R0, 8 * kKtime)
+      .call(helper::GET_PRANDOM_U32)
+      .stx(BPF_DW, R7, R0, 8 * kPrandom1)
+      .call(helper::GET_PRANDOM_U32)
+      .stx(BPF_DW, R7, R0, 8 * kPrandom2)
+      .st(BPF_W, R6, skb_off::kMark, new_mark)
+      .label("out")
+      .mov64_imm(R0, static_cast<std::int32_t>(ebpf::BPF_OK))
+      .exit_();
+  return a.build();
+}
+
+// End.BPF on R's SID, then an LWT xmit program on the route toward S2, both
+// over one packet that R receives from a link. Each program must see the
+// packet's bytes, length, mark, ingress interface and wire arrival, the
+// event clock, and the next draws of R's netns PRNG; each mark it writes
+// must reach the next program and then the wire.
+TEST(SkbCtx, EndBpfAndLwtSeeThePacketTheClockAndTheNetnsDraws) {
+  sim::Network net;
+  sim::Node& r = net.add_node("R");
+  sim::Node& s1 = net.add_node("S1");
+  sim::Node& s2 = net.add_node("S2");
+  const std::uint64_t kTenGig = 10ull * 1000 * 1000 * 1000;
+  const auto down = net.connect(r, A("fc00:2::1"), s2, A("fc00:2::2"),
+                                kTenGig, 10 * sim::kMicro);
+  const auto up = net.connect(s1, A("fc00:1::1"), r, A("fc00:1::2"), kTenGig,
+                              10 * sim::kMicro);
+  ASSERT_NE(up.b_ifindex, 0) << "the ingress interface must not read as 0";
+
+  net::Packet pkt = srv6_packet({A("fc00:f::1"), A("fc00:2::2")});
+  const auto len = static_cast<std::int32_t>(pkt.size());
+  pkt.mark = 0x5eed;
+
+  ebpf::BpfSystem& bpf = r.ns().bpf();
+  const std::uint32_t map_id = bpf.maps().create(
+      {ebpf::MapType::kArray, 4, 8 * kProbeSlots, 2, "ctx_probe"});
+  usecases::bind_end_bpf(
+      r.ns(), A("fc00:f::1"),
+      usecases::load_or_throw(
+          bpf, {ctx_probe(map_id, 0, len, 0xe0b), 0, "probe_end"},
+          ebpf::ProgType::kLwtSeg6Local));
+  auto lwt = std::make_shared<LwtState>();
+  lwt->kind = LwtState::Kind::kBpf;
+  lwt->prog_xmit = usecases::load_or_throw(
+      bpf, {ctx_probe(map_id, 1, len, 0x1a7), 0, "probe_xmit"},
+      ebpf::ProgType::kLwtXmit);
+  r.ns().table(0).add_route(
+      {P("fc00:2::/64"), {Nexthop{net::Ipv6Addr{}, down.a_ifindex, 1}}, lwt});
+
+  std::vector<std::uint32_t> marks_at_s2;
+  s2.set_local_handler([&marks_at_s2](net::Packet&& p, sim::TimeNs) {
+    marks_at_s2.push_back(p.mark);
+  });
+
+  constexpr sim::TimeNs kArrival = 4200;
+  constexpr sim::TimeNs kEvent = 5000;
+  net.loop().schedule_at(kEvent, [&] {
+    net::PacketBurst b;
+    b.push(std::move(pkt), kArrival);
+    r.receive_burst_from_link(std::move(b), up.b_ifindex);
+  });
+  net.run_until(sim::kMilli);
+
+  // bpf_get_prandom_u32: a splitmix64 step from the netns's seed, the high
+  // half of the mix before its final xor-shift.
+  std::uint64_t state = 0x853c49e6748fea9bull;
+  std::uint64_t draws[4];
+  for (std::uint64_t& d : draws) d = splitmix64_unfinalized(state) >> 32;
+
+  ebpf::Map* map = bpf.maps().get(map_id);
+  const std::uint64_t want[2][kProbeSlots] = {
+      {0x60, 1, std::uint64_t(len), ebpf::kEthPIpv6Be, 0x5eed,
+       std::uint64_t(up.b_ifindex), kArrival, kEvent, draws[0], draws[1]},
+      {0x60, 1, std::uint64_t(len), ebpf::kEthPIpv6Be, 0xe0b,
+       std::uint64_t(up.b_ifindex), kArrival, kEvent, draws[2], draws[3]}};
+  for (std::uint32_t entry = 0; entry < 2; ++entry) {
+    const std::uint8_t* v = map->lookup(
+        {reinterpret_cast<const std::uint8_t*>(&entry), sizeof entry});
+    ASSERT_NE(v, nullptr);
+    for (int s = 0; s < kProbeSlots; ++s) {
+      std::uint64_t got;
+      std::memcpy(&got, v + 8 * s, 8);
+      EXPECT_EQ(got, want[entry][s]) << "entry " << entry << " slot " << s;
+    }
+  }
+  ASSERT_EQ(marks_at_s2.size(), 1u);
+  EXPECT_EQ(marks_at_s2[0], 0x1a7u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "ebpf/verifier.h"
@@ -124,13 +125,24 @@ TEST(DelayMonitor, InnerPacketsSurviveProbeEncapsulation) {
 
 // ---- §4.2 WRR + TWD ---------------------------------------------------------------
 
+// Sets both directions of `link` to a fixed one-way delay (no jitter) when
+// `one_way` is given, else only drops the jitter, before traffic starts.
+void set_netem(sim::Link& link, std::optional<sim::TimeNs> one_way) {
+  for (int side = 0; side < 2; ++side) {
+    sim::NetemConfig cfg = link.qdisc(side).config();
+    if (one_way) cfg.delay_ns = *one_way;
+    cfg.jitter_ns = 0;
+    link.qdisc(side).set_config(cfg);
+  }
+}
+
 TEST(Hybrid, WrrSplitsPacketsByConfiguredWeights) {
   HybridLab::Options opts;
   opts.twd_compensation = false;
-  // Equal RTTs so reordering doesn't interfere with this check.
-  opts.link1_rtt = opts.link2_rtt = 10 * sim::kMilli;
-  opts.link1_jitter_rtt = opts.link2_jitter_rtt = 0;
   HybridLab lab(opts);
+  // Equal RTTs (10 ms) so reordering doesn't interfere with this check.
+  set_netem(*lab.link1(), 5 * sim::kMilli);
+  set_netem(*lab.link2(), 5 * sim::kMilli);
   lab.run_tcp(1, 2 * sim::kSecond);
   const auto& s1 = lab.net();
   (void)s1;
@@ -149,9 +161,10 @@ TEST(Hybrid, WrrSplitsPacketsByConfiguredWeights) {
 TEST(Hybrid, TwdDaemonMeasuresDelayDifference) {
   HybridLab::Options opts;
   opts.twd_compensation = true;
-  opts.link1_jitter_rtt = 0;
-  opts.link2_jitter_rtt = 0;
   HybridLab lab(opts);
+  // No jitter; the daemon already read the links' base delays, which stay.
+  set_netem(*lab.link1(), std::nullopt);
+  set_netem(*lab.link2(), std::nullopt);
   lab.net().run_for(3 * sim::kSecond);
   EXPECT_GT(lab.twd_probes_returned(), 2u);
   // One-way difference is (30-5)/2 = 12.5 ms; after the first compensation
