@@ -28,7 +28,6 @@
 #include "cbpf/expr.h"
 #include "cbpf/interp.h"
 #include "cbpf/translate.h"
-#include "ebpf/jit.h"
 #include "ebpf/skb.h"
 #include "ebpf/vm.h"
 
@@ -203,7 +202,7 @@ int main(int argc, char** argv) {
              "interpretation");
   rep.str("bench", "filter")
       .str("measurement", "filter_ns_per_packet")
-      .flag("native_jit_available", ebpf::Jit::available());
+      .flag("native_jit_available", ebpf::native_jit_available());
 
   const Corpus corpus = make_corpus();
   const char* exprs[] = {

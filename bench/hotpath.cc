@@ -16,8 +16,8 @@
 //                  of the gated speedup.
 //
 // For each run the measured window (after a 30 ms warm-up that fills the RX
-// rings, the event queue's reserved storage and the pools) reports simulated
-// sink kpps, simulated-packets-per-wall-second, and — through the
+// rings, the event queue's reserved storage and the buffer pool) reports
+// simulated sink kpps, simulated-packets-per-wall-second, and — through the
 // util/alloc_hooks operator-new counter compiled into this binary — the
 // exact number of allocator calls in the window and per forwarded packet.
 //
@@ -84,7 +84,7 @@ Run run_one(bool fib48, bool pooled, sim::TimeNs duration, Obj& rec) {
     lab.gen->start();
 
     // Warm-up: fills the RX rings to their limit (the scenario saturates R),
-    // the event queue's reserved heap storage and the buffer/burst pools.
+    // the event queue's reserved heap storage and the buffer pool.
     lab.net.run_for(30 * sim::kMilli);
     lab.sink->reset();
     net::BufferPool::reset_stats();

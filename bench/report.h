@@ -23,22 +23,16 @@ struct Mode {
   bool json_only = false;  // no header and no stdout echo
 };
 
-// Reads --quick and --json-only and removes them from argv. Every other
-// argument (bench_vm_micro's google-benchmark flags) stays, in order.
-inline Mode parse_mode(int& argc, char** argv) {
+// Reads --quick and --json-only; every other argument is ignored.
+inline Mode parse_mode(int argc, char** argv) {
   Mode mode;
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--quick")
       mode.quick = true;
     else if (arg == "--json-only")
       mode.json_only = true;
-    else
-      argv[kept++] = argv[i];
   }
-  argc = kept;
-  argv[argc] = nullptr;
   return mode;
 }
 

@@ -1,37 +1,26 @@
-// Microbenchmarks of the eBPF machinery itself.
-//
-// Part 1 (custom, runs first): engine-only throughput of the three execution
-// engines — baseline decode-every-step interpreter, pre-decoded threaded
-// interpreter, native x86-64 JIT — on the paper's §3.2 seg6local programs
-// plus a 512-insn ALU chain, with results written to BENCH_vm.json (flags
-// and exit status: bench/report.h) so the perf trajectory is
-// machine-trackable across PRs. On hosts without native support the native
-// column falls back to the pre-decoded interpreter (and its geomean metric
-// will read ~1x). "Engine-only" means the ExecEnv/ctx are
+// Microbenchmarks of the eBPF machinery itself: engine-only throughput of
+// the three execution engines — baseline decode-every-step interpreter,
+// pre-decoded threaded interpreter, native x86-64 JIT — on the paper's §3.2
+// seg6local programs plus a 512-insn ALU chain, with results written to
+// BENCH_vm.json (flags and exit status: bench/report.h) so the perf
+// trajectory is machine-trackable across PRs. On hosts without native
+// support the native column falls back to the pre-decoded interpreter (and
+// its geomean metric will read ~1x). "Engine-only" means the ExecEnv/ctx are
 // built once and the timed loop contains only the VM run (plus a packet
 // reset for the one program that resizes it); this isolates what the
 // decode-once refactor actually changed. Each §3.2 row also records what
 // verifying the program costs at load with state pruning and without. These
 // loads take a few µs and pruning saves them at most two states, so it may
 // cost at most 10% more than no pruning (a wall gate).
-//
-// Part 2: google-benchmark microbenchmarks of dispatch, helper-call, map and
-// verifier costs (skipped when --json-only is passed, or when part 1 fails;
-// google-benchmark's own flags pass through).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "ebpf/asm.h"
-#include "ebpf/helpers.h"
-#include "ebpf/map.h"
-#include "ebpf/perf_event.h"
 #include "ebpf/vm.h"
 #include "net/packet.h"
 #include "seg6/ctx.h"
@@ -59,22 +48,18 @@ std::vector<Insn> alu_chain(int n) {
   return a.build();
 }
 
-// ---------------------------------------------------------------------------
-// Part 1: §3.2 engine comparison -> BENCH_vm.json
-// ---------------------------------------------------------------------------
-
-// Engine-only ns/run of a seg6local program: the Netns and the datapath's
-// Seg6BurstRunner are prepared once; the timed loop is the VM invocation
-// itself. Programs that resize the packet (Add TLV) get a cheap in-place
-// packet reset per iteration so the workload stays constant.
+// Engine-only ns/run of a seg6local program: the Netns and its
+// Seg6BurstRunner, the one the datapath runs programs through, are prepared
+// once; the timed loop is the VM invocation itself. Programs that resize the
+// packet (Add TLV) get a cheap in-place packet reset per iteration so the
+// workload stays constant.
 double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
                       bool reset_packet, int iters) {
   seg6::Netns ns("bench");
   ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                         {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
   ns.bpf().set_engine(engine);
-  auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns,
-                            built.paper_sloc);
+  auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns);
   if (!load.ok()) {
     std::fprintf(stderr, "%s rejected: %s\n", built.name,
                  load.verify.error.c_str());
@@ -89,7 +74,8 @@ double engine_only_ns(const usecases::BuiltProgram& built, EngineKind engine,
   const net::Packet tmpl = net::make_udp_packet(spec);
   net::Packet pkt = tmpl;
 
-  seg6::Seg6BurstRunner runner(ns);
+  seg6::Seg6BurstRunner& runner = ns.runner();
+  runner.start();
   runner.prepare(pkt, nullptr);
   ExecEnv& env = runner.env();
   const std::uint64_t skb_addr = runner.ctx_addr();
@@ -164,7 +150,7 @@ void record_row(Obj& row, const std::string& name, bool sec32,
 void run_engine_comparison(int iters, int verify_reps, bench::Report& rep) {
   rep.str("bench", "vm_micro")
       .str("measurement", "engine_only_ns_per_run")
-      .flag("native_jit_available", Jit::available());
+      .flag("native_jit_available", native_jit_available());
 
   struct Prog {
     usecases::BuiltProgram built;
@@ -223,124 +209,9 @@ void run_engine_comparison(int iters, int verify_reps, bench::Report& rep) {
   rep.wall_gate(alu512 >= 3.0, "alu512 native speedup %.3f below 3.0", alu512);
 }
 
-// ---------------------------------------------------------------------------
-// Part 2: google-benchmark micro suite
-// ---------------------------------------------------------------------------
-
-void BM_EngineAluChain(benchmark::State& state, EngineKind engine) {
-  BpfSystem sys;
-  auto load = sys.load("alu", ProgType::kLwtSeg6Local, alu_chain(512));
-  if (!load.ok()) {
-    state.SkipWithError(load.verify.error.c_str());
-    return;
-  }
-  sys.set_engine(engine);
-  ExecEnv env;
-  for (auto _ : state) {
-    const auto r = sys.run(*load.prog, env, 0);
-    benchmark::DoNotOptimize(r.ret);
-  }
-  state.SetItemsProcessed(state.iterations() * 514);
-}
-BENCHMARK_CAPTURE(BM_EngineAluChain, native, EngineKind::kNative);
-BENCHMARK_CAPTURE(BM_EngineAluChain, interp, EngineKind::kInterp);
-BENCHMARK_CAPTURE(BM_EngineAluChain, interp_baseline,
-                  EngineKind::kInterpBaseline);
-
-void BM_HelperCallOverhead(benchmark::State& state) {
-  BpfSystem sys;
-  Asm a;
-  for (int i = 0; i < 16; ++i) a.call(helper::KTIME_GET_NS);
-  a.exit_();
-  auto load = sys.load("calls", ProgType::kLwtSeg6Local, a.build());
-  sys.set_engine(EngineKind::kNative);
-  ExecEnv env;
-  env.now_ns = 1;
-  for (auto _ : state) {
-    const auto r = sys.run(*load.prog, env, 0);
-    benchmark::DoNotOptimize(r.ret);
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_HelperCallOverhead);
-
-void BM_MapLookupFromBpf(benchmark::State& state) {
-  BpfSystem sys;
-  MapDef def{MapType::kArray, 4, 8, 4, "m"};
-  const auto id = sys.maps().create(def);
-  Asm a;
-  a.st(BPF_W, R10, -4, 0)
-      .ld_map(R1, id)
-      .mov64_reg(R2, R10)
-      .add64_imm(R2, -4)
-      .call(helper::MAP_LOOKUP_ELEM)
-      .jeq_imm(R0, 0, "miss")
-      .ldx(BPF_DW, R0, R0, 0)
-      .exit_()
-      .label("miss")
-      .mov64_imm(R0, 0)
-      .exit_();
-  auto load = sys.load("lookup", ProgType::kLwtSeg6Local, a.build());
-  sys.set_engine(EngineKind::kNative);
-  ExecEnv env;
-  for (auto _ : state) {
-    const auto r = sys.run(*load.prog, env, 0);
-    benchmark::DoNotOptimize(r.ret);
-  }
-}
-BENCHMARK(BM_MapLookupFromBpf);
-
-void BM_VerifierLoad(benchmark::State& state) {
-  const auto built = usecases::build_end_dm(1);
-  for (auto _ : state) {
-    BpfSystem sys;
-    create_perf_event_array(sys.maps(), "perf");
-    auto load = sys.load(built.name, ProgType::kLwtSeg6Local, built.insns);
-    benchmark::DoNotOptimize(load.ok());
-  }
-}
-BENCHMARK(BM_VerifierLoad);
-
-void BM_DecodeProgram(benchmark::State& state) {
-  BpfSystem sys;  // only the helper registry is needed to decode
-  const auto insns = alu_chain(512);
-  for (auto _ : state) {
-    auto decoded = decode_program(insns, &sys.helpers());
-    benchmark::DoNotOptimize(decoded->size());
-  }
-  state.SetItemsProcessed(state.iterations() * 514);
-}
-BENCHMARK(BM_DecodeProgram);
-
-void BM_LpmTrieLookup(benchmark::State& state) {
-  MapDef def{MapType::kLpmTrie, 20, 4, 1024, "lpm"};
-  auto map = make_map(def);
-  // 64 random /48 prefixes.
-  std::uint64_t x = 42;
-  for (int i = 0; i < 64; ++i) {
-    std::uint8_t key[20] = {};
-    const std::uint32_t plen = 48;
-    std::memcpy(key, &plen, 4);
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    std::memcpy(key + 4, &x, 6);
-    const std::uint32_t v = static_cast<std::uint32_t>(i);
-    map->update(key, {reinterpret_cast<const std::uint8_t*>(&v), 4}, 0);
-  }
-  std::uint8_t query[20] = {};
-  const std::uint32_t plen = 128;
-  std::memcpy(query, &plen, 4);
-  for (auto _ : state) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    std::memcpy(query + 4, &x, 8);
-    benchmark::DoNotOptimize(map->lookup(query));
-  }
-}
-BENCHMARK(BM_LpmTrieLookup);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strips our own flags before handing argv to google-benchmark.
   const bench::Mode mode = bench::parse_mode(argc, argv);
   bench::Report rep("BENCH_vm.json", mode,
                     "VM micro: engine-only ns/run of the three eBPF engines",
@@ -348,11 +219,5 @@ int main(int argc, char** argv) {
                     "programs is bench_paper's Add TLV JIT / no-JIT anchor");
   run_engine_comparison(mode.quick ? 5000 : 100000, mode.quick ? 11 : 201,
                         rep);
-  const int status = rep.finish();
-  if (status != 0 || mode.json_only) return status;
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return rep.finish();
 }

@@ -45,7 +45,7 @@ int main() {
   // Load the paper's Tag++ program: the verifier runs at load time.
   auto built = usecases::build_tag_increment();
   auto load = r.ns().bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                                built.insns, built.paper_sloc);
+                                built.insns);
   if (!load.ok()) {
     std::printf("verifier rejected the program: %s\n",
                 load.verify.error.c_str());

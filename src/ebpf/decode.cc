@@ -57,8 +57,8 @@ std::uint16_t jmp_kind(std::uint8_t op, bool is32, bool reg_src) {
 
 }  // namespace
 
-std::shared_ptr<const DecodedProgram> decode_program(
-    const std::vector<Insn>& insns, const HelperRegistry* helpers) {
+DecodedProgram decode_program(const std::vector<Insn>& insns,
+                              const HelperRegistry* helpers) {
   const std::size_t n = insns.size();
   if (n == 0) throw std::logic_error("decode: empty program");
 
@@ -79,8 +79,8 @@ std::shared_ptr<const DecodedProgram> decode_program(
     op_index[n] = next;
   }
 
-  auto out = std::make_shared<DecodedProgram>();
-  out->ops_.reserve(op_index[n]);
+  DecodedProgram out;
+  out.ops_.reserve(op_index[n]);
 
   for (std::size_t i = 0; i < n; ++i) {
     const Insn& insn = insns[i];
@@ -200,7 +200,7 @@ std::shared_ptr<const DecodedProgram> decode_program(
     // already points at the aux slot for a fused ld_imm64.)
     if (falls_through && i + 1 >= n)
       bad(i, "control flow falls off the end of the program");
-    out->ops_.push_back(op);
+    out.ops_.push_back(op);
   }
   return out;
 }

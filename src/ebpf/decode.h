@@ -20,12 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ebpf/helpers.h"
 #include "ebpf/insn.h"
-#include "ebpf/program.h"
 
 namespace srv6bpf::ebpf {
 
@@ -92,8 +90,8 @@ struct DecodedInsn {
   const HelperFn* fn = nullptr;  // resolved helper for calls
 };
 
-// A decode-once program. Immutable after construction; shared (via
-// CompiledProgram) between the threaded interpreter and the JIT engine.
+// A decode-once program. A LoadedProgram (ebpf/vm.h) keeps one, which the
+// pre-decoded interpreter runs and the native JIT compiled from.
 class DecodedProgram {
  public:
   const DecodedInsn* data() const noexcept { return ops_.data(); }
@@ -101,8 +99,8 @@ class DecodedProgram {
   const std::vector<DecodedInsn>& ops() const noexcept { return ops_; }
 
  private:
-  friend std::shared_ptr<const DecodedProgram> decode_program(
-      const std::vector<Insn>&, const HelperRegistry*);
+  friend DecodedProgram decode_program(const std::vector<Insn>&,
+                                       const HelperRegistry*);
   std::vector<DecodedInsn> ops_;
 };
 
@@ -114,12 +112,7 @@ class DecodedProgram {
 // *fetch-safe* even if handed an unverified stream (memory safety of the
 // program's own loads/stores is then the interpreter's runtime checks or the
 // verifier's proof, as before).
-std::shared_ptr<const DecodedProgram> decode_program(
-    const std::vector<Insn>& insns, const HelperRegistry* helpers);
-
-inline std::shared_ptr<const DecodedProgram> decode_program(
-    const Program& prog, const HelperRegistry* helpers) {
-  return decode_program(prog.insns(), helpers);
-}
+DecodedProgram decode_program(const std::vector<Insn>& insns,
+                              const HelperRegistry* helpers);
 
 }  // namespace srv6bpf::ebpf

@@ -63,11 +63,9 @@ enum class RetKind {
 };
 
 // Program-type gating bits (kernel: each prog type has its own helper list).
-inline constexpr std::uint8_t kProgLwtIn = 1 << 0;
-inline constexpr std::uint8_t kProgLwtOut = 1 << 1;
-inline constexpr std::uint8_t kProgLwtXmit = 1 << 2;
-inline constexpr std::uint8_t kProgSeg6Local = 1 << 3;
-inline constexpr std::uint8_t kProgSocketFilter = 1 << 4;
+inline constexpr std::uint8_t kProgLwtXmit = 1 << 0;
+inline constexpr std::uint8_t kProgSeg6Local = 1 << 1;
+inline constexpr std::uint8_t kProgSocketFilter = 1 << 2;
 inline constexpr std::uint8_t kProgAny = 0xff;
 
 struct HelperProto {

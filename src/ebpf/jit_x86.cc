@@ -400,12 +400,8 @@ void emit_div_mod(Emitter& e, const DecodedInsn& op, bool is64, bool is_mod,
 
 }  // namespace
 
-std::shared_ptr<const NativeCode> compile_native(const DecodedProgram& prog,
-                                                 std::string* error) {
-  if (!native_jit_available()) {
-    if (error) *error = "native jit: W^X mmap probe failed";
-    return nullptr;
-  }
+std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog) {
+  if (!native_jit_available()) return nullptr;
 
   const DecodedInsn* ops = prog.data();
   const std::size_t n = prog.size();
@@ -664,18 +660,14 @@ std::shared_ptr<const NativeCode> compile_native(const DecodedProgram& prog,
   const std::size_t len = (e.code.size() + psz - 1) / psz * psz;
   void* mem = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (mem == MAP_FAILED) {
-    if (error) *error = "native jit: mmap failed";
-    return nullptr;
-  }
+  if (mem == MAP_FAILED) return nullptr;
   std::memcpy(mem, e.code.data(), e.code.size());
   if (::mprotect(mem, len, PROT_READ | PROT_EXEC) != 0) {
     ::munmap(mem, len);
-    if (error) *error = "native jit: mprotect(RX) failed";
     return nullptr;
   }
 
-  auto out = std::shared_ptr<NativeCode>(new NativeCode());
+  std::unique_ptr<NativeCode> out(new NativeCode());
   out->pages_ = mem;
   out->map_len_ = len;
   out->code_size_ = e.code.size();
@@ -690,9 +682,7 @@ NativeCode::~NativeCode() = default;
 
 bool native_jit_available() noexcept { return false; }
 
-std::shared_ptr<const NativeCode> compile_native(const DecodedProgram&,
-                                                 std::string* error) {
-  if (error) *error = "native jit: unsupported architecture";
+std::unique_ptr<const NativeCode> compile_native(const DecodedProgram&) {
   return nullptr;
 }
 

@@ -36,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "ebpf/decode.h"
 #include "ebpf/exec.h"
@@ -66,10 +65,11 @@ class NativeCode {
   NativeCode(const NativeCode&) = delete;
   NativeCode& operator=(const NativeCode&) = delete;
 
-  // Executes the emitted code. Unchecked by construction: only verified
-  // programs are ever compiled. Defined inline: this is the per-packet hot
-  // path and the wrapper around the emitted code must stay a handful of
-  // instructions.
+  // Executes the emitted code. Unchecked by construction: the only code
+  // there is to run was compiled by BpfSystem::load right after the
+  // verifier accepted its program, and the verifier's proof stands in for
+  // the checks. Defined inline: this is the per-packet hot path and the
+  // wrapper around the emitted code must stay a handful of instructions.
   ExecResult run(ExecEnv& env, std::uint64_t ctx) const {
     // Not zero-filled: only verified programs compile, and the verifier
     // proves stack slots are written before read (kernel JIT frames are not
@@ -98,8 +98,8 @@ class NativeCode {
   std::size_t code_size() const noexcept { return code_size_; }
 
  private:
-  friend std::shared_ptr<const NativeCode> compile_native(
-      const DecodedProgram&, std::string*);
+  friend std::unique_ptr<const NativeCode> compile_native(
+      const DecodedProgram&);
   NativeCode() = default;
 
   void* pages_ = nullptr;       // mmap'd, PROT_READ|PROT_EXEC after emit
@@ -116,10 +116,13 @@ class NativeCode {
 // RW -> RX mprotect flip (cached after the first call).
 bool native_jit_available() noexcept;
 
-// Translates a decoded (verified) program into executable machine code.
-// Returns null and fills *error (if non-null) on unsupported hosts or when
-// mmap/mprotect fails; callers fall back to the pre-decoded interpreter.
-std::shared_ptr<const NativeCode> compile_native(const DecodedProgram& prog,
-                                                 std::string* error);
+// Translates a decoded program into executable machine code with no runtime
+// checks. Only verified programs get native code, as in the kernel, where
+// the JIT runs after the verifier and never instead of it; the guard is the
+// call order: BpfSystem::load is the only production caller, and calls it
+// right after the verifier accepted the program. Returns
+// null where native_jit_available() is false or mmap/mprotect fails; the
+// program then runs on the pre-decoded interpreter.
+std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog);
 
 }  // namespace srv6bpf::ebpf

@@ -4,8 +4,6 @@ namespace srv6bpf::ebpf {
 
 const char* prog_type_name(ProgType t) noexcept {
   switch (t) {
-    case ProgType::kLwtIn: return "lwt_in";
-    case ProgType::kLwtOut: return "lwt_out";
     case ProgType::kLwtXmit: return "lwt_xmit";
     case ProgType::kLwtSeg6Local: return "lwt_seg6local";
     case ProgType::kSocketFilter: return "socket_filter";

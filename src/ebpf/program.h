@@ -1,4 +1,6 @@
-// A loaded eBPF program: instructions + attachment type + verification state.
+// An eBPF program as a loader hands it in: a name, an attachment type and
+// its instructions. BpfSystem::load verifies it and keeps it in the
+// LoadedProgram it produces (ebpf/vm.h).
 #pragma once
 
 #include <cstdint>
@@ -9,16 +11,13 @@
 
 namespace srv6bpf::ebpf {
 
-// Attachment points. LWT_IN/OUT run at the network-layer input/output of a
-// route; LWT_XMIT just before transmission (and is the hook that may call
-// bpf_lwt_push_encap with full freedom); LWT_SEG6LOCAL is the paper's
-// End.BPF program type, which may call the three seg6 helpers.
+// Attachment points. LWT_XMIT runs on a route's packets just before
+// transmission (and may call bpf_lwt_push_encap); LWT_SEG6LOCAL is the
+// paper's End.BPF program type, which may call the three seg6 helpers.
 // SOCKET_FILTER is the classic SO_ATTACH_FILTER attachment: programs run
 // over packets delivered to an application socket and return the number of
 // bytes to accept (0 = drop) — the target type of the cBPF translator.
 enum class ProgType {
-  kLwtIn,
-  kLwtOut,
   kLwtXmit,
   kLwtSeg6Local,
   kSocketFilter,
@@ -36,21 +35,10 @@ class Program {
   const std::vector<Insn>& insns() const noexcept { return insns_; }
   std::size_t size() const noexcept { return insns_.size(); }
 
-  bool verified() const noexcept { return verified_; }
-  void set_verified() noexcept { verified_ = true; }
-
-  // Source-lines-of-code equivalent, reported by the benches to compare with
-  // the paper's SLOC figures (the paper counts C source lines; we report the
-  // instruction-slot count of the hand-assembled equivalent).
-  std::size_t sloc_hint() const noexcept { return sloc_hint_; }
-  void set_sloc_hint(std::size_t n) noexcept { sloc_hint_ = n; }
-
  private:
   std::string name_;
   ProgType type_;
   std::vector<Insn> insns_;
-  bool verified_ = false;
-  std::size_t sloc_hint_ = 0;
 };
 
 }  // namespace srv6bpf::ebpf

@@ -903,15 +903,14 @@ std::optional<VerifierError> Checker::do_call(State& s, const Insn& insn) {
   const HelperProto* proto = helpers_->proto(insn.imm);
   if (proto == nullptr)
     return err(pc, "call to unknown helper " + std::to_string(insn.imm));
-  const std::uint8_t type_bit = [&] {
+  // A type this switch does not name may call no helper.
+  const std::uint8_t type_bit = [&]() -> std::uint8_t {
     switch (type_) {
-      case ProgType::kLwtIn: return kProgLwtIn;
-      case ProgType::kLwtOut: return kProgLwtOut;
       case ProgType::kLwtXmit: return kProgLwtXmit;
       case ProgType::kLwtSeg6Local: return kProgSeg6Local;
       case ProgType::kSocketFilter: return kProgSocketFilter;
     }
-    return kProgAny;
+    return 0;
   }();
   if (!(proto->allowed_types & type_bit))
     return err(pc, "helper " + proto->name + " not allowed for program type " +

@@ -2,22 +2,23 @@
 //
 // Owns the map registry, the helper registry and the execution engines, and
 // enforces the kernel's invariant chain: programs are verified at load time,
-// JIT-compiled if verification succeeded, and only then attachable to hooks.
+// decoded and JIT-compiled if verification succeeded, and only then
+// attachable to hooks.
 // A node-wide JIT switch mirrors /proc/sys/net/core/bpf_jit_enable, which the
 // paper toggles for its §3.2 JIT experiment (and which is forced off on the
 // Turris Omnia CPE in §4.2 because of the ARM32 JIT bug).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "ebpf/decode.h"
 #include "ebpf/exec.h"
 #include "ebpf/helpers.h"
 #include "ebpf/interp.h"
-#include "ebpf/jit.h"
+#include "ebpf/jit_x86.h"
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/verifier.h"
@@ -45,30 +46,34 @@ constexpr const char* engine_name(EngineKind e) noexcept {
   return "?";
 }
 
-// A verified, loaded program plus its compiled form.
+// What a load produces, as the kernel's struct bpf_prog holds the
+// instructions, the type and the image bpf_prog_select_runtime installs:
+// the source program (the baseline interpreter runs it), its decode-once
+// form (the pre-decoded interpreter) and, when the host could emit it, its
+// native machine code.
 class LoadedProgram {
  public:
-  LoadedProgram(Program prog, std::shared_ptr<const CompiledProgram> compiled,
-                EngineKind engine)
+  LoadedProgram(Program prog, DecodedProgram decoded,
+                std::unique_ptr<const NativeCode> native)
       : prog_(std::move(prog)),
-        compiled_(std::move(compiled)),
-        engine_(engine) {}
+        decoded_(std::move(decoded)),
+        native_(std::move(native)) {}
 
   const Program& program() const noexcept { return prog_; }
   const std::string& name() const noexcept { return prog_.name(); }
   ProgType type() const noexcept { return prog_.type(); }
-  const CompiledProgram& compiled() const noexcept { return *compiled_; }
-
-  // The engine this program resolved to at load time: the system's selected
-  // engine with kNative falling back to kInterp when no machine code could
-  // be emitted. Purely observational — run() re-resolves against the
-  // system's *current* selection so benches can flip engines after load.
-  EngineKind engine() const noexcept { return engine_; }
+  const DecodedProgram& decoded() const noexcept { return decoded_; }
+  // Null when no machine code was emitted (non-x86-64 host, or W^X pages
+  // refused).
+  const NativeCode* native() const noexcept { return native_.get(); }
+  std::size_t native_code_size() const noexcept {
+    return native_ ? native_->code_size() : 0;
+  }
 
  private:
   Program prog_;
-  std::shared_ptr<const CompiledProgram> compiled_;
-  EngineKind engine_;
+  DecodedProgram decoded_;
+  std::unique_ptr<const NativeCode> native_;
 };
 
 using ProgHandle = std::shared_ptr<LoadedProgram>;
@@ -92,17 +97,13 @@ class BpfSystem {
   // Finer-grained engine choice (benchmarks use the baseline interpreter to
   // quantify what decode-once dispatch buys).
   void set_engine(EngineKind e) noexcept { engine_ = e; }
-  EngineKind engine() const noexcept { return engine_; }
 
   // The engine a program actually runs on under the current selection:
   // kNative falls back to kInterp when no machine code was emitted for it.
-  EngineKind engine_for(const CompiledProgram& c) const noexcept {
-    return engine_ == EngineKind::kNative && !c.has_native()
+  EngineKind engine_for(const LoadedProgram& prog) const noexcept {
+    return engine_ == EngineKind::kNative && prog.native() == nullptr
                ? EngineKind::kInterp
                : engine_;
-  }
-  EngineKind engine_for(const LoadedProgram& prog) const noexcept {
-    return engine_for(prog.compiled());
   }
 
   struct LoadResult {
@@ -111,10 +112,13 @@ class BpfSystem {
     bool ok() const noexcept { return prog != nullptr; }
   };
 
-  // Verify + compile. On verifier rejection returns a null handle and the
-  // verifier diagnostics.
+  // Verify, then decode, then emit native code where the host can. On
+  // verifier rejection returns a null handle and the verifier diagnostics.
+  // Nothing reads the fourth parameter: it stays only because the
+  // repository benchmark's workloads (benchmark/src/workloads.cc) pass a
+  // program's paper SLOC count (BuiltProgram::paper_sloc) there.
   LoadResult load(std::string name, ProgType type, std::vector<Insn> insns,
-                  std::size_t sloc_hint = 0);
+                  std::size_t /*paper_sloc*/ = 0);
 
   // Runs a loaded program with the node's registries wired into `env`,
   // on the engine selected via set_engine / set_jit_enabled. The one
@@ -123,16 +127,10 @@ class BpfSystem {
                  std::uint64_t ctx) const;
 
  private:
-  // With the SRV6BPF_LOG_LOADS environment variable set (and not "0"), each
-  // successful load logs one line to stderr: program name, op count,
-  // resolved engine, emitted-code size.
-  static bool log_loads_default() noexcept;
-
   MapRegistry maps_;
   HelperRegistry helpers_;
   Interpreter interp_;
   EngineKind engine_ = EngineKind::kNative;
-  bool log_loads_ = log_loads_default();
 };
 
 }  // namespace srv6bpf::ebpf

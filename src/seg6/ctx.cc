@@ -19,6 +19,13 @@ const Fib* Netns::find_table(int id) const {
   return it == tables_.end() ? nullptr : &it->second;
 }
 
+Seg6BurstRunner::Seg6BurstRunner(Netns& ns) {
+  ctx_.netns = &ns;
+  ebpf::ExecEnv& env = ctx_.run.env;
+  env.user = &ctx_;
+  env.prandom_state = &ns.prandom_state;
+}
+
 void Seg6BurstRunner::prepare(net::Packet& pkt, ProcessTrace* trace) {
   ctx_.pkt = &pkt;
   ctx_.trace = trace;
@@ -40,7 +47,7 @@ void Seg6BurstRunner::account(ProcessTrace* trace,
   trace->helper_calls += exec.helper_calls;
   // Billed by the selected engine: a program with no emitted code that falls
   // back to the interpreter stays in the paper's bpf_jit_enable=1 bucket.
-  if (ns_.bpf().jit_enabled())
+  if (ctx_.netns->bpf().jit_enabled())
     trace->bpf_insns_jit += exec.insns_executed;
   else
     trace->bpf_insns_interp += exec.insns_executed;

@@ -84,6 +84,50 @@ struct Seg6ProgCtx {
   ebpf::SkbRun run;
 };
 
+// Amortised SRv6 program executor: one Seg6ProgCtx whose SkbRun is pointed
+// at packets one by one. Each Netns owns the one runner every SRv6 program
+// run on it goes through (Netns::runner): its ctx and packet regions, the
+// helper state pointer (env.user) and the netns's PRNG state are set once
+// when the netns is built, and start() takes the netns's clock reading and
+// CPU context for the burst that follows. No helper runs a program, and a
+// netns runs on one thread at a time, so a runner is never re-entered.
+//
+// Protocol per burst: start(); then per packet prepare() -> BpfSystem::run
+// -> harvest() -> account(). harvest() must run before the next prepare():
+// it writes the writable ctx field (skb->mark) back to the current packet
+// and returns the per-packet helper flags.
+class Seg6BurstRunner {
+ public:
+  Seg6BurstRunner(const Seg6BurstRunner&) = delete;
+  Seg6BurstRunner& operator=(const Seg6BurstRunner&) = delete;
+
+  struct Verdict {
+    bool srh_dirty = false;
+    bool packet_replaced = false;
+    bool dst_set = false;
+  };
+
+  // Takes the netns's clock reading and CPU context for the runs that
+  // follow (defined below Netns).
+  void start();
+  // Points the shared ctx/env at `pkt` and resets the per-packet flags.
+  void prepare(net::Packet& pkt, ProcessTrace* trace);
+  // Propagates writable ctx fields back into the prepared packet and reads
+  // out the per-packet flags.
+  Verdict harvest();
+  // Charges one program execution to `trace` (engine-aware insn counts).
+  void account(ProcessTrace* trace, const ebpf::ExecResult& exec) const;
+
+  ebpf::ExecEnv& env() noexcept { return ctx_.run.env; }
+  std::uint64_t ctx_addr() const noexcept { return ctx_.run.ctx_addr(); }
+
+ private:
+  friend class Netns;
+  explicit Seg6BurstRunner(Netns& ns);
+
+  Seg6ProgCtx ctx_;
+};
+
 class Netns {
  public:
   explicit Netns(std::string name = "netns");
@@ -138,9 +182,13 @@ class Netns {
   // bpf_get_prandom_u32 (ExecEnv::prandom_state).
   std::uint64_t prandom_state = 0x853c49e6748fea9bull;
 
+  // The runner every SRv6 program run on this netns goes through.
+  Seg6BurstRunner& runner() noexcept { return runner_; }
+
  private:
   std::string name_;
   ebpf::BpfSystem bpf_;
+  Seg6BurstRunner runner_{*this};
   std::map<int, Fib> tables_;
   std::unique_ptr<Seg6LocalTable> seg6local_;
   std::unordered_set<net::Ipv6Addr, net::Ipv6AddrHash> local_addrs_;
@@ -149,52 +197,14 @@ class Netns {
   std::array<FibCacheSlot, ebpf::kMaxCpus> fib_slots_;
 };
 
-// Amortised SRv6 program executor: one Seg6ProgCtx whose SkbRun takes the
-// netns's clock reading, PRNG state and CPU context once, then is pointed
-// at the burst's packets one by one, so a burst of packets hitting the same
-// program pays the per-invocation setup once per group.
-//
-// Protocol per packet: prepare() -> BpfSystem::run -> harvest() ->
-// account(). harvest() must run before the next prepare(): it writes the
-// writable ctx field (skb->mark) back to the current packet and returns the
-// per-packet helper flags.
-class Seg6BurstRunner {
- public:
-  explicit Seg6BurstRunner(Netns& ns) : ns_(ns) {
-    ctx_.netns = &ns;
-    ebpf::ExecEnv& env = ctx_.run.env;
-    env.user = &ctx_;
-    env.now_ns = ns.now();
-    env.prandom_state = &ns.prandom_state;
-    env.cpu_id = ns.current_cpu;
-  }
-  Seg6BurstRunner(const Seg6BurstRunner&) = delete;
-  Seg6BurstRunner& operator=(const Seg6BurstRunner&) = delete;
-
-  struct Verdict {
-    bool srh_dirty = false;
-    bool packet_replaced = false;
-    bool dst_set = false;
-  };
-
-  // Points the shared ctx/env at `pkt` and resets the per-packet flags.
-  void prepare(net::Packet& pkt, ProcessTrace* trace);
-  // Propagates writable ctx fields back into the prepared packet and reads
-  // out the per-packet flags.
-  Verdict harvest();
-  // Charges one program execution to `trace` (engine-aware insn counts).
-  void account(ProcessTrace* trace, const ebpf::ExecResult& exec) const;
-
-  ebpf::ExecEnv& env() noexcept { return ctx_.run.env; }
-  std::uint64_t ctx_addr() const noexcept { return ctx_.run.ctx_addr(); }
-
- private:
-  Netns& ns_;
-  Seg6ProgCtx ctx_;
-};
+inline void Seg6BurstRunner::start() {
+  ebpf::ExecEnv& env = ctx_.run.env;
+  env.now_ns = ctx_.netns->now();
+  env.cpu_id = ctx_.netns->current_cpu;
+}
 
 // The one way an SRv6 program runs over packets: for each packet of `pkts`
-// in order, one Seg6BurstRunner prepares it, BpfSystem::run executes `prog`,
+// in order, the netns's runner prepares it, BpfSystem::run executes `prog`,
 // the runner harvests the verdict and charges `traces[k]`, and then
 // `per_packet(k, exec, verdict)` interprets the outcome (End.BPF vs LWT
 // epilogue) before the next packet runs. Callers keep any index mapping of
@@ -205,7 +215,8 @@ void run_prog_over_burst(Netns& ns, const ebpf::LoadedProgram& prog,
                          std::span<net::Packet* const> pkts,
                          ProcessTrace* const* traces,
                          PerPacket&& per_packet) {
-  Seg6BurstRunner runner(ns);
+  Seg6BurstRunner& runner = ns.runner();
+  runner.start();
   for (std::size_t k = 0; k < pkts.size(); ++k) {
     runner.prepare(*pkts[k], traces[k]);
     const ebpf::ExecResult exec =

@@ -295,8 +295,7 @@ void register_seg6_helpers(ebpf::HelperRegistry& reg) {
        .args = {ArgKind::kPtrToCtx, ArgKind::kAnything, ArgKind::kPtrToMem,
                 ArgKind::kConstSize, ArgKind::kNone},
        .invalidates_packet = true,
-       .allowed_types = static_cast<std::uint8_t>(
-           ebpf::kProgLwtIn | ebpf::kProgLwtOut | ebpf::kProgLwtXmit)},
+       .allowed_types = ebpf::kProgLwtXmit},
       do_push_encap);
   reg.register_helper(
       FIB_ECMP_NEXTHOPS,

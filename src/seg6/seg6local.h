@@ -80,8 +80,8 @@ PipelineResult seg6local_process(Netns& ns, net::Packet& pkt,
 // Burst entry point: executes the behaviour over every packet in `pkts` (all
 // of which matched `entry`'s SID), writing per-packet dispositions into
 // `results[i]` and charging `traces[i]`. Per-packet semantics are identical
-// to calling seg6local_process in order; what's amortised is the End.BPF
-// ExecEnv/ctx construction, paid once per group through run_prog_over_burst.
+// to calling seg6local_process in order; End.BPF runs the group through
+// run_prog_over_burst, which takes the clock reading once per group.
 void seg6local_process_burst(Netns& ns, std::span<net::Packet* const> pkts,
                              const Seg6LocalEntry& entry,
                              ProcessTrace* const* traces,

@@ -417,7 +417,7 @@ BuiltProgram build_percpu_counter(std::uint32_t cnt_map_id) {
 
 ProgHandle load_or_throw(BpfSystem& bpf, const BuiltProgram& built,
                          ProgType type) {
-  auto load = bpf.load(built.name, type, built.insns, built.paper_sloc);
+  auto load = bpf.load(built.name, type, built.insns);
   if (!load.ok())
     throw std::runtime_error(std::string(built.name) +
                              " rejected: " + load.verify.error);

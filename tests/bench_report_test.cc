@@ -115,25 +115,18 @@ TEST(BenchReport, AFailedWallGateOnlyWarnsUnderQuick) {
   std::filesystem::remove(path);
 }
 
-TEST(BenchReport, ParseModeStripsOnlyItsOwnFlags) {
+TEST(BenchReport, ParseModeReadsItsTwoFlags) {
   char prog[] = "bench", quick[] = "--quick", smoke[] = "--smoke",
-       json[] = "--json-only", filter[] = "--benchmark_filter=x";
-  char* argv[] = {prog, quick, smoke, json, filter, nullptr};
-  int argc = 5;
-  const Mode mode = parse_mode(argc, argv);
+       json[] = "--json-only";
+  char* argv[] = {prog, quick, smoke, json, nullptr};
+  const Mode mode = parse_mode(4, argv);
   EXPECT_TRUE(mode.quick);
   EXPECT_TRUE(mode.json_only);
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "--smoke");
-  EXPECT_STREQ(argv[2], "--benchmark_filter=x");
-  EXPECT_EQ(argv[3], nullptr);
 
   char* bare[] = {prog, nullptr};
-  int bare_argc = 1;
-  const Mode none = parse_mode(bare_argc, bare);
+  const Mode none = parse_mode(1, bare);
   EXPECT_FALSE(none.quick);
   EXPECT_FALSE(none.json_only);
-  EXPECT_EQ(bare_argc, 1);
 }
 
 }  // namespace

@@ -252,7 +252,7 @@ std::string dump_program(const std::vector<Insn>& insns) {
   auto load = sys.load("dump", ProgType::kLwtSeg6Local, insns);
   if (!load.ok()) return "(program no longer loads)\n" + disasm(insns);
   return disasm(insns) + "native: " +
-         std::to_string(load.prog->compiled().native_code_size()) +
+         std::to_string(load.prog->native_code_size()) +
          " bytes\n";
 }
 

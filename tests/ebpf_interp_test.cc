@@ -7,7 +7,6 @@
 #include "util/byteorder.h"
 #include "ebpf/helpers.h"
 #include "ebpf/interp.h"
-#include "ebpf/jit.h"
 #include "ebpf/map.h"
 #include "ebpf/program.h"
 #include "ebpf/vm.h"
@@ -366,11 +365,11 @@ TEST(Decode, FusesLdImm64AndRewritesJumpTargets) {
   const auto prog = decode_program(a.build(), nullptr);
   // 5 slots collapse to 4 ops; the jump target is an absolute op index past
   // the fused ld_imm64.
-  ASSERT_EQ(prog->size(), 4u);
-  EXPECT_EQ(prog->ops()[0].kind, kLdImm64);
-  EXPECT_EQ(prog->ops()[0].imm64, 0x1122334455667788ull);
-  EXPECT_EQ(prog->ops()[1].kind, kJeqI);
-  EXPECT_EQ(prog->ops()[1].target, 3);
+  ASSERT_EQ(prog.size(), 4u);
+  EXPECT_EQ(prog.ops()[0].kind, kLdImm64);
+  EXPECT_EQ(prog.ops()[0].imm64, 0x1122334455667788ull);
+  EXPECT_EQ(prog.ops()[1].kind, kJeqI);
+  EXPECT_EQ(prog.ops()[1].target, 3);
 }
 
 }  // namespace

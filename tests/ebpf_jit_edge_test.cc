@@ -17,7 +17,6 @@
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/insn.h"
-#include "ebpf/jit.h"
 #include "ebpf/vm.h"
 #include "engine_fixture.h"
 #include "net/packet.h"
@@ -228,8 +227,8 @@ TEST_P(JitEdgeTest, AddTlvReallocatesPacketIdenticallyOnAllEngines) {
     ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                           {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
     ns.bpf().set_engine(engine);
-    auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local,
-                              built.insns, built.paper_sloc);
+    auto load =
+        ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
 
     net::PacketSpec spec;
@@ -283,8 +282,8 @@ TEST_P(JitEdgeTest, MaxSizeProgramRuns) {
   ref.set_engine(EngineKind::kInterp);
   ExecEnv env;
   EXPECT_EQ(r.ret, ref.run(*load.prog, env, 0).ret);
-  if (Jit::available()) {
-    EXPECT_GT(load.prog->compiled().native_code_size(), 0u);
+  if (native_jit_available()) {
+    EXPECT_GT(load.prog->native_code_size(), 0u);
   }
 }
 
@@ -297,23 +296,22 @@ TEST_P(JitEdgeTest, LoadedProgramReportsResolvedEngine) {
   a.mov64_imm(R0, 0).exit_();
   auto load = sys.load("obs", ProgType::kLwtSeg6Local, a.build());
   ASSERT_TRUE(load.ok());
+  EXPECT_EQ(load.prog->native() != nullptr, native_jit_available());
   EngineKind expect = GetParam();
-  if (expect == EngineKind::kNative && !Jit::available())
+  if (expect == EngineKind::kNative && !native_jit_available())
     expect = EngineKind::kInterp;
-  EXPECT_EQ(load.prog->engine(), expect);
   EXPECT_EQ(sys.engine_for(*load.prog), expect);
-  EXPECT_STRNE(engine_name(load.prog->engine()), "?");
+  EXPECT_STRNE(engine_name(sys.engine_for(*load.prog)), "?");
 }
 
 // ---- the no-native fallback ----
 
-// `prog` as the JIT leaves it on a host that cannot emit machine code: the
+// `prog` as a load leaves it on a host that cannot emit machine code: the
 // decoded form and no native image.
 ProgHandle without_native(BpfSystem& sys, const LoadedProgram& prog) {
-  auto compiled = std::make_shared<CompiledProgram>(
-      decode_program(prog.program(), &sys.helpers()), nullptr);
-  return std::make_shared<LoadedProgram>(prog.program(), std::move(compiled),
-                                         EngineKind::kInterp);
+  return std::make_shared<LoadedProgram>(
+      prog.program(), decode_program(prog.program().insns(), &sys.helpers()),
+      nullptr);
 }
 
 TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
@@ -327,7 +325,7 @@ TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
   auto load = sys.load("fallback", ProgType::kLwtSeg6Local, a.build());
   ASSERT_TRUE(load.ok()) << load.verify.error;
   const ProgHandle fallback = without_native(sys, *load.prog);
-  ASSERT_FALSE(fallback->compiled().has_native());
+  ASSERT_EQ(fallback->native(), nullptr);
 
   sys.set_engine(EngineKind::kNative);
   EXPECT_EQ(sys.engine_for(*fallback), EngineKind::kInterp);
@@ -355,8 +353,8 @@ TEST(NoNativeFallback, EndBpfStillBillsTheJitBucket) {
     ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                           {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
     ns.bpf().set_engine(EngineKind::kNative);
-    auto load = ns.bpf().load(built.name, ProgType::kLwtSeg6Local,
-                              built.insns, built.paper_sloc);
+    auto load =
+        ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
 
     net::PacketSpec spec;

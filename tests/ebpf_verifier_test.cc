@@ -521,6 +521,32 @@ TEST_F(VerifierTest, PushEncapOnlyForLwtHooks) {
   expect_reject(a, "not allowed for program type", ProgType::kLwtSeg6Local);
 }
 
+TEST_F(VerifierTest, UnnamedProgTypeMayCallNoHelper) {
+  // A ProgType value the enum does not list gets no helper: not the seg6
+  // helper only End.BPF may call, not one every named type may call.
+  const auto unnamed = static_cast<ProgType>(42);
+  Asm adjust;
+  adjust.mov64_imm(R2, 48)
+      .mov64_imm(R3, 8)
+      .call(helper::LWT_SEG6_ADJUST_SRH)
+      .mov64_imm(R0, 0)
+      .exit_();
+  expect_ok(adjust, ProgType::kLwtSeg6Local);
+  expect_reject(adjust,
+                "helper lwt_seg6_adjust_srh not allowed for program type "
+                "socket_filter",
+                ProgType::kSocketFilter);
+  expect_reject(adjust,
+                "helper lwt_seg6_adjust_srh not allowed for program type ?",
+                unnamed);
+
+  Asm ktime;
+  ktime.call(helper::KTIME_GET_NS).exit_();
+  expect_ok(ktime, ProgType::kSocketFilter);
+  expect_reject(ktime, "helper ktime_get_ns not allowed for program type ?",
+                unnamed);
+}
+
 // ---- Branch pruning / bounds refinement -----------------------------------------------------
 
 TEST_F(VerifierTest, RangeRefinementAllowsBoundedIndexing) {

@@ -185,8 +185,7 @@ TEST(PerCpuMaps, PerContextValuesAndSummedReads) {
   def.name = "pkt_cnt";
   const std::uint32_t cnt_id = bpf.maps().create(def);
   auto built = usecases::build_percpu_counter(cnt_id);
-  auto load = bpf.load(built.name, ebpf::ProgType::kLwtSeg6Local, built.insns,
-                       built.paper_sloc);
+  auto load = bpf.load(built.name, ebpf::ProgType::kLwtSeg6Local, built.insns);
   ASSERT_TRUE(load.ok()) << load.verify.error;
   lab.add_end_bpf(load.prog);
 

@@ -364,7 +364,7 @@ class EndBpfTest : public Seg6LocalTest {
  protected:
   ebpf::ProgHandle load(const usecases::BuiltProgram& built) {
     auto res = ns_.bpf().load(built.name, ebpf::ProgType::kLwtSeg6Local,
-                              built.insns, built.paper_sloc);
+                              built.insns);
     EXPECT_TRUE(res.ok()) << res.verify.error;
     return res.prog;
   }

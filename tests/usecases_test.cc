@@ -38,7 +38,7 @@ class ProgramCorpus : public ::testing::Test {
   // Loads the program, and checks that it gets the same verdict with state
   // pruning on and off (pruning_oracle.h).
   void expect_loads(const BuiltProgram& built, ebpf::ProgType type) {
-    auto res = ns_.bpf().load(built.name, type, built.insns, built.paper_sloc);
+    auto res = ns_.bpf().load(built.name, type, built.insns);
     EXPECT_TRUE(res.ok()) << built.name << ": " << res.verify.error;
     if (res.ok()) {
       EXPECT_GT(res.prog->program().size(), 0u);
