@@ -1,6 +1,6 @@
 // Strong half of util/alloc_hooks: counting replacements for the global
 // operator new/delete family. Compiled ONLY into binaries that measure
-// allocator traffic (bench_hotpath, tests/alloc_test) — the core library
+// allocator traffic (tests/alloc_test, bench_slo_soak) — the core library
 // and every other target keep the system allocator untouched.
 //
 // The replacements defer to malloc/free, so behaviour is unchanged except

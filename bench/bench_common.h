@@ -26,9 +26,6 @@
 
 namespace srv6bpf::bench {
 
-// /48 sites in the fat-FIB scenario (Setup1::add_fib48).
-inline constexpr std::size_t kFib48Routes = 2048;
-
 // The paper's lab (usecases::Setup1) with a port-7001 sink on S2 and the
 // saturation measurement.
 struct Setup1 : usecases::Setup1 {

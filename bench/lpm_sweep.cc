@@ -6,8 +6,8 @@
 // deployments route on, a mixed /32+/48+/64 table and a /128 host-route
 // table. The engines are also cross-checked per key (identical match ids),
 // so this doubles as a coarse differential. The end-to-end view, fig2 with
-// a /48-heavy FIB at R and dst_spread traffic, is bench_hotpath's
-// fig2_fib48 scenario.
+// a /48-heavy FIB at R and dst_spread traffic, is the fig2_fib48 case of
+// tests/alloc_test.cc.
 //
 // The gate: stride >= 2x bitwise on the /48-heavy workload. The speedup is
 // wall-clock based but host-factor-free (same machine, same keys, back to

@@ -211,6 +211,7 @@ struct Failover {
   double post_p99 = 0;
   std::uint64_t window_allocs = 0;
   bool zero_alloc = false;  // hooks linked in and window_allocs == 0
+  std::uint64_t sink_min_gap_ns = 0;  // closest two deliveries at the sink
 };
 
 // Records one failover scenario into `out`.
@@ -279,6 +280,7 @@ Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
   f.tail_inflation_p99 = ratio(tracer.overall().p99(), pre_overall.p99());
   f.window_allocs = allocs_w1 - allocs_w0;
   f.zero_alloc = hooks && f.window_allocs == 0;
+  f.sink_min_gap_ns = gaps.min_gap_ns;
   out.num("offered", f.offered)
       .num("delivered", delivered)
       .num("delivery_ratio", f.delivery_ratio, 6)
@@ -292,7 +294,7 @@ Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
       .num("alloc_hooks", hooks ? 1 : 0)
       .num("window_allocs", f.window_allocs)
       .num("zero_alloc", f.zero_alloc ? 1 : 0)
-      .num("sink_min_gap_ns", gaps.min_gap_ns)
+      .num("sink_min_gap_ns", f.sink_min_gap_ns)
       .num("sink_mean_gap_ns", gaps.mean_gap_ns, 1);
   record_window(out.obj("pre"), pre_overall, pre_cls);
   record_window(out.obj("post"), tracer.overall(), post_cls);
@@ -412,7 +414,8 @@ int main(int argc, char** argv) {
   // Deterministic gates, enforced in every mode. The FRR repair must fire
   // and hold the blackhole under a millisecond; without FRR the blackhole
   // must straddle the modelled convergence delay; the delivery path must
-  // be allocation-free.
+  // be allocation-free; no two deliveries may be closer than the wire
+  // allows.
   using ull = unsigned long long;
   rep.gate(frr.frr_reroutes > 0 && frr.recovered &&
                frr.blackhole_ns <= sim::kMilli,
@@ -427,6 +430,17 @@ int main(int argc, char** argv) {
   rep.gate(frr.zero_alloc,
            "%llu allocations in the steady-state SLO window — want 0",
            static_cast<ull>(frr.window_allocs));
+  // Two deliveries on the R2-S2 link are at least one serialisation time
+  // of its 150-byte frame (64 B of payload, UDP, IPv6 and the wire
+  // overhead) apart at 10 Gbps: 120 ns.
+  constexpr std::uint64_t kWireGapNs = 120;
+  rep.gate(frr.sink_min_gap_ns >= kWireGapNs &&
+               igp.sink_min_gap_ns >= kWireGapNs,
+           "sink_min_gap_ns frr %llu igp %llu below one serialisation time "
+           "(%llu ns)",
+           static_cast<ull>(frr.sink_min_gap_ns),
+           static_cast<ull>(igp.sink_min_gap_ns),
+           static_cast<ull>(kWireGapNs));
   // Floors and ceilings: FRR loses almost nothing while its longer repair
   // path inflates the tail a bounded amount, IGP still delivers most
   // traffic, the qdisc loses about what it is told to and the tails move

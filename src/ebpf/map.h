@@ -45,7 +45,6 @@ inline constexpr std::uint64_t BPF_EXIST = 2;    // update only
 inline constexpr int kOk = 0;
 inline constexpr int kErrNoEnt = -2;    // -ENOENT
 inline constexpr int kErrInval = -22;   // -EINVAL
-inline constexpr int kErrNoMem = -12;   // -ENOMEM (injected allocation failure)
 inline constexpr int kErrExist = -17;   // -EEXIST
 inline constexpr int kErrNoSpace = -28; // -ENOSPC
 inline constexpr int kErrFault = -14;   // -EFAULT
@@ -98,16 +97,8 @@ class Map {
   // previously returned lookup pointers observe the new bytes. On a per-CPU
   // map the value lands in every CPU's slot (the syscall analogue requires
   // a full per-CPU value vector — initialisation writes).
-  //
-  // Non-virtual wrapper: consumes one armed fault (arm_update_fault) before
-  // reaching the type's do_update_cpu, so every program- and user-space
-  // update path sees injected -ENOMEM-style failures uniformly. Programs
-  // that ignore a failed update simply lose the write (a dropped counter
-  // bump, a stale cache entry) — the graceful-degradation surface the fault
-  // injector probes.
   int update(std::span<const std::uint8_t> key,
              std::span<const std::uint8_t> value, std::uint64_t flags) {
-    if (const int err = take_fault()) return err;
     return do_update_cpu(key, value, flags, kAllCpus);
   }
 
@@ -127,30 +118,14 @@ class Map {
   // it creates starts with every other slot zeroed.
   virtual std::uint8_t* lookup_cpu(std::span<const std::uint8_t> key,
                                    std::uint32_t cpu) = 0;
-  // Same fault-consuming wrapper as update(); the per-CPU write path shares
-  // the armed-fault budget, matching the kernel where both syscalls hit the
-  // same allocator.
   int update_cpu(std::span<const std::uint8_t> key,
                  std::span<const std::uint8_t> value, std::uint64_t flags,
                  std::uint32_t cpu) {
-    if (const int err = take_fault()) return err;
     // Clamped so that no out-of-range cpu reads as kAllCpus.
     return do_update_cpu(key, value, flags, std::min(cpu, kMaxCpus));
   }
 
-  // ---- Fault injection & crash teardown -------------------------------------
-  // Arms the next `count` updates (update/update_cpu, any caller) to fail
-  // with `err` (typically kErrNoMem) without touching the map. Count-based
-  // rather than probabilistic so a (seed, schedule) pair replays exactly.
-  void arm_update_fault(std::uint64_t count, int err = kErrNoMem) noexcept {
-    armed_faults_ = count;
-    fault_err_ = err;
-  }
-  std::uint64_t armed_update_faults() const noexcept { return armed_faults_; }
-  // Injected-failure count since construction (observability for tests and
-  // the chaos soak's accounting).
-  std::uint64_t update_faults_hit() const noexcept { return faults_hit_; }
-
+  // ---- Crash teardown -------------------------------------------------------
   // Drops every entry's *contents* while keeping the definition — what a
   // node crash does to pinned-map state in this model (the map object, like
   // the program text, represents on-disk artefacts that survive; the
@@ -196,8 +171,8 @@ class Map {
   // The cpu update() passes to do_update_cpu: write every slot.
   static constexpr std::uint32_t kAllCpus = ~0u;
 
-  // The type's one write path, reached only through the fault-consuming
-  // wrappers above; `cpu` is kAllCpus or at most kMaxCpus.
+  // The type's one write path, reached only through update() and
+  // update_cpu(); `cpu` is kAllCpus or at most kMaxCpus.
   virtual int do_update_cpu(std::span<const std::uint8_t> key,
                             std::span<const std::uint8_t> value,
                             std::uint64_t flags, std::uint32_t cpu) = 0;
@@ -228,17 +203,7 @@ class Map {
              std::uint32_t cpu) const noexcept;
 
  private:
-  int take_fault() noexcept {
-    if (armed_faults_ == 0) return kOk;
-    --armed_faults_;
-    ++faults_hit_;
-    return fault_err_;
-  }
-
   MapDef def_;
-  std::uint64_t armed_faults_ = 0;
-  std::uint64_t faults_hit_ = 0;
-  int fault_err_ = kErrNoMem;
 };
 
 std::unique_ptr<Map> make_map(const MapDef& def);

@@ -2,24 +2,55 @@
 
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SRV6BPF_POISON_PARKED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SRV6BPF_POISON_PARKED 1
+#endif
+#endif
+#ifdef SRV6BPF_POISON_PARKED
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace srv6bpf::net {
 
 namespace {
 
+// A parked buffer's payload is off limits until acquire() pops it (see the
+// header); only its Buf header, which the freelist walks, stays readable.
+void poison(BufferPool::Buf* b) noexcept {
+#ifdef SRV6BPF_POISON_PARKED
+  ASAN_POISON_MEMORY_REGION(b->data(), b->cap);
+#else
+  (void)b;
+#endif
+}
+
+void unpoison(BufferPool::Buf* b) noexcept {
+#ifdef SRV6BPF_POISON_PARKED
+  ASAN_UNPOISON_MEMORY_REGION(b->data(), b->cap);
+#else
+  (void)b;
+#endif
+}
+
+// Frees every buffer of a freelist.
+void free_list(BufferPool::Buf* b) noexcept {
+  while (b != nullptr) {
+    BufferPool::Buf* next = b->next;
+    unpoison(b);
+    ::operator delete(b);
+    b = next;
+  }
+}
+
 struct BufferPoolState {
   BufferPool::Buf* free_head = nullptr;
-  bool enabled = true;
   std::uint64_t max_buffers = 0;  // 0 = unbounded (historical behaviour)
   BufferPool::Stats stats;
 
-  ~BufferPoolState() {
-    BufferPool::Buf* b = free_head;
-    while (b != nullptr) {
-      BufferPool::Buf* next = b->next;
-      ::operator delete(b);
-      b = next;
-    }
-  }
+  ~BufferPoolState() { free_list(free_head); }
 };
 
 // Construct-on-first-use so cross-TU static init order can't bite; the
@@ -39,9 +70,10 @@ BufferPoolState& buf_state() {
 BufferPool::Buf* BufferPool::acquire(std::size_t min_cap) {
   BufferPoolState& s = buf_state();
   Buf* b;
-  if (min_cap <= kPoolBufCap && s.enabled && s.free_head != nullptr) {
+  if (min_cap <= kPoolBufCap && s.free_head != nullptr) {
     b = s.free_head;
     s.free_head = b->next;
+    unpoison(b);
     --s.stats.pooled;
     ++s.stats.reuses;
   } else {
@@ -66,7 +98,8 @@ void BufferPool::release(Buf* b) noexcept {
   // counter is only exact on threads whose acquires and releases pair up —
   // which the serial exhaustion scenarios guarantee by running first.
   if (s.stats.outstanding > 0) --s.stats.outstanding;
-  if (s.enabled && b->cap == kPoolBufCap) {
+  if (b->cap == kPoolBufCap) {
+    poison(b);
     b->next = s.free_head;
     s.free_head = b;
     ++s.stats.pooled;
@@ -74,10 +107,6 @@ void BufferPool::release(Buf* b) noexcept {
     ::operator delete(b);
   }
 }
-
-void BufferPool::set_enabled(bool on) noexcept { buf_state().enabled = on; }
-
-bool BufferPool::enabled() noexcept { return buf_state().enabled; }
 
 void BufferPool::set_max_buffers(std::uint64_t n) noexcept {
   buf_state().max_buffers = n;
@@ -108,12 +137,7 @@ void BufferPool::reset_stats() noexcept {
 
 void BufferPool::trim() noexcept {
   BufferPoolState& s = buf_state();
-  Buf* b = s.free_head;
-  while (b != nullptr) {
-    Buf* next = b->next;
-    ::operator delete(b);
-    b = next;
-  }
+  free_list(s.free_head);
   s.free_head = nullptr;
   s.stats.pooled = 0;
 }

@@ -12,13 +12,17 @@
 // link wait in the link's wire FIFOs (sim/link.h), whose slots are recycled
 // in place.
 //
-// The pool is a per-thread singleton (nothing here locks) with an enable
-// switch: set_enabled(false) degrades acquire/release to plain new/delete —
-// the "no-pool baseline" that bench_hotpath and the recycling-correctness
-// test compare against. Pooling is wall-clock-only by construction: buffer
-// identity never feeds timing, hashing or byte content, so pooled and
-// unpooled runs are bit-identical (tests/alloc_test.cc enforces it with FNV
-// delivery digests).
+// The pool is a per-thread singleton (nothing here locks). Pooling is
+// wall-clock-only by construction: buffer identity never feeds timing,
+// hashing or byte content, so a run on a cold pool and a run on buffers
+// recycled with another run's bytes are bit-identical (tests/alloc_test.cc
+// enforces it with FNV delivery digests, and gates the zero-allocation
+// steady state with exact operator-new counts).
+//
+// Under AddressSanitizer a parked buffer's payload is poisoned, so a read
+// through a destroyed Packet reports use-after-poison instead of returning
+// the stale byte; acquire() unpoisons it again. Other builds compile none
+// of this.
 #pragma once
 
 #include <cstddef>
@@ -52,16 +56,11 @@ class BufferPool {
   };
 
   // Returns a buffer with cap >= min_cap. min_cap <= kPoolBufCap reuses the
-  // freelist (or heap-allocates a kPoolBufCap buffer when cold / disabled);
+  // freelist (or heap-allocates a kPoolBufCap buffer when it is empty);
   // larger requests always heap-allocate exactly min_cap.
   static Buf* acquire(std::size_t min_cap);
-  // Returns a buffer to the freelist (kPoolBufCap buffers, pool enabled) or
-  // frees it (oversize buffers, pool disabled).
+  // Returns a kPoolBufCap buffer to the freelist, or frees an oversize one.
   static void release(Buf* b) noexcept;
-
-  // Disabled = plain new/delete per acquire/release: the bench baseline.
-  static void set_enabled(bool on) noexcept;
-  static bool enabled() noexcept;
 
   // ---- Hard cap (graceful degradation under exhaustion) ---------------------
   // Bounds outstanding buffers on this thread's pool: 0 (the default) keeps

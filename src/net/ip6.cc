@@ -19,12 +19,6 @@ void Ipv6Addr::set_group(int i, std::uint16_t v) noexcept {
   store_be16(bytes_.data() + 2 * i, v);
 }
 
-bool Ipv6Addr::is_unspecified() const noexcept {
-  for (std::uint8_t b : bytes_)
-    if (b != 0) return false;
-  return true;
-}
-
 bool Ipv6Addr::in_prefix(const Ipv6Addr& prefix, int prefix_len) const noexcept {
   if (prefix_len <= 0) return true;
   if (prefix_len > 128) return false;
@@ -240,40 +234,6 @@ std::optional<Ipv6Header> Ipv6Header::parse(std::span<const std::uint8_t> in) {
   std::memcpy(h.src.bytes().data(), in.data() + 8, 16);
   std::memcpy(h.dst.bytes().data(), in.data() + 24, 16);
   return h;
-}
-
-// ---- Ipv6View ----------------------------------------------------------------
-
-std::uint8_t Ipv6View::version() const { return p_[0] >> 4; }
-std::uint8_t Ipv6View::traffic_class() const {
-  return static_cast<std::uint8_t>((p_[0] << 4) | (p_[1] >> 4));
-}
-std::uint32_t Ipv6View::flow_label() const {
-  return (static_cast<std::uint32_t>(p_[1] & 0x0f) << 16) |
-         (static_cast<std::uint32_t>(p_[2]) << 8) | p_[3];
-}
-std::uint16_t Ipv6View::payload_length() const { return load_be16(p_ + 4); }
-void Ipv6View::set_payload_length(std::uint16_t v) { store_be16(p_ + 4, v); }
-std::uint8_t Ipv6View::next_header() const { return p_[6]; }
-void Ipv6View::set_next_header(std::uint8_t v) { p_[6] = v; }
-std::uint8_t Ipv6View::hop_limit() const { return p_[7]; }
-void Ipv6View::set_hop_limit(std::uint8_t v) { p_[7] = v; }
-
-Ipv6Addr Ipv6View::src() const {
-  Ipv6Addr a;
-  std::memcpy(a.bytes().data(), p_ + 8, 16);
-  return a;
-}
-void Ipv6View::set_src(const Ipv6Addr& a) {
-  std::memcpy(p_ + 8, a.bytes().data(), 16);
-}
-Ipv6Addr Ipv6View::dst() const {
-  Ipv6Addr a;
-  std::memcpy(a.bytes().data(), p_ + 24, 16);
-  return a;
-}
-void Ipv6View::set_dst(const Ipv6Addr& a) {
-  std::memcpy(p_ + 24, a.bytes().data(), 16);
 }
 
 }  // namespace srv6bpf::net

@@ -4,10 +4,13 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+
+#include "util/byteorder.h"
 
 namespace srv6bpf::net {
 
@@ -41,7 +44,11 @@ class Ipv6Addr {
   std::array<std::uint8_t, 16>& bytes() noexcept { return bytes_; }
   std::span<const std::uint8_t, 16> span() const noexcept { return bytes_; }
 
-  bool is_unspecified() const noexcept;
+  bool is_unspecified() const noexcept {
+    for (std::uint8_t b : bytes_)
+      if (b != 0) return false;
+    return true;
+  }
   // True if the first `prefix_len` bits match `prefix`.
   bool in_prefix(const Ipv6Addr& prefix, int prefix_len) const noexcept;
 
@@ -108,19 +115,36 @@ class Ipv6View {
  public:
   explicit Ipv6View(std::uint8_t* p) : p_(p) {}
 
-  std::uint8_t version() const;
-  std::uint8_t traffic_class() const;
-  std::uint32_t flow_label() const;  // 20 bits
-  std::uint16_t payload_length() const;
-  void set_payload_length(std::uint16_t v);
-  std::uint8_t next_header() const;
-  void set_next_header(std::uint8_t v);
-  std::uint8_t hop_limit() const;
-  void set_hop_limit(std::uint8_t v);
-  Ipv6Addr src() const;
-  void set_src(const Ipv6Addr& a);
-  Ipv6Addr dst() const;
-  void set_dst(const Ipv6Addr& a);
+  std::uint8_t version() const { return p_[0] >> 4; }
+  std::uint8_t traffic_class() const {
+    return static_cast<std::uint8_t>((p_[0] << 4) | (p_[1] >> 4));
+  }
+  std::uint32_t flow_label() const {  // 20 bits
+    return (static_cast<std::uint32_t>(p_[1] & 0x0f) << 16) |
+           (static_cast<std::uint32_t>(p_[2]) << 8) | p_[3];
+  }
+  std::uint16_t payload_length() const { return load_be16(p_ + 4); }
+  void set_payload_length(std::uint16_t v) { store_be16(p_ + 4, v); }
+  std::uint8_t next_header() const { return p_[6]; }
+  void set_next_header(std::uint8_t v) { p_[6] = v; }
+  std::uint8_t hop_limit() const { return p_[7]; }
+  void set_hop_limit(std::uint8_t v) { p_[7] = v; }
+  Ipv6Addr src() const {
+    Ipv6Addr a;
+    std::memcpy(a.bytes().data(), p_ + 8, 16);
+    return a;
+  }
+  void set_src(const Ipv6Addr& a) {
+    std::memcpy(p_ + 8, a.bytes().data(), 16);
+  }
+  Ipv6Addr dst() const {
+    Ipv6Addr a;
+    std::memcpy(a.bytes().data(), p_ + 24, 16);
+    return a;
+  }
+  void set_dst(const Ipv6Addr& a) {
+    std::memcpy(p_ + 24, a.bytes().data(), 16);
+  }
 
   std::uint8_t* raw() noexcept { return p_; }
 

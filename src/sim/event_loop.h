@@ -11,7 +11,7 @@
 // any number of events while it runs without its own captures moving.
 // Once the heap's vector and the store have grown to the run's peak depth,
 // scheduling never heap-allocates, which is what keeps the steady-state
-// forwarding path allocation-free (bench_hotpath gates allocs-per-packet at
+// forwarding path allocation-free (alloc_test gates allocs-per-packet at
 // zero). That depth stays small on long wires: a link side keeps only its
 // head burst's delivery in the queue (sim/link.h).
 //

@@ -1,14 +1,8 @@
 #include "sim/latency_tracer.h"
 
-#include <cstdlib>
 #include <utility>
 
 namespace srv6bpf::sim {
-
-LatencyTracer::~LatencyTracer() {
-  const char* env = std::getenv("SRV6BPF_TRACE_SLO");
-  if (env != nullptr && env[0] == '1') dump(stderr);
-}
 
 std::size_t LatencyTracer::add_class(std::string name, Matcher matcher) {
   // Explicit classes keep declaration order ahead of any flow-label spread
@@ -58,25 +52,6 @@ void LatencyTracer::reset_samples() {
   overall_.reset();
   unmatched_ = 0;
   untimed_ = 0;
-}
-
-void LatencyTracer::dump(std::FILE* out) const {
-  auto line = [out](const char* name, const util::HdrHistogram& h) {
-    std::fprintf(out,
-                 "SLO class=%-12s count=%-10llu p50=%-10llu p99=%-10llu "
-                 "p99.9=%-10llu max=%llu ns\n",
-                 name, static_cast<unsigned long long>(h.count()),
-                 static_cast<unsigned long long>(h.p50()),
-                 static_cast<unsigned long long>(h.p99()),
-                 static_cast<unsigned long long>(h.p999()),
-                 static_cast<unsigned long long>(h.max()));
-  };
-  for (const Class& c : classes_) line(c.name.c_str(), c.hist);
-  line("_overall", overall_);
-  if (unmatched_ > 0 || untimed_ > 0)
-    std::fprintf(out, "SLO unmatched=%llu untimed=%llu\n",
-                 static_cast<unsigned long long>(unmatched_),
-                 static_cast<unsigned long long>(untimed_));
 }
 
 }  // namespace srv6bpf::sim

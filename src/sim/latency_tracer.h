@@ -11,10 +11,6 @@
 // same spread trafgen stamps, so generator class == tracer class with no
 // per-packet predicate calls).
 //
-// With SRV6BPF_TRACE_SLO=1 in the environment the tracer prints one
-// per-class percentile line per class at destruction (scenario teardown),
-// so any bench or test grows an SLO report without code changes.
-//
 // ReconvergenceClock measures failure blackholes: armed with the scheduled
 // failure instant, it watches delivery timestamps and reports how long the
 // flow stayed dark past the failure (first_after - failure_at) — the
@@ -22,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -38,7 +33,6 @@ class LatencyTracer {
   using Matcher = std::function<bool(const net::Packet&)>;
 
   LatencyTracer() = default;
-  ~LatencyTracer();
   LatencyTracer(const LatencyTracer&) = delete;
   LatencyTracer& operator=(const LatencyTracer&) = delete;
 
@@ -74,10 +68,6 @@ class LatencyTracer {
   // Clears all samples but keeps the class declarations — windows a run
   // into phases (pre-failover vs post-failover tail comparison).
   void reset_samples();
-
-  // One line per class (plus the overall line): count and p50/p99/p99.9/max
-  // in nanoseconds.
-  void dump(std::FILE* out) const;
 
  private:
   struct Class {
@@ -121,7 +111,8 @@ class ReconvergenceClock {
   }
 
   // Feeds a delivery timestamp (call from the sink's delivery handler).
-  // Timestamps must be monotone (the sim clock in every current user).
+  // Timestamps must be monotone (a sink's delivery times are while its
+  // packets come over one link).
   void note_delivery(TimeNs t) {
     if (armed_ && t >= failure_at_) {
       recovered_ = true;

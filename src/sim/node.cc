@@ -66,13 +66,6 @@ NodeStats Node::stats() const {
   return total;
 }
 
-std::uint64_t Node::rx_ring_overflows() const noexcept {
-  std::uint64_t total = 0;
-  for (const Iface& iface : ifaces_)
-    for (const RxRing& ring : iface.rx_rings) total += ring.overflows();
-  return total;
-}
-
 void Node::crash() {
   down_ = true;
   const TimeNs now = loop_->now();
@@ -268,8 +261,13 @@ void Node::process_and_dispatch(net::PacketBurst& b, bool local_out) {
 
   std::array<seg6::ProcessTrace, net::kMaxBurstPackets> traces;
   datapath_.process_burst(b, local_out, traces.data());
-  const TimeNs now = loop_->now();
-  for (std::size_t i = 0; i < b.size(); ++i) b.meta(i).at_ns = now;
+  // A local send happens now. A received burst keeps each packet's own
+  // arrival, which the link delivered in its metadata, so a local handler
+  // sees every packet at the instant it came off the wire.
+  if (local_out) {
+    const TimeNs now = loop_->now();
+    for (std::size_t i = 0; i < b.size(); ++i) b.meta(i).at_ns = now;
+  }
   dispatch_burst(b);
 
   cur_ctx_ = prev_ctx;

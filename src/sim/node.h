@@ -22,14 +22,16 @@
 // ExecEnv, giving programs bpf_get_smp_processor_id and per-CPU map slots.
 //
 // The per-packet *charged* CPU cost, each context's completion times and
-// local delivery times follow the sequential model exactly; what burst size
-// may shift is coalescing at the edges — a downstream node sees a burst
-// arrive as one delivery at its last wire arrival (interrupt coalescing,
-// bounded by one burst's serialization time), and a BPF program reading
+// local delivery times follow the sequential model exactly. A link moves a
+// burst in one delivery event at its last wire arrival (interrupt
+// coalescing), but every packet keeps its own arrival in the burst
+// metadata, and a local handler sees it at that instant. What burst size
+// may shift is at the edges: a node without a CPU model forwards a whole
+// received burst at the delivery event's clock, and a BPF program reading
 // bpf_ktime_get_ns sees the service event's clock for the whole burst
-// rather than per-packet staggered clocks. Delivery counts, traces and
-// final stats are burst-invariant (tests/burst_test.cc) and ncpus=1 runs
-// are bit-identical to the historical single-core path (tests/mc_test.cc).
+// rather than per-packet staggered clocks. Delivery digests, traces and
+// final stats are burst-invariant (tests/burst_test.cc, tests/mc_test.cc)
+// and ncpus=1 runs are bit-identical to the historical single-core path.
 #pragma once
 
 #include <cstdint>
@@ -168,8 +170,6 @@ class Node {
   // Aggregated view: NIC/IRQ-side counters plus the sum of every context's
   // shard. The per-context breakdown is cpu_stats(k).
   NodeStats stats() const;
-  // Tail drops summed over every (interface, context) RX ring.
-  std::uint64_t rx_ring_overflows() const noexcept;
   std::size_t context_count() const noexcept { return ctxs_.size(); }
   // Shard of context `k`; throws std::out_of_range past context_count().
   const NodeStats& cpu_stats(std::size_t k) const;

@@ -3,9 +3,8 @@
 // burst marks a Link side has on the wire (sim/link.h).
 //
 // An RX ring is bounded: a full ring refuses the arrival (tail drop, as a
-// NIC does); the node charges it to drops_rx_queue and the ring counts it in
-// overflows(). A wire FIFO is unbounded and doubles its slot array when
-// full.
+// NIC does) and the node charges it to drops_rx_queue. A wire FIFO is
+// unbounded and doubles its slot array when full.
 //
 // The previous std::deque backlog allocated and freed a block every handful
 // of packets in steady state (push_back/pop_front churn walks the deque's
@@ -19,7 +18,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -34,13 +32,9 @@ class Ring {
   bool empty() const noexcept { return count_ == 0; }
 
   // Enqueues unless the ring already holds `limit` entries (tail drop —
-  // the caller counts it; overflows() counts it here too). Grows the slot
-  // array to `limit` on first use.
+  // the caller counts it). Grows the slot array to `limit` on first use.
   bool push(T&& v, std::size_t limit) {
-    if (count_ >= limit) {
-      ++overflows_;
-      return false;
-    }
+    if (count_ >= limit) return false;
     if (slots_.size() < limit) grow(limit);
     put(std::move(v));
     return true;
@@ -72,9 +66,6 @@ class Ring {
     while (!empty()) fn(pop());
   }
 
-  // Tail drops on this ring since construction.
-  std::uint64_t overflows() const noexcept { return overflows_; }
-
  private:
   void put(T&& v) {
     std::size_t pos = head_ + count_;
@@ -97,7 +88,6 @@ class Ring {
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  std::uint64_t overflows_ = 0;
 };
 
 using RxRing = Ring<net::Packet>;

@@ -180,7 +180,9 @@ class RateMeter {
   }
   // Timestamped variant: also folds the gap since the previous timestamped
   // arrival into the min/mean/max inter-arrival tracking. `now` must be
-  // monotone across calls (it is the sim clock in every current user).
+  // monotone across calls (a sink's delivery times are, each packet's wire
+  // arrival, while its packets come over one link); an earlier one counts
+  // as a zero gap.
   void record(std::size_t payload_bytes, TimeNs now) {
     record(payload_bytes);
     if (have_last_arrival_) {

@@ -1,6 +1,6 @@
 // alloc_hooks: a global operator-new/delete call counter for bench and test
-// builds — how bench_hotpath and tests/alloc_test.cc *prove* the forwarding
-// path's zero-allocation steady state instead of asserting it.
+// builds — how tests/alloc_test.cc and bench_slo_soak *prove* the
+// forwarding path's zero-allocation steady state instead of asserting it.
 //
 // The library ships only weak, inactive stubs (alloc_hooks.cc): linking the
 // core library never changes allocator behaviour. Binaries that want real

@@ -1,7 +1,8 @@
 // The two golden scenarios behind the determinism anchors, each written
-// once. mc_test pins their digests to the single-core tree they were
-// captured from (commit 0592f2d); burst_test replays them at several burst
-// sizes and pdes_test partitioned at several thread counts.
+// once, with their golden digests. The digests were captured at burst 1 from
+// the single-core tree (commit 0592f2d); mc_test holds them at bursts 1 to
+// 64, burst_test compares whole digests across burst sizes, and pdes_test
+// holds them serially and partitioned at 1 to 8 threads.
 //
 //  * fig2: the paper's setup 1 (usecases::Setup1) with the Tag++ End.BPF
 //    program on R. A 100-packet clump, one packet per 100 ns, outpaces the
@@ -44,6 +45,10 @@ struct Digest {
   void mix(std::uint64_t v) { fnv = fnv1a_u64(fnv, v); }
   friend bool operator==(const Digest&, const Digest&) = default;
 };
+
+// The FNV-1a of every sink delivery's (arrival ns, seq) in each scenario.
+inline constexpr std::uint64_t kFig2Fnv = 0x1588f2507da9c6ebull;
+inline constexpr std::uint64_t kHybridFnv = 0xc45d7846b35cecd9ull;
 
 // Folds every UDP delivery to `port` through `mux` into `dig`: the count,
 // the payload bytes, the arrival time and the packet's seq.

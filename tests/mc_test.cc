@@ -2,15 +2,17 @@
 // semantics through the live datapath, the deterministic perf-event merge,
 // and — the anchor of this file — the ncpus=1 differential: with one context
 // the system must be bit-identical to the historical single-core path. The
-// golden digests below (delivery counts, payload bytes, an FNV-1a hash over
-// every sink delivery's (arrival time, packet seq), service-event counts and
-// cumulative pipeline traces) were captured from the pre-multi-core tree
-// (PR 2, commit 0592f2d) running the fig2 and hybrid-WRR scenarios of
-// tests/golden_scenarios.h.
+// goldens below (delivery counts, payload bytes, an FNV-1a hash over every
+// sink delivery's (arrival time, packet seq), service-event counts and
+// cumulative pipeline traces) were captured at burst 1 from the
+// pre-multi-core tree (commit 0592f2d) running the fig2 and hybrid-WRR
+// scenarios of tests/golden_scenarios.h, and every burst size must
+// reproduce the digest.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "apps/sink.h"
@@ -30,21 +32,23 @@ namespace {
 // ---- ncpus=1 differential vs the pre-multi-core tree ------------------------
 
 TEST(Ncpus1Differential, Fig2BitIdenticalToPreMultiCoreTree) {
-  // Golden digests from the single-core tree at PR 2 (see file header).
-  const golden::Outcome b32 = golden::run_fig2({.burst = 32, .ncpus = 1});
-  EXPECT_EQ(b32.dig.delivered, 100u);
-  EXPECT_EQ(b32.dig.bytes, 6400u);
-  EXPECT_EQ(b32.dig.fnv, 0x1023e722a53e82dbull);
-  EXPECT_EQ(b32.router.service_events, 5u);
-  EXPECT_EQ(b32.router.tx_packets, 100u);
-  EXPECT_EQ(b32.router.pipeline.bpf_runs, 100u);
-  EXPECT_EQ(b32.router.pipeline.bpf_insns_jit, 2500u);
-  EXPECT_EQ(b32.router.pipeline.helper_calls, 100u);
-
-  const golden::Outcome b1 = golden::run_fig2({.burst = 1, .ncpus = 1});
-  EXPECT_EQ(b1.dig.delivered, 100u);
-  EXPECT_EQ(b1.dig.fnv, 0x1588f2507da9c6ebull);
-  EXPECT_EQ(b1.router.service_events, 100u);
+  // Goldens from the single-core tree (see file header).
+  for (const std::size_t burst : {1, 4, 16, 32, 64}) {
+    SCOPED_TRACE("burst " + std::to_string(burst));
+    const golden::Outcome o = golden::run_fig2({.burst = burst, .ncpus = 1});
+    EXPECT_EQ(o.dig.delivered, 100u);
+    EXPECT_EQ(o.dig.bytes, 6400u);
+    EXPECT_EQ(o.dig.fnv, golden::kFig2Fnv);
+    EXPECT_EQ(o.router.tx_packets, 100u);
+    EXPECT_EQ(o.router.pipeline.bpf_runs, 100u);
+    EXPECT_EQ(o.router.pipeline.bpf_insns_jit, 2500u);
+    EXPECT_EQ(o.router.pipeline.helper_calls, 100u);
+    if (burst == 1) {
+      EXPECT_EQ(o.router.service_events, 100u);
+    } else if (burst == 32) {
+      EXPECT_EQ(o.router.service_events, 5u);
+    }
+  }
 }
 
 // The default Cpu config must *be* the single-core path — nobody should have
@@ -56,19 +60,20 @@ TEST(Ncpus1Differential, DefaultNcpusIsOne) {
 }
 
 TEST(Ncpus1Differential, HybridWrrBitIdenticalToPreMultiCoreTree) {
-  const golden::Outcome b32 = golden::run_hybrid({.burst = 32, .ncpus = 1});
-  EXPECT_EQ(b32.dig.delivered, 96u);
-  EXPECT_EQ(b32.dig.bytes, 38400u);
-  EXPECT_EQ(b32.dig.fnv, 0xf73ec5219ddf73caull);
-  EXPECT_EQ(b32.router.service_events, 6u);
-  EXPECT_EQ(b32.router.pipeline.bpf_runs, 96u);
-  EXPECT_EQ(b32.router.pipeline.bpf_insns_interp, 3972u);
-  EXPECT_EQ(b32.router.pipeline.helper_calls, 192u);
-  EXPECT_EQ(b32.router.pipeline.encaps, 96u);
-
-  const golden::Outcome b1 = golden::run_hybrid({.burst = 1, .ncpus = 1});
-  EXPECT_EQ(b1.dig.delivered, 96u);
-  EXPECT_EQ(b1.dig.fnv, 0xc45d7846b35cecd9ull);
+  for (const std::size_t burst : {1, 4, 16, 32, 64}) {
+    SCOPED_TRACE("burst " + std::to_string(burst));
+    const golden::Outcome o = golden::run_hybrid({.burst = burst, .ncpus = 1});
+    EXPECT_EQ(o.dig.delivered, 96u);
+    EXPECT_EQ(o.dig.bytes, 38400u);
+    EXPECT_EQ(o.dig.fnv, golden::kHybridFnv);
+    EXPECT_EQ(o.router.pipeline.bpf_runs, 96u);
+    EXPECT_EQ(o.router.pipeline.bpf_insns_interp, 3972u);
+    EXPECT_EQ(o.router.pipeline.helper_calls, 192u);
+    EXPECT_EQ(o.router.pipeline.encaps, 96u);
+    if (burst == 32) {
+      EXPECT_EQ(o.router.service_events, 6u);
+    }
+  }
 }
 
 // ---- RSS steering -----------------------------------------------------------

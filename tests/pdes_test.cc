@@ -250,16 +250,18 @@ TEST(PdesMailbox, TwoThreadPumpPreservesOrder) {
 // domains, so both hops become synchronization edges.
 
 TEST(PdesDeterminism, Fig2PartitionedMatchesSerialAndGolden) {
+  // The mc_test goldens (captured from the single-core tree) hold for the
+  // serial loop with the stamp comparator, and every partitioned run
+  // reproduces them bit-for-bit.
   const golden::Outcome serial = golden::run_fig2({.threads = kSerial});
-  // The mc_test goldens (captured from the PR 2 single-core tree) must
-  // still hold for the serial loop with the stamp comparator...
   EXPECT_EQ(serial.dig.delivered, 100u);
   EXPECT_EQ(serial.dig.bytes, 6400u);
-  EXPECT_EQ(serial.dig.fnv, 0x1023e722a53e82dbull);
-  // ...and the partitioned run reproduces them bit-for-bit.
-  const golden::Outcome part = golden::run_fig2({.threads = 1});
-  EXPECT_TRUE(part.dig == serial.dig);
-  EXPECT_EQ(part.router, serial.router);
+  EXPECT_EQ(serial.dig.fnv, golden::kFig2Fnv);
+  for (const int threads : {1, 2, 4, 8}) {
+    const golden::Outcome part = golden::run_fig2({.threads = threads});
+    EXPECT_TRUE(part.dig == serial.dig) << "threads=" << threads;
+    EXPECT_EQ(part.router, serial.router);
+  }
 }
 
 // The headline stress: >= 20 repetitions at every thread count, each run
@@ -296,8 +298,8 @@ TEST(PdesDeterminism, HybridWrrPartitionedMatchesSerialAndGolden) {
   const Digest serial = golden::run_hybrid({.threads = kSerial}).dig;
   EXPECT_EQ(serial.delivered, 96u);
   EXPECT_EQ(serial.bytes, 38400u);
-  EXPECT_EQ(serial.fnv, 0xf73ec5219ddf73caull);  // mc_test golden
-  for (const int threads : {1, 2, 4}) {
+  EXPECT_EQ(serial.fnv, golden::kHybridFnv);  // mc_test golden
+  for (const int threads : {1, 2, 4, 8}) {
     const Digest run = golden::run_hybrid({.threads = threads}).dig;
     EXPECT_TRUE(run == serial) << "threads=" << threads;
   }
