@@ -3,13 +3,13 @@
 // Part 1 (micro): per-expression filter cost. Each tcpdump expression is
 // compiled to classic BPF, then measured two ways over a mixed match/miss
 // packet corpus: interpreted directly by the reference cBPF interpreter (what
-// a pre-3.15 kernel did per packet) and translated to eBPF and run on each of
-// the three engines (what this simulator — and the modern kernel — actually
-// executes). The native-vs-reference speedup is the payoff of the
-// translate-once design the cbpf/ tier reproduces. Each row also records
-// what verifying the translated program costs at load, with state pruning
-// and without: pruning may visit no more states (a gate) and take no longer
-// (a wall gate).
+// a pre-3.15 kernel did per packet) and translated to eBPF and run on both
+// engines, the interpreter and the native JIT (what this simulator — and the
+// modern kernel — actually executes). The native-vs-reference speedup is
+// the payoff of the translate-once design the cbpf/ tier reproduces. Each
+// row also records what verifying the translated program costs at load,
+// with state pruning and without: pruning may visit no more states (a gate)
+// and take no longer (a wall gate).
 //
 // Part 2 (scenario): the fig3-style monitoring sink driven entirely by a
 // compiled filter expression on the setup-1 topology, reporting the sink's
@@ -84,11 +84,10 @@ double reference_ns(const std::vector<cbpf::SockFilter>& prog,
       static_cast<std::uint64_t>(iters) * corpus.pkts.size());
 }
 
-// Translated-eBPF ns/op on one engine over the corpus.
+// Translated-eBPF ns/op over the corpus, with the JIT on or off.
 double translated_ns(const ebpf::LoadedProgram& prog, ebpf::BpfSystem& sys,
-                     ebpf::EngineKind engine, const Corpus& corpus,
-                     int iters) {
-  sys.set_engine(engine);
+                     bool jit, const Corpus& corpus, int iters) {
+  sys.set_jit_enabled(jit);
   ebpf::SkbRun run;
   volatile std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -123,8 +122,7 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
   }
 
   ebpf::BpfSystem sys;
-  auto load = sys.load("filter", ebpf::ProgType::kSocketFilter, tr.insns,
-                       cr.insns.size());
+  auto load = sys.load("filter", ebpf::ProgType::kSocketFilter, tr.insns);
   if (!load.ok()) {
     std::fprintf(stderr, "verifier rejected \"%s\": %s\n", expr.c_str(),
                  load.verify.error.c_str());
@@ -132,12 +130,10 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
   }
 
   const double ref_ns = reference_ns(cr.insns, corpus, iters);
-  const double baseline_ns = translated_ns(
-      *load.prog, sys, ebpf::EngineKind::kInterpBaseline, corpus, iters);
-  const double predecoded_ns =
-      translated_ns(*load.prog, sys, ebpf::EngineKind::kInterp, corpus, iters);
+  const double interp_ns =
+      translated_ns(*load.prog, sys, /*jit=*/false, corpus, iters);
   const double native_ns =
-      translated_ns(*load.prog, sys, ebpf::EngineKind::kNative, corpus, iters);
+      translated_ns(*load.prog, sys, /*jit=*/true, corpus, iters);
   const double speedup = ref_ns / native_ns;
   const VerifyCost vc = measure_verify(sys, tr.insns,
                                        ebpf::ProgType::kSocketFilter,
@@ -147,8 +143,7 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
       .num("cbpf_insns", cr.insns.size())
       .num("ebpf_insns", tr.insns.size())
       .num("reference_interp_ns", ref_ns, 1)
-      .num("baseline_interp_ns", baseline_ns, 1)
-      .num("predecoded_interp_ns", predecoded_ns, 1)
+      .num("interp_ns", interp_ns, 1)
       .num("native_ns", native_ns, 1)
       .num("speedup_native_vs_reference", speedup, 2)
       .num("verify_states", vc.states)

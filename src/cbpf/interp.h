@@ -2,7 +2,7 @@
 // differential test compares against.
 //
 // Semantics notes (all matched by the cBPF→eBPF translation so that the
-// oracle and the three eBPF engines stay bit-identical):
+// oracle and both eBPF engines stay bit-identical):
 //   * A, X and M[] are unsigned 32-bit; M[] starts zeroed (the translator
 //     zero-fills the referenced scratch slots in its prologue, which also
 //     satisfies the eBPF verifier's no-read-before-write stack rule).

@@ -1,7 +1,7 @@
 // cBPF → eBPF translation, modeled on the kernel's bpf_convert_filter().
 //
 // The emitted program is ordinary eBPF: it passes the existing verifier with
-// ProgType::kSocketFilter and runs unmodified on all three engines. Register
+// ProgType::kSocketFilter and runs unmodified on both engines. Register
 // mapping follows the kernel's convention:
 //
 //   R6 = skb context (saved from R1 in the prologue)

@@ -133,7 +133,7 @@ struct Insn {
 static_assert(sizeof(Insn) == 8, "eBPF instructions are 64 bits");
 
 // Sign-extend a 32-bit wire immediate to the 64-bit value eBPF semantics
-// prescribe for ALU64/JMP operands (shared by the decoder and both engines).
+// prescribe for ALU64/JMP operands (the decoder's materialised imm64).
 constexpr std::uint64_t sext_imm64(std::int32_t imm) noexcept {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(imm));
 }

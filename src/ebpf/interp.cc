@@ -33,361 +33,6 @@ struct RegionGuard {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Pre-decoded, threaded-dispatch engine (the hot path)
-// ---------------------------------------------------------------------------
-
-ExecResult Interpreter::run(const DecodedProgram& prog, ExecEnv& env,
-                            std::uint64_t ctx) const {
-  std::array<std::uint64_t, kNumRegs> regs{};
-  // Deliberately not zero-filled: decoded programs come from the verifier,
-  // which proves every stack slot is written before it is read (the kernel
-  // interpreter does not clear the BPF stack either). The baseline engine
-  // below zero-fills because it accepts unverified streams.
-  alignas(16) std::array<std::uint8_t, kStackSize> stack;
-
-  const std::uint64_t stack_base =
-      reinterpret_cast<std::uint64_t>(stack.data());
-  regs[R1] = ctx;
-  regs[R10] = stack_base + kStackSize;
-
-  RegionGuard region_guard(env, MemRegion{stack_base, kStackSize, true});
-
-  ExecResult res;
-  const DecodedInsn* const base = prog.data();
-  const DecodedInsn* op = base;
-  std::uint64_t executed = 0;
-
-// Accessors for the current op's operands.
-#define DST regs[op->dst]
-#define SRC regs[op->src]
-
-#define FAULT(msg)                \
-  do {                            \
-    res.insns_executed = executed; \
-    res.aborted = true;           \
-    res.error = (msg);            \
-    return res;                   \
-  } while (0)
-
-// Memory checks with a single-comparison stack fast path: for any access
-// size n <= 8, `addr - stack_base <= kStackSize - n` (unsigned) holds iff
-// [addr, addr+n) lies inside the stack frame; addresses below the base wrap
-// to huge values and fail. Everything else falls back to the region list.
-#define CHECK_READ(addr, n)                                                 \
-  do {                                                                      \
-    if ((addr) - stack_base > kStackSize - (n) &&                           \
-        !env.readable(reinterpret_cast<const void*>(addr), (n)))            \
-      FAULT("invalid read of " + std::to_string(n) + " bytes");             \
-  } while (0)
-#define CHECK_WRITE(addr, n)                                                \
-  do {                                                                      \
-    if ((addr) - stack_base > kStackSize - (n) &&                           \
-        !env.writable(reinterpret_cast<const void*>(addr), (n)))            \
-      FAULT("invalid write of " + std::to_string(n) + " bytes");            \
-  } while (0)
-
-// Direct-threaded dispatch: every op jumps straight to the next op's label
-// through a table built from the op-kind list (a GCC/Clang extension).
-#define LBL_ADDR(name) &&L_##name,
-  static const void* const kLabels[] = {SRV6BPF_OPKIND_LIST(LBL_ADDR)};
-#undef LBL_ADDR
-#define CASE(name) L_##name:
-#define DISPATCH()                 \
-  do {                             \
-    ++executed;                    \
-    goto* kLabels[op->kind];       \
-  } while (0)
-
-#define NEXT() \
-  do {         \
-    ++op;      \
-    DISPATCH(); \
-  } while (0)
-
-// The step budget is amortised: checked only on taken backward jumps and
-// helper calls. Between two checks control flow is strictly forward, so the
-// overshoot is bounded by the program length (<= kMaxInsns).
-#define TAKE_JUMP()                                        \
-  do {                                                     \
-    const DecodedInsn* t = base + op->target;              \
-    if (t <= op && executed >= kMaxInterpSteps)            \
-      FAULT("instruction budget exhausted");               \
-    op = t;                                                \
-    DISPATCH();                                            \
-  } while (0)
-
-// ALU / byteswap / load-immediate ops: one statement, then fall to the next
-// op. Jump ops: test, then either TAKE_JUMP or fall through.
-#define ACASE(name, stmt) \
-  CASE(name) { stmt; NEXT(); }
-#define JCASE(name, cond) \
-  CASE(name) {            \
-    if (cond) TAKE_JUMP(); \
-    NEXT();               \
-  }
-
-  DISPATCH();
-  {
-    ACASE(kAdd64R, DST += SRC)
-    ACASE(kSub64R, DST -= SRC)
-    ACASE(kMul64R, DST *= SRC)
-    ACASE(kDiv64R, DST = SRC ? DST / SRC : 0)
-    ACASE(kMod64R, DST = SRC ? DST % SRC : DST)
-    ACASE(kOr64R, DST |= SRC)
-    ACASE(kAnd64R, DST &= SRC)
-    ACASE(kXor64R, DST ^= SRC)
-    ACASE(kMov64R, DST = SRC)
-    ACASE(kLsh64R, DST <<= (SRC & 63))
-    ACASE(kRsh64R, DST >>= (SRC & 63))
-    ACASE(kArsh64R,
-          DST = static_cast<std::uint64_t>(static_cast<std::int64_t>(DST) >>
-                                           (SRC & 63)))
-    ACASE(kAdd64I, DST += op->imm64)
-    ACASE(kSub64I, DST -= op->imm64)
-    ACASE(kMul64I, DST *= op->imm64)
-    ACASE(kDiv64I, DST = op->imm64 ? DST / op->imm64 : 0)
-    ACASE(kMod64I, DST = op->imm64 ? DST % op->imm64 : DST)
-    ACASE(kOr64I, DST |= op->imm64)
-    ACASE(kAnd64I, DST &= op->imm64)
-    ACASE(kXor64I, DST ^= op->imm64)
-    ACASE(kMov64I, DST = op->imm64)
-    ACASE(kLsh64I, DST <<= (op->imm64 & 63))
-    ACASE(kRsh64I, DST >>= (op->imm64 & 63))
-    ACASE(kArsh64I,
-          DST = static_cast<std::uint64_t>(static_cast<std::int64_t>(DST) >>
-                                           (op->imm64 & 63)))
-    ACASE(kNeg64, DST = ~DST + 1)
-
-    ACASE(kAdd32R, DST = static_cast<std::uint32_t>(DST + SRC))
-    ACASE(kSub32R, DST = static_cast<std::uint32_t>(DST - SRC))
-    ACASE(kMul32R, DST = static_cast<std::uint32_t>(DST * SRC))
-    CASE(kDiv32R) {
-      const std::uint32_t b = static_cast<std::uint32_t>(SRC);
-      DST = b ? static_cast<std::uint32_t>(DST) / b : 0;
-      NEXT();
-    }
-    CASE(kMod32R) {
-      const std::uint32_t b = static_cast<std::uint32_t>(SRC);
-      DST = b ? static_cast<std::uint32_t>(DST) % b
-              : static_cast<std::uint32_t>(DST);
-      NEXT();
-    }
-    ACASE(kOr32R, DST = static_cast<std::uint32_t>(DST | SRC))
-    ACASE(kAnd32R, DST = static_cast<std::uint32_t>(DST & SRC))
-    ACASE(kXor32R, DST = static_cast<std::uint32_t>(DST ^ SRC))
-    ACASE(kMov32R, DST = static_cast<std::uint32_t>(SRC))
-    ACASE(kLsh32R, DST = static_cast<std::uint32_t>(DST) << (SRC & 31))
-    ACASE(kRsh32R, DST = static_cast<std::uint32_t>(DST) >> (SRC & 31))
-    ACASE(kArsh32R,
-          DST = static_cast<std::uint32_t>(
-              static_cast<std::int32_t>(static_cast<std::uint32_t>(DST)) >>
-              (SRC & 31)))
-    ACASE(kAdd32I, DST = static_cast<std::uint32_t>(DST + op->imm64))
-    ACASE(kSub32I, DST = static_cast<std::uint32_t>(DST - op->imm64))
-    ACASE(kMul32I, DST = static_cast<std::uint32_t>(DST * op->imm64))
-    CASE(kDiv32I) {
-      const std::uint32_t b = static_cast<std::uint32_t>(op->imm64);
-      DST = b ? static_cast<std::uint32_t>(DST) / b : 0;
-      NEXT();
-    }
-    CASE(kMod32I) {
-      const std::uint32_t b = static_cast<std::uint32_t>(op->imm64);
-      DST = b ? static_cast<std::uint32_t>(DST) % b
-              : static_cast<std::uint32_t>(DST);
-      NEXT();
-    }
-    ACASE(kOr32I, DST = static_cast<std::uint32_t>(DST | op->imm64))
-    ACASE(kAnd32I, DST = static_cast<std::uint32_t>(DST & op->imm64))
-    ACASE(kXor32I, DST = static_cast<std::uint32_t>(DST ^ op->imm64))
-    ACASE(kMov32I, DST = static_cast<std::uint32_t>(op->imm64))
-    ACASE(kLsh32I, DST = static_cast<std::uint32_t>(DST) << (op->imm64 & 31))
-    ACASE(kRsh32I, DST = static_cast<std::uint32_t>(DST) >> (op->imm64 & 31))
-    ACASE(kArsh32I,
-          DST = static_cast<std::uint32_t>(
-              static_cast<std::int32_t>(static_cast<std::uint32_t>(DST)) >>
-              (op->imm64 & 31)))
-    ACASE(kNeg32,
-          DST = static_cast<std::uint32_t>(
-              -static_cast<std::int32_t>(static_cast<std::uint32_t>(DST))))
-
-    ACASE(kBe16, DST = kHostIsLittleEndian
-                           ? bswap16(static_cast<std::uint16_t>(DST))
-                           : static_cast<std::uint16_t>(DST))
-    ACASE(kBe32, DST = kHostIsLittleEndian
-                           ? bswap32(static_cast<std::uint32_t>(DST))
-                           : static_cast<std::uint32_t>(DST))
-    ACASE(kBe64, DST = kHostIsLittleEndian ? bswap64(DST) : DST)
-    ACASE(kLe16, DST = kHostIsLittleEndian
-                           ? static_cast<std::uint16_t>(DST)
-                           : bswap16(static_cast<std::uint16_t>(DST)))
-    ACASE(kLe32, DST = kHostIsLittleEndian
-                           ? static_cast<std::uint32_t>(DST)
-                           : bswap32(static_cast<std::uint32_t>(DST)))
-    ACASE(kLe64, DST = kHostIsLittleEndian ? DST : bswap64(DST))
-
-    CASE(kLd1) {
-      const std::uint64_t a = SRC + op->off;
-      CHECK_READ(a, 1);
-      DST = load_unaligned<std::uint8_t>(reinterpret_cast<const void*>(a));
-      NEXT();
-    }
-    CASE(kLd2) {
-      const std::uint64_t a = SRC + op->off;
-      CHECK_READ(a, 2);
-      DST = load_unaligned<std::uint16_t>(reinterpret_cast<const void*>(a));
-      NEXT();
-    }
-    CASE(kLd4) {
-      const std::uint64_t a = SRC + op->off;
-      CHECK_READ(a, 4);
-      DST = load_unaligned<std::uint32_t>(reinterpret_cast<const void*>(a));
-      NEXT();
-    }
-    CASE(kLd8) {
-      const std::uint64_t a = SRC + op->off;
-      CHECK_READ(a, 8);
-      DST = load_unaligned<std::uint64_t>(reinterpret_cast<const void*>(a));
-      NEXT();
-    }
-    CASE(kSt1R) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 1);
-      store_unaligned<std::uint8_t>(reinterpret_cast<void*>(a),
-                                    static_cast<std::uint8_t>(SRC));
-      NEXT();
-    }
-    CASE(kSt2R) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 2);
-      store_unaligned<std::uint16_t>(reinterpret_cast<void*>(a),
-                                     static_cast<std::uint16_t>(SRC));
-      NEXT();
-    }
-    CASE(kSt4R) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 4);
-      store_unaligned<std::uint32_t>(reinterpret_cast<void*>(a),
-                                     static_cast<std::uint32_t>(SRC));
-      NEXT();
-    }
-    CASE(kSt8R) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 8);
-      store_unaligned<std::uint64_t>(reinterpret_cast<void*>(a), SRC);
-      NEXT();
-    }
-    CASE(kSt1I) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 1);
-      store_unaligned<std::uint8_t>(reinterpret_cast<void*>(a),
-                                    static_cast<std::uint8_t>(op->imm));
-      NEXT();
-    }
-    CASE(kSt2I) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 2);
-      store_unaligned<std::uint16_t>(reinterpret_cast<void*>(a),
-                                     static_cast<std::uint16_t>(op->imm));
-      NEXT();
-    }
-    CASE(kSt4I) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 4);
-      store_unaligned<std::uint32_t>(reinterpret_cast<void*>(a),
-                                     static_cast<std::uint32_t>(op->imm));
-      NEXT();
-    }
-    CASE(kSt8I) {
-      const std::uint64_t a = DST + op->off;
-      CHECK_WRITE(a, 8);
-      store_unaligned<std::uint64_t>(
-          reinterpret_cast<void*>(a),
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(op->imm)));
-      NEXT();
-    }
-
-    ACASE(kLdImm64, DST = op->imm64)
-
-    CASE(kJa) { TAKE_JUMP(); }
-
-    JCASE(kJeqR, DST == SRC)
-    JCASE(kJneR, DST != SRC)
-    JCASE(kJgtR, DST > SRC)
-    JCASE(kJgeR, DST >= SRC)
-    JCASE(kJltR, DST < SRC)
-    JCASE(kJleR, DST <= SRC)
-    JCASE(kJsetR, (DST & SRC) != 0)
-    JCASE(kJsgtR, static_cast<std::int64_t>(DST) > static_cast<std::int64_t>(SRC))
-    JCASE(kJsgeR, static_cast<std::int64_t>(DST) >= static_cast<std::int64_t>(SRC))
-    JCASE(kJsltR, static_cast<std::int64_t>(DST) < static_cast<std::int64_t>(SRC))
-    JCASE(kJsleR, static_cast<std::int64_t>(DST) <= static_cast<std::int64_t>(SRC))
-    JCASE(kJeqI, DST == op->imm64)
-    JCASE(kJneI, DST != op->imm64)
-    JCASE(kJgtI, DST > op->imm64)
-    JCASE(kJgeI, DST >= op->imm64)
-    JCASE(kJltI, DST < op->imm64)
-    JCASE(kJleI, DST <= op->imm64)
-    JCASE(kJsetI, (DST & op->imm64) != 0)
-    JCASE(kJsgtI, static_cast<std::int64_t>(DST) > static_cast<std::int64_t>(op->imm64))
-    JCASE(kJsgeI, static_cast<std::int64_t>(DST) >= static_cast<std::int64_t>(op->imm64))
-    JCASE(kJsltI, static_cast<std::int64_t>(DST) < static_cast<std::int64_t>(op->imm64))
-    JCASE(kJsleI, static_cast<std::int64_t>(DST) <= static_cast<std::int64_t>(op->imm64))
-    JCASE(kJeq32R, static_cast<std::uint32_t>(DST) == static_cast<std::uint32_t>(SRC))
-    JCASE(kJne32R, static_cast<std::uint32_t>(DST) != static_cast<std::uint32_t>(SRC))
-    JCASE(kJgt32R, static_cast<std::uint32_t>(DST) > static_cast<std::uint32_t>(SRC))
-    JCASE(kJge32R, static_cast<std::uint32_t>(DST) >= static_cast<std::uint32_t>(SRC))
-    JCASE(kJlt32R, static_cast<std::uint32_t>(DST) < static_cast<std::uint32_t>(SRC))
-    JCASE(kJle32R, static_cast<std::uint32_t>(DST) <= static_cast<std::uint32_t>(SRC))
-    JCASE(kJset32R, (static_cast<std::uint32_t>(DST) & static_cast<std::uint32_t>(SRC)) != 0)
-    JCASE(kJsgt32R, static_cast<std::int32_t>(DST) > static_cast<std::int32_t>(SRC))
-    JCASE(kJsge32R, static_cast<std::int32_t>(DST) >= static_cast<std::int32_t>(SRC))
-    JCASE(kJslt32R, static_cast<std::int32_t>(DST) < static_cast<std::int32_t>(SRC))
-    JCASE(kJsle32R, static_cast<std::int32_t>(DST) <= static_cast<std::int32_t>(SRC))
-    JCASE(kJeq32I, static_cast<std::uint32_t>(DST) == static_cast<std::uint32_t>(op->imm))
-    JCASE(kJne32I, static_cast<std::uint32_t>(DST) != static_cast<std::uint32_t>(op->imm))
-    JCASE(kJgt32I, static_cast<std::uint32_t>(DST) > static_cast<std::uint32_t>(op->imm))
-    JCASE(kJge32I, static_cast<std::uint32_t>(DST) >= static_cast<std::uint32_t>(op->imm))
-    JCASE(kJlt32I, static_cast<std::uint32_t>(DST) < static_cast<std::uint32_t>(op->imm))
-    JCASE(kJle32I, static_cast<std::uint32_t>(DST) <= static_cast<std::uint32_t>(op->imm))
-    JCASE(kJset32I, (static_cast<std::uint32_t>(DST) & static_cast<std::uint32_t>(op->imm)) != 0)
-    JCASE(kJsgt32I, static_cast<std::int32_t>(DST) > op->imm)
-    JCASE(kJsge32I, static_cast<std::int32_t>(DST) >= op->imm)
-    JCASE(kJslt32I, static_cast<std::int32_t>(DST) < op->imm)
-    JCASE(kJsle32I, static_cast<std::int32_t>(DST) <= op->imm)
-
-    CASE(kCall) {
-      if (executed >= kMaxInterpSteps)
-        FAULT("instruction budget exhausted");
-      ++res.helper_calls;
-      regs[R0] =
-          (*op->fn)(env, regs[R1], regs[R2], regs[R3], regs[R4], regs[R5]);
-      NEXT();
-    }
-    CASE(kExit) {
-      res.ret = regs[R0];
-      res.insns_executed = executed;
-      return res;
-    }
-  }
-
-#undef DST
-#undef SRC
-#undef FAULT
-#undef CHECK_READ
-#undef CHECK_WRITE
-#undef CASE
-#undef DISPATCH
-#undef NEXT
-#undef TAKE_JUMP
-#undef ACASE
-#undef JCASE
-}
-
-// ---------------------------------------------------------------------------
-// Baseline decode-every-step engine (reference; runs unverified streams)
-// ---------------------------------------------------------------------------
-
 ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
                             std::uint64_t ctx) const {
   const std::vector<Insn>& insns = prog.insns();

@@ -30,7 +30,7 @@
 //
 // Engine selection: when native emission is unavailable (non-x86-64 build,
 // or mmap/mprotect refusing W->X pages, e.g. under a hardened kernel), the
-// program runs on the pre-decoded interpreter; see ebpf/vm.h.
+// program runs on the interpreter; see ebpf/vm.h.
 #pragma once
 
 #include <cstddef>
@@ -122,7 +122,7 @@ bool native_jit_available() noexcept;
 // call order: BpfSystem::load is the only production caller, and calls it
 // right after the verifier accepted the program. Returns
 // null where native_jit_available() is false or mmap/mprotect fails; the
-// program then runs on the pre-decoded interpreter.
+// program then runs on the interpreter.
 std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog);
 
 }  // namespace srv6bpf::ebpf

@@ -1,5 +1,7 @@
 #include "ebpf/vm.h"
 
+#include "ebpf/decode.h"
+
 namespace srv6bpf::ebpf {
 
 BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
@@ -9,15 +11,15 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
   result.verify = Verifier(&maps_, &helpers_).verify(prog);
   if (!result.verify.ok) return result;
 
-  // Only a program the verifier has just accepted is decoded and compiled:
-  // native code has no runtime checks and stands on this proof. Decode once
-  // (jump targets, fused ld_imm64, resolved helpers); compile_native returns
-  // null where the host cannot emit code, and the program then runs on the
-  // pre-decoded interpreter.
-  DecodedProgram decoded = decode_program(prog.insns(), &helpers_);
-  std::unique_ptr<const NativeCode> native = compile_native(decoded);
-  result.prog = std::make_shared<LoadedProgram>(
-      std::move(prog), std::move(decoded), std::move(native));
+  // Only a program the verifier has just accepted is compiled: native code
+  // has no runtime checks and stands on this proof. The decoded form (jump
+  // targets, fused ld_imm64, resolved helpers) is the JIT's input and is
+  // not kept. compile_native returns null where the host cannot emit code,
+  // and the program then runs on the interpreter.
+  std::unique_ptr<const NativeCode> native =
+      compile_native(decode_program(prog.insns(), &helpers_));
+  result.prog =
+      std::make_shared<LoadedProgram>(std::move(prog), std::move(native));
   return result;
 }
 
@@ -26,15 +28,9 @@ ExecResult BpfSystem::run(const LoadedProgram& prog, ExecEnv& env,
   if (env.maps == nullptr) env.maps = const_cast<MapRegistry*>(&maps_);
   if (env.helpers == nullptr)
     env.helpers = const_cast<HelperRegistry*>(&helpers_);
-  switch (engine_for(prog)) {
-    case EngineKind::kNative:
-      return prog.native()->run(env, ctx);
-    case EngineKind::kInterp:
-      break;
-    case EngineKind::kInterpBaseline:
-      return interp_.run(prog.program(), env, ctx);
-  }
-  return interp_.run(prog.decoded(), env, ctx);
+  if (engine_for(prog) == EngineKind::kNative)
+    return prog.native()->run(env, ctx);
+  return interp_.run(prog.program(), env, ctx);
 }
 
 }  // namespace srv6bpf::ebpf

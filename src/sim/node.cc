@@ -36,28 +36,12 @@ const net::Ipv6Addr& Node::interface_addr(int ifindex) const {
   return ifaces_[static_cast<std::size_t>(ifindex)].addr;
 }
 
-std::vector<Node::CpuContext>& Node::contexts() {
-  const std::size_t want =
-      std::clamp<std::size_t>(cpu.ncpus, 1, ebpf::kMaxCpus);
-  if (ctxs_.size() == want) return ctxs_;
-  // Re-shard only while quiescent: a pending service event holds a context
-  // index, and shrinking the ring vectors would silently discard queued
-  // packets — so an ncpus change during traffic takes effect at the next
-  // idle moment instead (like rewriting a NIC's RSS indirection table).
-  for (const CpuContext& c : ctxs_)
-    if (c.servicing) return ctxs_;
-  for (const Iface& iface : ifaces_)
-    for (const auto& ring : iface.rx_rings)
-      if (!ring.empty()) return ctxs_;
-  // Shrinking retires contexts; their shards fold into the NIC-side base so
-  // the cumulative Node::stats() view never goes backwards.
-  for (std::size_t k = want; k < ctxs_.size(); ++k)
-    nic_stats_ += ctxs_[k].stats;
-  ctxs_.resize(want);
-  for (std::size_t k = 0; k < ctxs_.size(); ++k)
+void Node::size_contexts() {
+  const std::size_t n = std::clamp<std::size_t>(cpu.ncpus, 1, ebpf::kMaxCpus);
+  ctxs_.resize(n);
+  for (std::size_t k = 0; k < n; ++k)
     ctxs_[k].id = static_cast<std::uint32_t>(k);
-  for (Iface& iface : ifaces_) iface.rx_rings.resize(want);
-  return ctxs_;
+  for (Iface& iface : ifaces_) iface.rx_rings.resize(n);
 }
 
 NodeStats Node::stats() const {

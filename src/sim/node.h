@@ -108,7 +108,7 @@ class Node {
     // RSS execution contexts (cores servicing this node's datapath).
     // Clamped to [1, ebpf::kMaxCpus]; 1 = the paper's single pinned core.
     // Set before traffic starts: contexts and their RX rings are sized on
-    // first use.
+    // first use, and a later change has no effect.
     std::size_t ncpus = 1;
   };
   Cpu cpu;
@@ -192,9 +192,14 @@ class Node {
     std::vector<RxRing> rx_rings;
   };
 
-  // Sizes ctxs_ (and every interface's ring vector) to the clamped
-  // cpu.ncpus; returns the context vector.
-  std::vector<CpuContext>& contexts();
+  // The context vector, sized on the node's first datapath use.
+  std::vector<CpuContext>& contexts() {
+    if (ctxs_.empty()) size_contexts();
+    return ctxs_;
+  }
+  // Sizes ctxs_, then every interface's ring vector, to the clamped
+  // cpu.ncpus.
+  void size_contexts();
   std::size_t steer(const net::Packet& pkt) const;  // RSS: packet -> context
   void enqueue_rx(net::Packet&& pkt, int ifindex);
   void maybe_schedule_service(CpuContext& ctx);

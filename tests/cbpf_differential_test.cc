@@ -1,7 +1,7 @@
 // Differential fuzzing of the classic-BPF translator.
 //
 // Generates random valid classic programs, runs each through the reference
-// cBPF interpreter (the oracle) and through translate() on all three eBPF
+// cBPF interpreter (the oracle) and through translate() on both eBPF
 // engines, and asserts bit-identical accept/reject/length results. The
 // translator must never emit a program the verifier rejects for a program
 // that passed check() — a rejection here is a translator bug, so it is a
@@ -164,10 +164,6 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
   Rng rng(0xcbcbf17e2026ull);
   const auto corpus = make_corpus(rng);
 
-  static constexpr ebpf::EngineKind kEngines[] = {
-      ebpf::EngineKind::kInterpBaseline, ebpf::EngineKind::kInterp,
-      ebpf::EngineKind::kNative};
-
   int compared = 0;
   for (int n = 0; n < kWantedPrograms; ++n) {
     const std::vector<SockFilter> prog = generate(rng);
@@ -198,15 +194,15 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
       run.point_data_at(pkt);
       run.env.now_ns = 42;
 
-      for (const ebpf::EngineKind engine : kEngines) {
-        sys.set_engine(engine);
+      for (const bool jit : {false, true}) {
+        sys.set_jit_enabled(jit);
+        const char* engine = ebpf::engine_name(sys.engine_for(*load.prog));
         const ebpf::ExecResult res =
             sys.run(*load.prog, run.env, run.ctx_addr());
         ASSERT_TRUE(res.ok())
-            << ebpf::engine_name(engine) << ": " << res.error << "\n"
-            << dump(prog, tr.insns);
+            << engine << ": " << res.error << "\n" << dump(prog, tr.insns);
         ASSERT_EQ(static_cast<std::uint64_t>(want), res.ret)
-            << ebpf::engine_name(engine) << " diverges from the reference "
+            << engine << " diverges from the reference "
             << "interpreter on a " << pkt.size() << "-byte packet\n"
             << dump(prog, tr.insns);
       }

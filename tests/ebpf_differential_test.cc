@@ -1,16 +1,15 @@
-// Differential fuzzing of the three execution engines.
+// Differential fuzzing of the two execution engines.
 //
 // Generates random-but-verifiable programs from a seeded Rng and asserts
-// that the baseline decode-every-step interpreter, the pre-decoded threaded
-// interpreter and the native x86-64 JIT agree on everything observable:
-// return value, executed-instruction count, helper-call count and map side
-// effects. Any divergence is a bug by definition — this is the safety net
-// under the decode-once refactor and the machine-code emitter (a miscompiled
+// that the interpreter and the native x86-64 JIT agree on everything
+// observable: return value, executed-instruction count, helper-call count
+// and map side effects. Any divergence is a bug by definition — this is the
+// safety net under the decoder and the machine-code emitter (a miscompiled
 // jump target or a wrong immediate extension shows up here long before it
 // would surface in a paper-figure bench). On hosts without native support
-// the kNative row falls back to the pre-decoded interpreter, so the
-// comparison only covers the interpreters. Every generated program, accepted
-// or not, is also a pruning-oracle case (pruning_oracle.h).
+// the kNative row falls back to the interpreter, so the comparison checks
+// nothing there. Every generated program, accepted or not, is also a
+// pruning-oracle case (pruning_oracle.h).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -269,7 +268,7 @@ EngineObservation run_on(EngineKind engine, const std::vector<Insn>& insns) {
     obs.exec.error = "verifier: " + load.verify.error;
     return obs;
   }
-  sys.set_engine(engine);
+  sys.set_jit_enabled(engine == EngineKind::kNative);
 
   // Each draw steps the PRNG state, so the map values show the order of
   // the helper calls.
@@ -310,25 +309,20 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
     if (!oracle.pruned.ok) continue;
     ++verified;
 
-    const EngineObservation base = run_on(EngineKind::kInterpBaseline, insns);
-    const EngineObservation pre = run_on(EngineKind::kInterp, insns);
+    const EngineObservation interp = run_on(EngineKind::kInterp, insns);
     const EngineObservation native = run_on(EngineKind::kNative, insns);
 
-    ASSERT_TRUE(base.exec.ok())
-        << base.exec.error << "\n" << dump_program(insns);
-    ASSERT_TRUE(pre.exec.ok())
-        << pre.exec.error << "\n" << dump_program(insns);
+    ASSERT_TRUE(interp.exec.ok())
+        << interp.exec.error << "\n" << dump_program(insns);
     ASSERT_TRUE(native.exec.ok())
         << native.exec.error << "\n" << dump_program(insns);
 
-    for (const EngineObservation* row : {&pre, &native}) {
-      ASSERT_EQ(base.exec.ret, row->exec.ret) << dump_program(insns);
-      ASSERT_EQ(base.exec.insns_executed, row->exec.insns_executed)
-          << dump_program(insns);
-      ASSERT_EQ(base.exec.helper_calls, row->exec.helper_calls)
-          << dump_program(insns);
-      ASSERT_EQ(base.map_values, row->map_values) << dump_program(insns);
-    }
+    ASSERT_EQ(interp.exec.ret, native.exec.ret) << dump_program(insns);
+    ASSERT_EQ(interp.exec.insns_executed, native.exec.insns_executed)
+        << dump_program(insns);
+    ASSERT_EQ(interp.exec.helper_calls, native.exec.helper_calls)
+        << dump_program(insns);
+    ASSERT_EQ(interp.map_values, native.map_values) << dump_program(insns);
   }
   // The generator is tuned so nearly every program verifies; if this drops
   // below the target the generator regressed, not the engines.

@@ -1,6 +1,6 @@
-// Instruction-semantics tests, run against ALL execution engines through a
+// Instruction-semantics tests, run against both execution engines through a
 // parameterized fixture (engine_fixture.h): any divergence between the
-// interpreters and the native x86-64 JIT is a bug by definition.
+// interpreter and the native x86-64 JIT is a bug by definition.
 #include <gtest/gtest.h>
 
 #include "ebpf/asm.h"
@@ -238,7 +238,7 @@ TEST_P(EngineTest, KtimeHelperFlowsThrough) {
   ASSERT_TRUE(load.ok()) << load.verify.error;
   ExecEnv env;
   env.now_ns = 12345;
-  sys.set_engine(GetParam());
+  sys.set_jit_enabled(jit());
   const ExecResult r = sys.run(*load.prog, env, 0);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.ret, 12345u);
@@ -301,7 +301,7 @@ TEST(InterpreterGuards, UnknownHelperAborts) {
 }
 
 TEST(InterpreterGuards, StepBudgetIsExact) {
-  // Unverifiable infinite loop (backward JA): the baseline engine must stop
+  // Unverifiable infinite loop (backward JA): the interpreter must stop
   // at exactly kMaxInterpSteps executed instructions, not one or two past it
   // (regression test for the `executed++ > max` off-by-one).
   std::vector<Insn> prog_insns = {
@@ -319,7 +319,7 @@ TEST(InterpreterGuards, StepBudgetIsExact) {
 
 TEST(InterpreterGuards, RegSrcNegAborts) {
   // BPF_NEG with the BPF_X source bit set is an invalid encoding (Linux
-  // rejects it); both interpreters must refuse it at runtime too.
+  // rejects it); the interpreter must refuse it at runtime too.
   for (const std::uint8_t cls : {BPF_ALU64, BPF_ALU}) {
     std::vector<Insn> insns = {
         {static_cast<std::uint8_t>(BPF_ALU64 | BPF_MOV | BPF_K), 0, 0, 0, 5},

@@ -1,12 +1,12 @@
 // JIT edge cases the random differential generator under-samples.
 //
-// Every test runs on all three engines (engine_fixture.h): the native
-// x86-64 JIT is the newest and most delicate — division must not trap,
-// 32-bit ops must zero-extend, the BPF stack boundary must be addressable,
-// and helper-driven packet reallocation must not leave stale pointers — but
-// asserting the same behaviour on all engines keeps the whole matrix honest.
-// On hosts without native support the kNative parameter falls back to the
-// pre-decoded interpreter and the expectations still hold.
+// Every test runs on both engines (engine_fixture.h): the native x86-64 JIT
+// is the more delicate — division must not trap, 32-bit ops must
+// zero-extend, the BPF stack boundary must be addressable, and helper-driven
+// packet reallocation must not leave stale pointers — but asserting the same
+// behaviour on the interpreter keeps the pair honest. On hosts without
+// native support the kNative parameter falls back to the interpreter and the
+// expectations still hold.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -226,7 +226,7 @@ TEST_P(JitEdgeTest, AddTlvReallocatesPacketIdenticallyOnAllEngines) {
     seg6::Netns ns("edge");
     ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                           {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
-    ns.bpf().set_engine(engine);
+    ns.bpf().set_jit_enabled(engine == EngineKind::kNative);
     auto load =
         ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
@@ -279,7 +279,7 @@ TEST_P(JitEdgeTest, MaxSizeProgramRuns) {
   BpfSystem ref;
   auto load = ref.load("ref", ProgType::kLwtSeg6Local, insns);
   ASSERT_TRUE(load.ok());
-  ref.set_engine(EngineKind::kInterp);
+  ref.set_jit_enabled(false);
   ExecEnv env;
   EXPECT_EQ(r.ret, ref.run(*load.prog, env, 0).ret);
   if (native_jit_available()) {
@@ -291,7 +291,7 @@ TEST_P(JitEdgeTest, MaxSizeProgramRuns) {
 
 TEST_P(JitEdgeTest, LoadedProgramReportsResolvedEngine) {
   BpfSystem sys;
-  sys.set_engine(GetParam());
+  sys.set_jit_enabled(jit());
   Asm a;
   a.mov64_imm(R0, 0).exit_();
   auto load = sys.load("obs", ProgType::kLwtSeg6Local, a.build());
@@ -307,11 +307,9 @@ TEST_P(JitEdgeTest, LoadedProgramReportsResolvedEngine) {
 // ---- the no-native fallback ----
 
 // `prog` as a load leaves it on a host that cannot emit machine code: the
-// decoded form and no native image.
-ProgHandle without_native(BpfSystem& sys, const LoadedProgram& prog) {
-  return std::make_shared<LoadedProgram>(
-      prog.program(), decode_program(prog.program().insns(), &sys.helpers()),
-      nullptr);
+// program and no native image.
+ProgHandle without_native(const LoadedProgram& prog) {
+  return std::make_shared<LoadedProgram>(prog.program(), nullptr);
 }
 
 TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
@@ -324,10 +322,10 @@ TEST(NoNativeFallback, RunsOnTheInterpreterWithNativeResults) {
       .exit_();
   auto load = sys.load("fallback", ProgType::kLwtSeg6Local, a.build());
   ASSERT_TRUE(load.ok()) << load.verify.error;
-  const ProgHandle fallback = without_native(sys, *load.prog);
+  const ProgHandle fallback = without_native(*load.prog);
   ASSERT_EQ(fallback->native(), nullptr);
 
-  sys.set_engine(EngineKind::kNative);
+  sys.set_jit_enabled(true);
   EXPECT_EQ(sys.engine_for(*fallback), EngineKind::kInterp);
   EXPECT_TRUE(sys.jit_enabled());
 
@@ -352,7 +350,7 @@ TEST(NoNativeFallback, EndBpfStillBillsTheJitBucket) {
     seg6::Netns ns("fallback");
     ns.table(0).add_route(net::Prefix::parse("fc00::/16").value(),
                           {net::Ipv6Addr::must_parse("fe80::1"), 0, 1});
-    ns.bpf().set_engine(EngineKind::kNative);
+    ns.bpf().set_jit_enabled(true);
     auto load =
         ns.bpf().load(built.name, ProgType::kLwtSeg6Local, built.insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
@@ -366,7 +364,7 @@ TEST(NoNativeFallback, EndBpfStillBillsTheJitBucket) {
 
     seg6::Seg6LocalEntry e;
     e.action = seg6::Seg6Action::kEndBPF;
-    e.prog = native ? load.prog : without_native(ns.bpf(), *load.prog);
+    e.prog = native ? load.prog : without_native(*load.prog);
     seg6::ProcessTrace trace{};
     const auto r = seg6local_process(ns, pkt, e, &trace);
     EXPECT_EQ(r.disposition, seg6::Disposition::kContinue);

@@ -1,8 +1,7 @@
 // The engine-parameterized fixture shared by the instruction-semantics and
 // JIT edge-case tests. Each test runs once per execution engine: the
-// pre-decoded threaded interpreter, the legacy decode-every-step
-// interpreter, and the native x86-64 JIT (which falls back to the
-// pre-decoded interpreter on hosts without native support). A test file
+// interpreter (bpf_jit_enable = 0) and the native x86-64 JIT (which falls
+// back to the interpreter on hosts without native support). A test file
 // names the fixture for its own suite (`using EngineTest = EngineFixture;`)
 // and instantiates that suite over kEngines with engine_param_name.
 #pragma once
@@ -18,20 +17,22 @@
 
 namespace srv6bpf::ebpf {
 
-inline constexpr EngineKind kEngines[] = {
-    EngineKind::kInterp, EngineKind::kInterpBaseline, EngineKind::kNative};
+inline constexpr EngineKind kEngines[] = {EngineKind::kInterp,
+                                          EngineKind::kNative};
 
 inline std::string engine_param_name(
     const ::testing::TestParamInfo<EngineKind>& info) {
   switch (info.param) {
     case EngineKind::kInterp: return "Interp";
-    case EngineKind::kInterpBaseline: return "InterpBaseline";
     default: return "Native";
   }
 }
 
 class EngineFixture : public ::testing::TestWithParam<EngineKind> {
  protected:
+  // The bpf_jit_enable setting that selects the engine under test.
+  bool jit() const { return GetParam() == EngineKind::kNative; }
+
   // Loads `insns` (every program run this way is verifiable) and runs it on
   // the engine under test.
   ExecResult run(const std::vector<Insn>& insns, std::uint64_t ctx = 0) {
@@ -39,7 +40,7 @@ class EngineFixture : public ::testing::TestWithParam<EngineKind> {
     auto load = sys.load("t", ProgType::kLwtSeg6Local, insns);
     EXPECT_TRUE(load.ok()) << load.verify.error;
     if (!load.ok()) return {};
-    sys.set_engine(GetParam());
+    sys.set_jit_enabled(jit());
     ExecEnv env;
     return sys.run(*load.prog, env, ctx);
   }

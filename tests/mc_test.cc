@@ -132,6 +132,15 @@ TEST(RssSteering, SameFlowNeverReordersAcrossContexts) {
     total += seqs.size();
   }
   EXPECT_GT(total, 100u);
+
+  // The contexts were sized at R's first packet: a later ncpus change has
+  // no effect, and the next packet still goes through R's four contexts.
+  const std::uint64_t rx_before = r.stats().rx_packets;
+  r.cpu.ncpus = 1;
+  lab.s1->send(net::make_udp_packet(cfg.spec));
+  lab.net.run_for(sim::kMilli);
+  EXPECT_EQ(r.context_count(), 4u);
+  EXPECT_EQ(r.stats().rx_packets, rx_before + 1);
 }
 
 // Saturating fig2 at 1, 2 and 4 contexts, with plain forwarding and with

@@ -11,6 +11,7 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "golden_scenarios.h"
 #include "net/packet.h"
 #include "seg6/fib.h"
 #include "sim/latency_tracer.h"
@@ -399,14 +400,17 @@ TEST(Netem, ZeroLossKeepsHistoricalJitterSequence) {
 // ---- failure / churn machinery ---------------------------------------------
 
 // S1 - R - S2 line with a parallel R - S2 backup link; R's route to S2
-// optionally carries an FRR backup pinned to the second adjacency.
+// optionally carries an FRR backup pinned to the second adjacency. Each test
+// ends with a final-drain audit over the three nodes and the three links.
 struct FrrLab {
   sim::Network net{0xfee1};
   sim::Node* s1;
   sim::Node* r;
   sim::Node* s2;
+  sim::Link* access;  // S1 - R
   sim::Link* primary;
   sim::Link* backup;
+  std::uint64_t sends = 0;  // send_one calls
   int r_primary_if = -1;
   int r_backup_if = -1;
   std::unique_ptr<apps::AppMux> mux;
@@ -423,6 +427,7 @@ struct FrrLab {
                           sim::kMicro);
     auto l2 = net.connect(*r, A("fc00:3::1"), *s2, A("fc00:3::2"), bw,
                           sim::kMicro);
+    access = l0.link;
     primary = l1.link;
     backup = l2.link;
     r_primary_if = l1.a_ifindex;
@@ -445,6 +450,7 @@ struct FrrLab {
     spec.dst = A("fc00:2::2");
     spec.dst_port = 7001;
     s1->send(net::make_udp_packet(spec));
+    ++sends;
   }
 };
 
@@ -473,6 +479,9 @@ TEST(Failover, LinkDownDropsAreCountedWithTimestamp) {
   lab.send_one();
   lab.net.run_for(sim::kMilli);
   EXPECT_EQ(lab.sink->packets(), 2u);
+  golden::audit_drained("link down", lab.net.now(), lab.sends,
+                        {lab.s1, lab.r, lab.s2},
+                        {lab.access, lab.primary, lab.backup});
 }
 
 TEST(Failover, FrrBackupReroutesInsteadOfDropping) {
@@ -487,6 +496,9 @@ TEST(Failover, FrrBackupReroutesInsteadOfDropping) {
   EXPECT_EQ(rs.drops_link_down, 0u);
   EXPECT_EQ(rs.frr_reroutes, 1u);
   EXPECT_EQ(lab.backup->stats(0).tx_packets, 1u);
+  golden::audit_drained("frr", lab.net.now(), lab.sends,
+                        {lab.s1, lab.r, lab.s2},
+                        {lab.access, lab.primary, lab.backup});
 }
 
 TEST(Failover, RouteWithdrawAndScheduledReAdd) {
@@ -509,6 +521,9 @@ TEST(Failover, RouteWithdrawAndScheduledReAdd) {
   lab.net.run_for(sim::kMilli);
   EXPECT_EQ(lab.sink->packets(), 1u);
   EXPECT_EQ(lab.backup->stats(0).tx_packets, 1u);
+  golden::audit_drained("withdraw", lab.net.now(), lab.sends,
+                        {lab.s1, lab.r, lab.s2},
+                        {lab.access, lab.primary, lab.backup});
 }
 
 TEST(Fib, RemoveRouteInvalidatesCacheAndReturnsFalseWhenAbsent) {
@@ -584,6 +599,9 @@ TEST(SloEndToEnd, TracerCountsMatchGeneratorSpread) {
   }
   EXPECT_EQ(sum, gen.sent());
   EXPECT_GT(tracer.overall().min(), 0u);  // real path delay, not zero
+  golden::audit_drained("generator", lab.net.now(),
+                        lab.sends + gen.attempted(), {lab.s1, lab.r, lab.s2},
+                        {lab.access, lab.primary, lab.backup});
 }
 
 }  // namespace
