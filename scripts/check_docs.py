@@ -7,9 +7,16 @@ to a real file or directory. External links (http/https/mailto) and
 intra-page anchors are ignored; an anchor suffix on a relative link
 (FILE.md#section) is checked for the file part only.
 
+It also checks ARCHITECTURE.md's layer map: in a `## <layer>` section with a
+src/<layer>/ directory, every bullet of the form `* **file**` must name
+files that exist there. `insn.{h,cc}` names two files, a bullet may list
+several names split by `,` or `/`, and a `*` is a glob, as in the
+`map*.cc` bullet.
+
 Usage: scripts/check_docs.py [REPO_ROOT]
 Exit status: non-zero on any missing doc or dangling link.
 """
+import glob
 import os
 import re
 import sys
@@ -32,6 +39,51 @@ def md_files(root):
         for f in filenames:
             if f.endswith(".md") and f not in SKIP:
                 yield os.path.join(dirpath, f)
+
+
+# `* **names** ...` bullets of ARCHITECTURE.md.
+BULLET_RE = re.compile(r"^\* \*\*(.+?)\*\*")
+# A `,` or `/` outside braces separates two names.
+SPLIT_RE = re.compile(r"[,/](?![^{]*\})")
+
+
+def bullet_names(text):
+    """The file names (or globs) a bullet's bold text lists."""
+    names = []
+    for part in SPLIT_RE.split(text):
+        part = part.strip().replace("\\*", "*")
+        m = re.fullmatch(r"(.*)\{(.*)\}(.*)", part)
+        if m:
+            names += [m.group(1) + ext + m.group(3)
+                      for ext in m.group(2).split(",")]
+        elif "." in part:
+            names.append(part)
+    return names
+
+
+def check_layer_map(root):
+    """Failures for ARCHITECTURE.md bullets naming missing src/ files."""
+    failures, checked = [], 0
+    src = os.path.join(root, "src")
+    layer = None
+    with open(os.path.join(root, "ARCHITECTURE.md"), encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("## "):
+                words = line[3:].split()
+                layer = words[0] if words else None
+                if layer and not os.path.isdir(os.path.join(src, layer)):
+                    layer = None
+                continue
+            m = BULLET_RE.match(line)
+            if layer is None or m is None:
+                continue
+            for name in bullet_names(m.group(1)):
+                checked += 1
+                if not glob.glob(os.path.join(src, layer, name)):
+                    failures.append(f"FAIL: ARCHITECTURE.md: '## {layer}' "
+                                    f"names src/{layer}/{name}, which does "
+                                    f"not exist")
+    return failures, checked
 
 
 def main():
@@ -64,6 +116,15 @@ def main():
                 rc = 1
     print(f"ok:   {checked} relative links resolve" if rc == 0
           else f"{checked} relative links checked")
+
+    if os.path.isfile(os.path.join(root, "ARCHITECTURE.md")):
+        failures, named = check_layer_map(root)
+        for line in failures:
+            print(line)
+        if failures:
+            rc = 1
+        else:
+            print(f"ok:   {named} layer-map files exist under src/")
     return rc
 
 

@@ -206,11 +206,8 @@ std::string disasm(const std::vector<Insn>& prog) {
         i + 1 < prog.size()) {
       // The second slot holds the high half: print the value the pair
       // loads, not only its low word.
-      const std::uint64_t lo = static_cast<std::uint32_t>(insn.imm);
-      const std::uint64_t hi = static_cast<std::uint32_t>(prog[i + 1].imm);
-      const std::uint64_t imm = (hi << 32) | lo;
-      os << "ld_imm64 r" << int(insn.dst) << ", 0x" << std::hex << imm
-         << std::dec;
+      os << "ld_imm64 r" << int(insn.dst) << ", 0x" << std::hex
+         << ld_imm64_value(insn, prog[i + 1]) << std::dec;
     } else {
       os << disasm(insn);
     }

@@ -83,7 +83,8 @@ struct HelperProto {
 
 // Raw function pointer, not std::function: helper dispatch is on the
 // per-packet hot path and every registered helper is a capture-less free
-// function. The decode step resolves call sites straight to these pointers.
+// function. The native JIT compiles call sites to direct calls of these
+// pointers.
 using HelperFn = std::uint64_t (*)(ExecEnv&, std::uint64_t, std::uint64_t,
                                    std::uint64_t, std::uint64_t,
                                    std::uint64_t);

@@ -133,9 +133,20 @@ struct Insn {
 static_assert(sizeof(Insn) == 8, "eBPF instructions are 64 bits");
 
 // Sign-extend a 32-bit wire immediate to the 64-bit value eBPF semantics
-// prescribe for ALU64/JMP operands (the decoder's materialised imm64).
+// prescribe for ALU64, JMP and ST operands.
 constexpr std::uint64_t sext_imm64(std::int32_t imm) noexcept {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(imm));
+}
+
+// The value an ld_imm64 pair (`lo`, then its second slot `hi`) loads. A map
+// reference carries the registry id as its runtime value; a literal joins
+// the two 32-bit immediates.
+constexpr std::uint64_t ld_imm64_value(const Insn& lo,
+                                       const Insn& hi) noexcept {
+  if (lo.src == BPF_PSEUDO_MAP_FD) return static_cast<std::uint32_t>(lo.imm);
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi.imm))
+          << 32) |
+         static_cast<std::uint32_t>(lo.imm);
 }
 
 // Byte width of a memory access instruction.

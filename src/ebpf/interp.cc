@@ -85,10 +85,7 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
           continue;
         }
         const std::uint64_t b =
-            insn.uses_reg_src()
-                ? src
-                : static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(insn.imm));
+            insn.uses_reg_src() ? src : sext_imm64(insn.imm);
         switch (op) {
           case BPF_ADD: dst += b; break;
           case BPF_SUB: dst -= b; break;
@@ -177,15 +174,7 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
           return fault(res.insns_executed, "unsupported BPF_LD mode");
         if (pc + 1 >= insns.size())
           return fault(res.insns_executed, "truncated ld_imm64");
-        if (insn.src == BPF_PSEUDO_MAP_FD) {
-          // Map references carry the registry id as their runtime value.
-          dst = static_cast<std::uint32_t>(insn.imm);
-        } else {
-          dst = (static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(insns[pc + 1].imm))
-                 << 32) |
-                static_cast<std::uint32_t>(insn.imm);
-        }
+        dst = ld_imm64_value(insn, insns[pc + 1]);
         pc += 2;
         continue;
       }
@@ -210,10 +199,7 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
         const int n = access_size(insn.size_field());
         const std::uint64_t addr = dst + insn.off;
         const std::uint64_t val =
-            cls == BPF_STX
-                ? src
-                : static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(insn.imm));
+            cls == BPF_STX ? src : sext_imm64(insn.imm);
         if (!mem_ok(addr, n, true))
           return fault(res.insns_executed,
                        "invalid write of " + std::to_string(n) + " bytes");
@@ -253,10 +239,7 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
           const bool is32 = cls == BPF_JMP32;
           const std::uint64_t a64 = dst;
           const std::uint64_t b64 =
-              insn.uses_reg_src()
-                  ? src
-                  : static_cast<std::uint64_t>(
-                        static_cast<std::int64_t>(insn.imm));
+              insn.uses_reg_src() ? src : sext_imm64(insn.imm);
           const std::uint64_t a = is32 ? static_cast<std::uint32_t>(a64) : a64;
           const std::uint64_t b = is32 ? static_cast<std::uint32_t>(b64) : b64;
           const std::int64_t sa =

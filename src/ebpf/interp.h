@@ -5,9 +5,8 @@
 // It runs the program's own instruction stream, decoding each instruction
 // as it executes it, and bounds-checks every program memory access against
 // the environment's region list, so it also safely executes *unverified*
-// instruction streams. The native JIT (ebpf/jit_x86.h) compiles the
-// program's decoded form (ebpf/decode.h) without checks, trusting the
-// verifier.
+// instruction streams. The native JIT (ebpf/jit_x86.h) compiles the same
+// instructions without checks, trusting the verifier.
 #pragma once
 
 #include "ebpf/exec.h"

@@ -306,21 +306,21 @@ constexpr std::uint8_t CC_E = 0x4, CC_NE = 0x5, CC_A = 0x7, CC_AE = 0x3,
                        CC_B = 0x2, CC_BE = 0x6, CC_G = 0xF, CC_GE = 0xD,
                        CC_L = 0xC, CC_LE = 0xE, CC_Z = 0x4;
 
-// Condition code for a jump op kind; JSET kinds return CC_NE (preceded by
-// TEST instead of CMP).
-std::uint8_t jump_cc(std::uint16_t kind) {
-  switch (kind) {
-    case kJeqR: case kJeqI: case kJeq32R: case kJeq32I: return CC_E;
-    case kJneR: case kJneI: case kJne32R: case kJne32I: return CC_NE;
-    case kJgtR: case kJgtI: case kJgt32R: case kJgt32I: return CC_A;
-    case kJgeR: case kJgeI: case kJge32R: case kJge32I: return CC_AE;
-    case kJltR: case kJltI: case kJlt32R: case kJlt32I: return CC_B;
-    case kJleR: case kJleI: case kJle32R: case kJle32I: return CC_BE;
-    case kJsetR: case kJsetI: case kJset32R: case kJset32I: return CC_NE;
-    case kJsgtR: case kJsgtI: case kJsgt32R: case kJsgt32I: return CC_G;
-    case kJsgeR: case kJsgeI: case kJsge32R: case kJsge32I: return CC_GE;
-    case kJsltR: case kJsltI: case kJslt32R: case kJslt32I: return CC_L;
-    default: return CC_LE;  // kJsle*
+// Condition code for a conditional jump's op; JSET returns CC_NE (preceded
+// by TEST instead of CMP).
+std::uint8_t jump_cc(std::uint8_t op) {
+  switch (op) {
+    case BPF_JEQ: return CC_E;
+    case BPF_JNE: return CC_NE;
+    case BPF_JGT: return CC_A;
+    case BPF_JGE: return CC_AE;
+    case BPF_JLT: return CC_B;
+    case BPF_JLE: return CC_BE;
+    case BPF_JSET: return CC_NE;
+    case BPF_JSGT: return CC_G;
+    case BPF_JSGE: return CC_GE;
+    case BPF_JSLT: return CC_L;
+    default: return CC_LE;  // BPF_JSLE
   }
 }
 
@@ -348,32 +348,37 @@ void emit_shift_reg(Emitter& e, int ext, int dst, int src, bool w) {
   }
 }
 
+// LSH/RSH/ARSH (ext SHL /4, SHR /5, SAR /7). The verifier keeps an immediate
+// count below the operand width.
+void emit_shift(Emitter& e, int ext, const Insn& insn, bool w) {
+  const int dst = kRegMap[insn.dst];
+  if (insn.uses_reg_src()) {
+    emit_shift_reg(e, ext, dst, kRegMap[insn.src], w);
+    return;
+  }
+  const auto k = static_cast<std::uint8_t>(insn.imm & (w ? 63 : 31));
+  if (k != 0)
+    e.shift_imm(ext, dst, k, w);  // a 32-bit write zero-extends
+  else if (!w)
+    e.mov_rr(dst, dst, false);  // shift by 0 still truncates to u32
+}
+
 // eBPF division semantics: x / 0 == 0, x % 0 == x (mod32 truncates dst).
 // x86 DIV uses rdx:rax implicitly and traps on zero, so the divisor is
-// snapshotted into r11, zero-tested, and rax/rdx are preserved through r10
-// and a frame slot.
-void emit_div_mod(Emitter& e, const DecodedInsn& op, bool is64, bool is_mod,
-                  bool imm_src) {
-  const int dst = kRegMap[op.dst];
+// snapshotted into r11, and rax/rdx are preserved through r10 and a frame
+// slot. Only a register divisor gets the inline zero test: the verifier
+// rejects an immediate 0, dead code included.
+void emit_div_mod(Emitter& e, const Insn& insn, bool is64, bool is_mod) {
+  const int dst = kRegMap[insn.dst];
+  const bool reg_src = insn.uses_reg_src();
   std::size_t zero_fix = 0;
-  bool have_zero_path = false;
-
-  if (imm_src) {
-    const std::uint64_t divisor =
-        is64 ? op.imm64 : static_cast<std::uint32_t>(op.imm64);
-    if (divisor == 0) {  // verifier rejects this; kept for decode parity
-      if (!is_mod)
-        e.zero(dst);
-      else if (!is64)
-        e.mov_rr(dst, dst, false);  // dst = (u32)dst
-      return;
-    }
-    e.mov_ri64(XR11, divisor);
-  } else {
-    e.mov_rr(XR11, kRegMap[op.src], is64);  // 32-bit mov truncates the divisor
-    e.rr(0x85, XR11, XR11, is64);            // test r11, r11
+  if (reg_src) {
+    e.mov_rr(XR11, kRegMap[insn.src], is64);  // 32-bit mov truncates it
+    e.rr(0x85, XR11, XR11, is64);              // test r11, r11
     zero_fix = e.jcc(CC_Z);
-    have_zero_path = true;
+  } else {
+    e.mov_ri64(XR11, is64 ? sext_imm64(insn.imm)
+                          : static_cast<std::uint32_t>(insn.imm));
   }
 
   const bool save_rax = dst != XRAX;
@@ -387,7 +392,7 @@ void emit_div_mod(Emitter& e, const DecodedInsn& op, bool is64, bool is_mod,
   if (save_rax) e.mov_rr(XRAX, XR10, true);
   if (save_rdx) e.load(8, XRDX, XRSP, kSlotRdxSpill);
 
-  if (have_zero_path) {
+  if (reg_src) {
     const std::size_t done = e.jmp();
     e.bind_here(zero_fix);
     if (!is_mod)
@@ -398,28 +403,91 @@ void emit_div_mod(Emitter& e, const DecodedInsn& op, bool is64, bool is_mod,
   }
 }
 
+// BPF_END: x86-64 is little-endian, so "be" swaps and "le" truncates;
+// widths 16 and 32 clear the upper bits like the interpreter's
+// uint16/uint32 casts.
+void emit_byteswap(Emitter& e, int dst, std::int32_t width, bool to_be) {
+  switch (width) {
+    case 16:
+      if (to_be) e.ror16_imm8(dst, 8);
+      e.movzx16_rr(dst, dst);
+      break;
+    case 32:
+      if (to_be)
+        e.bswap(dst, false);
+      else
+        e.mov_rr(dst, dst, false);
+      break;
+    default:  // 64
+      if (to_be) e.bswap(dst, true);
+      break;
+  }
+}
+
+// One ALU or ALU64 instruction. The 32-bit forms rely on x86-64 zeroing the
+// upper half on every 32-bit register write (the kernel JIT's trick). The
+// x86 imm32 forms sign-extend for 64-bit ops and the 32-bit ops use the low
+// word, which is eBPF's immediate semantics at both widths.
+void emit_alu(Emitter& e, const Insn& insn) {
+  const bool w = insn.insn_class() == BPF_ALU64;
+  const bool x = insn.uses_reg_src();
+  const int dst = kRegMap[insn.dst];
+  const int src = kRegMap[insn.src];
+  const std::int32_t imm = insn.imm;
+  switch (insn.alu_op()) {
+    // Register form: the x86 /r opcode; immediate form: 0x81 /ext.
+    case BPF_ADD: x ? e.rr(0x01, src, dst, w) : e.ri(0, dst, imm, w); break;
+    case BPF_SUB: x ? e.rr(0x29, src, dst, w) : e.ri(5, dst, imm, w); break;
+    case BPF_OR: x ? e.rr(0x09, src, dst, w) : e.ri(1, dst, imm, w); break;
+    case BPF_AND: x ? e.rr(0x21, src, dst, w) : e.ri(4, dst, imm, w); break;
+    case BPF_XOR: x ? e.rr(0x31, src, dst, w) : e.ri(6, dst, imm, w); break;
+    case BPF_MUL: x ? e.imul_rr(dst, src, w) : e.imul_rri(dst, imm, w); break;
+    case BPF_MOV:
+      if (x)
+        e.mov_rr(dst, src, w);
+      else if (w)
+        e.mov_ri64_sext(dst, imm);
+      else
+        e.mov_ri32(dst, static_cast<std::uint32_t>(imm));
+      break;
+    case BPF_LSH: emit_shift(e, 4, insn, w); break;
+    case BPF_RSH: emit_shift(e, 5, insn, w); break;
+    case BPF_ARSH: emit_shift(e, 7, insn, w); break;
+    case BPF_DIV: emit_div_mod(e, insn, w, false); break;
+    case BPF_MOD: emit_div_mod(e, insn, w, true); break;
+    case BPF_NEG: e.neg(dst, w); break;
+    case BPF_END: emit_byteswap(e, dst, imm, x); break;
+  }
+}
+
 }  // namespace
 
-std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog) {
+std::unique_ptr<const NativeCode> compile_native(
+    const std::vector<Insn>& insns, const HelperRegistry& helpers) {
   if (!native_jit_available()) return nullptr;
 
-  const DecodedInsn* ops = prog.data();
-  const std::size_t n = prog.size();
+  const std::size_t n = insns.size();
+  const auto jump_target = [&](std::size_t i) {
+    return static_cast<std::int32_t>(i) + 1 + insns[i].off;
+  };
 
-  // Basic blocks start at jump targets; the executed-op accumulator pending
-  // in r12 must be flushed before every such label (the fall-through path
-  // owns those counts, jumpers must not inherit them) and before every
-  // control transfer.
+  // Basic blocks start at jump targets; the executed-instruction
+  // accumulator pending in r12 must be flushed before every such label (the
+  // fall-through path owns those counts, jumpers must not inherit them) and
+  // before every control transfer. An ld_imm64 pair counts as one
+  // instruction, as in the interpreter: this pre-pass and the body skip its
+  // second slot.
   std::vector<bool> is_target(n, false);
   bool has_calls = false;
   bool used[kNumRegs] = {};
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint16_t k = ops[i].kind;
-    if (k == kJa || (k >= kJeqR && k <= kJsle32I))
-      is_target[static_cast<std::size_t>(ops[i].target)] = true;
-    if (k == kCall) has_calls = true;
-    used[ops[i].dst] = true;
-    used[ops[i].src] = true;
+    const Insn& insn = insns[i];
+    if (insn.is_jump())
+      is_target[static_cast<std::size_t>(jump_target(i))] = true;
+    if (insn.is_call()) has_calls = true;
+    used[insn.dst] = true;
+    used[insn.src] = true;
+    if (insn.is_ld_imm64()) ++i;
   }
 
   // Like the kernel JIT, only the callee-saved hardware registers the
@@ -457,13 +525,13 @@ std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog) {
   e.zero(XR12);
 
   // ---- body ---------------------------------------------------------------
-  std::vector<std::size_t> op_offset(n, 0);
+  std::vector<std::size_t> insn_offset(n, 0);
   struct Fixup {
     std::size_t pos;
-    std::int32_t target;  // decoded-op index, or -1 for the epilogue
+    std::int32_t target;  // instruction index, or -1 for the epilogue
   };
   std::vector<Fixup> fixups;
-  std::int32_t pending = 0;  // ops executed since the last r12 flush
+  std::int32_t pending = 0;  // instructions executed since the last flush
 
   const auto flush = [&] {
     if (pending != 0) e.ri(0, XR12, pending, true);  // add r12, pending
@@ -472,126 +540,37 @@ std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog) {
 
   for (std::size_t i = 0; i < n; ++i) {
     if (is_target[i]) flush();
-    op_offset[i] = e.code.size();
+    insn_offset[i] = e.code.size();
     ++pending;
 
-    const DecodedInsn& op = ops[i];
-    const int dst = kRegMap[op.dst];
-    const int src = kRegMap[op.src];
-    const auto imm32 = static_cast<std::int32_t>(op.imm64);
+    const Insn& insn = insns[i];
+    const int dst = kRegMap[insn.dst];
+    const int src = kRegMap[insn.src];
+    const int size = access_size(insn.size_field());
 
-    switch (op.kind) {
-      // ---- ALU, register source (32-bit forms zero-extend via the 32-bit
-      // register write) ----
-      case kAdd64R: e.rr(0x01, src, dst, true); break;
-      case kAdd32R: e.rr(0x01, src, dst, false); break;
-      case kSub64R: e.rr(0x29, src, dst, true); break;
-      case kSub32R: e.rr(0x29, src, dst, false); break;
-      case kOr64R: e.rr(0x09, src, dst, true); break;
-      case kOr32R: e.rr(0x09, src, dst, false); break;
-      case kAnd64R: e.rr(0x21, src, dst, true); break;
-      case kAnd32R: e.rr(0x21, src, dst, false); break;
-      case kXor64R: e.rr(0x31, src, dst, true); break;
-      case kXor32R: e.rr(0x31, src, dst, false); break;
-      case kMov64R: e.mov_rr(dst, src, true); break;
-      case kMov32R: e.mov_rr(dst, src, false); break;
-      case kMul64R: e.imul_rr(dst, src, true); break;
-      case kMul32R: e.imul_rr(dst, src, false); break;
-      case kLsh64R: emit_shift_reg(e, 4, dst, src, true); break;
-      case kLsh32R: emit_shift_reg(e, 4, dst, src, false); break;
-      case kRsh64R: emit_shift_reg(e, 5, dst, src, true); break;
-      case kRsh32R: emit_shift_reg(e, 5, dst, src, false); break;
-      case kArsh64R: emit_shift_reg(e, 7, dst, src, true); break;
-      case kArsh32R: emit_shift_reg(e, 7, dst, src, false); break;
-      case kDiv64R: emit_div_mod(e, op, true, false, false); break;
-      case kDiv32R: emit_div_mod(e, op, false, false, false); break;
-      case kMod64R: emit_div_mod(e, op, true, true, false); break;
-      case kMod32R: emit_div_mod(e, op, false, true, false); break;
-
-      // ---- ALU, immediate (imm64 is pre-extended by the decoder; the
-      // x86 imm32 forms sign-extend for 64-bit ops, and the 32-bit forms use
-      // the truncated low word — both match by construction) ----
-      case kAdd64I: e.ri(0, dst, imm32, true); break;
-      case kAdd32I: e.ri(0, dst, imm32, false); break;
-      case kSub64I: e.ri(5, dst, imm32, true); break;
-      case kSub32I: e.ri(5, dst, imm32, false); break;
-      case kOr64I: e.ri(1, dst, imm32, true); break;
-      case kOr32I: e.ri(1, dst, imm32, false); break;
-      case kAnd64I: e.ri(4, dst, imm32, true); break;
-      case kAnd32I: e.ri(4, dst, imm32, false); break;
-      case kXor64I: e.ri(6, dst, imm32, true); break;
-      case kXor32I: e.ri(6, dst, imm32, false); break;
-      case kMov64I: e.mov_ri64_sext(dst, imm32); break;
-      case kMov32I: e.mov_ri32(dst, static_cast<std::uint32_t>(imm32)); break;
-      case kMul64I: e.imul_rri(dst, imm32, true); break;
-      case kMul32I: e.imul_rri(dst, imm32, false); break;
-      case kLsh64I:
-      case kRsh64I:
-      case kArsh64I: {
-        const auto k = static_cast<std::uint8_t>(op.imm64 & 63);
-        const int ext = op.kind == kLsh64I ? 4 : op.kind == kRsh64I ? 5 : 7;
-        if (k != 0) e.shift_imm(ext, dst, k, true);
+    switch (insn.insn_class()) {
+      case BPF_ALU:
+      case BPF_ALU64:
+        emit_alu(e, insn);
         break;
-      }
-      case kLsh32I:
-      case kRsh32I:
-      case kArsh32I: {
-        const auto k = static_cast<std::uint8_t>(op.imm64 & 31);
-        const int ext = op.kind == kLsh32I ? 4 : op.kind == kRsh32I ? 5 : 7;
-        if (k != 0)
-          e.shift_imm(ext, dst, k, false);  // 32-bit write zero-extends
-        else
-          e.mov_rr(dst, dst, false);  // shift by 0 still truncates to u32
-        break;
-      }
-      case kDiv64I: emit_div_mod(e, op, true, false, true); break;
-      case kDiv32I: emit_div_mod(e, op, false, false, true); break;
-      case kMod64I: emit_div_mod(e, op, true, true, true); break;
-      case kMod32I: emit_div_mod(e, op, false, true, true); break;
-      case kNeg64: e.neg(dst, true); break;
-      case kNeg32: e.neg(dst, false); break;
-
-      // ---- byte swaps (x86-64 is little-endian, so BE swaps and LE
-      // truncates; widths 16/32 must clear the upper bits like the engines'
-      // uint16/uint32 casts) ----
-      case kBe16:
-        e.ror16_imm8(dst, 8);
-        e.movzx16_rr(dst, dst);
-        break;
-      case kLe16: e.movzx16_rr(dst, dst); break;
-      case kBe32: e.bswap(dst, false); break;
-      case kLe32: e.mov_rr(dst, dst, false); break;
-      case kBe64: e.bswap(dst, true); break;
-      case kLe64: break;
 
       // ---- memory (unchecked: the verifier proved every access) ----
-      case kLd1: e.load(1, dst, src, op.off); break;
-      case kLd2: e.load(2, dst, src, op.off); break;
-      case kLd4: e.load(4, dst, src, op.off); break;
-      case kLd8: e.load(8, dst, src, op.off); break;
-      case kSt1R: e.store_reg(1, dst, op.off, src); break;
-      case kSt2R: e.store_reg(2, dst, op.off, src); break;
-      case kSt4R: e.store_reg(4, dst, op.off, src); break;
-      case kSt8R: e.store_reg(8, dst, op.off, src); break;
-      case kSt1I: e.store_imm(1, dst, op.off, op.imm); break;
-      case kSt2I: e.store_imm(2, dst, op.off, op.imm); break;
-      case kSt4I: e.store_imm(4, dst, op.off, op.imm); break;
-      case kSt8I: e.store_imm(8, dst, op.off, op.imm); break;
+      case BPF_LDX: e.load(size, dst, src, insn.off); break;
+      case BPF_STX: e.store_reg(size, dst, insn.off, src); break;
+      case BPF_ST: e.store_imm(size, dst, insn.off, insn.imm); break;
 
-      case kLdImm64: e.mov_ri64(dst, op.imm64); break;
-
-      // ---- jumps ----
-      case kJa:
-        flush();
-        fixups.push_back({e.jmp(), op.target});
+      case BPF_LD:  // ld_imm64, the one BPF_LD the verifier accepts
+        e.mov_ri64(dst, ld_imm64_value(insn, insns[i + 1]));
+        ++i;  // its second slot
         break;
 
-      default: {
-        if (op.kind == kCall) {
-          // Direct call to the resolved helper. C ABI: the five BPF argument
-          // registers shift down one slot and the ExecEnv* becomes arg 1;
-          // rax carries the return value straight into BPF r0. R1-R5 are
-          // caller-saved in both ABIs, R6-XR9 are callee-saved in both.
+      case BPF_JMP:
+      case BPF_JMP32: {
+        if (insn.is_call()) {
+          // Direct call to the registered helper. C ABI: the five BPF
+          // argument registers shift down one slot and the ExecEnv* becomes
+          // arg 1; rax carries the return value straight into BPF r0. R1-R5
+          // are caller-saved in both ABIs, R6-R9 are callee-saved in both.
           e.inc_mem64(XRSP, kSlotHelperCount);
           e.mov_rr(XR9, XR8, true);    // arg6 = BPF r5
           e.mov_rr(XR8, XRCX, true);   // arg5 = BPF r4
@@ -599,39 +578,33 @@ std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog) {
           e.mov_rr(XRDX, XRSI, true);  // arg3 = BPF r2
           e.mov_rr(XRSI, XRDI, true);  // arg2 = BPF r1
           e.load(8, XRDI, XRSP, kSlotEnv);
-          e.mov_ri64(XRAX, reinterpret_cast<std::uint64_t>(*op.fn));
+          e.mov_ri64(XRAX,
+                     reinterpret_cast<std::uint64_t>(*helpers.fn(insn.imm)));
           e.call_reg(XRAX);
           break;
         }
-        if (op.kind == kExit) {
-          flush();
+        // Every other JMP transfers control: flush first (the ADD also
+        // clobbers the flags a compare sets).
+        flush();
+        if (insn.is_exit()) {
           fixups.push_back({e.jmp(), -1});
           break;
         }
-        // Conditional jump: flush first (ADD clobbers flags), then compare.
-        flush();
-        const bool is_set = op.kind == kJsetR || op.kind == kJsetI ||
-                            op.kind == kJset32R || op.kind == kJset32I;
-        const bool is32 = op.kind >= kJeq32R;
-        const bool reg_src =
-            (op.kind >= kJeqR && op.kind <= kJsleR) ||
-            (op.kind >= kJeq32R && op.kind <= kJsle32R);
-        // 64-bit immediates are sign-extended from the wire imm, so the
-        // sign-extending cmp/test imm32 forms compare the full imm64; the
-        // 32-bit forms compare low words only.
-        const std::int32_t jimm = is32 ? op.imm : imm32;
-        if (is_set) {
-          if (reg_src)
-            e.rr(0x85, src, dst, !is32);
-          else
-            e.test_ri(dst, jimm, !is32);
-        } else {
-          if (reg_src)
-            e.rr(0x39, src, dst, !is32);
-          else
-            e.ri(7, dst, jimm, !is32);
+        if (insn.is_unconditional_jump()) {
+          fixups.push_back({e.jmp(), jump_target(i)});
+          break;
         }
-        fixups.push_back({e.jcc(jump_cc(op.kind)), op.target});
+        // 64-bit compares sign-extend the imm32, as eBPF does; the 32-bit
+        // forms compare low words only.
+        const bool w = insn.insn_class() == BPF_JMP;
+        const bool is_set = insn.alu_op() == BPF_JSET;
+        if (insn.uses_reg_src())
+          e.rr(is_set ? 0x85 : 0x39, src, dst, w);  // test / cmp
+        else if (is_set)
+          e.test_ri(dst, insn.imm, w);
+        else
+          e.ri(7, dst, insn.imm, w);
+        fixups.push_back({e.jcc(jump_cc(insn.alu_op())), jump_target(i)});
         break;
       }
     }
@@ -652,7 +625,7 @@ std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog) {
   for (const Fixup& f : fixups)
     e.patch_rel32(f.pos, f.target < 0
                              ? epilogue
-                             : op_offset[static_cast<std::size_t>(f.target)]);
+                             : insn_offset[static_cast<std::size_t>(f.target)]);
 
   // ---- map W, copy, flip to X ---------------------------------------------
   const long page = ::sysconf(_SC_PAGESIZE);
@@ -682,7 +655,8 @@ NativeCode::~NativeCode() = default;
 
 bool native_jit_available() noexcept { return false; }
 
-std::unique_ptr<const NativeCode> compile_native(const DecodedProgram&) {
+std::unique_ptr<const NativeCode> compile_native(const std::vector<Insn>&,
+                                                 const HelperRegistry&) {
   return nullptr;
 }
 

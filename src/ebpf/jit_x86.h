@@ -1,10 +1,11 @@
-// Native x86-64 eBPF JIT backend: DecodedProgram -> machine code.
+// Native x86-64 eBPF JIT backend: verified instructions -> machine code.
 //
 // This is the repository's analogue of the kernel's arch/x86/net/bpf_jit_comp:
-// a verified program's decode-once form is translated to real x86-64 in an
-// mmap'd W^X page pair (written RW, then flipped to RX before first run, and
-// never writable again). BPF registers live in hardware registers with the
-// kernel's mapping:
+// a verified program's own instruction array is translated, one switch on
+// each instruction's class and op as in the kernel's do_jit, to real x86-64
+// in an mmap'd W^X page pair (written RW, then flipped to RX before first
+// run, and never writable again). BPF registers live in hardware registers
+// with the kernel's mapping:
 //
 //     BPF r0 -> rax        BPF r5 -> r8
 //     BPF r1 -> rdi        BPF r6 -> rbx   (callee-saved)
@@ -36,9 +37,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "ebpf/decode.h"
 #include "ebpf/exec.h"
+#include "ebpf/helpers.h"
+#include "ebpf/insn.h"
 
 namespace srv6bpf::ebpf {
 
@@ -99,7 +102,7 @@ class NativeCode {
 
  private:
   friend std::unique_ptr<const NativeCode> compile_native(
-      const DecodedProgram&);
+      const std::vector<Insn>&, const HelperRegistry&);
   NativeCode() = default;
 
   void* pages_ = nullptr;       // mmap'd, PROT_READ|PROT_EXEC after emit
@@ -116,13 +119,16 @@ class NativeCode {
 // RW -> RX mprotect flip (cached after the first call).
 bool native_jit_available() noexcept;
 
-// Translates a decoded program into executable machine code with no runtime
-// checks. Only verified programs get native code, as in the kernel, where
-// the JIT runs after the verifier and never instead of it; the guard is the
-// call order: BpfSystem::load is the only production caller, and calls it
-// right after the verifier accepted the program. Returns
-// null where native_jit_available() is false or mmap/mprotect fails; the
-// program then runs on the interpreter.
-std::unique_ptr<const NativeCode> compile_native(const DecodedProgram& prog);
+// Translates a program's instructions into executable machine code with no
+// runtime checks; call sites resolve to the helpers registered in `helpers`.
+// Only verified programs get native code, as in the kernel, where the JIT
+// runs after the verifier and never instead of it: the verifier vouches for
+// every instruction's encoding, reachable or not, and for every jump target.
+// The guard is the call order: BpfSystem::load is the only production
+// caller, and calls it right after the verifier accepted the program, with
+// the verifier's helper registry. Returns null where native_jit_available()
+// is false or mmap/mprotect fails; the program then runs on the interpreter.
+std::unique_ptr<const NativeCode> compile_native(
+    const std::vector<Insn>& insns, const HelperRegistry& helpers);
 
 }  // namespace srv6bpf::ebpf

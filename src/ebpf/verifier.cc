@@ -159,6 +159,8 @@ class Checker {
  private:
   // ---- CFG ----
   std::optional<VerifierError> check_cfg();
+  // One instruction's encoding, independent of any state.
+  std::optional<VerifierError> check_encoding(int i) const;
   // ---- symbolic execution ----
   std::optional<VerifierError> explore();
   // One instruction; pushes successor states onto the worklist.
@@ -222,6 +224,7 @@ std::optional<VerifierError> Checker::check_cfg() {
 
   is_aux_.assign(n, false);
   for (int i = 0; i < n; ++i) {
+    if (auto e = check_encoding(i)) return e;
     if (insns_[i].is_ld_imm64()) {
       if (i + 1 >= n)
         return err(i, "ld_imm64 missing second slot");
@@ -229,8 +232,6 @@ std::optional<VerifierError> Checker::check_cfg() {
         return err(i + 1, "ld_imm64 second slot must have opcode 0");
       is_aux_[i + 1] = true;
       ++i;
-    } else if (insns_[i].opcode == 0) {
-      return err(i, "invalid opcode 0");
     }
   }
 
@@ -304,6 +305,69 @@ std::optional<VerifierError> Checker::check_cfg() {
   return std::nullopt;
 }
 
+// Every instruction, reachable or not, before exploration, as the kernel
+// checks each opcode against bpf_opcode_in_insntable() before do_check: a
+// known opcode, register fields below 11, a registered helper, no division
+// by an immediate 0 and immediate shift counts in [0, operand width).
+// Exploration then checks only what depends on state, and the JIT compiles
+// every instruction with no check of its own. An ld_imm64's second slot is
+// not an instruction.
+std::optional<VerifierError> Checker::check_encoding(int i) const {
+  const Insn& insn = insns_[i];
+  const std::uint8_t cls = insn.insn_class();
+  const std::uint8_t op = insn.alu_op();
+  const bool k = !insn.uses_reg_src();
+  const bool alu = cls == BPF_ALU || cls == BPF_ALU64;
+
+  // The opcodes both engines run: ALU and ALU64 ops ADD to ARSH (NEG only
+  // with K), byte swaps in ALU only, one BPF_LD (ld_imm64), BPF_MEM loads
+  // and stores, and the conditional jumps in JMP and JMP32; JA, CALL and
+  // EXIT only as JMP with K.
+  bool known = false;
+  switch (cls) {
+    case BPF_ALU:
+    case BPF_ALU64:
+      if (op == BPF_NEG && !k) return err(i, "BPF_NEG with register source");
+      known = op <= BPF_ARSH || (op == BPF_END && cls == BPF_ALU);
+      break;
+    case BPF_LD:
+      known = insn.is_ld_imm64();
+      break;
+    case BPF_LDX:
+    case BPF_ST:
+    case BPF_STX:
+      known = insn.mode_field() == BPF_MEM;
+      break;
+    default:  // BPF_JMP, BPF_JMP32
+      known = (op == BPF_JA || op == BPF_CALL || op == BPF_EXIT)
+                  ? cls == BPF_JMP && k
+                  : op <= BPF_JSLE;
+  }
+  if (!known) {
+    constexpr char kHex[] = "0123456789abcdef";
+    return err(i, std::string("unknown opcode ") + kHex[insn.opcode >> 4] +
+                      kHex[insn.opcode & 15]);
+  }
+  for (const int reg : {int(insn.dst), int(insn.src)})
+    if (reg >= kNumRegs)
+      return err(i, "unknown register r" + std::to_string(reg));
+  if (insn.is_call() &&
+      (helpers_ == nullptr || helpers_->proto(insn.imm) == nullptr))
+    return err(i, "call to unknown helper " + std::to_string(insn.imm));
+
+  if (alu && op == BPF_END && insn.imm != 16 && insn.imm != 32 &&
+      insn.imm != 64)
+    return err(i, "invalid byte swap width");
+  if (alu && k) {
+    if ((op == BPF_DIV || op == BPF_MOD) && insn.imm == 0)
+      return err(i, "division by zero immediate");
+    if ((op == BPF_LSH || op == BPF_RSH || op == BPF_ARSH) &&
+        (insn.imm < 0 || insn.imm >= (cls == BPF_ALU64 ? 64 : 32)))
+      return err(i, "shift amount out of range");
+  }
+  return std::nullopt;
+}
+
 // ---------------------------------------------------------------------------
 // Symbolic execution
 // ---------------------------------------------------------------------------
@@ -343,8 +407,6 @@ std::optional<VerifierError> Checker::explore() {
 
 std::optional<VerifierError> Checker::check_reg_init(const State& s, int reg,
                                                      int insn_idx) const {
-  if (reg < 0 || reg >= kNumRegs)
-    return err(insn_idx, "unknown register r" + std::to_string(reg));
   if (s.regs[reg].type == RT::kNotInit)
     return err(insn_idx, "read of uninitialised register r" +
                              std::to_string(reg));
@@ -406,11 +468,6 @@ std::optional<VerifierError> Checker::step(State s) {
 
 namespace {
 
-// Sign-extended immediate as u64 (eBPF semantics for 64-bit ALU with K).
-std::uint64_t sext_imm(std::int32_t imm) {
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(imm));
-}
-
 // 32-bit ALU result bounds: exact when both operands constant, else the
 // conservative [0, 2^32-1] (ALU32 zero-extends into the upper half).
 Reg alu32_result(std::uint8_t op, const Reg& a, std::optional<std::uint64_t> b) {
@@ -452,7 +509,6 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   const bool is64 = insn.insn_class() == BPF_ALU64;
   const std::uint8_t op = insn.alu_op();
 
-  if (dst >= kNumRegs) return err(pc, "unknown destination register");
   if (dst == R10) return err(pc, "frame pointer R10 is read-only");
 
   // Source operand (register or immediate).
@@ -480,7 +536,7 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
         if (src_reg->is_pointer()) d = Reg::scalar_range(0, kU32Max);
       }
     } else {
-      d = is64 ? Reg::scalar_const(sext_imm(insn.imm))
+      d = is64 ? Reg::scalar_const(sext_imm64(insn.imm))
                : Reg::scalar_const(static_cast<std::uint32_t>(insn.imm));
     }
     return std::nullopt;
@@ -489,18 +545,12 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   if (op == BPF_END) {
     if (auto e = check_reg_init(s, dst, pc)) return e;
     if (d.is_pointer()) return err(pc, "byte swap on pointer");
-    if (insn.imm != 16 && insn.imm != 32 && insn.imm != 64)
-      return err(pc, "invalid byte swap width");
     d = Reg::scalar_unknown();
     if (insn.imm != 64) d.umax = (1ull << insn.imm) - 1;
     return std::nullopt;
   }
 
   if (op == BPF_NEG) {
-    // Linux rejects BPF_NEG with the source bit set (BPF_X): negation has
-    // no register operand. Both engines enforce this at runtime too.
-    if (insn.uses_reg_src())
-      return err(pc, "BPF_NEG with register source");
     if (auto e = check_reg_init(s, dst, pc)) return e;
     if (d.is_pointer()) return err(pc, "arithmetic negation on pointer");
     d = d.is_const() ? Reg::scalar_const(is64 ? (~d.umin + 1)
@@ -513,15 +563,6 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   }
 
   if (auto e = check_reg_init(s, dst, pc)) return e;
-
-  // Static division/shift sanity on immediates.
-  if (!insn.uses_reg_src()) {
-    if ((op == BPF_DIV || op == BPF_MOD) && insn.imm == 0)
-      return err(pc, "division by zero immediate");
-    if ((op == BPF_LSH || op == BPF_RSH || op == BPF_ARSH) &&
-        (insn.imm < 0 || insn.imm >= (is64 ? 64 : 32)))
-      return err(pc, "shift amount out of range");
-  }
 
   const bool src_is_ptr = src_reg && src_reg->is_pointer();
 
@@ -538,7 +579,7 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
     Reg ptr = d.is_pointer() ? d : *src_reg;
     Reg scl;
     if (d.is_pointer()) {
-      scl = src_reg ? *src_reg : Reg::scalar_const(sext_imm(insn.imm));
+      scl = src_reg ? *src_reg : Reg::scalar_const(sext_imm64(insn.imm));
     } else {
       if (op == BPF_SUB) return err(pc, "cannot subtract pointer from scalar");
       scl = d;
@@ -580,7 +621,7 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   if (src_reg) {
     if (src_reg->is_const()) k = src_reg->umin;
   } else {
-    k = is64 ? sext_imm(insn.imm)
+    k = is64 ? sext_imm64(insn.imm)
              : static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.imm));
   }
 
@@ -672,11 +713,8 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
 std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
 
-  if (insn.insn_class() == BPF_LD) {
-    if (!insn.is_ld_imm64()) return err(pc, "unsupported BPF_LD mode");
-    if (insn.dst >= kNumRegs || insn.dst == R10)
-      return err(pc, "bad ld_imm64 destination");
-    const Insn& hi = insns_[pc + 1];
+  if (insn.insn_class() == BPF_LD) {  // ld_imm64, the one BPF_LD
+    if (insn.dst == R10) return err(pc, "bad ld_imm64 destination");
     if (insn.src == BPF_PSEUDO_MAP_FD) {
       const auto map_id = static_cast<std::uint32_t>(insn.imm);
       if (maps_ == nullptr || maps_->get(map_id) == nullptr)
@@ -686,19 +724,14 @@ std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
     } else if (insn.src != 0) {
       return err(pc, "unknown ld_imm64 pseudo source");
     } else {
-      const std::uint64_t v =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi.imm))
-           << 32) |
-          static_cast<std::uint32_t>(insn.imm);
-      s.regs[insn.dst] = Reg::scalar_const(v);
+      s.regs[insn.dst] =
+          Reg::scalar_const(ld_imm64_value(insn, insns_[pc + 1]));
     }
     return std::nullopt;
   }
 
   // LDX
-  if (insn.mode_field() != BPF_MEM) return err(pc, "unsupported LDX mode");
-  if (insn.dst >= kNumRegs || insn.dst == R10)
-    return err(pc, "bad load destination register");
+  if (insn.dst == R10) return err(pc, "bad load destination register");
   if (auto e = check_reg_init(s, insn.src, pc)) return e;
   const Reg& ptr = s.regs[insn.src];
   const int size = access_size(insn.size_field());
@@ -736,7 +769,6 @@ std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
 
 std::optional<VerifierError> Checker::do_store(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
-  if (insn.mode_field() != BPF_MEM) return err(pc, "unsupported store mode");
   if (auto e = check_reg_init(s, insn.dst, pc)) return e;
   const int size = access_size(insn.size_field());
 
@@ -745,7 +777,7 @@ std::optional<VerifierError> Checker::do_store(State& s, const Insn& insn) {
     if (auto e = check_reg_init(s, insn.src, pc)) return e;
     src_val = s.regs[insn.src];
   } else {
-    src_val = Reg::scalar_const(sext_imm(insn.imm));
+    src_val = Reg::scalar_const(sext_imm64(insn.imm));
   }
 
   const Reg& ptr = s.regs[insn.dst];
@@ -899,10 +931,8 @@ std::optional<VerifierError> Checker::helper_mem_arg(State& s, const Reg& mem,
 
 std::optional<VerifierError> Checker::do_call(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
-  if (helpers_ == nullptr) return err(pc, "no helpers registered");
+  // Registered: check_encoding saw to it.
   const HelperProto* proto = helpers_->proto(insn.imm);
-  if (proto == nullptr)
-    return err(pc, "call to unknown helper " + std::to_string(insn.imm));
   // A type this switch does not name may call no helper.
   const std::uint8_t type_bit = [&]() -> std::uint8_t {
     switch (type_) {
@@ -1131,7 +1161,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
   // Scalar vs scalar/immediate with unsigned range refinement (64-bit only;
   // JMP32 falls back to exploring both branches unrefined).
   std::optional<std::uint64_t> k;
-  if (!insn.uses_reg_src()) k = sext_imm(insn.imm);
+  if (!insn.uses_reg_src()) k = sext_imm64(insn.imm);
   else if (src_reg->is_const()) k = src_reg->umin;
 
   State taken = s, fall = s;

@@ -1,6 +1,9 @@
 // The eBPF static verifier.
 //
 // Before a program may be attached to a hook it must be proven safe:
+//   * every instruction, reachable or not, is a known opcode with register
+//     fields below 11; calls name registered helpers, immediate divisors
+//     are not 0 and immediate shift counts lie in [0, operand width);
 //   * the control-flow graph is a DAG (no back-edges; pre-5.3 kernel rule),
 //     every path ends in BPF_EXIT, and no jump lands inside a LD_IMM64 pair;
 //   * registers are typed (scalar / ctx / packet / stack / map-value / map

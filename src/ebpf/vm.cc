@@ -1,7 +1,5 @@
 #include "ebpf/vm.h"
 
-#include "ebpf/decode.h"
-
 namespace srv6bpf::ebpf {
 
 BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
@@ -12,12 +10,11 @@ BpfSystem::LoadResult BpfSystem::load(std::string name, ProgType type,
   if (!result.verify.ok) return result;
 
   // Only a program the verifier has just accepted is compiled: native code
-  // has no runtime checks and stands on this proof. The decoded form (jump
-  // targets, fused ld_imm64, resolved helpers) is the JIT's input and is
-  // not kept. compile_native returns null where the host cannot emit code,
-  // and the program then runs on the interpreter.
+  // has no runtime checks and stands on this proof. compile_native returns
+  // null where the host cannot emit code, and the program then runs on the
+  // interpreter.
   std::unique_ptr<const NativeCode> native =
-      compile_native(decode_program(prog.insns(), &helpers_));
+      compile_native(prog.insns(), helpers_);
   result.prog =
       std::make_shared<LoadedProgram>(std::move(prog), std::move(native));
   return result;

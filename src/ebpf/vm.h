@@ -95,7 +95,7 @@ class BpfSystem {
     bool ok() const noexcept { return prog != nullptr; }
   };
 
-  // Verify, then decode and emit native code where the host can. On
+  // Verify, then emit native code where the host can. On
   // verifier rejection returns a null handle and the verifier diagnostics.
   // Nothing reads the fourth parameter: it stays only because the
   // repository benchmark's workloads (benchmark/src/workloads.cc) pass a

@@ -335,42 +335,5 @@ TEST(InterpreterGuards, RegSrcNegAborts) {
   }
 }
 
-// ---- Decoded-program structural validation ------------------------------------
-
-TEST(Decode, RejectsRegSrcNeg) {
-  std::vector<Insn> insns = {
-      {static_cast<std::uint8_t>(BPF_ALU64 | BPF_MOV | BPF_K), 0, 0, 0, 5},
-      {static_cast<std::uint8_t>(BPF_ALU64 | BPF_NEG | BPF_X), 0, 1, 0, 0},
-      {BPF_JMP | BPF_EXIT, 0, 0, 0, 0},
-  };
-  HelperRegistry helpers;
-  EXPECT_THROW(decode_program(insns, &helpers), std::logic_error);
-}
-
-TEST(Decode, RejectsFallOffTheEnd) {
-  std::vector<Insn> insns = {
-      {static_cast<std::uint8_t>(BPF_ALU64 | BPF_MOV | BPF_K), 0, 0, 0, 5},
-  };
-  HelperRegistry helpers;
-  EXPECT_THROW(decode_program(insns, &helpers), std::logic_error);
-}
-
-TEST(Decode, FusesLdImm64AndRewritesJumpTargets) {
-  Asm a;
-  a.ld_imm64(R0, 0x1122334455667788ull)
-      .jeq_imm(R1, 0, "done")
-      .mov64_imm(R0, 1)
-      .label("done")
-      .exit_();
-  const auto prog = decode_program(a.build(), nullptr);
-  // 5 slots collapse to 4 ops; the jump target is an absolute op index past
-  // the fused ld_imm64.
-  ASSERT_EQ(prog.size(), 4u);
-  EXPECT_EQ(prog.ops()[0].kind, kLdImm64);
-  EXPECT_EQ(prog.ops()[0].imm64, 0x1122334455667788ull);
-  EXPECT_EQ(prog.ops()[1].kind, kJeqI);
-  EXPECT_EQ(prog.ops()[1].target, 3);
-}
-
 }  // namespace
 }  // namespace srv6bpf::ebpf

@@ -130,6 +130,40 @@ TEST_F(VerifierTest, TooManyInstructionsRejected) {
   expect_reject(a, "too large");
 }
 
+// ---- Encoding: every instruction, dead code included --------------------------------
+
+TEST_F(VerifierTest, Alu64ByteSwapIsUnknownOpcode) {
+  // Byte swaps are class ALU only; Linux 4.18 has no BPF_ALU64 | BPF_END.
+  Asm a;
+  a.mov64_imm(R0, 0x1234)
+      .raw({BPF_ALU64 | BPF_END | BPF_TO_BE, R0, 0, 0, 16})
+      .exit_();
+  expect_reject(a, "unknown opcode df");
+}
+
+TEST_F(VerifierTest, UnusedSourceFieldOutOfRangeRejected) {
+  // A K-form ALU instruction reads no source register, but its src field
+  // still has to name one: the JIT maps every register field.
+  Asm a;
+  a.raw({BPF_ALU64 | BPF_MOV | BPF_K, R0, 15, 0, 5}).exit_();
+  expect_reject(a, "unknown register r15");
+}
+
+TEST_F(VerifierTest, DeadInstructionEncodingChecked) {
+  // r0 == 0 always takes the jump, so exploration never steps insn 2; its
+  // encoding is checked all the same.
+  Asm a;
+  a.mov64_imm(R0, 0)
+      .jeq_imm(R0, 0, "out")
+      .raw({BPF_ALU64 | BPF_NEG | BPF_X, R0, R1, 0, 0})
+      .label("out")
+      .exit_();
+  const auto r = verify(a);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("BPF_NEG"), std::string::npos) << r.error;
+  EXPECT_EQ(r.error_insn, 2);
+}
+
 // ---- Register initialisation -----------------------------------------------------
 
 TEST_F(VerifierTest, ReadUninitialisedRegisterRejected) {
