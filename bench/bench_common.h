@@ -44,7 +44,9 @@ struct Setup1 : usecases::Setup1 {
         sink(std::make_unique<apps::UdpSink>(*mux, 7001)) {}
 
   // Offers `pps` of 64-byte-payload UDP (with or without an SRH through the
-  // SID on R) for `duration`, then reports the sink's receive rate in kpps.
+  // SID on R) for a 30 ms warm-up and then `duration`, reports the sink's
+  // receive rate over `duration` in kpps, and stops the generator, so the
+  // network can then drain.
   double measure(bool through_sid, double pps, sim::TimeNs duration) {
     r->cpu.rx_burst = rx_burst;
     apps::TrafGen::Config cfg;
@@ -56,7 +58,7 @@ struct Setup1 : usecases::Setup1 {
     cfg.pps = pps;
     cfg.burst = gen_burst;
     cfg.start_at = net.now();
-    cfg.duration = duration + 50 * sim::kMilli;
+    cfg.duration = sim::kTimeInfinity - cfg.start_at;  // until stop() below
     gen = std::make_unique<apps::TrafGen>(*s1, cfg);
     gen->start();
 
@@ -64,6 +66,7 @@ struct Setup1 : usecases::Setup1 {
     sink->reset();
     const sim::TimeNs t0 = net.now();
     net.run_for(duration);
+    gen->stop();
     return sink->meter().kpps(net.now() - t0);
   }
 };

@@ -12,10 +12,10 @@
 //   - digest_match (hard): for every fault rate, the PDES runs at 1 and 8
 //     worker threads produce the identical delivery digest — chaos is
 //     reproducible, bit for bit.
-//   - violations == 0 (hard): the sim::InvariantAuditor's conservation
-//     ledger balances at every audit point and drains to exactly zero
-//     in-flight packets — no packet is created or lost outside the
-//     accounted drop reasons, crashes and corruption included.
+//   - violations == 0 (hard): the network's conservation ledger
+//     (sim::Network::audit) balances at every audit point and drains to
+//     exactly zero in-flight packets — no packet is created or lost outside
+//     the accounted drop reasons, crashes and corruption included.
 //   - goodput floor (hard): at the 1% fault rate the delivered fraction
 //     stays above kGoodputFloor — faults degrade the service, they must
 //     not collapse it.
@@ -33,7 +33,6 @@
 #include "bench_common.h"
 #include "net/buffer_pool.h"
 #include "sim/fault_injector.h"
-#include "sim/invariant_auditor.h"
 #include "sim/pdes_topo.h"
 
 using namespace srv6bpf;
@@ -124,17 +123,6 @@ Cell run_one(double rate, std::size_t threads, sim::TimeNs window,
   inj.install();
   const RingLoad load(topo, window);
 
-  sim::InvariantAuditor auditor;
-  for (const auto& g : load.gens)
-    auditor.add_source([&gen = *g] { return gen.attempted(); });
-  for (const auto& seg : topo.segments) {
-    auditor.add_node(*seg.src);
-    for (sim::Node* r : seg.routers) auditor.add_node(*r);
-    auditor.add_node(*seg.sink);
-  }
-  const std::vector<sim::Link*> links = collect_links(topo);
-  for (sim::Link* l : links) auditor.add_link(*l);
-
   // Audit at quiescent points between run windows (no worker threads are
   // mutating stats after run_parallel_until returns), then after a drain
   // tail long enough for the re-installer's last event and every in-flight
@@ -142,13 +130,13 @@ Cell run_one(double rate, std::size_t threads, sim::TimeNs window,
   const auto t0 = std::chrono::steady_clock::now();
   for (int chunk = 1; chunk <= 4; ++chunk) {
     net.run_parallel_until(window * chunk / 4, threads);
-    auditor.audit(net.now());
+    net.audit();
   }
   net.run_parallel_until(window + window / 2 + 10 * sim::kMilli, threads);
-  auditor.audit(net.now(), /*final_drain=*/true);
+  net.audit(/*final_drain=*/true);
   const auto t1 = std::chrono::steady_clock::now();
 
-  Cell cell{rate, threads, load.total(), auditor.violations().size(), 0};
+  Cell cell{rate, threads, load.total(), net.violations().size(), 0};
   std::uint64_t attempted = 0;
   std::uint64_t dropped = 0;    // node + link-side drops, all reasons
   std::uint64_t corrupted = 0;  // bit-flips injected on the wire
@@ -158,7 +146,7 @@ Cell run_one(double rate, std::size_t threads, sim::TimeNs window,
     for (sim::Node* r : seg.routers) dropped += r->stats().total_drops();
     dropped += seg.sink->stats().total_drops();
   }
-  for (sim::Link* l : links)
+  for (sim::Link* l : collect_links(topo))
     for (int side = 0; side < 2; ++side) {
       dropped += l->stats(side).drops + l->stats(side).drops_link_down;
       corrupted += l->stats(side).corrupted;
@@ -166,7 +154,7 @@ Cell run_one(double rate, std::size_t threads, sim::TimeNs window,
   cell.goodput = attempted > 0 ? static_cast<double>(cell.digest.delivered) /
                                      static_cast<double>(attempted)
                                : 0;
-  for (const std::string& v : auditor.violations())
+  for (const std::string& v : net.violations())
     std::fprintf(stderr, "VIOLATION (rate %.4f, %zu threads): %s\n", rate,
                  threads, v.c_str());
   row.num("fault_rate", rate, 4)
@@ -226,35 +214,29 @@ Exhaustion run_exhaustion(sim::TimeNs window, Obj& ex) {
   apps::TrafGen gen(src, cfg);
   gen.start();
 
-  sim::InvariantAuditor auditor;
-  auditor.add_source([&gen] { return gen.attempted(); });
-  auditor.add_node(src);
-  auditor.add_node(dst);
-  auditor.add_link(*att.link);
-
   net.run_until(window / 2);
-  auditor.audit(net.now());
+  net.audit();
   // Drain tail: the 10 Mbps wire needs seconds to clear a deep backlog.
   net.run_until(window + 5 * sim::kSecond);
-  auditor.audit(net.now(), /*final_drain=*/true);
+  net.audit(/*final_drain=*/true);
 
   const std::uint64_t drops_no_buffer = gen.drops_no_buffer();
   // Admission failures the pool itself counted (its own view of the drops).
   const std::uint64_t admission_fail =
       net::BufferPool::stats().admission_fail - before.admission_fail;
-  for (const std::string& v : auditor.violations())
+  for (const std::string& v : net.violations())
     std::fprintf(stderr, "VIOLATION (exhaustion): %s\n", v.c_str());
   ex.num("attempted", gen.attempted())
       .num("delivered", delivered)
       .num("drops_no_buffer", drops_no_buffer)
       .num("admission_fail", admission_fail)
-      .num("violations", auditor.violations().size());
+      .num("violations", net.violations().size());
 
   // Restore the unbounded default so nothing downstream inherits the cap.
   net::BufferPool::set_max_buffers(0);
   return {drops_no_buffer > 0 && admission_fail >= drops_no_buffer &&
               delivered > 0,
-          auditor.violations().size()};
+          net.violations().size()};
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The paper's figures at 200 ms windows: prints the data of Figs. 2-4 and of
 // the §4.2 TCP runs, then the anchor table of bench/paper.h. Exits 1 when an
-// anchor leaves its band, printing "GATE: ..." on stderr for each one.
+// anchor leaves its band or a lab's drained audit finds a conservation
+// violation, printing "GATE: ..." on stderr for each one.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -85,5 +86,8 @@ int print_anchors(const PaperData& d) {
 int main() {
   const PaperData d = run_paper(200 * sim::kMilli);
   print_figures(d);
-  return print_anchors(d) == 0 ? 0 : 1;
+  const int misses = print_anchors(d);
+  for (const std::string& v : d.violations)
+    std::fprintf(stderr, "GATE: ledger of %s\n", v.c_str());
+  return misses == 0 && d.violations.empty() ? 0 : 1;
 }

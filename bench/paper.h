@@ -4,13 +4,17 @@
 // Fig. 4 (UDP goodput through the Turris Omnia CPE) and the §4.2 TCP
 // goodputs on the hybrid-access labs. bench_paper runs them at 200 ms
 // windows, prints each figure's data and the table, and fails when an anchor
-// leaves its band; tests/paper_test.cc checks the same table at 20 ms.
+// leaves its band; tests/paper_test.cc checks the same table at 20 ms. Once
+// its values are read, every lab stops its sources, drains and ends with
+// its network's drained audit (sim::Network::audit); both fail on a
+// violation too.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -56,6 +60,8 @@ struct PaperData {
   std::vector<Fig3Row> fig3;    // indexed by Fig3Exp
   std::vector<Fig4Point> fig4;  // one point per kFig4Payloads entry
   std::vector<TcpRow> tcp;      // [0]: WRR without compensation
+  // Every lab's drained-audit violations, each prefixed with its lab.
+  std::vector<std::string> violations;
 };
 
 // ---- The anchor table -------------------------------------------------------
@@ -130,24 +136,45 @@ inline constexpr Anchor kAnchors[] = {
 
 inline constexpr double kOfferedPps = 3e6;  // S1's stream on setup 1
 
+// How long a lab runs on after its window, its sources stopped, before the
+// drained audit: far longer than any of the labs' queues and wires take to
+// empty.
+inline constexpr sim::TimeNs kDrainTail = sim::kSecond;
+
+// Drains the network of lab `name` and audits it, appending each violation
+// to `violations`.
+inline void drain_and_audit(sim::Network& net, const char* name,
+                            std::vector<std::string>& violations) {
+  net.run_for(kDrainTail);
+  net.audit(/*final_drain=*/true);
+  for (const std::string& v : net.violations())
+    violations.push_back(std::string(name) + ": " + v);
+}
+
 // Each Fig. 2 function runs on R's SID in a lab of its own.
-inline std::vector<Fig2Row> run_fig2(sim::TimeNs window) {
+inline std::vector<Fig2Row> run_fig2(sim::TimeNs window,
+                                     std::vector<std::string>& violations) {
+  const auto measure = [&](Setup1& lab, bool through_sid, const char* name) {
+    const double kpps = lab.measure(through_sid, kOfferedPps, window);
+    drain_and_audit(lab.net, name, violations);
+    return kpps;
+  };
   const auto kernel = [&](const char* name, seg6::Seg6Action action) {
     Setup1 lab;
     seg6::Seg6LocalEntry e;
     e.action = action;
     lab.r->ns().seg6local().add(lab.sid, e);
-    return Fig2Row{name, lab.measure(true, kOfferedPps, window), 0, ""};
+    return Fig2Row{name, measure(lab, true, name), 0, ""};
   };
   const auto bpf = [&](const char* name, const usecases::BuiltProgram& built,
                        bool jit, const char* note) {
     Setup1 lab;
     lab.r->ns().bpf().set_jit_enabled(jit);
     lab.add_end_bpf(built);
-    return Fig2Row{name, lab.measure(true, kOfferedPps, window),
-                   built.paper_sloc, note};
+    return Fig2Row{name, measure(lab, true, name), built.paper_sloc, note};
   };
-  const double raw = Setup1().measure(false, kOfferedPps, window);
+  Setup1 raw_lab;
+  const double raw = measure(raw_lab, false, "raw IPv6 forwarding");
   const auto add_tlv = usecases::build_add_tlv();
   return {
       {"raw IPv6 forwarding", raw, 0, ""},
@@ -165,7 +192,8 @@ inline std::vector<Fig2Row> run_fig2(sim::TimeNs window) {
 // Fig. 3 Encap: R's route toward S2 runs the DM transit program, which
 // encapsulates one packet in `ratio`. S2 decapsulates the probes (End.DT6),
 // so their inner packets still reach the sink.
-inline double measure_dm_encap(std::uint64_t ratio, sim::TimeNs window) {
+inline double measure_dm_encap(std::uint64_t ratio, sim::TimeNs window,
+                               std::vector<std::string>& violations) {
   Setup1 lab;
   const auto decap_sid = net::Ipv6Addr::must_parse("fc00:a::d6");
   auto& fib = lab.r->ns().table(0);
@@ -179,13 +207,16 @@ inline double measure_dm_encap(std::uint64_t ratio, sim::TimeNs window) {
   seg6::Seg6LocalEntry dt6;
   dt6.action = seg6::Seg6Action::kEndDT6;
   lab.s2->ns().seg6local().add(decap_sid, dt6);
-  return lab.measure(/*through_sid=*/false, kOfferedPps, window);
+  const double kpps = lab.measure(/*through_sid=*/false, kOfferedPps, window);
+  drain_and_audit(lab.net, "Fig. 3 Encap", violations);
+  return kpps;
 }
 
 // Fig. 3 End.DM: S1 sends one pre-encapsulated OWD probe (outer IPv6 + SRH
 // {[R's SID, S2], DM TLV, controller TLV} around the plain stream's packet)
 // in `ratio` packets, and R runs End.DM on its SID for the probes.
-inline double measure_end_dm(std::uint64_t ratio, sim::TimeNs window) {
+inline double measure_end_dm(std::uint64_t ratio, sim::TimeNs window,
+                             std::vector<std::string>& violations) {
   Setup1 lab;
   const auto perf_id = ebpf::create_perf_event_array(lab.r->ns().bpf().maps(),
                                                      "dm", 1 << 20);
@@ -204,48 +235,63 @@ inline double measure_end_dm(std::uint64_t ratio, sim::TimeNs window) {
   seg6::seg6_encap_srh(probe, net::build_srh(net::kProtoIpv6, segs, tlvs),
                        lab.s1_addr);
 
-  // The probe stream, sent straight onto S1's link from t = 0.
+  // The probe stream, sent straight onto S1's link from t = 0 until the
+  // window's end.
   const double probe_pps = kOfferedPps / static_cast<double>(ratio);
   const auto interval = static_cast<sim::TimeNs>(1e9 / probe_pps);
+  bool probing = true;
   std::function<void()> send_probe = [&] {
+    if (!probing) return;
     lab.s1->send(net::Packet(probe));
     lab.net.loop().schedule(interval, [&send_probe] { send_probe(); });
   };
   lab.net.loop().schedule_at(0, [&send_probe] { send_probe(); });
-  return lab.measure(/*through_sid=*/false, kOfferedPps - probe_pps, window);
+  const double kpps =
+      lab.measure(/*through_sid=*/false, kOfferedPps - probe_pps, window);
+  probing = false;
+  drain_and_audit(lab.net, "Fig. 3 End.DM", violations);
+  return kpps;
 }
 
-inline TcpRow run_tcp(const char* name, bool compensation, int flows) {
+inline TcpRow run_tcp(const char* name, bool compensation, int flows,
+                      std::vector<std::string>& violations) {
   usecases::HybridLab lab({.twd_compensation = compensation});
   if (compensation) lab.net().run_for(2 * sim::kSecond);  // daemon converges
   const double mbps = lab.run_tcp(flows, 12 * sim::kSecond);
-  return {name, mbps, lab.total_retransmits(), lab.total_timeouts(),
-          lab.receiver_ooo_segments()};
+  const TcpRow row{name, mbps, lab.total_retransmits(), lab.total_timeouts(),
+                   lab.receiver_ooo_segments()};
+  lab.stop_twd_daemon();
+  drain_and_audit(lab.net(), name, violations);
+  return row;
 }
 
 // Runs Figs. 2-4 with `window` of simulated time per measurement, and the
 // §4.2 TCP runs at their 12 s.
 inline PaperData run_paper(sim::TimeNs window) {
   PaperData d;
-  d.fig2 = run_fig2(window);
+  std::vector<std::string>& v = d.violations;
+  d.fig2 = run_fig2(window, v);
   d.fig3 = {
-      {"Encap  1:10000", measure_dm_encap(10000, window)},
-      {"End.DM 1:10000", measure_end_dm(10000, window)},
-      {"Encap  1:100", measure_dm_encap(100, window)},
-      {"End.DM 1:100", measure_end_dm(100, window)},
+      {"Encap  1:10000", measure_dm_encap(10000, window, v)},
+      {"End.DM 1:10000", measure_end_dm(10000, window, v)},
+      {"Encap  1:100", measure_dm_encap(100, window, v)},
+      {"End.DM 1:100", measure_end_dm(100, window, v)},
   };
   using Mode = usecases::Fig4Lab::Mode;
   for (const std::size_t payload : kFig4Payloads) {
     const auto mbps = [&](Mode mode) {
-      return usecases::Fig4Lab({.mode = mode}).run_udp(payload, window);
+      usecases::Fig4Lab lab({.mode = mode});
+      const double goodput = lab.run_udp(payload, window);
+      drain_and_audit(lab.net(), "Fig. 4", v);
+      return goodput;
     };
     d.fig4.push_back({mbps(Mode::kPlainForward), mbps(Mode::kKernelDecap),
                       mbps(Mode::kEbpfWrr)});
   }
   d.tcp = {
-      run_tcp("WRR, no compensation, 1 conn", false, 1),
-      run_tcp("WRR + TWD compensation, 1 conn", true, 1),
-      run_tcp("WRR + TWD compensation, 4 conns", true, 4),
+      run_tcp("WRR, no compensation, 1 conn", false, 1, v),
+      run_tcp("WRR + TWD compensation, 1 conn", true, 1, v),
+      run_tcp("WRR + TWD compensation, 4 conns", true, 4, v),
   };
   return d;
 }

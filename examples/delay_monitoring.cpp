@@ -7,12 +7,14 @@
 // The userspace receive paths are driven entirely by compiled filter
 // expressions: the sink and the controller each attach a tcpdump-style
 // filter (compiled to classic BPF, translated to eBPF, run on the node's
-// engine) to their socket, SO_ATTACH_FILTER style.
+// engine) to their socket, SO_ATTACH_FILTER style. The run ends with the
+// network's drained audit: it exits 1 if a packet went unaccounted.
 //
 //   $ ./delay_monitoring
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "apps/socket_filter.h"
 #include "usecases/delay_monitor.h"
@@ -55,5 +57,11 @@ int main() {
   std::printf("one-way delay S1->R: min %.3f ms, median %.3f ms, "
               "mean %.3f ms, max %.3f ms (link delay: 5 ms)\n",
               owd.front(), owd[owd.size() / 2], mean, owd.back());
-  return 0;
+
+  // Every packet sent, probe reports included, was delivered or dropped
+  // with a reason.
+  lab.net().audit(/*final_drain=*/true);
+  for (const std::string& v : lab.net().violations())
+    std::fprintf(stderr, "ledger: %s\n", v.c_str());
+  return lab.net().violations().empty() ? 0 : 1;
 }

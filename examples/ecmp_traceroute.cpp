@@ -1,10 +1,13 @@
 // §4.3 — Multipath-aware traceroute using End.OAMP.
 //
 // Discovers the hops of an ECMP diamond with classic hop-limit probing, then
-// queries each hop's End.OAMP SID for its ECMP nexthop set.
+// queries each hop's End.OAMP SID for its ECMP nexthop set. The run ends
+// with the network's drained audit: it exits 1 if a packet went
+// unaccounted.
 //
 //   $ ./ecmp_traceroute
 #include <cstdio>
+#include <string>
 
 #include "usecases/oamp.h"
 
@@ -37,5 +40,10 @@ int main() {
     }
     std::printf("\n");
   }
-  return 0;
+
+  // Every probe and reply was delivered or dropped with a reason.
+  lab.net().audit(/*final_drain=*/true);
+  for (const std::string& v : lab.net().violations())
+    std::fprintf(stderr, "ledger: %s\n", v.c_str());
+  return lab.net().violations().empty() ? 0 : 1;
 }

@@ -5,10 +5,12 @@
 // through bpf_lwt_seg6_store_bytes — the eBPF code never writes the packet
 // directly (§3's safety principle). The packets travel as one
 // net::PacketBurst through the vector datapath: one send, one SID-table
-// lookup and one BPF program setup for the whole burst.
+// lookup and one BPF program setup for the whole burst. The run ends with
+// the network's drained audit: it exits 1 if a packet went unaccounted.
 //
 //   $ ./quickstart
 #include <cstdio>
+#include <string>
 
 #include "apps/sink.h"
 #include "net/burst.h"
@@ -101,5 +103,10 @@ int main() {
               static_cast<int>(pipe.bpf_runs / pipe.packets),
               static_cast<unsigned long long>(pipe.bpf_insns_jit /
                                               pipe.packets));
-  return 0;
+
+  // Every packet S1 sent was delivered or dropped with a reason.
+  net.audit(/*final_drain=*/true);
+  for (const std::string& v : net.violations())
+    std::fprintf(stderr, "ledger: %s\n", v.c_str());
+  return net.violations().empty() ? 0 : 1;
 }

@@ -115,7 +115,7 @@ void TrafGen::tick() {
   auto admit = [this, now] {
     if (net::BufferPool::try_admit()) return true;
     ++drops_no_buffer_;
-    node_.note_nic_drop(sim::DropReason::kNoBuffer, now);
+    node_.refuse_send(sim::DropReason::kNoBuffer, now);
     return false;
   };
   const std::size_t burst =

@@ -59,12 +59,16 @@ class TrafGen {
   TrafGen(sim::Node& node, Config cfg);
 
   void start();
+  // Ends the stream now, before its configured duration (a measurement
+  // window closed and the network is to drain).
+  void stop() noexcept { stop_at_ = node_.loop().now(); }
   std::uint64_t sent() const noexcept { return sent_; }
   // Emissions refused by the BufferPool hard cap (net::BufferPool::
   // set_max_buffers): the packet was due but no buffer could be admitted, so
   // it was dropped at the source — also charged to the node as
-  // drops_no_buffer. attempted() is what the conservation ledger
-  // (sim::InvariantAuditor) counts as offered load.
+  // drops_no_buffer. attempted() is what the node counts as originated for
+  // this generator, which sim::Network's ledger reads; only an auditor with
+  // hand-registered sources (benchmark/) registers attempted() itself.
   std::uint64_t drops_no_buffer() const noexcept { return drops_no_buffer_; }
   std::uint64_t attempted() const noexcept { return sent_ + drops_no_buffer_; }
 

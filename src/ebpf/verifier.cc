@@ -306,12 +306,14 @@ std::optional<VerifierError> Checker::check_cfg() {
 }
 
 // Every instruction, reachable or not, before exploration, as the kernel
-// checks each opcode against bpf_opcode_in_insntable() before do_check: a
-// known opcode, register fields below 11, a registered helper, no division
-// by an immediate 0 and immediate shift counts in [0, operand width).
-// Exploration then checks only what depends on state, and the JIT compiles
-// every instruction with no check of its own. An ld_imm64's second slot is
-// not an instruction.
+// checks each opcode against bpf_opcode_in_insntable() and resolves every
+// ld_imm64 (resolve_pseudo_ldimm64) before do_check: a known opcode,
+// register fields below 11, a registered helper, an ld_imm64 with a known
+// pseudo source and, for a map load, a registered map, no division by an
+// immediate 0 and immediate shift counts in [0, operand width). Exploration
+// then checks only what depends on state, and the JIT compiles every
+// instruction with no check of its own. An ld_imm64's second slot is not an
+// instruction.
 std::optional<VerifierError> Checker::check_encoding(int i) const {
   const Insn& insn = insns_[i];
   const std::uint8_t cls = insn.insn_class();
@@ -354,6 +356,16 @@ std::optional<VerifierError> Checker::check_encoding(int i) const {
   if (insn.is_call() &&
       (helpers_ == nullptr || helpers_->proto(insn.imm) == nullptr))
     return err(i, "call to unknown helper " + std::to_string(insn.imm));
+  if (insn.is_ld_imm64()) {
+    if (insn.src == BPF_PSEUDO_MAP_FD) {
+      const auto map_id = static_cast<std::uint32_t>(insn.imm);
+      if (maps_ == nullptr || maps_->get(map_id) == nullptr)
+        return err(i, "ld_map references unknown map id " +
+                          std::to_string(map_id));
+    } else if (insn.src != 0) {
+      return err(i, "unknown ld_imm64 pseudo source");
+    }
+  }
 
   if (alu && op == BPF_END && insn.imm != 16 && insn.imm != 32 &&
       insn.imm != 64)
@@ -715,18 +727,13 @@ std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
 
   if (insn.insn_class() == BPF_LD) {  // ld_imm64, the one BPF_LD
     if (insn.dst == R10) return err(pc, "bad ld_imm64 destination");
-    if (insn.src == BPF_PSEUDO_MAP_FD) {
-      const auto map_id = static_cast<std::uint32_t>(insn.imm);
-      if (maps_ == nullptr || maps_->get(map_id) == nullptr)
-        return err(pc, "ld_map references unknown map id " +
-                           std::to_string(map_id));
-      s.regs[insn.dst] = {.type = RT::kConstMapPtr, .map_id = map_id};
-    } else if (insn.src != 0) {
-      return err(pc, "unknown ld_imm64 pseudo source");
-    } else {
+    // A registered map or a literal: check_encoding saw to it.
+    if (insn.src == BPF_PSEUDO_MAP_FD)
+      s.regs[insn.dst] = {.type = RT::kConstMapPtr,
+                          .map_id = static_cast<std::uint32_t>(insn.imm)};
+    else
       s.regs[insn.dst] =
           Reg::scalar_const(ld_imm64_value(insn, insns_[pc + 1]));
-    }
     return std::nullopt;
   }
 

@@ -1,15 +1,15 @@
 // InvariantAuditor: conservation and liveness checks over a running
 // simulation.
 //
-// The chaos soak's correctness story is not "the numbers look plausible" but
-// "no packet is ever created or destroyed outside the ledger": every packet
-// a traffic source *attempted* (sent or refused by the BufferPool cap) and
-// every ICMP a router originated must end up delivered, dropped with an
-// attributed reason, or demonstrably still in flight — under crashes, link
-// cuts, corruption and exhaustion alike. The auditor folds the registered
-// sources' counters into that ledger at quiescent points (between run
-// windows, when no worker threads are mutating stats) and records a
-// violation string for anything that does not balance:
+// The correctness story of every scenario is not "the numbers look
+// plausible" but "no packet is ever created or destroyed outside the
+// ledger": every packet a source offered and every ICMP a router originated
+// must end up delivered, dropped with an attributed reason, or
+// demonstrably still in flight — under crashes, link cuts, corruption and
+// exhaustion alike. The auditor folds its registered sources' counters into
+// that ledger at quiescent points (between run windows, when no worker
+// threads are mutating stats) and records a violation string for anything
+// that does not balance:
 //
 //   offered  = sum(source attempted) + sum(node icmp_time_exceeded_sent)
 //   consumed = sum(node local_delivered + node total_drops)
@@ -19,6 +19,14 @@
 // It also asserts clock progress: between two audits of a live workload the
 // virtual clock must advance (a stuck clock under PDES means a horizon
 // deadlock, which must fail loudly rather than report zeros).
+//
+// Scenarios do not build one: each sim::Network holds an auditor over all
+// its nodes and links whose one source is the nodes' count of the packets
+// they originated (NodeStats::originated), and they call Network::ledger()
+// and Network::audit(). The registration API below is for an auditor whose
+// sources are counted by hand — the repository benchmark (benchmark/)
+// registers its generators' TrafGen::attempted — so the formula holds no
+// origination term of its own, which would count those packets twice.
 #pragma once
 
 #include <cstdint>

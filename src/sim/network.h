@@ -10,6 +10,10 @@
 // every thread count. Build the topology, pick the partition, seal, *then*
 // attach apps and schedule churn — sealing repoints Node::loop() into the
 // domains, and it requires the master loop to be quiescent.
+//
+// A Network keeps its own conservation ledger over every node and link,
+// with the packets the nodes originate as the offered load: a scenario
+// checks its own physics with one audit() and registers nothing.
 #pragma once
 
 #include <memory>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "sim/event_loop.h"
+#include "sim/invariant_auditor.h"
 #include "sim/link.h"
 #include "sim/node.h"
 #include "sim/pdes_domain.h"
@@ -26,7 +31,16 @@ namespace srv6bpf::sim {
 
 class Network {
  public:
-  explicit Network(std::uint64_t seed = 0x5eed) : rng_(seed), seed_(seed) {}
+  explicit Network(std::uint64_t seed = 0x5eed) : rng_(seed), seed_(seed) {
+    auditor_.add_source([this] {
+      std::uint64_t originated = 0;
+      for (const auto& n : nodes_) originated += n->stats().originated;
+      return originated;
+    });
+  }
+  // Nodes, links and the ledger's source hold on to this object.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   EventLoop& loop() noexcept { return loop_; }
   Rng& rng() noexcept { return rng_; }
@@ -34,6 +48,7 @@ class Network {
 
   Node& add_node(const std::string& name) {
     nodes_.push_back(std::make_unique<Node>(loop_, rng_, name));
+    auditor_.add_node(*nodes_.back());
     return *nodes_.back();
   }
 
@@ -50,6 +65,7 @@ class Network {
     links_.push_back(
         std::make_unique<Link>(loop_, rng_, bandwidth_bps, prop_delay_ns));
     Link& link = *links_.back();
+    auditor_.add_link(link);
     const int ai = a.add_interface(link, 0, a_addr);
     const int bi = b.add_interface(link, 1, b_addr);
     return Attachment{&link, ai, bi};
@@ -93,6 +109,18 @@ class Network {
   // The sealed partition (seal_domains() first) — domain loops, executed-
   // event counts.
   PdesNet& pdes_net() { return pdes(); }
+
+  // ---- conservation ledger (sim/invariant_auditor.h) ----
+  // InvariantAuditor's formula with the nodes' originations as its one
+  // source. Read it and audit only between run calls (under PDES, between
+  // run windows), when no worker thread is mutating stats.
+  InvariantAuditor::Ledger ledger() const { return auditor_.ledger(); }
+  // One audit at now(); `final_drain` also requires in_flight == 0, once
+  // the sources stopped and the pipeline emptied.
+  void audit(bool final_drain = false) { auditor_.audit(now(), final_drain); }
+  const std::vector<std::string>& violations() const noexcept {
+    return auditor_.violations();
+  }
 
   // ---- failure / churn scenario machinery ----
   // Scheduled topology events for failure scenarios: link flaps and route
@@ -151,6 +179,7 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::unique_ptr<PdesNet> pdes_;
+  InvariantAuditor auditor_;
 };
 
 }  // namespace srv6bpf::sim

@@ -214,6 +214,11 @@ void Node::service_burst(CpuContext& ctx) {
 }
 
 void Node::send(net::Packet&& pkt) {
+  ++nic_stats_.originated;
+  output(std::move(pkt));
+}
+
+void Node::output(net::Packet&& pkt) {
   if (down_) {
     nic_stats_.note_drop(DropReason::kNodeDown, loop_->now());
     return;
@@ -225,6 +230,7 @@ void Node::send(net::Packet&& pkt) {
 }
 
 void Node::send_burst(net::PacketBurst&& burst) {
+  nic_stats_.originated += burst.size();
   if (down_) {
     for (std::size_t i = 0; i < burst.size(); ++i)
       nic_stats_.note_drop(DropReason::kNodeDown, loop_->now());
@@ -352,7 +358,7 @@ void Node::send_icmp_time_exceeded(const net::Packet& orig) {
   std::uint8_t* base = reply.push_front(net::kIpv6HeaderSize + icmp.size());
   ih.write(base);
   std::memcpy(base + net::kIpv6HeaderSize, icmp.data(), icmp.size());
-  send(std::move(reply));
+  output(std::move(reply));
 }
 
 }  // namespace srv6bpf::sim

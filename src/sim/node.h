@@ -129,7 +129,8 @@ class Node {
   // arrival time in the burst metadata.
   void receive_burst_from_link(net::PacketBurst&& burst, int ifindex);
   // Local output path (applications sending); bypasses the CPU model and the
-  // hop-limit decrement, like a locally originated skb.
+  // hop-limit decrement, like a locally originated skb. Each packet counts
+  // as originated here, even when the node is down and drops it.
   void send(net::Packet&& pkt);
   // Vector local output: the whole burst enters the datapath at once.
   void send_burst(net::PacketBurst&& burst);
@@ -158,11 +159,12 @@ class Node {
   void restart();
   bool is_down() const noexcept { return down_; }
 
-  // NIC/IRQ-side drop charge from outside the datapath (traffic generators
-  // refused admission by the BufferPool cap, fault machinery): lands in the
-  // pre-steering stats shard so Node::stats() and the conservation ledger
-  // see it.
-  void note_nic_drop(DropReason reason, TimeNs at_ns) {
+  // A packet an application was due to send but could not build (a
+  // traffic generator refused admission by the BufferPool cap): counted as
+  // originated and dropped for `reason` in the pre-steering stats shard, so
+  // Node::stats() and the conservation ledger see both.
+  void refuse_send(DropReason reason, TimeNs at_ns) {
+    ++nic_stats_.originated;
     nic_stats_.note_drop(reason, at_ns);
   }
 
@@ -210,6 +212,9 @@ class Node {
   // Delivers verdicts: locals to the handler, forwards grouped per egress
   // interface into Link::transmit_burst at their per-packet timestamps.
   void dispatch_burst(net::PacketBurst& burst);
+  // send() without the origination count: the stack's own ICMP errors,
+  // which icmp_time_exceeded_sent counts.
+  void output(net::Packet&& pkt);
   void send_icmp_time_exceeded(const net::Packet& orig);
 
   // Execution-context accounting target. While a context services a burst
@@ -231,7 +236,7 @@ class Node {
   CpuContext* cur_ctx_ = nullptr;
   bool down_ = false;  // crashed (crash()) and not yet restart()ed
   // NIC/IRQ-side counters charged before RSS steering picks a context
-  // (rx_packets, ring-overflow drops).
+  // (originations, rx_packets, ring-overflow drops).
   NodeStats nic_stats_;
 };
 

@@ -71,6 +71,11 @@ static_assert(std::size(PipelineTotals::kCounters) * sizeof(std::uint64_t) ==
               "every PipelineTotals counter is listed in kCounters");
 
 struct NodeStats {
+  // Packets born here: each one an application passed to Node::send or
+  // send_burst, even on a down node, or was refused a buffer for
+  // (Node::refuse_send). With icmp_time_exceeded_sent, which counts the
+  // stack's own ICMP errors, the offered side of sim::Network's ledger.
+  std::uint64_t originated = 0;
   std::uint64_t rx_packets = 0;
   std::uint64_t tx_packets = 0;
   std::uint64_t local_delivered = 0;
@@ -92,6 +97,11 @@ struct NodeStats {
   // precomputed backup (seg6::FrrBackup) because the primary nexthop's link
   // was down.
   std::uint64_t frr_reroutes = 0;
+  // Burst-pipeline observability. service_events counts CPU service
+  // activations (one per drained burst), serviced_packets the packets those
+  // events drained — their ratio is the achieved burst occupancy.
+  std::uint64_t service_events = 0;
+  std::uint64_t serviced_packets = 0;
 
   // Simulated time of each drop reason's *first* occurrence on this shard
   // (kNeverDropped when the reason never fired). Drops are stamped with the
@@ -105,8 +115,22 @@ struct NodeStats {
     return never;
   }();
 
-  // The drop counters, indexed by DropReason: the one list note_drop(), the
-  // shard merge and total_drops() walk.
+  PipelineTotals pipeline;
+
+  // Every scalar counter: the one list the shard merge walks.
+  static constexpr std::uint64_t NodeStats::*kCounters[] = {
+      &NodeStats::originated,      &NodeStats::rx_packets,
+      &NodeStats::tx_packets,      &NodeStats::local_delivered,
+      &NodeStats::drops_rx_queue,  &NodeStats::drops_no_route,
+      &NodeStats::drops_ttl,       &NodeStats::drops_verdict,
+      &NodeStats::drops_malformed, &NodeStats::drops_link_down,
+      &NodeStats::drops_no_buffer, &NodeStats::drops_node_down,
+      &NodeStats::icmp_time_exceeded_sent,
+      &NodeStats::frr_reroutes,    &NodeStats::service_events,
+      &NodeStats::serviced_packets,
+  };
+  // The drop counters, indexed by DropReason: the list note_drop() and
+  // total_drops() walk.
   static constexpr std::uint64_t NodeStats::*kDropCounters[] = {
       &NodeStats::drops_rx_queue,  &NodeStats::drops_no_route,
       &NodeStats::drops_ttl,       &NodeStats::drops_verdict,
@@ -127,13 +151,6 @@ struct NodeStats {
     return first_drop_ns[static_cast<std::size_t>(reason)];
   }
 
-  // Burst-pipeline observability. service_events counts CPU service
-  // activations (one per drained burst), serviced_packets the packets those
-  // events drained — their ratio is the achieved burst occupancy.
-  std::uint64_t service_events = 0;
-  std::uint64_t serviced_packets = 0;
-  PipelineTotals pipeline;
-
   friend bool operator==(const NodeStats&, const NodeStats&) = default;
 
   // Folds one packet's ProcessTrace into `pipeline` (defined in stats.cc to
@@ -142,14 +159,7 @@ struct NodeStats {
 
   // Shard merge: Node::stats() sums its per-CPU-context shards with this.
   NodeStats& operator+=(const NodeStats& o) {
-    rx_packets += o.rx_packets;
-    tx_packets += o.tx_packets;
-    local_delivered += o.local_delivered;
-    for (const auto counter : kDropCounters) this->*counter += o.*counter;
-    icmp_time_exceeded_sent += o.icmp_time_exceeded_sent;
-    frr_reroutes += o.frr_reroutes;
-    service_events += o.service_events;
-    serviced_packets += o.serviced_packets;
+    for (const auto counter : kCounters) this->*counter += o.*counter;
     pipeline += o.pipeline;
     // First-occurrence folds as a min, which keeps += associative and
     // commutative across shards (kNeverDropped is the identity).
@@ -165,6 +175,13 @@ struct NodeStats {
     return total;
   }
 };
+// A scalar counter added to NodeStats but not to kCounters would silently
+// drop out of the shard merge.
+static_assert(std::size(NodeStats::kCounters) * sizeof(std::uint64_t) +
+                      sizeof(NodeStats::first_drop_ns) +
+                      sizeof(PipelineTotals) ==
+                  sizeof(NodeStats),
+              "every NodeStats counter is listed in kCounters");
 
 // Accumulates packet/byte counts over a measurement window; used by sinks to
 // report kpps / goodput exactly the way the paper's figures do.

@@ -280,6 +280,8 @@ void HybridLab::apply_compensation() {
   }
 }
 
+void HybridLab::stop_twd_daemon() { twd_on_ = false; }
+
 void HybridLab::start_probe_cycle() {
   if (!twd_on_) return;
   send_twd_probe(0);
@@ -414,7 +416,7 @@ double Fig4Lab::run_udp(std::size_t payload_size, sim::TimeNs duration) {
   const double rate_bps = 1e9 * static_cast<double>(payload_size) / wire;
   cfg.pps = rate_bps / (static_cast<double>(payload_size) * 8);
   cfg.start_at = net_.now();
-  cfg.duration = duration + sim::kSecond;
+  cfg.duration = sim::kTimeInfinity - cfg.start_at;  // until stop() below
   flow_ = std::make_unique<apps::TrafGen>(*s1_, cfg);
   flow_->start();
 
@@ -423,6 +425,7 @@ double Fig4Lab::run_udp(std::size_t payload_size, sim::TimeNs duration) {
   sink_->reset();
   const sim::TimeNs t0 = net_.now();
   net_.run_for(duration);
+  flow_->stop();
   return sink_->meter().mbps(net_.now() - t0);
 }
 

@@ -52,6 +52,9 @@ class HybridLab {
   // Starts `flows` parallel bulk TCP connections S1 -> S2 and runs for
   // `duration`. Returns aggregated goodput in Mbps.
   double run_tcp(int flows, sim::TimeNs duration);
+  // Ends the TWD daemon's probing, the lab's one source that never stops on
+  // its own, so that the network can drain.
+  void stop_twd_daemon();
 
   sim::Network& net() noexcept { return net_; }
   sim::Link* link1() noexcept { return link1_; }
@@ -114,9 +117,13 @@ class Fig4Lab {
   explicit Fig4Lab(const Options& opts);
 
   // Offers a 1 Gbps iperf3-like UDP flow with the given payload size through
-  // the Turris CPE and returns the aggregated goodput in Mbps. Throws
+  // the Turris CPE for a 200 ms warm-up and then `duration`, and returns the
+  // aggregated goodput over `duration` in Mbps. The flow stops at the
+  // window's end, so the network can then drain. Throws
   // std::invalid_argument for a zero payload, which has no packet rate.
   double run_udp(std::size_t payload_size, sim::TimeNs duration);
+
+  sim::Network& net() noexcept { return net_; }
 
  private:
   sim::Network net_;

@@ -17,6 +17,7 @@
 #include <deque>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
@@ -314,6 +315,8 @@ PoolRun run_digested_fig2() {
   apps::TrafGen gen(*lab.s1, lab.gen_config());
   gen.start();
   lab.net.run_for(sim::kSecond);
+  lab.net.audit(/*final_drain=*/true);
+  EXPECT_EQ(lab.net.violations(), std::vector<std::string>{});
   return {lab.dig, lab.r->stats()};
 }
 
@@ -384,6 +387,12 @@ TEST_P(ZeroAlloc, WarmedWindowPerformsNoAllocations) {
     EXPECT_EQ(lab.r->ns().table(0).cache_hits(), 0u)
         << "the stride trie must carry every lookup";
   }
+
+  // After the counted window the source stops and the lab drains.
+  gen.stop();
+  lab.net.run_for(10 * sim::kMilli);
+  lab.net.audit(/*final_drain=*/true);
+  EXPECT_EQ(lab.net.violations(), std::vector<std::string>{});
 }
 
 // Tag++'s floor makes the window move real traffic (over 10,000

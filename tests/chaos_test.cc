@@ -15,12 +15,15 @@
 //     4-thread PDES runs and across repetitions;
 //   - the degradation ladder: while a crashed node's FIB is cold its
 //     neighbor steers traffic onto the route's seg6::FrrBackup (delivery
-//     continues through the outage), and the InvariantAuditor's conservation
-//     ledger balances to zero in-flight after the drain — crashes included;
+//     continues through the outage), and the network's conservation ledger
+//     balances to zero in-flight after the drain — crashes included;
 //   - RxRing overflow: a full ring refuses the arrival and charges
 //     drops_rx_queue;
 //   - the BufferPool admission cap and the per-reason first-drop timestamps
-//     that make exhaustion debuggable.
+//     that make exhaustion debuggable;
+//   - that the ledger is live: an arrival no node originated, a packet left
+//     in an RX ring at the final audit, and a sealed partition each show in
+//     Network::audit and Network::ledger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +43,7 @@
 #include "sim/fault_injector.h"
 #include "sim/invariant_auditor.h"
 #include "sim/network.h"
+#include "usecases/setup1.h"
 #include "util/rng.h"
 
 namespace srv6bpf {
@@ -198,23 +202,15 @@ CrashRunResult run_crash_scenario(int threads) {
   apps::TrafGen gen(s1, cfg);
   gen.start();
 
-  sim::InvariantAuditor auditor;
-  auditor.add_source([&gen] { return gen.attempted(); });
-  auditor.add_node(s1);
-  auditor.add_node(r);
-  auditor.add_node(s2);
-  auditor.add_link(*l0.link);
-  auditor.add_link(*l1.link);
-
   golden::run_window(net, 2 * sim::kMilli, threads);
-  auditor.audit(net.now());
+  net.audit();
   golden::run_window(net, 4 * sim::kMilli, threads);
-  auditor.audit(net.now(), /*final_drain=*/true);
+  net.audit(/*final_drain=*/true);
 
   res.router = r.stats();
   res.attempted = gen.attempted();
-  res.violations = auditor.violations().size();
-  for (const std::string& v : auditor.violations()) ADD_FAILURE() << v;
+  res.violations = net.violations().size();
+  for (const std::string& v : net.violations()) ADD_FAILURE() << v;
   return res;
 }
 
@@ -277,6 +273,8 @@ TEST(CrashRestart, RetryCapGivesUp) {
   // The node powered back on but stays isolated: empty FIB, carrier down.
   EXPECT_FALSE(b.is_down());
   EXPECT_TRUE(b.ns().table(0).routes().empty());
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{});
 }
 
 TEST(CrashRestart, WithdrawnRouteStaysWithdrawnAfterRestart) {
@@ -310,6 +308,8 @@ TEST(CrashRestart, WithdrawnRouteStaysWithdrawnAfterRestart) {
   ASSERT_NE(restored.lookup(A("fc00:9::5")), nullptr);
   EXPECT_EQ(restored.lookup(A("fc00:9::5"))->nexthops.at(0).weight, 2);
   EXPECT_EQ(restored.route_count(), 2u);
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{});
 }
 
 // ---- the degradation ladder: FRR while the FIB is cold ----------------------
@@ -372,14 +372,9 @@ TEST(CrashRestart, NeighborDegradesToFrrBackupDuringOutage) {
   apps::TrafGen gen(s1, cfg);
   gen.start();
 
-  sim::InvariantAuditor auditor;
-  auditor.add_source([&gen] { return gen.attempted(); });
-  for (sim::Node* n : {&s1, &r1, &r2, &s2}) auditor.add_node(*n);
-  for (auto* l : {l0.link, l1.link, l2.link, l3.link}) auditor.add_link(*l);
-
   net.run_until(6 * sim::kMilli);
-  auditor.audit(net.now(), /*final_drain=*/true);
-  for (const std::string& v : auditor.violations()) ADD_FAILURE() << v;
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{});
 
   // The ladder held: R1 steered onto the backup for the whole outage, so
   // delivery continued while R2's FIB was cold...
@@ -439,6 +434,11 @@ TEST(RxOverflow, DropNewestRefusesTheArrival) {
   EXPECT_EQ(r.stats().drops_rx_queue, 24u);
   EXPECT_NE(r.stats().first_drop_at(sim::DropReason::kRxQueue),
             sim::NodeStats::kNeverDropped);
+  // No node originated the 32 arrivals, so the books show exactly them
+  // consumed beyond what was offered.
+  const auto ledger = net.ledger();
+  EXPECT_EQ(ledger.offered, 0u);
+  EXPECT_EQ(ledger.consumed, 32u);
 }
 
 // ---- BufferPool admission cap & drop attribution ----------------------------
@@ -461,14 +461,15 @@ TEST(BufferCap, UncappedAlwaysAdmits) {
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(net::BufferPool::try_admit());
 }
 
-TEST(DropAttribution, NicDropRecordsReasonAndFirstTimestamp) {
+TEST(DropAttribution, RefusedSendRecordsReasonAndFirstTimestamp) {
   sim::EventLoop loop;
   Rng rng(1);
   sim::Node n(loop, rng, "N");
-  n.note_nic_drop(sim::DropReason::kNoBuffer, 500);
-  n.note_nic_drop(sim::DropReason::kNoBuffer, 300);  // earlier: becomes first
-  n.note_nic_drop(sim::DropReason::kNoBuffer, 900);
+  n.refuse_send(sim::DropReason::kNoBuffer, 500);
+  n.refuse_send(sim::DropReason::kNoBuffer, 300);  // earlier: becomes first
+  n.refuse_send(sim::DropReason::kNoBuffer, 900);
   const sim::NodeStats s = n.stats();
+  EXPECT_EQ(s.originated, 3u);
   EXPECT_EQ(s.drops_no_buffer, 3u);
   EXPECT_EQ(s.first_drop_at(sim::DropReason::kNoBuffer), 300u);
   EXPECT_EQ(s.first_drop_at(sim::DropReason::kNoRoute),
@@ -490,7 +491,7 @@ TEST(InvariantAuditor, OverConsumptionIsAConservationViolation) {
   sim::EventLoop loop;
   Rng rng(1);
   sim::Node n(loop, rng, "N");
-  n.note_nic_drop(sim::DropReason::kNoBuffer, 1);  // consumed with no source
+  n.refuse_send(sim::DropReason::kNoBuffer, 1);  // consumed, no source added
   sim::InvariantAuditor auditor;
   auditor.add_node(n);
   auditor.audit(100);
@@ -512,6 +513,100 @@ TEST(InvariantAuditor, StuckClockViolates) {
   auditor.audit(100);  // no progress between audits
   ASSERT_EQ(auditor.violations().size(), 1u);
   EXPECT_NE(auditor.violations()[0].find("clock"), std::string::npos);
+}
+
+// ---- the network's own ledger is live ---------------------------------------
+
+net::Packet setup1_udp(const usecases::Setup1& lab) {
+  net::PacketSpec spec;
+  spec.src = lab.s1_addr;
+  spec.dst = lab.s2_addr;
+  spec.dst_port = 7001;
+  return net::make_udp_packet(spec);
+}
+
+TEST(NetworkLedger, ArrivalNoNodeOriginatedViolatesConservation) {
+  usecases::Setup1 lab;
+  lab.s1->send(setup1_udp(lab));
+  // A frame that appears on R's wire without any node sending it.
+  net::PacketBurst b;
+  b.push(setup1_udp(lab), lab.net.now());
+  lab.r->receive_burst_from_link(std::move(b), lab.r_upstream_if);
+  lab.net.run_for(sim::kMilli);
+
+  lab.net.audit();
+  ASSERT_EQ(lab.net.violations().size(), 1u);
+  EXPECT_NE(lab.net.violations()[0].find("conservation"), std::string::npos);
+  const auto ledger = lab.net.ledger();
+  EXPECT_EQ(ledger.offered, 1u);
+  EXPECT_EQ(ledger.consumed, 2u);
+}
+
+TEST(NetworkLedger, PacketLeftInAnRxRingFailsTheFinalDrain) {
+  usecases::Setup1 lab;
+  // Two packets 500 ns apart: R's core (~1.6 us a packet) is still busy
+  // with the first when the second arrives, so the second waits in R's RX
+  // ring.
+  for (const sim::TimeNs at : {sim::TimeNs{0}, sim::TimeNs{500}})
+    lab.net.loop().schedule_at(at, [&lab] { lab.s1->send(setup1_udp(lab)); });
+  lab.net.run_until(11 * sim::kMicro);
+  const sim::NodeStats rs = lab.r->stats();
+  ASSERT_EQ(rs.rx_packets, 2u);
+  ASSERT_EQ(rs.serviced_packets, 1u);
+
+  lab.net.audit(/*final_drain=*/true);
+  ASSERT_EQ(lab.net.violations().size(), 1u);
+  EXPECT_NE(lab.net.violations()[0].find("drain"), std::string::npos);
+  // Once the ring and the wires empty, the books close.
+  lab.net.run_for(sim::kMilli);
+  lab.net.audit(/*final_drain=*/true);
+  EXPECT_EQ(lab.net.violations().size(), 1u);
+  EXPECT_EQ(lab.s2->stats().local_delivered, 2u);
+}
+
+// The same saturating 2 ms stream, serially and on a sealed two-domain
+// partition, audited between 1 ms run windows: the ledger reads the same
+// at every window, in flight while the source runs and zero at the end.
+TEST(NetworkLedger, SealedPartitionReportsTheSerialLedger) {
+  const auto run = [](int threads) {
+    usecases::Setup1 lab;
+    if (threads != kSerial) {
+      lab.net.set_domain_count(2);
+      lab.net.assign_domain(*lab.s1, 0);
+      lab.net.assign_domain(*lab.r, 1);
+      lab.net.assign_domain(*lab.s2, 1);
+      lab.net.seal_domains();
+    }
+    apps::TrafGen::Config cfg;
+    cfg.spec.src = lab.s1_addr;
+    cfg.spec.dst = lab.s2_addr;
+    cfg.spec.dst_port = 7001;
+    cfg.pps = 1e6;  // past R's core: its RX ring overflows
+    cfg.duration = 2 * sim::kMilli;
+    apps::TrafGen gen(*lab.s1, cfg);
+    gen.start();
+    std::vector<sim::InvariantAuditor::Ledger> ledgers;
+    for (int w = 1; w <= 4; ++w) {
+      golden::run_window(lab.net, sim::kMilli, threads);
+      lab.net.audit(/*final_drain=*/w == 4);
+      ledgers.push_back(lab.net.ledger());
+    }
+    EXPECT_EQ(lab.net.violations(), std::vector<std::string>{})
+        << "threads=" << threads;
+    EXPECT_GT(lab.r->stats().drops_rx_queue, 0u);
+    return ledgers;
+  };
+  const auto serial = run(kSerial);
+  EXPECT_GT(serial[0].in_flight, 0);
+  EXPECT_EQ(serial[3].offered, 2000u);
+  EXPECT_EQ(serial[3].in_flight, 0);
+  for (const int threads : {1, 2}) {
+    const auto sealed = run(threads);
+    for (std::size_t w = 0; w < serial.size(); ++w) {
+      EXPECT_EQ(sealed[w].offered, serial[w].offered) << "window " << w;
+      EXPECT_EQ(sealed[w].consumed, serial[w].consumed) << "window " << w;
+    }
+  }
 }
 
 }  // namespace

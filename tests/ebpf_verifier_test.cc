@@ -164,6 +164,34 @@ TEST_F(VerifierTest, DeadInstructionEncodingChecked) {
   EXPECT_EQ(r.error_insn, 2);
 }
 
+TEST_F(VerifierTest, DeadLdImm64OperandsChecked) {
+  // As above, exploration never steps insn 2, an ld_imm64; its pseudo
+  // source and, for a map load, its map id are checked all the same.
+  const auto dead_load = [this](std::uint8_t src, std::int32_t imm) {
+    Asm a;
+    a.mov64_imm(R0, 0)
+        .jeq_imm(R0, 0, "out")
+        .raw({BPF_LD | BPF_DW | BPF_IMM, R1, src, 0, imm})
+        .raw({0, 0, 0, 0, 0})
+        .label("out")
+        .exit_();
+    return verify(a);
+  };
+  const auto pseudo = dead_load(2, 0);
+  EXPECT_FALSE(pseudo.ok);
+  EXPECT_NE(pseudo.error.find("unknown ld_imm64 pseudo source"),
+            std::string::npos)
+      << pseudo.error;
+  EXPECT_EQ(pseudo.error_insn, 2);
+  const auto map = dead_load(BPF_PSEUDO_MAP_FD, 99);
+  EXPECT_FALSE(map.ok);
+  EXPECT_NE(map.error.find("unknown map id 99"), std::string::npos)
+      << map.error;
+  EXPECT_EQ(map.error_insn, 2);
+  EXPECT_TRUE(dead_load(BPF_PSEUDO_MAP_FD, static_cast<std::int32_t>(map_id_))
+                  .ok);
+}
+
 // ---- Register initialisation -----------------------------------------------------
 
 TEST_F(VerifierTest, ReadUninitialisedRegisterRejected) {

@@ -13,22 +13,22 @@
 //
 // The digests are functions of simulated time only, so they hold on any
 // host and compiler. Both windows (20 ms and 50 ms) end long after the last
-// delivery, so every digest and counter is final, and each runner then
-// audits conservation (sim::InvariantAuditor): every scheduled send is
-// delivered or dropped with a reason. A violation fails the calling test.
+// delivery, so every digest and counter is final, and each runner then ends
+// with the network's drained audit (sim::Network::audit): every packet the
+// source node originated is delivered or dropped with a reason. A
+// violation fails the calling test.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "apps/sink.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
-#include "sim/invariant_auditor.h"
 #include "sim/network.h"
 #include "usecases/hybrid.h"
 #include "usecases/programs.h"
@@ -111,21 +111,6 @@ inline void send_at(sim::Node& src, sim::TimeNs at, const net::PacketSpec& spec,
   });
 }
 
-// After the window: the `sends` scheduled at the source are all delivered
-// or dropped, at the three nodes or on the two links.
-inline void audit_drained(const char* scenario, sim::TimeNs now,
-                          std::uint64_t sends,
-                          std::initializer_list<const sim::Node*> nodes,
-                          std::initializer_list<const sim::Link*> links) {
-  sim::InvariantAuditor auditor;
-  auditor.add_source([sends] { return sends; });
-  for (const sim::Node* n : nodes) auditor.add_node(*n);
-  for (const sim::Link* l : links) auditor.add_link(*l);
-  auditor.audit(now, /*final_drain=*/true);
-  for (const std::string& v : auditor.violations())
-    ADD_FAILURE() << scenario << ": " << v;
-}
-
 inline Outcome run_fig2(const RunConfig& rc) {
   usecases::Setup1 lab;
   lab.r->cpu.rx_burst = rc.burst;
@@ -149,9 +134,8 @@ inline Outcome run_fig2(const RunConfig& rc) {
     send_at(*lab.s1, i * 100, spec, i);
   }
   run_window(lab.net, 20 * sim::kMilli, rc.threads);
-  audit_drained("fig2", lab.net.now(), kSends, {lab.s1, lab.r, lab.s2},
-                {lab.r->interface_link(lab.r_upstream_if),
-                 lab.r->interface_link(lab.r_downstream_if)});
+  lab.net.audit(/*final_drain=*/true);
+  EXPECT_EQ(lab.net.violations(), std::vector<std::string>{}) << "fig2";
   out.router = lab.r->stats();
   out.sink = lab.s2->stats();
   return out;
@@ -209,8 +193,8 @@ inline Outcome run_hybrid(const RunConfig& rc) {
     send_at(s1, i * 500, spec, i);
   }
   run_window(net, 50 * sim::kMilli, rc.threads);
-  audit_drained("hybrid-WRR", net.now(), kSends, {&s1, &m, &s2},
-                {l0.link, l1.link});
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{}) << "hybrid-WRR";
   out.router = m.stats();
   out.sink = s2.stats();
   return out;

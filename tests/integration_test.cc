@@ -2,6 +2,9 @@
 // verifier, packets crossing multiple nodes.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/sink.h"
 #include "apps/trafgen.h"
 #include "net/packet.h"
@@ -15,6 +18,13 @@ namespace srv6bpf {
 namespace {
 
 using namespace usecases;
+
+// Ends a scenario with the network's drained audit: every packet a node
+// originated was delivered or dropped with a reason.
+void expect_drained(sim::Network& net) {
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{});
+}
 
 // ---- Plain forwarding across a 3-node line -----------------------------------
 
@@ -52,6 +62,7 @@ TEST(Integration, PlainIpv6Forwarding) {
   EXPECT_EQ(sink.packets(), 1u);
   EXPECT_EQ(r.stats().rx_packets, 1u);
   EXPECT_EQ(r.stats().tx_packets, 1u);
+  expect_drained(net);
 }
 
 // ---- SRv6 End behaviour across the line ----------------------------------------
@@ -93,6 +104,7 @@ TEST(Integration, StaticEndBehaviourAdvancesSegments) {
   net.run_for(10 * sim::kMilli);
 
   EXPECT_EQ(sink.packets(), 1u) << "SRv6 packet should reach the sink";
+  expect_drained(net);
 }
 
 // ---- End.BPF with the paper's programs --------------------------------------------
@@ -148,6 +160,7 @@ TEST(Integration, EndBpfTagIncrementVerifiesAndRuns) {
   net.run_for(10 * sim::kMilli);
 
   EXPECT_EQ(seen_tag, 42) << "Tag++ must increment the SRH tag";
+  expect_drained(net);
 }
 
 // ---- §4.1 delay monitoring end-to-end ------------------------------------------------
@@ -171,6 +184,7 @@ TEST(Integration, DelayMonitoringProducesSamples) {
     EXPECT_GE(s.owd_ns(), 3 * sim::kMilli);
     EXPECT_LT(s.owd_ns(), 4 * sim::kMilli);
   }
+  expect_drained(lab.net());
 }
 
 // ---- §4.3 traceroute discovers the ECMP diamond ----------------------------------------
@@ -194,6 +208,7 @@ TEST(Integration, TracerouteDiscoversEcmpNexthops) {
   EXPECT_TRUE(hop1->oamp_answered);
   EXPECT_EQ(hop1->nexthops.size(), 2u)
       << "R1 has two ECMP nexthops towards the target";
+  expect_drained(lab.net());
 }
 
 }  // namespace

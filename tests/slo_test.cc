@@ -7,11 +7,11 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
-#include "golden_scenarios.h"
 #include "net/packet.h"
 #include "seg6/fib.h"
 #include "sim/latency_tracer.h"
@@ -401,16 +401,14 @@ TEST(Netem, ZeroLossKeepsHistoricalJitterSequence) {
 
 // S1 - R - S2 line with a parallel R - S2 backup link; R's route to S2
 // optionally carries an FRR backup pinned to the second adjacency. Each test
-// ends with a final-drain audit over the three nodes and the three links.
+// ends with the network's final-drain audit (drained()).
 struct FrrLab {
   sim::Network net{0xfee1};
   sim::Node* s1;
   sim::Node* r;
   sim::Node* s2;
-  sim::Link* access;  // S1 - R
   sim::Link* primary;
   sim::Link* backup;
-  std::uint64_t sends = 0;  // send_one calls
   int r_primary_if = -1;
   int r_backup_if = -1;
   std::unique_ptr<apps::AppMux> mux;
@@ -427,7 +425,6 @@ struct FrrLab {
                           sim::kMicro);
     auto l2 = net.connect(*r, A("fc00:3::1"), *s2, A("fc00:3::2"), bw,
                           sim::kMicro);
-    access = l0.link;
     primary = l1.link;
     backup = l2.link;
     r_primary_if = l1.a_ifindex;
@@ -450,7 +447,13 @@ struct FrrLab {
     spec.dst = A("fc00:2::2");
     spec.dst_port = 7001;
     s1->send(net::make_udp_packet(spec));
-    ++sends;
+  }
+
+  // Audits the drained network: every packet S1 sent is delivered or
+  // dropped with a reason.
+  void drained() {
+    net.audit(/*final_drain=*/true);
+    EXPECT_EQ(net.violations(), std::vector<std::string>{});
   }
 };
 
@@ -479,9 +482,7 @@ TEST(Failover, LinkDownDropsAreCountedWithTimestamp) {
   lab.send_one();
   lab.net.run_for(sim::kMilli);
   EXPECT_EQ(lab.sink->packets(), 2u);
-  golden::audit_drained("link down", lab.net.now(), lab.sends,
-                        {lab.s1, lab.r, lab.s2},
-                        {lab.access, lab.primary, lab.backup});
+  lab.drained();
 }
 
 TEST(Failover, FrrBackupReroutesInsteadOfDropping) {
@@ -496,9 +497,7 @@ TEST(Failover, FrrBackupReroutesInsteadOfDropping) {
   EXPECT_EQ(rs.drops_link_down, 0u);
   EXPECT_EQ(rs.frr_reroutes, 1u);
   EXPECT_EQ(lab.backup->stats(0).tx_packets, 1u);
-  golden::audit_drained("frr", lab.net.now(), lab.sends,
-                        {lab.s1, lab.r, lab.s2},
-                        {lab.access, lab.primary, lab.backup});
+  lab.drained();
 }
 
 TEST(Failover, RouteWithdrawAndScheduledReAdd) {
@@ -521,9 +520,7 @@ TEST(Failover, RouteWithdrawAndScheduledReAdd) {
   lab.net.run_for(sim::kMilli);
   EXPECT_EQ(lab.sink->packets(), 1u);
   EXPECT_EQ(lab.backup->stats(0).tx_packets, 1u);
-  golden::audit_drained("withdraw", lab.net.now(), lab.sends,
-                        {lab.s1, lab.r, lab.s2},
-                        {lab.access, lab.primary, lab.backup});
+  lab.drained();
 }
 
 TEST(Fib, RemoveRouteInvalidatesCacheAndReturnsFalseWhenAbsent) {
@@ -599,9 +596,7 @@ TEST(SloEndToEnd, TracerCountsMatchGeneratorSpread) {
   }
   EXPECT_EQ(sum, gen.sent());
   EXPECT_GT(tracer.overall().min(), 0u);  // real path delay, not zero
-  golden::audit_drained("generator", lab.net.now(),
-                        lab.sends + gen.attempted(), {lab.s1, lab.r, lab.s2},
-                        {lab.access, lab.primary, lab.backup});
+  lab.drained();
 }
 
 }  // namespace

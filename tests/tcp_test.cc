@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/sink.h"
 #include "apps/tcp.h"
 #include "sim/network.h"
@@ -44,6 +47,8 @@ struct TcpPair {
     sender = std::make_unique<TcpSender>(*a, *mux_a, sc);
     sender->start();
     net.run_for(duration + sim::kSecond);
+    net.audit(/*final_drain=*/true);
+    EXPECT_EQ(net.violations(), std::vector<std::string>{});
     return receiver->goodput_mbps(duration);
   }
 };
@@ -126,6 +131,8 @@ TEST(Tcp, RtoFiresWhenPathGoesSilent) {
   net.run_for(4 * sim::kSecond);
   EXPECT_GT(snd.timeouts(), 0u);
   EXPECT_LT(snd.segments_sent(), 100u) << "backoff must bound retransmissions";
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{});
 }
 
 }  // namespace

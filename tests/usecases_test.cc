@@ -2,6 +2,8 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "ebpf/verifier.h"
 #include "pruning_oracle.h"
@@ -14,6 +16,13 @@
 
 namespace srv6bpf::usecases {
 namespace {
+
+// Ends a scenario with the network's drained audit: every packet a node
+// originated was delivered or dropped with a reason.
+void expect_drained(sim::Network& net) {
+  net.audit(/*final_drain=*/true);
+  EXPECT_EQ(net.violations(), std::vector<std::string>{});
+}
 
 // ---- all paper programs must pass the verifier --------------------------------
 
@@ -97,6 +106,7 @@ TEST(DelayMonitor, ProbeRatioIsRespected) {
   const double ratio = static_cast<double>(lab.probes_emitted()) /
                        static_cast<double>(lab.sink_packets());
   EXPECT_NEAR(ratio, 0.01, 0.002);
+  expect_drained(lab.net());
 }
 
 TEST(DelayMonitor, OwdTracksLinkDelay) {
@@ -111,6 +121,7 @@ TEST(DelayMonitor, OwdTracksLinkDelay) {
   for (const auto& s : lab.samples()) sum += static_cast<double>(s.owd_ns());
   const double mean = sum / static_cast<double>(lab.samples().size());
   EXPECT_NEAR(mean, 7e6, 0.5e6);
+  expect_drained(lab.net());
 }
 
 TEST(DelayMonitor, InnerPacketsSurviveProbeEncapsulation) {
@@ -121,6 +132,7 @@ TEST(DelayMonitor, InnerPacketsSurviveProbeEncapsulation) {
   lab.run_for(500 * sim::kMilli);
   // Every offered packet (probe or not) must reach the sink.
   EXPECT_NEAR(static_cast<double>(lab.sink_packets()), 200.0, 5.0);
+  expect_drained(lab.net());
 }
 
 // ---- §4.2 WRR + TWD ---------------------------------------------------------------
@@ -144,8 +156,7 @@ TEST(Hybrid, WrrSplitsPacketsByConfiguredWeights) {
   set_netem(*lab.link1(), 5 * sim::kMilli);
   set_netem(*lab.link2(), 5 * sim::kMilli);
   lab.run_tcp(1, 2 * sim::kSecond);
-  const auto& s1 = lab.net();
-  (void)s1;
+  expect_drained(lab.net());
   // Inspect the links' TX counters: 5:3 split of downstream data.
   // (Counted on the A-side egress of each WAN link.)
   // Note: ACK-only segments flow upstream; we check the downstream direction.
@@ -173,6 +184,9 @@ TEST(Hybrid, TwdDaemonMeasuresDelayDifference) {
   const auto l2_delay = lab.link2()->qdisc(0).config().delay_ns;
   EXPECT_GT(l2_delay, 10 * sim::kMilli)
       << "fast link must have been slowed to match the slow one";
+  lab.stop_twd_daemon();
+  lab.net().run_for(sim::kSecond);
+  expect_drained(lab.net());
 }
 
 // Figure 4's lab end to end, each mode at one payload size for a short
@@ -192,6 +206,8 @@ TEST(Fig4, GoodputPerModeIsPinned) {
     Fig4Lab lab({.mode = c.mode});
     EXPECT_DOUBLE_EQ(lab.run_udp(600, 20 * sim::kMilli), c.mbps)
         << "mode " << static_cast<int>(c.mode);
+    lab.net().run_for(sim::kSecond);
+    expect_drained(lab.net());
   }
 }
 
@@ -235,6 +251,7 @@ TEST(Oamp, FallbackToIcmpWhenOampDisabled) {
     }
   }
   EXPECT_TRUE(found_hop2_without_oamp);
+  expect_drained(lab.net());
 }
 
 }  // namespace
