@@ -27,7 +27,6 @@
 // drains to zero.
 //
 // Flags and exit status: bench/report.h.
-#include <algorithm>
 #include <chrono>
 
 #include "bench_common.h"
@@ -52,26 +51,6 @@ struct Cell {
   std::size_t violations = 0;
   double goodput = 0;
 };
-
-// Every distinct link in the topology, discovered through the nodes'
-// interfaces (RingTopo records only the cross links).
-std::vector<sim::Link*> collect_links(const sim::RingTopo& topo) {
-  std::vector<sim::Link*> links;
-  auto add_node_links = [&links](sim::Node* n) {
-    for (std::size_t i = 0; i < n->interface_count(); ++i) {
-      sim::Link* l = n->interface_link(static_cast<int>(i));
-      if (l != nullptr &&
-          std::find(links.begin(), links.end(), l) == links.end())
-        links.push_back(l);
-    }
-  };
-  for (const auto& seg : topo.segments) {
-    add_node_links(seg.src);
-    for (sim::Node* r : seg.routers) add_node_links(r);
-    add_node_links(seg.sink);
-  }
-  return links;
-}
 
 // The declarative fault schedule for one run, scaled to the window. Pure
 // function of (rate, window): every cell with the same rate compiles the
@@ -146,10 +125,10 @@ Cell run_one(double rate, std::size_t threads, sim::TimeNs window,
     for (sim::Node* r : seg.routers) dropped += r->stats().total_drops();
     dropped += seg.sink->stats().total_drops();
   }
-  for (sim::Link* l : collect_links(topo))
+  for (const sim::Link& l : net.links())
     for (int side = 0; side < 2; ++side) {
-      dropped += l->stats(side).drops + l->stats(side).drops_link_down;
-      corrupted += l->stats(side).corrupted;
+      dropped += l.stats(side).drops + l.stats(side).drops_link_down;
+      corrupted += l.stats(side).corrupted;
     }
   cell.goodput = attempted > 0 ? static_cast<double>(cell.digest.delivered) /
                                      static_cast<double>(attempted)

@@ -138,6 +138,42 @@ constexpr std::uint64_t sext_imm64(std::int32_t imm) noexcept {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(imm));
 }
 
+// eBPF's ALU arithmetic, the one definition: `dst op src` for `op` from
+// BPF_ADD to BPF_ARSH (BPF_NEG ignores `src`), 64-bit for ALU64 (`is64`).
+// ALU truncates both operands to 32 bits and zero-extends its result.
+// Division by 0 yields 0 and modulo by 0 keeps dst, as in the kernel; shift
+// counts are masked to the operand width. The interpreter runs it and the
+// verifier folds constants with it; the JIT emits its own machine code and
+// is checked against it by the differential tests.
+constexpr std::uint64_t alu(std::uint8_t op, bool is64, std::uint64_t dst,
+                            std::uint64_t src) noexcept {
+  const std::uint64_t mask = is64 ? ~std::uint64_t{0} : 0xffffffffu;
+  const std::uint64_t a = dst & mask, b = src & mask;
+  const unsigned shift = static_cast<unsigned>(b & (is64 ? 63 : 31));
+  std::uint64_t r = 0;
+  switch (op) {
+    case BPF_ADD: r = a + b; break;
+    case BPF_SUB: r = a - b; break;
+    case BPF_MUL: r = a * b; break;
+    case BPF_DIV: r = b ? a / b : 0; break;
+    case BPF_OR: r = a | b; break;
+    case BPF_AND: r = a & b; break;
+    case BPF_LSH: r = a << shift; break;
+    case BPF_RSH: r = a >> shift; break;
+    case BPF_NEG: r = 0 - a; break;
+    case BPF_MOD: r = b ? a % b : a; break;
+    case BPF_XOR: r = a ^ b; break;
+    case BPF_MOV: r = b; break;
+    case BPF_ARSH:  // sign bit of the operand width
+      r = static_cast<std::uint64_t>(
+          (is64 ? static_cast<std::int64_t>(a)
+                : static_cast<std::int32_t>(static_cast<std::uint32_t>(a))) >>
+          shift);
+      break;
+  }
+  return r & mask;
+}
+
 // The value an ld_imm64 pair (`lo`, then its second slot `hi`) loads. A map
 // reference carries the registry id as its runtime value; a literal joins
 // the two 32-bit immediates.

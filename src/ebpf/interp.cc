@@ -76,40 +76,14 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
     const std::uint64_t src = regs[insn.src];
 
     switch (cls) {
+      case BPF_ALU:
       case BPF_ALU64: {
-        if (op == BPF_NEG) {
-          if (insn.uses_reg_src())
-            return fault(res.insns_executed, "BPF_NEG with register source");
-          dst = ~dst + 1;
-          ++pc;
-          continue;
-        }
-        const std::uint64_t b =
-            insn.uses_reg_src() ? src : sext_imm64(insn.imm);
-        switch (op) {
-          case BPF_ADD: dst += b; break;
-          case BPF_SUB: dst -= b; break;
-          case BPF_MUL: dst *= b; break;
-          case BPF_DIV: dst = b ? dst / b : 0; break;
-          case BPF_MOD: dst = b ? dst % b : dst; break;
-          case BPF_OR: dst |= b; break;
-          case BPF_AND: dst &= b; break;
-          case BPF_XOR: dst ^= b; break;
-          case BPF_MOV: dst = b; break;
-          case BPF_LSH: dst <<= (b & 63); break;
-          case BPF_RSH: dst >>= (b & 63); break;
-          case BPF_ARSH:
-            dst = static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(dst) >> (b & 63));
-            break;
-          default:
-            return fault(res.insns_executed, "bad ALU64 op");
-        }
-        ++pc;
-        continue;
-      }
-      case BPF_ALU: {
-        if (op == BPF_END) {
+        if (op <= BPF_ARSH && (op != BPF_NEG || !insn.uses_reg_src())) {
+          dst = alu(op, cls == BPF_ALU64, dst,
+                    insn.uses_reg_src() ? src : sext_imm64(insn.imm));
+        } else if (op == BPF_NEG) {
+          return fault(res.insns_executed, "BPF_NEG with register source");
+        } else if (op == BPF_END && cls == BPF_ALU) {
           const bool to_be = insn.uses_reg_src();
           std::uint64_t v = dst;
           switch (insn.imm) {
@@ -130,42 +104,10 @@ ExecResult Interpreter::run(const Program& prog, ExecEnv& env,
               return fault(res.insns_executed, "bad byteswap width");
           }
           dst = v;
-          ++pc;
-          continue;
+        } else {
+          return fault(res.insns_executed, cls == BPF_ALU64 ? "bad ALU64 op"
+                                                            : "bad ALU32 op");
         }
-        if (op == BPF_NEG) {
-          if (insn.uses_reg_src())
-            return fault(res.insns_executed, "BPF_NEG with register source");
-          dst = static_cast<std::uint32_t>(
-              -static_cast<std::int32_t>(static_cast<std::uint32_t>(dst)));
-          ++pc;
-          continue;
-        }
-        const std::uint32_t a = static_cast<std::uint32_t>(dst);
-        const std::uint32_t b = insn.uses_reg_src()
-                                    ? static_cast<std::uint32_t>(src)
-                                    : static_cast<std::uint32_t>(insn.imm);
-        std::uint32_t r = 0;
-        switch (op) {
-          case BPF_ADD: r = a + b; break;
-          case BPF_SUB: r = a - b; break;
-          case BPF_MUL: r = a * b; break;
-          case BPF_DIV: r = b ? a / b : 0; break;
-          case BPF_MOD: r = b ? a % b : a; break;
-          case BPF_OR: r = a | b; break;
-          case BPF_AND: r = a & b; break;
-          case BPF_XOR: r = a ^ b; break;
-          case BPF_MOV: r = b; break;
-          case BPF_LSH: r = a << (b & 31); break;
-          case BPF_RSH: r = a >> (b & 31); break;
-          case BPF_ARSH:
-            r = static_cast<std::uint32_t>(static_cast<std::int32_t>(a) >>
-                                           (b & 31));
-            break;
-          default:
-            return fault(res.insns_executed, "bad ALU32 op");
-        }
-        dst = r;  // zero-extends
         ++pc;
         continue;
       }

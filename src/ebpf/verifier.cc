@@ -75,6 +75,10 @@ struct Reg {
   static Reg scalar_range(std::uint64_t lo, std::uint64_t hi) {
     return {.type = RT::kScalar, .umin = lo, .umax = hi};
   }
+  // What an n-byte load yields: any n-byte value, zero-extended.
+  static Reg scalar_bytes(int n) {
+    return scalar_range(0, n < 8 ? (1ull << (n * 8)) - 1 : kU64Max);
+  }
 };
 
 struct StackSlot {
@@ -167,24 +171,26 @@ class Checker {
   std::optional<VerifierError> step(State s);
 
   std::optional<VerifierError> do_alu(State& s, const Insn& insn);
-  std::optional<VerifierError> do_load(State& s, const Insn& insn);
-  std::optional<VerifierError> do_store(State& s, const Insn& insn);
+  std::optional<VerifierError> do_ld_imm64(State& s, const Insn& insn);
+  // LDX, ST and STX.
+  std::optional<VerifierError> do_mem(State& s, const Insn& insn);
   std::optional<VerifierError> do_call(State& s, const Insn& insn);
   std::optional<VerifierError> do_jump(State s, const Insn& insn);
 
   std::optional<VerifierError> check_reg_init(const State& s, int reg,
                                               int insn_idx) const;
   // Validates a memory access; for stack reads/writes also updates slot
-  // tracking. `load_out` receives the register state a load should produce.
+  // tracking. A load's result goes to `out`; a store writes `val`.
   std::optional<VerifierError> access_mem(State& s, const Reg& ptr, int size,
-                                          bool write, int insn_idx,
-                                          Reg* load_out,
-                                          const Reg* store_src = nullptr);
+                                          bool write, int insn_idx, Reg& out,
+                                          const Reg& val);
   std::optional<VerifierError> helper_mem_arg(State& s, const Reg& mem,
                                               std::uint64_t size, bool uninit,
                                               int insn_idx);
 
   void push(State s);
+  void push_branches(State&& taken, State&& fall, std::int16_t off,
+                     bool taken_ok = true, bool fall_ok = true);
   void mark_map_null_branch(State& s, std::uint32_t id, bool is_null);
   void invalidate_packet(State& s);
 
@@ -205,6 +211,7 @@ class Checker {
 
   std::vector<bool> is_aux_;        // second slot of LD_IMM64
   std::vector<bool> is_join_;       // two or more CFG predecessors
+  std::vector<bool> reached_;       // stepped by exploration
   std::deque<State> worklist_;
   std::vector<std::vector<State>> seen_;  // per-join-point states for pruning
   VerifyStats stats_;
@@ -399,8 +406,24 @@ void Checker::push(State s) {
   worklist_.push_back(std::move(s));
 }
 
+// A conditional jump's feasible successors, both still at the jump: the
+// taken state goes to the target, then the fall-through to the next pc.
+void Checker::push_branches(State&& taken, State&& fall, std::int16_t off,
+                            bool taken_ok, bool fall_ok) {
+  const std::uint32_t pc = fall.pc;
+  if (taken_ok) {
+    taken.pc = pc + 1 + off;
+    push(std::move(taken));
+  }
+  if (fall_ok) {
+    fall.pc = pc + 1;
+    push(std::move(fall));
+  }
+}
+
 std::optional<VerifierError> Checker::explore() {
   seen_.assign(insns_.size(), {});
+  reached_.assign(insns_.size(), false);
   State init;
   init.pc = 0;
   init.regs[R1] = {.type = RT::kCtxPtr};
@@ -428,92 +451,40 @@ std::optional<VerifierError> Checker::check_reg_init(const State& s, int reg,
 std::optional<VerifierError> Checker::step(State s) {
   const int pc = static_cast<int>(s.pc);
   const Insn& insn = insns_[pc];
+  reached_[pc] = true;
 
+  std::optional<VerifierError> e;
   switch (insn.insn_class()) {
     case BPF_ALU:
-    case BPF_ALU64: {
-      if (auto e = do_alu(s, insn)) return e;
-      s.pc = pc + 1;
-      push(std::move(s));
-      return std::nullopt;
-    }
-    case BPF_LD: {
-      if (auto e = do_load(s, insn)) return e;
-      s.pc = pc + 2;  // ld_imm64 pair
-      push(std::move(s));
-      return std::nullopt;
-    }
-    case BPF_LDX: {
-      if (auto e = do_load(s, insn)) return e;
-      s.pc = pc + 1;
-      push(std::move(s));
-      return std::nullopt;
-    }
+    case BPF_ALU64:
+      e = do_alu(s, insn);
+      break;
+    case BPF_LD:  // ld_imm64, the one BPF_LD: its second slot comes along
+      reached_[pc + 1] = true;
+      e = do_ld_imm64(s, insn);
+      break;
+    case BPF_LDX:
     case BPF_ST:
-    case BPF_STX: {
-      if (auto e = do_store(s, insn)) return e;
-      s.pc = pc + 1;
-      push(std::move(s));
-      return std::nullopt;
-    }
-    case BPF_JMP:
-    case BPF_JMP32: {
-      if (insn.is_exit()) {
-        if (auto e = check_reg_init(s, R0, pc)) return e;
-        if (s.regs[R0].type != RT::kScalar)
-          return err(pc, "R0 must hold a scalar return value at exit");
-        return std::nullopt;  // path done
+    case BPF_STX:
+      e = do_mem(s, insn);
+      break;
+    default:  // BPF_JMP, BPF_JMP32
+      if (insn.is_exit()) {  // the path ends here
+        e = check_reg_init(s, R0, pc);
+        if (!e && s.regs[R0].type != RT::kScalar)
+          e = err(pc, "R0 must hold a scalar return value at exit");
+        return e;
       }
-      if (insn.is_call()) {
-        if (auto e = do_call(s, insn)) return e;
-        s.pc = pc + 1;
-        push(std::move(s));
-        return std::nullopt;
-      }
-      return do_jump(std::move(s), insn);
-    }
+      if (!insn.is_call()) return do_jump(std::move(s), insn);
+      e = do_call(s, insn);
   }
-  return err(pc, "unknown instruction class");
+  if (e) return e;
+  s.pc = pc + (insn.is_ld_imm64() ? 2 : 1);
+  push(std::move(s));
+  return std::nullopt;
 }
 
 // ---- ALU -------------------------------------------------------------------
-
-namespace {
-
-// 32-bit ALU result bounds: exact when both operands constant, else the
-// conservative [0, 2^32-1] (ALU32 zero-extends into the upper half).
-Reg alu32_result(std::uint8_t op, const Reg& a, std::optional<std::uint64_t> b) {
-  if (a.is_const() && b.has_value()) {
-    const std::uint32_t x = static_cast<std::uint32_t>(a.umin);
-    const std::uint32_t y = static_cast<std::uint32_t>(*b);
-    std::uint32_t r = 0;
-    switch (op) {
-      case BPF_ADD: r = x + y; break;
-      case BPF_SUB: r = x - y; break;
-      case BPF_MUL: r = x * y; break;
-      case BPF_DIV: r = y ? x / y : 0; break;
-      case BPF_MOD: r = y ? x % y : x; break;
-      case BPF_OR: r = x | y; break;
-      case BPF_AND: r = x & y; break;
-      case BPF_XOR: r = x ^ y; break;
-      case BPF_LSH: r = x << (y & 31); break;
-      case BPF_RSH: r = x >> (y & 31); break;
-      case BPF_ARSH:
-        r = static_cast<std::uint32_t>(static_cast<std::int32_t>(x) >>
-                                       (y & 31));
-        break;
-      case BPF_MOV: r = y; break;
-      default: return Reg::scalar_range(0, kU32Max);
-    }
-    return Reg::scalar_const(r);
-  }
-  if (op == BPF_AND && b.has_value())
-    return Reg::scalar_range(0, std::min<std::uint64_t>(
-                                    kU32Max, static_cast<std::uint32_t>(*b)));
-  return Reg::scalar_range(0, kU32Max);
-}
-
-}  // namespace
 
 std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
@@ -523,58 +494,43 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
 
   if (dst == R10) return err(pc, "frame pointer R10 is read-only");
 
-  // Source operand (register or immediate).
+  // Source operand (register or immediate), and its value when known.
   std::optional<Reg> src_reg;
   if (insn.uses_reg_src() && op != BPF_END) {
     if (auto e = check_reg_init(s, insn.src, pc)) return e;
     src_reg = s.regs[insn.src];
   }
+  std::optional<std::uint64_t> k;
+  if (!src_reg)
+    k = sext_imm64(insn.imm);
+  else if (src_reg->is_const())
+    k = src_reg->umin;
 
   Reg& d = s.regs[dst];
 
-  // MOV is special: it initialises dst regardless of prior state.
+  // MOV initialises dst regardless of prior state; a 64-bit copy keeps a
+  // pointer's type.
   if (op == BPF_MOV) {
-    if (src_reg) {
-      if (is64) {
-        d = *src_reg;
-      } else {
-        d = alu32_result(BPF_MOV, Reg::scalar_const(0),
-                         src_reg->is_const()
-                             ? std::optional<std::uint64_t>(src_reg->umin)
-                             : std::nullopt);
-        if (!src_reg->is_const() && src_reg->type == RT::kScalar &&
-            src_reg->umax <= kU32Max)
-          d = Reg::scalar_range(src_reg->umin, src_reg->umax);
-        if (src_reg->is_pointer()) d = Reg::scalar_range(0, kU32Max);
-      }
-    } else {
-      d = is64 ? Reg::scalar_const(sext_imm64(insn.imm))
-               : Reg::scalar_const(static_cast<std::uint32_t>(insn.imm));
-    }
-    return std::nullopt;
-  }
-
-  if (op == BPF_END) {
-    if (auto e = check_reg_init(s, dst, pc)) return e;
-    if (d.is_pointer()) return err(pc, "byte swap on pointer");
-    d = Reg::scalar_unknown();
-    if (insn.imm != 64) d.umax = (1ull << insn.imm) - 1;
-    return std::nullopt;
-  }
-
-  if (op == BPF_NEG) {
-    if (auto e = check_reg_init(s, dst, pc)) return e;
-    if (d.is_pointer()) return err(pc, "arithmetic negation on pointer");
-    d = d.is_const() ? Reg::scalar_const(is64 ? (~d.umin + 1)
-                                              : static_cast<std::uint32_t>(
-                                                    -static_cast<std::int32_t>(
-                                                        d.umin)))
-                     : (is64 ? Reg::scalar_unknown()
-                             : Reg::scalar_range(0, kU32Max));
+    if (is64 && src_reg)
+      d = *src_reg;
+    else if (k)
+      d = Reg::scalar_const(alu(op, is64, 0, *k));
+    else if (src_reg->type == RT::kScalar && src_reg->umax <= kU32Max)
+      d = Reg::scalar_range(src_reg->umin, src_reg->umax);
+    else
+      d = Reg::scalar_range(0, kU32Max);
     return std::nullopt;
   }
 
   if (auto e = check_reg_init(s, dst, pc)) return e;
+
+  if (op == BPF_END) {
+    if (d.is_pointer()) return err(pc, "byte swap on pointer");
+    d = Reg::scalar_bytes(insn.imm / 8);
+    return std::nullopt;
+  }
+  if (op == BPF_NEG && d.is_pointer())
+    return err(pc, "arithmetic negation on pointer");
 
   const bool src_is_ptr = src_reg && src_reg->is_pointer();
 
@@ -629,40 +585,15 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   }
 
   // ---- Scalar arithmetic ----
-  std::optional<std::uint64_t> k;
-  if (src_reg) {
-    if (src_reg->is_const()) k = src_reg->umin;
-  } else {
-    k = is64 ? sext_imm64(insn.imm)
-             : static_cast<std::uint64_t>(static_cast<std::uint32_t>(insn.imm));
-  }
-
-  if (!is64) {
-    d = alu32_result(op, d, k);
+  // Constants fold through the engines' own arithmetic (insn.h).
+  if (d.is_const() && k) {
+    d = Reg::scalar_const(alu(op, is64, d.umin, *k));
     return std::nullopt;
   }
-
-  if (d.is_const() && k.has_value()) {
-    const std::uint64_t x = d.umin, y = *k;
-    std::uint64_t r = 0;
-    switch (op) {
-      case BPF_ADD: r = x + y; break;
-      case BPF_SUB: r = x - y; break;
-      case BPF_MUL: r = x * y; break;
-      case BPF_DIV: r = y ? x / y : 0; break;
-      case BPF_MOD: r = y ? x % y : x; break;
-      case BPF_OR: r = x | y; break;
-      case BPF_AND: r = x & y; break;
-      case BPF_XOR: r = x ^ y; break;
-      case BPF_LSH: r = x << (y & 63); break;
-      case BPF_RSH: r = x >> (y & 63); break;
-      case BPF_ARSH:
-        r = static_cast<std::uint64_t>(static_cast<std::int64_t>(x) >>
-                                       (y & 63));
-        break;
-      default: d = Reg::scalar_unknown(); return std::nullopt;
-    }
-    d = Reg::scalar_const(r);
+  // ALU32 zero-extends into the upper half.
+  if (!is64) {
+    d = Reg::scalar_range(
+        0, op == BPF_AND && k ? static_cast<std::uint32_t>(*k) : kU32Max);
     return std::nullopt;
   }
 
@@ -720,104 +651,71 @@ std::optional<VerifierError> Checker::do_alu(State& s, const Insn& insn) {
   return std::nullopt;
 }
 
-// ---- Loads -----------------------------------------------------------------
+// ---- Loads and stores ------------------------------------------------------
 
-std::optional<VerifierError> Checker::do_load(State& s, const Insn& insn) {
+std::optional<VerifierError> Checker::do_ld_imm64(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
-
-  if (insn.insn_class() == BPF_LD) {  // ld_imm64, the one BPF_LD
-    if (insn.dst == R10) return err(pc, "bad ld_imm64 destination");
-    // A registered map or a literal: check_encoding saw to it.
-    if (insn.src == BPF_PSEUDO_MAP_FD)
-      s.regs[insn.dst] = {.type = RT::kConstMapPtr,
-                          .map_id = static_cast<std::uint32_t>(insn.imm)};
-    else
-      s.regs[insn.dst] =
-          Reg::scalar_const(ld_imm64_value(insn, insns_[pc + 1]));
-    return std::nullopt;
-  }
-
-  // LDX
-  if (insn.dst == R10) return err(pc, "bad load destination register");
-  if (auto e = check_reg_init(s, insn.src, pc)) return e;
-  const Reg& ptr = s.regs[insn.src];
-  const int size = access_size(insn.size_field());
-
-  // Loads from ctx are typed by the field table.
-  if (ptr.type == RT::kCtxPtr) {
-    if (ptr.off_min != ptr.off_max)
-      return err(pc, "variable offset into ctx");
-    const std::int64_t off = ptr.off_min + insn.off;
-    for (const CtxField& f : kCtxFields) {
-      if (off == f.off && size == f.size) {
-        Reg out{.type = f.load_type};
-        if (f.load_type == RT::kScalar) {
-          out = Reg::scalar_unknown();
-          if (size < 8) out.umax = (1ull << (size * 8)) - 1;
-        }
-        s.regs[insn.dst] = out;
-        return std::nullopt;
-      }
-    }
-    return err(pc, "invalid ctx access at offset " + std::to_string(off) +
-                       " size " + std::to_string(size));
-  }
-
-  Reg tmp = ptr;
-  tmp.off_min += insn.off;
-  tmp.off_max += insn.off;
-  Reg out;
-  if (auto e = access_mem(s, tmp, size, /*write=*/false, pc, &out)) return e;
-  s.regs[insn.dst] = out;
+  if (insn.dst == R10) return err(pc, "bad ld_imm64 destination");
+  // A registered map or a literal: check_encoding saw to it.
+  if (insn.src == BPF_PSEUDO_MAP_FD)
+    s.regs[insn.dst] = {.type = RT::kConstMapPtr,
+                        .map_id = static_cast<std::uint32_t>(insn.imm)};
+  else
+    s.regs[insn.dst] = Reg::scalar_const(ld_imm64_value(insn, insns_[pc + 1]));
   return std::nullopt;
 }
 
-// ---- Stores ----------------------------------------------------------------
-
-std::optional<VerifierError> Checker::do_store(State& s, const Insn& insn) {
+std::optional<VerifierError> Checker::do_mem(State& s, const Insn& insn) {
   const int pc = static_cast<int>(s.pc);
-  if (auto e = check_reg_init(s, insn.dst, pc)) return e;
+  const bool load = insn.insn_class() == BPF_LDX;
   const int size = access_size(insn.size_field());
 
-  Reg src_val;
+  if (load && insn.dst == R10) return err(pc, "bad load destination register");
+  const int base = load ? insn.src : insn.dst;
+  if (auto e = check_reg_init(s, base, pc)) return e;
+  Reg val;  // what a store writes
   if (insn.insn_class() == BPF_STX) {
     if (auto e = check_reg_init(s, insn.src, pc)) return e;
-    src_val = s.regs[insn.src];
-  } else {
-    src_val = Reg::scalar_const(sext_imm64(insn.imm));
+    val = s.regs[insn.src];
+  } else if (!load) {
+    val = Reg::scalar_const(sext_imm64(insn.imm));
   }
 
-  const Reg& ptr = s.regs[insn.dst];
+  Reg ptr = s.regs[base];
+  ptr.off_min += insn.off;
+  ptr.off_max += insn.off;
+  Reg out;  // what a load yields
 
+  // Ctx accesses are typed by the field table.
   if (ptr.type == RT::kCtxPtr) {
-    if (ptr.off_min != ptr.off_max)
-      return err(pc, "variable offset into ctx");
-    const std::int64_t off = ptr.off_min + insn.off;
-    for (const CtxField& f : kCtxFields) {
-      if (off == f.off && size == f.size) {
-        if (!f.writable)
-          return err(pc, "write to read-only ctx field at offset " +
-                             std::to_string(off));
-        if (src_val.is_pointer()) return err(pc, "leaking pointer into ctx");
-        return std::nullopt;
-      }
-    }
-    return err(pc, "invalid ctx access at offset " + std::to_string(off) +
-                       " size " + std::to_string(size));
+    if (ptr.off_min != ptr.off_max) return err(pc, "variable offset into ctx");
+    const CtxField* f = std::find_if(
+        std::begin(kCtxFields), std::end(kCtxFields), [&](const CtxField& c) {
+          return ptr.off_min == c.off && size == c.size;
+        });
+    if (f == std::end(kCtxFields))
+      return err(pc, "invalid ctx access at offset " +
+                         std::to_string(ptr.off_min) + " size " +
+                         std::to_string(size));
+    if (!load && !f->writable)
+      return err(pc, "write to read-only ctx field at offset " +
+                         std::to_string(f->off));
+    if (!load && val.is_pointer()) return err(pc, "leaking pointer into ctx");
+    out = f->load_type == RT::kScalar ? Reg::scalar_bytes(size)
+                                      : Reg{.type = f->load_type};
+  } else if (auto e = access_mem(s, ptr, size, !load, pc, out, val)) {
+    return e;
   }
-
-  Reg tmp = ptr;
-  tmp.off_min += insn.off;
-  tmp.off_max += insn.off;
-  return access_mem(s, tmp, size, /*write=*/true, pc, nullptr, &src_val);
+  if (load) s.regs[insn.dst] = out;
+  return std::nullopt;
 }
 
 // ---- Generic memory access --------------------------------------------------
 
 std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
                                                  int size, bool write,
-                                                 int insn_idx, Reg* load_out,
-                                                 const Reg* store_src) {
+                                                 int insn_idx, Reg& out,
+                                                 const Reg& val) {
   switch (ptr.type) {
     case RT::kStackPtr: {
       if (ptr.off_min != ptr.off_max)
@@ -829,12 +727,11 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
                                  std::to_string(size) + "]");
       const std::int64_t pos = off + kStackSize;  // 0..511
       if (write) {
-        const bool spill_ptr = store_src && store_src->is_pointer();
-        if (spill_ptr) {
+        if (val.is_pointer()) {
           if (size != 8 || pos % 8 != 0)
             return err(insn_idx, "pointer spill must be 8-byte sized/aligned");
           s.write_slot(pos) = {
-              .written = 0xff, .spilled = true, .spill = *store_src};
+              .written = 0xff, .spilled = true, .spill = val};
           return std::nullopt;
         }
         for (int i = 0; i < size; ++i) {
@@ -849,7 +746,7 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
       }
       // Read.
       if (size == 8 && pos % 8 == 0 && s.read_slot(pos).spilled) {
-        if (load_out) *load_out = s.read_slot(pos).spill;
+        out = s.read_slot(pos).spill;
         return std::nullopt;
       }
       for (int i = 0; i < size; ++i) {
@@ -860,10 +757,7 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
           return err(insn_idx, "read of uninitialised stack at off " +
                                    std::to_string(off + i));
       }
-      if (load_out) {
-        *load_out = Reg::scalar_unknown();
-        if (size < 8) load_out->umax = (1ull << (size * 8)) - 1;
-      }
+      out = Reg::scalar_bytes(size);
       return std::nullopt;
     }
     case RT::kPktPtr: {
@@ -879,10 +773,7 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
                    "off " + std::to_string(ptr.off_max) + " size " +
                        std::to_string(size) + " > range " +
                        std::to_string(s.pkt_range) + ")");
-      if (load_out) {
-        *load_out = Reg::scalar_unknown();
-        if (size < 8) load_out->umax = (1ull << (size * 8)) - 1;
-      }
+      out = Reg::scalar_bytes(size);
       return std::nullopt;
     }
     case RT::kMapValue: {
@@ -891,12 +782,9 @@ std::optional<VerifierError> Checker::access_mem(State& s, const Reg& ptr,
       if (ptr.off_min < 0 ||
           static_cast<std::uint64_t>(ptr.off_max) + size > map->value_size())
         return err(insn_idx, "map value access out of bounds");
-      if (write && store_src && store_src->is_pointer())
+      if (write && val.is_pointer())
         return err(insn_idx, "leaking pointer into map value");
-      if (load_out) {
-        *load_out = Reg::scalar_unknown();
-        if (size < 8) load_out->umax = (1ull << (size * 8)) - 1;
-      }
+      out = Reg::scalar_bytes(size);
       return std::nullopt;
     }
     case RT::kMapValueOrNull:
@@ -931,7 +819,7 @@ std::optional<VerifierError> Checker::helper_mem_arg(State& s, const Reg& mem,
     b.off_min += static_cast<std::int64_t>(i);
     b.off_max += static_cast<std::int64_t>(i);
     Reg out;
-    if (auto e = access_mem(s, b, 1, uninit, insn_idx, &out)) return e;
+    if (auto e = access_mem(s, b, 1, uninit, insn_idx, out, Reg{})) return e;
   }
   return std::nullopt;
 }
@@ -1093,21 +981,19 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     src_reg = s.regs[insn.src];
   }
 
+  // `s` goes on as the fall-through state.
   const Reg& a = s.regs[insn.dst];
   const std::uint8_t op = insn.alu_op();
+  State taken = s;
 
   // ---- Null-check pattern on map values: if (r == 0) / if (r != 0) ----
   if (a.type == RT::kMapValueOrNull && !insn.uses_reg_src() && insn.imm == 0 &&
       (op == BPF_JEQ || op == BPF_JNE)) {
-    State taken = s, fall = s;
     const std::uint32_t id = a.id;
     // JEQ: taken => null; JNE: taken => non-null.
     mark_map_null_branch(taken, id, op == BPF_JEQ);
-    mark_map_null_branch(fall, id, op != BPF_JEQ);
-    taken.pc = pc + 1 + insn.off;
-    fall.pc = pc + 1;
-    push(std::move(taken));
-    push(std::move(fall));
+    mark_map_null_branch(s, id, op != BPF_JEQ);
+    push_branches(std::move(taken), std::move(s), insn.off);
     return std::nullopt;
   }
 
@@ -1138,15 +1024,10 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     };
     // Note: for JGE/JLT the proven relation is strict (<), which still
     // implies <= and is therefore safe to use for `range` bytes.
-    State taken = s, fall = s;
     if (branch_proves(true))
       taken.pkt_range = std::max(taken.pkt_range, range);
-    if (branch_proves(false))
-      fall.pkt_range = std::max(fall.pkt_range, range);
-    taken.pc = pc + 1 + insn.off;
-    fall.pc = pc + 1;
-    push(std::move(taken));
-    push(std::move(fall));
+    if (branch_proves(false)) s.pkt_range = std::max(s.pkt_range, range);
+    push_branches(std::move(taken), std::move(s), insn.off);
     return std::nullopt;
   }
 
@@ -1157,11 +1038,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     if (!(both_ptr && (op == BPF_JEQ || op == BPF_JNE) &&
           a.type == src_reg->type))
       return err(pc, "invalid pointer comparison");
-    State taken = s, fall = s;
-    taken.pc = pc + 1 + insn.off;
-    fall.pc = pc + 1;
-    push(std::move(taken));
-    push(std::move(fall));
+    push_branches(std::move(taken), std::move(s), insn.off);
     return std::nullopt;
   }
 
@@ -1171,12 +1048,11 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
   if (!insn.uses_reg_src()) k = sext_imm64(insn.imm);
   else if (src_reg->is_const()) k = src_reg->umin;
 
-  State taken = s, fall = s;
   bool taken_feasible = true, fall_feasible = true;
 
   if (k && !is32) {
     Reg& rt = taken.regs[insn.dst];
-    Reg& rf = fall.regs[insn.dst];
+    Reg& rf = s.regs[insn.dst];
     const std::uint64_t v = *k;
     switch (op) {
       case BPF_JEQ:
@@ -1218,35 +1094,24 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     }
   }
 
-  if (taken_feasible) {
-    taken.pc = pc + 1 + insn.off;
-    push(std::move(taken));
-  }
-  if (fall_feasible) {
-    fall.pc = pc + 1;
-    push(std::move(fall));
-  }
+  push_branches(std::move(taken), std::move(s), insn.off, taken_feasible,
+                fall_feasible);
   return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
 
 VerifyResult Checker::run() {
+  std::optional<VerifierError> e = check_cfg();
+  if (!e) e = explore();
   VerifyResult result;
-  if (auto e = check_cfg()) {
-    result.error = e->msg;
+  result.ok = !e;
+  if (e) {
+    result.error = std::move(e->msg);
     result.error_insn = e->insn;
-    result.stats = stats_;
-    return result;
   }
-  if (auto e = explore()) {
-    result.error = e->msg;
-    result.error_insn = e->insn;
-    result.stats = stats_;
-    return result;
-  }
-  result.ok = true;
   result.stats = stats_;
+  result.reached = std::move(reached_);
   return result;
 }
 
@@ -1256,10 +1121,6 @@ VerifyResult Verifier::verify(const std::vector<Insn>& insns,
                               ProgType type) const {
   Checker checker(insns, type, maps_, helpers_, opts_);
   return checker.run();
-}
-
-VerifyResult Verifier::verify(const Program& prog) const {
-  return verify(prog.insns(), prog.type());
 }
 
 }  // namespace srv6bpf::ebpf

@@ -55,6 +55,11 @@ struct VerifyResult {
   std::string error;     // empty on success
   int error_insn = -1;   // instruction index the error refers to
   VerifyStats stats;
+  // Per instruction, whether exploration reached it (an ld_imm64's second
+  // slot with its first). No state check ran on the others:
+  // BpfSystem::load rewrites them to `ja -1`, as the kernel's
+  // sanitize_dead_code does, so none reaches the JIT.
+  std::vector<bool> reached;
 };
 
 class Verifier {
@@ -64,7 +69,6 @@ class Verifier {
            VerifyOptions opts = {})
       : maps_(maps), helpers_(helpers), opts_(opts) {}
 
-  VerifyResult verify(const Program& prog) const;
   VerifyResult verify(const std::vector<Insn>& insns, ProgType type) const;
 
  private:

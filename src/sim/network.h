@@ -1,6 +1,6 @@
-// Network: owns the event loop, RNG, nodes and links, and provides the
-// topology-building vocabulary the examples and benchmarks use to recreate
-// the paper's lab setups (Figure 1).
+// Network: owns the event loop, nodes, links and the RNG stream the links'
+// netem draws come from, and provides the topology-building vocabulary the
+// examples and benchmarks use to recreate the paper's lab setups (Figure 1).
 //
 // A Network runs serially by default — one EventLoop, one host thread. The
 // parallel surface (set_domain_count / assign_domain / seal_domains /
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,10 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   EventLoop& loop() noexcept { return loop_; }
-  Rng& rng() noexcept { return rng_; }
   TimeNs now() const noexcept { return loop_.now(); }
 
   Node& add_node(const std::string& name) {
-    nodes_.push_back(std::make_unique<Node>(loop_, rng_, name));
+    nodes_.push_back(std::make_unique<Node>(loop_, name));
     auditor_.add_node(*nodes_.back());
     return *nodes_.back();
   }
@@ -69,6 +69,13 @@ class Network {
     const int ai = a.add_interface(link, 0, a_addr);
     const int bi = b.add_interface(link, 1, b_addr);
     return Attachment{&link, ai, bi};
+  }
+  // Every link the network owns, read-only, in creation order.
+  auto links() const {
+    return std::views::transform(
+        links_, [](const std::unique_ptr<Link>& l) -> const Link& {
+          return *l;
+        });
   }
 
   void run_until(TimeNs t) {

@@ -14,8 +14,8 @@
 
 namespace srv6bpf::sim {
 
-Node::Node(EventLoop& loop, Rng& rng, std::string name)
-    : loop_(&loop), rng_(rng), name_(std::move(name)), ns_(name_),
+Node::Node(EventLoop& loop, std::string name)
+    : loop_(&loop), name_(std::move(name)), ns_(name_),
       datapath_(*this) {
   ns_.clock = [this] { return loop_->now(); };
 }

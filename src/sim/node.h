@@ -49,13 +49,12 @@
 #include "sim/link.h"
 #include "sim/ring.h"
 #include "sim/stats.h"
-#include "util/rng.h"
 
 namespace srv6bpf::sim {
 
 class Node {
  public:
-  Node(EventLoop& loop, Rng& rng, std::string name);
+  Node(EventLoop& loop, std::string name);
 
   const std::string& name() const noexcept { return name_; }
   seg6::Netns& ns() noexcept { return ns_; }
@@ -225,7 +224,6 @@ class Node {
   CpuContext& cur() noexcept { return *cur_ctx_; }
 
   EventLoop* loop_;  // rebindable: PdesNet::seal moves the node into a domain
-  Rng& rng_;
   std::string name_;
   seg6::Netns ns_;
   std::vector<Iface> ifaces_;

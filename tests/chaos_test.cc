@@ -463,8 +463,7 @@ TEST(BufferCap, UncappedAlwaysAdmits) {
 
 TEST(DropAttribution, RefusedSendRecordsReasonAndFirstTimestamp) {
   sim::EventLoop loop;
-  Rng rng(1);
-  sim::Node n(loop, rng, "N");
+  sim::Node n(loop, "N");
   n.refuse_send(sim::DropReason::kNoBuffer, 500);
   n.refuse_send(sim::DropReason::kNoBuffer, 300);  // earlier: becomes first
   n.refuse_send(sim::DropReason::kNoBuffer, 900);
@@ -489,8 +488,7 @@ TEST(InvariantAuditor, BalancedLedgerIsClean) {
 
 TEST(InvariantAuditor, OverConsumptionIsAConservationViolation) {
   sim::EventLoop loop;
-  Rng rng(1);
-  sim::Node n(loop, rng, "N");
+  sim::Node n(loop, "N");
   n.refuse_send(sim::DropReason::kNoBuffer, 1);  // consumed, no source added
   sim::InvariantAuditor auditor;
   auditor.add_node(n);

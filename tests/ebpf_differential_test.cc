@@ -335,8 +335,8 @@ TEST(Differential, EnginesAgreeOnRandomPrograms) {
   EXPECT_GE(compared, attempts * 9 / 10);
 }
 
-// One instruction, reachable after r0 = 0x1234 and r2 = 7, or dead behind
-// a jump that is always taken; an ld_imm64 gets its second slot.
+// One instruction at index 2, reachable after r0 = 0x1234 and r2 = 7, or
+// dead behind a jump that is always taken; an ld_imm64 gets its second slot.
 std::vector<Insn> sweep_program(const Insn& insn, bool dead) {
   Asm a;
   if (dead)
@@ -352,7 +352,9 @@ std::vector<Insn> sweep_program(const Insn& insn, bool dead) {
 // immediates, live and dead. The verifier checks each instruction's
 // encoding before it explores, so a load never fails after the verifier
 // accepted, and what it accepts runs alike on both engines, with no abort.
+// A dead instruction is stored and compiled as `ja -1`, the rest as given.
 TEST(Differential, EveryOpcodeLiveAndDead) {
+  constexpr Insn kTrap{BPF_JMP | BPF_JA, 0, 0, -1, 0};
   BpfSystem sys;
   std::array<std::uint8_t, 64> packet{};
   SkbRun run;
@@ -372,6 +374,13 @@ TEST(Differential, EveryOpcodeLiveAndDead) {
                 << disasm(insns);
             if (!load.ok()) continue;
             if (dead) known.set(opcode);
+            const std::vector<Insn>& stored = load.prog->program().insns();
+            ASSERT_EQ(stored.size(), insns.size());
+            for (std::size_t i = 0; i < insns.size(); ++i)
+              ASSERT_EQ(stored[i], dead && i >= 2 && i + 1 < insns.size()
+                                       ? kTrap
+                                       : insns[i])
+                  << i << "\n" << disasm(insns);
 
             sys.set_jit_enabled(false);
             const ExecResult interp =
