@@ -1,8 +1,8 @@
 // Shared scaffolding for the paper-reproduction benchmarks: the saturation
 // measurement loop on the setup-1 lab (offer more load than R can forward,
 // count what the sink receives — exactly the paper's §3.2 methodology), the
-// digested per-segment load of the generated PDES ring, and the verifier's
-// cost of loading a program.
+// drained conservation audit that ends a lab, the digested per-segment load
+// of the generated PDES ring, and the verifier's cost of loading a program.
 #pragma once
 
 #include <algorithm>
@@ -70,6 +70,33 @@ struct Setup1 : usecases::Setup1 {
     return sink->meter().kpps(net.now() - t0);
   }
 };
+
+// How long a lab runs on after its window, its sources stopped, before the
+// drained audit: far longer than any of the labs' queues and wires take to
+// empty.
+inline constexpr sim::TimeNs kDrainTail = sim::kSecond;
+
+// Drains the network of lab `name` and audits it (sim::Network::audit),
+// appending each violation to `violations`; returns how many it found. A lab
+// calls it once its fields are read, outside every timed region.
+inline std::size_t drain_and_audit(sim::Network& net, const char* name,
+                                   std::vector<std::string>& violations) {
+  net.run_for(kDrainTail);
+  net.audit(/*final_drain=*/true);
+  for (const std::string& v : net.violations())
+    violations.push_back(std::string(name) + ": " + v);
+  return net.violations().size();
+}
+
+// Records the labs' violations as `violations_total`, gated at 0 in every
+// mode, and prints each one.
+inline void gate_violations(Report& rep,
+                            const std::vector<std::string>& violations) {
+  for (const std::string& v : violations)
+    std::fprintf(stderr, "VIOLATION: %s\n", v.c_str());
+  rep.num("violations_total", violations.size());
+  rep.gate(violations.empty(), "%zu invariant violations", violations.size());
+}
 
 // FNV-1a over little-endian u64s (the mc_test golden-digest pattern).
 struct Digest {

@@ -9,14 +9,17 @@
 // simulated-packets-per-wall-second, plus scheduled events per packet and
 // the achieved burst occupancy at R.
 //
-// Writes BENCH_burst.json (flags and exit status: bench/report.h). Two
+// Writes BENCH_burst.json (flags and exit status: bench/report.h). Three
 // gates: the sink rate must be burst-invariant (max/min sim_kpps across the
-// rows <= 1.001), and burst 32 must be >= 1.3x burst 1 in simulated packets
-// per wall-second, a wall gate.
+// rows <= 1.001), every row's lab must end with a drained conservation
+// audit that finds no violation (violations_total == 0), and burst 32 must
+// be >= 1.3x burst 1 in simulated packets per wall-second, a wall gate.
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -26,9 +29,11 @@ using namespace srv6bpf::bench;
 namespace {
 
 // Records one burst size's row; returns its sink rate in simulated kpps and
-// its simulated packets per wall-second.
+// its simulated packets per wall-second. The lab ends with its drained
+// audit.
 std::pair<double, double> run_one(std::size_t burst, sim::TimeNs duration,
-                                  Obj& row) {
+                                  Obj& row,
+                                  std::vector<std::string>& violations) {
   Setup1 lab;
   lab.rx_burst = burst;
   lab.gen_burst = burst;
@@ -61,6 +66,8 @@ std::pair<double, double> run_one(std::size_t burst, sim::TimeNs duration,
                      static_cast<double>(rs.service_events)
                : 0,
            2);
+  const std::string name = "burst " + std::to_string(burst);
+  row.num("violations", drain_and_audit(lab.net, name.c_str(), violations));
   return {sim_kpps, pkts_per_wall_s};
 }
 
@@ -81,8 +88,10 @@ int main(int argc, char** argv) {
   double b1 = 0, b32 = 0;
   // The sim_kpps range across the rows.
   double lo = std::numeric_limits<double>::infinity(), hi = 0;
+  std::vector<std::string> violations;
   for (const std::size_t b : {1, 4, 16, 32, 64}) {
-    const auto [sim_kpps, rate] = run_one(b, duration, rep.row("rows"));
+    const auto [sim_kpps, rate] =
+        run_one(b, duration, rep.row("rows"), violations);
     if (b == 1) b1 = rate;
     if (b == 32) b32 = rate;
     lo = std::min(lo, sim_kpps);
@@ -90,6 +99,7 @@ int main(int argc, char** argv) {
   }
   const double speedup = b1 > 0 ? b32 / b1 : 0;
   rep.num("speedup_b32_vs_b1", speedup, 3);
+  gate_violations(rep, violations);
   rep.gate(lo > 0 && hi / lo <= 1.001,
            "sim_kpps max/min across bursts %.4f above 1.001: the datapath is "
            "no longer burst-invariant",

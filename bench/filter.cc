@@ -14,8 +14,10 @@
 // Part 2 (scenario): the fig3-style monitoring sink driven entirely by a
 // compiled filter expression on the setup-1 topology, reporting the sink's
 // simulated receive rate. Simulated rates are deterministic, so
-// scenario.sim_kpps >= 550 is a gate in every mode; the geomean
-// native-vs-reference speedup >= 1.2 is a wall gate.
+// scenario.sim_kpps >= 550 is a gate in every mode, and so is
+// violations_total == 0: the lab ends with its network's drained
+// conservation audit. The geomean native-vs-reference speedup >= 1.2 is a
+// wall gate.
 //
 // Writes BENCH_filter.json (flags and exit status: bench/report.h).
 #include <chrono>
@@ -163,8 +165,9 @@ double measure_expr(const std::string& expr, const Corpus& corpus, int iters,
 // filter expression passes. Every offered packet targets the sink's port, so
 // the filter runs on, and accepts, every delivery; a filter that rejected
 // any of them would show as a drop in the sink rate. Returns the sink rate in
-// simulated kpps.
-double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
+// simulated kpps. The lab ends with its drained audit.
+double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc,
+                    std::vector<std::string>& violations) {
   Setup1 lab;
   std::string err;
   auto f = apps::SocketFilter::from_expr(lab.s2->ns(), "sink", expr, &err);
@@ -181,6 +184,7 @@ double run_scenario(const std::string& expr, sim::TimeNs window, Obj& sc) {
       .num("offered_kpps", 3000.0, 1)
       .num("sim_kpps", sim_kpps, 1)
       .num("filter_accepted", f->accepted());
+  sc.num("violations", drain_and_audit(lab.net, "scenario", violations));
   return sim_kpps;
 }
 
@@ -212,8 +216,10 @@ int main(int argc, char** argv) {
   const double geomean = std::exp(log_sum / std::size(exprs));
   rep.num("geomean_speedup_native_vs_reference", geomean, 2);
 
-  const double sim_kpps =
-      run_scenario("udp and dst port 7001", window, rep.obj("scenario"));
+  std::vector<std::string> violations;
+  const double sim_kpps = run_scenario("udp and dst port 7001", window,
+                                       rep.obj("scenario"), violations);
+  gate_violations(rep, violations);
   rep.gate(sim_kpps >= 550.0, "filtered sink rate %.1f kpps below 550",
            sim_kpps);
   rep.wall_gate(geomean >= 1.2,

@@ -136,21 +136,6 @@ inline constexpr Anchor kAnchors[] = {
 
 inline constexpr double kOfferedPps = 3e6;  // S1's stream on setup 1
 
-// How long a lab runs on after its window, its sources stopped, before the
-// drained audit: far longer than any of the labs' queues and wires take to
-// empty.
-inline constexpr sim::TimeNs kDrainTail = sim::kSecond;
-
-// Drains the network of lab `name` and audits it, appending each violation
-// to `violations`.
-inline void drain_and_audit(sim::Network& net, const char* name,
-                            std::vector<std::string>& violations) {
-  net.run_for(kDrainTail);
-  net.audit(/*final_drain=*/true);
-  for (const std::string& v : net.violations())
-    violations.push_back(std::string(name) + ": " + v);
-}
-
 // Each Fig. 2 function runs on R's SID in a lab of its own.
 inline std::vector<Fig2Row> run_fig2(sim::TimeNs window,
                                      std::vector<std::string>& violations) {

@@ -31,13 +31,16 @@
 // Writes BENCH_slo.json (flags and exit status: bench/report.h) and gates
 // floors *and* ceilings (latency and blackhole metrics regress upward). All
 // gated metrics are simulated-time deterministic and mode-invariant
-// (identical semantics under --quick).
+// (identical semantics under --quick). Every lab ends, once its fields are
+// read, with its network's drained conservation audit: each records its
+// `violations`, and violations_total == 0 is a gate.
 
 #include <array>
 #include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/sink.h"
 #include "apps/socket_filter.h"
@@ -217,7 +220,7 @@ struct Failover {
 // Records one failover scenario into `out`.
 Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
                       sim::TimeNs reconverge_delay, sim::TimeNs t_end,
-                      Obj& out) {
+                      Obj& out, std::vector<std::string>& violations) {
   Lab lab(frr);
   sim::LatencyTracer tracer;
   tracer.classify_by_flow_label(4);
@@ -298,6 +301,8 @@ Failover run_failover(bool frr, double pps, sim::TimeNs t_fail,
       .num("sink_mean_gap_ns", gaps.mean_gap_ns, 1);
   record_window(out.obj("pre"), pre_overall, pre_cls);
   record_window(out.obj("post"), tracer.overall(), post_cls);
+  out.num("violations", bench::drain_and_audit(lab.net, frr ? "frr" : "igp",
+                                               violations));
   return f;
 }
 
@@ -308,9 +313,10 @@ struct Netem {
   double p99 = 0;  // ns, overall
 };
 
-// Records one netem row into `row`.
-Netem run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau, double pps,
-                sim::TimeNs dur, Obj& row) {
+// Records one netem row `name` into `row`.
+Netem run_netem(const char* name, double loss, sim::TimeNs jitter,
+                sim::TimeNs tau, double pps, sim::TimeNs dur, Obj& row,
+                std::vector<std::string>& violations) {
   Lab lab(/*with_frr=*/true);
 
   sim::NetemConfig cfg;
@@ -355,6 +361,7 @@ Netem run_netem(double loss, sim::TimeNs jitter, sim::TimeNs tau, double pps,
       .num("loss_ratio", n.loss_ratio, 6);
   record_quantiles(row.obj("overall"), tracer.overall());
   record_quantiles(row.obj("expr_class"), tracer.class_hist(0));
+  row.num("violations", bench::drain_and_audit(lab.net, name, violations));
   return n;
 }
 
@@ -386,19 +393,22 @@ int main(int argc, char** argv) {
   // Recorded apart and attached below: total_offered precedes them in the
   // JSON but sums every scenario.
   Obj scenarios, netem;
+  std::vector<std::string> violations;
   const Failover frr = run_failover(true, soak_pps, frr_fail, 0, frr_end,
-                                    scenarios.obj("frr"));
+                                    scenarios.obj("frr"), violations);
   const Failover igp = run_failover(false, soak_pps, igp_fail, reconverge,
-                                    igp_end, scenarios.obj("igp"));
-  const Netem baseline =
-      run_netem(0.0, 0, 0, netem_pps, netem_dur, netem.obj("baseline"));
-  const Netem loss =
-      run_netem(0.01, 0, 0, netem_pps, netem_dur, netem.obj("loss"));
-  const Netem jitter = run_netem(0.0, 20 * sim::kMicro, 200 * sim::kMicro,
-                                 netem_pps, netem_dur, netem.obj("jitter"));
+                                    igp_end, scenarios.obj("igp"), violations);
+  const auto run_row = [&](const char* name, double loss, sim::TimeNs jitter,
+                           sim::TimeNs tau) {
+    return run_netem(name, loss, jitter, tau, netem_pps, netem_dur,
+                     netem.obj(name), violations);
+  };
+  const Netem baseline = run_row("baseline", 0.0, 0, 0);
+  const Netem loss = run_row("loss", 0.01, 0, 0);
+  const Netem jitter =
+      run_row("jitter", 0.0, 20 * sim::kMicro, 200 * sim::kMicro);
   const Netem loss_jitter =
-      run_netem(0.01, 20 * sim::kMicro, 200 * sim::kMicro, netem_pps,
-                netem_dur, netem.obj("loss_jitter"));
+      run_row("loss_jitter", 0.01, 20 * sim::kMicro, 200 * sim::kMicro);
   const std::uint64_t total_offered = frr.offered + igp.offered +
                                       baseline.offered + loss.offered +
                                       jitter.offered + loss_jitter.offered;
@@ -410,6 +420,7 @@ int main(int argc, char** argv) {
       .num("total_offered", total_offered);
   rep.obj("scenarios") = scenarios;
   rep.obj("netem") = netem;
+  bench::gate_violations(rep, violations);
 
   // Deterministic gates, enforced in every mode. The FRR repair must fire
   // and hold the blackhole under a millisecond; without FRR the blackhole

@@ -1,7 +1,9 @@
 #include "cbpf/translate.h"
 
 #include <cstddef>
+#include <string>
 
+#include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/skb.h"
 
@@ -21,146 +23,57 @@ constexpr std::int16_t mem_off(std::uint32_t k) {
 // beyond that (or runtime-computed) goes through the helper.
 constexpr std::uint32_t kDirectAbsLimit = 0x7fff;
 
-e::Insn insn(std::uint8_t opcode, int dst, int src, std::int16_t off,
-             std::int32_t imm) {
-  e::Insn i;
-  i.opcode = opcode;
-  i.dst = static_cast<std::uint8_t>(dst) & 0xf;
-  i.src = static_cast<std::uint8_t>(src) & 0xf;
-  i.off = off;
-  i.imm = imm;
-  return i;
-}
-
-std::uint8_t ebpf_size(std::uint16_t cbpf_size) {
-  switch (cbpf_size) {
-    case BPF_W: return e::BPF_W;
-    case BPF_H: return e::BPF_H;
-    default: return e::BPF_B;
-  }
-}
-
-class Emitter {
- public:
-  void mov64_reg(int dst, int src) {
-    out.push_back(insn(e::BPF_ALU64 | e::BPF_MOV | e::BPF_X, dst, src, 0, 0));
-  }
-  void add64_imm(int dst, std::int32_t imm) {
-    out.push_back(insn(e::BPF_ALU64 | e::BPF_ADD | e::BPF_K, dst, 0, 0, imm));
-  }
-  void mov32_imm(int dst, std::int32_t imm) {
-    out.push_back(insn(e::BPF_ALU | e::BPF_MOV | e::BPF_K, dst, 0, 0, imm));
-  }
-  void mov32_reg(int dst, int src) {
-    out.push_back(insn(e::BPF_ALU | e::BPF_MOV | e::BPF_X, dst, src, 0, 0));
-  }
-  void alu32_imm(std::uint8_t op, int dst, std::int32_t imm) {
-    out.push_back(insn(e::BPF_ALU | op | e::BPF_K, dst, 0, 0, imm));
-  }
-  void alu32_reg(std::uint8_t op, int dst, int src) {
-    out.push_back(insn(e::BPF_ALU | op | e::BPF_X, dst, src, 0, 0));
-  }
-  void neg32(int dst) {
-    out.push_back(insn(e::BPF_ALU | e::BPF_NEG, dst, 0, 0, 0));
-  }
-  void ldx(std::uint8_t sz, int dst, int src, std::int16_t off) {
-    out.push_back(insn(e::BPF_LDX | e::BPF_MEM | sz, dst, src, off, 0));
-  }
-  void stx_w(int dst, std::int16_t off, int src) {
-    out.push_back(insn(e::BPF_STX | e::BPF_MEM | e::BPF_W, dst, src, off, 0));
-  }
-  void st_w(int dst, std::int16_t off, std::int32_t imm) {
-    out.push_back(insn(e::BPF_ST | e::BPF_MEM | e::BPF_W, dst, 0, off, imm));
-  }
-  void to_be(int dst, std::int32_t bits) {
-    out.push_back(insn(e::BPF_ALU | e::BPF_END | e::BPF_TO_BE, dst, 0, 0,
-                       bits));
-  }
-  void call(std::int32_t helper_id) {
-    out.push_back(insn(e::BPF_JMP | e::BPF_CALL, 0, 0, 0, helper_id));
-  }
-  void exit() { out.push_back(insn(e::BPF_JMP | e::BPF_EXIT, 0, 0, 0, 0)); }
-
-  // Jumps carry unresolved targets; off is patched in a second pass.
-  void ja_to(std::uint32_t cbpf_pc) {
-    fixups.push_back({out.size(), cbpf_pc});
-    out.push_back(insn(e::BPF_JMP | e::BPF_JA, 0, 0, 0, 0));
-  }
-  void jmp32_imm_to(std::uint8_t op, int dst, std::int32_t imm,
-                    std::uint32_t cbpf_pc) {
-    fixups.push_back({out.size(), cbpf_pc});
-    out.push_back(insn(e::BPF_JMP32 | op | e::BPF_K, dst, 0, 0, imm));
-  }
-  void jmp32_reg_to(std::uint8_t op, int dst, int src,
-                    std::uint32_t cbpf_pc) {
-    fixups.push_back({out.size(), cbpf_pc});
-    out.push_back(insn(e::BPF_JMP32 | op | e::BPF_X, dst, src, 0, 0));
-  }
-  // Jump to the shared drop epilogue (packet-load fault, div-by-zero-X).
-  void jmp_drop(std::uint8_t cls, std::uint8_t op, int dst, int src,
-                std::int32_t imm) {
-    drop_fixups.push_back(out.size());
-    out.push_back(insn(cls | op | (src >= 0 ? e::BPF_X : e::BPF_K), dst,
-                       src >= 0 ? src : 0, 0, imm));
-  }
-
-  struct Fixup {
-    std::size_t idx;
-    std::uint32_t cbpf_target;
-  };
-  std::vector<e::Insn> out;
-  std::vector<Fixup> fixups;
-  std::vector<std::size_t> drop_fixups;
-};
+// Label of the shared drop epilogue, where a failed packet load and a
+// division by X == 0 jump (classic semantics: the filter returns 0). A
+// classic instruction that a jump targets is labelled with its pc.
+constexpr char kDrop[] = "drop";
 
 // Bounds-checked direct load of `size` bytes at constant offset k into
-// `dst`, in network order. Clobbers R1-R3.
-void emit_abs_load(Emitter& em, std::uint32_t k, std::uint16_t size_field,
+// `dst`, in network order. Clobbers R1-R3. (cBPF and eBPF encode the W, H
+// and B size fields alike.)
+void emit_abs_load(e::Asm& a, std::uint32_t k, std::uint16_t size_field,
                    int dst) {
   const unsigned size = load_size(size_field);
-  em.ldx(e::BPF_DW, e::R1, e::R6, e::skb_off::kData);
-  em.ldx(e::BPF_DW, e::R2, e::R6, e::skb_off::kDataEnd);
-  em.mov64_reg(e::R3, e::R1);
-  em.add64_imm(e::R3, static_cast<std::int32_t>(k + size));
-  // if (data + k + size > data_end) goto drop;
-  em.jmp_drop(e::BPF_JMP, e::BPF_JGT, e::R3, e::R2, 0);
-  em.ldx(ebpf_size(size_field), dst, e::R1, static_cast<std::int16_t>(k));
-  if (size == 2) em.to_be(dst, 16);
-  if (size == 4) em.to_be(dst, 32);
+  a.ldx(e::BPF_DW, e::R1, e::R6, e::skb_off::kData)
+      .ldx(e::BPF_DW, e::R2, e::R6, e::skb_off::kDataEnd)
+      .mov64_reg(e::R3, e::R1)
+      .add64_imm(e::R3, static_cast<std::int32_t>(k + size))
+      .jgt_reg(e::R3, e::R2, kDrop)  // data + k + size > data_end
+      .ldx(static_cast<std::uint8_t>(size_field), dst, e::R1,
+           static_cast<std::int16_t>(k));
+  if (size > 1) a.to_be(dst, static_cast<int>(8 * size));
 }
 
-// Helper-based load for runtime-computed offsets (IND/MSH) and constant
-// offsets too large for the 16-bit off field. `x_plus_k` selects X+k vs k
-// as the offset. Clobbers R1-R5 (the call does), loads into `dst`.
-void emit_helper_load(Emitter& em, std::uint32_t k, std::uint16_t size_field,
+// Helper-based load for runtime-computed offsets (IND) and constant offsets
+// too large for the 16-bit off field. `x_plus_k` selects X+k vs k as the
+// offset. Clobbers R1-R5 (the call does), loads into `dst`.
+void emit_helper_load(e::Asm& a, std::uint32_t k, std::uint16_t size_field,
                       int dst, bool x_plus_k) {
   const unsigned size = load_size(size_field);
-  em.mov64_reg(e::R1, e::R6);
+  a.mov64_reg(e::R1, e::R6);
   if (x_plus_k) {
-    em.mov32_reg(e::R2, e::R8);
-    if (k != 0)
-      em.alu32_imm(e::BPF_ADD, e::R2, static_cast<std::int32_t>(k));
+    a.mov32_reg(e::R2, e::R8);
+    if (k != 0) a.add32_imm(e::R2, static_cast<std::int32_t>(k));
   } else {
-    em.mov32_imm(e::R2, static_cast<std::int32_t>(k));
+    a.mov32_imm(e::R2, static_cast<std::int32_t>(k));
   }
-  em.mov64_reg(e::R3, e::R10);
-  em.add64_imm(e::R3, kScratchOff);
-  em.mov32_imm(e::R4, static_cast<std::int32_t>(size));
-  em.call(e::helper::SKB_LOAD_BYTES);
-  // if (ret != 0) goto drop;  (classic semantics: failed load drops)
-  em.jmp_drop(e::BPF_JMP, e::BPF_JNE, e::R0, -1, 0);
-  em.ldx(ebpf_size(size_field), dst, e::R10, kScratchOff);
-  if (size == 2) em.to_be(dst, 16);
-  if (size == 4) em.to_be(dst, 32);
+  a.mov64_reg(e::R3, e::R10)
+      .add64_imm(e::R3, kScratchOff)
+      .mov32_imm(e::R4, static_cast<std::int32_t>(size))
+      .call(e::helper::SKB_LOAD_BYTES)
+      .jne_imm(e::R0, 0, kDrop)  // the load failed
+      .ldx(static_cast<std::uint8_t>(size_field), dst, e::R10, kScratchOff);
+  if (size > 1) a.to_be(dst, static_cast<int>(8 * size));
 }
 
-void emit_pkt_load(Emitter& em, std::uint32_t k, std::uint16_t size_field,
+void emit_pkt_load(e::Asm& a, std::uint32_t k, std::uint16_t size_field,
                    int dst, bool x_plus_k) {
-  const unsigned size = load_size(size_field);
-  if (!x_plus_k && k + size <= kDirectAbsLimit)
-    emit_abs_load(em, k, size_field, dst);
+  // In 64 bits: for k near 2^32, k + size wraps in 32.
+  const std::uint64_t end = std::uint64_t{k} + load_size(size_field);
+  if (!x_plus_k && end <= kDirectAbsLimit)
+    emit_abs_load(a, k, size_field, dst);
   else
-    emit_helper_load(em, k, size_field, dst, x_plus_k);
+    emit_helper_load(a, k, size_field, dst, x_plus_k);
 }
 
 }  // namespace
@@ -196,15 +109,13 @@ TranslateResult translate(const std::vector<SockFilter>& prog) {
     reach[pc + 1] = true;
   }
 
-  Emitter em;
+  e::Asm a;
 
   // Prologue: save ctx, zero A and X (classic semantics), and zero every
   // scratch slot the program reads so the verifier's no-read-before-write
   // stack rule is satisfied and semantics match the zero-initialised M[] of
   // the reference interpreter.
-  em.mov64_reg(e::R6, e::R1);
-  em.mov32_imm(e::R7, 0);
-  em.mov32_imm(e::R8, 0);
+  a.mov64_reg(e::R6, e::R1).mov32_imm(e::R7, 0).mov32_imm(e::R8, 0);
   bool mem_read[kMemWords] = {};
   for (std::uint32_t pc = 0; pc < len; ++pc) {
     if (!reach[pc]) continue;
@@ -214,156 +125,147 @@ TranslateResult translate(const std::vector<SockFilter>& prog) {
       mem_read[in.k] = true;
   }
   for (int m = 0; m < kMemWords; ++m)
-    if (mem_read[m]) em.st_w(e::R10, mem_off(m), 0);
+    if (mem_read[m]) a.st(e::BPF_W, e::R10, mem_off(m), 0);
 
-  // eBPF index each (reachable) classic instruction starts at.
-  std::vector<std::size_t> pos(len, 0);
-
+  bool drops = false;  // whether anything jumps to the drop epilogue
+  // Being forward, a jump is emitted before its target, which takes its
+  // label when the loop reaches it: only jump targets are labelled.
+  std::vector<bool> jumped_to(len, false);
+  const auto label_of = [&jumped_to](std::uint32_t target) {
+    jumped_to[target] = true;
+    return std::to_string(target);
+  };
   for (std::uint32_t pc = 0; pc < len; ++pc) {
     if (!reach[pc]) continue;
-    pos[pc] = em.out.size();
+    if (jumped_to[pc]) a.label(std::to_string(pc));
     const SockFilter& in = prog[pc];
     switch (in.insn_class()) {
       case BPF_LD:
         switch (in.mode_field()) {
           case BPF_IMM:
-            em.mov32_imm(e::R7, static_cast<std::int32_t>(in.k));
+            a.mov32_imm(e::R7, static_cast<std::int32_t>(in.k));
             break;
           case BPF_MEM:
-            em.ldx(e::BPF_W, e::R7, e::R10, mem_off(in.k));
+            a.ldx(e::BPF_W, e::R7, e::R10, mem_off(in.k));
             break;
           case BPF_LEN:
-            em.ldx(e::BPF_W, e::R7, e::R6, e::skb_off::kLen);
+            a.ldx(e::BPF_W, e::R7, e::R6, e::skb_off::kLen);
             break;
           case BPF_ABS:
-            emit_pkt_load(em, in.k, in.size_field(), e::R7, false);
-            break;
           case BPF_IND:
-            emit_pkt_load(em, in.k, in.size_field(), e::R7, true);
+            emit_pkt_load(a, in.k, in.size_field(), e::R7,
+                          in.mode_field() == BPF_IND);
+            drops = true;
             break;
         }
         break;
       case BPF_LDX:
         switch (in.mode_field()) {
           case BPF_IMM:
-            em.mov32_imm(e::R8, static_cast<std::int32_t>(in.k));
+            a.mov32_imm(e::R8, static_cast<std::int32_t>(in.k));
             break;
           case BPF_MEM:
-            em.ldx(e::BPF_W, e::R8, e::R10, mem_off(in.k));
+            a.ldx(e::BPF_W, e::R8, e::R10, mem_off(in.k));
             break;
           case BPF_LEN:
-            em.ldx(e::BPF_W, e::R8, e::R6, e::skb_off::kLen);
+            a.ldx(e::BPF_W, e::R8, e::R6, e::skb_off::kLen);
             break;
           case BPF_MSH:
             // X = 4 * (pkt[k] & 0xf) — the IP header-length idiom.
-            emit_pkt_load(em, in.k, BPF_B, e::R8, false);
-            em.alu32_imm(e::BPF_AND, e::R8, 0xf);
-            em.alu32_imm(e::BPF_LSH, e::R8, 2);
+            emit_pkt_load(a, in.k, BPF_B, e::R8, false);
+            drops = true;
+            a.and32_imm(e::R8, 0xf).lsh32_imm(e::R8, 2);
             break;
         }
         break;
       case BPF_ST:
-        em.stx_w(e::R10, mem_off(in.k), e::R7);
+        a.stx(e::BPF_W, e::R10, e::R7, mem_off(in.k));
         break;
       case BPF_STX:
-        em.stx_w(e::R10, mem_off(in.k), e::R8);
+        a.stx(e::BPF_W, e::R10, e::R8, mem_off(in.k));
         break;
       case BPF_ALU: {
-        const std::uint16_t op = in.alu_op();
-        if (op == BPF_NEG) {
-          em.neg32(e::R7);
-          break;
-        }
         // cBPF and eBPF share the ALU opcode numbering; 32-bit class gives
         // the unsigned-32 semantics classic filters expect (including the
-        // 5-bit shift mask).
-        const std::uint8_t eop = static_cast<std::uint8_t>(op);
-        if (in.uses_x()) {
+        // 5-bit shift mask). NEG takes no operand.
+        const std::uint8_t op = static_cast<std::uint8_t>(in.alu_op());
+        if (op == BPF_NEG) {
+          a.alu32_imm(op, e::R7, 0);
+        } else if (in.uses_x()) {
           if (op == BPF_DIV || op == BPF_MOD) {
             // Classic division by zero returns 0 from the filter; eBPF's
             // div-by-zero yields 0 / leaves dst — guard explicitly.
-            em.jmp_drop(e::BPF_JMP32, e::BPF_JEQ, e::R8, -1, 0);
+            a.jmp32_imm(e::BPF_JEQ, e::R8, 0, kDrop);
+            drops = true;
           }
-          em.alu32_reg(eop, e::R7, e::R8);
+          a.alu32_reg(op, e::R7, e::R8);
         } else {
-          em.alu32_imm(eop, e::R7, static_cast<std::int32_t>(in.k));
+          a.alu32_imm(op, e::R7, static_cast<std::int32_t>(in.k));
         }
         break;
       }
       case BPF_JMP: {
         if (in.code == (BPF_JMP | BPF_JA)) {
-          em.ja_to(pc + 1 + in.k);
+          a.ja(label_of(pc + 1 + in.k));
           break;
         }
         const std::uint32_t t_true = pc + 1 + in.jt;
         const std::uint32_t t_false = pc + 1 + in.jf;
         if (in.jt == in.jf) {
-          em.ja_to(t_true);
+          a.ja(label_of(t_true));
           break;
         }
         // Classic compares map 1:1 onto eBPF JMP32 opcodes (same numbering
         // for JEQ/JGT/JGE/JSET); JEQ/JGT/JGE have inverses, JSET does not.
-        const std::uint8_t eop = static_cast<std::uint8_t>(in.jmp_op());
+        const std::uint8_t op = static_cast<std::uint8_t>(in.jmp_op());
         std::uint8_t inv = 0;
-        switch (eop) {
+        switch (op) {
           case e::BPF_JEQ: inv = e::BPF_JNE; break;
           case e::BPF_JGT: inv = e::BPF_JLE; break;
           case e::BPF_JGE: inv = e::BPF_JLT; break;
         }
-        const auto emit_cond = [&](std::uint8_t op, std::uint32_t target) {
+        const auto emit_cond = [&](std::uint8_t cond, std::uint32_t target) {
           if (in.uses_x())
-            em.jmp32_reg_to(op, e::R7, e::R8, target);
+            a.jmp32_reg(cond, e::R7, e::R8, label_of(target));
           else
-            em.jmp32_imm_to(op, e::R7, static_cast<std::int32_t>(in.k),
-                            target);
+            a.jmp32_imm(cond, e::R7, static_cast<std::int32_t>(in.k),
+                        label_of(target));
         };
         if (in.jf == 0) {
-          emit_cond(eop, t_true);
+          emit_cond(op, t_true);
         } else if (in.jt == 0 && inv != 0) {
           emit_cond(inv, t_false);
         } else {
-          emit_cond(eop, t_true);
-          em.ja_to(t_false);
+          emit_cond(op, t_true);
+          a.ja(label_of(t_false));
         }
         break;
       }
       case BPF_RET:
         if (in.code & BPF_A)
-          em.mov32_reg(e::R0, e::R7);
+          a.mov32_reg(e::R0, e::R7);
         else
-          em.mov32_imm(e::R0, static_cast<std::int32_t>(in.k));
-        em.exit();
+          a.mov32_imm(e::R0, static_cast<std::int32_t>(in.k));
+        a.exit_();
         break;
       case BPF_MISC:
         if (in.code & BPF_TXA)
-          em.mov32_reg(e::R7, e::R8);
+          a.mov32_reg(e::R7, e::R8);
         else
-          em.mov32_reg(e::R8, e::R7);
+          a.mov32_reg(e::R8, e::R7);
         break;
     }
   }
 
   // Shared drop epilogue, only if something jumps to it.
-  std::size_t drop_pos = em.out.size();
-  if (!em.drop_fixups.empty()) {
-    em.mov32_imm(e::R0, 0);
-    em.exit();
-  }
+  if (drops) a.label(kDrop).mov32_imm(e::R0, 0).exit_();
 
-  if (em.out.size() > static_cast<std::size_t>(e::kMaxInsns)) {
+  if (a.size() > static_cast<std::size_t>(e::kMaxInsns)) {
     res.error = "translated program exceeds eBPF instruction limit";
     return res;
   }
-
-  for (const Emitter::Fixup& f : em.fixups) {
-    em.out[f.idx].off =
-        static_cast<std::int16_t>(pos[f.cbpf_target] - f.idx - 1);
-  }
-  for (std::size_t idx : em.drop_fixups)
-    em.out[idx].off = static_cast<std::int16_t>(drop_pos - idx - 1);
-
   res.ok = true;
-  res.insns = std::move(em.out);
+  res.insns = a.build();
   return res;
 }
 

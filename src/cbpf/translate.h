@@ -10,17 +10,22 @@
 //   buffer for bpf_skb_load_bytes results.
 //
 // Lowering of the legacy packet-access modes:
-//   * BPF_ABS with a small constant offset becomes the canonical verifier
-//     bounds-check pattern (data + k + size > data_end -> drop) followed by
-//     a direct load and a BPF_END byte-swap to network order.
-//   * BPF_IND, BPF_MSH and large-offset BPF_ABS call bpf_skb_load_bytes —
-//     the verifier cannot prove direct loads at runtime-computed offsets,
-//     which is exactly why the kernel converts them to the helper too.
+//   * BPF_ABS and BPF_MSH with a small constant offset become the
+//     canonical verifier bounds-check pattern (data + k + size > data_end
+//     -> drop) followed by a direct load and a BPF_END byte-swap to network
+//     order.
+//   * BPF_IND, and BPF_ABS and BPF_MSH whose k + size (computed without
+//     32-bit wraparound) passes 0x7fff, call bpf_skb_load_bytes — the
+//     verifier cannot prove direct loads at runtime-computed offsets, which
+//     is exactly why the kernel converts them to the helper too.
 //   * Division/modulo by X emits an explicit zero guard that jumps to the
 //     shared drop epilogue (classic semantics: the filter returns 0).
 //
 // Classic jumps are forward-only, so the translated program remains a DAG
-// and the pre-5.3 no-back-edges verifier rule holds by construction.
+// and the pre-5.3 no-back-edges verifier rule holds by construction. The
+// program is emitted through ebpf::Asm: each classic instruction a jump
+// targets, and the drop epilogue, is a label, and Asm::build() resolves
+// every jump.
 #pragma once
 
 #include <string>

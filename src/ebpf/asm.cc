@@ -36,23 +36,10 @@ Asm& Asm::label(const std::string& name) {
   return *this;
 }
 
-Asm& Asm::ja(const std::string& target) {
+Asm& Asm::jump(std::uint8_t opcode, int dst, int src, std::int32_t imm,
+               const std::string& target) {
   fixups_.push_back({insns_.size(), target});
-  return emit({BPF_JMP | BPF_JA, 0, 0, 0, 0});
-}
-
-Asm& Asm::jmp_imm(std::uint8_t op, int dst, std::int32_t imm,
-                  const std::string& target) {
-  fixups_.push_back({insns_.size(), target});
-  return emit({static_cast<std::uint8_t>(BPF_JMP | op | BPF_K), u4(dst), 0, 0,
-               imm});
-}
-
-Asm& Asm::jmp_reg(std::uint8_t op, int dst, int src,
-                  const std::string& target) {
-  fixups_.push_back({insns_.size(), target});
-  return emit({static_cast<std::uint8_t>(BPF_JMP | op | BPF_X), u4(dst),
-               u4(src), 0, 0});
+  return emit({opcode, u4(dst), u4(src), 0, imm});
 }
 
 std::vector<Insn> Asm::build() const {

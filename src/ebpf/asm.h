@@ -12,8 +12,10 @@
 //    .exit_();
 //   std::vector<Insn> prog = a.build();
 //
-// build() resolves forward/backward label references into relative offsets
-// and fails loudly on undefined or duplicate labels.
+// build() resolves forward/backward label references, in 64-bit and JMP32
+// jumps alike, into relative offsets and fails loudly on undefined or
+// duplicate labels. The classic-BPF translator (cbpf/translate.cc) emits
+// through it too.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +55,14 @@ class Asm {
   Asm& neg64(int dst) { return emit({BPF_ALU64 | BPF_NEG, u4(dst), 0, 0, 0}); }
 
   // ---- ALU32 (upper 32 bits of dst are zeroed, like the kernel) -------------
+  Asm& alu32_reg(std::uint8_t op, int dst, int src) {
+    return emit({static_cast<std::uint8_t>(BPF_ALU | op | BPF_X), u4(dst),
+                 u4(src), 0, 0});
+  }
+  Asm& alu32_imm(std::uint8_t op, int dst, std::int32_t imm) {
+    return emit({static_cast<std::uint8_t>(BPF_ALU | op | BPF_K), u4(dst), 0,
+                 0, imm});
+  }
   Asm& mov32_reg(int dst, int src) { return alu32_reg(BPF_MOV, dst, src); }
   Asm& mov32_imm(int dst, std::int32_t imm) { return alu32_imm(BPF_MOV, dst, imm); }
   Asm& add32_imm(int dst, std::int32_t imm) { return alu32_imm(BPF_ADD, dst, imm); }
@@ -101,7 +111,9 @@ class Asm {
 
   // ---- Control flow -----------------------------------------------------------
   Asm& label(const std::string& name);
-  Asm& ja(const std::string& target);
+  Asm& ja(const std::string& target) {
+    return jump(BPF_JMP | BPF_JA, 0, 0, 0, target);
+  }
   // 64-bit conditional jumps against register / immediate.
   Asm& jeq_imm(int dst, std::int32_t imm, const std::string& t) { return jmp_imm(BPF_JEQ, dst, imm, t); }
   Asm& jne_imm(int dst, std::int32_t imm, const std::string& t) { return jmp_imm(BPF_JNE, dst, imm, t); }
@@ -117,8 +129,20 @@ class Asm {
   Asm& jge_reg(int dst, int src, const std::string& t) { return jmp_reg(BPF_JGE, dst, src, t); }
   Asm& jlt_reg(int dst, int src, const std::string& t) { return jmp_reg(BPF_JLT, dst, src, t); }
   Asm& jle_reg(int dst, int src, const std::string& t) { return jmp_reg(BPF_JLE, dst, src, t); }
-  Asm& jmp_imm(std::uint8_t op, int dst, std::int32_t imm, const std::string& target);
-  Asm& jmp_reg(std::uint8_t op, int dst, int src, const std::string& target);
+  // Conditional jumps by op (BPF_JEQ ... BPF_JSLE): jmp_* compares all 64
+  // bits, jmp32_* (BPF_JMP32) the low 32 bits of both operands.
+  Asm& jmp_imm(std::uint8_t op, int dst, std::int32_t imm, const std::string& t) {
+    return jump(BPF_JMP | op | BPF_K, dst, 0, imm, t);
+  }
+  Asm& jmp_reg(std::uint8_t op, int dst, int src, const std::string& t) {
+    return jump(BPF_JMP | op | BPF_X, dst, src, 0, t);
+  }
+  Asm& jmp32_imm(std::uint8_t op, int dst, std::int32_t imm, const std::string& t) {
+    return jump(BPF_JMP32 | op | BPF_K, dst, 0, imm, t);
+  }
+  Asm& jmp32_reg(std::uint8_t op, int dst, int src, const std::string& t) {
+    return jump(BPF_JMP32 | op | BPF_X, dst, src, 0, t);
+  }
 
   Asm& call(std::int32_t helper_id) {
     return emit({BPF_JMP | BPF_CALL, 0, 0, 0, helper_id});
@@ -145,14 +169,9 @@ class Asm {
     return emit({static_cast<std::uint8_t>(BPF_ALU64 | op | BPF_K), u4(dst), 0,
                  0, imm});
   }
-  Asm& alu32_reg(std::uint8_t op, int dst, int src) {
-    return emit({static_cast<std::uint8_t>(BPF_ALU | op | BPF_X), u4(dst),
-                 u4(src), 0, 0});
-  }
-  Asm& alu32_imm(std::uint8_t op, int dst, std::int32_t imm) {
-    return emit({static_cast<std::uint8_t>(BPF_ALU | op | BPF_K), u4(dst), 0,
-                 0, imm});
-  }
+  // Emits a jump whose offset build() resolves to `target`.
+  Asm& jump(std::uint8_t opcode, int dst, int src, std::int32_t imm,
+            const std::string& target);
   Asm& emit(Insn insn) {
     insns_.push_back(insn);
     return *this;

@@ -295,20 +295,11 @@ std::optional<VerifierError> Checker::check_cfg() {
     }
   }
 
-  for (int i = 0; i < n; ++i) {
+  // The DFS checked every successor of every instruction it reached, so no
+  // reached instruction falls off the end.
+  for (int i = 0; i < n; ++i)
     if (colour[i] == kWhite && !is_aux_[i])
       return err(i, "unreachable instruction");
-    // Falling through past the last instruction.
-    if (colour[i] != kWhite && !insns_[i].is_exit()) {
-      int succ[2];
-      const int count = successors(i, succ);
-      for (int k = 0; k < count; ++k)
-        if (succ[k] == n)
-          return err(i, "control flow falls off the end of the program");
-      if (count == 0 && !insns_[i].is_exit())
-        return err(i, "control flow falls off the end of the program");
-    }
-  }
   return std::nullopt;
 }
 

@@ -29,6 +29,8 @@ namespace srv6bpf::cbpf {
 namespace {
 
 constexpr int kWantedPrograms = 1000;
+// Programs of the second pass, whose ABS and MSH offsets wrap.
+constexpr int kWrapPrograms = 200;
 // State budget of the pruning oracle's unpruned runs.
 constexpr std::size_t kUnprunedBudget = 20000;
 
@@ -36,9 +38,18 @@ constexpr std::size_t kUnprunedBudget = 20000;
 // Every emitted program passes check() by construction: forward-in-range
 // jumps, k < 16 for M[], nonzero constant divisors, constant shifts < 32,
 // trailing RET. Mid-program RETs and jumps leave dead code on purpose — the
-// translator's reachability pass must cope.
+// translator's reachability pass must cope. With `wrap`, every ABS and MSH
+// offset k lies in [2^32 - 8, 2^32 - 1], where k + size wraps in 32 bits:
+// loads that pass check() and fail on every packet. No call takes two
+// random draws as arguments, whose order C++ leaves unspecified: named
+// locals fix the order (the one g++ gave them), whatever the compiler.
 
-SockFilter gen_insn(Rng& rng, std::uint32_t pc, std::uint32_t len) {
+std::uint32_t wrap_offset(Rng& rng) {
+  return static_cast<std::uint32_t>(rng.uniform(0xfffffff8u, 0xffffffffu));
+}
+
+SockFilter gen_insn(Rng& rng, std::uint32_t pc, std::uint32_t len,
+                    bool wrap) {
   // Remaining forward range for conditional jump offsets.
   const std::uint32_t room =
       std::min<std::uint32_t>(255, len - 2 - pc);  // pc < len-1 here
@@ -60,20 +71,29 @@ SockFilter gen_insn(Rng& rng, std::uint32_t pc, std::uint32_t len) {
     case 7: {  // ABS load; offsets span in-packet, out-of-packet and the
                // >0x7fff helper fallback path
       static constexpr std::uint16_t kSz[] = {BPF_B, BPF_H, BPF_W};
+      if (wrap) {
+        const std::uint32_t k = wrap_offset(rng);
+        const std::uint16_t size = kSz[rng.uniform(0, 2)];
+        return stmt(BPF_LD | size | BPF_ABS, k);
+      }
       const std::uint32_t offs[] = {
           static_cast<std::uint32_t>(rng.uniform(0, 80)),
           static_cast<std::uint32_t>(rng.uniform(0, 300)),
           static_cast<std::uint32_t>(rng.uniform(32760, 40000))};
-      return stmt(BPF_LD | kSz[rng.uniform(0, 2)] | BPF_ABS,
-                  offs[rng.uniform(0, 2)]);
+      const std::uint32_t k = offs[rng.uniform(0, 2)];
+      const std::uint16_t size = kSz[rng.uniform(0, 2)];
+      return stmt(BPF_LD | size | BPF_ABS, k);
     }
     case 8: {  // IND load: offset = X + k with u32 wraparound
       static constexpr std::uint16_t kSz[] = {BPF_B, BPF_H, BPF_W};
-      return stmt(BPF_LD | kSz[rng.uniform(0, 2)] | BPF_IND,
-                  rng.chance(0.2) ? rng.next_u32() : rng.uniform(0, 100));
+      const std::uint32_t k =
+          rng.chance(0.2) ? rng.next_u32() : rng.uniform(0, 100);
+      const std::uint16_t size = kSz[rng.uniform(0, 2)];
+      return stmt(BPF_LD | size | BPF_IND, k);
     }
     case 9:
-      return stmt(BPF_LDX | BPF_B | BPF_MSH, rng.uniform(0, 100));
+      return stmt(BPF_LDX | BPF_B | BPF_MSH,
+                  wrap ? wrap_offset(rng) : rng.uniform(0, 100));
     case 10: {  // ALU with constant
       static constexpr std::uint16_t kOps[] = {BPF_ADD, BPF_SUB, BPF_MUL,
                                                BPF_DIV, BPF_MOD, BPF_OR,
@@ -106,9 +126,9 @@ SockFilter gen_insn(Rng& rng, std::uint32_t pc, std::uint32_t len) {
       const std::uint16_t src = rng.chance(0.5) ? BPF_X : BPF_K;
       const std::uint32_t k =
           rng.chance(0.5) ? rng.uniform(0, 256) : rng.next_u32();
-      return jump(BPF_JMP | op | src, k,
-                  static_cast<std::uint8_t>(rng.uniform(0, room)),
-                  static_cast<std::uint8_t>(rng.uniform(0, room)));
+      const auto jf = static_cast<std::uint8_t>(rng.uniform(0, room));
+      const auto jt = static_cast<std::uint8_t>(rng.uniform(0, room));
+      return jump(BPF_JMP | op | src, k, jt, jf);
     }
     case 15:  // unconditional jump
       return stmt(BPF_JMP | BPF_JA, rng.uniform(0, room));
@@ -118,11 +138,12 @@ SockFilter gen_insn(Rng& rng, std::uint32_t pc, std::uint32_t len) {
   }
 }
 
-std::vector<SockFilter> generate(Rng& rng) {
+std::vector<SockFilter> generate(Rng& rng, bool wrap = false) {
   const std::uint32_t n = rng.uniform(2, 40);
   std::vector<SockFilter> prog;
   prog.reserve(n);
-  for (std::uint32_t pc = 0; pc + 1 < n; ++pc) prog.push_back(gen_insn(rng, pc, n));
+  for (std::uint32_t pc = 0; pc + 1 < n; ++pc)
+    prog.push_back(gen_insn(rng, pc, n, wrap));
   prog.push_back(rng.chance(0.5) ? stmt(BPF_RET | BPF_A, 0)
                                  : stmt(BPF_RET | BPF_K, rng.next_u32()));
   return prog;
@@ -163,10 +184,14 @@ std::string dump(const std::vector<SockFilter>& prog,
 TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
   Rng rng(0xcbcbf17e2026ull);
   const auto corpus = make_corpus(rng);
+  // The wrap-band programs come last, from a generator of their own, so the
+  // first kWantedPrograms do not depend on them.
+  Rng wrap_rng(0x3a9f00c0ffeeull);
 
   int compared = 0;
-  for (int n = 0; n < kWantedPrograms; ++n) {
-    const std::vector<SockFilter> prog = generate(rng);
+  for (int n = 0; n < kWantedPrograms + kWrapPrograms; ++n) {
+    const bool wrap = n >= kWantedPrograms;
+    const std::vector<SockFilter> prog = generate(wrap ? wrap_rng : rng, wrap);
     ASSERT_TRUE(check(prog).ok) << disasm(prog);
 
     const TranslateResult tr = translate(prog);
@@ -209,7 +234,7 @@ TEST(CbpfDifferential, TranslatedProgramsMatchReferenceOnAllEngines) {
     }
   }
   // Most unpruned runs must fit the oracle's budget, or it checks little.
-  EXPECT_GE(compared, kWantedPrograms * 9 / 10);
+  EXPECT_GE(compared, (kWantedPrograms + kWrapPrograms) * 9 / 10);
 }
 
 }  // namespace

@@ -74,6 +74,29 @@ TEST(Asm, LabelOffsetsSkipLdImm64Slots) {
   EXPECT_EQ(prog[0].off, 2);
 }
 
+// A labelled JMP32 jump resolves like a 64-bit one, forward and backward,
+// and keeps its class.
+TEST(Asm, Jmp32LabelsResolveForwardAndBackward) {
+  Asm a;
+  a.label("top")
+      .jmp32_imm(BPF_JEQ, R1, 5, "end")
+      .mov64_imm(R0, 1)
+      .jmp32_reg(BPF_JGT, R1, R2, "top")
+      .label("end")
+      .exit_();
+  const auto prog = a.build();
+  // Forward: jump at 0, "end" at 3 -> off = 3 - 0 - 1 = 2.
+  EXPECT_EQ(prog[0].opcode, BPF_JMP32 | BPF_JEQ | BPF_K);
+  EXPECT_EQ(prog[0].off, 2);
+  // Backward: jump at 2, "top" at 0 -> off = 0 - 2 - 1 = -3.
+  EXPECT_EQ(prog[2].opcode, BPF_JMP32 | BPF_JGT | BPF_X);
+  EXPECT_EQ(prog[2].src, R2);
+  EXPECT_EQ(prog[2].off, -3);
+  const std::string text = disasm(prog);
+  EXPECT_NE(text.find("0: jeq32 r1, 5, +2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("2: jgt32 r1, r2, -3\n"), std::string::npos) << text;
+}
+
 TEST(Disasm, ReadableOutput) {
   Asm a;
   a.mov64_imm(R1, 5)

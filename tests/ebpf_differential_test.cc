@@ -40,6 +40,10 @@ constexpr std::size_t kUnprunedBudget = 20000;
 // initialised by the preamble so any gadget may read any of them.
 constexpr int kGpRegs[] = {R0, R1, R2, R3, R4, R5};
 
+// No call takes two random draws as arguments: C++ leaves their order
+// unspecified, and the corpus must not depend on the compiler. Named
+// locals, or a braced list (evaluated left to right), fix the order: the
+// one g++ gave the draws when they were arguments.
 struct GenState {
   Asm a;
   Rng& rng;
@@ -111,7 +115,11 @@ void gadget_bswap(GenState& g) {
     g.a.to_le(g.gp(), bits);
 }
 
-void gadget_ld_imm64(GenState& g) { g.a.ld_imm64(g.gp(), g.rng.next_u64()); }
+void gadget_ld_imm64(GenState& g) {
+  const std::uint64_t imm = g.rng.next_u64();
+  const int dst = g.gp();
+  g.a.ld_imm64(dst, imm);
+}
 
 void gadget_stack_store(GenState& g) {
   const std::int16_t off = -8 * static_cast<std::int16_t>(g.rng.uniform(1, 8));
@@ -125,7 +133,9 @@ void gadget_stack_load(GenState& g) {
       g.written_slots[g.rng.uniform(0, g.written_slots.size() - 1)];
   // Narrower reloads of a written slot exercise all load widths.
   static constexpr std::uint8_t kSizes[] = {BPF_B, BPF_H, BPF_W, BPF_DW};
-  g.a.ldx(kSizes[g.rng.uniform(0, 3)], g.gp(), R10, off);
+  const int dst = g.gp();
+  const std::uint8_t size = kSizes[g.rng.uniform(0, 3)];
+  g.a.ldx(size, dst, R10, off);
 }
 
 void gadget_fwd_jump(GenState& g, const std::string& out_label) {
@@ -134,28 +144,38 @@ void gadget_fwd_jump(GenState& g, const std::string& out_label) {
                                           BPF_JSET, BPF_JSGT, BPF_JSGE,
                                           BPF_JSLT, BPF_JSLE};
   const std::uint8_t op = kOps[g.rng.uniform(0, std::size(kOps) - 1)];
-  if (g.rng.chance(0.5))
-    g.a.jmp_imm(op, g.gp(), g.imm(), out_label);
-  else
-    g.a.jmp_reg(op, g.gp(), g.gp(), out_label);
+  if (g.rng.chance(0.5)) {
+    const std::int32_t imm = g.imm();
+    const int dst = g.gp();
+    g.a.jmp_imm(op, dst, imm, out_label);
+  } else {
+    const int src = g.gp();
+    const int dst = g.gp();
+    g.a.jmp_reg(op, dst, src, out_label);
+  }
 }
 
 void gadget_jmp32(GenState& g) {
-  // JMP32 over one filler instruction (Asm labels only emit 64-bit jumps).
+  // JMP32 over one filler instruction.
   static constexpr std::uint8_t kOps[] = {BPF_JEQ,  BPF_JNE,  BPF_JGT,
                                           BPF_JGE,  BPF_JLT,  BPF_JLE,
                                           BPF_JSET, BPF_JSGT, BPF_JSGE,
                                           BPF_JSLT, BPF_JSLE};
   const std::uint8_t op = kOps[g.rng.uniform(0, std::size(kOps) - 1)];
+  const std::string skip = g.fresh_label("skip");
   const bool reg_src = g.rng.chance(0.5);
-  if (reg_src)
-    g.a.raw({static_cast<std::uint8_t>(BPF_JMP32 | op | BPF_X),
-             static_cast<std::uint8_t>(g.gp()),
-             static_cast<std::uint8_t>(g.gp()), 1, 0});
-  else
-    g.a.raw({static_cast<std::uint8_t>(BPF_JMP32 | op | BPF_K),
-             static_cast<std::uint8_t>(g.gp()), 0, 1, g.imm()});
-  g.a.mov64_imm(g.gp(), g.imm());  // skipped when the branch is taken
+  const int dst = g.gp();
+  if (reg_src) {
+    const int src = g.gp();
+    g.a.jmp32_reg(op, dst, src, skip);
+  } else {
+    const std::int32_t imm = g.imm();
+    g.a.jmp32_imm(op, dst, imm, skip);
+  }
+  // Skipped when the branch is taken.
+  const std::int32_t imm = g.imm();
+  const int filler = g.gp();
+  g.a.mov64_imm(filler, imm).label(skip);
 }
 
 // Helper calls clobber the caller-saved argument registers R1-R5 (the

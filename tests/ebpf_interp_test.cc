@@ -220,9 +220,10 @@ TEST_P(EngineTest, Jmp32ComparesLow32Only) {
   // R1 = 2^32 + 1: as 32-bit it is 1.
   a.ld_imm64(R1, 0x100000001ull)
       .mov64_imm(R0, 0)
-      .raw({BPF_JMP32 | BPF_JEQ | BPF_K, R1, 0, 2, 1})  // jeq32 r1,1,+2
+      .jmp32_imm(BPF_JEQ, R1, 1, "low32_is_1")
       .mov64_imm(R0, 1)
       .exit_()
+      .label("low32_is_1")
       .mov64_imm(R0, 2)
       .exit_();
   EXPECT_EQ(eval(a.build()), 2u);

@@ -1,13 +1,16 @@
 // SO_ATTACH_FILTER-style socket filters on the app layer: SocketFilter
 // compile/attach, per-packet accept/drop accounting, and AppMux per-port
-// attachment driven end-to-end through a small topology.
+// attachment driven end-to-end through a small topology, which ends with
+// the network's drained audit.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "apps/sink.h"
 #include "apps/socket_filter.h"
 #include "cbpf/insn.h"
+#include "cbpf/interp.h"
 #include "net/packet.h"
 #include "sim/network.h"
 
@@ -39,6 +42,12 @@ struct Lab {
     spec.dst_port = dport;
     spec.payload_size = payload;
     s1.send(net::make_udp_packet(spec));
+  }
+
+  // Every packet a node originated was delivered or dropped with a reason.
+  void expect_drained() {
+    net.audit(/*final_drain=*/true);
+    EXPECT_EQ(net.violations(), std::vector<std::string>{});
   }
 };
 
@@ -101,6 +110,31 @@ TEST(SocketFilter, FromRawClassicProgram) {
   EXPECT_FALSE(err.empty());
 }
 
+// A classic load whose offset k + size wraps in 32 bits passes the classic
+// check and fails on every packet. It attaches, and drops as the reference
+// interpreter does.
+TEST(SocketFilter, LoadsAtTheTopOfTheOffsetRangeAttachAndDrop) {
+  using namespace cbpf;
+  Lab lab;
+  net::PacketSpec spec;
+  spec.src = A("fc00:1::1");
+  spec.dst = A("fc00:1::2");
+  const net::Packet pkt = net::make_udp_packet(spec);
+  for (const SockFilter load : {stmt(BPF_LD | BPF_W | BPF_ABS, 0xfffffffc),
+                                stmt(BPF_LD | BPF_H | BPF_ABS, 0xfffffffe),
+                                stmt(BPF_LD | BPF_B | BPF_ABS, 0xffffffff),
+                                stmt(BPF_LDX | BPF_B | BPF_MSH, 0xffffffff)}) {
+    const std::vector<SockFilter> prog = {load, stmt(BPF_RET | BPF_K, 0xffff)};
+    SCOPED_TRACE(disasm(prog));
+    std::string err;
+    auto f = apps::SocketFilter::from_cbpf(lab.s2.ns(), "wrap", prog, &err);
+    ASSERT_NE(f, nullptr) << err;
+    const std::uint32_t want = run(prog, pkt.bytes().data(), pkt.size());
+    EXPECT_EQ(want, 0u);
+    EXPECT_EQ(f->run(pkt), want);
+  }
+}
+
 TEST(SocketFilter, PerSocketFilterGatesUdpSink) {
   Lab lab;
   apps::AppMux mux(lab.s2);
@@ -121,6 +155,7 @@ TEST(SocketFilter, PerSocketFilterGatesUdpSink) {
   EXPECT_EQ(f->dropped(), 1u);
   EXPECT_EQ(mux.filtered(), 1u);
   EXPECT_EQ(mux.unmatched(), 1u);
+  lab.expect_drained();
 }
 
 TEST(SocketFilter, AppMuxAttachesAndDetachesPerPortFilters) {
@@ -147,6 +182,7 @@ TEST(SocketFilter, AppMuxAttachesAndDetachesPerPortFilters) {
   EXPECT_EQ(sink.packets(), 3u);
   EXPECT_EQ(port_f->accepted(), 2u);
   EXPECT_EQ(mux.filtered(), 0u);
+  lab.expect_drained();
 }
 
 }  // namespace
