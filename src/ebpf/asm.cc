@@ -5,15 +5,9 @@
 
 namespace srv6bpf::ebpf {
 
-std::uint8_t Asm::u4(int reg) {
-  if (reg < 0 || reg >= kNumRegs + 5) {
-    // Allow a handful of invalid register numbers through so the verifier
-    // test corpus can exercise the "unknown register" rejection path, but
-    // catch obvious programmer typos.
-    throw std::invalid_argument("eBPF register out of range: " +
-                                std::to_string(reg));
-  }
-  return static_cast<std::uint8_t>(reg);
+void Asm::bad_register(int reg) {
+  throw std::invalid_argument("eBPF register out of range: " +
+                              std::to_string(reg));
 }
 
 Asm& Asm::ld_imm64(int dst, std::uint64_t imm) {
@@ -30,30 +24,37 @@ Asm& Asm::ld_map(int dst, std::uint32_t map_id) {
   return *this;
 }
 
+std::size_t Asm::label_index(const std::string& name) {
+  for (std::size_t i = 0; i < labels_.size(); ++i)
+    if (labels_[i].name == name) return i;
+  labels_.push_back({name});
+  return labels_.size() - 1;
+}
+
 Asm& Asm::label(const std::string& name) {
-  if (!labels_.emplace(name, insns_.size()).second)
-    throw std::runtime_error("duplicate label: " + name);
+  Label& l = labels_[label_index(name)];
+  if (l.at >= 0) throw std::runtime_error("duplicate label: " + name);
+  l.at = static_cast<std::ptrdiff_t>(insns_.size());
   return *this;
 }
 
 Asm& Asm::jump(std::uint8_t opcode, int dst, int src, std::int32_t imm,
                const std::string& target) {
-  fixups_.push_back({insns_.size(), target});
+  fixups_.push_back({insns_.size(), label_index(target)});
   return emit({opcode, u4(dst), u4(src), 0, imm});
 }
 
 std::vector<Insn> Asm::build() const {
   std::vector<Insn> out = insns_;
   for (const Fixup& f : fixups_) {
-    auto it = labels_.find(f.target);
-    if (it == labels_.end())
-      throw std::runtime_error("undefined label: " + f.target);
+    const Label& l = labels_[f.label];
+    if (l.at < 0) throw std::runtime_error("undefined label: " + l.name);
     // Relative offset from the *next* instruction, as in the kernel.
-    const std::ptrdiff_t rel = static_cast<std::ptrdiff_t>(it->second) -
-                               static_cast<std::ptrdiff_t>(f.insn_index) - 1;
+    const std::ptrdiff_t rel =
+        l.at - static_cast<std::ptrdiff_t>(f.insn_index) - 1;
     if (rel < INT16_MIN || rel > INT16_MAX)
       throw std::runtime_error("jump offset out of int16 range to label: " +
-                               f.target);
+                               l.name);
     out[f.insn_index].off = static_cast<std::int16_t>(rel);
   }
   return out;

@@ -18,8 +18,8 @@
 // through it too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,6 +29,14 @@ namespace srv6bpf::ebpf {
 
 class Asm {
  public:
+  // Room for a typical program (the translated filters run to ~200
+  // instructions), so emitting one rarely reallocates.
+  Asm() {
+    insns_.reserve(256);
+    labels_.reserve(32);
+    fixups_.reserve(64);
+  }
+
   // ---- ALU64 ----------------------------------------------------------------
   Asm& mov64_reg(int dst, int src) { return alu64_reg(BPF_MOV, dst, src); }
   Asm& mov64_imm(int dst, std::int32_t imm) { return alu64_imm(BPF_MOV, dst, imm); }
@@ -176,14 +184,31 @@ class Asm {
     insns_.push_back(insn);
     return *this;
   }
-  static std::uint8_t u4(int reg);
+  // Lets a handful of invalid register numbers through, so the verifier
+  // test corpus can exercise the "unknown register" rejection, but catches
+  // obvious typos.
+  static std::uint8_t u4(int reg) {
+    if (reg < 0 || reg >= kNumRegs + 5) bad_register(reg);
+    return static_cast<std::uint8_t>(reg);
+  }
+  [[noreturn]] static void bad_register(int reg);
 
+  // Labels by name, each resolved to an index into labels_ once: label()
+  // and every jump look their name up there (a linear search; a program
+  // has tens of labels), adding it on first sight, and a fix-up keeps the
+  // index.
+  struct Label {
+    std::string name;
+    std::ptrdiff_t at = -1;  // insn index; -1 until label() places it
+  };
   struct Fixup {
     std::size_t insn_index;
-    std::string target;
+    std::size_t label;
   };
+  std::size_t label_index(const std::string& name);
+
   std::vector<Insn> insns_;
-  std::map<std::string, std::size_t> labels_;  // label -> insn index
+  std::vector<Label> labels_;
   std::vector<Fixup> fixups_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -18,6 +17,11 @@ constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 constexpr std::int64_t kMaxPtrOff = 1 << 20;
 // Largest helper memory argument we accept.
 constexpr std::uint64_t kMaxMemArg = 8192;
+// Checker::join_head_ of an instruction that is not a join point.
+constexpr int kNotJoin = -2;
+// Join-store room reserved per join point: the paper's programs store up to
+// 3 states at one, the translated filters 5-15 on average.
+constexpr std::size_t kStatesPerJoin = 8;
 
 enum class RT : std::uint8_t {
   kNotInit,
@@ -167,15 +171,17 @@ class Checker {
   std::optional<VerifierError> check_encoding(int i) const;
   // ---- symbolic execution ----
   std::optional<VerifierError> explore();
-  // One instruction; pushes successor states onto the worklist.
-  std::optional<VerifierError> step(State s);
+  // One instruction of the path in `s`, which moves on in place to its next
+  // pc; `live` turns false where the path ends.
+  std::optional<VerifierError> step(State& s, bool& live);
 
   std::optional<VerifierError> do_alu(State& s, const Insn& insn);
   std::optional<VerifierError> do_ld_imm64(State& s, const Insn& insn);
   // LDX, ST and STX.
   std::optional<VerifierError> do_mem(State& s, const Insn& insn);
   std::optional<VerifierError> do_call(State& s, const Insn& insn);
-  std::optional<VerifierError> do_jump(State s, const Insn& insn);
+  std::optional<VerifierError> do_jump(State& s, const Insn& insn,
+                                       bool& live);
 
   std::optional<VerifierError> check_reg_init(const State& s, int reg,
                                               int insn_idx) const;
@@ -188,9 +194,9 @@ class Checker {
                                               std::uint64_t size, bool uninit,
                                               int insn_idx);
 
-  void push(State s);
-  void push_branches(State&& taken, State&& fall, std::int16_t off,
-                     bool taken_ok = true, bool fall_ok = true);
+  bool pruned(const State& s);
+  bool branch(State& s, State&& taken, std::int16_t off, bool taken_ok = true,
+              bool fall_ok = true);
   void mark_map_null_branch(State& s, std::uint32_t id, bool is_null);
   void invalidate_packet(State& s);
 
@@ -210,10 +216,21 @@ class Checker {
   VerifyOptions opts_;
 
   std::vector<bool> is_aux_;        // second slot of LD_IMM64
-  std::vector<bool> is_join_;       // two or more CFG predecessors
+  // Per pc, kNotJoin or, at a join point (two or more CFG predecessors),
+  // the index in join_store_ of the newest state pruning stored there (-1:
+  // none yet).
+  std::vector<int> join_head_;
   std::vector<bool> reached_;       // stepped by exploration
-  std::deque<State> worklist_;
-  std::vector<std::vector<State>> seen_;  // per-join-point states for pruning
+  std::vector<State> pending_;      // other branches, last pushed first
+  // Pruning's states, one flat store; each links to the state stored before
+  // it at the same pc (-1: none).
+  struct Stored {
+    Stored(const State& s, int n) : state(s), next(n) {}
+    State state;
+    int next;
+  };
+  std::vector<Stored> join_store_;
+  std::size_t joins_ = 0;           // join points
   VerifyStats stats_;
 };
 
@@ -266,7 +283,7 @@ std::optional<VerifierError> Checker::check_cfg() {
   // Iterative DFS with colouring for cycle detection + reachability.
   enum Colour : std::uint8_t { kWhite, kGrey, kBlack };
   std::vector<Colour> colour(n, kWhite);
-  is_join_.assign(n, false);
+  join_head_.assign(n, kNotJoin);
   std::vector<std::pair<int, int>> dfs;  // (node, next-successor-index)
   dfs.emplace_back(0, 0);
   colour[0] = kGrey;
@@ -288,7 +305,10 @@ std::optional<VerifierError> Checker::check_cfg() {
     if (colour[t] == kGrey)
       return err(node, "back-edge detected (loops are not allowed)");
     // Every edge but the first into `t` finds it finished.
-    if (colour[t] == kBlack) is_join_[t] = true;
+    if (colour[t] == kBlack && join_head_[t] == kNotJoin) {
+      join_head_[t] = -1;
+      ++joins_;
+    }
     if (colour[t] == kWhite) {
       colour[t] = kGrey;
       dfs.emplace_back(t, 0);
@@ -382,53 +402,60 @@ std::optional<VerifierError> Checker::check_encoding(int i) const {
 // Symbolic execution
 // ---------------------------------------------------------------------------
 
-// Pruning stores and compares states only at join points, where paths meet.
-// States that become identical after a join stay apart until the next one.
-void Checker::push(State s) {
-  if (opts_.enable_pruning && is_join_[s.pc]) {
-    for (const State& old : seen_[s.pc]) {
-      if (old.same_invariants(s)) {
-        ++stats_.states_pruned;
-        return;
-      }
+// Pruning stores and compares states only at join points, where paths meet,
+// as the kernel's is_state_visited does at its prune points: `s` reached its
+// pc, and its path ends there if an equal state came before. Otherwise a join
+// point keeps a copy of it. States that become identical after a join stay
+// apart until the next one.
+bool Checker::pruned(const State& s) {
+  int& head = join_head_[s.pc];
+  if (!opts_.enable_pruning || head == kNotJoin) return false;
+  for (int i = head; i >= 0; i = join_store_[i].next) {
+    if (join_store_[i].state.same_invariants(s)) {
+      ++stats_.states_pruned;
+      return true;
     }
-    seen_[s.pc].push_back(s);
   }
-  worklist_.push_back(std::move(s));
+  join_store_.emplace_back(s, head);
+  head = static_cast<int>(join_store_.size()) - 1;
+  return false;
 }
 
 // A conditional jump's feasible successors, both still at the jump: the
-// taken state goes to the target, then the fall-through to the next pc.
-void Checker::push_branches(State&& taken, State&& fall, std::int16_t off,
-                            bool taken_ok, bool fall_ok) {
-  const std::uint32_t pc = fall.pc;
-  if (taken_ok) {
-    taken.pc = pc + 1 + off;
-    push(std::move(taken));
+// fall-through goes on in `s` and the taken state waits on the pending
+// stack, as the kernel's push_stack keeps the other branch; a lone feasible
+// successor goes on in `s`. Returns whether any was feasible.
+bool Checker::branch(State& s, State&& taken, std::int16_t off, bool taken_ok,
+                     bool fall_ok) {
+  taken.pc = s.pc + 1 + off;
+  s.pc = s.pc + 1;
+  if (!fall_ok) {
+    s = std::move(taken);
+  } else if (taken_ok && !pruned(taken)) {
+    pending_.push_back(std::move(taken));
   }
-  if (fall_ok) {
-    fall.pc = pc + 1;
-    push(std::move(fall));
-  }
+  return taken_ok || fall_ok;
 }
 
+// Walks one path at a time in one state, as the kernel's do_check does: each
+// instruction updates `s` in place, and where the path ends the walk takes
+// up the branch pushed last.
 std::optional<VerifierError> Checker::explore() {
-  seen_.assign(insns_.size(), {});
   reached_.assign(insns_.size(), false);
-  State init;
-  init.pc = 0;
-  init.regs[R1] = {.type = RT::kCtxPtr};
-  init.regs[R10] = {.type = RT::kStackPtr};
-  push(std::move(init));
-
-  while (!worklist_.empty()) {
-    State s = std::move(worklist_.front());
-    worklist_.pop_front();
+  if (opts_.enable_pruning) join_store_.reserve(kStatesPerJoin * joins_);
+  State s;
+  s.regs[R1] = {.type = RT::kCtxPtr};
+  s.regs[R10] = {.type = RT::kStackPtr};
+  for (;;) {
     if (++stats_.states_visited > opts_.max_states)
       return VerifierError{"program too complex (state budget exhausted)", -1};
-    if (auto e = step(std::move(s))) return e;
+    bool live = true;
+    if (auto e = step(s, live)) return e;
+    if (live && !pruned(s)) continue;
+    if (pending_.empty()) return std::nullopt;
+    s = std::move(pending_.back());
+    pending_.pop_back();
   }
-  return std::nullopt;
 }
 
 std::optional<VerifierError> Checker::check_reg_init(const State& s, int reg,
@@ -439,7 +466,7 @@ std::optional<VerifierError> Checker::check_reg_init(const State& s, int reg,
   return std::nullopt;
 }
 
-std::optional<VerifierError> Checker::step(State s) {
+std::optional<VerifierError> Checker::step(State& s, bool& live) {
   const int pc = static_cast<int>(s.pc);
   const Insn& insn = insns_[pc];
   reached_[pc] = true;
@@ -461,17 +488,17 @@ std::optional<VerifierError> Checker::step(State s) {
       break;
     default:  // BPF_JMP, BPF_JMP32
       if (insn.is_exit()) {  // the path ends here
+        live = false;
         e = check_reg_init(s, R0, pc);
         if (!e && s.regs[R0].type != RT::kScalar)
           e = err(pc, "R0 must hold a scalar return value at exit");
         return e;
       }
-      if (!insn.is_call()) return do_jump(std::move(s), insn);
+      if (!insn.is_call()) return do_jump(s, insn, live);
       e = do_call(s, insn);
   }
   if (e) return e;
   s.pc = pc + (insn.is_ld_imm64() ? 2 : 1);
-  push(std::move(s));
   return std::nullopt;
 }
 
@@ -955,13 +982,13 @@ void Checker::invalidate_packet(State& s) {
     }
 }
 
-std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
+std::optional<VerifierError> Checker::do_jump(State& s, const Insn& insn,
+                                              bool& live) {
   const int pc = static_cast<int>(s.pc);
   const bool is32 = insn.insn_class() == BPF_JMP32;
 
   if (insn.is_unconditional_jump()) {
     s.pc = pc + 1 + insn.off;
-    push(std::move(s));
     return std::nullopt;
   }
 
@@ -984,7 +1011,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     // JEQ: taken => null; JNE: taken => non-null.
     mark_map_null_branch(taken, id, op == BPF_JEQ);
     mark_map_null_branch(s, id, op != BPF_JEQ);
-    push_branches(std::move(taken), std::move(s), insn.off);
+    live = branch(s, std::move(taken), insn.off);
     return std::nullopt;
   }
 
@@ -1018,7 +1045,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     if (branch_proves(true))
       taken.pkt_range = std::max(taken.pkt_range, range);
     if (branch_proves(false)) s.pkt_range = std::max(s.pkt_range, range);
-    push_branches(std::move(taken), std::move(s), insn.off);
+    live = branch(s, std::move(taken), insn.off);
     return std::nullopt;
   }
 
@@ -1029,7 +1056,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     if (!(both_ptr && (op == BPF_JEQ || op == BPF_JNE) &&
           a.type == src_reg->type))
       return err(pc, "invalid pointer comparison");
-    push_branches(std::move(taken), std::move(s), insn.off);
+    live = branch(s, std::move(taken), insn.off);
     return std::nullopt;
   }
 
@@ -1085,8 +1112,7 @@ std::optional<VerifierError> Checker::do_jump(State s, const Insn& insn) {
     }
   }
 
-  push_branches(std::move(taken), std::move(s), insn.off, taken_feasible,
-                fall_feasible);
+  live = branch(s, std::move(taken), insn.off, taken_feasible, fall_feasible);
   return std::nullopt;
 }
 

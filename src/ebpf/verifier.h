@@ -19,9 +19,13 @@
 //     the packet invalidate previously derived packet pointers.
 //
 // Implementation: explicit-state symbolic execution over the instruction
-// DAG with optional state pruning: identical-state deduplication at join
-// points (instructions with two or more CFG predecessors), the only places
-// two paths can meet, so states are stored and compared only there. A state
+// DAG, one path at a time as the kernel's do_check walks it: one state is
+// updated in place per instruction, a conditional jump goes on with its
+// fall-through and pushes its other feasible successor on a pending stack,
+// and where a path ends the walk takes up the successor pushed last.
+// Optional state pruning is identical-state deduplication at join points
+// (instructions with two or more CFG predecessors), the only places two
+// paths can meet, so states are stored and compared only there. A state
 // holds the 11 registers, the proven packet range and the stack slots only
 // as deep as the path has written. The DAG property bounds the exploration;
 // a visited-state budget rejects pathological programs as "too complex",

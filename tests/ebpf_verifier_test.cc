@@ -9,13 +9,19 @@
 
 #include "cbpf/expr.h"
 #include "cbpf/translate.h"
+#include "cbpf_generator.h"
 #include "ebpf/asm.h"
 #include "ebpf/helpers.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
 #include "ebpf/verifier.h"
+#include "ebpf/vm.h"
+#include "ebpf_generator.h"
 #include "pruning_oracle.h"
 #include "seg6/helpers.h"
+#include "usecases/programs.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace srv6bpf::ebpf {
 namespace {
@@ -710,9 +716,28 @@ TEST_F(VerifierTest, PrunedDiamondChainGrowsLinearly) {
 // Stack state is kept only as deep as a path wrote it. Where two paths join
 // and only one wrote fp-512, the other's stack is shorter, and the join must
 // still tell the two apart: nothing is pruned, and the read of fp-512 after
-// the join is rejected. Both paths take two steps from the branch, so both
-// reach the join before either leaves it; the taken path arrives first.
+// the join is rejected. The verifier walks the fall-through path to its end
+// first. Where the writer arrives second, the path without the write
+// reaches the join first and its read is rejected before the writer gets
+// there; where the writer arrives first, the join compares the shorter
+// stack arriving second with the deeper one it stored.
 TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesSecond) {
+  Asm a;
+  a.ldx(BPF_W, R2, R1, 16)
+      .jset_imm(R2, 1, "write")
+      .mov64_reg(R2, R2)
+      .ja("join")
+      .label("write")
+      .st(BPF_DW, R10, -512, 0)
+      .mov64_reg(R2, R2)
+      .label("join")
+      .ldx(BPF_DW, R0, R10, -512)
+      .exit_();
+  expect_reject(a, "uninitialised stack at off -512");
+  EXPECT_EQ(verify(a).stats.states_pruned, 0u);
+}
+
+TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesFirst) {
   Asm a;
   a.ldx(BPF_W, R2, R1, 16)
       .jset_imm(R2, 1, "nowrite")
@@ -728,7 +753,10 @@ TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesSecond) {
   EXPECT_EQ(verify(a).stats.states_pruned, 0u);
 }
 
-TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesFirst) {
+// The writer arrives second, and nothing reads fp-512 after the join, so the
+// path without the write gets there first and survives: the join must keep
+// the deeper stack arriving second apart from the shorter one it stored.
+TEST_F(VerifierTest, JoinKeepsUnreadDeepStackWriteApart) {
   Asm a;
   a.ldx(BPF_W, R2, R1, 16)
       .jset_imm(R2, 1, "write")
@@ -738,9 +766,9 @@ TEST_F(VerifierTest, JoinKeepsDeepStackWriteApartWhenWriterArrivesFirst) {
       .st(BPF_DW, R10, -512, 0)
       .mov64_reg(R2, R2)
       .label("join")
-      .ldx(BPF_DW, R0, R10, -512)
+      .mov64_imm(R0, 0)
       .exit_();
-  expect_reject(a, "uninitialised stack at off -512");
+  expect_ok(a);
   EXPECT_EQ(verify(a).stats.states_pruned, 0u);
 }
 
@@ -759,6 +787,158 @@ TEST_F(VerifierTest, FilterExpressionsKeepTheirVerdict) {
     const auto r = verify(tr.insns, ProgType::kSocketFilter);
     EXPECT_TRUE(r.ok) << r.error;
   }
+}
+
+// ---- Golden -------------------------------------------------------------------
+
+// What the verifier says of a fixed corpus, with pruning on and off, folded
+// into one FNV-1a digest: each program's verdict, error instruction and
+// error text and, for an accepted program, the states visited and pruned
+// and the instructions reached. A rejected program's state count is left
+// out: it depends on the order in which exploration walks the paths. The
+// corpus: programs of the eBPF differential generator and of the opcode
+// sweep (ebpf_generator.h), translations of the classic generator's
+// programs (cbpf_generator.h), the filter expressions and every
+// usecases/programs.h program. A verifier change that moves the digest
+// changes what the verifier says of some program: re-pin it only on
+// purpose, with a CHANGES.md line saying why.
+class VerifierGolden : public ::testing::Test {
+ protected:
+  // The generated programs' unpruned runs get the differential tests'
+  // budget; the named programs get the default.
+  static constexpr std::size_t kGeneratedBudget = 20000;
+
+  PruningOracle add(BpfSystem& sys, const std::vector<Insn>& insns,
+                    ProgType type,
+                    std::size_t unpruned_budget = VerifyOptions{}.max_states) {
+    const PruningOracle o =
+        check_pruning(&sys.maps(), &sys.helpers(), insns, type,
+                      unpruned_budget);
+    fold(o.pruned);
+    fold(o.unpruned);
+    ++programs_;
+    return o;
+  }
+
+  void fold(const VerifyResult& r) {
+    digest_ = fnv1a_u64(digest_, r.ok);
+    digest_ = fnv1a_u64(digest_, static_cast<std::uint64_t>(
+                                           std::int64_t{r.error_insn}));
+    digest_ = fnv1a_u64(digest_, r.error.size());
+    digest_ = fnv1a_bytes(
+        digest_, {reinterpret_cast<const std::uint8_t*>(r.error.data()),
+                  r.error.size()});
+    if (!r.ok) return;
+    digest_ = fnv1a_u64(digest_, r.stats.states_visited);
+    digest_ = fnv1a_u64(digest_, r.stats.states_pruned);
+    for (const bool reached : r.reached)
+      digest_ = fnv1a_u64(digest_, reached);
+  }
+
+  std::uint64_t digest_ = kFnv1aBasis;
+  std::size_t programs_ = 0;
+};
+
+TEST_F(VerifierGolden, CorpusDigestIsPinned) {
+  {  // The eBPF differential generator's first 1,000 programs.
+    BpfSystem sys;
+    const std::uint32_t map_id =
+        sys.maps().create({MapType::kArray, 4, 8, kMapEntries, "m"});
+    Rng rng(0x5eed5eed2026ull);
+    for (int i = 0; i < 1000; ++i)
+      add(sys, generate(rng, map_id), ProgType::kLwtSeg6Local,
+          kGeneratedBudget);
+  }
+  {  // Every opcode byte, live and dead, as Differential sweeps them.
+    BpfSystem sys;
+    for (int opcode = 0; opcode < 256; ++opcode)
+      for (const std::uint8_t dst : {0, 2, 10, 11})
+        for (const std::uint8_t src : {0, 1, 2, 11})
+          for (const std::int32_t imm : {0, 5, 16})
+            for (const bool dead : {false, true})
+              add(sys,
+                  sweep_program(
+                      {static_cast<std::uint8_t>(opcode), dst, src, 0, imm},
+                      dead),
+                  ProgType::kLwtSeg6Local);
+  }
+  {  // Translations of the classic generator's programs, wrap band last.
+    BpfSystem sys;
+    Rng rng(0xcbcbf17e2026ull);
+    Rng wrap_rng(0x3a9f00c0ffeeull);
+    for (int i = 0; i < 1200; ++i) {
+      const bool wrap = i >= 1000;
+      const cbpf::TranslateResult tr =
+          cbpf::translate(cbpf::generate(wrap ? wrap_rng : rng, wrap));
+      ASSERT_TRUE(tr.ok) << tr.error;
+      add(sys, tr.insns, ProgType::kSocketFilter, kGeneratedBudget);
+    }
+  }
+  {  // The filter expressions; bench_filter's four with their state counts.
+    BpfSystem sys;
+    const struct {
+      const char* expr;
+      std::size_t states, states_unpruned;  // 0: not pinned
+    } filters[] = {
+        {"udp", 780, 12603},
+        {"udp and dst port 7001", 894, 25903},
+        {"srh and udp and dst port 7001", 724, 27268},
+        {"ip6 and (dst net fc00:2::/64 or dst host fc00:1::1) and not tcp",
+         1606, 60343},
+        {"udp and dst port 9999", 0, 0},
+    };
+    for (const auto& f : filters) {
+      SCOPED_TRACE(f.expr);
+      const cbpf::TranslateResult tr =
+          cbpf::translate(cbpf::compile(f.expr).insns);
+      ASSERT_TRUE(tr.ok) << tr.error;
+      const PruningOracle o = add(sys, tr.insns, ProgType::kSocketFilter);
+      EXPECT_TRUE(o.pruned.ok) << o.pruned.error;
+      if (f.states == 0) continue;
+      EXPECT_EQ(o.pruned.stats.states_visited, f.states);
+      EXPECT_EQ(o.unpruned.stats.states_visited, f.states_unpruned);
+    }
+  }
+  {  // Every usecases/programs.h program; Tag++ and Add TLV with counts.
+    BpfSystem sys;
+    seg6::register_seg6_helpers(sys.helpers());
+    MapDef def{MapType::kArray, 4, sizeof(usecases::DmEncapConfig), 1, "cfg"};
+    const std::uint32_t cfg_id = sys.maps().create(def);
+    def.value_size = sizeof(usecases::WrrConfig);
+    const std::uint32_t wrr_id = sys.maps().create(def);
+    const std::uint32_t perf_id = create_perf_event_array(sys.maps(), "perf");
+    const std::uint32_t cnt_id =
+        sys.maps().create({MapType::kPerCpuArray, 4, 8, 1, "cnt"});
+    constexpr ProgType kSeg6 = ProgType::kLwtSeg6Local;
+    constexpr ProgType kXmit = ProgType::kLwtXmit;
+    const struct {
+      usecases::BuiltProgram built;
+      ProgType type;
+      std::size_t states, states_pruned, states_unpruned;  // 0: not pinned
+    } programs[] = {
+        {usecases::build_end(), kSeg6, 0, 0, 0},
+        {usecases::build_end_t(0), kSeg6, 0, 0, 0},
+        {usecases::build_tag_increment(), kSeg6, 31, 1, 33},
+        {usecases::build_add_tlv(), kSeg6, 43, 1, 45},
+        {usecases::build_dm_encap(cfg_id), kXmit, 0, 0, 0},
+        {usecases::build_end_dm(perf_id), kSeg6, 0, 0, 0},
+        {usecases::build_end_dm_twd(), kSeg6, 0, 0, 0},
+        {usecases::build_wrr(wrr_id), kXmit, 0, 0, 0},
+        {usecases::build_end_oamp(perf_id), kSeg6, 0, 0, 0},
+        {usecases::build_percpu_counter(cnt_id), kSeg6, 0, 0, 0},
+    };
+    for (const auto& p : programs) {
+      SCOPED_TRACE(p.built.name);
+      const PruningOracle o = add(sys, p.built.insns, p.type);
+      EXPECT_TRUE(o.pruned.ok) << o.pruned.error;
+      if (p.states == 0) continue;
+      EXPECT_EQ(o.pruned.stats.states_visited, p.states);
+      EXPECT_EQ(o.pruned.stats.states_pruned, p.states_pruned);
+      EXPECT_EQ(o.unpruned.stats.states_visited, p.states_unpruned);
+    }
+  }
+  EXPECT_EQ(programs_, 1000u + 24576u + 1200u + 5u + 10u);
+  EXPECT_EQ(digest_, 0x0a9033d260f73f05ull);
 }
 
 }  // namespace
