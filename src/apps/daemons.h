@@ -3,15 +3,14 @@
 // The paper's End.DM daemon is 100 lines of Python on bcc, continuously
 // polling the perf ring and relaying measurements to a controller over UDP
 // (§4.1). PerfPoller is the generic polling loop; the use-case modules wire
-// record-specific parsing on top.
+// record-specific parsing on top and send their datagrams, built by
+// net::make_udp_packet, from the node.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
 
 #include "ebpf/perf_event.h"
-#include "net/packet.h"
 #include "sim/event_loop.h"
 #include "sim/node.h"
 
@@ -48,10 +47,5 @@ class PerfPoller {
   bool stopped_ = false;
   std::uint64_t consumed_ = 0;
 };
-
-// Fire-and-forget UDP datagram from a node (daemon -> controller traffic).
-void send_udp(sim::Node& node, const net::Ipv6Addr& src,
-              const net::Ipv6Addr& dst, std::uint16_t sport,
-              std::uint16_t dport, std::span<const std::uint8_t> payload);
 
 }  // namespace srv6bpf::apps

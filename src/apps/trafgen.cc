@@ -83,7 +83,7 @@ net::Packet TrafGen::next_packet() {
     const std::uint16_t new_word = static_cast<std::uint16_t>(
         dst_site_base_ + sent_ % cfg_.dst_spread);
     store_be16(w, new_word);
-    if (cfg_.spec.segments.empty() && cfg_.spec.fill_checksum && has_udp_) {
+    if (cfg_.spec.segments.empty() && has_udp_) {
       // The rewritten dst is the transport final destination, so it is in
       // the pseudo-header: fix the UDP checksum incrementally.
       fixup_checksum(pkt.data() + udp_off_ + 6, old_word, new_word);
@@ -98,8 +98,7 @@ net::Packet TrafGen::next_packet() {
         cfg_.spec.src_port + sent_ % cfg_.src_port_spread);
     store_be16(pp, port);
     // The port is inside the checksummed UDP header (SRH or not).
-    if (cfg_.spec.fill_checksum)
-      fixup_checksum(pp + 6, old_port, port);
+    fixup_checksum(pp + 6, old_port, port);
   }
   ++sent_;
   return pkt;

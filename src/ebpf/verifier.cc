@@ -7,6 +7,8 @@
 #include <optional>
 #include <sstream>
 
+#include "ebpf/skb.h"
+
 namespace srv6bpf::ebpf {
 namespace {
 
@@ -141,18 +143,18 @@ struct CtxField {
   bool writable;
 };
 
-// The __sk_buff-like layout shared by all LWT/seg6local program types
-// (ebpf/skb.h).
+// The __sk_buff-like layout shared by all LWT/seg6local program types,
+// read off ebpf/skb.h's SkbCtx and its skb_off offsets.
 constexpr CtxField kCtxFields[] = {
-    {0, 8, RT::kPktPtr, false},   // data
-    {8, 8, RT::kPktEnd, false},   // data_end
-    {16, 4, RT::kScalar, false},  // len
-    {20, 4, RT::kScalar, false},  // protocol
-    {24, 4, RT::kScalar, true},   // mark (the one writable field)
-    {28, 4, RT::kScalar, false},  // ingress_ifindex
-    {32, 8, RT::kScalar, false},  // tstamp
+    {skb_off::kData, sizeof SkbCtx::data, RT::kPktPtr, false},
+    {skb_off::kDataEnd, sizeof SkbCtx::data_end, RT::kPktEnd, false},
+    {skb_off::kLen, sizeof SkbCtx::len, RT::kScalar, false},
+    {skb_off::kProtocol, sizeof SkbCtx::protocol, RT::kScalar, false},
+    {skb_off::kMark, sizeof SkbCtx::mark, RT::kScalar, true},  // writable
+    {skb_off::kIngressIfindex, sizeof SkbCtx::ingress_ifindex, RT::kScalar,
+     false},
+    {skb_off::kTstamp, sizeof SkbCtx::tstamp_ns, RT::kScalar, false},
 };
-constexpr int kCtxSize = 40;
 
 class Checker {
  public:
@@ -1005,8 +1007,10 @@ std::optional<VerifierError> Checker::do_jump(State& s, const Insn& insn,
   State taken = s;
 
   // ---- Null-check pattern on map values: if (r == 0) / if (r != 0) ----
-  if (a.type == RT::kMapValueOrNull && !insn.uses_reg_src() && insn.imm == 0 &&
-      (op == BPF_JEQ || op == BPF_JNE)) {
+  // 64-bit only, as in the kernel's check_cond_jmp_op: a non-null pointer
+  // whose low 32 bits are zero takes a JMP32 compare's "null" branch.
+  if (!is32 && a.type == RT::kMapValueOrNull && !insn.uses_reg_src() &&
+      insn.imm == 0 && (op == BPF_JEQ || op == BPF_JNE)) {
     const std::uint32_t id = a.id;
     // JEQ: taken => null; JNE: taken => non-null.
     mark_map_null_branch(taken, id, op == BPF_JEQ);

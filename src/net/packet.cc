@@ -1,5 +1,6 @@
 #include "net/packet.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "net/checksum.h"
@@ -113,40 +114,52 @@ std::optional<SrhView> Packet::srh() noexcept {
   return view;
 }
 
-std::optional<TransportLoc> locate_transport(const Packet& pkt) {
+std::optional<HeaderChain> walk_header_chain(const Packet& pkt) {
   const std::uint8_t* base = pkt.data();
-  std::size_t off = 0;
-  std::size_t inner_ip = 0;
-  int guard = 8;
-  while (guard-- > 0) {
-    if (pkt.size() < off + kIpv6HeaderSize) return std::nullopt;
-    if ((base[off] >> 4) != 6) return std::nullopt;
-    inner_ip = off;
-    std::uint8_t proto = base[off + 6];
-    off += kIpv6HeaderSize;
-    if (proto == kProtoRouting) {
-      if (pkt.size() < off + kSrhFixedSize) return std::nullopt;
-      const std::size_t srh_len = (static_cast<std::size_t>(base[off + 1]) + 1) * 8;
-      if (pkt.size() < off + srh_len) return std::nullopt;
-      proto = base[off];
-      off += srh_len;
+  const std::size_t size = pkt.size();
+  auto whole_ipv6_at = [&](std::size_t off) {
+    return size >= off + kIpv6HeaderSize && (base[off] >> 4) == 6;
+  };
+  if (!whole_ipv6_at(0)) return std::nullopt;
+  HeaderChain c;
+  for (int depth = 1;; ++depth) {
+    c.proto = base[c.inner_ip + 6];
+    c.offset = c.inner_ip + kIpv6HeaderSize;
+    if (c.proto == kProtoRouting) {
+      if (size < c.offset + kSrhFixedSize) return c;
+      const std::size_t srh_len =
+          (static_cast<std::size_t>(base[c.offset + 1]) + 1) * 8;
+      if (size < c.offset + srh_len) return c;
+      c.proto = base[c.offset];
+      c.offset += srh_len;
     }
-    if (proto == kProtoIpv6) continue;  // IPv6-in-IPv6: descend
-    if (proto == kProtoUdp || proto == kProtoTcp || proto == kProtoIcmp6)
-      return TransportLoc{proto, off, inner_ip};
-    return std::nullopt;
+    if (c.proto != kProtoIpv6) {
+      c.whole = true;
+      return c;
+    }
+    if (depth == 8 || !whole_ipv6_at(c.offset)) return c;
+    c.inner_ip = c.offset;  // IPv6-in-IPv6: descend
   }
+}
+
+std::optional<TransportLoc> locate_transport(const Packet& pkt) {
+  const auto c = walk_header_chain(pkt);
+  if (!c || !c->whole) return std::nullopt;
+  if (c->proto == kProtoUdp || c->proto == kProtoTcp ||
+      c->proto == kProtoIcmp6)
+    return TransportLoc{c->proto, c->offset, c->inner_ip};
   return std::nullopt;
 }
 
-Packet make_udp_packet(const PacketSpec& spec) {
+Packet make_udp_packet(const PacketSpec& spec,
+                       std::optional<std::span<const std::uint8_t>> payload) {
   std::vector<std::uint8_t> srh;
   const bool with_srh = !spec.segments.empty();
   if (with_srh)
-    srh = build_srh(kProtoUdp, spec.segments, spec.srh_tlvs, spec.srh_tag,
-                    spec.srh_flags);
+    srh = build_srh(kProtoUdp, spec.segments, spec.srh_tlvs, spec.srh_tag);
 
-  const std::size_t udp_len = kUdpHeaderSize + spec.payload_size;
+  const std::size_t udp_len =
+      kUdpHeaderSize + (payload ? payload->size() : spec.payload_size);
   const std::size_t total = kIpv6HeaderSize + srh.size() + udp_len;
 
   Packet pkt(std::span<const std::uint8_t>{}, kDefaultHeadroom);
@@ -172,17 +185,17 @@ Packet make_udp_packet(const PacketSpec& spec) {
   uh.length = static_cast<std::uint16_t>(udp_len);
   uh.checksum = 0;
   uh.write(udp);
-  std::memset(udp + kUdpHeaderSize, spec.payload_fill, spec.payload_size);
+  if (payload)
+    std::ranges::copy(*payload, udp + kUdpHeaderSize);
+  else
+    std::memset(udp + kUdpHeaderSize, 0xab, spec.payload_size);
 
-  if (spec.fill_checksum) {
-    // The UDP checksum covers the *final* destination in the pseudo-header;
-    // with SRv6 that is the last segment of the path (RFC 8200 §8.1 rule for
-    // routing headers).
-    const Ipv6Addr final_dst = with_srh ? spec.segments.back() : spec.dst;
-    const std::uint16_t c = transport_checksum(
-        spec.src, final_dst, kProtoUdp, {udp, udp_len});
-    store_be16(udp + 6, c);
-  }
+  // The UDP checksum covers the *final* destination in the pseudo-header;
+  // with SRv6 that is the last segment of the path (RFC 8200 §8.1 rule for
+  // routing headers).
+  const Ipv6Addr final_dst = with_srh ? spec.segments.back() : spec.dst;
+  store_be16(udp + 6, transport_checksum(spec.src, final_dst, kProtoUdp,
+                                         {udp, udp_len}));
   return pkt;
 }
 

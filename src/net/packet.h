@@ -125,31 +125,47 @@ class Packet {
   DstEntry dst_;
 };
 
-// Builds IPv6(+optional SRH)+UDP+payload packets used across tests, examples
-// and benchmarks.
+// What make_udp_packet builds: IPv6(+optional SRH)+UDP+payload. Every member
+// has an initializer, so a designated initializer may name only the fields
+// it sets.
 struct PacketSpec {
-  Ipv6Addr src;
-  Ipv6Addr dst;                   // the IPv6 dst; unused with an SRH
+  Ipv6Addr src{};
+  Ipv6Addr dst{};                   // the IPv6 dst; unused with an SRH
   std::uint8_t hop_limit = 64;
-  std::uint32_t flow_label = 0;   // 20 bits; part of the RSS steering tuple
-  std::vector<Ipv6Addr> segments; // if non-empty, adds an SRH (travel order);
-                                  // the IPv6 dst is then segments.front()
-                                  // and the final dst segments.back()
-  std::vector<std::uint8_t> srh_tlvs;
+  std::uint32_t flow_label = 0;     // 20 bits; part of the RSS steering tuple
+  std::vector<Ipv6Addr> segments{}; // if non-empty, adds an SRH (travel
+                                    // order); the IPv6 dst is then
+                                    // segments.front() and the final dst
+                                    // segments.back()
+  std::vector<std::uint8_t> srh_tlvs{};
   std::uint16_t srh_tag = 0;
-  std::uint8_t srh_flags = 0;
   std::uint16_t src_port = 7000;
   std::uint16_t dst_port = 7001;
-  std::size_t payload_size = 64;
-  std::uint8_t payload_fill = 0xab;
-  bool fill_checksum = true;
+  std::size_t payload_size = 64;    // bytes of 0xab, unless they are given
 };
 
-Packet make_udp_packet(const PacketSpec& spec);
+// The one UDP builder: the datagram `spec` describes, carrying `payload`
+// when it is given, with its UDP checksum filled in.
+Packet make_udp_packet(
+    const PacketSpec& spec,
+    std::optional<std::span<const std::uint8_t>> payload = std::nullopt);
 
-// Walks the header chain (IPv6 -> [SRH] -> [IPv6-in-IPv6 ...]) to the
-// transport header. Returns nullopt when the chain is malformed or ends in a
-// protocol other than UDP/TCP/ICMPv6.
+// The one walk over the header chain, IPv6 -> [SRH] -> [IPv6-in-IPv6 ...],
+// as deep as it is whole. It reads no byte past size(), and is nullopt when
+// the packet does not start with a whole IPv6 header.
+struct HeaderChain {
+  std::size_t inner_ip = 0;  // byte offset of the innermost whole IPv6 header
+  std::uint8_t proto = 0;    // the protocol it (or its SRH) names next
+  std::size_t offset = 0;    // byte offset where that next header starts
+  // False when the walk stopped short: an SRH or an inner IPv6 header cut
+  // off by the end, an inner header that is not IPv6, or more than eight
+  // nested IPv6 headers. `proto` then names the header it stopped at.
+  bool whole = false;
+};
+std::optional<HeaderChain> walk_header_chain(const Packet& pkt);
+
+// The transport header of a whole chain. Returns nullopt when the chain is
+// malformed or ends in a protocol other than UDP/TCP/ICMPv6.
 struct TransportLoc {
   std::uint8_t proto = 0;       // kProtoUdp / kProtoTcp / kProtoIcmp6
   std::size_t offset = 0;       // byte offset of the transport header

@@ -66,7 +66,7 @@ int SrhView::find_tlv(std::uint8_t type) const noexcept {
 std::vector<std::uint8_t> build_srh(std::uint8_t next_header,
                                     std::span<const Ipv6Addr> segments,
                                     std::span<const std::uint8_t> tlvs,
-                                    std::uint16_t tag, std::uint8_t flags) {
+                                    std::uint16_t tag) {
   if (segments.empty()) throw std::invalid_argument("SRH needs >= 1 segment");
   if (segments.size() > 255)
     throw std::invalid_argument("too many segments");
@@ -82,7 +82,6 @@ std::vector<std::uint8_t> build_srh(std::uint8_t next_header,
   out[2] = kSrhRoutingType;
   out[3] = static_cast<std::uint8_t>(segments.size() - 1);  // segments_left
   out[4] = static_cast<std::uint8_t>(segments.size() - 1);  // last_entry
-  out[5] = flags;
   store_be16(out.data() + 6, tag);
   // Travel order -> reverse storage: segment[0] is the final destination.
   for (std::size_t i = 0; i < segments.size(); ++i) {

@@ -115,13 +115,13 @@ class SrhView {
 
 // Builds a serialized SRH. `segments` is given in travel order (first visited
 // first); this builder stores them reversed per the RFC and sets
-// segments_left = n-1, i.e. the state of a freshly encapsulated packet.
-// `tlvs` is appended verbatim and must pad the header to a multiple of 8.
+// segments_left = n-1, i.e. the state of a freshly encapsulated packet, with
+// no flags set. `tlvs` is appended verbatim and must pad the header to a
+// multiple of 8.
 std::vector<std::uint8_t> build_srh(std::uint8_t next_header,
                                     std::span<const Ipv6Addr> segments,
                                     std::span<const std::uint8_t> tlvs = {},
-                                    std::uint16_t tag = 0,
-                                    std::uint8_t flags = 0);
+                                    std::uint16_t tag = 0);
 
 // TLV construction helpers.
 std::vector<std::uint8_t> build_dm_tlv(std::uint64_t tx_tstamp_ns,

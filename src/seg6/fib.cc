@@ -1,12 +1,8 @@
 #include "seg6/fib.h"
 
 #include <climits>
-#include <cstring>
 #include <stdexcept>
 
-#include "net/srh.h"
-#include "net/transport.h"
-#include "util/byteorder.h"
 #include "util/hash.h"
 
 namespace srv6bpf::seg6 {
@@ -102,43 +98,18 @@ const Nexthop& Fib::select_nexthop(const Route& route,
 }
 
 std::uint32_t flow_hash(const net::Packet& pkt) {
-  // Walk to the innermost IPv6 header (through SRH and IPv6-in-IPv6), then
-  // hash {src, dst, proto, ports}. Jenkins one-at-a-time.
+  // Hash {src, dst, proto, ports} of the innermost whole IPv6 header that
+  // net's chain walk reaches (through SRH and IPv6-in-IPv6). Jenkins
+  // one-at-a-time.
+  const auto chain = net::walk_header_chain(pkt);
+  if (!chain) return 0;
   const std::uint8_t* p = pkt.data();
-  std::size_t len = pkt.size();
-  std::uint8_t proto = 0;
-  const std::uint8_t* transport = nullptr;
-  if (len < net::kIpv6HeaderSize) return 0;
-
-  int guard = 8;
-  while (guard-- > 0 && len >= net::kIpv6HeaderSize && (p[0] >> 4) == 6) {
-    proto = p[6];
-    const std::uint8_t* next = p + net::kIpv6HeaderSize;
-    std::size_t next_len = len - net::kIpv6HeaderSize;
-    if (proto == net::kProtoRouting && next_len >= net::kSrhFixedSize) {
-      const std::size_t srh_len = (static_cast<std::size_t>(next[1]) + 1) * 8;
-      if (srh_len > next_len) break;
-      proto = next[0];
-      next += srh_len;
-      next_len -= srh_len;
-    }
-    if (proto == net::kProtoIpv6) {
-      p = next;
-      len = next_len;
-      continue;
-    }
-    transport = next;
-    len = next_len;
-    break;
-  }
-
   OneAtATime h;
-  // src+dst of the innermost IPv6 header currently at `p`.
-  h.mix(p + 8, 32);
-  h.mix(&proto, 1);
-  if (transport != nullptr &&
-      (proto == net::kProtoUdp || proto == net::kProtoTcp))
-    h.mix(transport, 4);  // both ports
+  h.mix(p + chain->inner_ip + 8, 32);  // src + dst
+  h.mix(&chain->proto, 1);
+  if ((chain->proto == net::kProtoUdp || chain->proto == net::kProtoTcp) &&
+      pkt.size() >= chain->offset + 4)
+    h.mix(p + chain->offset, 4);  // both ports
   return h.finish();
 }
 

@@ -151,7 +151,9 @@ class Fib {
 };
 
 // 5-tuple flow hash over the *innermost* IPv6+transport headers of a packet
-// (so ECMP keeps flows on one path even when encapsulated upstream).
+// (so ECMP keeps flows on one path even when encapsulated upstream), as
+// net::walk_header_chain reports them; it reads no byte past the packet.
+// 0 for a packet that does not start with a whole IPv6 header.
 std::uint32_t flow_hash(const net::Packet& pkt);
 
 // Resolves `nh` into the packet's dst metadata: the next hop is the gateway,

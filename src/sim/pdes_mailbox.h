@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <thread>
 
 #include "net/packet.h"
@@ -60,7 +61,14 @@ class PdesMailbox {
   static constexpr std::size_t kCapacity = 1024;
   static_assert((kCapacity & (kCapacity - 1)) == 0, "power-of-two ring");
 
-  PdesMailbox() : slots_(std::make_unique<PdesMail[]>(kCapacity)) {}
+  PdesMailbox() : slots_(new Slot[kCapacity]) {}
+  // Destroys the messages still queued; their packets give their buffers
+  // back to the pool.
+  ~PdesMailbox() {
+    for (std::uint64_t h = head_.load(std::memory_order_relaxed);
+         h != tail_.load(std::memory_order_relaxed); ++h)
+      at(h).~PdesMail();
+  }
 
   PdesMailbox(const PdesMailbox&) = delete;
   PdesMailbox& operator=(const PdesMailbox&) = delete;
@@ -70,7 +78,7 @@ class PdesMailbox {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) == kCapacity)
       return false;
-    slots_[tail & (kCapacity - 1)] = std::move(m);
+    new (slots_[tail & (kCapacity - 1)].bytes) PdesMail(std::move(m));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -117,7 +125,9 @@ class PdesMailbox {
   bool try_pop(PdesMail& out) noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (tail_.load(std::memory_order_acquire) == head) return false;
-    out = std::move(slots_[head & (kCapacity - 1)]);
+    PdesMail& queued = at(head);
+    out = std::move(queued);
+    queued.~PdesMail();
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -134,6 +144,17 @@ class PdesMailbox {
   }
 
  private:
+  // A slot is raw storage: push constructs a message in it and pop
+  // destroys it, so a mailbox writes only the slots its traffic reaches,
+  // not all kCapacity messages (112 KiB) when a partition is sealed.
+  struct Slot {
+    alignas(PdesMail) std::byte bytes[sizeof(PdesMail)];
+  };
+  PdesMail& at(std::uint64_t i) noexcept {
+    return *std::launder(
+        reinterpret_cast<PdesMail*>(slots_[i & (kCapacity - 1)].bytes));
+  }
+
   // Cursors on separate cache lines so producer and consumer don't false-
   // share; slots are written by the producer and read by the consumer with
   // the tail_ release/acquire pair ordering the hand-off.
@@ -141,7 +162,7 @@ class PdesMailbox {
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
   std::atomic<std::uint64_t> overflow_spins_{0};
   bool inline_drain_ = false;
-  std::unique_ptr<PdesMail[]> slots_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace srv6bpf::sim

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "ebpf/perf_event.h"
+#include "net/packet.h"
 #include "util/byteorder.h"
 
 namespace srv6bpf::usecases {
@@ -130,7 +131,10 @@ DelayMonitorLab::DelayMonitorLab(const Options& opts) : net_(opts.seed) {
         std::uint8_t payload[16];
         store_unaligned<std::uint64_t>(payload, ev.tx_ns);
         store_unaligned<std::uint64_t>(payload + 8, ev.rx_ns);
-        apps::send_udp(*r_, kRIf0, ctrl, 40000, ev.ctrl_port, payload);
+        r_->send(net::make_udp_packet(
+            {.src = kRIf0, .dst = ctrl, .src_port = 40000,
+             .dst_port = ev.ctrl_port},
+            payload));
       });
   poller_->start();
 }

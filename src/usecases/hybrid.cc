@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "net/checksum.h"
+#include "net/packet.h"
 #include "net/srh.h"
 #include "net/transport.h"
 #include "seg6/seg6local.h"
@@ -164,36 +164,17 @@ HybridLab::HybridLab(const Options& opts) : net_(/*seed=*/7) {
 void HybridLab::send_twd_probe(int link_index) {
   // Probe: IPv6 + SRH{segments [M::7d0X, A], DM TLV(tx=now), PadN} + UDP.
   const net::Ipv6Addr& sid = link_index == 0 ? kMTwd1 : kMTwd2;
-  const std::uint16_t port = link_index == 0 ? kTwdPortL1 : kTwdPortL2;
-
-  std::vector<net::Ipv6Addr> segs = {sid, kAL1};  // bounce back to A
-  std::vector<std::uint8_t> tlvs =
-      net::build_dm_tlv(net_.now(), net::kDmFlagTwoWay);
+  net::PacketSpec spec{.src = kAL1,
+                       .segments = {sid, kAL1},  // bounce back to A
+                       .srh_tlvs = net::build_dm_tlv(net_.now(),
+                                                     net::kDmFlagTwoWay),
+                       .src_port = 41000,
+                       .dst_port = link_index == 0 ? kTwdPortL1 : kTwdPortL2};
   const auto pad = net::build_padn(4);
-  tlvs.insert(tlvs.end(), pad.begin(), pad.end());
-  const auto srh = net::build_srh(net::kProtoUdp, segs, tlvs);
-
-  const std::size_t udp_len = net::kUdpHeaderSize + 8;
-  net::Packet pkt;
-  std::uint8_t* buf =
-      pkt.push_front(net::kIpv6HeaderSize + srh.size() + udp_len);
-  net::Ipv6Header ip;
-  ip.src = kAL1;
-  ip.dst = sid;
-  ip.next_header = net::kProtoRouting;
-  ip.hop_limit = 64;
-  ip.payload_length = static_cast<std::uint16_t>(srh.size() + udp_len);
-  ip.write(buf);
-  std::memcpy(buf + net::kIpv6HeaderSize, srh.data(), srh.size());
-  net::UdpHeader uh;
-  uh.src_port = 41000;
-  uh.dst_port = port;
-  uh.length = static_cast<std::uint16_t>(udp_len);
-  uh.write(buf + net::kIpv6HeaderSize + srh.size());
-  store_unaligned<std::uint64_t>(
-      buf + net::kIpv6HeaderSize + srh.size() + net::kUdpHeaderSize,
-      ++twd_seq_);
-  a_->send(std::move(pkt));
+  spec.srh_tlvs.insert(spec.srh_tlvs.end(), pad.begin(), pad.end());
+  std::uint8_t seq[8];
+  store_unaligned<std::uint64_t>(seq, ++twd_seq_);
+  a_->send(net::make_udp_packet(spec, seq));
 }
 
 void HybridLab::start_twd_daemon() {

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "ebpf/perf_event.h"
+#include "net/packet.h"
 #include "net/srh.h"
 #include "net/transport.h"
 #include "seg6/seg6local.h"
@@ -108,7 +109,11 @@ OampLab::OampLab(std::uint64_t seed) : net_(seed) {
       net::Ipv6View ip(const_cast<std::uint8_t*>(pkt.data()) + loc->inner_ip);
       std::uint8_t payload[2];
       store_be16(payload, port);
-      apps::send_udp(*d_, d_addr_, ip.src(), port, kEchoReplyPort, payload);
+      d_->send(net::make_udp_packet({.src = d_addr_,
+                                     .dst = ip.src(),
+                                     .src_port = port,
+                                     .dst_port = kEchoReplyPort},
+                                    payload));
     });
   }
 }
@@ -140,8 +145,11 @@ void OampLab::enable_oamp(sim::Node& node, const net::Ipv6Addr& iface_addr) {
         store_be32(payload.data() + 16, n);
         for (std::uint32_t i = 0; i < n; ++i)
           std::memcpy(payload.data() + 20 + 16 * i, ev.nexthops[i], 16);
-        apps::send_udp(*node_ptr, iface_addr, reply_to, 33600, ev.reply_port,
-                       payload);
+        node_ptr->send(net::make_udp_packet({.src = iface_addr,
+                                             .dst = reply_to,
+                                             .src_port = 33600,
+                                             .dst_port = ev.reply_port},
+                                            payload));
       }));
   pollers_.back()->start();
 }

@@ -491,6 +491,43 @@ TEST_F(VerifierTest, MapLookupWithNullCheckOk) {
   expect_ok(a);
 }
 
+// Only a 64-bit compare is a null check, as in the kernel's
+// check_cond_jmp_op (`!is_jmp32`): a JMP32 compare reads the pointer's low
+// half, so a map value whose low 32 bits are zero takes its "null" branch.
+// Taken for a null check, it would let r10 + r0 - 1 pass as a stack slot
+// on that branch, where the native JIT stores 7 at fp + pointer - 1. The
+// generic pointer rule refuses the compare; the 64-bit form of the same
+// program is accepted.
+TEST_F(VerifierTest, Jmp32CompareOfMapValueIsNotANullCheck) {
+  auto program = [this](bool is32, std::uint8_t op) {
+    Asm a;
+    a.st(BPF_W, R10, -4, 0)
+        .ld_map(R1, map_id_)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .call(helper::MAP_LOOKUP_ELEM);
+    if (is32)
+      a.jmp32_imm(op, R0, 0, "L");
+    else
+      a.jmp_imm(op, R0, 0, "L");
+    // The "null" side, JEQ's taken branch and JNE's fall-through, adds r0
+    // to the frame pointer and stores through the sum.
+    auto null_side = [](Asm& b) {
+      b.mov64_reg(R1, R10).add64_reg(R1, R0).st(BPF_B, R1, -1, 7);
+    };
+    if (op == BPF_JNE) null_side(a);
+    a.mov64_imm(R0, 0).exit_().label("L");
+    if (op == BPF_JEQ) null_side(a);
+    a.mov64_imm(R0, 0).exit_();
+    return a;
+  };
+  for (const std::uint8_t op : {BPF_JEQ, BPF_JNE}) {
+    SCOPED_TRACE(op == BPF_JEQ ? "jeq" : "jne");
+    expect_reject(program(/*is32=*/true, op), "invalid pointer comparison");
+    expect_ok(program(/*is32=*/false, op));
+  }
+}
+
 TEST_F(VerifierTest, MapValueAccessOutOfBoundsRejected) {
   Asm a;
   a.st(BPF_W, R10, -4, 0)

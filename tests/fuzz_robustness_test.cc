@@ -11,6 +11,10 @@
 //      acceptable outcomes are "parsed" or "rejected"; any out-of-bounds
 //      access is the CI ASan+UBSan job's kill condition (this whole test
 //      binary runs under SRV6BPF_SANITIZE=address like every other test).
+//      seg6::flow_hash, which hashes what the same walk reports, must not
+//      read past the end either: a read that stays inside the frame's
+//      pooled buffer is invisible to ASan, so each frame is hashed twice
+//      with different bytes behind its end.
 //
 //   2. The live datapath — the same mutated frames injected as wire
 //      arrivals into an SRv6 endpoint router (seg6local End SID + FIB), a
@@ -29,6 +33,7 @@
 #include "apps/trafgen.h"
 #include "net/packet.h"
 #include "net/srh.h"
+#include "seg6/fib.h"
 #include "seg6/seg6local.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
@@ -89,6 +94,18 @@ net::Packet mutate(net::Packet&& pkt, Rng& rng) {
   return out;
 }
 
+// seg6::flow_hash of `pkt`'s bytes with 64 bytes of `fill` behind its end:
+// the copy is built with them, then trimmed with expand_at, which leaves
+// them in its buffer.
+std::uint32_t flow_hash_with_tail(const net::Packet& pkt, std::uint8_t fill) {
+  constexpr std::size_t kTail = 64;
+  std::vector<std::uint8_t> bytes(pkt.bytes().begin(), pkt.bytes().end());
+  bytes.resize(pkt.size() + kTail, fill);
+  net::Packet padded(bytes);
+  padded.expand_at(pkt.size(), -static_cast<std::ptrdiff_t>(kTail));
+  return seg6::flow_hash(padded);
+}
+
 TEST(FuzzParsers, TruncationAndBitFlipsNeverCrash) {
   const std::uint64_t seed = 0xf022edc4a5;
   Rng rng(seed);
@@ -106,6 +123,8 @@ TEST(FuzzParsers, TruncationAndBitFlipsNeverCrash) {
     } else {
       ++rejected;
     }
+    ASSERT_EQ(flow_hash_with_tail(pkt, 0x00), flow_hash_with_tail(pkt, 0xff))
+        << "flow_hash read past the end; seed " << seed << " iter " << i;
 
     // SRH view: srh() itself gates on bounds; a view it returns must be
     // structurally self-consistent or flagged invalid.

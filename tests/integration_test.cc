@@ -7,6 +7,7 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "expect_drained.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
 #include "sim/network.h"
@@ -18,13 +19,6 @@ namespace srv6bpf {
 namespace {
 
 using namespace usecases;
-
-// Ends a scenario with the network's drained audit: every packet a node
-// originated was delivered or dropped with a reason.
-void expect_drained(sim::Network& net) {
-  net.audit(/*final_drain=*/true);
-  EXPECT_EQ(net.violations(), std::vector<std::string>{});
-}
 
 // ---- Plain forwarding across a 3-node line -----------------------------------
 

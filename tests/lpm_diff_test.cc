@@ -14,6 +14,7 @@
 #include "apps/sink.h"
 #include "apps/trafgen.h"
 #include "ebpf/map.h"
+#include "expect_drained.h"
 #include "net/checksum.h"
 #include "net/packet.h"
 #include "net/transport.h"
@@ -333,6 +334,7 @@ TEST(LpmEndToEnd, DstSpreadDrivesTrieWithValidChecksums) {
   // the stride trie answered every route lookup.
   EXPECT_EQ(r.ns().table(0).cache_hits(), 0u);
   EXPECT_GT(delivered, kSites * 4);
+  expect_drained(lab.net);
 }
 
 }  // namespace

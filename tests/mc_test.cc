@@ -20,6 +20,7 @@
 #include "ebpf/asm.h"
 #include "ebpf/map.h"
 #include "ebpf/perf_event.h"
+#include "expect_drained.h"
 #include "golden_scenarios.h"
 #include "net/packet.h"
 #include "sim/network.h"
@@ -141,6 +142,7 @@ TEST(RssSteering, SameFlowNeverReordersAcrossContexts) {
   lab.net.run_for(sim::kMilli);
   EXPECT_EQ(r.context_count(), 4u);
   EXPECT_EQ(r.stats().rx_packets, rx_before + 1);
+  expect_drained(lab.net);
 }
 
 // Saturating fig2 at 1, 2 and 4 contexts, with plain forwarding and with
@@ -167,6 +169,7 @@ TEST(RssSteering, FourContextsForwardMoreThanOne) {
     apps::TrafGen gen(*lab.s1, cfg);
     gen.start();
     lab.net.run_for(sim::kSecond);
+    expect_drained(lab.net);
     return static_cast<double>(sink.packets());
   };
   for (const bool end_bpf : {false, true}) {
@@ -241,6 +244,7 @@ TEST(PerCpuMaps, PerContextValuesAndSummedReads) {
   EXPECT_EQ(summed, r.stats().pipeline.bpf_runs);
   EXPECT_EQ(summed, cnt->sum_u64(key0));
   EXPECT_GT(summed, 100u);
+  expect_drained(lab.net);
 }
 
 // ---- perf-event rings under multi-core --------------------------------------
@@ -349,6 +353,7 @@ TEST(PerfEvents, DatapathRecordsCarryServicingContext) {
     if (per_cpu_records[k] > 0) ++active;
   }
   EXPECT_GE(active, 2u);
+  expect_drained(lab.net);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "net/checksum.h"
@@ -292,6 +293,34 @@ TEST(Packet, MakeUdpPacketWithSrh) {
   auto loc = locate_transport(p);
   ASSERT_TRUE(loc.has_value());
   EXPECT_EQ(loc->offset, 40u + 40u);
+}
+
+// Given bytes, the datagram carries exactly them: the IPv6 payload length
+// and the UDP length follow their size, not spec.payload_size, and the
+// checksum verifies against the final destination, with or without an SRH.
+TEST(Packet, MakeUdpPacketCarriesGivenBytes) {
+  PacketSpec spec;
+  spec.src = Ipv6Addr::must_parse("fc00::1");
+  spec.dst = Ipv6Addr::must_parse("fc00::2");
+  spec.payload_size = 64;
+  const std::uint8_t bytes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  const std::size_t udp_len = kUdpHeaderSize + sizeof bytes;
+  for (const bool srh : {false, true}) {
+    SCOPED_TRACE(srh ? "with an SRH" : "without an SRH");
+    if (srh) spec.segments = {Ipv6Addr::must_parse("fc00::e"), spec.dst};
+    Packet p = make_udp_packet(spec, bytes);
+    const auto loc = locate_transport(p);
+    ASSERT_TRUE(loc.has_value());
+    ASSERT_EQ(p.size(), loc->offset + udp_len);
+    EXPECT_EQ(p.ipv6().payload_length(), p.size() - kIpv6HeaderSize);
+    const auto udp = UdpHeader::parse({p.data() + loc->offset, udp_len});
+    EXPECT_EQ(udp->length, udp_len);
+    EXPECT_TRUE(std::ranges::equal(
+        std::span(p.data() + loc->offset + kUdpHeaderSize, sizeof bytes),
+        bytes));
+    EXPECT_TRUE(transport_checksum_ok(spec.src, spec.dst, kProtoUdp,
+                                      {p.data() + loc->offset, udp_len}));
+  }
 }
 
 TEST(Packet, LocateTransportThroughEncap) {

@@ -26,6 +26,7 @@
 
 #include "apps/sink.h"
 #include "apps/trafgen.h"
+#include "expect_drained.h"
 #include "golden_scenarios.h"
 #include "net/packet.h"
 #include "seg6/seg6local.h"
@@ -333,6 +334,7 @@ Digest run_fig2_fib48(int threads) {
   gen.start();
 
   golden::run_window(lab.net, 10 * sim::kMilli, threads);
+  expect_drained(lab.net);
   return dig;
 }
 
@@ -389,6 +391,7 @@ golden::Outcome run_failover(int threads) {
   net.schedule_link_up(*l1.link, 3 * sim::kMilli);
 
   golden::run_window(net, 6 * sim::kMilli, threads);
+  expect_drained(net);
   res.router = r.stats();
   return res;
 }
@@ -443,6 +446,7 @@ TEST(PdesProgress, IdleDomainsAdvanceThroughHorizonsOnly) {
   // A second, completely idle window: horizons restart and creep again.
   net.run_parallel_for(100 * sim::kMilli, 2);
   EXPECT_EQ(net.now(), sim::kSecond + 100 * sim::kMilli);
+  expect_drained(net);
 }
 
 // ---- mailbox overflow inside one lookahead window ---------------------------
@@ -483,6 +487,7 @@ OverflowResult run_mailbox_overflow(std::size_t threads) {
   gen.start();
 
   net.run_parallel_for(30 * sim::kMilli, threads);
+  expect_drained(net);
   res.spins = net.pdes_net().mailbox_overflow_spins();
   return res;
 }
@@ -547,6 +552,7 @@ TEST(PdesDeterminism, SameTimestampCrossDomainArrivalsOrderBySenderDomain) {
         });
       }
       net.run_parallel_for(sim::kMilli, static_cast<std::size_t>(threads));
+      expect_drained(net);
 
       ASSERT_EQ(order.size(), 2u);
       // Identical paths and send times: both arrive at R at the same ns;
@@ -599,6 +605,7 @@ golden::Outcome run_overload(int threads) {
   gen_miss.start();
 
   golden::run_window(lab.net, 5 * sim::kMilli, threads);
+  expect_drained(lab.net);
   res.router = lab.r->stats();
   return res;
 }
@@ -667,6 +674,7 @@ RingResult run_ring(int threads, const sim::RingTopoSpec& spec,
   }
 
   golden::run_window(net, window, threads);
+  expect_drained(net);
 
   // Deterministic cross-domain fold: segment order (the merge itself is
   // order-invariant; tests/slo_test.cc pins that algebra).

@@ -24,6 +24,7 @@
 #include "ebpf/asm.h"
 #include "usecases/programs.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace srv6bpf::seg6 {
 namespace {
@@ -132,6 +133,54 @@ TEST(FlowHash, SeesThroughEncapsulation) {
   ASSERT_TRUE(seg6_do_encap(wrapped, segs, A("fc00::99")));
   EXPECT_EQ(flow_hash(wrapped), h_before)
       << "ECMP must hash the inner flow so encapsulated flows stay pinned";
+}
+
+// A well-formed header chain: 1-4 IPv6 headers, each with or without an
+// SRH of 1-3 segments, ending in UDP, TCP, ICMPv6 or no next header, whose
+// 8-40 bytes follow whole. Every field is random.
+net::Packet random_chain(Rng& rng) {
+  auto byte = [&rng] { return static_cast<std::uint8_t>(rng.next_u32()); };
+  auto addr = [&byte] {
+    net::Ipv6Addr a;
+    for (std::uint8_t& b : a.bytes()) b = byte();
+    return a;
+  };
+  constexpr std::uint8_t kLast[] = {net::kProtoUdp, net::kProtoTcp,
+                                    net::kProtoIcmp6, net::kProtoNone};
+  std::uint8_t proto = kLast[rng.uniform(0, 3)];
+  std::vector<std::uint8_t> bytes(rng.uniform(8, 40));
+  for (std::uint8_t& b : bytes) b = byte();
+  const std::uint64_t layers = rng.uniform(1, 4);
+  for (std::uint64_t l = 0; l < layers; ++l) {
+    net::Ipv6Header ip;
+    ip.next_header = proto;
+    if (rng.chance(0.5)) {
+      std::vector<net::Ipv6Addr> segs(rng.uniform(1, 3));
+      for (net::Ipv6Addr& seg : segs) seg = addr();
+      const auto srh = net::build_srh(proto, segs);
+      bytes.insert(bytes.begin(), srh.begin(), srh.end());
+      ip.next_header = net::kProtoRouting;
+    }
+    ip.src = addr();
+    ip.dst = addr();
+    ip.payload_length = static_cast<std::uint16_t>(bytes.size());
+    std::uint8_t hdr[net::kIpv6HeaderSize];
+    ip.write(hdr);
+    bytes.insert(bytes.begin(), hdr, hdr + sizeof hdr);
+    proto = net::kProtoIpv6;
+  }
+  return net::Packet(bytes);
+}
+
+// flow_hash hashes what net::walk_header_chain reports. On every whole chain
+// that is what it hashed when it walked the chain itself, which is when
+// this digest of 20,000 generated chains was taken.
+TEST(FlowHash, WellFormedChainDigestIsPinned) {
+  Rng rng(0xf10a54a54);
+  std::uint64_t digest = kFnv1aBasis;
+  for (int i = 0; i < 20000; ++i)
+    digest = fnv1a_u64(digest, flow_hash(random_chain(rng)));
+  EXPECT_EQ(digest, 0x50817ee4de6568f3ull);
 }
 
 // The packet overload skips the hash on a one-nexthop route; on every route
@@ -935,6 +984,11 @@ TEST(SkbCtx, EndBpfAndLwtSeeThePacketTheClockAndTheNetnsDraws) {
   }
   ASSERT_EQ(marks_at_s2.size(), 1u);
   EXPECT_EQ(marks_at_s2[0], 0x1a7u);
+  // No node originated the packet put straight into R's receive path, so
+  // the ledger offered none and consumed it at S2.
+  const auto ledger = net.ledger();
+  EXPECT_EQ(ledger.offered, 0u);
+  EXPECT_EQ(ledger.consumed, 1u);
 }
 
 }  // namespace

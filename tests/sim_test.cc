@@ -5,10 +5,12 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/trafgen.h"
+#include "expect_drained.h"
 #include "net/buffer_pool.h"
 #include "net/packet.h"
 #include "seg6/fib.h"
@@ -230,6 +232,10 @@ TEST(Node, DestroyingTheNetworkReturnsPendingLinkDeliveriesToThePools) {
     line.net.run_for(100 * kMicro);  // on the 1 ms wire, not yet delivered
     ASSERT_GT(line.net.loop().pending(), 0u);
     EXPECT_EQ(net::BufferPool::stats().outstanding, buffers0 + 8);
+    // Mid-flight on purpose: the audit checks only in_flight >= 0.
+    line.net.audit();
+    EXPECT_EQ(line.net.violations(), std::vector<std::string>{});
+    EXPECT_EQ(line.net.ledger().in_flight, 8);
   }
   // Every buffer back.
   EXPECT_EQ(net::BufferPool::stats().outstanding, buffers0);
@@ -255,6 +261,10 @@ TEST(Node, DestroyingASealedNetworkReturnsWireAndMailboxPacketsToThePools) {
     EXPECT_EQ(line.net.pdes_net().domain_loop(0).pending(), 1u);
     EXPECT_EQ(line.net.pdes_net().domain_loop(1).pending(), 0u);
     EXPECT_EQ(net::BufferPool::stats().outstanding, buffers0 + 16);
+    // Mid-flight on purpose: the audit checks only in_flight >= 0.
+    line.net.audit();
+    EXPECT_EQ(line.net.violations(), std::vector<std::string>{});
+    EXPECT_EQ(line.net.ledger().in_flight, 16);
   }
   EXPECT_EQ(net::BufferPool::stats().outstanding, buffers0);
 }
@@ -355,6 +365,12 @@ TEST(Link, AWireHoldsItsBurstsBehindOneEventPerBusySide) {
     if (j == kQueued * kPer + kPer - 1) want.push_back(-2);
   }
   EXPECT_EQ(forward, want);
+  // No node originated the packets put straight on the wire, so the ledger
+  // offered none and consumed every one of them, both ways.
+  const auto ledger = net.ledger();
+  EXPECT_EQ(ledger.offered, 0u);
+  EXPECT_EQ(ledger.consumed,
+            static_cast<std::uint64_t>(kBursts * kPer + 2 * 2));
 }
 
 TEST(Node, ForwardsAndDecrementsHopLimit) {
@@ -367,6 +383,7 @@ TEST(Node, ForwardsAndDecrementsHopLimit) {
   line.net.run_for(10 * kMilli);
   EXPECT_EQ(seen_hl, 63);
   EXPECT_EQ(line.r->stats().tx_packets, 1u);
+  expect_drained(line.net);
 }
 
 TEST(Node, PropagationDelayIsApplied) {
@@ -378,6 +395,7 @@ TEST(Node, PropagationDelayIsApplied) {
   // Two 1 ms hops plus tiny serialization.
   EXPECT_GE(arrival, 2 * kMilli);
   EXPECT_LT(arrival, 2 * kMilli + 100 * kMicro);
+  expect_drained(line.net);
 }
 
 TEST(Node, HopLimitExpiryDropsAndSendsIcmp) {
@@ -392,6 +410,7 @@ TEST(Node, HopLimitExpiryDropsAndSendsIcmp) {
   EXPECT_EQ(line.r->stats().drops_ttl, 1u);
   EXPECT_EQ(line.r->stats().icmp_time_exceeded_sent, 1u);
   EXPECT_TRUE(got_icmp) << "ICMPv6 time exceeded must reach the source";
+  expect_drained(line.net);
 }
 
 TEST(Node, NoRouteDrops) {
@@ -404,6 +423,7 @@ TEST(Node, NoRouteDrops) {
   line.net.run_for(10 * kMilli);
   // R has no ::/0 so it drops.
   EXPECT_EQ(line.r->stats().drops_no_route, 1u);
+  expect_drained(line.net);
 }
 
 // A route whose tunnel encapsulates toward its own prefix loops inside one
@@ -425,6 +445,7 @@ TEST(Node, LookupRoundBudgetBoundsALoopInsideOneNode) {
     ns.seg6local().add(A("fc00:2::e"), end);
     send(line);
     line.net.run_for(10 * kMilli);
+    expect_drained(line.net);
     return line.r->stats();
   };
   auto packet = [](const char* src, std::vector<net::Ipv6Addr> segments) {
@@ -476,6 +497,7 @@ TEST(Node, CpuModelCapsForwardingRate) {
   // the drained backlog and the post-offer service tail.
   EXPECT_GT(line.r->stats().drops_rx_queue, 0u) << "overload must tail-drop";
   EXPECT_NEAR(static_cast<double>(received), 32'000.0, 3'000.0);
+  expect_drained(line.net);
 }
 
 // A rate with no tick interval is a config error, as in Fib::add_route and
@@ -542,6 +564,7 @@ TEST(TrafGen, StampedPacketsEqualFreshBuildsOfTheirRotatedSpecs) {
       EXPECT_TRUE(std::ranges::equal(got[k].bytes(), want[k].bytes()))
           << "packet " << k;
     }
+    expect_drained(net);
   }
 }
 
@@ -571,6 +594,7 @@ TEST(Node, EcmpSplitsFlowsAcrossNexthops) {
   EXPECT_GT(r1.stats().rx_packets, 10u);
   EXPECT_GT(r2.stats().rx_packets, 10u);
   EXPECT_EQ(r1.stats().rx_packets + r2.stats().rx_packets, 64u);
+  expect_drained(net);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "apps/socket_filter.h"
 #include "cbpf/insn.h"
 #include "cbpf/interp.h"
+#include "expect_drained.h"
 #include "net/packet.h"
 #include "sim/network.h"
 
@@ -42,12 +43,6 @@ struct Lab {
     spec.dst_port = dport;
     spec.payload_size = payload;
     s1.send(net::make_udp_packet(spec));
-  }
-
-  // Every packet a node originated was delivered or dropped with a reason.
-  void expect_drained() {
-    net.audit(/*final_drain=*/true);
-    EXPECT_EQ(net.violations(), std::vector<std::string>{});
   }
 };
 
@@ -155,7 +150,7 @@ TEST(SocketFilter, PerSocketFilterGatesUdpSink) {
   EXPECT_EQ(f->dropped(), 1u);
   EXPECT_EQ(mux.filtered(), 1u);
   EXPECT_EQ(mux.unmatched(), 1u);
-  lab.expect_drained();
+  expect_drained(lab.net);
 }
 
 TEST(SocketFilter, AppMuxAttachesAndDetachesPerPortFilters) {
@@ -182,7 +177,7 @@ TEST(SocketFilter, AppMuxAttachesAndDetachesPerPortFilters) {
   EXPECT_EQ(sink.packets(), 3u);
   EXPECT_EQ(port_f->accepted(), 2u);
   EXPECT_EQ(mux.filtered(), 0u);
-  lab.expect_drained();
+  expect_drained(lab.net);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ebpf/verifier.h"
+#include "expect_drained.h"
 #include "pruning_oracle.h"
 #include "seg6/helpers.h"
 #include "sim/network.h"
@@ -16,13 +17,6 @@
 
 namespace srv6bpf::usecases {
 namespace {
-
-// Ends a scenario with the network's drained audit: every packet a node
-// originated was delivered or dropped with a reason.
-void expect_drained(sim::Network& net) {
-  net.audit(/*final_drain=*/true);
-  EXPECT_EQ(net.violations(), std::vector<std::string>{});
-}
 
 // ---- all paper programs must pass the verifier --------------------------------
 
